@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test golden bench-sim bench-parallel bench-compare
+.PHONY: all build test golden bench-sim bench-compare
 
 all: build
 
@@ -28,32 +28,14 @@ golden:
 # sliced-L2/DRAM device model and single-run jitter.
 BENCH_REFS ?= altis/gups:2.0,altis/maxflops:0.95
 BENCH_REPS ?= 3
-BENCH_ENGINE ?= parallel-sliced
+BENCH_ENGINE ?= sliced-ff
 BENCH_PROFILE ?=
-BENCH_SIM_WORKERS ?= 4
-# Parallel-vs-sequential gates: the parallel engine must not be slower than
-# the sequential fast-forward engine on the reference apps (enforced only on
-# hosts with >= BENCH_SIM_WORKERS CPUs; single-core runners report only).
-BENCH_PAR_REFS ?= altis/gups:0.95
 
 bench-sim:
 	$(GO) test -run xxx -bench 'BenchmarkLaunch(Naive|FastForward)' -benchmem ./internal/sim/
 	$(GO) test -run xxx -bench 'BenchmarkIssue(ALU|Memory)' -benchmem ./internal/sm/
 	$(GO) run ./cmd/benchsim -reps $(BENCH_REPS) -refs '$(BENCH_REFS)' -engine $(BENCH_ENGINE) \
-		-sim-workers $(BENCH_SIM_WORKERS) -par-refs '$(BENCH_PAR_REFS)' \
 		$(if $(BENCH_PROFILE),-cpuprofile $(BENCH_PROFILE)) -out BENCH_sim.json
-
-# bench-parallel studies the parallel intra-launch engine in isolation: the
-# Go micro-benchmark pair (sequential fast-forward vs 4-worker parallel on
-# the synthetic memory-bound kernel) and a worker-count scaling sweep on the
-# two memory-heavy reference apps, with bit-identity checked at every point.
-BENCH_SCALING ?= 1,2,4,8
-BENCH_SCALING_APPS ?= altis/gups,rodinia/myocyte
-
-bench-parallel:
-	$(GO) test -run xxx -bench 'BenchmarkLaunch(FastForward|Parallel)' -benchmem ./internal/sim/
-	$(GO) run ./cmd/benchsim -reps $(BENCH_REPS) -apps '$(BENCH_SCALING_APPS)' \
-		-scaling '$(BENCH_SCALING)' -out -
 
 # bench-compare benchmarks HEAD against a baseline checkout's report:
 # point BASELINE at a directory containing a BENCH_sim.json (for example a

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -22,7 +21,7 @@ func TestNewProfilerEValidation(t *testing.T) {
 		ok   bool
 	}{
 		{"valid defaults", spec, nil, true},
-		{"valid full", spec, []Option{WithLevel(2), WithSampling(3), WithMemBytes(1 << 20), WithReplayWorkers(0), WithSimWorkers(2), WithReplayCache(true)}, true},
+		{"valid full", spec, []Option{WithLevel(2), WithSampling(3), WithMemBytes(1 << 20), WithReplayWorkers(0), WithReplayCache(true)}, true},
 		{"nil spec", nil, nil, false},
 		{"level too low", spec, []Option{WithLevel(0)}, false},
 		{"level too high", spec, []Option{WithLevel(4)}, false},
@@ -30,7 +29,6 @@ func TestNewProfilerEValidation(t *testing.T) {
 		{"zero memory", spec, []Option{WithMemBytes(0)}, false},
 		{"negative memory", spec, []Option{WithMemBytes(-5)}, false},
 		{"negative workers", spec, []Option{WithReplayWorkers(-2)}, false},
-		{"negative sim workers", spec, []Option{WithSimWorkers(-1)}, false},
 	}
 	for _, c := range cases {
 		p, err := NewProfilerE(c.spec, c.opts...)
@@ -42,17 +40,13 @@ func TestNewProfilerEValidation(t *testing.T) {
 		}
 	}
 	// NewProfiler documents clamping for the same inputs.
-	p := NewProfiler(spec, WithLevel(9), WithSampling(-3), WithMemBytes(-1), WithReplayWorkers(-4), WithSimWorkers(-2))
+	p := NewProfiler(spec, WithLevel(9), WithSampling(-3), WithMemBytes(-1), WithReplayWorkers(-4))
 	if p.Level() < 1 || p.Level() > 3 {
 		t.Errorf("clamped level = %d", p.Level())
 	}
-	if p.sampleEvery != 0 || p.memBytes <= 0 || p.replayWorkers != 1 || p.simWorkers != 1 {
-		t.Errorf("clamping left sampleEvery=%d memBytes=%d workers=%d simWorkers=%d",
-			p.sampleEvery, p.memBytes, p.replayWorkers, p.simWorkers)
-	}
-	// The sim-worker degree is additionally capped by the host budget.
-	if p := NewProfiler(spec, WithSimWorkers(1<<20)); p.simWorkers > runtime.GOMAXPROCS(0) {
-		t.Errorf("WithSimWorkers not clamped to GOMAXPROCS: %d", p.simWorkers)
+	if p.sampleEvery != 0 || p.memBytes <= 0 || p.replayWorkers != 1 {
+		t.Errorf("clamping left sampleEvery=%d memBytes=%d workers=%d",
+			p.sampleEvery, p.memBytes, p.replayWorkers)
 	}
 }
 
@@ -136,14 +130,14 @@ func TestProfileAppCtxCancellation(t *testing.T) {
 	app, _ := LookupApp("rodinia", "hotspot")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := testProfiler(1).ProfileAppCtx(ctx, app); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled ProfileAppCtx = %v, want context.Canceled", err)
+	if _, err := testProfiler(1).ProfileApp(ctx, app); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled ProfileApp = %v, want context.Canceled", err)
 	}
-	if _, err := testProfiler(1).ProfileAppsCtx(ctx, []*App{app}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled ProfileAppsCtx = %v, want context.Canceled", err)
+	if _, err := testProfiler(1).ProfileApps(ctx, []*App{app}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled ProfileApps = %v, want context.Canceled", err)
 	}
-	if _, err := testProfiler(1).TimelineCtx(ctx, app, "hotspot", 0, 1000); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled TimelineCtx = %v, want context.Canceled", err)
+	if _, err := testProfiler(1).Timeline(ctx, app, "hotspot", 0, 1000); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Timeline = %v, want context.Canceled", err)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"os"
 	"reflect"
-	"runtime"
 	"runtime/pprof"
 	"sort"
 	"strconv"
@@ -55,13 +54,6 @@ type result struct {
 	// Identical reports that the two engines produced bit-identical
 	// aggregate results (cycles and device counters over every launch).
 	Identical bool `json:"identical"`
-	// Parallel-engine columns, present when -sim-workers > 1: wall time,
-	// speedup over the sequential fast-forward engine, and bit-identity of
-	// the parallel run against the naive baseline.
-	ParWorkers   int     `json:"par_workers,omitempty"`
-	ParMS        float64 `json:"par_ms,omitempty"`
-	ParSpeedup   float64 `json:"par_speedup,omitempty"`
-	ParIdentical bool    `json:"par_identical,omitempty"`
 }
 
 // entry is one trajectory element: a full benchmark run of one engine
@@ -167,12 +159,10 @@ type aggregate struct {
 var inv *check.Invariants
 
 // measure runs app once under the given engine, timing only the Launch
-// calls (host-side input generation is engine-independent). workers > 1
-// selects the parallel epoch-lockstep engine.
-func measure(app *workloads.App, spec *gpu.Spec, ff bool, workers int) (time.Duration, aggregate) {
+// calls (host-side input generation is engine-independent).
+func measure(app *workloads.App, spec *gpu.Spec, ff bool) (time.Duration, aggregate) {
 	dev := sim.NewDevice(spec)
 	dev.SetFastForward(ff)
-	dev.SetSimWorkers(workers)
 	if inv != nil {
 		dev.SetChecker(inv)
 	}
@@ -202,12 +192,9 @@ func main() {
 	reps := flag.Int("reps", 3, "repetitions per engine; engines are interleaved and the minimum is kept")
 	out := flag.String("out", "BENCH_sim.json", "trajectory report path ('-' for stdout)")
 	refList := flag.String("refs", defaultRefs, "comma-separated suite/app:minSpeedup gates")
-	engine := flag.String("engine", "parallel-sliced", "trajectory entry label for this engine generation")
+	engine := flag.String("engine", "sliced-ff", "trajectory entry label for this engine generation")
 	compare := flag.String("compare", "", "baseline report to print per-app deltas against (legacy or trajectory format)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the measured launches to this file")
-	simWorkers := flag.Int("sim-workers", 0, "also measure the parallel engine with this many intra-launch workers (0 disables)")
-	parRefList := flag.String("par-refs", "", "comma-separated suite/app:minParSpeedup gates on the parallel engine (enforced only when the host has >= -sim-workers CPUs)")
-	scaling := flag.String("scaling", "", "comma-separated worker counts (e.g. 1,2,4,8): print a parallel-engine scaling table per app instead of gating")
 	checks := flag.Bool("checks", false, "assert simulator conservation laws on every measured run (internal/check; perturbs timings — not for record-keeping runs)")
 	flag.Parse()
 
@@ -258,37 +245,20 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	if *scaling != "" {
-		runScalingSweep(apps, spec, *gpuID, *scaling, *reps)
-		return
-	}
-
-	parRefs := parseRefs(*parRefList)
-	parGateLive := runtime.NumCPU() >= *simWorkers
-	if *simWorkers > 1 && !parGateLive {
-		fmt.Fprintf(os.Stderr, "benchsim: host has %d CPUs < %d sim workers; parallel speedup gates report only\n",
-			runtime.NumCPU(), *simWorkers)
-	}
-
 	cur := entry{Engine: *engine, GPU: *gpuID, Reps: *reps, Refs: refs}
 	gateFailed := false
 	refsSeen := make(map[string]bool)
 	for _, a := range apps {
-		var naive, fast, par time.Duration = 1 << 62, 1 << 62, 1 << 62
-		var naiveAgg, fastAgg, parAgg aggregate
+		var naive, fast time.Duration = 1 << 62, 1 << 62
+		var naiveAgg, fastAgg aggregate
 		// Interleave engines so slow drift in machine load hits both
 		// equally; keep the per-engine minimum.
 		for r := 0; r < *reps; r++ {
-			if d, g := measure(a, spec, false, 1); d < naive {
+			if d, g := measure(a, spec, false); d < naive {
 				naive, naiveAgg = d, g
 			}
-			if d, g := measure(a, spec, true, 1); d < fast {
+			if d, g := measure(a, spec, true); d < fast {
 				fast, fastAgg = d, g
-			}
-			if *simWorkers > 1 {
-				if d, g := measure(a, spec, true, *simWorkers); d < par {
-					par, parAgg = d, g
-				}
 			}
 		}
 		res := result{
@@ -300,26 +270,11 @@ func main() {
 			Speedup:   float64(naive) / float64(fast),
 			Identical: reflect.DeepEqual(naiveAgg, fastAgg),
 		}
-		if *simWorkers > 1 {
-			res.ParWorkers = *simWorkers
-			res.ParMS = float64(par.Microseconds()) / 1000
-			res.ParSpeedup = float64(fast) / float64(par)
-			res.ParIdentical = reflect.DeepEqual(naiveAgg, parAgg)
-		}
 		cur.Results = append(cur.Results, res)
-		fmt.Printf("%-8s %-28s naive=%9.1fms ff=%9.1fms speedup=%5.2fx identical=%v",
+		fmt.Printf("%-8s %-28s naive=%9.1fms ff=%9.1fms speedup=%5.2fx identical=%v\n",
 			*gpuID, a.ID(), res.NaiveMS, res.FastMS, res.Speedup, res.Identical)
-		if *simWorkers > 1 {
-			fmt.Printf(" par(%d)=%9.1fms par_speedup=%5.2fx par_identical=%v",
-				res.ParWorkers, res.ParMS, res.ParSpeedup, res.ParIdentical)
-		}
-		fmt.Println()
 		if !res.Identical {
 			fmt.Fprintf(os.Stderr, "benchsim: %s: engines diverge (naive %+v, ff %+v)\n", a.ID(), naiveAgg, fastAgg)
-			gateFailed = true
-		}
-		if *simWorkers > 1 && !res.ParIdentical {
-			fmt.Fprintf(os.Stderr, "benchsim: %s: parallel engine diverges (naive %+v, par %+v)\n", a.ID(), naiveAgg, parAgg)
 			gateFailed = true
 		}
 		if min, gated := refs[a.ID()]; gated {
@@ -328,15 +283,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "benchsim: reference %s speedup %.2fx below required %.2fx\n",
 					a.ID(), res.Speedup, min)
 				gateFailed = true
-			}
-		}
-		if min, gated := parRefs[a.ID()]; gated && *simWorkers > 1 {
-			if res.ParSpeedup < min {
-				fmt.Fprintf(os.Stderr, "benchsim: reference %s parallel speedup %.2fx below required %.2fx\n",
-					a.ID(), res.ParSpeedup, min)
-				if parGateLive {
-					gateFailed = true
-				}
 			}
 		}
 	}
@@ -380,50 +326,6 @@ func main() {
 	}
 	if gateFailed {
 		os.Exit(1)
-	}
-}
-
-// runScalingSweep measures each app under the parallel engine at every
-// requested worker count (fast-forward on throughout) and prints a scaling
-// table: wall time and speedup relative to the 1-worker (sequential) run.
-// Bit-identity against the 1-worker aggregate is checked at every point.
-func runScalingSweep(apps []*workloads.App, spec *gpu.Spec, gpuID, counts string, reps int) {
-	var workers []int
-	for _, part := range strings.Split(counts, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			fatalf("bad -scaling entry %q (want a positive worker count)", part)
-		}
-		workers = append(workers, n)
-	}
-	fmt.Printf("parallel-engine scaling on %s (host CPUs: %d, reps: %d)\n", gpuID, runtime.NumCPU(), reps)
-	diverged := false
-	for _, a := range apps {
-		fmt.Printf("%-28s", a.ID())
-		var baseDur time.Duration
-		var baseAgg aggregate
-		for i, w := range workers {
-			best := time.Duration(1 << 62)
-			var bestAgg aggregate
-			for r := 0; r < reps; r++ {
-				if d, g := measure(a, spec, true, w); d < best {
-					best, bestAgg = d, g
-				}
-			}
-			if i == 0 {
-				baseDur, baseAgg = best, bestAgg
-			}
-			ok := reflect.DeepEqual(baseAgg, bestAgg)
-			if !ok {
-				diverged = true
-			}
-			fmt.Printf("  w=%d %9.1fms %5.2fx id=%v", w,
-				float64(best.Microseconds())/1000, float64(baseDur)/float64(best), ok)
-		}
-		fmt.Println()
-	}
-	if diverged {
-		fatalf("scaling sweep: worker counts diverge")
 	}
 }
 

@@ -45,9 +45,7 @@ func main() {
 	traceBlocks := flag.Bool("trace-blocks", false, "include per-block dispatch instants in the trace (voluminous)")
 	overhead := flag.Bool("overhead", false, "print a measured replay-overhead summary line")
 	replayWorkers := flag.Int("replay-workers", 1, "concurrent replay-pass workers per kernel (0 = all CPU cores, 1 = sequential)")
-	simWorkers := flag.Int("sim-workers", 1, "intra-launch SM-simulation workers per device (1 = sequential; bit-identical results at any setting)")
 	replayCache := flag.Bool("replay-cache", false, "memoize byte-identical kernel invocations instead of re-simulating them")
-	ff := flag.Bool("ff", true, "fast-forward provably idle cycle spans (bit-identical results; -ff=false runs the naive cycle loop)")
 	checks := flag.Bool("checks", false, "assert simulator conservation laws during the run (internal/check); violations exit nonzero")
 	serve := flag.String("serve", "", "serve live observability HTTP on this address (/metrics, /healthz, /trace, /api/progress, /debug/pprof/)")
 	flameOut := flag.String("flame-out", "", "write per-kernel simulated-cycle stacks in collapsed format (open in speedscope)")
@@ -100,8 +98,6 @@ func main() {
 	}
 
 	dev := sim.NewDevice(spec)
-	dev.SetFastForward(*ff)
-	dev.SetSimWorkers(*simWorkers)
 	mode := cupti.ModeSMPC
 	if *hwpm {
 		mode = cupti.ModeHWPM

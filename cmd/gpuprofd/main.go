@@ -22,7 +22,6 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -33,7 +32,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8791", "listen address (host:0 picks a free port)")
 	workers := flag.Int("workers", 2, "jobs run concurrently (each fans out replay passes internally)")
-	simWorkers := flag.Int("sim-workers", 1, "default intra-launch SM-simulation workers for jobs that do not set sim_workers (budget-shared with -workers; bit-identical results)")
 	queue := flag.Int("queue", 64, "max jobs waiting for a worker before submissions get 503")
 	gpuID := flag.String("gpu", "rtx4000", "default device model for jobs that do not set gpu")
 	timeout := flag.Duration("timeout", 0, "default per-job deadline for jobs that do not set timeout_ms (0 = none)")
@@ -58,25 +56,9 @@ func main() {
 	obsSrv := obs.NewServer(nil, registry, progress)
 	obsSrv.SetLogger(logger)
 
-	// The daemon runs -workers jobs concurrently and each job may shard its
-	// SM simulation -sim-workers ways, so the two levels share one CPU
-	// budget: the per-job default is clamped to GOMAXPROCS / -workers.
-	// (Pass-level replay workers apply a further per-job clamp; see
-	// WithSimWorkers.) Jobs that set sim_workers explicitly still get the
-	// library-side GOMAXPROCS clamp.
-	perJob := *simWorkers
-	if *workers > 1 {
-		if b := runtime.GOMAXPROCS(0) / *workers; perJob > b {
-			perJob = b
-		}
-	}
-	if perJob < 1 {
-		perJob = 1
-	}
 	runner := gputopdown.NewJobRunner(*gpuID,
 		gputopdown.WithLogger(logger),
 		gputopdown.WithObserver(nil, registry),
-		gputopdown.WithSimWorkers(perJob),
 	)
 	srv, err := gputopdown.NewJobServer(gputopdown.JobServerOptions{
 		Runner:             runner.Run,

@@ -47,9 +47,7 @@ func main() {
 	traceBlocks := flag.Bool("trace-blocks", false, "include per-block dispatch instants in the trace (voluminous)")
 	overhead := flag.Bool("overhead", false, "print a measured replay-overhead summary line per app")
 	replayWorkers := flag.Int("replay-workers", 1, "concurrent replay-pass workers per kernel (0 = all CPU cores, 1 = sequential)")
-	simWorkers := flag.Int("sim-workers", 1, "intra-launch SM-simulation workers per device (1 = sequential; bit-identical results at any setting)")
 	replayCache := flag.Bool("replay-cache", false, "memoize byte-identical kernel invocations instead of re-simulating them")
-	ff := flag.Bool("ff", true, "fast-forward provably idle cycle spans (bit-identical results; -ff=false runs the naive cycle loop)")
 	checks := flag.Bool("checks", false, "assert simulator conservation laws during the run (internal/check); violations are reported and exit nonzero")
 	all := flag.Bool("all", false, "profile every app of -suite (a sweep; pairs with -serve and the progress log)")
 	serve := flag.String("serve", "", "serve live observability HTTP on this address (/metrics, /healthz, /trace, /api/progress, /debug/pprof/)")
@@ -73,7 +71,7 @@ func main() {
 
 	if *remote != "" {
 		remoteProfile(ctx, *remote, *suite, *appName, *gpuID, *level, *raw, *hwpm,
-			*replayWorkers, *simWorkers, replayCache, ff, *remoteTimeout)
+			*replayWorkers, replayCache, *remoteTimeout)
 		return
 	}
 
@@ -124,9 +122,7 @@ func main() {
 		opts = append(opts, gputopdown.WithObserver(tracer, registry))
 	}
 	opts = append(opts, gputopdown.WithReplayWorkers(*replayWorkers),
-		gputopdown.WithSimWorkers(*simWorkers),
 		gputopdown.WithReplayCache(*replayCache),
-		gputopdown.WithFastForward(*ff),
 		gputopdown.WithChecks(*checks))
 
 	var logger *gputopdown.Logger
@@ -189,7 +185,7 @@ func main() {
 	}
 
 	if *compare {
-		compareGPUs(ctx, app, *level, *sms, *ff, tracer, registry)
+		compareGPUs(ctx, app, *level, *sms, tracer, registry)
 		return
 	}
 
@@ -239,7 +235,7 @@ func main() {
 // remoteProfile builds a v1 JobRequest from the CLI flags, submits it to a
 // gpuprofd daemon, waits for the terminal state, and prints the report.
 func remoteProfile(ctx context.Context, base, suite, appName, gpuID string,
-	level int, raw, hwpm bool, replayWorkers, simWorkers int, replayCache, ff *bool, timeout time.Duration) {
+	level int, raw, hwpm bool, replayWorkers int, replayCache *bool, timeout time.Duration) {
 	if appName == "" {
 		fatalf("missing -app (remote mode profiles one app; try -list)")
 	}
@@ -250,9 +246,7 @@ func remoteProfile(ctx context.Context, base, suite, appName, gpuID string,
 		Level:         level,
 		RawEquations:  raw,
 		ReplayWorkers: replayWorkers,
-		SimWorkers:    simWorkers,
 		ReplayCache:   replayCache,
-		FastForward:   ff,
 		TimeoutMS:     timeout.Milliseconds(),
 	}
 	if hwpm {
@@ -303,7 +297,7 @@ func printOverhead(res *gputopdown.AppResult) {
 // compareGPUs reproduces the paper's architecture-vs-architecture reading of
 // the hierarchy (§V.B): the same application on Pascal and Turing,
 // component by component.
-func compareGPUs(ctx context.Context, app *gputopdown.App, level, sms int, ff bool, tracer *gputopdown.Tracer, registry *gputopdown.MetricsRegistry) {
+func compareGPUs(ctx context.Context, app *gputopdown.App, level, sms int, tracer *gputopdown.Tracer, registry *gputopdown.MetricsRegistry) {
 	type row struct {
 		name string
 		pick func(a *gputopdown.Analysis) float64
@@ -325,7 +319,7 @@ func compareGPUs(ctx context.Context, app *gputopdown.App, level, sms int, ff bo
 		if sms > 0 {
 			spec = spec.WithSMs(sms)
 		}
-		opts := []gputopdown.Option{gputopdown.WithLevel(level), gputopdown.WithFastForward(ff)}
+		opts := []gputopdown.Option{gputopdown.WithLevel(level)}
 		if tracer != nil || registry != nil {
 			opts = append(opts, gputopdown.WithObserver(tracer, registry))
 		}

@@ -1,18 +1,28 @@
 package gputopdown
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
+
+	"gputopdown/internal/check"
 )
 
 // startDaemon builds a real JobRunner-backed daemon on a free port and
 // returns a client for it. The caller owns Drain (via cleanup).
 func startDaemon(t *testing.T, workers int) (*JobServer, *JobClient) {
 	t.Helper()
-	runner := NewJobRunner("rtx4000")
+	return startDaemonWith(t, NewJobRunner("rtx4000"), workers)
+}
+
+// startDaemonWith is startDaemon around a caller-held runner, for tests that
+// inspect the runner afterwards.
+func startDaemonWith(t *testing.T, runner *JobRunner, workers int) (*JobServer, *JobClient) {
+	t.Helper()
 	srv, err := NewJobServer(JobServerOptions{
 		Runner:  runner.Run,
 		Workers: workers,
@@ -84,6 +94,54 @@ func TestDaemonReportBitIdentical(t *testing.T) {
 	got.WallSeconds = 0
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("daemon report differs from direct library run:\ngot  %+v\nwant %+v", got, want)
+	}
+}
+
+// TestDaemonIgnoredEngineFields pins v1 wire compatibility for the removed
+// engine selectors: a body carrying sim_workers and fast_forward still passes
+// the strict decoder, yields the byte-identical canonical report, and shares
+// the cached Profiler of the same job without them; a negative sim_workers is
+// still a 400.
+func TestDaemonIgnoredEngineFields(t *testing.T) {
+	ctx := context.Background()
+	runner := NewJobRunner("gtx1070")
+	_, c := startDaemonWith(t, runner, 1)
+
+	canonical := func(req *JobRequest) []byte {
+		t.Helper()
+		st, err := c.Submit(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Wait(ctx, st.ID, 10*time.Millisecond); err != nil {
+			t.Fatalf("job %+v did not succeed: %v", req, err)
+		}
+		rep, err := c.Report(ctx, st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := check.ReportJSON(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	off := false
+	plain := canonical(&JobRequest{Suite: "rodinia", App: "myocyte", Level: 1})
+	legacy := canonical(&JobRequest{Suite: "rodinia", App: "myocyte", Level: 1, SimWorkers: 4, FastForward: &off})
+	if !bytes.Equal(plain, legacy) {
+		t.Errorf("ignored fields changed the report:\n%s", check.DiffJSON(plain, legacy))
+	}
+	_, err := c.Submit(ctx, &JobRequest{Suite: "rodinia", App: "myocyte", SimWorkers: -1})
+	if err == nil || !strings.Contains(err.Error(), "HTTP 400") {
+		t.Errorf("negative sim_workers = %v, want HTTP 400", err)
+	}
+	runner.mu.Lock()
+	n := len(runner.profilers)
+	runner.mu.Unlock()
+	if n != 1 {
+		t.Errorf("runner cached %d profilers for jobs differing only in ignored fields, want 1", n)
 	}
 }
 

@@ -56,21 +56,20 @@ func fuzzProgram(rng *rand.Rand, bufN int64) *kernel.Program {
 
 // FuzzInvariants launches randomly generated kernels with the in-loop checker
 // attached: whatever the program does, the conservation laws must hold, on
-// both the sequential and parallel engines. The CI fuzz smoke runs this
-// briefly; longer local runs explore more programs.
+// both the production loop and the naive oracle loop. The CI fuzz smoke runs
+// this briefly; longer local runs explore more programs.
 func FuzzInvariants(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
-		f.Add(seed, uint8(1))
+		f.Add(seed, false)
 	}
-	f.Add(int64(5), uint8(2))
-	f.Fuzz(func(t *testing.T, seed int64, workers uint8) {
+	f.Add(int64(5), true)
+	f.Fuzz(func(t *testing.T, seed int64, naive bool) {
 		const bufN = 512
-		w := int(workers%4) + 1
 		prog := fuzzProgram(rand.New(rand.NewSource(seed)), bufN)
 		inv := New()
 		d := sim.NewDevice(testSpec())
 		d.SetChecker(inv)
-		d.SetSimWorkers(w)
+		d.SetFastForward(!naive)
 		buf := d.Alloc(bufN * 4)
 		host := make([]uint32, bufN)
 		r := rand.New(rand.NewSource(seed))
@@ -86,7 +85,7 @@ func FuzzInvariants(f *testing.F) {
 		}
 		res := d.MustLaunch(l)
 		if err := inv.Err(); err != nil {
-			t.Fatalf("seed %d workers %d: invariants violated: %v", seed, w, err)
+			t.Fatalf("seed %d naive %v: invariants violated: %v", seed, naive, err)
 		}
 		if res.Counters.InstExecuted == 0 {
 			t.Fatalf("seed %d: generated kernel executed nothing", seed)

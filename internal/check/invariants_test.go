@@ -160,11 +160,10 @@ func testProgram() *kernel.Program {
 	return b.MustBuild()
 }
 
-func launchOn(t *testing.T, inv *Invariants, workers int, trace uint64) *sim.RunResult {
+func launchOn(t *testing.T, inv *Invariants, trace uint64) *sim.RunResult {
 	t.Helper()
 	d := sim.NewDevice(testSpec())
 	d.SetChecker(inv)
-	d.SetSimWorkers(workers)
 	if trace > 0 {
 		d.EnableTrace(trace)
 	}
@@ -178,21 +177,19 @@ func launchOn(t *testing.T, inv *Invariants, workers int, trace uint64) *sim.Run
 	return d.MustLaunch(l)
 }
 
-// TestDeviceHooksClean drives a real device with the checker attached, both
-// engines, tracing on and off: every in-loop law must hold.
+// TestDeviceHooksClean drives a real device with the checker attached,
+// tracing on and off: every in-loop law must hold.
 func TestDeviceHooksClean(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		workers int
-		trace   uint64
+		name  string
+		trace uint64
 	}{
-		{"sequential", 1, 0},
-		{"sequential-traced", 1, 64},
-		{"parallel", 2, 0},
+		{"sequential", 0},
+		{"sequential-traced", 64},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			inv := New()
-			launchOn(t, inv, tc.workers, tc.trace)
+			launchOn(t, inv, tc.trace)
 			if err := inv.Err(); err != nil {
 				t.Fatalf("invariants violated on a clean run: %v", err)
 			}
@@ -203,7 +200,7 @@ func TestDeviceHooksClean(t *testing.T) {
 // TestCheckLaunchViolations corrupts a real RunResult field by field to prove
 // the launch-level laws actually fire.
 func TestCheckLaunchViolations(t *testing.T) {
-	res := launchOn(t, nil, 1, 0)
+	res := launchOn(t, nil, 0)
 	d := sim.NewDevice(testSpec())
 
 	mutations := []struct {

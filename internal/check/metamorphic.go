@@ -7,17 +7,16 @@ import "fmt"
 // result bit-identical. Each Property mutates one knob away from BaseConfig;
 // the engine runs the base once, then every mutation, and compares canonical
 // report bytes. This catches the class of bug where a performance path
-// (parallel replay, sliced simulation, decoded-instruction cache,
-// fast-forward) silently changes results.
+// (parallel replay, decoded-instruction cache, fast-forward) silently changes
+// results.
 
 // Config is the knob vector a metamorphic Runner receives. The zero value is
 // not meaningful; start from BaseConfig.
 type Config struct {
 	// ReplayWorkers bounds concurrent replay passes (1 = sequential).
 	ReplayWorkers int
-	// SimWorkers shards one launch's SM simulation (1 = sequential).
-	SimWorkers int
-	// FastForward enables the adaptive idle-cycle skip.
+	// FastForward enables the adaptive idle-cycle skip; off runs the naive
+	// cycle loop, the oracle the production loop is compared against.
 	FastForward bool
 	// ReplayCache enables the decoded-instruction replay cache.
 	ReplayCache bool
@@ -35,7 +34,6 @@ type Config struct {
 func BaseConfig() Config {
 	return Config{
 		ReplayWorkers: 1,
-		SimWorkers:    1,
 		FastForward:   true,
 		ReplayCache:   true,
 	}
@@ -43,7 +41,7 @@ func BaseConfig() Config {
 
 // Property is one result-preserving transformation of the configuration.
 type Property struct {
-	// Name identifies the property in failure output, e.g. "sim-workers-4".
+	// Name identifies the property in failure output, e.g. "replay-workers-4".
 	Name string
 	// Mutate returns the perturbed configuration. It must not change
 	// anything that legitimately alters the result (GPU, level, mode).
@@ -58,7 +56,6 @@ func Properties() []Property {
 		{Name: "observer-on", Mutate: func(c Config) Config { c.Observer = true; return c }},
 		{Name: "checks-on", Mutate: func(c Config) Config { c.Checks = true; return c }},
 		{Name: "replay-workers-4", Mutate: func(c Config) Config { c.ReplayWorkers = 4; return c }},
-		{Name: "sim-workers-4", Mutate: func(c Config) Config { c.SimWorkers = 4; return c }},
 		{Name: "replay-cache-off", Mutate: func(c Config) Config { c.ReplayCache = false; return c }},
 		{Name: "fast-forward-off", Mutate: func(c Config) Config { c.FastForward = false; return c }},
 	}

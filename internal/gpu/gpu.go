@@ -90,10 +90,8 @@ type Spec struct {
 	// partitions. Consecutive cache lines map to consecutive slices; each
 	// slice is an independent L2Size/L2Slices cache backed by a channel with
 	// 1/L2Slices of the DRAM bandwidth and queue depth. Must be a power of
-	// two. The slicing is a device property — every launch engine (naive,
-	// fast-forward, parallel) simulates the same sliced structure, which is
-	// what lets the parallel engine shard memory traffic by slice without
-	// changing results.
+	// two. The slicing is a device property: cycle counts and stall
+	// attribution depend on it.
 	L2Slices int
 
 	// Constant path: a small immediate-constant cache (IMC) in front of a

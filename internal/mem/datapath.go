@@ -51,22 +51,19 @@ func (dp *DataPath) loadSector(now uint64, addr uint64) uint64 {
 		return now + uint64(dp.spec.L1Latency)
 	}
 	dp.st.L1Misses++
-	return dp.SharedLoadSector(now, addr, dp.Mem.SliceOf(addr), &dp.st)
+	return dp.sharedLoadSector(now, addr)
 }
 
-// SharedLoadSector runs one sector through the shared L2 slice → DRAM channel
+// sharedLoadSector runs one sector through the shared L2 slice → DRAM channel
 // (the part of a load below the SM-private L1) and returns its completion
-// cycle. The caller passes slice == Mem.SliceOf(addr). L2 hit/miss counts go
-// to st, not the DataPath's own statistics: the parallel engine drains slices
-// of one SM from different workers concurrently and merges per-slice deltas
-// afterwards (sums commute, so the merged totals match the sequential
-// engine's bit for bit). The sequential path passes &dp.st.
-func (dp *DataPath) SharedLoadSector(now uint64, addr uint64, slice int, st *DataPathStats) uint64 {
+// cycle.
+func (dp *DataPath) sharedLoadSector(now uint64, addr uint64) uint64 {
+	slice := dp.Mem.SliceOf(addr)
 	if dp.Mem.AccessSlice(slice, addr) {
-		st.L2Hits++
+		dp.st.L2Hits++
 		return now + uint64(dp.spec.L2Latency)
 	}
-	st.L2Misses++
+	dp.st.L2Misses++
 	done := dp.Mem.RequestSlice(slice, now, int(dp.spec.SectorSize))
 	base := now + uint64(dp.spec.DRAMLatency)
 	if done < base {
@@ -75,26 +72,28 @@ func (dp *DataPath) SharedLoadSector(now uint64, addr uint64, slice int, st *Dat
 	return done
 }
 
-// SharedStoreSector runs one store sector through the shared L2 slice,
+// sharedStoreSector runs one store sector through the shared L2 slice,
 // charging the DRAM channel on a write miss.
-func (dp *DataPath) SharedStoreSector(now uint64, addr uint64, slice int, st *DataPathStats) {
+func (dp *DataPath) sharedStoreSector(now uint64, addr uint64) {
+	slice := dp.Mem.SliceOf(addr)
 	if dp.Mem.AccessSlice(slice, addr) {
-		st.L2Hits++
+		dp.st.L2Hits++
 		return
 	}
-	st.L2Misses++
+	dp.st.L2Misses++
 	dp.Mem.RequestSlice(slice, now, int(dp.spec.SectorSize))
 }
 
-// SharedAtomicSector runs one atomic sector through the shared L2 slice and
+// sharedAtomicSector runs one atomic sector through the shared L2 slice and
 // returns its completion cycle (0 on an L2 hit: a hit does not lengthen the
 // atomic's L2-latency base).
-func (dp *DataPath) SharedAtomicSector(now uint64, addr uint64, slice int, st *DataPathStats) uint64 {
+func (dp *DataPath) sharedAtomicSector(now uint64, addr uint64) uint64 {
+	slice := dp.Mem.SliceOf(addr)
 	if dp.Mem.AccessSlice(slice, addr) {
-		st.L2Hits++
+		dp.st.L2Hits++
 		return 0
 	}
-	st.L2Misses++
+	dp.st.L2Misses++
 	d := dp.Mem.RequestSlice(slice, now, int(dp.spec.SectorSize))
 	if base := now + uint64(dp.spec.DRAMLatency); d < base {
 		d = base
@@ -102,52 +101,10 @@ func (dp *DataPath) SharedAtomicSector(now uint64, addr uint64, slice int, st *D
 	return d
 }
 
-// MergeSharedStats folds a per-slice L2 hit/miss delta (accumulated by a
-// parallel drain) into the DataPath's statistics.
-func (dp *DataPath) MergeSharedStats(st *DataPathStats) {
-	dp.st.L2Hits += st.L2Hits
-	dp.st.L2Misses += st.L2Misses
-}
-
-// The Begin* methods record the instruction-level statistics of a deferred
-// memory operation during the compute phase, before its shared-memory half
-// has run. Together with L1LoadSector they let the SM split GlobalLoad /
-// GlobalStore / Atomic / TexFetch into a phase-A (SM-private) and a phase-B
-// (per-slice) part that sum to exactly the sequential accounting.
-
-// BeginDeferredLoad records a global load of n sectors.
-func (dp *DataPath) BeginDeferredLoad(n int) {
-	dp.st.GlobalLoads++
-	dp.st.LoadSectors += uint64(n)
-}
-
-// BeginDeferredStore records a global store of n sectors.
-func (dp *DataPath) BeginDeferredStore(n int) {
-	dp.st.GlobalStores++
-	dp.st.StoreSectors += uint64(n)
-}
-
-// BeginDeferredAtomic records a warp atomic with ops active lanes.
-func (dp *DataPath) BeginDeferredAtomic(ops int) { dp.st.Atomics += uint64(ops) }
-
-// BeginDeferredTex records a texture fetch.
-func (dp *DataPath) BeginDeferredTex() { dp.st.TexFetches++ }
-
-// L1LoadSector runs one sector through the SM-private L1 only, reporting
-// whether it hit; a miss is routed to the shared system by the caller.
-func (dp *DataPath) L1LoadSector(addr uint64) bool {
-	if dp.L1.Access(addr) {
-		dp.st.L1Hits++
-		return true
-	}
-	dp.st.L1Misses++
-	return false
-}
-
-// AtomicAdjust applies the atomic unit's serialisation penalties on top of a
+// atomicAdjust applies the atomic unit's serialisation penalties on top of a
 // request's cache/DRAM completion cycle: same-address RMWs serialise
 // strictly, distinct addresses still share the unit's throughput.
-func (dp *DataPath) AtomicAdjust(done uint64, ops, maxContention int) uint64 {
+func (dp *DataPath) atomicAdjust(done uint64, ops, maxContention int) uint64 {
 	const (
 		sameAddrPer = 4 // cycles per additional same-address RMW
 		throughput  = 1 // cycles per additional distinct-address RMW
@@ -188,7 +145,7 @@ func (dp *DataPath) GlobalStore(now uint64, sectors []uint64) (posted, visible u
 	posted = now + uint64(dp.spec.L1Latency) + uint64(len(sectors))
 	visible = now + uint64(dp.spec.L2Latency)
 	for _, s := range sectors {
-		dp.SharedStoreSector(now, s, dp.Mem.SliceOf(s), &dp.st)
+		dp.sharedStoreSector(now, s)
 	}
 	return posted, visible, len(sectors)
 }
@@ -231,11 +188,11 @@ func (dp *DataPath) Atomic(now uint64, sectors []uint64, ops, maxContention int)
 	dp.st.Atomics += uint64(ops)
 	done := now + uint64(dp.spec.L2Latency)
 	for _, s := range sectors {
-		if d := dp.SharedAtomicSector(now, s, dp.Mem.SliceOf(s), &dp.st); d > done {
+		if d := dp.sharedAtomicSector(now, s); d > done {
 			done = d
 		}
 	}
-	return dp.AtomicAdjust(done, ops, maxContention), len(sectors)
+	return dp.atomicAdjust(done, ops, maxContention), len(sectors)
 }
 
 // Stats returns a copy of the accumulated statistics.

@@ -13,11 +13,9 @@ import (
 // real GPUs use across memory partitions), so streaming traffic spreads
 // evenly.
 //
-// The slicing is part of the device model, not an engine option: every launch
-// engine simulates the same sliced structure, which is what lets the parallel
-// engine assign each slice to one worker and drain per-slice request
-// mailboxes without any cross-worker synchronisation on cache or channel
-// state.
+// The slicing is part of the device model, not a host-side execution choice:
+// hit/miss sequences and channel queueing depend on it, and the golden report
+// corpus pins them.
 type MemSys struct {
 	spec    *gpu.Spec
 	nSlices int
@@ -98,8 +96,8 @@ func (m *MemSys) Unrebase(slice int, local uint64) uint64 {
 
 // AccessSlice runs a lookup for addr (an original, un-rebased address) on the
 // given slice, filling on miss, and reports whether it hit. The caller must
-// pass slice == SliceOf(addr); splitting routing from access lets the
-// parallel engine's drain loop reuse a precomputed slice tag.
+// pass slice == SliceOf(addr); splitting routing from access lets DataPath
+// route a sector once for both its L2 lookup and its DRAM request.
 func (m *MemSys) AccessSlice(slice int, addr uint64) bool {
 	return m.slices[slice].Access(m.Rebase(addr))
 }

@@ -49,16 +49,15 @@ type JobRequest struct {
 	SampleEvery int `json:"sample_every,omitempty"`
 	// ReplayWorkers bounds concurrent replay passes; 0 uses the default.
 	ReplayWorkers int `json:"replay_workers,omitempty"`
-	// SimWorkers is the intra-launch parallelism degree: workers one kernel
-	// launch shards its SM simulation across. 0 uses the default (1,
-	// sequential). Added in a backward-compatible v1 revision; absent on
-	// old clients means sequential, and results are bit-identical at every
-	// setting.
+	// SimWorkers and FastForward are accepted and ignored. They selected
+	// simulation engines that no longer exist (results were bit-identical at
+	// every setting); the fields remain so v1 clients that still send them
+	// pass the strict decoder. A negative sim_workers is still rejected.
 	SimWorkers int `json:"sim_workers,omitempty"`
-	// ReplayCache and FastForward toggle those engines; nil keeps the
-	// daemon default (tri-state so "false" is distinguishable from unset).
+	// ReplayCache toggles the replay cache; nil keeps the daemon default
+	// (tri-state so "false" is distinguishable from unset).
 	ReplayCache *bool `json:"replay_cache,omitempty"`
-	FastForward *bool `json:"fast_forward,omitempty"`
+	FastForward *bool `json:"fast_forward,omitempty"` // ignored, see SimWorkers
 
 	// TimeoutMS is the per-job deadline in milliseconds from the moment
 	// the job starts running (not queue time); 0 uses the daemon default.

@@ -66,23 +66,12 @@ type Device struct {
 	launches      uint64
 	traceInterval uint64
 
-	// simWorkers is the intra-launch parallelism degree: 1 (default) runs the
-	// sequential engine; >1 shards SM ticks and L2-slice drains across an
-	// epoch-lockstep worker pool (see parallel.go). Results are bit-identical
-	// at every setting.
-	simWorkers int
-
 	// fastForward enables the event-driven engine: when every busy SM
 	// reports a wakeup bound past the current cycle, Launch jumps all SM
 	// clocks to the device-wide minimum and bulk-accounts the skipped
 	// cycles (see sm.SM.NextWakeup/AdvanceTo). Results are bit-identical
 	// either way; only host wall-clock changes. On by default.
 	fastForward bool
-	// adaptiveFF enables per-SM adaptive fast-forward hysteresis: SMs stop
-	// maintaining wakeup bookkeeping while they issue every cycle and re-arm
-	// on the first idle subpartition (see sm.SM.SetAdaptiveFF). On by
-	// default; host-side only.
-	adaptiveFF bool
 	// lastTicks counts the simulation-loop iterations of the most recent
 	// launch; with fast-forward on, Cycles - lastTicks cycles were skipped.
 	lastTicks uint64
@@ -116,7 +105,6 @@ type Device struct {
 	launchBefore   []sm.Counters
 	launchUsed     []bool
 	launchRejected []uint64
-	dueScratch     []*sm.SM
 }
 
 // NewDevice builds a device with the default memory size.
@@ -140,12 +128,9 @@ func assemble(spec *gpu.Spec, storage *mem.Storage, constBank *mem.ConstantBank)
 		Const:          constBank,
 		Mem:            mem.NewMemSys(spec),
 		fastForward:    true,
-		adaptiveFF:     true,
-		simWorkers:     1,
 		launchBefore:   make([]sm.Counters, spec.SMs),
 		launchUsed:     make([]bool, spec.SMs),
 		launchRejected: make([]uint64, spec.SMs),
-		dueScratch:     make([]*sm.SM, 0, spec.SMs),
 	}
 	for i := 0; i < spec.SMs; i++ {
 		d.SMs = append(d.SMs, sm.New(spec, i, d.Mem, d.Storage, d.Const))
@@ -170,54 +155,16 @@ func (d *Device) Clone() *Device {
 	c := assemble(d.Spec, d.Storage.Clone(), d.Const.Clone())
 	c.traceInterval = d.traceInterval
 	c.fastForward = d.fastForward
-	c.simWorkers = d.simWorkers
-	c.SetAdaptiveFastForward(d.adaptiveFF)
 	return c
 }
 
-// SetSimWorkers sets the intra-launch parallelism degree, clamped to
-// [1, maxSimWorkers]. 1 selects the sequential engine. Results are
-// bit-identical at every setting; only host wall-clock changes. The device
-// deliberately does not clamp to GOMAXPROCS — correctness never depends on
-// worker count, so tests can exercise the parallel engine on any host. The
-// root API option (WithSimWorkers) applies the GOMAXPROCS budget clamp.
-func (d *Device) SetSimWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > maxSimWorkers {
-		n = maxSimWorkers
-	}
-	d.simWorkers = n
-}
-
-// maxSimWorkers bounds the worker pool; beyond the SM count extra workers
-// idle anyway, and no real part exceeds this.
-const maxSimWorkers = 256
-
-// SimWorkers returns the current intra-launch parallelism degree.
-func (d *Device) SimWorkers() int { return d.simWorkers }
-
-// SetFastForward toggles the event-driven fast-forward engine. It exists
-// as an escape hatch and as the baseline side of the cross-engine
-// equivalence tests; production code should leave it on.
+// SetFastForward toggles the event-driven fast-forward engine. Off selects
+// the naive cycle loop, the reference implementation the engine-equivalence
+// tests and cmd/benchsim compare against; production code leaves it on.
 func (d *Device) SetFastForward(on bool) { d.fastForward = on }
 
 // FastForwardEnabled reports whether the fast-forward engine is active.
 func (d *Device) FastForwardEnabled() bool { return d.fastForward }
-
-// SetAdaptiveFastForward toggles the per-SM adaptive fast-forward
-// hysteresis on every SM. Results are bit-identical either way; the knob
-// exists for benchmarking the always-tracking (PR3) engine.
-func (d *Device) SetAdaptiveFastForward(on bool) {
-	d.adaptiveFF = on
-	for _, s := range d.SMs {
-		s.SetAdaptiveFF(on)
-	}
-}
-
-// AdaptiveFastForwardEnabled reports whether adaptive hysteresis is active.
-func (d *Device) AdaptiveFastForwardEnabled() bool { return d.adaptiveFF }
 
 // LastLaunchTicks returns how many per-cycle loop iterations the most
 // recent launch actually executed. The difference to the launch's Cycles is
@@ -412,12 +359,7 @@ func (d *Device) LaunchCtx(ctx context.Context, l *kernel.Launch) (*RunResult, e
 
 	nb := l.NumBlocks()
 	d.lastTicks = 0
-	if d.simWorkers > 1 && len(d.SMs) > 1 {
-		err = d.runLoopParallel(ctx, done, l, nb)
-	} else {
-		err = d.runLoop(ctx, done, l, nb)
-	}
-	if err != nil {
+	if err := d.runLoop(ctx, done, l, nb); err != nil {
 		return nil, err
 	}
 
@@ -459,8 +401,7 @@ func (d *Device) LaunchCtx(ctx context.Context, l *kernel.Launch) (*RunResult, e
 	if d.log.On(obs.LevelDebug) {
 		d.log.Debug("launch complete",
 			"kernel", l.Program.Name, "blocks", nb, "sms_used", res.SMsUsed,
-			"cycles", res.Cycles, "ticks", d.lastTicks,
-			"fast_forward", d.fastForward)
+			"cycles", res.Cycles, "ticks", d.lastTicks)
 	}
 
 	// Observability epilogue: spans on both time axes plus self-metrics.
@@ -579,8 +520,8 @@ func (d *Device) sampleResidencyTrack(guard uint64) {
 	}
 }
 
-// runLoop is the sequential simulation loop: one goroutine ticks every SM in
-// id order, applying shared-memory traffic inline.
+// runLoop is the simulation loop: one goroutine ticks every SM in id order,
+// applying shared-memory traffic inline.
 func (d *Device) runLoop(ctx context.Context, done <-chan struct{}, l *kernel.Launch, nb int) error {
 	next := 0
 	var guard uint64
@@ -694,7 +635,6 @@ func (d *Device) runLoop(ctx context.Context, done <-chan struct{}, l *kernel.La
 func (d *Device) ResetSMs() {
 	for i := range d.SMs {
 		d.SMs[i] = sm.New(d.Spec, i, d.Mem, d.Storage, d.Const)
-		d.SMs[i].SetAdaptiveFF(d.adaptiveFF)
 	}
 	d.Mem.FlushL2()
 	d.Mem.ResetDRAM()

@@ -7,6 +7,7 @@ import (
 	"gputopdown/internal/gpu"
 	"gputopdown/internal/isa"
 	"gputopdown/internal/kernel"
+	"gputopdown/internal/obs"
 	"gputopdown/internal/sm"
 )
 
@@ -670,5 +671,85 @@ func TestRunResultSeconds(t *testing.T) {
 	r := &RunResult{Cycles: uint64(spec.ClockMHz) * 1e6}
 	if got := r.Seconds(spec); got < 0.999 || got > 1.001 {
 		t.Errorf("Seconds = %g, want 1.0", got)
+	}
+}
+
+// TestSetObserverNilRegistry is the regression test for the nil-registry
+// path: a tracer-only observer must work exactly like the tracer-plus-
+// registry configuration minus the metrics, a registry-only observer must
+// count launches, and a nil/nil call must detach both without breaking
+// subsequent launches.
+func TestSetObserverNilRegistry(t *testing.T) {
+	d := NewDevice(testSpec())
+	l := saxpyLaunch(d, 1024)
+
+	// Tracer only: spans recorded, no metric handles, no panic.
+	tr := obs.NewTracer()
+	d.SetObserver(tr, nil)
+	d.MustLaunch(l)
+	var spans int
+	for _, e := range tr.Events() {
+		if e.Ph == "X" {
+			spans++
+		}
+	}
+	if spans == 0 {
+		t.Error("tracer-only observer recorded no spans")
+	}
+
+	// Registry only: launches counted, previous tracer fully detached.
+	reg := obs.NewRegistry()
+	d.SetObserver(nil, reg)
+	before := len(tr.Events())
+	d.MustLaunch(l)
+	if got := len(tr.Events()); got != before {
+		t.Errorf("detached tracer still accumulated events: %d -> %d", before, got)
+	}
+	if got := reg.Counter("sim_launches_total", "", nil).Value(); got != 1 {
+		t.Errorf("sim_launches_total = %v, want 1", got)
+	}
+
+	// Detach both: launches keep working, counters freeze.
+	d.SetObserver(nil, nil)
+	d.MustLaunch(l)
+	if got := reg.Counter("sim_launches_total", "", nil).Value(); got != 1 {
+		t.Errorf("detached registry still counting: %v", got)
+	}
+}
+
+// TestLaunchPrologueAllocFree gates the reusable-scratch prologue: once a
+// device has run a launch, readying it for the next one (constant-bank
+// params, IMC flush, local-memory carve-out, per-SM reset and counter
+// snapshots) must allocate nothing.
+func TestLaunchPrologueAllocFree(t *testing.T) {
+	d := NewDevice(testSpec())
+	l := saxpyLaunch(d, 1024)
+	d.MustLaunch(l) // size every reusable buffer
+	allocs := testing.AllocsPerRun(50, func() {
+		markMem, err := d.launchPrologue(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Storage.Release(markMem)
+	})
+	if allocs != 0 {
+		t.Errorf("launch prologue allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// BenchmarkLaunchPrologue measures the per-launch fixed cost in isolation;
+// its allocs/op column is the number the alloc-free gate pins at zero.
+func BenchmarkLaunchPrologue(b *testing.B) {
+	d := NewDevice(testSpec())
+	l := saxpyLaunch(d, 1024)
+	d.MustLaunch(l)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		markMem, err := d.launchPrologue(l)
+		if err != nil {
+			b.Fatal(err)
+		}
+		d.Storage.Release(markMem)
 	}
 }

@@ -464,9 +464,6 @@ func (s *SM) execMemory(sp *subpart, w *warp, in *isa.Instr, pmask uint32, now u
 		}
 		sectors := mem.CoalesceSectorsInto(s.sectorScratch[:0], &addrs, pmask, size, uint64(spec.SectorSize))
 		s.sectorScratch = sectors // keep the (possibly re-grown) backing
-		if s.deferred {
-			return s.deferGlobal(sp, w, in, pmask, now, &addrs, sectors)
-		}
 		switch in.Op {
 		case isa.OpLDG:
 			for lane := 0; lane < 32; lane++ {
@@ -585,9 +582,6 @@ func (s *SM) execMemory(sp *subpart, w *warp, in *isa.Instr, pmask uint32, now u
 		}
 		sectors := mem.CoalesceSectorsInto(s.sectorScratch[:0], &addrs, pmask, size, uint64(spec.SectorSize))
 		s.sectorScratch = sectors
-		if s.deferred {
-			return s.deferGlobal(sp, w, in, pmask, now, &addrs, sectors)
-		}
 		if in.Op == isa.OpLDL {
 			for lane := 0; lane < 32; lane++ {
 				if pmask&(1<<lane) != 0 {
@@ -658,9 +652,6 @@ func (s *SM) execMemory(sp *subpart, w *warp, in *isa.Instr, pmask uint32, now u
 		}
 		sectors := mem.CoalesceSectorsInto(s.sectorScratch[:0], &addrs, pmask, size, uint64(spec.SectorSize))
 		s.sectorScratch = sectors
-		if s.deferred {
-			return s.deferGlobal(sp, w, in, pmask, now, &addrs, sectors)
-		}
 		for lane := 0; lane < 32; lane++ {
 			if pmask&(1<<lane) != 0 {
 				w.regs[in.Dst][lane] = s.storage.Read(addrs[lane], size)

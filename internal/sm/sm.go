@@ -31,7 +31,6 @@ type SM struct {
 	spec      *gpu.Spec
 	id        int
 	dp        *mem.DataPath
-	ms        *mem.MemSys
 	icache    *mem.Cache
 	storage   *mem.Storage
 	constBank *mem.ConstantBank
@@ -113,15 +112,6 @@ type SM struct {
 	residentRegs    int
 	residentShared  int
 
-	// Deferred-memory (two-phase tick) state for the parallel engine; see
-	// deferred.go. When deferred is set, Tick buffers every shared-memory
-	// operation into reqs (the epoch mailbox) instead of applying it, and the
-	// engine later calls DrainSlice per L2 slice and FinalizeEpoch.
-	deferred      bool
-	reqs          []memReq
-	defStats      []mem.DataPathStats // per-slice L2 hit/miss accumulators
-	pendingSample bool                // trace sample owed by FinalizeEpoch
-
 	ctr Counters
 }
 
@@ -132,7 +122,6 @@ func New(spec *gpu.Spec, id int, ms *mem.MemSys, storage *mem.Storage, constBank
 		spec:          spec,
 		id:            id,
 		dp:            mem.NewDataPath(spec, id, ms),
-		ms:            ms,
 		icache:        mem.NewCache("L1I", spec.ICacheSize, spec.ICacheWays, spec.LineSize, spec.LineSize),
 		storage:       storage,
 		constBank:     constBank,
@@ -140,7 +129,6 @@ func New(spec *gpu.Spec, id int, ms *mem.MemSys, storage *mem.Storage, constBank
 		wakeTrack:     true,
 		candScratch:   make([]int, 0, spec.WarpSlotsPerSubpartition),
 		sectorScratch: make([]uint64, 0, 64),
-		defStats:      make([]mem.DataPathStats, ms.NumSlices()),
 	}
 	for i := 0; i < spec.SubpartitionsPerSM; i++ {
 		s.subparts = append(s.subparts, &subpart{
@@ -518,17 +506,9 @@ func (s *SM) Tick() {
 	}
 	s.cycle++
 	if s.traceInterval > 0 && s.cycle%s.traceInterval == 0 {
-		if s.deferred {
-			// The snapshot must include this tick's shared-memory statistics,
-			// which are still sitting in the mailbox; FinalizeEpoch takes it
-			// right after merging them — the same point in the cycle's
-			// observable order as the inline sample here.
-			s.pendingSample = true
-		} else {
-			cur := s.Counters()
-			s.traceSamples = append(s.traceSamples, cur.Sub(&s.traceBase))
-			s.traceBase = cur
-		}
+		cur := s.Counters()
+		s.traceSamples = append(s.traceSamples, cur.Sub(&s.traceBase))
+		s.traceBase = cur
 	}
 
 	if !track {
@@ -756,8 +736,6 @@ func (s *SM) ResetClock() {
 	s.tickEvent = false
 	s.wakeTrack = true
 	s.hotStreak = 0
-	s.reqs = s.reqs[:0]
-	s.pendingSample = false
 	for _, sp := range s.subparts {
 		sp.pipeFree = [isa.NumPipes]uint64{}
 		sp.dispatchFree = 0

@@ -9,15 +9,13 @@ import (
 	"gputopdown/internal/sim"
 )
 
-// collectRuns executes an app on a fresh device with the given engine,
-// trace setting and intra-launch worker count, and returns every launch's
-// full RunResult — cycles, aggregate counters, per-SM deltas and trace
-// samples.
-func collectRuns(t *testing.T, a *App, spec *gpu.Spec, fastForward bool, traceInterval uint64, workers int) []*sim.RunResult {
+// collectRuns executes an app on a fresh device with the given run loop and
+// trace setting, and returns every launch's full RunResult — cycles,
+// aggregate counters, per-SM deltas and trace samples.
+func collectRuns(t *testing.T, a *App, spec *gpu.Spec, fastForward bool, traceInterval uint64) []*sim.RunResult {
 	t.Helper()
 	dev := sim.NewDevice(spec)
 	dev.SetFastForward(fastForward)
-	dev.SetSimWorkers(workers)
 	if traceInterval > 0 {
 		dev.EnableTrace(traceInterval)
 	}
@@ -36,11 +34,10 @@ func collectRuns(t *testing.T, a *App, spec *gpu.Spec, fastForward bool, traceIn
 	return runs
 }
 
-// TestEngineEquivalenceAllApps pins the engines' bit-identity invariant:
-// for every suite app on both paper GPUs, each launch's RunResult (Cycles,
-// Counters, PerSM, Trace) must be byte-for-byte equal across the naive
-// per-cycle loop, the fast-forward engine, and the parallel epoch-lockstep
-// engine (4 workers, fast-forward composed).
+// TestEngineEquivalenceAllApps pins the production loop to its oracle: for
+// every suite app on both paper GPUs, each launch's RunResult (Cycles,
+// Counters, PerSM, Trace) must be byte-for-byte equal between the naive
+// per-cycle loop and the fast-forward loop.
 func TestEngineEquivalenceAllApps(t *testing.T) {
 	specs := []struct {
 		name string
@@ -55,11 +52,9 @@ func TestEngineEquivalenceAllApps(t *testing.T) {
 				a, spec := a, spec
 				t.Run(a.ID()+"/"+spec.name, func(t *testing.T) {
 					t.Parallel()
-					naive := collectRuns(t, a, spec.mk(), false, 0, 1)
-					ff := collectRuns(t, a, spec.mk(), true, 0, 1)
-					par := collectRuns(t, a, spec.mk(), true, 0, 4)
-					compareRuns(t, "fast-forward", naive, ff)
-					compareRuns(t, "parallel", naive, par)
+					naive := collectRuns(t, a, spec.mk(), false, 0)
+					ff := collectRuns(t, a, spec.mk(), true, 0)
+					compareRuns(t, naive, ff)
 				})
 			}
 		}
@@ -85,36 +80,34 @@ func TestEngineEquivalenceWithTracing(t *testing.T) {
 		t.Run(a.ID(), func(t *testing.T) {
 			t.Parallel()
 			spec := func() *gpu.Spec { return gpu.QuadroRTX4000().WithSMs(4) }
-			naive := collectRuns(t, a, spec(), false, 64, 1)
-			ff := collectRuns(t, a, spec(), true, 64, 1)
-			par := collectRuns(t, a, spec(), true, 64, 4)
-			compareRuns(t, "fast-forward", naive, ff)
-			compareRuns(t, "parallel", naive, par)
+			naive := collectRuns(t, a, spec(), false, 64)
+			ff := collectRuns(t, a, spec(), true, 64)
+			compareRuns(t, naive, ff)
 		})
 	}
 }
 
-func compareRuns(t *testing.T, engine string, naive, other []*sim.RunResult) {
+func compareRuns(t *testing.T, naive, ff []*sim.RunResult) {
 	t.Helper()
-	if len(naive) != len(other) {
-		t.Fatalf("launch count differs: naive %d, %s %d", len(naive), engine, len(other))
+	if len(naive) != len(ff) {
+		t.Fatalf("launch count differs: naive %d, fast-forward %d", len(naive), len(ff))
 	}
 	for i := range naive {
-		n, f := naive[i], other[i]
+		n, f := naive[i], ff[i]
 		if n.Cycles != f.Cycles {
-			t.Errorf("launch %d (%s): cycles differ: naive %d, %s %d", i, n.Kernel, n.Cycles, engine, f.Cycles)
+			t.Errorf("launch %d (%s): cycles differ: naive %d, fast-forward %d", i, n.Kernel, n.Cycles, f.Cycles)
 		}
 		if !reflect.DeepEqual(n.Counters, f.Counters) {
-			t.Errorf("launch %d (%s): aggregate counters differ:\nnaive: %+v\n%s: %+v", i, n.Kernel, n.Counters, engine, f.Counters)
+			t.Errorf("launch %d (%s): aggregate counters differ:\nnaive: %+v\nfast-forward: %+v", i, n.Kernel, n.Counters, f.Counters)
 		}
 		if !reflect.DeepEqual(n.PerSM, f.PerSM) {
-			t.Errorf("launch %d (%s): per-SM counters differ vs %s", i, n.Kernel, engine)
+			t.Errorf("launch %d (%s): per-SM counters differ", i, n.Kernel)
 		}
 		if !reflect.DeepEqual(n.Trace, f.Trace) {
-			t.Errorf("launch %d (%s): trace samples differ (naive %d samples, %s %d)", i, n.Kernel, len(n.Trace), engine, len(f.Trace))
+			t.Errorf("launch %d (%s): trace samples differ (naive %d samples, fast-forward %d)", i, n.Kernel, len(n.Trace), len(f.Trace))
 		}
 		if !reflect.DeepEqual(n, f) {
-			t.Errorf("launch %d (%s): RunResult differs beyond compared fields vs %s", i, n.Kernel, engine)
+			t.Errorf("launch %d (%s): RunResult differs beyond compared fields", i, n.Kernel)
 		}
 	}
 }

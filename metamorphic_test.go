@@ -6,7 +6,17 @@ import (
 	"testing"
 
 	"gputopdown/internal/check"
+	"gputopdown/internal/sim"
 )
+
+// profileOnLoop is ProfileApp on an explicitly chosen run loop. The naive
+// oracle loop (fastForward false) has no profiler option, so the device is
+// built the way ProfileApp builds it and switched over.
+func profileOnLoop(p *Profiler, fastForward bool, app *App) (*AppResult, error) {
+	dev := sim.NewDeviceMem(p.spec, p.memBytes)
+	dev.SetFastForward(fastForward)
+	return p.profileOn(context.Background(), dev, app)
+}
 
 // metamorphicRunner builds the check.Runner for one app on one device: each
 // configuration gets a fresh profiler (no shared replay cache between
@@ -20,8 +30,6 @@ func metamorphicRunner(t *testing.T, spec *GPUSpec, suite, app string) check.Run
 	return func(cfg check.Config) ([]byte, error) {
 		opts := []Option{
 			WithReplayWorkers(cfg.ReplayWorkers),
-			WithSimWorkers(cfg.SimWorkers),
-			WithFastForward(cfg.FastForward),
 			WithReplayCache(cfg.ReplayCache),
 			WithChecks(cfg.Checks),
 		}
@@ -34,7 +42,7 @@ func metamorphicRunner(t *testing.T, spec *GPUSpec, suite, app string) check.Run
 			opts = append(opts, WithObserver(NewTracer(), NewMetricsRegistry()))
 		}
 		p := NewProfiler(spec, opts...)
-		res, err := p.ProfileApp(context.Background(), a)
+		res, err := profileOnLoop(p, cfg.FastForward, a)
 		if err != nil {
 			return nil, err
 		}
@@ -126,14 +134,13 @@ func TestChecksCleanProfile(t *testing.T) {
 			}
 			for _, eng := range []struct {
 				name string
-				opts []Option
+				ff   bool
 			}{
-				{"ff", []Option{WithChecks(true)}},
-				{"naive", []Option{WithChecks(true), WithFastForward(false)}},
-				{"parallel", []Option{WithChecks(true), WithSimWorkers(4)}},
+				{"ff", true},
+				{"naive", false},
 			} {
-				p := NewProfiler(spec, eng.opts...)
-				if _, err := p.ProfileApp(context.Background(), app); err != nil {
+				p := NewProfiler(spec, WithChecks(true))
+				if _, err := profileOnLoop(p, eng.ff, app); err != nil {
 					t.Fatalf("%s: %v", eng.name, err)
 				}
 				if err := p.CheckErr(); err != nil {

@@ -94,9 +94,9 @@ func (jr *JobRunner) profilerFor(req *JobRequest) (*Profiler, error) {
 	if !ok {
 		return nil, serve.MarkPermanent(fmt.Errorf("gputopdown: unknown gpu %q", gpuID))
 	}
-	key := fmt.Sprintf("%s|%d|%s|%t|%d|%d|%d|%v|%v",
+	key := fmt.Sprintf("%s|%d|%s|%t|%d|%d|%v",
 		gpuID, req.Level, req.Mode, req.RawEquations, req.SampleEvery,
-		req.ReplayWorkers, req.SimWorkers, req.ReplayCache, req.FastForward)
+		req.ReplayWorkers, req.ReplayCache)
 
 	jr.mu.Lock()
 	defer jr.mu.Unlock()
@@ -119,14 +119,8 @@ func (jr *JobRunner) profilerFor(req *JobRequest) (*Profiler, error) {
 	if req.ReplayWorkers > 0 {
 		opts = append(opts, WithReplayWorkers(req.ReplayWorkers))
 	}
-	if req.SimWorkers > 0 {
-		opts = append(opts, WithSimWorkers(req.SimWorkers))
-	}
 	if req.ReplayCache != nil {
 		opts = append(opts, WithReplayCache(*req.ReplayCache))
-	}
-	if req.FastForward != nil {
-		opts = append(opts, WithFastForward(*req.FastForward))
 	}
 	p, err := NewProfilerE(spec, opts...)
 	if err != nil {

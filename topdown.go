@@ -123,25 +123,6 @@ func WithRoofline() Option { return func(p *Profiler) { p.roofline = true } }
 // are assembled in pass order.
 func WithReplayWorkers(n int) Option { return func(p *Profiler) { p.replayWorkers = n } }
 
-// WithSimWorkers sets the intra-launch parallelism degree: the number of
-// workers one kernel launch may shard its SM simulation across (the
-// epoch-lockstep engine; see DESIGN.md §13). 1 (the default) runs the
-// sequential engine; the value is clamped to GOMAXPROCS. Results are
-// bit-identical at every setting — only host wall-clock changes. SM-level
-// workers multiply with pass-level replay workers (WithReplayWorkers), so
-// when both exceed 1 the per-device worker count is further clamped to keep
-// the total goroutine budget within GOMAXPROCS.
-func WithSimWorkers(n int) Option { return func(p *Profiler) { p.simWorkers = n } }
-
-// WithFastForward selects the launch engine. On (the default), the device
-// fast-forwards each SM over provably idle cycle spans — spans the SM proves
-// no observable state can change in — bulk-accounting the skipped cycles, so
-// memory-latency-bound phases simulate in a fraction of the naive loop's
-// wall time. Off runs the historical cycle-by-cycle loop. Both engines
-// produce bit-identical results (cycles, counters, per-SM deltas, trace
-// samples); see DESIGN.md §"Fast-forward engine".
-func WithFastForward(on bool) Option { return func(p *Profiler) { p.fastForward = on } }
-
 // WithReplayCache enables deterministic memoization of byte-identical kernel
 // invocations: when the same (program, launch configuration, device memory,
 // constant bank) recurs under the same pass schedule, the recorded counter
@@ -250,9 +231,7 @@ type Profiler struct {
 	sampleEvery   int
 	roofline      bool
 	replayWorkers int
-	simWorkers    int
 	cacheOn       bool
-	fastForward   bool
 	checksOn      bool
 	checks        *check.Invariants
 	cache         *cupti.ReplayCache
@@ -282,7 +261,6 @@ func NewProfiler(spec *gpu.Spec, opts ...Option) *Profiler {
 		mode:          cupti.ModeSMPC,
 		memBytes:      sim.DefaultMemBytes,
 		replayWorkers: 1,
-		fastForward:   true,
 		progressEvery: 10 * time.Second,
 	}
 	for _, o := range opts {
@@ -296,12 +274,6 @@ func NewProfiler(spec *gpu.Spec, opts ...Option) *Profiler {
 	}
 	if p.replayWorkers < 0 {
 		p.replayWorkers = 1
-	}
-	if p.simWorkers < 1 {
-		p.simWorkers = 1
-	}
-	if max := runtime.GOMAXPROCS(0); p.simWorkers > max {
-		p.simWorkers = max
 	}
 	if p.cacheOn {
 		p.cache = cupti.NewReplayCache(0)
@@ -362,9 +334,6 @@ func NewProfilerE(spec *gpu.Spec, opts ...Option) (*Profiler, error) {
 	}
 	if probe.replayWorkers < 0 {
 		return nil, fmt.Errorf("gputopdown: negative replay worker count %d", probe.replayWorkers)
-	}
-	if probe.simWorkers < 0 {
-		return nil, fmt.Errorf("gputopdown: negative sim worker count %d", probe.simWorkers)
 	}
 	p := NewProfiler(spec, opts...)
 	if p.obsErr != nil {
@@ -497,42 +466,7 @@ func (r *AppResult) KernelNames() []string {
 // launches none — does ProfileApp return an error.
 func (p *Profiler) ProfileApp(ctx context.Context, app *workloads.App) (*AppResult, error) {
 	dev := sim.NewDeviceMem(p.spec, p.memBytes)
-	dev.SetFastForward(p.fastForward)
-	dev.SetSimWorkers(p.effectiveSimWorkers())
 	return p.profileOn(ctx, dev, app)
-}
-
-// effectiveSimWorkers is the per-device intra-launch worker count after the
-// shared-budget clamp: when the replay engine fans passes across its own
-// worker devices (each of which clones the profiled device, inheriting its
-// sim-worker setting), the product of the two degrees is held within
-// GOMAXPROCS so the two parallelism levels share one CPU budget instead of
-// oversubscribing the host.
-func (p *Profiler) effectiveSimWorkers() int {
-	n := p.simWorkers
-	if n < 1 {
-		n = 1
-	}
-	rw := p.replayWorkers
-	if rw == 0 {
-		rw = runtime.NumCPU()
-	}
-	if rw > 1 {
-		if b := runtime.GOMAXPROCS(0) / rw; n > b {
-			n = b
-		}
-		if n < 1 {
-			n = 1
-		}
-	}
-	return n
-}
-
-// ProfileAppCtx is the former name of the context-first ProfileApp.
-//
-// Deprecated: call ProfileApp, which now takes the context first.
-func (p *Profiler) ProfileAppCtx(ctx context.Context, app *workloads.App) (*AppResult, error) {
-	return p.ProfileApp(ctx, app)
 }
 
 func (p *Profiler) profileOn(ctx context.Context, dev *sim.Device, app *workloads.App) (*AppResult, error) {
@@ -678,8 +612,6 @@ func (p *Profiler) Timeline(ctx context.Context, app *workloads.App, kernelName 
 		return nil, fmt.Errorf("gputopdown: zero timeline interval")
 	}
 	dev := sim.NewDeviceMem(p.spec, p.memBytes)
-	dev.SetFastForward(p.fastForward)
-	dev.SetSimWorkers(p.effectiveSimWorkers())
 	if p.checks != nil {
 		dev.SetChecker(p.checks)
 	}
@@ -724,19 +656,10 @@ func (p *Profiler) Timeline(ctx context.Context, app *workloads.App, kernelName 
 	return points, nil
 }
 
-// TimelineCtx is the former name of the context-first Timeline.
-//
-// Deprecated: call Timeline, which now takes the context first.
-func (p *Profiler) TimelineCtx(ctx context.Context, app *workloads.App, kernelName string, invocation int, interval uint64) ([]TimelinePoint, error) {
-	return p.Timeline(ctx, app, kernelName, invocation, interval)
-}
-
 // RunNative executes an application without profiling and returns its total
 // device cycles — the Fig. 13 baseline.
 func (p *Profiler) RunNative(app *workloads.App) (uint64, error) {
 	dev := sim.NewDeviceMem(p.spec, p.memBytes)
-	dev.SetFastForward(p.fastForward)
-	dev.SetSimWorkers(p.effectiveSimWorkers())
 	if p.checks != nil {
 		dev.SetChecker(p.checks)
 	}
@@ -765,13 +688,6 @@ func (p *Profiler) ProfileSuite(ctx context.Context, suite string) ([]*AppResult
 		return nil, fmt.Errorf("gputopdown: suite %q: %w", suite, ErrUnknownSuite)
 	}
 	return p.ProfileApps(ctx, apps)
-}
-
-// ProfileSuiteCtx is the former name of the context-first ProfileSuite.
-//
-// Deprecated: call ProfileSuite, which now takes the context first.
-func (p *Profiler) ProfileSuiteCtx(ctx context.Context, suite string) ([]*AppResult, error) {
-	return p.ProfileSuite(ctx, suite)
 }
 
 // ProfileApps profiles a list of apps concurrently, one fresh device each,
@@ -832,13 +748,6 @@ feed:
 		return results, err
 	}
 	return results, nil
-}
-
-// ProfileAppsCtx is the former name of the context-first ProfileApps.
-//
-// Deprecated: call ProfileApps, which now takes the context first.
-func (p *Profiler) ProfileAppsCtx(ctx context.Context, apps []*workloads.App) ([]*AppResult, error) {
-	return p.ProfileApps(ctx, apps)
 }
 
 // startProgressLog starts the periodic structured progress line for a suite
