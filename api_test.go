@@ -21,14 +21,13 @@ func TestNewProfilerEValidation(t *testing.T) {
 		ok   bool
 	}{
 		{"valid defaults", spec, nil, true},
-		{"valid full", spec, []Option{WithLevel(2), WithSampling(3), WithMemBytes(1 << 20), WithReplayWorkers(0), WithReplayCache(true)}, true},
+		{"valid full", spec, []Option{WithLevel(2), WithSampling(3), WithMemBytes(1 << 20), WithReplayCache(true)}, true},
 		{"nil spec", nil, nil, false},
 		{"level too low", spec, []Option{WithLevel(0)}, false},
 		{"level too high", spec, []Option{WithLevel(4)}, false},
 		{"negative sampling", spec, []Option{WithSampling(-1)}, false},
 		{"zero memory", spec, []Option{WithMemBytes(0)}, false},
 		{"negative memory", spec, []Option{WithMemBytes(-5)}, false},
-		{"negative workers", spec, []Option{WithReplayWorkers(-2)}, false},
 	}
 	for _, c := range cases {
 		p, err := NewProfilerE(c.spec, c.opts...)
@@ -40,13 +39,12 @@ func TestNewProfilerEValidation(t *testing.T) {
 		}
 	}
 	// NewProfiler documents clamping for the same inputs.
-	p := NewProfiler(spec, WithLevel(9), WithSampling(-3), WithMemBytes(-1), WithReplayWorkers(-4))
+	p := NewProfiler(spec, WithLevel(9), WithSampling(-3), WithMemBytes(-1))
 	if p.Level() < 1 || p.Level() > 3 {
 		t.Errorf("clamped level = %d", p.Level())
 	}
-	if p.sampleEvery != 0 || p.memBytes <= 0 || p.replayWorkers != 1 {
-		t.Errorf("clamping left sampleEvery=%d memBytes=%d workers=%d",
-			p.sampleEvery, p.memBytes, p.replayWorkers)
+	if p.sampleEvery != 0 || p.memBytes <= 0 {
+		t.Errorf("clamping left sampleEvery=%d memBytes=%d", p.sampleEvery, p.memBytes)
 	}
 }
 
@@ -166,53 +164,16 @@ func TestKernelErrorSurfacesThroughProfiler(t *testing.T) {
 	}
 }
 
-// TestDeterminismAcrossReplayEngines is the acceptance gate for the
-// concurrent replay engine: for two apps on both evaluation GPUs, the full
-// AppResult — every counter-derived analysis value, pass count and cycle
-// total — must be bit-identical between the sequential/uncached profiler and
-// the maximally concurrent cached one. Only host wall-clock may differ.
-func TestDeterminismAcrossReplayEngines(t *testing.T) {
-	gpus := map[string]*GPUSpec{
-		"gtx1070": GTX1070().WithSMs(4),
-		"rtx4000": QuadroRTX4000().WithSMs(4),
-	}
-	apps := []string{"hotspot", "nw"}
-	for gname, spec := range gpus {
-		for _, aname := range apps {
-			app, ok := LookupApp("rodinia", aname)
-			if !ok {
-				t.Fatalf("missing app %s", aname)
-			}
-			base := NewProfiler(spec, WithLevel(3))
-			fast := NewProfiler(spec, WithLevel(3),
-				WithReplayWorkers(0), WithReplayCache(true))
-			want, err := base.ProfileApp(context.Background(), app)
-			if err != nil {
-				t.Fatalf("%s/%s sequential: %v", gname, aname, err)
-			}
-			got, err := fast.ProfileApp(context.Background(), app)
-			if err != nil {
-				t.Fatalf("%s/%s concurrent: %v", gname, aname, err)
-			}
-			want.WallSeconds, got.WallSeconds = 0, 0
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("%s/%s: concurrent+cached profile diverged from sequential", gname, aname)
-			}
-		}
-	}
-}
-
 // TestDeterminismAutotuneCache pins the cache's hot path on the workload it
 // exists for: repeated byte-identical launches (a small GemmAutotune
 // instance). Every invocation's analysis, the pass count and the Fig. 13
-// cycle totals must match the sequential engine bit for bit even though all
+// cycle totals must match the uncached profiler bit for bit even though all
 // but the first two invocations replay from the cache.
 func TestDeterminismAutotuneCache(t *testing.T) {
 	app := workloads.GemmAutotuneSized(64, 8)
 	spec := QuadroRTX4000().WithSMs(4)
 	base := NewProfiler(spec, WithLevel(3))
-	fast := NewProfiler(spec, WithLevel(3),
-		WithReplayWorkers(0), WithReplayCache(true))
+	fast := NewProfiler(spec, WithLevel(3), WithReplayCache(true))
 	want, err := base.ProfileApp(context.Background(), app)
 	if err != nil {
 		t.Fatal(err)
@@ -226,6 +187,6 @@ func TestDeterminismAutotuneCache(t *testing.T) {
 	}
 	want.WallSeconds, got.WallSeconds = 0, 0
 	if !reflect.DeepEqual(want, got) {
-		t.Error("cached autotune profile diverged from sequential")
+		t.Error("cached autotune profile diverged from uncached")
 	}
 }

@@ -392,14 +392,13 @@ func BenchmarkAblationPassCount(b *testing.B) {
 	b.ReportMetric(o3, "level3_overhead_x")
 }
 
-// ---- Concurrent replay engine ----
+// ---- Replay result cache ----
 
 // benchReplayEngine profiles the autotune workload — 20 byte-identical GEMM
 // invocations x 8 scheduled passes at level 3, the multi-pass
 // multi-invocation pattern a CUPTI-attached profiler sees under a real
-// autotuning harness — under the given engine options and reports the
-// wall-clock and the (engine-independent, bit-identical) overhead
-// accounting.
+// autotuning harness — under the given options and reports the wall-clock
+// and the (option-independent, bit-identical) overhead accounting.
 func benchReplayEngine(b *testing.B, opts ...Option) {
 	var res *AppResult
 	for i := 0; i < b.N; i++ {
@@ -414,24 +413,18 @@ func benchReplayEngine(b *testing.B, opts ...Option) {
 	b.ReportMetric(float64(res.Passes), "passes")
 }
 
-// BenchmarkReplaySequential is the historical engine: one device, passes in
-// order, every invocation fully re-simulated.
+// BenchmarkReplaySequential is the uncached baseline: every invocation is
+// simulated.
 func BenchmarkReplaySequential(b *testing.B) {
 	benchReplayEngine(b)
 }
 
-// BenchmarkReplayConcurrent fans each kernel's 8 passes across one cloned
-// device per CPU core (no result cache).
-func BenchmarkReplayConcurrent(b *testing.B) {
-	benchReplayEngine(b, WithReplayWorkers(0))
-}
-
-// BenchmarkReplayConcurrentCached adds the deterministic result cache: from
-// the second repetition on the autotune launches are byte-identical and skip
-// simulation entirely. Reported results stay bit-identical to the sequential
-// engine (TestDeterminismAcrossReplayEngines); only wall-clock changes.
-func BenchmarkReplayConcurrentCached(b *testing.B) {
-	benchReplayEngine(b, WithReplayWorkers(0), WithReplayCache(true))
+// BenchmarkReplayCached adds the deterministic result cache: from the second
+// repetition on the autotune launches are byte-identical and skip simulation
+// entirely. Reported results stay bit-identical to the uncached profiler
+// (TestDeterminismAutotuneCache); only wall-clock changes.
+func BenchmarkReplayCached(b *testing.B) {
+	benchReplayEngine(b, WithReplayCache(true))
 }
 
 // BenchmarkSimulatorThroughput measures raw simulation speed in simulated

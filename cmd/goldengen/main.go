@@ -2,7 +2,7 @@
 // internal/check/testdata/golden: one canonical JSON Top-Down report per
 // suite application per evaluation GPU, profiled at the library defaults
 // (level 3 — capped to 2 on the Pascal device — normalised, SMPC,
-// sequential replay, fast-forward on). The corpus is the repository's
+// fast-forward on). The corpus is the repository's
 // end-to-end regression baseline: TestGoldenReports re-profiles every app
 // and requires byte-identical output, so any change to simulator timing,
 // counter accounting, or analysis equations shows up as a reviewable diff

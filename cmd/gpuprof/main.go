@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -44,7 +43,6 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write profiler self-metrics in Prometheus text format")
 	traceBlocks := flag.Bool("trace-blocks", false, "include per-block dispatch instants in the trace (voluminous)")
 	overhead := flag.Bool("overhead", false, "print a measured replay-overhead summary line")
-	replayWorkers := flag.Int("replay-workers", 1, "concurrent replay-pass workers per kernel (0 = all CPU cores, 1 = sequential)")
 	replayCache := flag.Bool("replay-cache", false, "memoize byte-identical kernel invocations instead of re-simulating them")
 	checks := flag.Bool("checks", false, "assert simulator conservation laws during the run (internal/check); violations exit nonzero")
 	serve := flag.String("serve", "", "serve live observability HTTP on this address (/metrics, /healthz, /trace, /api/progress, /debug/pprof/)")
@@ -106,11 +104,6 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	workers := *replayWorkers
-	if workers == 0 {
-		workers = runtime.NumCPU()
-	}
-	sess.SetWorkers(workers)
 	if *replayCache {
 		sess.SetCache(cupti.NewReplayCache(0))
 	}

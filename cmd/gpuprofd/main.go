@@ -31,7 +31,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8791", "listen address (host:0 picks a free port)")
-	workers := flag.Int("workers", 2, "jobs run concurrently (each fans out replay passes internally)")
+	workers := flag.Int("workers", 2, "jobs run concurrently")
 	queue := flag.Int("queue", 64, "max jobs waiting for a worker before submissions get 503")
 	gpuID := flag.String("gpu", "rtx4000", "default device model for jobs that do not set gpu")
 	timeout := flag.Duration("timeout", 0, "default per-job deadline for jobs that do not set timeout_ms (0 = none)")

@@ -46,7 +46,6 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write profiler self-metrics in Prometheus text format")
 	traceBlocks := flag.Bool("trace-blocks", false, "include per-block dispatch instants in the trace (voluminous)")
 	overhead := flag.Bool("overhead", false, "print a measured replay-overhead summary line per app")
-	replayWorkers := flag.Int("replay-workers", 1, "concurrent replay-pass workers per kernel (0 = all CPU cores, 1 = sequential)")
 	replayCache := flag.Bool("replay-cache", false, "memoize byte-identical kernel invocations instead of re-simulating them")
 	checks := flag.Bool("checks", false, "assert simulator conservation laws during the run (internal/check); violations are reported and exit nonzero")
 	all := flag.Bool("all", false, "profile every app of -suite (a sweep; pairs with -serve and the progress log)")
@@ -71,7 +70,7 @@ func main() {
 
 	if *remote != "" {
 		remoteProfile(ctx, *remote, *suite, *appName, *gpuID, *level, *raw, *hwpm,
-			*replayWorkers, replayCache, *remoteTimeout)
+			replayCache, *remoteTimeout)
 		return
 	}
 
@@ -121,8 +120,7 @@ func main() {
 	if tracer != nil || registry != nil {
 		opts = append(opts, gputopdown.WithObserver(tracer, registry))
 	}
-	opts = append(opts, gputopdown.WithReplayWorkers(*replayWorkers),
-		gputopdown.WithReplayCache(*replayCache),
+	opts = append(opts, gputopdown.WithReplayCache(*replayCache),
 		gputopdown.WithChecks(*checks))
 
 	var logger *gputopdown.Logger
@@ -235,19 +233,18 @@ func main() {
 // remoteProfile builds a v1 JobRequest from the CLI flags, submits it to a
 // gpuprofd daemon, waits for the terminal state, and prints the report.
 func remoteProfile(ctx context.Context, base, suite, appName, gpuID string,
-	level int, raw, hwpm bool, replayWorkers int, replayCache *bool, timeout time.Duration) {
+	level int, raw, hwpm bool, replayCache *bool, timeout time.Duration) {
 	if appName == "" {
 		fatalf("missing -app (remote mode profiles one app; try -list)")
 	}
 	req := &gputopdown.JobRequest{
-		Suite:         suite,
-		App:           appName,
-		GPU:           gpuID,
-		Level:         level,
-		RawEquations:  raw,
-		ReplayWorkers: replayWorkers,
-		ReplayCache:   replayCache,
-		TimeoutMS:     timeout.Milliseconds(),
+		Suite:        suite,
+		App:          appName,
+		GPU:          gpuID,
+		Level:        level,
+		RawEquations: raw,
+		ReplayCache:  replayCache,
+		TimeoutMS:    timeout.Milliseconds(),
 	}
 	if hwpm {
 		req.Mode = "hwpm"

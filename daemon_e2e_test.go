@@ -98,10 +98,10 @@ func TestDaemonReportBitIdentical(t *testing.T) {
 }
 
 // TestDaemonIgnoredEngineFields pins v1 wire compatibility for the removed
-// engine selectors: a body carrying sim_workers and fast_forward still passes
-// the strict decoder, yields the byte-identical canonical report, and shares
-// the cached Profiler of the same job without them; a negative sim_workers is
-// still a 400.
+// engine selectors: a body carrying replay_workers, sim_workers or
+// fast_forward still passes the strict decoder, yields the byte-identical
+// canonical report, and shares the cached Profiler of the same job without
+// them; a negative replay_workers or sim_workers is still a 400.
 func TestDaemonIgnoredEngineFields(t *testing.T) {
 	ctx := context.Background()
 	runner := NewJobRunner("gtx1070")
@@ -129,13 +129,22 @@ func TestDaemonIgnoredEngineFields(t *testing.T) {
 
 	off := false
 	plain := canonical(&JobRequest{Suite: "rodinia", App: "myocyte", Level: 1})
-	legacy := canonical(&JobRequest{Suite: "rodinia", App: "myocyte", Level: 1, SimWorkers: 4, FastForward: &off})
-	if !bytes.Equal(plain, legacy) {
-		t.Errorf("ignored fields changed the report:\n%s", check.DiffJSON(plain, legacy))
+	for _, legacy := range []*JobRequest{
+		{Suite: "rodinia", App: "myocyte", Level: 1, SimWorkers: 4, FastForward: &off},
+		{Suite: "rodinia", App: "myocyte", Level: 1, ReplayWorkers: 4},
+	} {
+		if got := canonical(legacy); !bytes.Equal(plain, got) {
+			t.Errorf("ignored fields of %+v changed the report:\n%s", legacy, check.DiffJSON(plain, got))
+		}
 	}
-	_, err := c.Submit(ctx, &JobRequest{Suite: "rodinia", App: "myocyte", SimWorkers: -1})
-	if err == nil || !strings.Contains(err.Error(), "HTTP 400") {
-		t.Errorf("negative sim_workers = %v, want HTTP 400", err)
+	for _, bad := range []*JobRequest{
+		{Suite: "rodinia", App: "myocyte", SimWorkers: -1},
+		{Suite: "rodinia", App: "myocyte", ReplayWorkers: -1},
+	} {
+		_, err := c.Submit(ctx, bad)
+		if err == nil || !strings.Contains(err.Error(), "HTTP 400") {
+			t.Errorf("%+v = %v, want HTTP 400", bad, err)
+		}
 	}
 	runner.mu.Lock()
 	n := len(runner.profilers)
@@ -145,14 +154,44 @@ func TestDaemonIgnoredEngineFields(t *testing.T) {
 	}
 }
 
+// TestJobRunnerKeysReplayCacheByValue: replay_cache is a *bool on the wire,
+// so every decoded request carries its own pointer. Requests that agree on
+// the pointed-to value must share one Profiler (and so one warm replay
+// cache); unset, true and false stay distinct.
+func TestJobRunnerKeysReplayCacheByValue(t *testing.T) {
+	jr := NewJobRunner("rtx4000")
+	profiler := func(replayCache *bool) *Profiler {
+		t.Helper()
+		p, err := jr.profilerFor(&JobRequest{Suite: "altis", App: "gups", ReplayCache: replayCache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	on1, on2, off := true, true, false
+	p := profiler(&on1)
+	if profiler(&on2) != p {
+		t.Error("two replay_cache:true requests got different Profilers")
+	}
+	if len(jr.profilers) != 1 {
+		t.Errorf("runner holds %d profilers after two replay_cache:true requests, want 1", len(jr.profilers))
+	}
+	if profiler(&off) == p || profiler(nil) == p {
+		t.Error("replay_cache false or unset shares the replay_cache:true Profiler")
+	}
+	if len(jr.profilers) != 3 {
+		t.Errorf("runner holds %d profilers for true/false/unset, want 3", len(jr.profilers))
+	}
+}
+
 // TestDaemonCancelRunning: DELETE on a job mid-simulation lands within the
-// 2s budget (cancellation is checked inside the pass loop, not just
+// 2s budget (cancellation is checked inside the simulation loop, not just
 // between kernels) and the store records cancelled.
 func TestDaemonCancelRunning(t *testing.T) {
 	ctx := context.Background()
 	_, c := startDaemon(t, 1)
-	// gemm at level 3 replays one large kernel ~8 times: tens of seconds
-	// of work, so the cancel provably interrupts rather than outraces it.
+	// gemm is one large kernel: seconds of simulation, so the cancel
+	// provably interrupts rather than outraces it.
 	st, err := c.Submit(ctx, &JobRequest{Suite: "altis", App: "gemm", Level: 3})
 	if err != nil {
 		t.Fatal(err)

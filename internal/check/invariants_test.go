@@ -232,12 +232,11 @@ func TestCheckLaunchViolations(t *testing.T) {
 }
 
 func TestCheckPassMerge(t *testing.T) {
-	var pass0, pass1 sm.Counters
-	pass0.ElapsedCycles = 100
-	pass0.InstExecuted = 40
-	pass0.WarpStateCycles[1] = 7
-	pass1 = pass0 // free-running counters identical across passes
-	pass1.WarpStateCycles[2] = 9
+	var counters sm.Counters
+	counters.ElapsedCycles = 100
+	counters.InstExecuted = 40
+	counters.WarpStateCycles[1] = 7
+	counters.WarpStateCycles[2] = 9
 
 	stall1 := pmu.StallCounter(1)
 	stall2 := pmu.StallCounter(2)
@@ -245,7 +244,6 @@ func TestCheckPassMerge(t *testing.T) {
 		{pmu.CtrInstExecuted, stall1},
 		{stall2},
 	}
-	perPass := []sm.Counters{pass0, pass1}
 	merged := pmu.Values{
 		pmu.CtrInstExecuted: 40,
 		stall1:              7,
@@ -253,7 +251,7 @@ func TestCheckPassMerge(t *testing.T) {
 	}
 
 	inv := New()
-	inv.CheckPassMerge("k", passes, perPass, merged)
+	inv.CheckPassMerge("k", passes, &counters, merged)
 	if err := inv.Err(); err != nil {
 		t.Fatalf("consistent merge flagged: %v", err)
 	}
@@ -261,7 +259,7 @@ func TestCheckPassMerge(t *testing.T) {
 	t.Run("missing-counter", func(t *testing.T) {
 		inv := New()
 		bad := pmu.Values{pmu.CtrInstExecuted: 40, stall1: 7}
-		inv.CheckPassMerge("k", passes, perPass, bad)
+		inv.CheckPassMerge("k", passes, &counters, bad)
 		if lawCounts(inv)["pass-merge-complete"] == 0 {
 			t.Fatal("missing counter not flagged")
 		}
@@ -269,25 +267,18 @@ func TestCheckPassMerge(t *testing.T) {
 	t.Run("wrong-value", func(t *testing.T) {
 		inv := New()
 		bad := pmu.Values{pmu.CtrInstExecuted: 40, stall1: 8, stall2: 9}
-		inv.CheckPassMerge("k", passes, perPass, bad)
+		inv.CheckPassMerge("k", passes, &counters, bad)
 		if lawCounts(inv)["pass-merge-value"] == 0 {
 			t.Fatal("wrong merged value not flagged")
 		}
 	})
 	t.Run("free-running-drift", func(t *testing.T) {
 		inv := New()
-		drift := []sm.Counters{pass0, pass1}
-		drift[1].InstExecuted = 41
-		inv.CheckPassMerge("k", passes, drift, merged)
-		if lawCounts(inv)["free-running-determinism"] == 0 {
+		drift := counters
+		drift.InstExecuted = 41
+		inv.CheckPassMerge("k", passes, &drift, merged)
+		if lawCounts(inv)["pass-merge-value"] == 0 {
 			t.Fatal("free-running drift not flagged")
-		}
-	})
-	t.Run("count-mismatch", func(t *testing.T) {
-		inv := New()
-		inv.CheckPassMerge("k", passes, perPass[:1], merged)
-		if lawCounts(inv)["pass-merge"] == 0 {
-			t.Fatal("pass count mismatch not flagged")
 		}
 	})
 }

@@ -7,18 +7,15 @@ import "fmt"
 // result bit-identical. Each Property mutates one knob away from BaseConfig;
 // the engine runs the base once, then every mutation, and compares canonical
 // report bytes. This catches the class of bug where a performance path
-// (parallel replay, decoded-instruction cache, fast-forward) silently changes
-// results.
+// (replay result cache, fast-forward) silently changes results.
 
 // Config is the knob vector a metamorphic Runner receives. The zero value is
 // not meaningful; start from BaseConfig.
 type Config struct {
-	// ReplayWorkers bounds concurrent replay passes (1 = sequential).
-	ReplayWorkers int
 	// FastForward enables the adaptive idle-cycle skip; off runs the naive
 	// cycle loop, the oracle the production loop is compared against.
 	FastForward bool
-	// ReplayCache enables the decoded-instruction replay cache.
+	// ReplayCache enables the replay result cache.
 	ReplayCache bool
 	// Tracing attaches interval tracing to the run.
 	Tracing bool
@@ -28,20 +25,18 @@ type Config struct {
 	Checks bool
 }
 
-// BaseConfig is the reference point every property mutates away from:
-// sequential everywhere, all accelerations on (the production default), no
-// instrumentation attached.
+// BaseConfig is the reference point every property mutates away from: all
+// accelerations on (the production default), no instrumentation attached.
 func BaseConfig() Config {
 	return Config{
-		ReplayWorkers: 1,
-		FastForward:   true,
-		ReplayCache:   true,
+		FastForward: true,
+		ReplayCache: true,
 	}
 }
 
 // Property is one result-preserving transformation of the configuration.
 type Property struct {
-	// Name identifies the property in failure output, e.g. "replay-workers-4".
+	// Name identifies the property in failure output, e.g. "replay-cache-off".
 	Name string
 	// Mutate returns the perturbed configuration. It must not change
 	// anything that legitimately alters the result (GPU, level, mode).
@@ -55,7 +50,6 @@ func Properties() []Property {
 		{Name: "tracing-on", Mutate: func(c Config) Config { c.Tracing = true; return c }},
 		{Name: "observer-on", Mutate: func(c Config) Config { c.Observer = true; return c }},
 		{Name: "checks-on", Mutate: func(c Config) Config { c.Checks = true; return c }},
-		{Name: "replay-workers-4", Mutate: func(c Config) Config { c.ReplayWorkers = 4; return c }},
 		{Name: "replay-cache-off", Mutate: func(c Config) Config { c.ReplayCache = false; return c }},
 		{Name: "fast-forward-off", Mutate: func(c Config) Config { c.FastForward = false; return c }},
 	}

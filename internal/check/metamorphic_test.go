@@ -9,7 +9,7 @@ import (
 
 func TestBaseConfig(t *testing.T) {
 	c := BaseConfig()
-	if c.ReplayWorkers != 1 || !c.FastForward || !c.ReplayCache {
+	if !c.FastForward || !c.ReplayCache {
 		t.Fatalf("unexpected base config: %+v", c)
 	}
 	if c.Tracing || c.Observer || c.Checks {
@@ -32,7 +32,7 @@ func TestPropertiesMutateOneKnob(t *testing.T) {
 	// The table must cover every knob the design claims is result-preserving.
 	for _, want := range []string{
 		"tracing-on", "observer-on", "checks-on",
-		"replay-workers-4", "replay-cache-off", "fast-forward-off",
+		"replay-cache-off", "fast-forward-off",
 	} {
 		if !seen[want] {
 			t.Errorf("property %q missing from the table", want)
@@ -56,7 +56,7 @@ func TestMetamorphicAllIdentical(t *testing.T) {
 
 func TestMetamorphicDivergence(t *testing.T) {
 	run := func(cfg Config) ([]byte, error) {
-		if cfg.ReplayWorkers > 1 {
+		if !cfg.ReplayCache {
 			return []byte(`{"cycles": 8}`), nil
 		}
 		return []byte(`{"cycles": 7}`), nil
@@ -66,13 +66,13 @@ func TestMetamorphicDivergence(t *testing.T) {
 		t.Fatal("divergent property not reported")
 	}
 	msg := err.Error()
-	if !strings.Contains(msg, "replay-workers-4") || !strings.Contains(msg, "$.cycles") {
+	if !strings.Contains(msg, "replay-cache-off") || !strings.Contains(msg, "$.cycles") {
 		t.Fatalf("error should name the property and the node: %v", err)
 	}
 	if strings.Contains(msg, "tracing-on:") {
 		t.Fatalf("clean property named in failure: %v", err)
 	}
-	if !strings.Contains(msg, "1 of 6") {
+	if !strings.Contains(msg, "1 of 5") {
 		t.Fatalf("failure tally missing: %v", err)
 	}
 }

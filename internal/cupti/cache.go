@@ -121,7 +121,7 @@ func (c *ReplayCache) Stats() (hits, misses uint64) {
 }
 
 // keyFor derives the cache key of a launch against the session's current
-// device state. snap must be the current pre-launch memory snapshot.
+// device state. memHash must be HashAllocated of the pre-launch memory.
 func (s *Session) keyFor(l *kernel.Launch, memHash uint64) replayKey {
 	return replayKey{
 		config: l.ConfigHash(),

@@ -1,34 +1,34 @@
 // Package cupti is the profiling middleware between the PMU and the
 // analyzer, mirroring NVIDIA's CUDA Profiling Tools Interface: a Session
-// schedules a counter request onto passes (internal/pmu), replays every
-// kernel launch once per pass with cache flushes and memory save/restore in
-// between, and merges the per-pass readings into one record per kernel
-// invocation.
+// schedules a counter request onto passes (internal/pmu), accounts for one
+// replay of every kernel launch per pass, and merges the per-pass readings
+// into one record per kernel invocation.
 //
-// The replay machinery is also what makes profiling expensive: a level-3
-// Top-Down counter set needs 8 passes, and each pass pays a flush whose cost
-// grows with the working set — the ~13x overhead the paper measures in
-// Fig. 13 (§V.E).
+// Replay accounting. Real CUPTI re-executes the kernel once per pass with a
+// cache flush and a memory restore in between; that is what makes profiling
+// expensive (a level-3 Top-Down counter set needs 8 passes, each paying a
+// flush whose cost grows with the working set — the ~13x overhead the paper
+// measures in Fig. 13, §V.E). The simulator is deterministic, so every one
+// of those replays would return the same counters. The session therefore
+// simulates each launch once (one cache flush, one launch), merges every
+// scheduled pass from that one counter set, and charges each pass
+// cycles + flush cycles to the overhead accounting. The restore → flush →
+// launch × N replay it stands for lives on as a test-side oracle
+// (TestDeterminismReplayOracle), which proves the two equal on every
+// suite application.
 //
-// Two engine features recover host wall-clock time without changing a single
-// reported bit (the simulated-cycle overhead accounting stays identical):
+// Result cache (SetCache): byte-identical invocations — same program
+// fingerprint, launch configuration, memory hash and constant-bank hash —
+// skip even that one simulation, re-applying the recorded counters and
+// memory effects while still charging the full simulated replay+flush cost.
 //
-//   - Concurrent replay (SetWorkers): the N scheduled passes of one launch
-//     fan out across a bounded pool of cloned devices (sim.Device.Clone) and
-//     are merged in deterministic pass order. Every pass starts from the
-//     same memory snapshot with cold caches and a zeroed SM clock, so pass
-//     results are bit-identical regardless of which device ran them.
-//   - Result caching (SetCache): byte-identical invocations — same program
-//     fingerprint, launch configuration, memory-snapshot hash and
-//     constant-bank hash — skip re-simulation entirely, replaying the
-//     recorded counters and memory effects while still charging the full
-//     simulated replay+flush cost to the overhead accounting.
+// A simulation failure is a KernelError with Pass 0; cancellation is polled
+// before the invocation and inside the one LaunchCtx.
 package cupti
 
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"gputopdown/internal/kernel"
@@ -91,19 +91,12 @@ type Session struct {
 	schedFP uint64
 	mode    Mode
 
-	// workers bounds the replay worker pool; <= 1 replays sequentially on
-	// the session device (the historical behaviour).
-	workers int
-	// clones are the extra devices the parallel engine replays on, built
-	// lazily and reused across invocations.
-	clones []*sim.Device
-
 	// cache, when non-nil, memoizes byte-identical invocations.
 	cache *ReplayCache
 
 	// checker, when non-nil, receives in-loop device invariant hooks (via
-	// the session device and every clone) plus the session-level pass-merge
-	// check after each profiled invocation.
+	// the session device) plus the session-level pass-merge check after each
+	// profiled invocation.
 	checker Checker
 
 	// sampleEvery > 1 enables the paper's §VII mitigation: only every n-th
@@ -122,7 +115,6 @@ type Session struct {
 	// Observability (nil/disabled by default; see SetObserver). Handles are
 	// created once so the replay hot path is allocation-free when disabled.
 	tracer     *obs.Tracer
-	reg        *obs.Registry
 	obsOn      bool
 	mPasses    *obs.Counter
 	mFlushes   *obs.Counter
@@ -133,12 +125,10 @@ type Session struct {
 	mSkipped   *obs.Counter
 	mCacheHits *obs.Counter
 	mCacheMiss *obs.Counter
-	mParPasses *obs.Counter
 	mPassWall  *obs.Counter
 	hPassWall  *obs.Histogram
 	gOverhead  *obs.Gauge
 	gPassesPK  *obs.Gauge
-	gWorkers   *obs.Gauge
 	gCacheSize *obs.Gauge
 
 	// Structured logging (nil/disabled by default; see SetLogger) and live
@@ -160,7 +150,6 @@ func NewSession(dev *sim.Device, request []pmu.CounterID, mode Mode) (*Session, 
 		sched:       sched,
 		schedFP:     sched.Fingerprint(),
 		mode:        mode,
-		workers:     1,
 		sampleEvery: 1,
 		lastSampled: map[string]pmu.Values{},
 		invocations: map[string]int{},
@@ -171,35 +160,29 @@ func NewSession(dev *sim.Device, request []pmu.CounterID, mode Mode) (*Session, 
 // session and, through it, to the underlying device. Either may be nil: a
 // tracer-only observer records spans without metrics, a registry-only
 // observer the reverse. The session emits spans for each profiled kernel,
-// each replay pass and each cache flush, and maintains the profiler
-// self-metrics — including the live replay_overhead_ratio that reproduces
+// its one simulated pass and the cache flush before it, and maintains the
+// profiler self-metrics — including the live replay_overhead_ratio that reproduces
 // the paper's Fig. 13 accounting from instrumentation rather than post-hoc
 // arithmetic.
 func (s *Session) SetObserver(tr *obs.Tracer, reg *obs.Registry) {
 	s.tracer = tr
-	s.reg = reg
 	s.obsOn = tr != nil || reg != nil
 	s.dev.SetObserver(tr, reg)
-	for _, c := range s.clones {
-		// Clones contribute to device metrics but never to the trace (their
-		// launches are replays of the session device's, on other goroutines).
-		c.SetObserver(nil, reg)
-	}
 	if reg == nil {
 		// Explicitly guard the handle creation: a tracer-only observer must
 		// not depend on nil-receiver forgiveness in the registry.
 		s.mPasses, s.mFlushes, s.mFlushCyc = nil, nil, nil
 		s.mNativeCyc, s.mProfCyc = nil, nil
 		s.mSampled, s.mSkipped = nil, nil
-		s.mCacheHits, s.mCacheMiss, s.mParPasses = nil, nil, nil
+		s.mCacheHits, s.mCacheMiss = nil, nil
 		s.mPassWall, s.hPassWall = nil, nil
-		s.gOverhead, s.gPassesPK, s.gWorkers, s.gCacheSize = nil, nil, nil, nil
+		s.gOverhead, s.gPassesPK, s.gCacheSize = nil, nil, nil
 		return
 	}
 	s.mPasses = reg.Counter("profiler_passes_total",
-		"Replay passes executed across all profiled kernel invocations.", nil)
+		"Replay passes accounted across all profiled kernel invocations.", nil)
 	s.mFlushes = reg.Counter("profiler_cache_flushes_total",
-		"Device cache flushes performed between replay passes.", nil)
+		"Device cache flushes performed before simulated launches.", nil)
 	s.mFlushCyc = reg.Counter("profiler_flush_cycles_total",
 		"Simulated cycles charged to inter-pass cache/memory flushes.", nil)
 	s.mNativeCyc = reg.Counter("profiler_native_cycles_total",
@@ -214,22 +197,17 @@ func (s *Session) SetObserver(tr *obs.Tracer, reg *obs.Registry) {
 		"Kernel invocations served from the replay result cache.", nil)
 	s.mCacheMiss = reg.Counter("profiler_replay_cache_misses_total",
 		"Kernel invocations that missed the replay result cache.", nil)
-	s.mParPasses = reg.Counter("profiler_parallel_passes_total",
-		"Replay passes executed on cloned devices by the concurrent engine.", nil)
 	s.mPassWall = reg.Counter("profiler_pass_wall_seconds_total",
-		"Host wall-clock seconds spent executing replay passes.", nil)
+		"Host wall-clock seconds spent simulating profiled launches.", nil)
 	s.hPassWall = reg.Histogram("profiler_pass_wall_seconds",
-		"Wall-clock duration of individual replay passes.", nil, nil)
+		"Wall-clock duration of each profiled launch's one simulated pass.", nil, nil)
 	s.gOverhead = reg.Gauge("profiler_replay_overhead_ratio",
 		"Live profiled/native simulated-cycle ratio (the paper's Fig. 13).", nil)
 	s.gPassesPK = reg.Gauge("profiler_passes_per_kernel",
 		"Replay passes the scheduled counter set requires per kernel.", nil)
-	s.gWorkers = reg.Gauge("profiler_replay_workers",
-		"Concurrent replay worker bound configured on the session.", nil)
 	s.gCacheSize = reg.Gauge("profiler_replay_cache_entries",
 		"Invocations currently memoized in the replay result cache.", nil)
 	s.gPassesPK.Set(float64(s.sched.NumPasses()))
-	s.gWorkers.Set(float64(s.workers))
 }
 
 // SetLogger attaches a structured logger to the session and its device. The
@@ -244,7 +222,7 @@ func (s *Session) SetLogger(l *obs.Logger) {
 	if s.log.On(obs.LevelDebug) {
 		s.log.Debug("session configured",
 			"mode", s.mode.String(), "passes", s.sched.NumPasses(),
-			"workers", s.workers, "sample_every", s.sampleEvery)
+			"sample_every", s.sampleEvery)
 	}
 }
 
@@ -253,42 +231,27 @@ func (s *Session) SetLogger(l *obs.Logger) {
 // the obs HTTP server exposes on /api/progress. Nil detaches.
 func (s *Session) SetProgress(p *obs.Progress) { s.progress = p }
 
-// SetWorkers bounds the concurrent replay worker pool. n <= 1 restores the
-// strictly sequential engine. With n > 1 the scheduled passes of each
-// profiled launch fan out across up to n devices (the session device plus
-// n-1 clones); merge order stays deterministic, so counter values are
-// bit-identical to the sequential path.
-func (s *Session) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.workers = n
-	s.gWorkers.Set(float64(n))
-}
-
-// Workers returns the configured replay worker bound.
-func (s *Session) Workers() int { return s.workers }
+// SetWorkers does nothing.
+//
+// Deprecated: each launch is simulated once, so there is no replay worker
+// pool to size.
+func (s *Session) SetWorkers(int) {}
 
 // Checker receives the session's invariant hooks. It extends the device-level
-// sim.Checker with the pass-merge conservation law: after the deterministic
-// pass-order merge, every scheduled counter's merged value must equal its
-// reading from the pass that collected it, and free-running counters must be
-// identical across all passes (the determinism the merge relies on).
-// internal/check.Invariants implements it. Implementations must be
-// goroutine-safe: with concurrent replay, cloned devices invoke the device
-// hooks from multiple goroutines.
+// sim.Checker with the pass-merge conservation law: after the pass-order
+// merge, every scheduled counter's merged value must equal its reading in the
+// launch's counter set. internal/check.Invariants implements it.
 type Checker interface {
 	sim.Checker
-	// CheckPassMerge runs after merging per-pass readings for one profiled
-	// invocation. passes is the schedule, perPass the collected counter
-	// snapshot of each pass (index-aligned), merged the final values.
-	CheckPassMerge(kernel string, passes [][]pmu.CounterID, perPass []sm.Counters, merged pmu.Values)
+	// CheckPassMerge runs after merging the scheduled passes of one profiled
+	// invocation. passes is the schedule, counters the counter set of the
+	// one simulated launch every pass reads from, merged the final values.
+	CheckPassMerge(kernel string, passes [][]pmu.CounterID, counters *sm.Counters, merged pmu.Values)
 }
 
-// SetChecker attaches an invariant checker to the session, its device and
-// every replay clone (nil detaches everywhere). Like SetObserver, the
-// attachment is observational only: profiled results are bit-identical with
-// and without a checker.
+// SetChecker attaches an invariant checker to the session and its device
+// (nil detaches). Like SetObserver, the attachment is observational only:
+// profiled results are bit-identical with and without a checker.
 func (s *Session) SetChecker(c Checker) {
 	s.checker = c
 	var devC sim.Checker
@@ -296,9 +259,6 @@ func (s *Session) SetChecker(c Checker) {
 		devC = c
 	}
 	s.dev.SetChecker(devC)
-	for _, cl := range s.clones {
-		cl.SetChecker(devC)
-	}
 }
 
 // SetCache attaches a replay result cache (nil detaches). The cache may be
@@ -338,24 +298,16 @@ func (s *Session) flushCycles() uint64 {
 	return uint64(float64(allocated)/(4*s.dev.Spec.DRAMBytesPerCycle)) + passSetupCycles
 }
 
-// passResult is one replay pass's outcome, produced by either engine.
-type passResult struct {
-	cycles   uint64
-	smsUsed  int
-	counters sm.Counters
-}
-
-// Profile replays the launch once per scheduled pass and returns the merged
-// record. Device memory is saved before the first pass and restored before
-// each subsequent one, so every pass observes identical initial state; the
-// final memory state is the post-kernel one (the kernel "ran once" from the
-// application's point of view).
+// Profile simulates the launch once and returns the record merged over every
+// scheduled pass. The final memory state is the post-kernel one: the kernel
+// "ran once" from the application's point of view, as it does under real
+// replay, where memory is restored before each pass after the first.
 func (s *Session) Profile(l *kernel.Launch) (*KernelRecord, error) {
 	return s.ProfileCtx(context.Background(), l)
 }
 
 // ProfileCtx is Profile with cooperative cancellation: ctx is consulted
-// before the invocation and between replay passes. On cancellation the
+// before the invocation and inside the simulated launch. On cancellation the
 // returned error wraps ctx.Err(); device memory is then in an unspecified
 // intermediate state, as with any mid-profile failure.
 func (s *Session) ProfileCtx(ctx context.Context, l *kernel.Launch) (*KernelRecord, error) {
@@ -373,15 +325,9 @@ func (s *Session) ProfileCtx(ctx context.Context, l *kernel.Launch) (*KernelReco
 	if s.log.On(obs.LevelDebug) {
 		s.log.Debug("profiling kernel",
 			"kernel", l.Program.Name, "invocation", s.invocations[l.Program.Name],
-			"passes", len(passes), "workers", s.workers)
+			"passes", len(passes))
 	}
 
-	// Pre-launch snapshot: restore point for multi-pass replay, and (with
-	// the cache enabled) the byte-identity the cache key hashes.
-	var snap []byte
-	if len(passes) > 1 || s.cache != nil {
-		snap = s.dev.Storage.Snapshot()
-	}
 	var key replayKey
 	if s.cache != nil {
 		key = s.keyFor(l, s.dev.Storage.HashAllocated())
@@ -405,55 +351,54 @@ func (s *Session) ProfileCtx(ctx context.Context, l *kernel.Launch) (*KernelReco
 		}
 	}
 
-	var results []passResult
-	var err error
-	if s.workers > 1 && len(passes) > 1 {
-		results, err = s.runPassesParallel(ctx, l, snap)
-	} else {
-		results, err = s.runPassesSequential(ctx, l, snap)
+	// The one simulation every pass reads from: cold caches, then the launch.
+	var passWall time.Time
+	if s.obsOn {
+		passWall = time.Now()
 	}
+	fc := s.flushCycles()
+	flushStart := s.tracer.Now()
+	s.dev.FlushCaches()
+	if s.tracer != nil {
+		s.tracer.Complete(obs.PIDProfiler, 1, "cupti", "flush",
+			flushStart, map[string]any{"flush_cycles": fc})
+	}
+	res, err := safeLaunch(ctx, s.dev, l)
 	if err != nil {
-		return nil, err
+		return nil, &KernelError{Kernel: l.Program.Name, Pass: 0, Err: err}
+	}
+	counters := s.collect(res)
+	if s.obsOn {
+		wall := time.Since(passWall).Seconds()
+		s.mFlushes.Inc()
+		s.mPassWall.Add(wall)
+		s.hPassWall.Observe(wall)
+		if s.tracer != nil {
+			s.tracer.Complete(obs.PIDProfiler, 1, "cupti",
+				fmt.Sprintf("pass 1/%d", len(passes)), flushStart,
+				map[string]any{"kernel": l.Program.Name, "cycles": res.Cycles})
+		}
 	}
 
-	// Deterministic merge: pass order, independent of which device (or
-	// goroutine) executed which pass.
+	// Replay accounting: each scheduled pass keeps its own slots of the
+	// counter set and is charged one kernel run plus one flush (Fig. 13).
 	values := pmu.Values{}
-	fc := s.flushCycles()
-	rec := &KernelRecord{
-		Kernel:  l.Program.Name,
-		Passes:  len(passes),
-		Sampled: true,
-	}
 	for i, pass := range passes {
-		values.Merge(pass, &results[i].counters)
-		if i == 0 {
-			rec.Cycles = results[i].cycles
-			rec.SMsUsed = results[i].smsUsed
-			s.nativeCycles += results[i].cycles
-			s.mNativeCyc.Add(float64(results[i].cycles))
-		}
-		s.profiledCycles += results[i].cycles + fc
-		if s.obsOn {
-			s.mProfCyc.Add(float64(results[i].cycles) + float64(fc))
-			s.mPasses.Inc()
-			s.mFlushes.Inc()
-			s.mFlushCyc.Add(float64(fc))
-		}
+		values.Merge(pass, &counters)
+		s.progress.PassDone(i + 1)
 	}
 	if s.checker != nil {
-		perPass := make([]sm.Counters, len(results))
-		for i := range results {
-			perPass[i] = results[i].counters
-		}
-		s.checker.CheckPassMerge(l.Program.Name, passes, perPass, values)
+		s.checker.CheckPassMerge(l.Program.Name, passes, &counters, values)
 	}
-	rec.Values = values
-	rec.Invocation = s.invocations[rec.Kernel]
-	s.invocations[rec.Kernel]++
-	s.lastSampled[rec.Kernel] = values
-	s.records = append(s.records, *rec)
-
+	rec := &KernelRecord{
+		Kernel:  l.Program.Name,
+		Cycles:  res.Cycles,
+		Passes:  len(passes),
+		Values:  values,
+		Sampled: true,
+		SMsUsed: res.SMsUsed,
+	}
+	s.account(rec, fc, "profile", profStart)
 	if s.cache != nil {
 		s.cache.put(key, &replayEntry{
 			values:  values.Clone(),
@@ -464,22 +409,6 @@ func (s *Session) ProfileCtx(ctx context.Context, l *kernel.Launch) (*KernelReco
 		})
 		s.gCacheSize.Set(float64(s.cache.Len()))
 	}
-
-	if s.obsOn {
-		s.mSampled.Inc()
-		if s.nativeCycles > 0 {
-			s.gOverhead.Set(float64(s.profiledCycles) / float64(s.nativeCycles))
-		}
-		if s.tracer != nil {
-			s.tracer.Complete(obs.PIDProfiler, 1, "cupti", "profile "+rec.Kernel,
-				profStart, map[string]any{
-					"passes": len(passes), "invocation": rec.Invocation,
-					"cycles": rec.Cycles, "mode": s.mode.String(),
-					"workers": s.workers,
-				})
-		}
-	}
-	s.progress.KernelDone()
 	if s.log.On(obs.LevelDebug) {
 		s.log.Debug("kernel profiled",
 			"kernel", rec.Kernel, "invocation", rec.Invocation,
@@ -488,220 +417,57 @@ func (s *Session) ProfileCtx(ctx context.Context, l *kernel.Launch) (*KernelReco
 	return rec, nil
 }
 
-// runPassesSequential is the historical engine: every pass replays on the
-// session device, restoring memory and flushing caches in between.
-func (s *Session) runPassesSequential(ctx context.Context, l *kernel.Launch, snap []byte) ([]passResult, error) {
-	passes := s.sched.Passes
-	results := make([]passResult, len(passes))
-	for i := range passes {
-		if err := ctx.Err(); err != nil {
-			return nil, &KernelError{Kernel: l.Program.Name, Pass: i, Err: err}
-		}
-		var passWall time.Time
-		passStart := s.tracer.Now()
-		if s.obsOn {
-			passWall = time.Now()
-		}
-		if i > 0 {
-			s.dev.Storage.Restore(snap)
-		}
-		flushStart := s.tracer.Now()
-		s.dev.FlushCaches()
-		if s.obsOn && s.tracer != nil {
-			s.tracer.Complete(obs.PIDProfiler, 1, "cupti", "flush",
-				flushStart, map[string]any{"flush_cycles": s.flushCycles()})
-		}
-		res, err := safeLaunch(ctx, s.dev, l)
-		if err != nil {
-			return nil, &KernelError{Kernel: l.Program.Name, Pass: i, Err: err}
-		}
-		results[i] = passResult{cycles: res.Cycles, smsUsed: res.SMsUsed, counters: s.collect(res)}
-		s.progress.PassDone(i + 1)
-		if s.log.On(obs.LevelDebug) {
-			s.log.Debug("pass complete",
-				"kernel", l.Program.Name, "pass", i+1, "passes", len(passes),
-				"cycles", res.Cycles)
-		}
-		if s.obsOn {
-			wall := time.Since(passWall).Seconds()
-			s.mPassWall.Add(wall)
-			s.hPassWall.Observe(wall)
-			if s.tracer != nil {
-				s.tracer.Complete(obs.PIDProfiler, 1, "cupti",
-					fmt.Sprintf("pass %d/%d", i+1, len(passes)), passStart,
-					map[string]any{"kernel": l.Program.Name, "cycles": res.Cycles})
-			}
-		}
-	}
-	return results, nil
-}
-
-// ensureClones grows the clone pool to n devices and re-syncs every clone's
-// global and constant memory to the session device's current state.
-func (s *Session) ensureClones(n int) {
-	for len(s.clones) < n {
-		c := s.dev.Clone()
-		if s.reg != nil {
-			c.SetObserver(nil, s.reg)
-		}
-		if s.checker != nil {
-			c.SetChecker(s.checker)
-		}
-		s.clones = append(s.clones, c)
-	}
-	for _, c := range s.clones[:n] {
-		c.SyncState(s.dev)
-	}
-}
-
-// runPassesParallel fans the scheduled passes across the session device and
-// a pool of clones. Pass 0 is pinned to the session device so its memory
-// effects are the ones the application observes (by determinism every pass
-// produces the same post-kernel memory); the remaining passes are pulled
-// from a shared queue by up to workers-1 clone devices. Each pass starts
-// from the shared pre-launch snapshot with cold caches, so results are
-// bit-identical to the sequential engine; the caller merges them in pass
-// order.
-func (s *Session) runPassesParallel(ctx context.Context, l *kernel.Launch, snap []byte) ([]passResult, error) {
-	passes := s.sched.Passes
-	n := len(passes)
-	workers := s.workers
-	if workers > n {
-		workers = n
-	}
-	s.ensureClones(workers - 1)
-	clones := s.clones[:workers-1]
-
-	results := make([]passResult, n)
-	errs := make([]error, n)
-	runPass := func(dev *sim.Device, tid, i int, onClone bool) {
-		if err := ctx.Err(); err != nil {
-			errs[i] = err
-			return
-		}
-		var passWall time.Time
-		passStart := s.tracer.Now()
-		if s.obsOn {
-			passWall = time.Now()
-		}
-		// AdoptSnapshot doubles as restore and watermark sync: clones may
-		// carry allocations from a previous invocation.
-		dev.Storage.AdoptSnapshot(snap)
-		dev.FlushCaches()
-		res, err := safeLaunch(ctx, dev, l)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		results[i] = passResult{cycles: res.Cycles, smsUsed: res.SMsUsed, counters: s.collect(res)}
-		s.progress.PassDone(i + 1)
-		if s.log.On(obs.LevelDebug) {
-			s.log.Debug("pass complete",
-				"kernel", l.Program.Name, "pass", i+1, "passes", n,
-				"cycles", res.Cycles, "clone", onClone)
-		}
-		if s.obsOn {
-			wall := time.Since(passWall).Seconds()
-			s.mPassWall.Add(wall)
-			s.hPassWall.Observe(wall)
-			if onClone {
-				s.mParPasses.Inc()
-			}
-			if s.tracer != nil {
-				s.tracer.Complete(obs.PIDProfiler, tid, "cupti",
-					fmt.Sprintf("pass %d/%d", i+1, n), passStart,
-					map[string]any{"kernel": l.Program.Name, "cycles": res.Cycles,
-						"parallel": true, "clone": onClone})
-			}
-		}
-	}
-
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // session device: pass 0 first, then help with the queue
-		defer wg.Done()
-		runPass(s.dev, 1, 0, false)
-		for i := range jobs {
-			runPass(s.dev, 1, i, false)
-		}
-	}()
-	for w, c := range clones {
-		wg.Add(1)
-		go func(c *sim.Device, tid int) {
-			defer wg.Done()
-			for i := range jobs {
-				runPass(c, tid, i, true)
-			}
-		}(c, 2+w)
-	}
-	for i := 1; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-
-	for i, err := range errs {
-		if err != nil {
-			return nil, &KernelError{Kernel: l.Program.Name, Pass: i, Err: err}
-		}
-	}
-	// The session device must end in post-kernel state; if its own pass was
-	// the last thing it ran that holds. Verify the determinism contract the
-	// merge relies on: every pass must report identical native cycles.
-	for i := 1; i < n; i++ {
-		if results[i].cycles != results[0].cycles {
-			return nil, &KernelError{Kernel: l.Program.Name, Pass: i,
-				Err: fmt.Errorf("replay divergence: pass cycles %d != pass-0 cycles %d",
-					results[i].cycles, results[0].cycles)}
-		}
-	}
-	return results, nil
-}
-
 // profileCached serves an invocation from the replay result cache: the
 // recorded counter values and memory effects are replayed, and the full
 // simulated replay+flush cost is charged so the Fig. 13 overhead accounting
 // is bit-identical to an uncached session.
 func (s *Session) profileCached(l *kernel.Launch, e *replayEntry, profStart float64) (*KernelRecord, error) {
 	s.dev.Storage.Restore(e.post)
-	fc := s.flushCycles()
-	passes := s.sched.NumPasses()
 	rec := &KernelRecord{
-		Kernel:     l.Program.Name,
-		Invocation: s.invocations[l.Program.Name],
-		Cycles:     e.cycles,
-		Passes:     passes,
-		Values:     e.values.Clone(),
-		Sampled:    true,
-		Cached:     true,
-		SMsUsed:    e.smsUsed,
+		Kernel:  l.Program.Name,
+		Cycles:  e.cycles,
+		Passes:  s.sched.NumPasses(),
+		Values:  e.values.Clone(),
+		Sampled: true,
+		Cached:  true,
+		SMsUsed: e.smsUsed,
 	}
-	s.invocations[rec.Kernel]++
-	s.lastSampled[rec.Kernel] = rec.Values
-	s.nativeCycles += e.cycles
-	s.profiledCycles += uint64(passes) * (e.cycles + fc)
-	s.records = append(s.records, *rec)
 	if s.obsOn {
 		s.mCacheHits.Inc()
+	}
+	s.account(rec, s.flushCycles(), "cached", profStart)
+	return rec, nil
+}
+
+// account books one fully profiled invocation, simulated or served from the
+// cache: its record, rec.Passes replays of rec.Cycles each paying fc flush
+// cycles (Fig. 13), and the span, named after how the counters were obtained.
+func (s *Session) account(rec *KernelRecord, fc uint64, span string, profStart float64) {
+	rec.Invocation = s.invocations[rec.Kernel]
+	s.invocations[rec.Kernel]++
+	s.lastSampled[rec.Kernel] = rec.Values
+	s.nativeCycles += rec.Cycles
+	s.profiledCycles += uint64(rec.Passes) * (rec.Cycles + fc)
+	s.records = append(s.records, *rec)
+	if s.obsOn {
+		passes := float64(rec.Passes)
 		s.mSampled.Inc()
-		s.mNativeCyc.Add(float64(e.cycles))
-		s.mProfCyc.Add(float64(passes) * (float64(e.cycles) + float64(fc)))
-		s.mPasses.Add(float64(passes))
-		s.mFlushCyc.Add(float64(passes) * float64(fc))
+		s.mNativeCyc.Add(float64(rec.Cycles))
+		s.mProfCyc.Add(passes * (float64(rec.Cycles) + float64(fc)))
+		s.mPasses.Add(passes)
+		s.mFlushCyc.Add(passes * float64(fc))
 		if s.nativeCycles > 0 {
 			s.gOverhead.Set(float64(s.profiledCycles) / float64(s.nativeCycles))
 		}
 		if s.tracer != nil {
-			s.tracer.Complete(obs.PIDProfiler, 1, "cupti", "cached "+rec.Kernel,
+			s.tracer.Complete(obs.PIDProfiler, 1, "cupti", span+" "+rec.Kernel,
 				profStart, map[string]any{
-					"passes": passes, "invocation": rec.Invocation,
+					"passes": rec.Passes, "invocation": rec.Invocation,
 					"cycles": rec.Cycles, "mode": s.mode.String(),
 				})
 		}
 	}
 	s.progress.KernelDone()
-	return rec, nil
 }
 
 // profileSkipped runs an unsampled invocation once, natively, and reuses the
@@ -786,8 +552,8 @@ func (s *Session) Overhead() (native, profiled uint64) {
 	return s.nativeCycles, s.profiledCycles
 }
 
-// Reset clears records and overhead accounting, keeping the schedule, the
-// worker pool and the attached cache.
+// Reset clears records and overhead accounting, keeping the schedule and the
+// attached cache.
 func (s *Session) Reset() {
 	s.records = nil
 	s.invocations = map[string]int{}

@@ -316,9 +316,10 @@ func max(a, b int) int {
 	return b
 }
 
-// TestSessionObserverSpansAndMetrics: a profiled invocation must emit one
-// profile span, one span and one flush per pass, and self-metrics that agree
-// exactly with the session's own Overhead() accounting.
+// TestSessionObserverSpansAndMetrics: a profiled invocation is simulated
+// once, so it must emit one profile span, one pass span, one flush and one
+// launch, while the self-metrics still account every scheduled pass and agree
+// exactly with the session's own Overhead().
 func TestSessionObserverSpansAndMetrics(t *testing.T) {
 	d := testDevice()
 	const n = 1024
@@ -337,34 +338,20 @@ func TestSessionObserverSpansAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var profileSpans, passSpans, flushSpans, launchSpans int
-	for _, e := range tr.Events() {
-		if e.Ph != "X" {
-			continue
+	for _, prefix := range []string{"profile ", "pass ", "flush", "launch "} {
+		spans := 0
+		for _, e := range tr.Events() {
+			if e.Ph == "X" && strings.HasPrefix(e.Name, prefix) {
+				spans++
+			}
 		}
-		switch {
-		case strings.HasPrefix(e.Name, "profile "):
-			profileSpans++
-		case strings.HasPrefix(e.Name, "pass "):
-			passSpans++
-		case e.Name == "flush":
-			flushSpans++
-		case strings.HasPrefix(e.Name, "launch "):
-			launchSpans++
+		if spans != 1 {
+			t.Errorf("%q spans = %d, want 1", prefix, spans)
 		}
 	}
 	passes := s.NumPasses()
-	if profileSpans != 1 {
-		t.Errorf("profile spans = %d, want 1", profileSpans)
-	}
-	if passSpans != passes {
-		t.Errorf("pass spans = %d, want %d", passSpans, passes)
-	}
-	if flushSpans != passes {
-		t.Errorf("flush spans = %d, want %d", flushSpans, passes)
-	}
-	if launchSpans != passes {
-		t.Errorf("launch spans = %d, want %d", launchSpans, passes)
+	if passes < 2 {
+		t.Fatalf("need a multi-pass schedule, got %d", passes)
 	}
 
 	native, profiled := s.Overhead()
@@ -381,8 +368,8 @@ func TestSessionObserverSpansAndMetrics(t *testing.T) {
 	if got := reg.Gauge("profiler_replay_overhead_ratio", "", nil).Value(); got != wantRatio {
 		t.Errorf("profiler_replay_overhead_ratio = %v, want %v", got, wantRatio)
 	}
-	if got := reg.Histogram("profiler_pass_wall_seconds", "", nil, nil).Count(); got != uint64(passes) {
-		t.Errorf("pass wall histogram count = %d, want %d", got, passes)
+	if got := reg.Histogram("profiler_pass_wall_seconds", "", nil, nil).Count(); got != 1 {
+		t.Errorf("pass wall histogram count = %d, want 1", got)
 	}
 }
 

@@ -66,33 +66,14 @@ func TestPanicIsolationSequential(t *testing.T) {
 	}
 }
 
-// TestPanicIsolationParallel: the same guarantee when passes fan out across
-// cloned devices — a panic on a clone goroutine must not escape.
-func TestPanicIsolationParallel(t *testing.T) {
-	d := testDevice()
-	const n = 1024
-	buf := d.Alloc(n * 4)
-	d.Storage.WriteU32Slice(buf, make([]uint32, n))
-	s, err := NewSession(d, fullStallRequest(), ModeSMPC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetWorkers(4)
-
-	if _, err := s.Profile(launchWild()); !errors.Is(err, ErrKernelPanic) {
-		t.Fatalf("parallel panicking kernel = %v, want ErrKernelPanic", err)
-	}
-	if _, err := s.Profile(launchInc(d, buf, n)); err != nil {
-		t.Fatalf("sibling kernel after parallel panic: %v", err)
-	}
-}
-
-// TestProfileCtxCancellationMidPass: cancellation during a replay pass must
-// return promptly with a *KernelError wrapping context.Canceled and leave
+// TestProfileCtxCancellationMidPass: cancellation during the simulated launch
+// must return promptly with a *KernelError wrapping context.Canceled and leave
 // the device reusable.
 func TestProfileCtxCancellationMidPass(t *testing.T) {
 	d := testDevice()
-	const n = 64 * 1024
+	// One launch of this size simulates for well over the 10 ms the test
+	// waits before cancelling.
+	const n = 512 * 1024
 	buf := d.Alloc(n * 4)
 	d.Storage.WriteU32Slice(buf, make([]uint32, n))
 	s, err := NewSession(d, fullStallRequest(), ModeSMPC)

@@ -168,7 +168,7 @@ func (c *Cache) Probe(addr uint64) bool {
 	return false
 }
 
-// Flush invalidates every line, as the profiler does between replay passes.
+// Flush invalidates every line, as the profiler does before a profiled launch.
 // Statistics are preserved.
 func (c *Cache) Flush() {
 	for i := range c.lines {

@@ -45,28 +45,17 @@ func (s *Storage) Size() int { return len(s.data) }
 // Clone returns an independent storage with the same capacity, watermark and
 // allocated contents. Bytes beyond the watermark are not copied (they are
 // unreachable until re-allocated), so cloning costs O(allocated), not
-// O(capacity) — what makes per-pass device cloning in the concurrent replay
-// engine affordable.
+// O(capacity).
 func (s *Storage) Clone() *Storage {
 	c := &Storage{data: make([]byte, len(s.data)), next: s.next, base: s.base}
 	copy(c.data[s.base:s.next], s.data[s.base:s.next])
 	return c
 }
 
-// CopyFrom makes s's allocated state identical to src's: same watermark and
-// allocated contents. Capacities must match.
-func (s *Storage) CopyFrom(src *Storage) {
-	if len(s.data) != len(src.data) {
-		panic(fmt.Sprintf("mem: CopyFrom between storages of %d and %d bytes", len(s.data), len(src.data)))
-	}
-	s.next = src.next
-	s.base = src.base
-	copy(s.data[s.base:s.next], src.data[src.base:src.next])
-}
-
-// Snapshot copies the allocated region of device memory, so a profiler can
-// restore pre-kernel state between replay passes (as CUPTI's kernel replay
-// save/restore does).
+// Snapshot copies the allocated region of device memory, so it can be
+// restored later (as CUPTI's kernel replay save/restore does between
+// passes; here the replay result cache re-applies a kernel's memory effects
+// with it).
 func (s *Storage) Snapshot() []byte {
 	snap := make([]byte, s.next-s.base)
 	copy(snap, s.data[s.base:s.next])
@@ -79,19 +68,6 @@ func (s *Storage) Restore(snap []byte) {
 		panic(fmt.Sprintf("mem: restore of %d bytes against %d allocated", len(snap), s.next-s.base))
 	}
 	copy(s.data[s.base:s.next], snap)
-}
-
-// AdoptSnapshot installs snap as the entire allocated region, moving the
-// watermark to match. Unlike Restore it does not require the current
-// watermark to agree with the snapshot's, so a cloned device can be re-synced
-// to another device's state even after its own allocations diverged.
-func (s *Storage) AdoptSnapshot(snap []byte) {
-	n := s.base + uint64(len(snap))
-	if n > uint64(len(s.data)) {
-		panic(fmt.Sprintf("mem: adopt of %d bytes exceeds capacity %d", len(snap), len(s.data)))
-	}
-	s.next = n
-	copy(s.data[s.base:n], snap)
 }
 
 // fnv1aOffset and fnv1aPrime are the 64-bit FNV-1a parameters, used for the
@@ -276,14 +252,6 @@ func (c *ConstantBank) Clone() *ConstantBank {
 	out := &ConstantBank{data: make([]byte, len(c.data))}
 	copy(out.data, c.data)
 	return out
-}
-
-// CopyFrom overwrites the bank with src's contents. Sizes must match.
-func (c *ConstantBank) CopyFrom(src *ConstantBank) {
-	if len(c.data) != len(src.data) {
-		panic(fmt.Sprintf("mem: constant CopyFrom between banks of %d and %d bytes", len(c.data), len(src.data)))
-	}
-	copy(c.data, src.data)
 }
 
 // Hash returns a 64-bit FNV-1a hash of the bank contents, the constant-space

@@ -47,17 +47,17 @@ type JobRequest struct {
 	// SampleEvery profiles every n-th invocation of each kernel (paper
 	// §VII); 0 profiles all.
 	SampleEvery int `json:"sample_every,omitempty"`
-	// ReplayWorkers bounds concurrent replay passes; 0 uses the default.
+	// ReplayWorkers, SimWorkers and FastForward are accepted and ignored.
+	// They selected replay and simulation engines that no longer exist
+	// (results were bit-identical at every setting); the fields remain so
+	// v1 clients that still send them pass the strict decoder. A negative
+	// replay_workers or sim_workers is still rejected.
 	ReplayWorkers int `json:"replay_workers,omitempty"`
-	// SimWorkers and FastForward are accepted and ignored. They selected
-	// simulation engines that no longer exist (results were bit-identical at
-	// every setting); the fields remain so v1 clients that still send them
-	// pass the strict decoder. A negative sim_workers is still rejected.
-	SimWorkers int `json:"sim_workers,omitempty"`
+	SimWorkers    int `json:"sim_workers,omitempty"`
 	// ReplayCache toggles the replay cache; nil keeps the daemon default
 	// (tri-state so "false" is distinguishable from unset).
 	ReplayCache *bool `json:"replay_cache,omitempty"`
-	FastForward *bool `json:"fast_forward,omitempty"` // ignored, see SimWorkers
+	FastForward *bool `json:"fast_forward,omitempty"` // ignored, see ReplayWorkers
 
 	// TimeoutMS is the per-job deadline in milliseconds from the moment
 	// the job starts running (not queue time); 0 uses the daemon default.

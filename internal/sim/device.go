@@ -44,9 +44,9 @@ const checkStride = 1024
 // Checker receives in-loop invariant hooks. It is an interface defined here
 // (rather than importing internal/check) so the simulation loop stays free of
 // upward dependencies; internal/check.Invariants implements it. Both methods
-// may be called from the launch goroutine of any device — including the
-// cloned devices of concurrent replay — so implementations must be
-// goroutine-safe.
+// are called from the launch goroutine of the device; one checker may be
+// attached to devices launching concurrently (ProfileApps), so
+// implementations must be goroutine-safe.
 type Checker interface {
 	// CheckEpoch runs mid-launch on the live device state, every checkStride
 	// guard cycles. The device is quiescent between epochs when this runs.
@@ -140,12 +140,10 @@ func assemble(spec *gpu.Spec, storage *mem.Storage, constBank *mem.ConstantBank)
 
 // Clone builds an independent device with the same spec and byte-identical
 // global and constant memory, but fresh (idle, cold-cache, cycle-zero) SMs,
-// L2 and DRAM. Because the profiler flushes all caches and resets SM clocks
-// before every replay pass anyway, a launch on a clone is bit-identical to a
-// launch on the original after a Storage.Restore — the property the
-// concurrent replay engine (internal/cupti) relies on to fan passes out
-// across devices. Clone requires the device to be idle and does not carry
-// over observers; attach them explicitly if wanted.
+// L2 and DRAM. A launch on a clone after a cache flush is bit-identical to a
+// launch on the original after a Storage.Restore and a flush. Clone requires
+// the device to be idle and does not carry over observers; attach them
+// explicitly if wanted.
 func (d *Device) Clone() *Device {
 	for i, s := range d.SMs {
 		if s.Busy() {
@@ -171,14 +169,6 @@ func (d *Device) FastForwardEnabled() bool { return d.fastForward }
 // the number of bulk-skipped cycles — the fast-forward engine's win.
 func (d *Device) LastLaunchTicks() uint64 { return d.lastTicks }
 
-// SyncState re-synchronises a clone's global and constant memory to src's
-// current state (watermark included), so a pool of cloned devices can be
-// reused across kernel invocations whose allocations differ.
-func (d *Device) SyncState(src *Device) {
-	d.Storage.CopyFrom(src.Storage)
-	d.Const.CopyFrom(src.Const)
-}
-
 // Alloc reserves device global memory.
 func (d *Device) Alloc(n int) uint64 { return d.Storage.Alloc(n) }
 
@@ -186,7 +176,7 @@ func (d *Device) Alloc(n int) uint64 { return d.Storage.Alloc(n) }
 func (d *Device) FreeAll() { d.Storage.FreeAll() }
 
 // FlushCaches invalidates every cache on the device — what the profiler does
-// between replay passes so each pass observes cold-start conditions.
+// before a profiled launch so it observes cold-start conditions.
 func (d *Device) FlushCaches() {
 	d.Mem.FlushL2()
 	for _, s := range d.SMs {

@@ -29,7 +29,6 @@ func metamorphicRunner(t *testing.T, spec *GPUSpec, suite, app string) check.Run
 	}
 	return func(cfg check.Config) ([]byte, error) {
 		opts := []Option{
-			WithReplayWorkers(cfg.ReplayWorkers),
 			WithReplayCache(cfg.ReplayCache),
 			WithChecks(cfg.Checks),
 		}

@@ -69,13 +69,17 @@ func TestObserverEndToEnd(t *testing.T) {
 			analyzeSpans++
 		}
 	}
+	// Each profiled kernel is simulated once: one pass span and one launch,
+	// while profiler_passes_total accounts every scheduled pass.
 	kernels := len(res.Kernels)
-	if passSpans != kernels*res.Passes {
-		t.Errorf("pass spans = %d, want %d (%d kernels x %d passes)",
-			passSpans, kernels*res.Passes, kernels, res.Passes)
+	if passSpans != kernels {
+		t.Errorf("pass spans = %d, want %d (one per profiled kernel)", passSpans, kernels)
 	}
-	if launchSpans != kernels*res.Passes {
-		t.Errorf("launch spans = %d, want %d", launchSpans, kernels*res.Passes)
+	if launchSpans != kernels {
+		t.Errorf("launch spans = %d, want %d (one per profiled kernel)", launchSpans, kernels)
+	}
+	if got, want := reg.Counter("profiler_passes_total", "", nil).Value(), float64(kernels*res.Passes); got != want {
+		t.Errorf("profiler_passes_total = %v, want %v (%d kernels x %d passes)", got, want, kernels, res.Passes)
 	}
 	if profileSpans != kernels {
 		t.Errorf("profile spans = %d, want %d", profileSpans, kernels)

@@ -94,9 +94,12 @@ func (jr *JobRunner) profilerFor(req *JobRequest) (*Profiler, error) {
 	if !ok {
 		return nil, serve.MarkPermanent(fmt.Errorf("gputopdown: unknown gpu %q", gpuID))
 	}
-	key := fmt.Sprintf("%s|%d|%s|%t|%d|%d|%v",
-		gpuID, req.Level, req.Mode, req.RawEquations, req.SampleEvery,
-		req.ReplayWorkers, req.ReplayCache)
+	replayCache := "unset"
+	if req.ReplayCache != nil {
+		replayCache = fmt.Sprint(*req.ReplayCache)
+	}
+	key := fmt.Sprintf("%s|%d|%s|%t|%d|%s",
+		gpuID, req.Level, req.Mode, req.RawEquations, req.SampleEvery, replayCache)
 
 	jr.mu.Lock()
 	defer jr.mu.Unlock()
@@ -115,9 +118,6 @@ func (jr *JobRunner) profilerFor(req *JobRequest) (*Profiler, error) {
 	}
 	if req.SampleEvery > 0 {
 		opts = append(opts, WithSampling(req.SampleEvery))
-	}
-	if req.ReplayWorkers > 0 {
-		opts = append(opts, WithReplayWorkers(req.ReplayWorkers))
 	}
 	if req.ReplayCache != nil {
 		opts = append(opts, WithReplayCache(*req.ReplayCache))

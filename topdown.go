@@ -114,14 +114,11 @@ func WithSampling(n int) Option { return func(p *Profiler) { p.sampleEvery = n }
 // [26]) and attaches it to each AppResult.
 func WithRoofline() Option { return func(p *Profiler) { p.roofline = true } }
 
-// WithReplayWorkers sets the number of worker devices the replay engine may
-// fan one kernel's scheduled passes across. 1 (the default) keeps the
-// historical strictly sequential replay; n == 0 means one worker per CPU
-// core. Because every pass re-runs the deterministic simulator from the same
-// restored memory snapshot with cold caches, pass results are bit-identical
-// regardless of worker count (see DESIGN.md), and the merged counter values
-// are assembled in pass order.
-func WithReplayWorkers(n int) Option { return func(p *Profiler) { p.replayWorkers = n } }
+// WithReplayWorkers does nothing.
+//
+// Deprecated: each launch is simulated once and its replay passes are
+// accounted from that one run, so there are no replay workers to set.
+func WithReplayWorkers(int) Option { return func(*Profiler) {} }
 
 // WithReplayCache enables deterministic memoization of byte-identical kernel
 // invocations: when the same (program, launch configuration, device memory,
@@ -162,8 +159,8 @@ func NewTracer() *Tracer { return obs.NewTracer() }
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // WithObserver attaches an execution tracer and/or a metrics registry to the
-// profiler: every profiling session, replay pass, cache flush, kernel launch
-// and Top-Down analysis becomes a span, and the profiler self-metrics
+// profiler: every profiling session, simulated pass, cache flush, kernel
+// launch and Top-Down analysis becomes a span, and the profiler self-metrics
 // (passes, flush cycles, simulated cycles, wall time, replay overhead ratio,
 // sim throughput) are maintained live. Either argument may be nil. The cost
 // when no observer is attached is near zero.
@@ -230,7 +227,6 @@ type Profiler struct {
 	memBytes      int
 	sampleEvery   int
 	roofline      bool
-	replayWorkers int
 	cacheOn       bool
 	checksOn      bool
 	checks        *check.Invariants
@@ -246,13 +242,12 @@ type Profiler struct {
 }
 
 // NewProfiler builds a profiler for a device model. The default is a
-// normalised level-3 analysis with SMPC collection and sequential replay.
+// normalised level-3 analysis with SMPC collection.
 //
 // Out-of-range options are clamped rather than rejected: a level outside
 // 1..3 is capped by the analyzer, memBytes <= 0 falls back to the simulator
-// default, sampleEvery < 1 disables sampling, and replayWorkers < 0 becomes
-// sequential (1). Use NewProfilerE to have invalid options reported as
-// errors instead.
+// default, and sampleEvery < 1 disables sampling. Use NewProfilerE to have
+// invalid options reported as errors instead.
 func NewProfiler(spec *gpu.Spec, opts ...Option) *Profiler {
 	p := &Profiler{
 		spec:          spec,
@@ -260,7 +255,6 @@ func NewProfiler(spec *gpu.Spec, opts ...Option) *Profiler {
 		normalize:     true,
 		mode:          cupti.ModeSMPC,
 		memBytes:      sim.DefaultMemBytes,
-		replayWorkers: 1,
 		progressEvery: 10 * time.Second,
 	}
 	for _, o := range opts {
@@ -271,9 +265,6 @@ func NewProfiler(spec *gpu.Spec, opts ...Option) *Profiler {
 	}
 	if p.sampleEvery < 0 {
 		p.sampleEvery = 0
-	}
-	if p.replayWorkers < 0 {
-		p.replayWorkers = 1
 	}
 	if p.cacheOn {
 		p.cache = cupti.NewReplayCache(0)
@@ -314,7 +305,7 @@ func NewProfiler(spec *gpu.Spec, opts ...Option) *Profiler {
 // out-of-range options it rejects them, so configuration mistakes fail fast
 // at construction rather than silently changing behavior. It returns an
 // error when spec is nil, the level is outside 1..3, sampleEvery is
-// negative, memBytes is not positive, or replayWorkers is negative.
+// negative, or memBytes is not positive.
 func NewProfilerE(spec *gpu.Spec, opts ...Option) (*Profiler, error) {
 	if spec == nil {
 		return nil, fmt.Errorf("gputopdown: nil GPU spec")
@@ -331,9 +322,6 @@ func NewProfilerE(spec *gpu.Spec, opts ...Option) (*Profiler, error) {
 	}
 	if probe.memBytes <= 0 {
 		return nil, fmt.Errorf("gputopdown: non-positive device memory size %d", probe.memBytes)
-	}
-	if probe.replayWorkers < 0 {
-		return nil, fmt.Errorf("gputopdown: negative replay worker count %d", probe.replayWorkers)
 	}
 	p := NewProfiler(spec, opts...)
 	if p.obsErr != nil {
@@ -452,11 +440,11 @@ func (r *AppResult) KernelNames() []string {
 
 // ProfileApp runs one application on a fresh simulated device under the
 // profiler and returns its Top-Down results. The context is first-class:
-// cancellation and deadlines are checked between kernel launches, between
-// replay passes, and inside the simulation loop itself (every few hundred
-// simulated-cycle steps, including fast-forward wakeup boundaries), so a
-// profiled run stops well within one replay pass of ctx being cancelled,
-// returning ctx.Err wrapped in a *KernelError. Pass context.Background()
+// cancellation and deadlines are checked between kernel launches and inside
+// the simulation loop itself (every few hundred simulated-cycle steps,
+// including fast-forward wakeup boundaries), so a profiled run stops well
+// within one kernel simulation of ctx being cancelled, returning ctx.Err
+// wrapped in a *KernelError. Pass context.Background()
 // when no cancellation is wanted.
 //
 // A kernel whose simulation panics is isolated rather than fatal: it is
@@ -486,11 +474,6 @@ func (p *Profiler) profileOn(ctx context.Context, dev *sim.Device, app *workload
 	if p.sampleEvery > 1 {
 		sess.SetSampling(p.sampleEvery)
 	}
-	workers := p.replayWorkers
-	if workers == 0 {
-		workers = runtime.NumCPU()
-	}
-	sess.SetWorkers(workers)
 	if p.cache != nil {
 		sess.SetCache(p.cache)
 	}
