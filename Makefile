@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test golden bench-sim bench-compare
+.PHONY: all build test golden bench bench-sim bench-compare
 
 all: build
 
@@ -18,6 +18,16 @@ test:
 # code change.
 golden:
 	$(GO) run ./cmd/goldengen
+
+# bench runs one workload of the repository benchmark (BENCHMARK.json,
+# bench/README.md): the detail document on standard output, the result line
+# last. `make bench WORKLOAD=replay SECONDS=20 SEED=1`.
+WORKLOAD ?= replay
+SECONDS ?= 20
+SEED ?= 1
+
+bench:
+	bash bench/run.sh --workload $(WORKLOAD) --seconds $(SECONDS) --seed $(SEED)
 
 # bench-sim measures the fast-forward launch engine against the naive
 # cycle loop: the Go micro-benchmarks on the synthetic memory-bound kernel

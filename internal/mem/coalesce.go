@@ -63,31 +63,36 @@ const SharedBanks = 32
 // The result is at least 1 when any lane is active, so it can be used
 // directly as the replay/serialisation factor.
 func BankConflictDegree(addrs *[32]uint64, mask uint32, size int) int {
-	// words per bank; same word counted once (broadcast).
-	var bankWords [SharedBanks][]uint64
-	degree := 0
+	// Distinct words seen so far, chained per bank (head/next hold 1-based
+	// indices into words, 0 ending a chain): 32 lanes of two words at most.
+	var (
+		words [2 * 32]uint64
+		next  [2 * 32]uint8
+		head  [SharedBanks]uint8
+		count [SharedBanks]uint8
+	)
+	n, degree := 0, 0
+	// An 8-byte access occupies two consecutive words.
+	nwords := (size + 3) / 4
 	for lane := 0; lane < 32; lane++ {
 		if mask&(1<<lane) == 0 {
 			continue
 		}
-		// An 8-byte access occupies two consecutive words.
-		nwords := (size + 3) / 4
 		for w := 0; w < nwords; w++ {
 			word := addrs[lane]/4 + uint64(w)
-			bank := int(word % SharedBanks)
-			found := false
-			for _, ex := range bankWords[bank] {
-				if ex == word {
-					found = true
-					break
-				}
+			bank := word % SharedBanks
+			i := head[bank]
+			for i != 0 && words[i-1] != word {
+				i = next[i-1]
 			}
-			if !found {
-				bankWords[bank] = append(bankWords[bank], word)
-				if len(bankWords[bank]) > degree {
-					degree = len(bankWords[bank])
-				}
+			if i != 0 {
+				continue // same word: broadcast
 			}
+			words[n], next[n] = word, head[bank]
+			n++
+			head[bank] = uint8(n)
+			count[bank]++
+			degree = max(degree, int(count[bank]))
 		}
 	}
 	if degree == 0 && mask != 0 {
@@ -96,32 +101,29 @@ func BankConflictDegree(addrs *[32]uint64, mask uint32, size int) int {
 	return degree
 }
 
-// UniqueAddrs returns the count of distinct active-lane addresses.
-func UniqueAddrs(addrs *[32]uint64, mask uint32) int {
-	seen := make(map[uint64]struct{}, 8)
-	for lane := 0; lane < 32; lane++ {
-		if mask&(1<<lane) == 0 {
-			continue
-		}
-		seen[addrs[lane]] = struct{}{}
-	}
-	return len(seen)
-}
-
 // MaxContention returns the largest number of active lanes targeting one
 // address — the strict serialisation depth of a warp atomic, since the L2
 // ROP unit performs same-address read-modify-writes one at a time.
 func MaxContention(addrs *[32]uint64, mask uint32) int {
-	counts := make(map[uint64]int, 8)
-	best := 0
+	var (
+		seen  [32]uint64
+		count [32]int
+	)
+	n, best := 0, 0
 	for lane := 0; lane < 32; lane++ {
 		if mask&(1<<lane) == 0 {
 			continue
 		}
-		counts[addrs[lane]]++
-		if counts[addrs[lane]] > best {
-			best = counts[addrs[lane]]
+		i := 0
+		for i < n && seen[i] != addrs[lane] {
+			i++
 		}
+		if i == n {
+			seen[n] = addrs[lane]
+			n++
+		}
+		count[i]++
+		best = max(best, count[i])
 	}
 	return best
 }

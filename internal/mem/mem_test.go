@@ -286,19 +286,103 @@ func TestBankConflictDegreeBounds(t *testing.T) {
 	}
 }
 
-func TestUniqueAddrs(t *testing.T) {
-	var addrs [32]uint64
-	for i := range addrs {
-		addrs[i] = uint64(i % 4)
+// refBankConflictDegree and refMaxContention are the allocating
+// implementations the scratch-array ones replaced, kept as references.
+func refBankConflictDegree(addrs *[32]uint64, mask uint32, size int) int {
+	var bankWords [SharedBanks][]uint64
+	degree := 0
+	for lane := 0; lane < 32; lane++ {
+		if mask&(1<<lane) == 0 {
+			continue
+		}
+		nwords := (size + 3) / 4
+		for w := 0; w < nwords; w++ {
+			word := addrs[lane]/4 + uint64(w)
+			bank := int(word % SharedBanks)
+			found := false
+			for _, ex := range bankWords[bank] {
+				if ex == word {
+					found = true
+					break
+				}
+			}
+			if !found {
+				bankWords[bank] = append(bankWords[bank], word)
+				if len(bankWords[bank]) > degree {
+					degree = len(bankWords[bank])
+				}
+			}
+		}
 	}
-	if got := UniqueAddrs(&addrs, 0xFFFFFFFF); got != 4 {
-		t.Errorf("UniqueAddrs = %d, want 4", got)
+	if degree == 0 && mask != 0 {
+		degree = 1
 	}
-	if got := UniqueAddrs(&addrs, 0x1); got != 1 {
-		t.Errorf("UniqueAddrs single lane = %d, want 1", got)
-	}
+	return degree
 }
 
+func refMaxContention(addrs *[32]uint64, mask uint32) int {
+	counts := make(map[uint64]int, 8)
+	best := 0
+	for lane := 0; lane < 32; lane++ {
+		if mask&(1<<lane) == 0 {
+			continue
+		}
+		counts[addrs[lane]]++
+		if counts[addrs[lane]] > best {
+			best = counts[addrs[lane]]
+		}
+	}
+	return best
+}
+
+// TestConflictHelpersMatchReference checks BankConflictDegree and
+// MaxContention against their references on the patterns of TestBankConflicts
+// and on seeded random warps whose addresses collide at every granularity
+// (same address, same word, same bank).
+func TestConflictHelpersMatchReference(t *testing.T) {
+	check := func(name string, addrs *[32]uint64, mask uint32) {
+		t.Helper()
+		for _, size := range []int{4, 8} {
+			if got, want := BankConflictDegree(addrs, mask, size), refBankConflictDegree(addrs, mask, size); got != want {
+				t.Fatalf("%s: BankConflictDegree(%v, %#x, %d) = %d, reference %d", name, *addrs, mask, size, got, want)
+			}
+		}
+		if got, want := MaxContention(addrs, mask), refMaxContention(addrs, mask); got != want {
+			t.Fatalf("%s: MaxContention(%v, %#x) = %d, reference %d", name, *addrs, mask, got, want)
+		}
+	}
+	patterns := map[string]func(lane int) uint64{
+		"consecutive": func(i int) uint64 { return uint64(i * 4) },
+		"stride-2":    func(i int) uint64 { return uint64(i * 8) },
+		"same-bank":   func(i int) uint64 { return uint64(i * 4 * SharedBanks) },
+		"broadcast":   func(int) uint64 { return 128 },
+		"four-addrs":  func(i int) uint64 { return uint64(i % 4) },
+	}
+	var addrs [32]uint64
+	for name, f := range patterns {
+		for i := range addrs {
+			addrs[i] = f(i)
+		}
+		for _, mask := range []uint32{0, 1, 0x80000000, 0x0000FFFF, 0xAAAAAAAA, 0xFFFFFFFF} {
+			check(name, &addrs, mask)
+		}
+	}
+	rng := rand.New(rand.NewSource(17))
+	for n := 0; n < 10000; n++ {
+		// A small address space makes repeats likely; the stride picks what
+		// repeats: bytes within a word, words within a bank, or banks.
+		space := 1 << (1 + rng.Intn(12))
+		stride := uint64(1) << rng.Intn(9)
+		for i := range addrs {
+			addrs[i] = uint64(rng.Intn(space)) * stride
+		}
+		mask := rng.Uint32()
+		if n%8 == 0 {
+			mask = 0xFFFFFFFF
+		}
+		check("random", &addrs, mask)
+	}
+}
 func TestStorageAllocReadWrite(t *testing.T) {
 	s := NewStorage(1 << 20)
 	a := s.Alloc(64)

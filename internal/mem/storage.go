@@ -10,16 +10,27 @@ import (
 // first page is left unmapped so that address 0 can serve as a null pointer;
 // out-of-bounds accesses panic, turning kernel addressing bugs into
 // immediate failures instead of silent corruption.
+//
+// limit is the device's capacity; data is the host backing, which covers the
+// allocation high-water mark (len(data) >= next always) and grows towards
+// limit as Alloc advances, so a device costs what its application allocates,
+// not what it could.
 type Storage struct {
-	data []byte
-	next uint64
-	base uint64
+	data  []byte
+	limit int
+	next  uint64
+	base  uint64
 }
 
-// NewStorage creates a device memory of the given size in bytes.
+// storagePage is the unmapped null page; minBacking the smallest growth step.
+const (
+	storagePage = 4096
+	minBacking  = 1 << 20
+)
+
+// NewStorage creates a device memory with a capacity of size bytes.
 func NewStorage(size int) *Storage {
-	const page = 4096
-	return &Storage{data: make([]byte, size), next: page, base: page}
+	return &Storage{data: make([]byte, min(size, storagePage)), limit: size, next: storagePage, base: storagePage}
 }
 
 // Alloc reserves n bytes (8-byte aligned) and returns the device address.
@@ -30,24 +41,41 @@ func (s *Storage) Alloc(n int) uint64 {
 	addr := s.next
 	s.next += uint64(n)
 	s.next = (s.next + 7) &^ 7
+	if s.next > uint64(s.limit) {
+		panic(fmt.Sprintf("mem: device out of memory (%d of %d bytes used)", s.next, s.limit))
+	}
 	if s.next > uint64(len(s.data)) {
-		panic(fmt.Sprintf("mem: device out of memory (%d of %d bytes used)", s.next, len(s.data)))
+		s.grow()
 	}
 	return addr
+}
+
+// grow doubles the backing (from at least minBacking) until it covers the
+// watermark, capped at the capacity. The whole old backing is carried over,
+// released bytes included, so a re-allocation after Release reads what it
+// would have read without the growth; new bytes are zero.
+func (s *Storage) grow() {
+	n := max(2*len(s.data), minBacking)
+	for uint64(n) < s.next {
+		n *= 2
+	}
+	grown := make([]byte, min(n, s.limit))
+	copy(grown, s.data)
+	s.data = grown
 }
 
 // FreeAll releases every allocation (the data itself is retained).
 func (s *Storage) FreeAll() { s.next = s.base }
 
 // Size returns the total capacity in bytes.
-func (s *Storage) Size() int { return len(s.data) }
+func (s *Storage) Size() int { return s.limit }
 
 // Clone returns an independent storage with the same capacity, watermark and
 // allocated contents. Bytes beyond the watermark are not copied (they are
 // unreachable until re-allocated), so cloning costs O(allocated), not
 // O(capacity).
 func (s *Storage) Clone() *Storage {
-	c := &Storage{data: make([]byte, len(s.data)), next: s.next, base: s.base}
+	c := &Storage{data: make([]byte, len(s.data)), limit: s.limit, next: s.next, base: s.base}
 	copy(c.data[s.base:s.next], s.data[s.base:s.next])
 	return c
 }
@@ -77,21 +105,28 @@ const (
 	fnv1aPrime  = 1099511628211
 )
 
-// HashAllocated returns a 64-bit FNV-1a hash of the allocation watermark and
-// the allocated contents — the "memory-snapshot hash" component of the replay
+// hashBytes folds b into h FNV-1a style, eight bytes per step with a
+// byte-wise tail. The multiply only carries differences upwards, so each
+// word step also folds the high half back down; every step stays a bijection
+// of h. The value is an in-process cache key: nothing persists it.
+func hashBytes(h uint64, b []byte) uint64 {
+	for ; len(b) >= 8; b = b[8:] {
+		h = (h ^ binary.LittleEndian.Uint64(b)) * fnv1aPrime
+		h ^= h >> 32
+	}
+	for _, c := range b {
+		h = (h ^ uint64(c)) * fnv1aPrime
+	}
+	return h
+}
+
+// HashAllocated returns a 64-bit hash of the allocation watermark and the
+// allocated contents — the "memory-snapshot hash" component of the replay
 // result cache key. Two storages with equal hashes hold (modulo hash
 // collisions) byte-identical reachable device memory.
 func (s *Storage) HashAllocated() uint64 {
-	h := uint64(fnv1aOffset)
-	for shift := 0; shift < 64; shift += 8 {
-		h ^= (s.next >> shift) & 0xFF
-		h *= fnv1aPrime
-	}
-	for _, b := range s.data[s.base:s.next] {
-		h ^= uint64(b)
-		h *= fnv1aPrime
-	}
-	return h
+	h := (fnv1aOffset ^ s.next) * fnv1aPrime
+	return hashBytes(h, s.data[s.base:s.next])
 }
 
 // Mark returns the current allocation watermark, to be restored by Release —
@@ -254,14 +289,7 @@ func (c *ConstantBank) Clone() *ConstantBank {
 	return out
 }
 
-// Hash returns a 64-bit FNV-1a hash of the bank contents, the constant-space
+// Hash returns a 64-bit hash of the bank contents, the constant-space
 // component of the replay result cache key (applications may rewrite
 // __constant__ data between launches, e.g. kmeans centroids).
-func (c *ConstantBank) Hash() uint64 {
-	h := uint64(fnv1aOffset)
-	for _, b := range c.data {
-		h ^= uint64(b)
-		h *= fnv1aPrime
-	}
-	return h
-}
+func (c *ConstantBank) Hash() uint64 { return hashBytes(fnv1aOffset, c.data) }

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -44,6 +45,132 @@ func TestHashAllocatedSensitivity(t *testing.T) {
 	if s.HashAllocated() == h0 {
 		t.Fatal("watermark move did not change the hash")
 	}
+
+	// The hash folds eight bytes per step: every byte of the 1..7-byte tail
+	// must count, and so must the watermark when the contents are equal
+	// (all zero here, at two lengths sharing a prefix).
+	c := NewConstantBank(23) // 2 words + a 7-byte tail
+	hc := c.Hash()
+	for off := 16; off < 23; off++ {
+		c.data[off] ^= 0x80
+		if c.Hash() == hc {
+			t.Errorf("flipping tail byte %d of 23 did not change the hash", off)
+		}
+		c.data[off] ^= 0x80
+	}
+	for tail := 1; tail <= 7; tail++ {
+		if NewConstantBank(16+tail).Hash() == NewConstantBank(16).Hash() {
+			t.Errorf("a %d-byte zero tail did not change the hash", tail)
+		}
+	}
+	z := NewStorage(1 << 16)
+	z.Alloc(64)
+	h64 := z.HashAllocated()
+	z.Alloc(64)
+	if z.HashAllocated() == h64 {
+		t.Error("64 and 128 allocated zero bytes hash alike")
+	}
+}
+
+// oomText recovers the panic message of an allocation that must fail.
+func oomText(t *testing.T, s *Storage, n int) (msg string) {
+	t.Helper()
+	defer func() { msg, _ = recover().(string) }()
+	s.Alloc(n)
+	t.Fatalf("Alloc(%d) beyond Size() did not panic", n)
+	return ""
+}
+
+// TestStorageGrowsOnDemand pins the split between capacity (Size, the
+// out-of-memory limit) and the host backing, which follows the watermark.
+func TestStorageGrowsOnDemand(t *testing.T) {
+	t.Run("contents survive doublings", func(t *testing.T) {
+		s := NewStorage(64 << 20)
+		const chunk = 384 << 10
+		var addrs []uint64
+		for s.Mark() < 9<<20 { // crosses 1, 2, 4 and 8 MiB
+			a := s.Alloc(chunk)
+			if s.Read(a, 8) != 0 || s.Read(a+chunk-8, 8) != 0 {
+				t.Fatalf("fresh allocation at %#x is not zero", a)
+			}
+			s.Write(a, a, 8)
+			s.Write(a+chunk-8, ^a, 8)
+			addrs = append(addrs, a)
+			if n := uint64(len(s.data)); n < s.Mark() || n > max(2*s.Mark(), minBacking) {
+				t.Fatalf("backing of %d bytes for a watermark of %d", n, s.Mark())
+			}
+		}
+		for _, a := range addrs {
+			if s.Read(a, 8) != a || s.Read(a+chunk-8, 8) != ^a {
+				t.Fatalf("allocation at %#x lost its contents when the backing grew", a)
+			}
+		}
+		if s.Size() != 64<<20 {
+			t.Errorf("Size() = %d after growth, want the capacity", s.Size())
+		}
+	})
+
+	t.Run("out of memory at Size", func(t *testing.T) {
+		for _, size := range []int{1 << 16, 3<<20 + 4096} { // below one growth step; not a power of two
+			s := NewStorage(size)
+			s.Alloc(size - storagePage - 8)
+			s.Alloc(8) // exactly full
+			if s.Mark() != uint64(size) || len(s.data) != size {
+				t.Fatalf("full storage: watermark %d, backing %d, want %d", s.Mark(), len(s.data), size)
+			}
+			want := fmt.Sprintf("mem: device out of memory (%d of %d bytes used)", size+8, size)
+			if got := oomText(t, s, 1); got != want {
+				t.Errorf("panic %q, want %q", got, want)
+			}
+		}
+		if got, want := oomText(t, NewStorage(1<<30), 1<<30), "mem: device out of memory (1073745920 of 1073741824 bytes used)"; got != want {
+			t.Errorf("panic %q, want %q", got, want)
+		}
+	})
+
+	t.Run("never allocated", func(t *testing.T) {
+		s := NewStorage(1 << 30)
+		if len(s.data) != storagePage {
+			t.Errorf("a fresh storage holds %d bytes of backing, want the null page", len(s.data))
+		}
+		snap := s.Snapshot()
+		if len(snap) != 0 {
+			t.Errorf("snapshot of %d bytes", len(snap))
+		}
+		s.Restore(snap)
+		c := s.Clone()
+		if c.Size() != s.Size() || c.Mark() != s.Mark() || c.HashAllocated() != s.HashAllocated() {
+			t.Error("clone of an empty storage differs from it")
+		}
+		if a, b := s.Alloc(16), c.Alloc(16); a != b || a != storagePage {
+			t.Errorf("first allocations at %#x and %#x, want %#x", a, b, storagePage)
+		}
+	})
+
+	t.Run("release and re-allocate", func(t *testing.T) {
+		s := NewStorage(64 << 20)
+		s.Alloc(64)
+		mark := s.Mark()
+		a := s.Alloc(2 << 20)
+		s.Write(a+(2<<20)-8, 0xFEED, 8)
+		backing := len(s.data)
+		s.Release(mark)
+		if len(s.data) != backing {
+			t.Error("Release shrank the backing")
+		}
+		// A released range keeps its bytes until something overwrites them,
+		// whether or not the next allocation has to grow the backing.
+		if b := s.Alloc(12 << 20); b != a {
+			t.Fatalf("re-allocation at %#x, want %#x", b, a)
+		}
+		if got := s.Read(a+(2<<20)-8, 8); got != 0xFEED {
+			t.Errorf("released bytes read %#x after growth, want them kept", got)
+		}
+		s.FreeAll()
+		if s.Mark() != storagePage || len(s.data) < 12<<20 {
+			t.Error("FreeAll did not keep the backing")
+		}
+	})
 }
 
 func TestConstantBankCloneAndHash(t *testing.T) {

@@ -21,9 +21,10 @@ import (
 	"gputopdown/internal/sm"
 )
 
-// DefaultMemBytes is the simulated global-memory size. The paper's GPUs have
-// 8 GB; workloads here are scaled to fit comfortably in a small host
-// allocation.
+// DefaultMemBytes is the simulated global-memory capacity: a limit on what an
+// application may allocate, not a host allocation (mem.Storage backs only
+// what is allocated). The paper's GPUs have 8 GB; workloads here are scaled
+// to fit comfortably below this.
 const DefaultMemBytes = 64 << 20
 
 // maxLaunchCycles guards against non-terminating kernels.
@@ -112,7 +113,8 @@ func NewDevice(spec *gpu.Spec) *Device {
 	return NewDeviceMem(spec, DefaultMemBytes)
 }
 
-// NewDeviceMem builds a device with an explicit global-memory size in bytes.
+// NewDeviceMem builds a device with an explicit global-memory capacity in
+// bytes.
 func NewDeviceMem(spec *gpu.Spec, memBytes int) *Device {
 	if err := spec.Validate(); err != nil {
 		panic(err)

@@ -292,8 +292,8 @@ func memSteadyLaunch() *kernel.Launch {
 }
 
 // TestIssueMemorySteadyStateAllocs extends the zero-allocation gate to the
-// memory issue path: coalescing into the SM scratch buffer and the pooled
-// store lists must not allocate once warm.
+// memory issue path: coalescing into the SM scratch buffer and appending to
+// the warps' store lists must not allocate once warm.
 func TestIssueMemorySteadyStateAllocs(t *testing.T) {
 	s := testSMBacked()
 	s.LaunchBlock(memSteadyLaunch(), [3]int64{}, 0)
@@ -309,10 +309,11 @@ func TestIssueMemorySteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestStorePoolRecycles pins the storesPending slab pool: after a launch's
-// warps are reaped, relaunching must reuse their backings instead of growing
-// fresh ones.
-func TestStorePoolRecycles(t *testing.T) {
+// TestBlockWarpRecycle pins the block/warp free lists: once a launch's
+// blocks have retired, an identical relaunch on the same SM takes every
+// context from the lists (registers, stacks, store lists and shared memory
+// included), allocates nothing, and hands them all back.
+func TestBlockWarpRecycle(t *testing.T) {
 	s := testSMBacked()
 	l := multiSubpartLaunch()
 	run := func() {
@@ -325,13 +326,16 @@ func TestStorePoolRecycles(t *testing.T) {
 		}
 	}
 	run()
-	if len(s.storePool) == 0 {
-		t.Fatal("no store slabs returned to the pool after reap")
+	blocks, warps := len(s.freeBlocks), len(s.freeWarps)
+	if blocks != 1 || warps != l.WarpsPerBlock() {
+		t.Fatalf("after one block of %d warps the free lists hold %d blocks, %d warps", l.WarpsPerBlock(), blocks, warps)
 	}
-	pooled := len(s.storePool)
-	run()
-	if len(s.storePool) != pooled {
-		t.Errorf("pool size drifted across an identical relaunch: %d -> %d (slabs not recycled)", pooled, len(s.storePool))
+	if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
+		t.Errorf("an identical relaunch allocates %v times, want 0", allocs)
+	}
+	if len(s.freeBlocks) != blocks || len(s.freeWarps) != warps {
+		t.Errorf("free lists drifted across identical relaunches: %d/%d -> %d/%d blocks/warps",
+			blocks, warps, len(s.freeBlocks), len(s.freeWarps))
 	}
 }
 

@@ -84,12 +84,17 @@ type SM struct {
 	// candScratch is a single backing array shared by every subpartition of
 	// a tick in turn: Tick truncates it per subpartition and stores the
 	// (possibly re-grown) backing once per tick. sectorScratch backs
-	// CoalesceSectorsInto in the issue path; storePool recycles reaped
-	// warps' storesPending backings into newly launched warps.
+	// CoalesceSectorsInto in the issue path.
 	stateScratch  [64]WarpState
 	candScratch   []int
 	sectorScratch []uint64
-	storePool     [][]uint64
+
+	// Retired block contexts and their warps, filled by retireBlock and
+	// drained by LaunchBlock, which resets whatever it takes (warp.reset), so
+	// nothing of a retired block is visible to the next one. They die with
+	// the SM: Device.ResetSMs rebuilds SMs after a failed kernel.
+	freeBlocks []*blockCtx
+	freeWarps  []*warp
 
 	// Quiet-span accounting snapshot, rebuilt by every Tick: how many
 	// resident warps sit in each state (by lastState), how many
@@ -192,14 +197,16 @@ func (s *SM) CanAccept(l *kernel.Launch) bool {
 func (s *SM) LaunchBlock(l *kernel.Launch, ctaid [3]int64, blockLinear int) {
 	bt := l.BlockThreads()
 	wpb := l.WarpsPerBlock()
-	blk := &blockCtx{
+	blk := take(&s.freeBlocks)
+	*blk = blockCtx{
 		ctaid:       ctaid,
 		blockLinear: blockLinear,
 		launch:      l,
 		dec:         s.decodeProgram(l.Program),
-		shared:      make([]byte, l.SharedBytes()),
+		shared:      zeroed(blk.shared, l.SharedBytes()),
 		liveWarps:   wpb,
 		remaining:   wpb,
+		warps:       blk.warps[:0],
 	}
 	for wi := 0; wi < wpb; wi++ {
 		members := uint32(0xFFFFFFFF)
@@ -219,13 +226,8 @@ func (s *SM) LaunchBlock(l *kernel.Launch, ctaid [3]int64, blockLinear int) {
 			panic(fmt.Sprintf("sm %d: no free warp slot in subpartition %d (CanAccept not honoured)", s.id, spIdx))
 		}
 		s.launchSeq++
-		w := newWarp(spIdx*len(sp.warps)+slot, spIdx, wi, blk, members, l.Program.NumRegs, s.launchSeq)
-		if n := len(s.storePool); n > 0 {
-			// Recycle a reaped warp's storesPending backing.
-			w.storesPending = s.storePool[n-1][:0]
-			s.storePool[n-1] = nil
-			s.storePool = s.storePool[:n-1]
-		}
+		w := take(&s.freeWarps)
+		w.reset(spIdx*len(sp.warps)+slot, spIdx, wi, blk, members, l.Program.NumRegs, s.launchSeq)
 		sp.warps[slot] = w
 		sp.nres++
 		blk.warps = append(blk.warps, w)
@@ -242,6 +244,18 @@ func (s *SM) LaunchBlock(l *kernel.Launch, ctaid [3]int64, blockLinear int) {
 	// New warps are immediately runnable; any previously computed
 	// fast-forward bound no longer holds.
 	s.nextWakeup = s.cycle
+}
+
+// take pops a retired context off a free list, or allocates one when the
+// list is empty.
+func take[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return new(T)
+	}
+	v := (*free)[n-1]
+	*free = (*free)[:n-1]
+	return v
 }
 
 // checkBarrier releases a block's barrier when every live warp has arrived.
@@ -618,9 +632,6 @@ func (s *SM) reapFinished(now uint64) bool {
 			sp.warps[slot] = nil
 			sp.nres--
 			s.drainCount--
-			if cap(w.storesPending) > 0 {
-				s.storePool = append(s.storePool, w.storesPending[:0])
-			}
 			s.residentWarps--
 			s.residentThreads -= int(popcount(w.members))
 			s.residentRegs -= len(w.regs) * int(popcount(w.members))
@@ -644,6 +655,9 @@ func (s *SM) retireBlock(b *blockCtx) {
 	}
 	s.residentBlocks--
 	s.residentShared -= b.launch.SharedBytes()
+	// Every warp of b has been reaped: nothing refers to them or to b.
+	s.freeWarps = append(s.freeWarps, b.warps...)
+	s.freeBlocks = append(s.freeBlocks, b)
 }
 
 // CheckQueues calls report for every timed structure whose live entries are

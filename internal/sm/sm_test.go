@@ -60,6 +60,14 @@ func TestCountersAddSubRoundtrip(t *testing.T) {
 	}
 }
 
+// newWarp is a fresh warp context, as LaunchBlock makes one when its free
+// list is empty.
+func newWarp(id, subp, warpInBlock int, blk *blockCtx, members uint32, numRegs int, seq uint64) *warp {
+	w := new(warp)
+	w.reset(id, subp, warpInBlock, blk, members, numRegs, seq)
+	return w
+}
+
 func TestSIMTStackDivergeReconverge(t *testing.T) {
 	w := newWarp(0, 0, 0, nil, 0xFFFFFFFF, 8, 1)
 	if got := w.activeMask(); got != 0xFFFFFFFF {

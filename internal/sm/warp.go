@@ -112,19 +112,34 @@ func (w *warp) deadCounted() bool { return w.dead }
 // markDead records that the warp's death has been accounted.
 func (w *warp) markDead() { w.dead = true }
 
-func newWarp(id, subp, warpInBlock int, blk *blockCtx, members uint32, numRegs int, seq uint64) *warp {
-	return &warp{
-		id:          id,
-		subp:        subp,
-		block:       blk,
-		warpInBlock: warpInBlock,
-		launchSeq:   seq,
-		members:     members,
-		stack:       []stackEntry{{pc: 0, rpc: -1, mask: members}},
-		regs:        make([][32]uint64, numRegs),
-		regReady:    make([]uint64, numRegs),
-		regDep:      make([]depKind, numRegs),
+// reset makes w the initial context of a warp, whatever it held before: every
+// field is rewritten, and of the old value only the slices' backing arrays
+// survive, re-sliced to this kernel's register count and zeroed. A recycled
+// warp is thereby indistinguishable from a freshly allocated one.
+func (w *warp) reset(id, subp, warpInBlock int, blk *blockCtx, members uint32, numRegs int, seq uint64) {
+	*w = warp{
+		id:            id,
+		subp:          subp,
+		block:         blk,
+		warpInBlock:   warpInBlock,
+		launchSeq:     seq,
+		members:       members,
+		stack:         append(w.stack[:0], stackEntry{pc: 0, rpc: -1, mask: members}),
+		regs:          zeroed(w.regs, numRegs),
+		regReady:      zeroed(w.regReady, numRegs),
+		regDep:        zeroed(w.regDep, numRegs),
+		storesPending: w.storesPending[:0],
 	}
+}
+
+// zeroed returns n zero elements, in s's backing array when it is big enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // top returns the active stack entry. Callers must ensure the stack is

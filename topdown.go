@@ -100,7 +100,9 @@ func WithRawEquations() Option { return func(p *Profiler) { p.normalize = false 
 // sampling) instead of SMPC (paper §II.A).
 func WithHWPM() Option { return func(p *Profiler) { p.mode = cupti.ModeHWPM } }
 
-// WithMemBytes sets the simulated device-memory size.
+// WithMemBytes sets the simulated device-memory capacity: the limit at which
+// an application's allocations fail with out-of-memory. Host memory is taken
+// as the application allocates, not up front.
 func WithMemBytes(n int) Option { return func(p *Profiler) { p.memBytes = n } }
 
 // WithSampling profiles only every n-th invocation of each kernel, running
