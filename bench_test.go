@@ -6,7 +6,8 @@ package gputopdown
 // as custom metrics, so `go test -bench=.` both exercises and summarises the
 // reproduction. Ablation benchmarks at the bottom quantify the design
 // choices DESIGN.md calls out (scheduler policy, collection mode,
-// normalisation, replay cost).
+// normalisation, replay cost). Wall-clock performance is not measured here:
+// that is the repository benchmark (BENCHMARK.json, bench/).
 
 import (
 	"context"
@@ -390,56 +391,4 @@ func BenchmarkAblationPassCount(b *testing.B) {
 	b.ReportMetric(p3, "level3_passes")
 	b.ReportMetric(o1, "level1_overhead_x")
 	b.ReportMetric(o3, "level3_overhead_x")
-}
-
-// ---- Replay result cache ----
-
-// benchReplayEngine profiles the autotune workload — 20 byte-identical GEMM
-// invocations x 8 scheduled passes at level 3, the multi-pass
-// multi-invocation pattern a CUPTI-attached profiler sees under a real
-// autotuning harness — under the given options and reports the wall-clock
-// and the (option-independent, bit-identical) overhead accounting.
-func benchReplayEngine(b *testing.B, opts ...Option) {
-	var res *AppResult
-	for i := 0; i < b.N; i++ {
-		p := benchProfiler(b, "rtx4000", 3, opts...)
-		var err error
-		res, err = p.ProfileApp(context.Background(), GemmAutotune())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.Overhead(), "overhead_x")
-	b.ReportMetric(float64(res.Passes), "passes")
-}
-
-// BenchmarkReplaySequential is the uncached baseline: every invocation is
-// simulated.
-func BenchmarkReplaySequential(b *testing.B) {
-	benchReplayEngine(b)
-}
-
-// BenchmarkReplayCached adds the deterministic result cache: from the second
-// repetition on the autotune launches are byte-identical and skip simulation
-// entirely. Reported results stay bit-identical to the uncached profiler
-// (TestDeterminismAutotuneCache); only wall-clock changes.
-func BenchmarkReplayCached(b *testing.B) {
-	benchReplayEngine(b, WithReplayCache(true))
-}
-
-// BenchmarkSimulatorThroughput measures raw simulation speed in simulated
-// cycles per second of wall time.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	p := benchProfiler(b, "rtx4000", 1)
-	app, _ := LookupApp("rodinia", "hotspot")
-	var cycles uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c, err := p.RunNative(app)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles += c
-	}
-	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim_cycles/s")
 }

@@ -1,0 +1,242 @@
+// Package cmd_test drives the built command-line binaries: the flag set each
+// accepts, the standard output of a table of command lines, and the daemon's
+// mounted observability endpoints.
+package cmd_test
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"fmt"
+	"net/http"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"runtime"
+	"strconv"
+	"strings"
+	"syscall"
+	"testing"
+	"time"
+
+	"gputopdown"
+)
+
+var binaries = []string{"topdown", "gpuprof", "gpuprofd", "whatif", "figures", "goldengen"}
+
+// binDir holds the binaries, built once for the whole package.
+var binDir string
+
+func TestMain(m *testing.M) {
+	os.Exit(func() int {
+		dir, err := os.MkdirTemp("", "gputopdown-cmd")
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
+		defer os.RemoveAll(dir)
+		binDir = dir
+		for _, b := range binaries {
+			out, err := exec.Command("go", "build", "-o", filepath.Join(dir, b), "./"+b).CombinedOutput()
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "go build ./cmd/%s: %v\n%s", b, err, out)
+				return 1
+			}
+		}
+		return m.Run()
+	}())
+}
+
+// Defaults as `-h` prints them; a flag whose default is the zero value of its
+// type prints none and maps to "".
+var (
+	deviceFlags     = map[string]string{"gpu": `"rtx4000"`, "sms": ""}
+	workloadFlags   = map[string]string{"suite": `"rodinia"`, "app": ""}
+	collectionFlags = map[string]string{"level": "3", "raw": "", "hwpm": "", "replay-cache": "", "checks": ""}
+	obsFlags        = map[string]string{
+		"trace-out": "", "metrics-out": "", "trace-blocks": "", "serve": "", "flame-out": "",
+		"log-level": "", "log-format": `"text"`, "overhead": "",
+	}
+)
+
+func union(sets ...map[string]string) map[string]string {
+	out := map[string]string{}
+	for _, s := range sets {
+		for k, v := range s {
+			out[k] = v
+		}
+	}
+	return out
+}
+
+func without(set map[string]string, names ...string) map[string]string {
+	out := union(set)
+	for _, n := range names {
+		delete(out, n)
+	}
+	return out
+}
+
+// flagSurface is the record of what every binary accepts: the flag names and
+// defaults at 76bc239, before the shared flags moved to internal/cliflags.
+var flagSurface = map[string]map[string]string{
+	"topdown": union(deviceFlags, workloadFlags, collectionFlags, obsFlags, map[string]string{
+		"per-kernel": "", "format": `"text"`, "dynamic": "", "autotune": "", "compare": "", "list": "",
+		"all": "", "remote": "", "remote-timeout": "", "progress-every": "10s",
+	}),
+	"gpuprof": union(deviceFlags, workloadFlags, without(collectionFlags, "level", "raw"), obsFlags,
+		map[string]string{"metrics": "", "list-metrics": ""}),
+	"gpuprofd": {
+		"addr": `":8791"`, "workers": "2", "queue": "64", "gpu": `"rtx4000"`, "timeout": "",
+		"max-attempts": "1", "drain-timeout": "2m0s", "log-level": `"info"`, "log-format": `"text"`,
+	},
+	"whatif":    union(deviceFlags, workloadFlags, map[string]string{"level": "3", "param": "", "values": ""}),
+	"figures":   {"fig": `"all"`, "sms": "", "format": `"table"`, "out": ""},
+	"goldengen": {"dir": `"internal/check/testdata/golden"`, "workers": strconv.Itoa(runtime.NumCPU())},
+}
+
+var (
+	flagLine    = regexp.MustCompile(`^  -(\S+)`)
+	defaultNote = regexp.MustCompile(`\(default (.*)\)$`)
+)
+
+// TestFlagSurface asserts the exact flag set and defaults of every binary.
+func TestFlagSurface(t *testing.T) {
+	for _, b := range binaries {
+		t.Run(b, func(t *testing.T) {
+			out, err := exec.Command(filepath.Join(binDir, b), "-h").CombinedOutput()
+			if err != nil {
+				t.Fatalf("-h: %v\n%s", err, out)
+			}
+			got := map[string]string{}
+			name := ""
+			for _, line := range strings.Split(string(out), "\n") {
+				if m := flagLine.FindStringSubmatch(line); m != nil {
+					name = m[1]
+					got[name] = ""
+				} else if m := defaultNote.FindStringSubmatch(line); m != nil && name != "" {
+					got[name] = m[1]
+				}
+			}
+			if want := flagSurface[b]; !reflect.DeepEqual(got, want) {
+				for n, d := range want {
+					if gd, ok := got[n]; !ok {
+						t.Errorf("flag -%s disappeared", n)
+					} else if gd != d {
+						t.Errorf("flag -%s default = %s, want %s", n, gd, d)
+					}
+				}
+				for n := range got {
+					if _, ok := want[n]; !ok {
+						t.Errorf("flag -%s appeared", n)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestCLISmoke runs each command line on a 4-SM device and compares standard
+// output with what the binaries of 76bc239 printed (testdata/), so moving
+// the wiring behind the commands cannot move what they print. Lines carrying
+// wall= hold host time and are dropped on both sides.
+func TestCLISmoke(t *testing.T) {
+	cases := []struct{ golden, cmdline string }{
+		{"topdown_bfs_perkernel", "topdown -sms 4 -suite rodinia -app bfs -per-kernel"},
+		{"topdown_gemm_json", "topdown -sms 4 -gpu gtx1070 -suite altis -app gemm -level 2 -format json"},
+		{"topdown_autotune_cache", "topdown -sms 4 -autotune -replay-cache"},
+		{"gpuprof_list_metrics", "gpuprof -sms 4 -list-metrics -gpu gtx1070"},
+		{"gpuprof_bfs_ipc", "gpuprof -sms 4 -gpu gtx1070 -suite rodinia -app bfs -metrics ipc,issued_ipc"},
+		{"gpuprof_autotune_cache", "gpuprof -sms 4 -suite altis -app gemm_autotune -replay-cache -hwpm -checks -metrics smsp__inst_executed.avg.per_cycle_active"},
+		{"whatif_myocyte_imcsize", "whatif -sms 4 -suite rodinia -app myocyte -param imcsize -values 2048,8192"},
+		{"figures_table9", "figures -sms 4 -fig table9"},
+	}
+	for _, c := range cases {
+		t.Run(c.golden, func(t *testing.T) {
+			t.Parallel()
+			args := strings.Fields(c.cmdline)
+			cmd := exec.Command(filepath.Join(binDir, args[0]), args[1:]...)
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			out, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("%s: %v\n%s", c.cmdline, err, stderr.String())
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", c.golden+".txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := stripWall(out), stripWall(want); got != want {
+				t.Errorf("%s: stdout differs from testdata/%s.txt\n--- got\n%s--- want\n%s", c.cmdline, c.golden, got, want)
+			}
+		})
+	}
+}
+
+func stripWall(b []byte) string {
+	var keep []string
+	for _, line := range strings.SplitAfter(string(b), "\n") {
+		if !strings.Contains(line, "wall=") {
+			keep = append(keep, line)
+		}
+	}
+	return strings.Join(keep, "")
+}
+
+// TestDaemonBinary starts the real gpuprofd, runs one job through it and
+// checks the observability endpoints it mounts: /metrics is live, and
+// /api/progress — which no job writes to — says so with a 503 instead of
+// serving a scoreboard of zeros. SIGTERM must drain and exit 0.
+func TestDaemonBinary(t *testing.T) {
+	cmd := exec.Command(filepath.Join(binDir, "gpuprofd"), "-addr", "127.0.0.1:0", "-workers", "1", "-log-level", "error")
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd.Stderr = os.Stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill() //nolint:errcheck // no-op after a clean exit
+	lines := bufio.NewScanner(stdout)
+	if !lines.Scan() {
+		t.Fatal("gpuprofd printed nothing")
+	}
+	m := regexp.MustCompile(`^gpuprofd listening on (\S+) `).FindStringSubmatch(lines.Text())
+	if m == nil {
+		t.Fatalf("unexpected first line %q", lines.Text())
+	}
+	base := "http://" + m[1]
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	rep, err := gputopdown.SubmitAndWait(ctx, base,
+		&gputopdown.JobRequest{Suite: "rodinia", App: "myocyte", GPU: "gtx1070"}, 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Kernels) == 0 {
+		t.Error("job report has no kernels")
+	}
+	for path, want := range map[string]int{"/api/progress": http.StatusServiceUnavailable, "/metrics": http.StatusOK, "/healthz": http.StatusOK} {
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET %s = %d, want %d", path, resp.StatusCode, want)
+		}
+	}
+
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	for lines.Scan() {
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Errorf("gpuprofd after SIGTERM: %v", err)
+	}
+}

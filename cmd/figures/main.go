@@ -24,12 +24,13 @@ import (
 	"strings"
 
 	"gputopdown"
+	"gputopdown/internal/cliflags"
 )
 
 type config struct {
-	sms    int
-	format string // "table" or "csv"
-	outDir string // when set, every table is also written as a CSV file
+	flags  *cliflags.Flags // -sms
+	format string          // "table" or "csv"
+	outDir string          // when set, every table is also written as a CSV file
 
 	// Cached suite results, computed on demand.
 	rodiniaTuring []*gputopdown.AppResult
@@ -40,13 +41,14 @@ type config struct {
 }
 
 func main() {
+	shared := cliflags.New("figures")
+	shared.Register(flag.CommandLine, "sms")
 	fig := flag.String("fig", "all", "figure to regenerate: table9, 4..13, or all")
-	sms := flag.Int("sms", 0, "override the SM count (0 = full device)")
 	format := flag.String("format", "table", "output format: table or csv")
 	outDir := flag.String("out", "", "also write each emitted table as a CSV file into this directory")
 	flag.Parse()
 
-	cfg := &config{sms: *sms, format: *format, outDir: *outDir}
+	cfg := &config{flags: shared, format: *format, outDir: *outDir}
 	if cfg.outDir != "" {
 		if err := os.MkdirAll(cfg.outDir, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
@@ -82,10 +84,7 @@ func main() {
 }
 
 func (c *config) device(id string) *gputopdown.GPUSpec {
-	spec, _ := gputopdown.LookupGPU(id)
-	if c.sms > 0 {
-		spec = spec.WithSMs(c.sms)
-	}
+	spec, _ := c.flags.Spec(id)
 	return spec
 }
 

@@ -26,11 +26,12 @@ import (
 
 	"gputopdown"
 	"gputopdown/internal/check"
+	"gputopdown/internal/gpu"
 )
 
-// GPUs is the corpus device axis: both evaluation GPUs of the paper
+// gpus is the corpus device axis: both evaluation GPUs of the paper
 // (Table IX), exercising the nvprof (CC < 7.2) and ncu metric paths.
-var gpus = []string{"gtx1070", "rtx4000"}
+var gpus = gpu.IDs()
 
 func main() {
 	dir := flag.String("dir", "internal/check/testdata/golden", "corpus root directory")

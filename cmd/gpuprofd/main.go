@@ -10,9 +10,9 @@
 //	curl -s localhost:8791/api/v1/jobs/job-000001/report
 //	curl -s -X DELETE localhost:8791/api/v1/jobs/job-000001
 //
-// The observability endpoints (/healthz, /metrics, /trace, /api/progress,
-// /debug/pprof/) are mounted on the same port, so one scrape target covers
-// both job metrics (gpuprofd_jobs_*) and profiler self-metrics.
+// The observability endpoints (/healthz, /metrics, /debug/pprof/) are mounted
+// on the same port, so one scrape target covers both job metrics
+// (gpuprofd_jobs_*) and profiler self-metrics. Job state is on /api/v1/jobs.
 package main
 
 import (
@@ -26,40 +26,37 @@ import (
 	"time"
 
 	"gputopdown"
+	"gputopdown/internal/cliflags"
 	"gputopdown/internal/obs"
 )
 
 func main() {
+	f := cliflags.New("gpuprofd")
+	f.LogLevel = "info"
+	f.Register(flag.CommandLine, "gpu", "log-level", "log-format")
 	addr := flag.String("addr", ":8791", "listen address (host:0 picks a free port)")
 	workers := flag.Int("workers", 2, "jobs run concurrently")
 	queue := flag.Int("queue", 64, "max jobs waiting for a worker before submissions get 503")
-	gpuID := flag.String("gpu", "rtx4000", "default device model for jobs that do not set gpu")
 	timeout := flag.Duration("timeout", 0, "default per-job deadline for jobs that do not set timeout_ms (0 = none)")
 	maxAttempts := flag.Int("max-attempts", 1, "default run attempts per job (1 = no retries)")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "max time to let running jobs finish on shutdown before cancelling them")
-	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
-	logFormat := flag.String("log-format", "text", "log format: text or json")
 	flag.Parse()
 
-	logger, err := gputopdown.NewLogger(os.Stderr, *logLevel, *logFormat)
+	// -gpu is the default device of jobs that do not set one; every job's
+	// profiler logs to the daemon's logger and counts on its registry.
+	f.Registry = gputopdown.NewMetricsRegistry()
+	_, opts, err := f.Options()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gpuprofd:", err)
 		os.Exit(2)
 	}
-	if _, ok := gputopdown.LookupGPU(*gpuID); !ok {
-		fmt.Fprintf(os.Stderr, "gpuprofd: unknown -gpu %q (want gtx1070 or rtx4000)\n", *gpuID)
-		os.Exit(2)
-	}
 
-	registry := gputopdown.NewMetricsRegistry()
-	progress := obs.NewProgress()
-	obsSrv := obs.NewServer(nil, registry, progress)
-	obsSrv.SetLogger(logger)
+	// No progress tracker: each job's Profiler tracks its own, so a daemon-
+	// wide /api/progress would have nothing behind it (it answers 503).
+	obsSrv := obs.NewServer(nil, f.Registry, nil)
+	obsSrv.SetLogger(f.Logger)
 
-	runner := gputopdown.NewJobRunner(*gpuID,
-		gputopdown.WithLogger(logger),
-		gputopdown.WithObserver(nil, registry),
-	)
+	runner := gputopdown.NewJobRunner(f.GPU, opts...)
 	srv, err := gputopdown.NewJobServer(gputopdown.JobServerOptions{
 		Runner:             runner.Run,
 		Workers:            *workers,
@@ -67,8 +64,8 @@ func main() {
 		DefaultTimeout:     *timeout,
 		DefaultMaxAttempts: *maxAttempts,
 		Backoff:            gputopdown.DefaultJobBackoff(rand.Float64),
-		Registry:           registry,
-		Logger:             logger,
+		Registry:           f.Registry,
+		Logger:             f.Logger,
 		Obs:                obsSrv.Handler(),
 	})
 	if err != nil {
@@ -80,7 +77,7 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("gpuprofd listening on %s (api %s, default gpu %s, %d workers)\n",
-		srv.Addr(), gputopdown.ServeAPIVersion, *gpuID, *workers)
+		srv.Addr(), gputopdown.ServeAPIVersion, f.GPU, *workers)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	<-ctx.Done()

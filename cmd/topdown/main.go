@@ -26,35 +26,22 @@ import (
 	"time"
 
 	"gputopdown"
+	"gputopdown/internal/cliflags"
+	"gputopdown/internal/gpu"
 )
 
 func main() {
-	gpuID := flag.String("gpu", "rtx4000", "device model: gtx1070 or rtx4000")
-	suite := flag.String("suite", "rodinia", "benchmark suite: rodinia, altis, shoc, cudasamples")
-	appName := flag.String("app", "", "application to profile (see -list)")
-	level := flag.Int("level", 3, "Top-Down analysis level (1-3)")
-	raw := flag.Bool("raw", false, "use the paper's raw equations (8)-(14) without normalisation")
-	hwpm := flag.Bool("hwpm", false, "collect via HWPM sampling instead of SMPC")
-	sms := flag.Int("sms", 0, "override the SM count (0 = full device)")
+	f := cliflags.New("topdown")
+	f.Register(flag.CommandLine, cliflags.Device, cliflags.Workload, cliflags.Collection, cliflags.Observability)
 	perKernel := flag.Bool("per-kernel", false, "also print each kernel invocation")
 	format := flag.String("format", "text", "aggregate output format: text, csv or json")
 	dynamic := flag.Bool("dynamic", false, "run the 100-invocation srad dynamic analysis")
 	autotune := flag.Bool("autotune", false, "run the autotuning-harness workload (20 byte-identical GEMM launches; pairs with -replay-cache)")
 	compare := flag.Bool("compare", false, "run the app on both GPUs and print a side-by-side comparison")
 	list := flag.Bool("list", false, "list available devices and applications")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON file (open in chrome://tracing or Perfetto)")
-	metricsOut := flag.String("metrics-out", "", "write profiler self-metrics in Prometheus text format")
-	traceBlocks := flag.Bool("trace-blocks", false, "include per-block dispatch instants in the trace (voluminous)")
-	overhead := flag.Bool("overhead", false, "print a measured replay-overhead summary line per app")
-	replayCache := flag.Bool("replay-cache", false, "memoize byte-identical kernel invocations instead of re-simulating them")
-	checks := flag.Bool("checks", false, "assert simulator conservation laws during the run (internal/check); violations are reported and exit nonzero")
 	all := flag.Bool("all", false, "profile every app of -suite (a sweep; pairs with -serve and the progress log)")
-	serve := flag.String("serve", "", "serve live observability HTTP on this address (/metrics, /healthz, /trace, /api/progress, /debug/pprof/)")
-	flameOut := flag.String("flame-out", "", "write the Top-Down cycle attribution as collapsed stacks (open in speedscope or flamegraph.pl)")
 	remote := flag.String("remote", "", "submit the profile as a job to a gpuprofd daemon at this base URL (e.g. http://127.0.0.1:8791) and print its JSON report")
 	remoteTimeout := flag.Duration("remote-timeout", 0, "per-job deadline sent with -remote (0 = daemon default)")
-	logLevel := flag.String("log-level", "", "enable structured logging at this level: debug, info, warn or error")
-	logFormat := flag.String("log-format", "text", "structured log format: text or json")
 	progressEvery := flag.Duration("progress-every", 10*time.Second, "period of the suite-progress log line (0 disables; needs -log-level)")
 	flag.Parse()
 
@@ -69,101 +56,30 @@ func main() {
 	defer stop()
 
 	if *remote != "" {
-		remoteProfile(ctx, *remote, *suite, *appName, *gpuID, *level, *raw, *hwpm,
-			replayCache, *remoteTimeout)
+		remoteProfile(ctx, *remote, f, *remoteTimeout)
 		return
 	}
 
-	// Observability: a tracer and/or metrics registry shared by every
-	// profiler this invocation builds, flushed to disk on exit. -serve wants
-	// both live even when no output file was asked for, so the HTTP endpoints
-	// have something to expose.
-	var tracer *gputopdown.Tracer
-	var registry *gputopdown.MetricsRegistry
-	if *traceOut != "" || *serve != "" {
-		tracer = gputopdown.NewTracer()
-		tracer.SetBlockDetail(*traceBlocks)
+	p, err := f.Open(gputopdown.WithProgressInterval(*progressEvery))
+	if err != nil {
+		fatalf("%v (try -list)", err)
 	}
-	if *metricsOut != "" || *serve != "" {
-		registry = gputopdown.NewMetricsRegistry()
-	}
-	writeObs := func() {
-		if tracer != nil && *traceOut != "" {
-			if err := tracer.WriteFile(*traceOut); err != nil {
-				fatalf("writing trace: %v", err)
-			}
-			fmt.Fprintf(os.Stderr, "topdown: wrote %d trace events to %s\n", tracer.Len(), *traceOut)
-		}
-		if registry != nil && *metricsOut != "" {
-			if err := registry.WriteFile(*metricsOut); err != nil {
-				fatalf("writing metrics: %v", err)
-			}
-			fmt.Fprintf(os.Stderr, "topdown: wrote metrics to %s\n", *metricsOut)
-		}
-	}
-	defer writeObs()
-
-	spec, ok := gputopdown.LookupGPU(*gpuID)
-	if !ok {
-		fatalf("unknown GPU %q (try -list)", *gpuID)
-	}
-	if *sms > 0 {
-		spec = spec.WithSMs(*sms)
-	}
-	opts := []gputopdown.Option{gputopdown.WithLevel(*level)}
-	if *raw {
-		opts = append(opts, gputopdown.WithRawEquations())
-	}
-	if *hwpm {
-		opts = append(opts, gputopdown.WithHWPM())
-	}
-	if tracer != nil || registry != nil {
-		opts = append(opts, gputopdown.WithObserver(tracer, registry))
-	}
-	opts = append(opts, gputopdown.WithReplayCache(*replayCache),
-		gputopdown.WithChecks(*checks))
-
-	var logger *gputopdown.Logger
-	if *logLevel != "" {
-		var err error
-		logger, err = gputopdown.NewLogger(os.Stderr, *logLevel, *logFormat)
-		if err != nil {
+	defer func() {
+		p.Close()
+		if err := f.Finish(p); err != nil {
 			fatalf("%v", err)
 		}
-		opts = append(opts, gputopdown.WithLogger(logger),
-			gputopdown.WithProgressInterval(*progressEvery))
-	}
-	if *serve != "" {
-		opts = append(opts, gputopdown.WithObsServer(*serve))
-	}
-
-	p, err := gputopdown.NewProfilerE(spec, opts...)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer p.Close()
-	if addr := p.ObsAddr(); addr != "" {
-		fmt.Fprintf(os.Stderr, "topdown: observability HTTP on http://%s (/metrics /healthz /trace /api/progress /debug/pprof/)\n", addr)
-	}
-
-	writeFlame := func(results ...*gputopdown.AppResult) {
-		if *flameOut == "" {
-			return
-		}
-		if err := gputopdown.WriteFlameFile(*flameOut, results...); err != nil {
-			fatalf("writing flamegraph: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "topdown: wrote folded stacks to %s (import into https://speedscope.app)\n", *flameOut)
-	}
+	}()
 
 	if *all {
-		results, err := p.ProfileSuite(ctx, *suite)
+		results, err := p.ProfileSuite(ctx, f.Suite)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		printSweep(results, *overhead)
-		writeFlame(results...)
-		reportChecks(p, *checks)
+		printSweep(results, f.Overhead)
+		for _, res := range results {
+			gputopdown.AddFlame(f.Flame, res)
+		}
 		return
 	}
 
@@ -172,18 +88,13 @@ func main() {
 		app = gputopdown.SradDynamic()
 	} else if *autotune {
 		app = gputopdown.GemmAutotune()
-	} else {
-		if *appName == "" {
-			fatalf("missing -app (try -list)")
-		}
-		app, err = gputopdown.GetApp(*suite, *appName)
-		if err != nil {
-			fatalf("%v (try -list)", err)
-		}
+	} else if app, err = f.SelectedApp(); err != nil {
+		fatalf("%v (try -list)", err)
 	}
 
 	if *compare {
-		compareGPUs(ctx, app, *level, *sms, tracer, registry)
+		f.Checks = false // the comparison builds its own profilers, unchecked
+		compareGPUs(ctx, app, f)
 		return
 	}
 
@@ -191,10 +102,9 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	writeFlame(res)
-	reportChecks(p, *checks)
+	gputopdown.AddFlame(f.Flame, res)
 
-	if *overhead {
+	if f.Overhead {
 		printOverhead(res)
 	}
 
@@ -229,24 +139,22 @@ func main() {
 	}
 }
 
-// printSweep prints one aggregate line per app of a -all suite sweep.
 // remoteProfile builds a v1 JobRequest from the CLI flags, submits it to a
 // gpuprofd daemon, waits for the terminal state, and prints the report.
-func remoteProfile(ctx context.Context, base, suite, appName, gpuID string,
-	level int, raw, hwpm bool, replayCache *bool, timeout time.Duration) {
-	if appName == "" {
+func remoteProfile(ctx context.Context, base string, f *cliflags.Flags, timeout time.Duration) {
+	if f.App == "" {
 		fatalf("missing -app (remote mode profiles one app; try -list)")
 	}
 	req := &gputopdown.JobRequest{
-		Suite:        suite,
-		App:          appName,
-		GPU:          gpuID,
-		Level:        level,
-		RawEquations: raw,
-		ReplayCache:  replayCache,
+		Suite:        f.Suite,
+		App:          f.App,
+		GPU:          f.GPU,
+		Level:        f.Level,
+		RawEquations: f.Raw,
+		ReplayCache:  &f.ReplayCache,
 		TimeoutMS:    timeout.Milliseconds(),
 	}
-	if hwpm {
+	if f.HWPM {
 		req.Mode = "hwpm"
 	}
 	rep, err := gputopdown.SubmitAndWait(ctx, base, req, 200*time.Millisecond)
@@ -260,6 +168,7 @@ func remoteProfile(ctx context.Context, base, suite, appName, gpuID string,
 	fmt.Println(string(data))
 }
 
+// printSweep prints one aggregate line per app of a -all suite sweep.
 func printSweep(results []*gputopdown.AppResult, overhead bool) {
 	fmt.Printf("%-28s %10s %7s %7s %7s %7s %9s\n",
 		"app", "cycles", "retire", "diverg", "front", "back", "overhead")
@@ -294,7 +203,7 @@ func printOverhead(res *gputopdown.AppResult) {
 // compareGPUs reproduces the paper's architecture-vs-architecture reading of
 // the hierarchy (§V.B): the same application on Pascal and Turing,
 // component by component.
-func compareGPUs(ctx context.Context, app *gputopdown.App, level, sms int, tracer *gputopdown.Tracer, registry *gputopdown.MetricsRegistry) {
+func compareGPUs(ctx context.Context, app *gputopdown.App, f *cliflags.Flags) {
 	type row struct {
 		name string
 		pick func(a *gputopdown.Analysis) float64
@@ -311,20 +220,18 @@ func compareGPUs(ctx context.Context, app *gputopdown.App, level, sms int, trace
 	}
 	var results []*gputopdown.AppResult
 	var names []string
-	for _, id := range []string{"gtx1070", "rtx4000"} {
-		spec, _ := gputopdown.LookupGPU(id)
-		if sms > 0 {
-			spec = spec.WithSMs(sms)
-		}
-		opts := []gputopdown.Option{gputopdown.WithLevel(level)}
-		if tracer != nil || registry != nil {
-			opts = append(opts, gputopdown.WithObserver(tracer, registry))
+	for _, id := range gpu.IDs() {
+		spec, _ := f.Spec(id)
+		opts := []gputopdown.Option{gputopdown.WithLevel(f.Level)}
+		if f.Tracer != nil || f.Registry != nil {
+			opts = append(opts, gputopdown.WithObserver(f.Tracer, f.Registry))
 		}
 		p := gputopdown.NewProfiler(spec, opts...)
 		res, err := p.ProfileApp(ctx, app)
 		if err != nil {
 			fatalf("%s: %v", id, err)
 		}
+		gputopdown.AddFlame(f.Flame, res)
 		results = append(results, res)
 		names = append(names, spec.Name)
 	}
@@ -355,7 +262,7 @@ func printDynamic(res *gputopdown.AppResult) {
 
 func listAll() {
 	fmt.Println("devices:")
-	for _, id := range []string{"gtx1070", "rtx4000"} {
+	for _, id := range gpu.IDs() {
 		spec, _ := gputopdown.LookupGPU(id)
 		fmt.Printf("  %-10s %s (CC %s, %d SMs, IPC_MAX %.0f)\n",
 			id, spec.Name, spec.Compute, spec.SMs, spec.IPCMax())
@@ -372,18 +279,6 @@ func listAll() {
 			fmt.Printf("  %s\n", n)
 		}
 	}
-}
-
-// reportChecks surfaces the -checks verdict: violations are fatal (nonzero
-// exit) so CI can gate on a clean run; a clean run notes it on stderr.
-func reportChecks(p *gputopdown.Profiler, on bool) {
-	if !on {
-		return
-	}
-	if err := p.CheckErr(); err != nil {
-		fatalf("invariant checks failed:\n%v", err)
-	}
-	fmt.Fprintln(os.Stderr, "topdown: invariant checks passed")
 }
 
 func fatalf(format string, args ...any) {

@@ -22,28 +22,23 @@ import (
 	"strings"
 
 	"gputopdown"
+	"gputopdown/internal/cliflags"
 )
 
 func main() {
-	gpuID := flag.String("gpu", "rtx4000", "base device model")
-	suite := flag.String("suite", "rodinia", "benchmark suite")
-	appName := flag.String("app", "", "application")
+	f := cliflags.New("whatif")
+	f.Register(flag.CommandLine, cliflags.Device, cliflags.Workload, "level")
 	param := flag.String("param", "", "parameter to sweep: l1size, l2size, imcsize, lgqueue, mioqueue, fp64lanes, policy, dramlat")
 	values := flag.String("values", "", "comma-separated values")
-	sms := flag.Int("sms", 0, "override the SM count (0 = full device)")
-	level := flag.Int("level", 3, "analysis level")
 	flag.Parse()
 
-	base, ok := gputopdown.LookupGPU(*gpuID)
-	if !ok {
-		fatalf("unknown GPU %q", *gpuID)
+	base, opts, err := f.Options()
+	if err != nil {
+		fatalf("%v", err)
 	}
-	if *sms > 0 {
-		base = base.WithSMs(*sms)
-	}
-	app, ok := gputopdown.LookupApp(*suite, *appName)
-	if !ok {
-		fatalf("unknown app %s/%s", *suite, *appName)
+	app, err := f.SelectedApp()
+	if err != nil {
+		fatalf("%v", err)
 	}
 	var vals []string
 	for _, v := range strings.Split(*values, ",") {
@@ -55,7 +50,7 @@ func main() {
 		fatalf("missing -param / -values")
 	}
 
-	fmt.Printf("what-if: %s/%s on %s, sweeping %s\n", *suite, *appName, base.Name, *param)
+	fmt.Printf("what-if: %s on %s, sweeping %s\n", app.ID(), base.Name, *param)
 	fmt.Printf("%-12s %9s %8s %8s %8s %8s | %8s %8s\n",
 		*param, "cycles", "retire", "diverg", "front", "back", "memory", "const")
 	for _, v := range vals {
@@ -66,7 +61,7 @@ func main() {
 		if err := spec.Validate(); err != nil {
 			fatalf("variant %s=%s: %v", *param, v, err)
 		}
-		p := gputopdown.NewProfiler(&spec, gputopdown.WithLevel(*level))
+		p := gputopdown.NewProfiler(&spec, opts...)
 		res, err := p.ProfileApp(context.Background(), app)
 		if err != nil {
 			fatalf("%v", err)
@@ -85,53 +80,24 @@ func main() {
 
 // apply mutates one spec parameter from its string value.
 func apply(spec *gputopdown.GPUSpec, param, value string) error {
-	atoi := func() (int, error) { return strconv.Atoi(value) }
-	switch param {
-	case "l1size":
-		n, err := atoi()
+	ints := map[string]*int{
+		"l1size":    &spec.L1Size,
+		"l2size":    &spec.L2Size,
+		"imcsize":   &spec.IMCSize,
+		"lgqueue":   &spec.LGQueueDepth,
+		"mioqueue":  &spec.MIOQueueDepth,
+		"fp64lanes": &spec.PipeLanes[2], // isa.PipeFP64
+		"dramlat":   &spec.DRAMLatency,
+	}
+	if field, ok := ints[param]; ok {
+		n, err := strconv.Atoi(value)
 		if err != nil {
 			return err
 		}
-		spec.L1Size = n
-	case "l2size":
-		n, err := atoi()
-		if err != nil {
-			return err
-		}
-		spec.L2Size = n
-	case "imcsize":
-		n, err := atoi()
-		if err != nil {
-			return err
-		}
-		spec.IMCSize = n
-	case "lgqueue":
-		n, err := atoi()
-		if err != nil {
-			return err
-		}
-		spec.LGQueueDepth = n
-	case "mioqueue":
-		n, err := atoi()
-		if err != nil {
-			return err
-		}
-		spec.MIOQueueDepth = n
-	case "fp64lanes":
-		n, err := atoi()
-		if err != nil {
-			return err
-		}
-		spec.PipeLanes[2] = n // isa.PipeFP64
-	case "dramlat":
-		n, err := atoi()
-		if err != nil {
-			return err
-		}
-		spec.DRAMLatency = n
-	case "policy":
+		*field = n
+	} else if param == "policy" {
 		spec.SchedulingPolicy = value
-	default:
+	} else {
 		return fmt.Errorf("unknown parameter %q", param)
 	}
 	spec.Name = fmt.Sprintf("%s[%s=%s]", spec.Name, param, value)

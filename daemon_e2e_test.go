@@ -3,6 +3,7 @@ package gputopdown
 import (
 	"bytes"
 	"context"
+	"net/http"
 	"reflect"
 	"runtime"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"gputopdown/internal/check"
+	"gputopdown/internal/obs"
 )
 
 // startDaemon builds a real JobRunner-backed daemon on a free port and
@@ -151,6 +153,44 @@ func TestDaemonIgnoredEngineFields(t *testing.T) {
 	runner.mu.Unlock()
 	if n != 1 {
 		t.Errorf("runner cached %d profilers for jobs differing only in ignored fields, want 1", n)
+	}
+}
+
+// TestDaemonProgressUnavailable: the daemon mounts the observability handler
+// without a progress tracker, because every job's Profiler tracks its own
+// and none would write a daemon-wide one. After a job has run,
+// /api/progress therefore answers 503 — not a 200 scoreboard of zeros — while
+// /metrics on the same port is live. Job state is what /api/v1/jobs is for.
+func TestDaemonProgressUnavailable(t *testing.T) {
+	ctx := context.Background()
+	reg := NewMetricsRegistry()
+	runner := NewJobRunner("gtx1070", WithObserver(nil, reg))
+	srv, err := NewJobServer(JobServerOptions{
+		Runner:   runner.Run,
+		Workers:  1,
+		Registry: reg,
+		Obs:      obs.NewServer(nil, reg, nil).Handler(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Drain(ctx) //nolint:errcheck
+	base := "http://" + srv.Addr()
+	if _, err := SubmitAndWait(ctx, base, &JobRequest{Suite: "rodinia", App: "myocyte"}, 5*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string]int{"/api/progress": http.StatusServiceUnavailable, "/metrics": http.StatusOK} {
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET %s = %d, want %d", path, resp.StatusCode, want)
+		}
 	}
 }
 

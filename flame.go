@@ -3,7 +3,6 @@ package gputopdown
 import (
 	"fmt"
 	"io"
-	"os"
 	"sort"
 
 	"gputopdown/internal/core"
@@ -89,17 +88,4 @@ func WriteFlame(w io.Writer, results ...*AppResult) error {
 		return fmt.Errorf("gputopdown: no analyses to export as flamegraph")
 	}
 	return f.WriteFolded(w)
-}
-
-// WriteFlameFile writes the folded output of WriteFlame to a file.
-func WriteFlameFile(path string, results ...*AppResult) error {
-	file, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer file.Close()
-	if err := WriteFlame(file, results...); err != nil {
-		return err
-	}
-	return file.Close()
 }

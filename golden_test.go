@@ -119,7 +119,7 @@ func TestGoldenReports(t *testing.T) {
 	}
 }
 
-// TestCanonicalReportRoundTrip pins the Canonical option: wall-clock is the
+// TestCanonicalReportRoundTrip pins JobReport.Canonical: wall-clock is the
 // only field it touches, conversion is repeatable, and the original result is
 // left intact.
 func TestCanonicalReportRoundTrip(t *testing.T) {
@@ -134,7 +134,7 @@ func TestCanonicalReportRoundTrip(t *testing.T) {
 	}
 	res.WallSeconds = 1.5 // force a nonzero wall time
 	plain := res.Report()
-	canon := res.Report(Canonical())
+	canon := res.Report().Canonical()
 	if plain.WallSeconds != 1.5 {
 		t.Errorf("plain report wall_seconds = %v, want 1.5", plain.WallSeconds)
 	}
@@ -142,7 +142,7 @@ func TestCanonicalReportRoundTrip(t *testing.T) {
 		t.Errorf("canonical report wall_seconds = %v, want 0", canon.WallSeconds)
 	}
 	if res.WallSeconds != 1.5 {
-		t.Error("Report(Canonical()) mutated the result")
+		t.Error("Report().Canonical() mutated the result")
 	}
 	// Everything except wall time must be identical, and canonical bytes must
 	// be stable across repeated conversions of the same result.

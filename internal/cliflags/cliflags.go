@@ -1,0 +1,236 @@
+// Package cliflags declares the command-line flags the binaries under cmd/
+// share — name, help text and default, each once — and turns the parsed
+// values into what the library takes: a device model, a []gputopdown.Option,
+// and the files written when the run is over. A binary registers the groups
+// (or single flags) it accepts; a default that differs per binary is set on
+// the Flags value before Register.
+package cliflags
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"strings"
+
+	"gputopdown"
+	"gputopdown/internal/gpu"
+)
+
+// Flag groups, as accepted by Register.
+const (
+	Device        = "device"        // -gpu -sms
+	Workload      = "workload"      // -suite -app
+	Collection    = "collection"    // -level -raw -hwpm -replay-cache -checks
+	Observability = "observability" // -trace-out -metrics-out -trace-blocks -serve -flame-out -log-level -log-format -overhead
+)
+
+// Flags holds the shared flag values and, after Options, the observers they
+// asked for.
+type Flags struct {
+	prog string
+
+	GPU string
+	SMs int
+
+	Suite, App string
+
+	Level                          int
+	Raw, HWPM, ReplayCache, Checks bool
+
+	TraceOut, MetricsOut, FlameOut string
+	TraceBlocks, Overhead          bool
+	Serve, LogLevel, LogFormat     string
+
+	// Observers shared by every profiler the invocation builds. Options
+	// creates the ones the flags ask for (a Registry set beforehand is kept:
+	// the daemon brings its own); Finish writes them out.
+	Tracer   *gputopdown.Tracer
+	Registry *gputopdown.MetricsRegistry
+	Logger   *gputopdown.Logger
+	Flame    *gputopdown.Flame
+}
+
+// New returns the stock defaults; prog prefixes the notes written to stderr.
+func New(prog string) *Flags {
+	return &Flags{prog: prog, GPU: "rtx4000", Suite: "rodinia", Level: 3, LogFormat: "text"}
+}
+
+// decls is the one declaration of every shared flag.
+var decls = []struct {
+	group, name, help string
+	at                func(*Flags) any // *string, *int or *bool
+}{
+	{Device, "gpu", "device model: " + strings.Join(gpu.IDs(), " or "), func(f *Flags) any { return &f.GPU }},
+	{Device, "sms", "override the SM count (0 = full device)", func(f *Flags) any { return &f.SMs }},
+
+	{Workload, "suite", "benchmark suite: " + strings.Join(gputopdown.Suites(), ", "), func(f *Flags) any { return &f.Suite }},
+	{Workload, "app", "application to profile", func(f *Flags) any { return &f.App }},
+
+	{Collection, "level", "Top-Down analysis level (1-3)", func(f *Flags) any { return &f.Level }},
+	{Collection, "raw", "use the paper's raw equations (8)-(14) without normalisation", func(f *Flags) any { return &f.Raw }},
+	{Collection, "hwpm", "collect via HWPM sampling instead of SMPC", func(f *Flags) any { return &f.HWPM }},
+	{Collection, "replay-cache", "memoize byte-identical kernel invocations instead of re-simulating them", func(f *Flags) any { return &f.ReplayCache }},
+	{Collection, "checks", "assert simulator conservation laws during the run (internal/check); violations are reported and exit nonzero", func(f *Flags) any { return &f.Checks }},
+
+	{Observability, "trace-out", "write a Chrome trace-event JSON file (open in chrome://tracing or Perfetto)", func(f *Flags) any { return &f.TraceOut }},
+	{Observability, "metrics-out", "write profiler self-metrics in Prometheus text format", func(f *Flags) any { return &f.MetricsOut }},
+	{Observability, "trace-blocks", "include per-block dispatch instants in the trace (voluminous)", func(f *Flags) any { return &f.TraceBlocks }},
+	{Observability, "serve", "serve live observability HTTP on this address (/metrics, /healthz, /trace, /api/progress, /debug/pprof/)", func(f *Flags) any { return &f.Serve }},
+	{Observability, "flame-out", "write the simulated-cycle attribution as collapsed stacks (open in speedscope or flamegraph.pl)", func(f *Flags) any { return &f.FlameOut }},
+	{Observability, "log-level", "structured logging level: debug, info, warn or error (empty = off)", func(f *Flags) any { return &f.LogLevel }},
+	{Observability, "log-format", "structured log format: text or json", func(f *Flags) any { return &f.LogFormat }},
+	{Observability, "overhead", "print a measured replay-overhead summary line per app", func(f *Flags) any { return &f.Overhead }},
+}
+
+// Register declares on fs the named groups and single flags, each defaulting
+// to the value f holds now. A name that is neither is a programming error.
+func (f *Flags) Register(fs *flag.FlagSet, names ...string) {
+	for _, n := range names {
+		found := false
+		for _, d := range decls {
+			if d.group != n && d.name != n {
+				continue
+			}
+			found = true
+			switch v := d.at(f).(type) {
+			case *string:
+				fs.StringVar(v, d.name, *v, d.help)
+			case *int:
+				fs.IntVar(v, d.name, *v, d.help)
+			case *bool:
+				fs.BoolVar(v, d.name, *v, d.help)
+			}
+		}
+		if !found {
+			panic("cliflags: no flag or group named " + n)
+		}
+	}
+}
+
+// Spec resolves a device id and applies -sms.
+func (f *Flags) Spec(id string) (*gputopdown.GPUSpec, error) {
+	spec, ok := gputopdown.LookupGPU(id)
+	if !ok {
+		return nil, fmt.Errorf("unknown GPU %q (want %s)", id, strings.Join(gpu.IDs(), " or "))
+	}
+	if f.SMs > 0 {
+		spec = spec.WithSMs(f.SMs)
+	}
+	return spec, nil
+}
+
+// SelectedApp resolves -suite/-app.
+func (f *Flags) SelectedApp() (*gputopdown.App, error) {
+	if f.App == "" {
+		return nil, fmt.Errorf("missing -app")
+	}
+	if f.Suite == "altis" && f.App == "gemm_autotune" {
+		// Standalone workload: not in the suite list (it would skew the
+		// suite-average figures) but reachable by name for cache experiments.
+		return gputopdown.GemmAutotune(), nil
+	}
+	return gputopdown.GetApp(f.Suite, f.App)
+}
+
+// Options turns the parsed flags into the -gpu device model and the profiler
+// options they ask for, creating the tracer, registry, logger and flame
+// accumulator that -trace-out, -metrics-out, -serve, -log-level and
+// -flame-out need.
+func (f *Flags) Options() (*gputopdown.GPUSpec, []gputopdown.Option, error) {
+	spec, err := f.Spec(f.GPU)
+	if err != nil {
+		return nil, nil, err
+	}
+	opts := []gputopdown.Option{gputopdown.WithLevel(f.Level)}
+	if f.Raw {
+		opts = append(opts, gputopdown.WithRawEquations())
+	}
+	if f.HWPM {
+		opts = append(opts, gputopdown.WithHWPM())
+	}
+	if f.ReplayCache {
+		opts = append(opts, gputopdown.WithReplayCache(true))
+	}
+	if f.Checks {
+		opts = append(opts, gputopdown.WithChecks(true))
+	}
+	// -serve wants tracer and registry live even when no output file was
+	// asked for, so the HTTP endpoints have something to expose.
+	if f.TraceOut != "" || f.Serve != "" {
+		f.Tracer = gputopdown.NewTracer()
+		f.Tracer.SetBlockDetail(f.TraceBlocks)
+	}
+	if f.Registry == nil && (f.MetricsOut != "" || f.Serve != "") {
+		f.Registry = gputopdown.NewMetricsRegistry()
+	}
+	if f.Tracer != nil || f.Registry != nil {
+		opts = append(opts, gputopdown.WithObserver(f.Tracer, f.Registry))
+	}
+	if f.LogLevel != "" {
+		if f.Logger, err = gputopdown.NewLogger(os.Stderr, f.LogLevel, f.LogFormat); err != nil {
+			return nil, nil, err
+		}
+		opts = append(opts, gputopdown.WithLogger(f.Logger))
+	}
+	if f.Serve != "" {
+		opts = append(opts, gputopdown.WithObsServer(f.Serve))
+	}
+	if f.FlameOut != "" {
+		f.Flame = gputopdown.NewFlame()
+	}
+	return spec, opts, nil
+}
+
+// Open builds the profiler the flags describe (extra options apply last) and,
+// under -serve, says where it listens. The caller closes it.
+func (f *Flags) Open(extra ...gputopdown.Option) (*gputopdown.Profiler, error) {
+	spec, opts, err := f.Options()
+	if err != nil {
+		return nil, err
+	}
+	p, err := gputopdown.NewProfilerE(spec, append(opts, extra...)...)
+	if err != nil {
+		return nil, err
+	}
+	if addr := p.ObsAddr(); addr != "" {
+		f.notef("observability HTTP on http://%s (/metrics /healthz /trace /api/progress /debug/pprof/)", addr)
+	}
+	return p, nil
+}
+
+// Finish writes the files the run was asked for (-flame-out, -trace-out,
+// -metrics-out) and gives the -checks verdict of p.
+func (f *Flags) Finish(p *gputopdown.Profiler) error {
+	if f.Flame != nil {
+		if f.Flame.Len() == 0 {
+			return fmt.Errorf("writing flamegraph: no stacks to export")
+		}
+		if err := f.Flame.WriteFile(f.FlameOut); err != nil {
+			return fmt.Errorf("writing flamegraph: %w", err)
+		}
+		f.notef("wrote folded stacks to %s (import into https://speedscope.app)", f.FlameOut)
+	}
+	if f.Tracer != nil && f.TraceOut != "" {
+		if err := f.Tracer.WriteFile(f.TraceOut); err != nil {
+			return fmt.Errorf("writing trace: %w", err)
+		}
+		f.notef("wrote %d trace events to %s", f.Tracer.Len(), f.TraceOut)
+	}
+	if f.Registry != nil && f.MetricsOut != "" {
+		if err := f.Registry.WriteFile(f.MetricsOut); err != nil {
+			return fmt.Errorf("writing metrics: %w", err)
+		}
+		f.notef("wrote metrics to %s", f.MetricsOut)
+	}
+	if f.Checks {
+		if err := p.CheckErr(); err != nil {
+			return fmt.Errorf("invariant checks failed:\n%w", err)
+		}
+		f.notef("invariant checks passed")
+	}
+	return nil
+}
+
+func (f *Flags) notef(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, f.prog+": "+format+"\n", args...)
+}

@@ -71,8 +71,10 @@ func csvEscape(s string) string {
 	return s
 }
 
-// jsonAnalysis is the stable export schema.
-type jsonAnalysis struct {
+// AnalysisJSON is the stable export schema of one Top-Down breakdown: what
+// Analysis.JSON marshals and what daemon reports (internal/serve) carry, so
+// the two are interchangeable.
+type AnalysisJSON struct {
 	Kernel     string             `json:"kernel"`
 	GPU        string             `json:"gpu"`
 	CC         string             `json:"compute_capability"`
@@ -80,37 +82,16 @@ type jsonAnalysis struct {
 	Level      int                `json:"level"`
 	Normalized bool               `json:"normalized"`
 	IPCMax     float64            `json:"ipc_max"`
-	Rows       []Row              `json:"components"`
+	Components []Row              `json:"components"`
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
 }
 
-// JSONOption configures Analysis.JSON export.
-type JSONOption func(*jsonOptions)
-
-type jsonOptions struct{ canonical bool }
-
-// CanonicalJSON normalises the export for byte-stable comparison: negative
-// zeros (which can fall out of clamped float arithmetic) become positive
-// zeros, so two analyses that agree numerically always marshal to identical
-// bytes. Map keys are already sorted by encoding/json; nothing else in the
-// schema is run-dependent.
-func CanonicalJSON() JSONOption { return func(o *jsonOptions) { o.canonical = true } }
-
-func canonFloat(v float64) float64 {
-	if v == 0 {
-		return 0 // collapses -0.0 to +0.0
+// Export converts the analysis to its export schema; nil stays nil.
+func (a *Analysis) Export() *AnalysisJSON {
+	if a == nil {
+		return nil
 	}
-	return v
-}
-
-// JSON renders the analysis as a stable JSON document including the raw
-// profiler metrics it consumed.
-func (a *Analysis) JSON(opts ...JSONOption) ([]byte, error) {
-	var o jsonOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	ja := jsonAnalysis{
+	return &AnalysisJSON{
 		Kernel:     a.Kernel,
 		GPU:        a.GPU,
 		CC:         a.CC.String(),
@@ -118,25 +99,13 @@ func (a *Analysis) JSON(opts ...JSONOption) ([]byte, error) {
 		Level:      a.Level,
 		Normalized: a.Normalized,
 		IPCMax:     a.IPCMax,
-		Rows:       a.Rows(),
+		Components: a.Rows(),
 		Metrics:    a.Metrics,
 	}
-	if o.canonical {
-		ja.IPCMax = canonFloat(ja.IPCMax)
-		rows := make([]Row, len(ja.Rows))
-		for i, r := range ja.Rows {
-			r.IPC = canonFloat(r.IPC)
-			r.Fraction = canonFloat(r.Fraction)
-			rows[i] = r
-		}
-		ja.Rows = rows
-		if ja.Metrics != nil {
-			m := make(map[string]float64, len(ja.Metrics))
-			for k, v := range ja.Metrics {
-				m[k] = canonFloat(v)
-			}
-			ja.Metrics = m
-		}
-	}
-	return json.MarshalIndent(ja, "", "  ")
+}
+
+// JSON renders the analysis as a stable JSON document including the raw
+// profiler metrics it consumed.
+func (a *Analysis) JSON() ([]byte, error) {
+	return json.MarshalIndent(a.Export(), "", "  ")
 }

@@ -265,9 +265,6 @@ func (s *Session) SetChecker(c Checker) {
 // shared by many sessions, including concurrently.
 func (s *Session) SetCache(c *ReplayCache) { s.cache = c }
 
-// Cache returns the attached replay result cache (nil when detached).
-func (s *Session) Cache() *ReplayCache { return s.cache }
-
 // SetSampling makes the session fully profile only every n-th invocation of
 // each kernel; the others execute once, natively, and reuse the most recent
 // sampled values. This is the overhead mitigation the paper proposes for
@@ -285,9 +282,6 @@ func (s *Session) SampleEvery() int { return s.sampleEvery }
 
 // NumPasses returns the replay count per kernel.
 func (s *Session) NumPasses() int { return s.sched.NumPasses() }
-
-// Mode returns the collection mode.
-func (s *Session) Mode() Mode { return s.mode }
 
 // flushCycles models the per-pass cache/memory flush cost: the dirty
 // fraction of the working set is written back through DRAM bandwidth, plus a
@@ -559,10 +553,4 @@ func (s *Session) Reset() {
 	s.invocations = map[string]int{}
 	s.nativeCycles = 0
 	s.profiledCycles = 0
-}
-
-// RunNative executes a launch without any profiling machinery, for
-// overhead-baseline measurements.
-func RunNative(dev *sim.Device, l *kernel.Launch) (*sim.RunResult, error) {
-	return dev.Launch(l)
 }

@@ -170,9 +170,6 @@ func TestHWPMSamplingScales(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Mode().String() != "HWPM" {
-		t.Errorf("mode = %s", s.Mode())
-	}
 	// The sampled-and-scaled estimate should be within 2x of the truth for a
 	// balanced kernel.
 	d2 := testDevice()
@@ -190,20 +187,6 @@ func TestSessionRejectsBadRequest(t *testing.T) {
 	d := testDevice()
 	if _, err := NewSession(d, []pmu.CounterID{pmu.CounterID(60000)}, ModeSMPC); err == nil {
 		t.Error("bad counter request accepted")
-	}
-}
-
-func TestRunNative(t *testing.T) {
-	d := testDevice()
-	const n = 256
-	buf := d.Alloc(n * 4)
-	d.Storage.WriteU32Slice(buf, make([]uint32, n))
-	res, err := RunNative(d, launchInc(d, buf, n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cycles == 0 {
-		t.Error("native run recorded no cycles")
 	}
 }
 

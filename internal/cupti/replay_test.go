@@ -107,7 +107,7 @@ func TestReplayCacheKeyedOnMemory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	hits, misses := s.Cache().Stats()
+	hits, misses := s.cache.Stats()
 	if hits != 0 || misses != 4 {
 		t.Fatalf("mutating kernel: stats = %d hits / %d misses, want 0/4", hits, misses)
 	}

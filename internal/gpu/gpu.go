@@ -11,6 +11,7 @@ package gpu
 
 import (
 	"fmt"
+	"sort"
 
 	"gputopdown/internal/isa"
 )
@@ -388,6 +389,16 @@ func All() map[string]*Spec {
 		"gtx1070": GTX1070(),
 		"rtx4000": QuadroRTX4000(),
 	}
+}
+
+// IDs returns the short ids of the built-in device models, sorted.
+func IDs() []string {
+	ids := make([]string, 0, 2)
+	for id := range All() {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
 }
 
 // Lookup resolves a short device id ("gtx1070", "rtx4000"); ok is false for

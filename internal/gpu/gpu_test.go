@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"strings"
 	"testing"
 
 	"gputopdown/internal/isa"
@@ -126,6 +127,9 @@ func TestLookup(t *testing.T) {
 	}
 	if _, ok := Lookup("nope"); ok {
 		t.Error("bogus device found")
+	}
+	if got := strings.Join(IDs(), ","); got != "gtx1070,rtx4000" {
+		t.Errorf("IDs() = %s, want gtx1070,rtx4000", got)
 	}
 }
 

@@ -164,9 +164,6 @@ func (b *Builder) Shl(a isa.Reg, imm int64) isa.Reg {
 // ShlReg returns a << c.
 func (b *Builder) ShlReg(a, c isa.Reg) isa.Reg { return b.alu3(isa.OpISHL, a, c, isa.RZ, 0) }
 
-// ShrReg returns a >> c (arithmetic).
-func (b *Builder) ShrReg(a, c isa.Reg) isa.Reg { return b.alu3(isa.OpISHR, a, c, isa.RZ, 0) }
-
 // Popc returns the population count of a.
 func (b *Builder) Popc(a isa.Reg) isa.Reg { return b.alu3(isa.OpPOPC, a, isa.RZ, isa.RZ, 0) }
 
@@ -425,11 +422,6 @@ func (b *Builder) Red(op isa.AtomOp, addr, val isa.Reg, off int64) {
 	b.emit(isa.Instr{Op: isa.OpRED, Atom: op, Srcs: [3]isa.Reg{addr, val, isa.RZ}, Imm: off, Size: 4, Pred: isa.PT})
 }
 
-// RedIf is Red predicated on p (negated if neg).
-func (b *Builder) RedIf(p isa.PredReg, neg bool, op isa.AtomOp, addr, val isa.Reg, off int64) {
-	b.emit(isa.Instr{Op: isa.OpRED, Atom: op, Srcs: [3]isa.Reg{addr, val, isa.RZ}, Imm: off, Size: 4, Pred: p, PredNeg: neg})
-}
-
 // ---- Synchronization and control ----
 
 // Bar emits a CTA-wide barrier (__syncthreads).
@@ -462,12 +454,6 @@ func (b *Builder) ExitIf(p isa.PredReg, neg bool) {
 func (b *Builder) If(p isa.PredReg) {
 	// Threads where !p jump ahead; patched at Else/EndIf.
 	idx := b.emit(isa.Instr{Op: isa.OpBRA, Pred: p, PredNeg: true})
-	b.frames = append(b.frames, frame{kind: frameIf, branchIdx: idx})
-}
-
-// IfNot opens a region executed by threads where p does not hold.
-func (b *Builder) IfNot(p isa.PredReg) {
-	idx := b.emit(isa.Instr{Op: isa.OpBRA, Pred: p, PredNeg: false})
 	b.frames = append(b.frames, frame{kind: frameIf, branchIdx: idx})
 }
 

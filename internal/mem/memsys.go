@@ -125,19 +125,6 @@ func (m *MemSys) Slice(i int) *Cache { return m.slices[i] }
 // Chan exposes one DRAM channel for tests.
 func (m *MemSys) Chan(i int) *DRAM { return m.chans[i] }
 
-// L2Stats returns the slice-aggregated L2 statistics.
-func (m *MemSys) L2Stats() CacheStats {
-	var st CacheStats
-	for _, c := range m.slices {
-		s := c.Stats()
-		st.Lookups += s.Lookups
-		st.Hits += s.Hits
-		st.Misses += s.Misses
-		st.Evictions += s.Evictions
-	}
-	return st
-}
-
 // DRAMStats returns the channel-aggregated DRAM statistics.
 func (m *MemSys) DRAMStats() DRAMStats {
 	var st DRAMStats

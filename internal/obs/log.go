@@ -62,16 +62,6 @@ func NewLogger(w io.Writer, level slog.Level, format string) *Logger {
 	return &Logger{sl: slog.New(h), min: level}
 }
 
-// NewSlogLogger wraps an existing *slog.Logger, enabling records at or above
-// level. It lets callers plug the profiler into an application-wide slog
-// setup instead of the flat file/stderr handlers NewLogger builds.
-func NewSlogLogger(sl *slog.Logger, level slog.Level) *Logger {
-	if sl == nil {
-		return nil
-	}
-	return &Logger{sl: sl, min: level}
-}
-
 // Component returns a child logger whose records carry component=name.
 // Component on a nil logger returns nil, so wiring code can scope
 // unconditionally.

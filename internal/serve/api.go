@@ -144,27 +144,12 @@ type JobStatus struct {
 	Request *JobRequest `json:"request"`
 }
 
-// Analysis is the stable JSON form of one Top-Down breakdown, matching the
-// schema of core.Analysis.JSON so daemon reports and direct library exports
-// are interchangeable.
-type Analysis struct {
-	Kernel     string             `json:"kernel"`
-	GPU        string             `json:"gpu"`
-	CC         string             `json:"compute_capability"`
-	Tool       string             `json:"tool"`
-	Level      int                `json:"level"`
-	Normalized bool               `json:"normalized"`
-	IPCMax     float64            `json:"ipc_max"`
-	Components []core.Row         `json:"components"`
-	Metrics    map[string]float64 `json:"metrics,omitempty"`
-}
-
 // KernelReport is one kernel invocation's slice of a Report.
 type KernelReport struct {
-	Kernel     string    `json:"kernel"`
-	Invocation int       `json:"invocation"`
-	Cycles     uint64    `json:"cycles"`
-	Analysis   *Analysis `json:"analysis,omitempty"`
+	Kernel     string             `json:"kernel"`
+	Invocation int                `json:"invocation"`
+	Cycles     uint64             `json:"cycles"`
+	Analysis   *core.AnalysisJSON `json:"analysis,omitempty"`
 }
 
 // KernelFailure records a kernel invocation that panicked and was isolated
@@ -179,17 +164,17 @@ type KernelFailure struct {
 // It carries everything AppResult does in wire-stable form; WallSeconds is
 // the one field that varies between identical runs.
 type Report struct {
-	APIVersion     string          `json:"api_version"`
-	App            string          `json:"app"`
-	Suite          string          `json:"suite"`
-	GPU            string          `json:"gpu"`
-	Passes         int             `json:"passes"`
-	NativeCycles   uint64          `json:"native_cycles"`
-	ProfiledCycles uint64          `json:"profiled_cycles"`
-	WallSeconds    float64         `json:"wall_seconds"`
-	Kernels        []KernelReport  `json:"kernels"`
-	Aggregate      *Analysis       `json:"aggregate,omitempty"`
-	Failed         []KernelFailure `json:"failed,omitempty"`
+	APIVersion     string             `json:"api_version"`
+	App            string             `json:"app"`
+	Suite          string             `json:"suite"`
+	GPU            string             `json:"gpu"`
+	Passes         int                `json:"passes"`
+	NativeCycles   uint64             `json:"native_cycles"`
+	ProfiledCycles uint64             `json:"profiled_cycles"`
+	WallSeconds    float64            `json:"wall_seconds"`
+	Kernels        []KernelReport     `json:"kernels"`
+	Aggregate      *core.AnalysisJSON `json:"aggregate,omitempty"`
+	Failed         []KernelFailure    `json:"failed,omitempty"`
 }
 
 // Canonical returns a copy of the report with WallSeconds zeroed — the one

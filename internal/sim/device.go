@@ -160,7 +160,7 @@ func (d *Device) Clone() *Device {
 
 // SetFastForward toggles the event-driven fast-forward engine. Off selects
 // the naive cycle loop, the reference implementation the engine-equivalence
-// tests and cmd/benchsim compare against; production code leaves it on.
+// tests compare against; production code leaves it on.
 func (d *Device) SetFastForward(on bool) { d.fastForward = on }
 
 // FastForwardEnabled reports whether the fast-forward engine is active.
@@ -234,16 +234,10 @@ func (d *Device) SetObserver(tr *obs.Tracer, reg *obs.Registry) {
 	}
 }
 
-// Tracer returns the attached tracer (nil when detached).
-func (d *Device) Tracer() *obs.Tracer { return d.tracer }
-
 // SetChecker attaches an in-loop invariant checker (nil detaches). The
 // checker observes, never mutates: results are bit-identical with and
 // without one, and the nil path stays allocation-free.
 func (d *Device) SetChecker(c Checker) { d.checker = c }
-
-// CheckerAttached reports whether an invariant checker is attached.
-func (d *Device) CheckerAttached() bool { return d.checker != nil }
 
 // SetLogger attaches a structured logger; launch summaries and fast-forward
 // accounting are logged at debug level under component "sim". Nil detaches

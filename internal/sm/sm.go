@@ -678,11 +678,6 @@ func (s *SM) CheckQueues(report func(queue string, subpart int)) {
 	}
 }
 
-// ResidentWarps returns the number of warps currently resident — the
-// occupancy figure the invariant checker crosses against the warp-state
-// histogram.
-func (s *SM) ResidentWarps() int { return s.residentWarps }
-
 // Counters returns the SM's counters including the memory-path statistics.
 func (s *SM) Counters() Counters {
 	c := s.ctr

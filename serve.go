@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"gputopdown/internal/core"
 	"gputopdown/internal/serve"
 )
 
@@ -155,40 +154,11 @@ func (jr *JobRunner) Run(ctx context.Context, req *JobRequest) (*serve.Report, e
 	return res.Report(), nil
 }
 
-// serveAnalysis converts a core analysis to its wire form (the same schema
-// Analysis.JSON emits).
-func serveAnalysis(a *core.Analysis) *serve.Analysis {
-	if a == nil {
-		return nil
-	}
-	return &serve.Analysis{
-		Kernel:     a.Kernel,
-		GPU:        a.GPU,
-		CC:         a.CC.String(),
-		Tool:       a.Tool,
-		Level:      a.Level,
-		Normalized: a.Normalized,
-		IPCMax:     a.IPCMax,
-		Components: a.Rows(),
-		Metrics:    a.Metrics,
-	}
-}
-
-// ReportOption configures AppResult.Report conversion.
-type ReportOption func(*reportOptions)
-
-type reportOptions struct{ canonical bool }
-
-// Canonical zeroes the report's wall_seconds field — the one value that
-// varies between identical runs — so two profiles of the same app on the
-// same configuration convert to byte-identical reports. The golden corpus
-// (internal/check, cmd/goldengen) stores this form.
-func Canonical() ReportOption { return func(o *reportOptions) { o.canonical = true } }
-
 // Report converts the result to its versioned wire form. Everything except
 // WallSeconds is deterministic: two identical runs produce byte-identical
-// reports once wall_seconds is zeroed (pass Canonical to do so).
-func (r *AppResult) Report(opts ...ReportOption) *JobReport {
+// reports once wall_seconds is zeroed (JobReport.Canonical does so; the
+// golden corpus stores that form).
+func (r *AppResult) Report() *JobReport {
 	rep := &serve.Report{
 		APIVersion:     serve.APIVersion,
 		App:            r.App,
@@ -198,14 +168,14 @@ func (r *AppResult) Report(opts ...ReportOption) *JobReport {
 		NativeCycles:   r.NativeCycles,
 		ProfiledCycles: r.ProfiledCycles,
 		WallSeconds:    r.WallSeconds,
-		Aggregate:      serveAnalysis(r.Aggregate),
+		Aggregate:      r.Aggregate.Export(),
 	}
 	for _, k := range r.Kernels {
 		rep.Kernels = append(rep.Kernels, serve.KernelReport{
 			Kernel:     k.Kernel,
 			Invocation: k.Invocation,
 			Cycles:     k.Cycles,
-			Analysis:   serveAnalysis(k.Analysis),
+			Analysis:   k.Analysis.Export(),
 		})
 	}
 	for _, ke := range r.Failed {
@@ -214,13 +184,6 @@ func (r *AppResult) Report(opts ...ReportOption) *JobReport {
 			Pass:   ke.Pass,
 			Error:  ke.Err.Error(),
 		})
-	}
-	var o reportOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.canonical {
-		rep = rep.Canonical()
 	}
 	return rep
 }

@@ -17,8 +17,7 @@
 //	fmt.Print(res.Aggregate)
 //
 // The API is context-first: every Profile* method takes a context.Context as
-// its first argument, honouring cancellation and deadlines mid-run. The
-// former *Ctx names remain as deprecated wrappers.
+// its first argument, honouring cancellation and deadlines mid-run.
 //
 // Devices are simulated (see DESIGN.md for the substitution argument), so
 // results are bit-reproducible and need no GPU hardware.
@@ -80,8 +79,8 @@ func SradDynamic() *App { return workloads.SradDynamic() }
 // GemmAutotune returns an autotuning-harness workload: the same GEMM
 // configuration launched repeatedly with identical inputs, so from the
 // second repetition on every invocation is byte-identical. It is the
-// reference workload for the replay result cache (see WithReplayCache and
-// the BenchmarkReplay* family).
+// reference workload for the replay result cache (see WithReplayCache; the
+// repository benchmark's `replay` workload times it).
 func GemmAutotune() *App { return workloads.GemmAutotune() }
 
 // Option configures a Profiler.
@@ -408,11 +407,13 @@ type AppResult struct {
 }
 
 // Overhead returns ProfiledCycles/NativeCycles.
-func (r *AppResult) Overhead() float64 {
-	if r.NativeCycles == 0 {
+func (r *AppResult) Overhead() float64 { return overheadRatio(r.NativeCycles, r.ProfiledCycles) }
+
+func overheadRatio(native, profiled uint64) float64 {
+	if native == 0 {
 		return 0
 	}
-	return float64(r.ProfiledCycles) / float64(r.NativeCycles)
+	return float64(profiled) / float64(native)
 }
 
 // Series returns the per-invocation analyses of one kernel, in invocation
@@ -459,6 +460,8 @@ func (p *Profiler) ProfileApp(ctx context.Context, app *workloads.App) (*AppResu
 	return p.profileOn(ctx, dev, app)
 }
 
+// profileOn is the Top-Down analysis as a client of collect: it requests the
+// analyzer's counters, analyses each visited invocation and aggregates.
 func (p *Profiler) profileOn(ctx context.Context, dev *sim.Device, app *workloads.App) (*AppResult, error) {
 	analyzer := core.NewAnalyzer(p.spec, p.level)
 	analyzer.Normalize = p.normalize
@@ -466,12 +469,102 @@ func (p *Profiler) profileOn(ctx context.Context, dev *sim.Device, app *workload
 	if err != nil {
 		return nil, err
 	}
+	var roofIDs []pmu.CounterID
+	var roofTotal pmu.Values
 	if p.roofline {
-		request = append(request, core.RooflineRequest()...)
+		roofIDs, roofTotal = core.RooflineRequest(), pmu.Values{}
+		request = append(request, roofIDs...)
 	}
-	sess, err := cupti.NewSession(dev, request, p.mode)
+	if p.tracer != nil || p.metrics != nil {
+		analyzer.SetObserver(p.tracer, p.metrics)
+	}
+	if p.logger != nil {
+		analyzer.SetLogger(p.logger)
+	}
+	res := &AppResult{App: app.Name, Suite: app.Suite, GPU: p.spec.Name}
+	col, err := p.collect(ctx, dev, app, request, func(_ *kernel.Launch, rec *cupti.KernelRecord) error {
+		a := analyzer.Analyze(rec.Kernel, rec.Values)
+		a.Weight = float64(rec.Cycles)
+		p.checks.CheckAnalysis(a)
+		res.Kernels = append(res.Kernels, KernelResult{
+			Kernel:     rec.Kernel,
+			Invocation: rec.Invocation,
+			Cycles:     rec.Cycles,
+			Analysis:   a,
+		})
+		for _, id := range roofIDs {
+			roofTotal[id] += rec.Values[id]
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
+	}
+	res.Passes, res.Failed = col.Passes, col.Failed
+	res.NativeCycles, res.ProfiledCycles = col.NativeCycles, col.ProfiledCycles
+	res.WallSeconds = col.WallSeconds
+	analyses := make([]*core.Analysis, len(res.Kernels))
+	for i := range res.Kernels {
+		analyses[i] = res.Kernels[i].Analysis
+	}
+	res.Aggregate = core.Aggregate(app.Name, analyses)
+	p.checks.CheckAnalysis(res.Aggregate)
+	if p.roofline {
+		res.Roofline = core.ComputeRoofline(p.spec, roofTotal)
+	}
+	return res, nil
+}
+
+// Collection is the run-level outcome of profiling one application against
+// a counter request: what the run cost, and which invocations were lost.
+// The per-invocation counter values went to the Collect visitor.
+type Collection struct {
+	// Kernels is the number of invocations profiled and visited.
+	Kernels int
+	// Passes is the replays per kernel the counter request required.
+	Passes int
+	// NativeCycles and ProfiledCycles are the Fig. 13 overhead totals.
+	NativeCycles   uint64
+	ProfiledCycles uint64
+	// WallSeconds is the host wall-clock time the profiled run took.
+	WallSeconds float64
+	// Failed holds the invocations whose simulation panicked and was
+	// isolated, as on AppResult.Failed.
+	Failed []*KernelError
+	// CacheHits, CacheMisses and CacheEntries describe the profiler's replay
+	// cache after the run (cumulative over the profiler's lifetime; all zero
+	// without WithReplayCache).
+	CacheHits, CacheMisses uint64
+	CacheEntries           int
+}
+
+// Collect is the middleware below the Top-Down analysis (paper §II.B: the
+// nvprof/ncu layer): it runs app on a fresh simulated device, collects the
+// requested raw counters for every kernel invocation over as many replay
+// passes as they need, and hands each launch with its merged record to visit,
+// in execution order. Everything the profiler was configured with applies —
+// collection mode, sampling, replay cache, invariant checks, observers, logger,
+// progress — and cancellation and panic isolation are ProfileApp's. An error
+// from visit stops the run and is returned.
+func (p *Profiler) Collect(ctx context.Context, app *workloads.App, request []pmu.CounterID,
+	visit func(*kernel.Launch, *cupti.KernelRecord) error) (*Collection, error) {
+	p.progress.StartRun(1)
+	col, err := p.collect(ctx, sim.NewDeviceMem(p.spec, p.memBytes), app, request, visit)
+	if err != nil {
+		return nil, err
+	}
+	return &col, nil
+}
+
+// collect is the one place a profiling session is assembled and driven:
+// session over dev for request, the profiler's sampling, cache, checker,
+// observers, logger and progress attached, ctx honoured per launch, and a
+// panicking kernel isolated onto Failed while the rest of the app runs.
+func (p *Profiler) collect(ctx context.Context, dev *sim.Device, app *workloads.App, request []pmu.CounterID,
+	visit func(*kernel.Launch, *cupti.KernelRecord) error) (Collection, error) {
+	sess, err := cupti.NewSession(dev, request, p.mode)
+	if err != nil {
+		return Collection{}, err
 	}
 	if p.sampleEvery > 1 {
 		sess.SetSampling(p.sampleEvery)
@@ -485,21 +578,17 @@ func (p *Profiler) profileOn(ctx context.Context, dev *sim.Device, app *workload
 	obsOn := p.tracer != nil || p.metrics != nil
 	if obsOn {
 		sess.SetObserver(p.tracer, p.metrics)
-		analyzer.SetObserver(p.tracer, p.metrics)
 	}
 	if p.logger != nil {
 		sess.SetLogger(p.logger)
-		analyzer.SetLogger(p.logger)
 	}
 	sess.SetProgress(p.progress)
 	p.progress.StartApp(app.Suite, app.Name)
 	sessStart := p.tracer.Now()
 	wallStart := time.Now()
-	res := &AppResult{App: app.Name, Suite: app.Suite, GPU: p.spec.Name, Passes: sess.NumPasses()}
+	col := Collection{Passes: sess.NumPasses()}
 	err = app.Execute(dev, func(l *kernel.Launch) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+		// ProfileCtx polls ctx before the launch and inside it.
 		rec, err := sess.ProfileCtx(ctx, l)
 		if err != nil {
 			// Per-kernel panic isolation: a crashed kernel degrades the
@@ -507,7 +596,7 @@ func (p *Profiler) profileOn(ctx context.Context, dev *sim.Device, app *workload
 			// the middleware; record the loss and keep going.
 			var ke *KernelError
 			if errors.As(err, &ke) && errors.Is(err, ErrKernelPanic) {
-				res.Failed = append(res.Failed, ke)
+				col.Failed = append(col.Failed, ke)
 				if p.logger.On(obs.LevelWarn) {
 					p.logger.Component("profiler").Warn("kernel isolated after panic",
 						"app", app.ID(), "kernel", ke.Kernel, "err", ke.Err)
@@ -516,70 +605,52 @@ func (p *Profiler) profileOn(ctx context.Context, dev *sim.Device, app *workload
 			}
 			return err
 		}
-		a := analyzer.Analyze(rec.Kernel, rec.Values)
-		a.Weight = float64(rec.Cycles)
-		p.checks.CheckAnalysis(a)
-		res.Kernels = append(res.Kernels, KernelResult{
-			Kernel:     rec.Kernel,
-			Invocation: rec.Invocation,
-			Cycles:     rec.Cycles,
-			Analysis:   a,
-		})
-		return nil
+		col.Kernels++
+		return visit(l, rec)
 	})
 	if err != nil {
-		return nil, err
+		return Collection{}, err
 	}
-	if len(res.Kernels) == 0 {
-		if len(res.Failed) > 0 {
+	if col.Kernels == 0 {
+		if len(col.Failed) > 0 {
 			// Every kernel panicked: nothing to analyse, so degradation
 			// becomes failure — joined so errors.Is/As see each KernelError.
-			failed := make([]error, len(res.Failed))
-			for i, ke := range res.Failed {
+			failed := make([]error, len(col.Failed))
+			for i, ke := range col.Failed {
 				failed[i] = ke
 			}
-			return nil, fmt.Errorf("gputopdown: %s: all %d kernels failed: %w",
-				app.ID(), len(res.Failed), errors.Join(failed...))
+			return Collection{}, fmt.Errorf("gputopdown: %s: all %d kernels failed: %w",
+				app.ID(), len(col.Failed), errors.Join(failed...))
 		}
-		return nil, fmt.Errorf("gputopdown: %s: %w", app.ID(), ErrNoKernels)
+		return Collection{}, fmt.Errorf("gputopdown: %s: %w", app.ID(), ErrNoKernels)
 	}
-	analyses := make([]*core.Analysis, len(res.Kernels))
-	for i := range res.Kernels {
-		analyses[i] = res.Kernels[i].Analysis
+	col.NativeCycles, col.ProfiledCycles = sess.Overhead()
+	col.WallSeconds = time.Since(wallStart).Seconds()
+	if p.cache != nil {
+		col.CacheHits, col.CacheMisses = p.cache.Stats()
+		col.CacheEntries = p.cache.Len()
 	}
-	res.Aggregate = core.Aggregate(app.Name, analyses)
-	p.checks.CheckAnalysis(res.Aggregate)
-	res.NativeCycles, res.ProfiledCycles = sess.Overhead()
-	res.WallSeconds = time.Since(wallStart).Seconds()
+	overhead := overheadRatio(col.NativeCycles, col.ProfiledCycles)
 	if obsOn {
 		if p.tracer != nil {
 			p.tracer.Complete(obs.PIDProfiler, 1, "session", "profile "+app.ID(),
 				sessStart, map[string]any{
-					"gpu": p.spec.Name, "kernels": len(res.Kernels),
-					"passes_per_kernel": res.Passes, "overhead": res.Overhead(),
+					"gpu": p.spec.Name, "kernels": col.Kernels,
+					"passes_per_kernel": col.Passes, "overhead": overhead,
 				})
 		}
 		p.metrics.Gauge("profiler_replay_overhead_ratio",
 			"Live profiled/native simulated-cycle ratio (the paper's Fig. 13).",
-			obs.Labels{"app": app.ID(), "gpu": p.spec.Name}).Set(res.Overhead())
-	}
-	if p.roofline {
-		total := pmu.Values{}
-		for _, rec := range sess.Records() {
-			for _, id := range core.RooflineRequest() {
-				total[id] += rec.Values[id]
-			}
-		}
-		res.Roofline = core.ComputeRoofline(p.spec, total)
+			obs.Labels{"app": app.ID(), "gpu": p.spec.Name}).Set(overhead)
 	}
 	p.progress.AppDone()
 	if p.logger.On(obs.LevelInfo) {
 		p.logger.Component("profiler").Info("app profiled",
 			"app", app.ID(), "gpu", p.spec.Name,
-			"kernels", len(res.Kernels), "passes_per_kernel", res.Passes,
-			"overhead", res.Overhead(), "wall_seconds", res.WallSeconds)
+			"kernels", col.Kernels, "passes_per_kernel", col.Passes,
+			"overhead", overhead, "wall_seconds", col.WallSeconds)
 	}
-	return res, nil
+	return col, nil
 }
 
 // TimelinePoint is one interval of an intra-kernel timeline.
@@ -596,10 +667,7 @@ func (p *Profiler) Timeline(ctx context.Context, app *workloads.App, kernelName 
 	if interval == 0 {
 		return nil, fmt.Errorf("gputopdown: zero timeline interval")
 	}
-	dev := sim.NewDeviceMem(p.spec, p.memBytes)
-	if p.checks != nil {
-		dev.SetChecker(p.checks)
-	}
+	dev := p.nativeDevice()
 	dev.EnableTrace(interval)
 	analyzer := core.NewAnalyzer(p.spec, p.level)
 	analyzer.Normalize = p.normalize
@@ -608,7 +676,6 @@ func (p *Profiler) Timeline(ctx context.Context, app *workloads.App, kernelName 
 		analyzer.SetObserver(p.tracer, p.metrics)
 	}
 	if p.logger != nil {
-		dev.SetLogger(p.logger)
 		analyzer.SetLogger(p.logger)
 	}
 	var points []TimelinePoint
@@ -641,9 +708,9 @@ func (p *Profiler) Timeline(ctx context.Context, app *workloads.App, kernelName 
 	return points, nil
 }
 
-// RunNative executes an application without profiling and returns its total
-// device cycles — the Fig. 13 baseline.
-func (p *Profiler) RunNative(app *workloads.App) (uint64, error) {
+// nativeDevice builds a fresh device for a run without a profiling session,
+// with the profiler's invariant checker and logger attached directly.
+func (p *Profiler) nativeDevice() *sim.Device {
 	dev := sim.NewDeviceMem(p.spec, p.memBytes)
 	if p.checks != nil {
 		dev.SetChecker(p.checks)
@@ -651,6 +718,13 @@ func (p *Profiler) RunNative(app *workloads.App) (uint64, error) {
 	if p.logger != nil {
 		dev.SetLogger(p.logger)
 	}
+	return dev
+}
+
+// RunNative executes an application without profiling and returns its total
+// device cycles — the Fig. 13 baseline.
+func (p *Profiler) RunNative(app *workloads.App) (uint64, error) {
+	dev := p.nativeDevice()
 	var total uint64
 	err := app.Execute(dev, func(l *kernel.Launch) error {
 		res, err := dev.Launch(l)
