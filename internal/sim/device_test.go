@@ -753,3 +753,22 @@ func BenchmarkLaunchPrologue(b *testing.B) {
 		d.Storage.Release(markMem)
 	}
 }
+
+// TestDeviceBuildAllocs is the allocation gate on device construction, which
+// every ProfileApp call and every daemon job pays once: sim.NewDeviceMem must
+// not allocate more often than it did before the SM's wake table existed
+// (the ceilings are this test's readings at e2075b5; with one backing per SM
+// for each slot table the count fell to 592 and 940 — see EXPERIMENTS.md "A
+// tick costs what changes in it").
+func TestDeviceBuildAllocs(t *testing.T) {
+	for _, c := range []struct {
+		spec    *gpu.Spec
+		ceiling float64
+	}{{gpu.GTX1070(), 712}, {gpu.QuadroRTX4000(), 1047}} {
+		got := testing.AllocsPerRun(5, func() { NewDeviceMem(c.spec, DefaultMemBytes) })
+		t.Logf("%s: %v mallocs per device build", c.spec.Name, got)
+		if got > c.ceiling {
+			t.Errorf("%s: NewDeviceMem allocates %v times, ceiling %v", c.spec.Name, got, c.ceiling)
+		}
+	}
+}

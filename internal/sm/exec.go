@@ -31,6 +31,7 @@ func (s *SM) issue(sp *subpart, w *warp, now uint64) {
 	pc := w.stack[topIdx].pc
 	in := &w.block.launch.Program.Instrs[pc]
 	d := &w.block.dec.instrs[pc]
+	w.ready = nil // the next instruction's fetch and scoreboard are unproven
 	active := w.activeMask()
 	pmask := w.predMask(in.Pred, in.PredNeg) & active
 	spec := s.spec
@@ -72,33 +73,19 @@ func (s *SM) issue(sp *subpart, w *warp, now uint64) {
 		w.setRegReady(in.Dst, now+uint64(spec.ALULatency), depFixed)
 
 	case in.Op == isa.OpMOV32:
-		for lane := 0; lane < 32; lane++ {
-			if pmask&(1<<lane) != 0 {
-				w.regs[in.Dst][lane] = uint64(in.Imm)
-			}
-		}
+		var res [32]uint64
+		fill(&res, uint64(in.Imm))
+		w.store(in.Dst, &res, pmask)
 		w.setRegReady(in.Dst, now+uint64(spec.ALULatency), depFixed)
 
 	case in.Op == isa.OpMOV:
-		for lane := 0; lane < 32; lane++ {
-			if pmask&(1<<lane) != 0 {
-				w.regs[in.Dst][lane] = w.readReg(in.Srcs[0], lane)
-			}
-		}
+		w.store(in.Dst, w.row(in.Srcs[0]), pmask)
 		w.setRegReady(in.Dst, now+uint64(spec.ALULatency), depFixed)
 
 	case in.Op == isa.OpSEL:
 		sel := w.predMask(in.PDst, false)
-		for lane := 0; lane < 32; lane++ {
-			if pmask&(1<<lane) == 0 {
-				continue
-			}
-			if sel&(1<<lane) != 0 {
-				w.regs[in.Dst][lane] = w.readReg(in.Srcs[0], lane)
-			} else {
-				w.regs[in.Dst][lane] = w.readReg(in.Srcs[1], lane)
-			}
-		}
+		w.store(in.Dst, w.row(in.Srcs[1]), pmask&^sel)
+		w.store(in.Dst, w.row(in.Srcs[0]), pmask&sel)
 		w.setRegReady(in.Dst, now+uint64(spec.ALULatency), depFixed)
 
 	case in.Op == isa.OpVOTE:
@@ -106,52 +93,24 @@ func (s *SM) issue(sp *subpart, w *warp, now uint64) {
 		if in.PDst == isa.PT {
 			ballot = uint64(pmask)
 		}
-		for lane := 0; lane < 32; lane++ {
-			if pmask&(1<<lane) != 0 {
-				w.regs[in.Dst][lane] = ballot
-			}
-		}
+		var res [32]uint64
+		fill(&res, ballot)
+		w.store(in.Dst, &res, pmask)
 		w.setRegReady(in.Dst, now+uint64(spec.ALULatency), depFixed)
 
 	case in.Op == isa.OpSHFL:
-		var snap [32]uint64
-		for lane := 0; lane < 32; lane++ {
-			snap[lane] = w.readReg(in.Srcs[0], lane)
+		src := w.row(in.Srcs[0])
+		var res [32]uint64
+		for lane := range res {
+			res[lane] = src[lane^int(in.Imm&31)]
 		}
-		for lane := 0; lane < 32; lane++ {
-			if pmask&(1<<lane) != 0 {
-				w.regs[in.Dst][lane] = snap[lane^int(in.Imm&31)]
-			}
-		}
+		w.store(in.Dst, &res, pmask)
 		done := now + uint64(spec.SharedLatency)/2
 		w.setRegReady(in.Dst, done, depShort)
 		sp.mioQueue.Push(done)
 
 	case in.Op == isa.OpMUFU:
-		for lane := 0; lane < 32; lane++ {
-			if pmask&(1<<lane) == 0 {
-				continue
-			}
-			x := f32val(w.readReg(in.Srcs[0], lane))
-			var r float32
-			switch in.Mufu {
-			case isa.MufuRCP:
-				r = 1 / x
-			case isa.MufuRSQ:
-				r = float32(1 / math.Sqrt(float64(x)))
-			case isa.MufuSQRT:
-				r = float32(math.Sqrt(float64(x)))
-			case isa.MufuSIN:
-				r = float32(math.Sin(float64(x)))
-			case isa.MufuCOS:
-				r = float32(math.Cos(float64(x)))
-			case isa.MufuLG2:
-				r = float32(math.Log2(float64(x)))
-			case isa.MufuEX2:
-				r = float32(math.Exp2(float64(x)))
-			}
-			w.regs[in.Dst][lane] = f32bits(r)
-		}
+		execMUFU(&w.regs[in.Dst], w.row(in.Srcs[0]), in.Mufu, pmask)
 		w.setRegReady(in.Dst, now+uint64(spec.SFULatency), depFixed)
 
 	case in.Op == isa.OpISETP || in.Op == isa.OpFSETP || in.Op == isa.OpDSETP:
@@ -228,52 +187,77 @@ func (s *SM) issue(sp *subpart, w *warp, now uint64) {
 	sp.dispatchFree = now + dispatchCycles
 }
 
+// The functional lane loops below decide the opcode once per instruction and
+// then run over whole 32-lane operand rows. They compute every lane — the
+// operations are pure, so a value computed for an inactive lane is simply
+// dropped — and store merges the lanes of the issue mask into the destination.
+
+// zeroRow is the operand row of RZ. Never written.
+var zeroRow [32]uint64
+
+// row returns the register's 32-lane operand row, with RZ reading zero.
+func (w *warp) row(r isa.Reg) *[32]uint64 {
+	if r == isa.RZ {
+		return &zeroRow
+	}
+	return &w.regs[r]
+}
+
+// store writes the lanes of res selected by mask into register r. res may
+// alias the destination row or another register's.
+func (w *warp) store(r isa.Reg, res *[32]uint64, mask uint32) {
+	dst := &w.regs[r]
+	if mask == 0xFFFFFFFF {
+		*dst = *res
+		return
+	}
+	for ; mask != 0; mask &= mask - 1 {
+		lane := bits.TrailingZeros32(mask) & 31
+		dst[lane] = res[lane]
+	}
+}
+
+func fill(row *[32]uint64, v uint64) {
+	for lane := range row {
+		row[lane] = v
+	}
+}
+
 func (s *SM) execS2R(w *warp, in *isa.Instr, pmask uint32, now uint64) {
 	blk := w.block
-	grid := blk.launch.Grid.Norm()
-	block := blk.launch.Block.Norm()
-	for lane := 0; lane < 32; lane++ {
-		if pmask&(1<<lane) == 0 {
-			continue
+	var res [32]uint64
+	switch sr := isa.SpecialReg(in.Imm); sr {
+	case isa.SRTidX, isa.SRTidY, isa.SRTidZ:
+		// One division for lane 0, then lanes walk the block row-major.
+		bd := blk.launch.Block.Norm()
+		x, y, z := blk.threadID(w.warpInBlock, 0)
+		for lane := range res {
+			res[lane] = uint64([3]int64{x, y, z}[sr-isa.SRTidX])
+			if x++; x == int64(bd.X) {
+				x = 0
+				if y++; y == int64(bd.Y) {
+					y, z = 0, z+1
+				}
+			}
 		}
-		var v int64
-		switch isa.SpecialReg(in.Imm) {
-		case isa.SRTidX:
-			x, _, _ := blk.threadID(w.warpInBlock, lane)
-			v = x
-		case isa.SRTidY:
-			_, y, _ := blk.threadID(w.warpInBlock, lane)
-			v = y
-		case isa.SRTidZ:
-			_, _, z := blk.threadID(w.warpInBlock, lane)
-			v = z
-		case isa.SRCtaIDX:
-			v = blk.ctaid[0]
-		case isa.SRCtaIDY:
-			v = blk.ctaid[1]
-		case isa.SRCtaIDZ:
-			v = blk.ctaid[2]
-		case isa.SRNTidX:
-			v = int64(block.X)
-		case isa.SRNTidY:
-			v = int64(block.Y)
-		case isa.SRNTidZ:
-			v = int64(block.Z)
-		case isa.SRNCtaIDX:
-			v = int64(grid.X)
-		case isa.SRNCtaIDY:
-			v = int64(grid.Y)
-		case isa.SRNCtaIDZ:
-			v = int64(grid.Z)
-		case isa.SRLaneID:
-			v = int64(lane)
-		case isa.SRWarpID:
-			v = int64(w.warpInBlock)
-		case isa.SRClockLo:
-			v = int64(now)
+	case isa.SRCtaIDX, isa.SRCtaIDY, isa.SRCtaIDZ:
+		fill(&res, uint64(blk.ctaid[sr-isa.SRCtaIDX]))
+	case isa.SRNTidX, isa.SRNTidY, isa.SRNTidZ:
+		bd := blk.launch.Block.Norm()
+		fill(&res, uint64([3]int{bd.X, bd.Y, bd.Z}[sr-isa.SRNTidX]))
+	case isa.SRNCtaIDX, isa.SRNCtaIDY, isa.SRNCtaIDZ:
+		gd := blk.launch.Grid.Norm()
+		fill(&res, uint64([3]int{gd.X, gd.Y, gd.Z}[sr-isa.SRNCtaIDX]))
+	case isa.SRLaneID:
+		for lane := range res {
+			res[lane] = uint64(lane)
 		}
-		w.regs[in.Dst][lane] = uint64(v)
+	case isa.SRWarpID:
+		fill(&res, uint64(w.warpInBlock))
+	case isa.SRClockLo:
+		fill(&res, now)
 	}
+	w.store(in.Dst, &res, pmask)
 }
 
 // readReg returns a lane's register value, with RZ reading zero.
@@ -284,168 +268,230 @@ func (w *warp) readReg(r isa.Reg, lane int) uint64 {
 	return w.regs[r][lane]
 }
 
-// intOperandB implements the uniform "operand B = Srcs[1] + Imm" rule for
-// integer operations, which gives immediate forms when Srcs[1] is RZ.
-func (w *warp) intOperandB(in *isa.Instr, lane int) int64 {
-	return int64(w.readReg(in.Srcs[1], lane)) + in.Imm
+// fpOperandB is operand B of a floating-point instruction: the Srcs[1] row,
+// or — the immediate form, Srcs[1] == RZ with a non-zero Imm — buf filled
+// with the bit pattern in Imm.
+func (w *warp) fpOperandB(in *isa.Instr, buf *[32]uint64) *[32]uint64 {
+	if in.Srcs[1] == isa.RZ && in.Imm != 0 {
+		fill(buf, uint64(in.Imm))
+		return buf
+	}
+	return w.row(in.Srcs[1])
 }
 
+// execSetp computes, for every lane, whether a < b and whether a > b, then
+// applies the comparison once to the two masks. An unordered pair (a NaN
+// operand) is neither, which makes it compare as equal: EQ, LE and GE hold,
+// NE, LT and GT do not. Integer operand B is Srcs[1] + Imm.
 func (s *SM) execSetp(w *warp, in *isa.Instr, pmask uint32, now uint64) {
-	var result uint32
-	for lane := 0; lane < 32; lane++ {
-		if pmask&(1<<lane) == 0 {
-			continue
-		}
-		var cmp int // -1, 0, +1
-		switch in.Op {
-		case isa.OpISETP:
-			a := int64(w.readReg(in.Srcs[0], lane))
-			b := w.intOperandB(in, lane)
-			switch {
-			case a < b:
-				cmp = -1
-			case a > b:
-				cmp = 1
-			}
-		case isa.OpFSETP:
-			a := f32val(w.readReg(in.Srcs[0], lane))
-			b := f32val(w.readReg(in.Srcs[1], lane))
-			if in.Srcs[1] == isa.RZ && in.Imm != 0 {
-				b = f32val(uint64(in.Imm))
-			}
-			switch {
-			case a < b:
-				cmp = -1
-			case a > b:
-				cmp = 1
-			}
-		case isa.OpDSETP:
-			a := f64val(w.readReg(in.Srcs[0], lane))
-			b := f64val(w.readReg(in.Srcs[1], lane))
-			if in.Srcs[1] == isa.RZ && in.Imm != 0 {
-				b = f64val(uint64(in.Imm))
-			}
-			switch {
-			case a < b:
-				cmp = -1
-			case a > b:
-				cmp = 1
-			}
-		}
-		var t bool
-		switch in.Cmp {
-		case isa.CmpEQ:
-			t = cmp == 0
-		case isa.CmpNE:
-			t = cmp != 0
-		case isa.CmpLT:
-			t = cmp < 0
-		case isa.CmpLE:
-			t = cmp <= 0
-		case isa.CmpGT:
-			t = cmp > 0
-		case isa.CmpGE:
-			t = cmp >= 0
-		}
-		if t {
-			result |= 1 << lane
-		}
-	}
-	w.setPred(in.PDst, pmask, result)
+	var buf [32]uint64
+	var lt, gt uint32
+	a := w.row(in.Srcs[0])
 	lat := s.spec.ALULatency
-	if in.Op == isa.OpFSETP {
+	switch in.Op {
+	case isa.OpISETP:
+		b := w.row(in.Srcs[1])
+		for lane := range a {
+			x, y := int64(a[lane]), int64(b[lane])+in.Imm
+			lt |= b2u(x < y) << lane
+			gt |= b2u(x > y) << lane
+		}
+	case isa.OpFSETP:
+		b := w.fpOperandB(in, &buf)
+		for lane := range a {
+			x, y := f32val(a[lane]), f32val(b[lane])
+			lt |= b2u(x < y) << lane
+			gt |= b2u(x > y) << lane
+		}
 		lat = s.spec.FMALatency
-	} else if in.Op == isa.OpDSETP {
+	case isa.OpDSETP:
+		b := w.fpOperandB(in, &buf)
+		for lane := range a {
+			x, y := f64val(a[lane]), f64val(b[lane])
+			lt |= b2u(x < y) << lane
+			gt |= b2u(x > y) << lane
+		}
 		lat = s.spec.FP64Latency
 	}
+	var result uint32
+	switch in.Cmp {
+	case isa.CmpEQ:
+		result = ^(lt | gt)
+	case isa.CmpNE:
+		result = lt | gt
+	case isa.CmpLT:
+		result = lt
+	case isa.CmpLE:
+		result = ^gt
+	case isa.CmpGT:
+		result = gt
+	case isa.CmpGE:
+		result = ^lt
+	}
+	w.setPred(in.PDst, pmask, result)
 	if in.PDst != isa.PT {
 		w.predReady[in.PDst] = now + uint64(lat)
 	}
 }
 
-func (s *SM) execALU(w *warp, in *isa.Instr, pmask uint32, now uint64, lat uint64) {
-	for lane := 0; lane < 32; lane++ {
-		if pmask&(1<<lane) == 0 {
-			continue
-		}
-		var res uint64
-		switch in.Op {
-		case isa.OpIADD:
-			res = uint64(int64(w.readReg(in.Srcs[0], lane)) + w.intOperandB(in, lane))
-		case isa.OpISUB:
-			res = uint64(int64(w.readReg(in.Srcs[0], lane)) - w.intOperandB(in, lane))
-		case isa.OpIMUL:
-			res = uint64(int64(w.readReg(in.Srcs[0], lane)) * w.intOperandB(in, lane))
-		case isa.OpIMAD:
-			res = uint64(int64(w.readReg(in.Srcs[0], lane))*int64(w.readReg(in.Srcs[1], lane)) +
-				int64(w.readReg(in.Srcs[2], lane)) + in.Imm)
-		case isa.OpISHL:
-			res = uint64(int64(w.readReg(in.Srcs[0], lane)) << uint(w.intOperandB(in, lane)&63))
-		case isa.OpISHR:
-			res = uint64(int64(w.readReg(in.Srcs[0], lane)) >> uint(w.intOperandB(in, lane)&63))
-		case isa.OpIAND:
-			res = w.readReg(in.Srcs[0], lane) & uint64(w.intOperandB(in, lane))
-		case isa.OpIOR:
-			res = w.readReg(in.Srcs[0], lane) | uint64(w.intOperandB(in, lane))
-		case isa.OpIXOR:
-			res = w.readReg(in.Srcs[0], lane) ^ uint64(w.intOperandB(in, lane))
-		case isa.OpIMIN:
-			a, b := int64(w.readReg(in.Srcs[0], lane)), w.intOperandB(in, lane)
-			if b < a {
-				a = b
-			}
-			res = uint64(a)
-		case isa.OpIMAX:
-			a, b := int64(w.readReg(in.Srcs[0], lane)), w.intOperandB(in, lane)
-			if b > a {
-				a = b
-			}
-			res = uint64(a)
-		case isa.OpPOPC:
-			res = uint64(bits.OnesCount64(w.readReg(in.Srcs[0], lane)))
-		case isa.OpFADD:
-			res = f32bits(f32val(w.readReg(in.Srcs[0], lane)) + w.f32OperandB(in, lane))
-		case isa.OpFMUL:
-			res = f32bits(f32val(w.readReg(in.Srcs[0], lane)) * w.f32OperandB(in, lane))
-		case isa.OpFFMA:
-			res = f32bits(f32val(w.readReg(in.Srcs[0], lane))*f32val(w.readReg(in.Srcs[1], lane)) +
-				f32val(w.readReg(in.Srcs[2], lane)))
-		case isa.OpFMIN:
-			res = f32bits(float32(math.Min(float64(f32val(w.readReg(in.Srcs[0], lane))), float64(w.f32OperandB(in, lane)))))
-		case isa.OpFMAX:
-			res = f32bits(float32(math.Max(float64(f32val(w.readReg(in.Srcs[0], lane))), float64(w.f32OperandB(in, lane)))))
-		case isa.OpI2F:
-			res = f32bits(float32(int64(w.readReg(in.Srcs[0], lane))))
-		case isa.OpF2I:
-			res = uint64(int64(f32val(w.readReg(in.Srcs[0], lane))))
-		case isa.OpDADD:
-			res = f64bits(f64val(w.readReg(in.Srcs[0], lane)) + w.f64OperandB(in, lane))
-		case isa.OpDMUL:
-			res = f64bits(f64val(w.readReg(in.Srcs[0], lane)) * w.f64OperandB(in, lane))
-		case isa.OpDFMA:
-			res = f64bits(f64val(w.readReg(in.Srcs[0], lane))*f64val(w.readReg(in.Srcs[1], lane)) +
-				f64val(w.readReg(in.Srcs[2], lane)))
-		default:
-			panic(fmt.Sprintf("sm: unhandled ALU op %s", in.Op))
-		}
-		w.regs[in.Dst][lane] = res
+func b2u(b bool) uint32 {
+	if b {
+		return 1
 	}
+	return 0
+}
+
+// f2i converts toward zero. For NaN and values outside int64 Go leaves the
+// conversion implementation-defined; the model pins math.MinInt64, amd64's
+// "integer indefinite", which is what the goldens were recorded with.
+func f2i(f float32) int64 {
+	if f >= -(1<<63) && f < 1<<63 {
+		return int64(f)
+	}
+	return math.MinInt64
+}
+
+// execALU runs one ALU/FMA/FP64 instruction. Integer operand B is
+// Srcs[1] + Imm, which gives the immediate forms when Srcs[1] is RZ;
+// floating-point operand B is fpOperandB.
+func (s *SM) execALU(w *warp, in *isa.Instr, pmask uint32, now uint64, lat uint64) {
+	a, b, c := w.row(in.Srcs[0]), w.row(in.Srcs[1]), w.row(in.Srcs[2])
+	imm := in.Imm
+	var buf, res [32]uint64
+	switch in.Op {
+	case isa.OpIADD:
+		for l := range res {
+			res[l] = uint64(int64(a[l]) + int64(b[l]) + imm)
+		}
+	case isa.OpISUB:
+		for l := range res {
+			res[l] = uint64(int64(a[l]) - (int64(b[l]) + imm))
+		}
+	case isa.OpIMUL:
+		for l := range res {
+			res[l] = uint64(int64(a[l]) * (int64(b[l]) + imm))
+		}
+	case isa.OpIMAD:
+		for l := range res {
+			res[l] = uint64(int64(a[l])*int64(b[l]) + int64(c[l]) + imm)
+		}
+	case isa.OpISHL:
+		for l := range res {
+			res[l] = uint64(int64(a[l]) << uint((int64(b[l])+imm)&63))
+		}
+	case isa.OpISHR:
+		for l := range res {
+			res[l] = uint64(int64(a[l]) >> uint((int64(b[l])+imm)&63))
+		}
+	case isa.OpIAND:
+		for l := range res {
+			res[l] = a[l] & uint64(int64(b[l])+imm)
+		}
+	case isa.OpIOR:
+		for l := range res {
+			res[l] = a[l] | uint64(int64(b[l])+imm)
+		}
+	case isa.OpIXOR:
+		for l := range res {
+			res[l] = a[l] ^ uint64(int64(b[l])+imm)
+		}
+	case isa.OpIMIN:
+		for l := range res {
+			res[l] = uint64(min(int64(a[l]), int64(b[l])+imm))
+		}
+	case isa.OpIMAX:
+		for l := range res {
+			res[l] = uint64(max(int64(a[l]), int64(b[l])+imm))
+		}
+	case isa.OpPOPC:
+		for l := range res {
+			res[l] = uint64(bits.OnesCount64(a[l]))
+		}
+	case isa.OpFADD:
+		b = w.fpOperandB(in, &buf)
+		for l := range res {
+			res[l] = f32bits(f32val(a[l]) + f32val(b[l]))
+		}
+	case isa.OpFMUL:
+		b = w.fpOperandB(in, &buf)
+		for l := range res {
+			res[l] = f32bits(f32val(a[l]) * f32val(b[l]))
+		}
+	case isa.OpFFMA:
+		// Unfused: the explicit conversion rounds the product, which forbids
+		// the fusion Go otherwise allows (and arm64, ppc64le, s390x perform).
+		for l := range res {
+			res[l] = f32bits(float32(f32val(a[l])*f32val(b[l])) + f32val(c[l]))
+		}
+	case isa.OpFMIN:
+		// math.Min and math.Max: -0 orders below +0, and a NaN operand gives
+		// NaN (not the other operand, as IEEE minNum/maxNum would) unless the
+		// other is the infinity on the operation's side: Min(NaN, -Inf) is
+		// -Inf and Max(NaN, +Inf) is +Inf.
+		b = w.fpOperandB(in, &buf)
+		for l := range res {
+			res[l] = f32bits(float32(math.Min(float64(f32val(a[l])), float64(f32val(b[l])))))
+		}
+	case isa.OpFMAX:
+		b = w.fpOperandB(in, &buf)
+		for l := range res {
+			res[l] = f32bits(float32(math.Max(float64(f32val(a[l])), float64(f32val(b[l])))))
+		}
+	case isa.OpI2F:
+		for l := range res {
+			res[l] = f32bits(float32(int64(a[l])))
+		}
+	case isa.OpF2I:
+		for l := range res {
+			res[l] = uint64(f2i(f32val(a[l])))
+		}
+	case isa.OpDADD:
+		b = w.fpOperandB(in, &buf)
+		for l := range res {
+			res[l] = f64bits(f64val(a[l]) + f64val(b[l]))
+		}
+	case isa.OpDMUL:
+		b = w.fpOperandB(in, &buf)
+		for l := range res {
+			res[l] = f64bits(f64val(a[l]) * f64val(b[l]))
+		}
+	case isa.OpDFMA:
+		for l := range res { // unfused, as FFMA
+			res[l] = f64bits(float64(f64val(a[l])*f64val(b[l])) + f64val(c[l]))
+		}
+	default:
+		panic(fmt.Sprintf("sm: unhandled ALU op %s", in.Op))
+	}
+	w.store(in.Dst, &res, pmask)
 	// lat is the decoded pipe latency (FMA/FP64/ALU per the spec).
 	w.setRegReady(in.Dst, now+lat, depFixed)
 }
 
-func (w *warp) f32OperandB(in *isa.Instr, lane int) float32 {
-	if in.Srcs[1] == isa.RZ && in.Imm != 0 {
-		return f32val(uint64(in.Imm))
-	}
-	return f32val(w.readReg(in.Srcs[1], lane))
+// mufuFuncs are the SFU functions, each evaluated in float64 and rounded
+// once to float32 (for RCP that equals the float32 quotient: a double
+// rounding through 53 bits is innocuous for a 24-bit division).
+var mufuFuncs = [...]func(float64) float64{
+	isa.MufuRCP:  func(x float64) float64 { return 1 / x },
+	isa.MufuRSQ:  func(x float64) float64 { return 1 / math.Sqrt(x) },
+	isa.MufuSQRT: math.Sqrt,
+	isa.MufuSIN:  math.Sin,
+	isa.MufuCOS:  math.Cos,
+	isa.MufuLG2:  math.Log2,
+	isa.MufuEX2:  math.Exp2,
 }
 
-func (w *warp) f64OperandB(in *isa.Instr, lane int) float64 {
-	if in.Srcs[1] == isa.RZ && in.Imm != 0 {
-		return f64val(uint64(in.Imm))
+// execMUFU applies the SFU function to the lanes of mask only: unlike the ALU
+// operations a transcendental is too costly to compute for idle lanes. An
+// unknown function writes zero.
+func execMUFU(dst, src *[32]uint64, fn isa.MufuFunc, mask uint32) {
+	f := func(float64) float64 { return 0 }
+	if int(fn) < len(mufuFuncs) {
+		f = mufuFuncs[fn]
 	}
-	return f64val(w.readReg(in.Srcs[1], lane))
+	for ; mask != 0; mask &= mask - 1 {
+		lane := bits.TrailingZeros32(mask) & 31
+		dst[lane] = f32bits(float32(f(float64(f32val(src[lane])))))
+	}
 }
 
 // execMemory handles every load/store/atomic. It returns the number of

@@ -1,8 +1,10 @@
 package sm
 
 import (
+	"fmt"
 	"testing"
 
+	"gputopdown/internal/gpu"
 	"gputopdown/internal/isa"
 	"gputopdown/internal/kernel"
 )
@@ -110,50 +112,64 @@ func TestDecodeProgramCached(t *testing.T) {
 	}
 }
 
-// runOneBlockWake is runOneBlock with the wake-list skip forced off, giving
-// the classify-every-warp-every-tick reference engine.
-func runOneBlockWake(t *testing.T, l *kernel.Launch, ff, noWakeList bool) smRun {
-	t.Helper()
-	s := testSMBacked()
-	s.noWakeList = noWakeList
-	if !s.CanAccept(l) {
-		t.Fatalf("block of %s does not fit on an idle SM", l.Program.Name)
-	}
-	s.LaunchBlock(l, [3]int64{}, 0)
-	var r smRun
-	for guard := 0; s.Busy(); guard++ {
-		if guard > 2_000_000 {
-			t.Fatalf("%s: SM did not go idle", l.Program.Name)
-		}
-		s.Tick()
-		if ff {
-			if w := s.NextWakeup(); w > s.Cycle() {
-				s.AdvanceTo(w)
-				r.skips++
-			}
-		}
-	}
-	r.ctr = s.Counters()
-	r.cycles = s.Cycle()
-	return r
+// accountingLaunches is the kernel set the accounting tests run: barrier
+// release by a dying peer, store drain, long-scoreboard stalls, an empty
+// subpartition, a fully occupied SM, steady memory traffic, and — in
+// divergentMembarLaunch — MEMBAR, divergent branches and a partial last warp.
+func accountingLaunches() []*kernel.Launch {
+	return []*kernel.Launch{barrierDrainLaunch(), singleWarpLaunch(), multiSubpartLaunch(),
+		saturatingLaunch(), memSteadyLaunch(), divergentMembarLaunch()}
 }
 
-// TestWakeListEquivalence demands bit-identical counters with the per-warp
-// wake-list skip on and off, for kernels covering barrier release by a dying
-// peer, store drain, long-scoreboard stalls and empty subpartitions — the
-// cases where a stale skip would mis-account warp states.
+// divergentMembarLaunch builds a 72-thread block (two full warps and an
+// 8-lane one) whose lanes diverge on parity, store on both paths, fence and
+// store again.
+func divergentMembarLaunch() *kernel.Launch {
+	b := kernel.NewBuilder("divmembar")
+	gid := b.GlobalIDX()
+	addr := b.IAddImm(b.Shl(gid, 2), 16384)
+	v := b.Ldg(addr, 0, 4)
+	b.If(b.ISetpImm(isa.CmpEQ, b.AndImm(gid, 1), 0))
+	b.Stg(addr, b.IAdd(v, gid), 0, 4)
+	b.Else()
+	b.Stg(addr, b.IMul(v, gid), 2048, 4)
+	b.EndIf()
+	b.Membar()
+	b.Stg(addr, v, 4096, 4)
+	b.Exit()
+	return &kernel.Launch{
+		Program: b.MustBuild(),
+		Grid:    kernel.Dim3{X: 1},
+		Block:   kernel.Dim3{X: 72},
+	}
+}
+
+// TestWakeListEquivalence demands bit-identical counters — at the end and
+// every 97 cycles on the way — between the reference engine (noWakeList:
+// neither the wake-table skip nor sticky readiness, every warp classified
+// from scratch every tick) and the production loop with and without
+// fast-forward, for kernels covering the cases where a stale skip or a stale
+// readiness flag would mis-account warp states.
 func TestWakeListEquivalence(t *testing.T) {
-	for _, l := range []*kernel.Launch{barrierDrainLaunch(), singleWarpLaunch()} {
-		ref := runOneBlockWake(t, l, false, true)
+	for _, l := range accountingLaunches() {
+		ref := runOneBlock(t, l, runCfg{noWakeList: true, every: 97})
 		for _, ff := range []bool{false, true} {
-			got := runOneBlockWake(t, l, ff, false)
-			if got.cycles != ref.cycles {
-				t.Errorf("%s ff=%v: cycles %d, want %d", l.Program.Name, ff, got.cycles, ref.cycles)
-			}
-			if got.ctr != ref.ctr {
-				t.Errorf("%s ff=%v: counters diverge from no-wake-list engine:\nref: %+v\ngot: %+v",
-					l.Program.Name, ff, ref.ctr, got.ctr)
-			}
+			got := runOneBlock(t, l, runCfg{ff: ff, every: 97})
+			assertSameRun(t, fmt.Sprintf("%s ff=%v", l.Program.Name, ff), ref, got)
+		}
+	}
+}
+
+// TestTraceSamplesMatchReference demands identical intra-kernel trace samples
+// from the reference engine ticking every cycle and the production loop under
+// fast-forward, at intervals shorter than, comparable to and longer than the
+// skip windows.
+func TestTraceSamplesMatchReference(t *testing.T) {
+	for _, l := range accountingLaunches() {
+		for _, interval := range []uint64{1, 50, 1000} {
+			ref := runOneBlock(t, l, runCfg{trace: interval, noWakeList: true})
+			got := runOneBlock(t, l, runCfg{trace: interval, ff: true})
+			assertSameRun(t, fmt.Sprintf("%s interval=%d", l.Program.Name, interval), ref, got)
 		}
 	}
 }
@@ -171,9 +187,10 @@ func TestWakeListSkipsClassify(t *testing.T) {
 			t.Fatal("SM did not go idle")
 		}
 		s.Tick()
-		for _, sp := range s.subparts {
-			for _, w := range sp.warps {
-				if w != nil && w.wakeAt > s.Cycle()+1 {
+		for i := range s.subparts {
+			sp := &s.subparts[i]
+			for slot, w := range sp.warps {
+				if w != nil && sp.wakeAt[slot] > s.Cycle()+1 {
 					armed = true
 				}
 			}
@@ -341,7 +358,7 @@ func TestBlockWarpRecycle(t *testing.T) {
 
 // saturatingLaunch fills every warp slot (8 warps per subpartition) with
 // independent FFMA/IADD chains so some warp can issue on every cycle —
-// the maxflops-like regime the adaptive hysteresis exists for.
+// the maxflops-like regime in which nothing is ever skippable.
 func saturatingLaunch() *kernel.Launch {
 	b := kernel.NewBuilder("saturate")
 	gid := b.GlobalIDX()
@@ -363,69 +380,67 @@ func saturatingLaunch() *kernel.Launch {
 	}
 }
 
-// TestAdaptiveFFGoesHotAndRearms drives a saturating ALU kernel and checks
-// the hysteresis actually disables tracking, then re-arms by drain time —
-// with counters identical to the non-adaptive engine.
-func TestAdaptiveFFGoesHotAndRearms(t *testing.T) {
-	l := saturatingLaunch()
-
-	run := func(adaptive bool) (Counters, uint64, bool) {
-		s := testSMBacked()
-		s.SetAdaptiveFF(adaptive)
-		s.LaunchBlock(l, [3]int64{}, 0)
-		wentHot := false
-		for guard := 0; s.Busy(); guard++ {
-			if guard > 2_000_000 {
-				t.Fatal("SM did not go idle")
-			}
-			s.Tick()
-			if !s.wakeTrack {
-				wentHot = true
-			}
-			if w := s.NextWakeup(); w > s.Cycle() {
-				s.AdvanceTo(w)
-			}
-		}
-		if !s.wakeTrack {
-			t.Error("tracking still off after drain; re-arm failed")
-		}
-		return s.Counters(), s.Cycle(), wentHot
-	}
-
-	ctrAdaptive, cycAdaptive, hot := run(true)
-	if !hot {
-		t.Error("adaptive hysteresis never disabled tracking on a saturating kernel")
-	}
-	ctrAlways, cycAlways, hotOff := run(false)
-	if hotOff {
-		t.Error("tracking disabled with adaptive fast-forward off")
-	}
-	if ctrAdaptive != ctrAlways || cycAdaptive != cycAlways {
-		t.Errorf("adaptive engine diverged: cycles %d vs %d", cycAdaptive, cycAlways)
-	}
-}
-
-func benchTickLoop(b *testing.B, l *kernel.Launch) {
-	s := testSMBacked()
-	s.LaunchBlock(l, [3]int64{}, 0)
+// benchTickLoop ticks an SM kept busy with the given number of resident
+// blocks of l, relaunching them whenever it drains.
+func benchTickLoop(b *testing.B, s *SM, l *kernel.Launch, blocks int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if !s.Busy() {
-			s.LaunchBlock(l, [3]int64{}, 0)
+			for j := 0; j < blocks; j++ {
+				s.LaunchBlock(l, [3]int64{}, 0)
+			}
 		}
 		s.Tick()
 	}
 }
 
-// BenchmarkIssueALU measures the per-cycle cost of a saturated ALU SM —
-// the decoded-cache and adaptive-tracking fast path.
+// BenchmarkIssueALU measures the per-cycle cost of a saturated ALU SM:
+// classify with sticky readiness, pick, and the FFMA lane loop.
 func BenchmarkIssueALU(b *testing.B) {
-	benchTickLoop(b, steadyLaunch())
+	benchTickLoop(b, testSMBacked(), steadyLaunch(), 1)
 }
 
 // BenchmarkIssueMemory measures the per-cycle cost with the LSU path hot:
 // coalescing, queue pushes and store tracking.
 func BenchmarkIssueMemory(b *testing.B) {
-	benchTickLoop(b, memSteadyLaunch())
+	benchTickLoop(b, testSMBacked(), memSteadyLaunch(), 1)
+}
+
+// stalledLaunch builds a 1024-thread block in which the warps of
+// subpartition 0 (every fourth warp on a GTX 1070) run an FFMA loop while all
+// the others chase a dependent chain of global loads around a 256 KiB ring —
+// larger than the L1, so every iteration waits an L2 round trip on the long
+// scoreboard.
+func stalledLaunch() *kernel.Launch {
+	b := kernel.NewBuilder("stalled")
+	gid := b.GlobalIDX()
+	off := b.Shl(gid, 2)
+	x := b.I2F(gid)
+	b.If(b.ISetpImm(isa.CmpEQ, b.AndImm(b.S2R(isa.SRWarpID), 3), 0))
+	b.ForImm(0, 200, 1)
+	b.MovTo(x, b.FFma(x, x, x))
+	b.EndFor()
+	b.Else()
+	b.ForImm(0, 60, 1)
+	v := b.Ldg(off, 8192, 4) // the ring is never written: v is zero, but a true dependency
+	b.MovTo(off, b.AndImm(b.IAddImm(b.IAdd(off, v), 4096), 1<<18-1))
+	b.EndFor()
+	b.EndIf()
+	b.Stg(b.Shl(gid, 2), x, 8192+1<<18, 4)
+	b.Exit()
+	return &kernel.Launch{
+		Program: b.MustBuild(),
+		Grid:    kernel.Dim3{X: 1},
+		Block:   kernel.Dim3{X: 1024},
+	}
+}
+
+// BenchmarkTickStalled measures the per-cycle cost when most of a full SM is
+// blocked: 64 resident warps on a GTX 1070, 48 of them on long-scoreboard
+// loads, one subpartition issuing. Fast-forward cannot skip (something issues
+// every cycle), so this is the regime the wake table serves: a tick must cost
+// what changes in it, not what is resident.
+func BenchmarkTickStalled(b *testing.B) {
+	benchTickLoop(b, testSMOf(gpu.GTX1070().WithSMs(1)), stalledLaunch(), 2)
 }

@@ -12,8 +12,16 @@ import (
 // subpart is one SM subpartition: a warp scheduler, a dispatch unit, one
 // instance of each execution pipe and the memory instruction queues.
 type subpart struct {
-	warps        []*warp // fixed slots, nil = free
-	nres         int     // occupied slots, maintained by LaunchBlock/reapFinished
+	warps []*warp // fixed slots, nil = free
+	nres  int     // occupied slots, maintained by LaunchBlock/reapFinished
+
+	// wakeAt is the wake table, parallel to warps: the bound returned by the
+	// slot's most recent classify. While now < wakeAt, Tick skips the slot —
+	// classify's contract guarantees a re-run would return the same state and
+	// mutate nothing — and a free slot reads neverWake, so the skip scan is a
+	// run over contiguous words that never touches a warp.
+	wakeAt []uint64
+
 	pipeFree     [isa.NumPipes]uint64
 	dispatchFree uint64
 	lgQueue      *mem.TimedQueue
@@ -34,8 +42,9 @@ type SM struct {
 	icache    *mem.Cache
 	storage   *mem.Storage
 	constBank *mem.ConstantBank
-	subparts  []*subpart
+	subparts  []subpart
 	blocks    []*blockCtx
+	lrr       bool // spec.SchedulingPolicy == "lrr", decided once in New
 
 	cycle     uint64
 	fetchBusy uint64
@@ -53,22 +62,14 @@ type SM struct {
 	tickEvent    bool
 	residencyVer uint64
 
-	// Adaptive fast-forward hysteresis. Wakeup bookkeeping (per-warp bound
-	// minimisation, the state histogram AdvanceTo replays) is pure overhead
-	// while the SM issues every cycle, so after adaptiveHotTicks consecutive
-	// non-quiescent ticks wakeTrack turns the bookkeeping off; the first
-	// quiescent tick (every subpartition idle) re-arms it. Purely host-side:
-	// simulation results are bit-identical either way.
-	adaptiveFF bool
-	wakeTrack  bool
-	hotStreak  uint32
-
 	// drainCount tracks warps that have finished but still hold outstanding
 	// stores, so the per-tick reap scan runs only when it can reap.
 	drainCount int
 
-	// noWakeList disables the per-warp wake-list skip in Tick (test hook:
-	// the exactness test runs both ways and demands identical counters).
+	// noWakeList disables both classify shortcuts — the wake-table skip in
+	// Tick and the sticky readiness in classify — so every resident warp is
+	// classified from scratch every tick (test hook: the exactness tests run
+	// both ways and demand identical counters).
 	noWakeList bool
 
 	// progCache holds the per-program decoded-instruction tables (see
@@ -85,7 +86,6 @@ type SM struct {
 	// a tick in turn: Tick truncates it per subpartition and stores the
 	// (possibly re-grown) backing once per tick. sectorScratch backs
 	// CoalesceSectorsInto in the issue path.
-	stateScratch  [64]WarpState
 	candScratch   []int
 	sectorScratch []uint64
 
@@ -95,14 +95,6 @@ type SM struct {
 	// the SM: Device.ResetSMs rebuilds SMs after a failed kernel.
 	freeBlocks []*blockCtx
 	freeWarps  []*warp
-
-	// Quiet-span accounting snapshot, rebuilt by every Tick: how many
-	// resident warps sit in each state (by lastState), how many
-	// subpartitions have residents, and the total resident count. AdvanceTo
-	// replays these per-cycle deltas in O(states) instead of O(warps).
-	stateHist   [NumWarpStates]uint64
-	activeSubps uint64
-	histWarps   uint64
 
 	// Tracing: when traceInterval > 0 the SM snapshots a counter delta
 	// every traceInterval cycles, giving an intra-kernel timeline.
@@ -116,13 +108,17 @@ type SM struct {
 	residentWarps   int
 	residentRegs    int
 	residentShared  int
+	activeSubps     int // subpartitions with at least one resident warp
 
+	// ctr holds every closed accounting interval; the open interval of each
+	// resident warp is added by Counters.
 	ctr Counters
 }
 
 // New builds an SM around the device-shared memory system, global storage
 // and constant bank.
 func New(spec *gpu.Spec, id int, ms *mem.MemSys, storage *mem.Storage, constBank *mem.ConstantBank) *SM {
+	nsp, slots := spec.SubpartitionsPerSM, spec.WarpSlotsPerSubpartition
 	s := &SM{
 		spec:          spec,
 		id:            id,
@@ -130,18 +126,27 @@ func New(spec *gpu.Spec, id int, ms *mem.MemSys, storage *mem.Storage, constBank
 		icache:        mem.NewCache("L1I", spec.ICacheSize, spec.ICacheWays, spec.LineSize, spec.LineSize),
 		storage:       storage,
 		constBank:     constBank,
-		adaptiveFF:    true,
-		wakeTrack:     true,
-		candScratch:   make([]int, 0, spec.WarpSlotsPerSubpartition),
+		subparts:      make([]subpart, nsp),
+		lrr:           spec.SchedulingPolicy == "lrr",
+		candScratch:   make([]int, 0, slots),
 		sectorScratch: make([]uint64, 0, 64),
 	}
-	for i := 0; i < spec.SubpartitionsPerSM; i++ {
-		s.subparts = append(s.subparts, &subpart{
-			warps:    make([]*warp, spec.WarpSlotsPerSubpartition),
+	// One backing per slot table for the whole SM, carved per subpartition: a
+	// device build pays two allocations per SM however many subpartitions.
+	warps := make([]*warp, nsp*slots)
+	wakeAt := make([]uint64, nsp*slots)
+	for i := range wakeAt {
+		wakeAt[i] = neverWake
+	}
+	for i := range s.subparts {
+		lo, hi := i*slots, (i+1)*slots
+		s.subparts[i] = subpart{
+			warps:    warps[lo:hi:hi],
+			wakeAt:   wakeAt[lo:hi:hi],
 			lgQueue:  mem.NewTimedQueue(spec.LGQueueDepth),
 			mioQueue: mem.NewTimedQueue(spec.MIOQueueDepth),
 			texQueue: mem.NewTimedQueue(spec.TEXQueueDepth),
-		})
+		}
 	}
 	return s
 }
@@ -184,9 +189,9 @@ func (s *SM) CanAccept(l *kernel.Launch) bool {
 	// Warps are dealt to subpartitions round-robin starting at 0; each must
 	// have room for its share.
 	n := len(s.subparts)
-	for k, sp := range s.subparts {
+	for k := range s.subparts {
 		need := (wpb - k + n - 1) / n
-		if need > sp.freeSlots() {
+		if need > s.subparts[k].freeSlots() {
 			return false
 		}
 	}
@@ -214,7 +219,7 @@ func (s *SM) LaunchBlock(l *kernel.Launch, ctaid [3]int64, blockLinear int) {
 			members = (1 << rem) - 1
 		}
 		spIdx := wi % len(s.subparts)
-		sp := s.subparts[spIdx]
+		sp := &s.subparts[spIdx]
 		slot := -1
 		for j, ws := range sp.warps {
 			if ws == nil {
@@ -227,9 +232,13 @@ func (s *SM) LaunchBlock(l *kernel.Launch, ctaid [3]int64, blockLinear int) {
 		}
 		s.launchSeq++
 		w := take(&s.freeWarps)
-		w.reset(spIdx*len(sp.warps)+slot, spIdx, wi, blk, members, l.Program.NumRegs, s.launchSeq)
+		w.reset(spIdx, slot, wi, blk, members, l.Program.NumRegs, s.launchSeq)
+		w.since = s.cycle // classified at the next tick; until then the interval is empty
 		sp.warps[slot] = w
-		sp.nres++
+		sp.wakeAt[slot] = 0
+		if sp.nres++; sp.nres == 1 {
+			s.activeSubps++
+		}
 		blk.warps = append(blk.warps, w)
 	}
 	s.blocks = append(s.blocks, blk)
@@ -264,10 +273,13 @@ func (s *SM) checkBarrier(b *blockCtx) {
 		return
 	}
 	for _, w := range b.warps {
+		if !w.atBarrier {
+			continue // dead or already reaped: its slot may belong to another warp
+		}
 		w.atBarrier = false
-		// The release is a cross-warp event: drop the released warps'
-		// wake-list bounds so the next Tick reclassifies them immediately.
-		w.wakeAt = 0
+		// The release is a cross-warp event: drop the released warp's wake
+		// table entry so the next Tick reclassifies it immediately.
+		s.subparts[w.subp].wakeAt[w.slot] = 0
 	}
 	b.arrived = 0
 }
@@ -310,49 +322,49 @@ func (s *SM) ensureFetched(w *warp, pc int, now uint64) (bool, uint64) {
 // nothing. Bounds may be in the past (e.g. a drained store list); Tick
 // clamps them to now+1.
 func (s *SM) classify(sp *subpart, w *warp, now uint64) (state WarpState, eligible bool, wake uint64) {
-	// Fast path: still inside a known scoreboard-stall window.
-	if now < w.stallUntil {
-		return w.stallState, false, w.stallUntil
-	}
-	w.syncStack()
-	if w.finished {
-		if w.block.liveWarps > 0 && !w.deadCounted() {
-			w.markDead()
-			w.block.liveWarps--
-			s.drainCount++
-			s.checkBarrier(w.block)
-			// The death may have released the block barrier, changing
-			// peers classified earlier this tick: force a normal tick.
-			s.tickEvent = true
+	// Sticky readiness: every check down to the scoreboard reads state only
+	// this warp's own issue can change, so once passed they hold until then
+	// and only the subpartition conditions below are re-checked.
+	d := w.ready
+	if d == nil || s.noWakeList {
+		w.syncStack()
+		if w.finished {
+			if w.block.liveWarps > 0 && !w.deadCounted() {
+				w.markDead()
+				w.block.liveWarps--
+				s.drainCount++
+				s.checkBarrier(w.block)
+				// The death may have released the block barrier, changing
+				// peers classified earlier this tick: force a normal tick.
+				s.tickEvent = true
+			}
+			// Reaped by reapFinished at the last store's completion cycle.
+			return StateDrain, false, w.lastStoreDone()
 		}
-		// Reaped by reapFinished at the last store's completion cycle.
-		return StateDrain, false, w.lastStoreDone()
-	}
-	if w.atBarrier {
-		return StateBarrier, false, neverWake
-	}
-	if w.membarPending {
-		if w.drainStores(now) > 0 || now < w.fenceUntil {
-			return StateMembar, false, maxU64(w.lastStoreDone(), w.fenceUntil)
+		if w.atBarrier {
+			return StateBarrier, false, neverWake
 		}
-		w.membarPending = false
-	}
-	if now < w.nextEligible {
-		return w.eligibleReason, false, w.nextEligible
-	}
-	pc := w.top().pc
-	if pc >= w.block.launch.Program.Len() {
-		panic(fmt.Sprintf("sm %d: warp %d ran past program end (kernel %s)", s.id, w.id, w.block.launch.Program.Name))
-	}
-	if ok, fwake := s.ensureFetched(w, pc, now); !ok {
-		return StateNoInstruction, false, fwake
-	}
-	d := &w.block.dec.instrs[pc]
-	if ready, kind := w.scoreboardDec(d); ready > now {
-		st := kind.stallState()
-		w.stallUntil = ready
-		w.stallState = st
-		return st, false, ready
+		if w.membarPending {
+			if w.drainStores(now) > 0 || now < w.fenceUntil {
+				return StateMembar, false, maxU64(w.lastStoreDone(), w.fenceUntil)
+			}
+			w.membarPending = false
+		}
+		if now < w.nextEligible {
+			return w.eligibleReason, false, w.nextEligible
+		}
+		pc := w.top().pc
+		if pc >= w.block.launch.Program.Len() {
+			panic(fmt.Sprintf("sm %d: warp %d.%d ran past program end (kernel %s)", s.id, w.subp, w.slot, w.block.launch.Program.Name))
+		}
+		if ok, fwake := s.ensureFetched(w, pc, now); !ok {
+			return StateNoInstruction, false, fwake
+		}
+		d = &w.block.dec.instrs[pc]
+		if ready, kind := w.scoreboardDec(d); ready > now {
+			return kind.stallState(), false, ready
+		}
+		w.ready = d
 	}
 	if now < sp.dispatchFree {
 		return StateDispatchStall, false, sp.dispatchFree
@@ -383,7 +395,7 @@ func (s *SM) pick(sp *subpart, candidates []int) int {
 	if len(candidates) == 0 {
 		return -1
 	}
-	if s.spec.SchedulingPolicy == "lrr" {
+	if s.lrr {
 		// First eligible slot after the last issued one.
 		n := len(sp.warps)
 		for off := 1; off <= n; off++ {
@@ -412,104 +424,80 @@ func (s *SM) pick(sp *subpart, candidates []int) int {
 	return best
 }
 
-// adaptiveHotTicks is the hysteresis threshold for adaptive fast-forward:
-// after this many consecutive non-quiescent ticks, wakeup bookkeeping is
-// pure overhead (nothing is skippable while the SM keeps issuing) and turns
-// off until the next fully-idle tick.
-const adaptiveHotTicks = 64
+// enter closes the warp's open accounting interval at now and opens one in
+// state st. Every resident warp is in exactly one state each cycle, so its
+// residency is a sequence of such intervals and a cycle in which nothing
+// about the warp changes costs nothing.
+func (s *SM) enter(w *warp, st WarpState, now uint64) {
+	s.ctr.WarpStateCycles[w.state] += now - w.since
+	w.state, w.since = st, now
+}
 
 // Tick advances the SM one cycle and recomputes the fast-forward bound
 // (see NextWakeup).
 func (s *SM) Tick() {
 	now := s.cycle
 	s.ctr.ElapsedCycles++
-	activeWarps := 0
+	s.accountResidency(1)
 	quiet := true     // no issue, reap or cross-warp event this tick
 	wake := neverWake // min over ineligible warps' wakeup bounds
-	track := s.wakeTrack
-	if track {
-		s.stateHist = [NumWarpStates]uint64{}
-		s.activeSubps = 0
-	}
+	skip := !s.noWakeList
 
 	// candidates shares one backing array (s.candScratch) across every
 	// subpartition: pick consumes it before the next truncation, and the
 	// possibly re-grown backing is stored back exactly once after the loop.
 	candidates := s.candScratch[:0]
-	for _, sp := range s.subparts {
+	for i := range s.subparts {
+		sp := &s.subparts[i]
 		if sp.nres == 0 {
 			continue
 		}
 		candidates = candidates[:0]
-		states := &s.stateScratch
-		for slot, w := range sp.warps {
-			if w == nil {
-				continue
-			}
-			activeWarps++
-			if now < w.wakeAt && !s.noWakeList {
-				// Wake-list skip: the warp's last classify bound proves a
-				// re-run now would return lastState and mutate nothing.
-				// lastState is never Selected/NotSelected here (eligible
-				// warps get wakeAt = 0), so the winner pass below accounts
-				// the skipped warp exactly as a fresh classify would.
-				states[slot] = w.lastState
-				if w.wakeAt < wake {
-					wake = w.wakeAt
+		for slot, wa := range sp.wakeAt {
+			if skip && now < wa {
+				// Wake-table skip: the slot is free, or its last classify
+				// bound proves a re-run now would return the state of its open
+				// interval and mutate nothing. That state is never
+				// Selected/NotSelected (an eligible warp's entry is already in
+				// the past), so leaving the interval open accounts the cycle
+				// exactly as a fresh classify would.
+				if wa < wake {
+					wake = wa
 				}
 				continue
+			}
+			w := sp.warps[slot]
+			if w == nil {
+				continue // free slot, reached only under noWakeList
 			}
 			st, eligible, wb := s.classify(sp, w, now)
-			states[slot] = st
 			if eligible {
 				candidates = append(candidates, slot)
-				w.wakeAt = 0
-			} else {
-				if wb <= now {
-					wb = now + 1
-				}
-				if wb < wake {
-					wake = wb
-				}
-				w.wakeAt = wb
-			}
-		}
-		winner := s.pick(sp, candidates)
-		for slot, w := range sp.warps {
-			if w == nil {
 				continue
 			}
-			st := states[slot]
-			if slot == winner {
-				st = StateSelected
-			} else if st == StateSelected {
-				st = StateNotSelected // eligible but not picked
+			s.enter(w, st, now)
+			if wb <= now {
+				wb = now + 1
 			}
-			s.ctr.WarpStateCycles[st]++
-			if track {
-				s.stateHist[st]++
+			if wb < wake {
+				wake = wb
 			}
-			w.lastState = st
+			sp.wakeAt[slot] = wb
 		}
-		if winner >= 0 {
+		if winner := s.pick(sp, candidates); winner >= 0 {
+			for _, c := range candidates {
+				st := StateNotSelected // eligible but not picked
+				if c == winner {
+					st = StateSelected
+				}
+				s.enter(sp.warps[c], st, now)
+			}
 			s.issue(sp, sp.warps[winner], now)
 			sp.lastIssued = winner
 			quiet = false
 		}
-		s.ctr.SubpActiveCycles++
-		if track {
-			s.activeSubps++
-		}
 	}
 	s.candScratch = candidates[:0]
-
-	if track {
-		s.histWarps = uint64(activeWarps)
-	}
-	s.ctr.ActiveWarpCycles += uint64(activeWarps)
-	if activeWarps > 0 {
-		s.ctr.ActiveCycles++
-	}
 
 	if s.drainCount > 0 && s.reapFinished(now) {
 		quiet = false
@@ -525,29 +513,6 @@ func (s *SM) Tick() {
 		s.traceBase = cur
 	}
 
-	if !track {
-		// Bookkeeping is off: never fast-forward. Re-arm at the first
-		// quiescent tick — the tick on which every subpartition sat idle —
-		// or once the SM drains. That one tick's skip window is forfeited;
-		// the next tick rebuilds the histogram before any skip can happen.
-		if quiet || activeWarps == 0 {
-			s.wakeTrack = true
-			s.hotStreak = 0
-		}
-		s.nextWakeup = s.cycle
-		return
-	}
-	if s.adaptiveFF && activeWarps > 0 {
-		if quiet {
-			s.hotStreak = 0
-		} else if s.hotStreak++; s.hotStreak >= adaptiveHotTicks {
-			// adaptiveHotTicks consecutive non-quiescent ticks: the SM is
-			// issuing steadily, fast-forward has nothing to skip, and the
-			// histogram rebuild is pure overhead. Go hot.
-			s.wakeTrack = false
-			s.hotStreak = 0
-		}
-	}
 	if !quiet || wake <= s.cycle {
 		s.nextWakeup = s.cycle
 		return
@@ -564,19 +529,30 @@ func (s *SM) Tick() {
 	s.nextWakeup = wake
 }
 
+// accountResidency charges n cycles of the current residency: every resident
+// warp is active and every non-empty subpartition is active in each of them.
+func (s *SM) accountResidency(n uint64) {
+	s.ctr.ActiveWarpCycles += n * uint64(s.residentWarps)
+	s.ctr.SubpActiveCycles += n * uint64(s.activeSubps)
+	if s.residentWarps > 0 {
+		s.ctr.ActiveCycles += n
+	}
+}
+
 // NextWakeup returns the bound computed by the most recent Tick: the
 // earliest cycle at which the next Tick can differ from an exact repeat of
 // the last one. When the last tick issued an instruction, reaped a warp or
 // released a barrier, the bound is simply the current cycle (no skip).
 // Otherwise every resident warp is blocked with a known release cycle and
-// re-running Tick before the minimum of those would increment exactly the
-// same counters by exactly the same amounts — which is what AdvanceTo does
-// in O(warps) instead.
+// re-running Tick before the minimum of those would re-classify no warp and
+// change no residency — which is what AdvanceTo accounts in O(1) instead.
 func (s *SM) NextWakeup() uint64 { return s.nextWakeup }
 
-// AdvanceTo bulk-accounts the cycles [s.cycle, target) as exact repeats of
-// the last tick and jumps the clock to target. Only legal up to the bound
-// reported by NextWakeup; the panic guards the bit-identity invariant.
+// AdvanceTo jumps the clock to target, accounting the cycles [s.cycle,
+// target) as exact repeats of the last tick: residency is charged per cycle,
+// and every warp's open state interval simply grows with the clock. Only
+// legal up to the bound reported by NextWakeup; the panic guards the
+// bit-identity invariant.
 func (s *SM) AdvanceTo(target uint64) {
 	if target <= s.cycle {
 		return
@@ -585,29 +561,9 @@ func (s *SM) AdvanceTo(target uint64) {
 		panic(fmt.Sprintf("sm %d: AdvanceTo(%d) beyond wakeup bound %d", s.id, target, s.nextWakeup))
 	}
 	n := target - s.cycle
-	for st, c := range s.stateHist {
-		if c > 0 {
-			s.ctr.WarpStateCycles[st] += n * c
-		}
-	}
-	s.ctr.SubpActiveCycles += n * s.activeSubps
 	s.ctr.ElapsedCycles += n
-	s.ctr.ActiveWarpCycles += n * s.histWarps
-	if s.histWarps > 0 {
-		s.ctr.ActiveCycles += n
-	}
+	s.accountResidency(n)
 	s.cycle = target
-}
-
-// SetAdaptiveFF enables or disables the adaptive fast-forward hysteresis.
-// When disabled, wakeup bookkeeping runs on every tick (the PR3 behaviour).
-// Host-side only: simulation results are identical either way.
-func (s *SM) SetAdaptiveFF(on bool) {
-	s.adaptiveFF = on
-	if !on {
-		s.wakeTrack = true
-		s.hotStreak = 0
-	}
 }
 
 // ResidencyVersion increments whenever the SM's resource occupancy changes
@@ -621,7 +577,8 @@ func (s *SM) ResidencyVersion() uint64 { return s.residencyVer }
 // freed (a residency event that invalidates fast-forward bounds).
 func (s *SM) reapFinished(now uint64) bool {
 	reaped := false
-	for _, sp := range s.subparts {
+	for i := range s.subparts {
+		sp := &s.subparts[i]
 		for slot, w := range sp.warps {
 			if w == nil || !w.finished {
 				continue
@@ -629,8 +586,14 @@ func (s *SM) reapFinished(now uint64) bool {
 			if w.drainStores(now) > 0 {
 				continue
 			}
+			// The warp was resident through cycle now: settle the closed
+			// interval [since, now] and free the slot.
+			s.ctr.WarpStateCycles[w.state] += now + 1 - w.since
 			sp.warps[slot] = nil
-			sp.nres--
+			sp.wakeAt[slot] = neverWake
+			if sp.nres--; sp.nres == 0 {
+				s.activeSubps--
+			}
 			s.drainCount--
 			s.residentWarps--
 			s.residentThreads -= int(popcount(w.members))
@@ -665,7 +628,8 @@ func (s *SM) retireBlock(b *blockCtx) {
 // invariant checker uses it to assert the monotone-completion property that
 // NextCompletion (and hence every fast-forward wakeup bound) depends on.
 func (s *SM) CheckQueues(report func(queue string, subpart int)) {
-	for i, sp := range s.subparts {
+	for i := range s.subparts {
+		sp := &s.subparts[i]
 		if !sp.lgQueue.Sorted() {
 			report("lg", i)
 		}
@@ -678,9 +642,18 @@ func (s *SM) CheckQueues(report func(queue string, subpart int)) {
 	}
 }
 
-// Counters returns the SM's counters including the memory-path statistics.
+// Counters returns the SM's counters including the memory-path statistics
+// and the still-open state interval of every resident warp. It mutates
+// nothing: calling it mid-launch (trace samples do) changes no later value.
 func (s *SM) Counters() Counters {
 	c := s.ctr
+	for i := range s.subparts {
+		for _, w := range s.subparts[i].warps {
+			if w != nil {
+				c.WarpStateCycles[w.state] += s.cycle - w.since
+			}
+		}
+	}
 	st := s.dp.Stats()
 	c.GlobalLoads = st.GlobalLoads
 	c.GlobalStores = st.GlobalStores
@@ -698,10 +671,19 @@ func (s *SM) Counters() Counters {
 	return c
 }
 
-// ResetCounters zeroes all statistics (between profiler passes).
+// ResetCounters zeroes all statistics (between profiler passes). Open state
+// intervals of resident warps are re-anchored at the current cycle, so what
+// is counted afterwards is exactly what happens afterwards.
 func (s *SM) ResetCounters() {
 	s.ctr = Counters{}
 	s.dp.ResetStats()
+	for i := range s.subparts {
+		for _, w := range s.subparts[i].warps {
+			if w != nil {
+				w.since = s.cycle
+			}
+		}
+	}
 }
 
 // FlushCaches invalidates the SM-private caches (between profiler passes).
@@ -743,9 +725,8 @@ func (s *SM) ResetClock() {
 	s.fetchBusy = 0
 	s.nextWakeup = 0
 	s.tickEvent = false
-	s.wakeTrack = true
-	s.hotStreak = 0
-	for _, sp := range s.subparts {
+	for i := range s.subparts {
+		sp := &s.subparts[i]
 		sp.pipeFree = [isa.NumPipes]uint64{}
 		sp.dispatchFree = 0
 		sp.lgQueue.Reset()

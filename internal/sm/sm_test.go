@@ -62,9 +62,9 @@ func TestCountersAddSubRoundtrip(t *testing.T) {
 
 // newWarp is a fresh warp context, as LaunchBlock makes one when its free
 // list is empty.
-func newWarp(id, subp, warpInBlock int, blk *blockCtx, members uint32, numRegs int, seq uint64) *warp {
+func newWarp(subp, slot, warpInBlock int, blk *blockCtx, members uint32, numRegs int, seq uint64) *warp {
 	w := new(warp)
-	w.reset(id, subp, warpInBlock, blk, members, numRegs, seq)
+	w.reset(subp, slot, warpInBlock, blk, members, numRegs, seq)
 	return w
 }
 
@@ -265,7 +265,7 @@ func TestResetClockPanicsWhenBusy(t *testing.T) {
 
 func TestGTOPrefersSameWarp(t *testing.T) {
 	s := testSM()
-	sp := s.subparts[0]
+	sp := &s.subparts[0]
 	sp.warps[1] = &warp{launchSeq: 9}
 	sp.warps[3] = &warp{launchSeq: 4}
 	sp.warps[5] = &warp{launchSeq: 2}
@@ -284,9 +284,10 @@ func TestGTOPrefersSameWarp(t *testing.T) {
 }
 
 func TestLRRRotates(t *testing.T) {
-	s := testSM()
-	s.spec = func() *gpu.Spec { c := *s.spec; c.SchedulingPolicy = "lrr"; return &c }()
-	sp := s.subparts[0]
+	spec := *gpu.QuadroRTX4000().WithSMs(1)
+	spec.SchedulingPolicy = "lrr"
+	s := testSMOf(&spec)
+	sp := &s.subparts[0]
 	sp.lastIssued = 3
 	if got := s.pick(sp, []int{1, 3, 5}); got != 5 {
 		t.Errorf("LRR picked %d, want next-after-3 = 5", got)

@@ -11,8 +11,10 @@ import (
 
 // testSMBacked builds a single SM whose storage has a mapped scratch region
 // covering the addresses the wakeup-test kernels touch.
-func testSMBacked() *SM {
-	spec := gpu.QuadroRTX4000().WithSMs(1)
+func testSMBacked() *SM { return testSMOf(gpu.QuadroRTX4000().WithSMs(1)) }
+
+// testSMOf is testSMBacked for an arbitrary spec.
+func testSMOf(spec *gpu.Spec) *SM {
 	ms := mem.NewMemSys(spec)
 	st := mem.NewStorage(1 << 20)
 	st.Alloc(1 << 19) // map the low half; kernels address well below this
@@ -20,21 +22,30 @@ func testSMBacked() *SM {
 	return New(spec, 0, ms, st, cb)
 }
 
-// smRun drives one SM to completion on a single block. When ff is true it
-// jumps to NextWakeup whenever the bound allows, exactly as Device.Launch
-// does; skips counts the jump windows taken.
+// runCfg selects how runOneBlock drives the SM.
+type runCfg struct {
+	trace      uint64 // EnableTrace interval, 0 = off
+	ff         bool   // jump to NextWakeup whenever the bound allows, exactly as Device.Launch does
+	noWakeList bool   // reference engine: every warp classified from scratch every tick
+	every      uint64 // record Counters() whenever the clock reaches a multiple, 0 = never
+}
+
+// smRun is the outcome of driving one SM to completion on a single block;
+// skips counts the jump windows taken.
 type smRun struct {
 	ctr     Counters
 	cycles  uint64
 	skips   int
 	samples []Counters
+	snaps   []Counters
 }
 
-func runOneBlock(t *testing.T, l *kernel.Launch, traceInterval uint64, ff bool) smRun {
+func runOneBlock(t *testing.T, l *kernel.Launch, cfg runCfg) smRun {
 	t.Helper()
 	s := testSMBacked()
-	if traceInterval > 0 {
-		s.EnableTrace(traceInterval)
+	s.noWakeList = cfg.noWakeList
+	if cfg.trace > 0 {
+		s.EnableTrace(cfg.trace)
 	}
 	if !s.CanAccept(l) {
 		t.Fatalf("block of %s does not fit on an idle SM", l.Program.Name)
@@ -46,14 +57,27 @@ func runOneBlock(t *testing.T, l *kernel.Launch, traceInterval uint64, ff bool) 
 			t.Fatalf("%s: SM did not go idle", l.Program.Name)
 		}
 		s.Tick()
-		if w := s.NextWakeup(); w < s.Cycle() {
+		w := s.NextWakeup()
+		if w < s.Cycle() {
 			t.Fatalf("%s: NextWakeup %d behind clock %d", l.Program.Name, w, s.Cycle())
 		}
-		if ff {
-			if w := s.NextWakeup(); w > s.Cycle() {
-				s.AdvanceTo(w)
-				r.skips++
+		if cfg.ff && w > s.Cycle() {
+			r.skips++
+		}
+		// Under fast-forward, stop at every snapshot boundary on the way to
+		// the bound: a partial AdvanceTo is legal and leaves the bound intact.
+		for {
+			if cfg.every > 0 && s.Cycle()%cfg.every == 0 {
+				r.snaps = append(r.snaps, s.Counters())
 			}
+			if !cfg.ff || s.Cycle() >= w {
+				break
+			}
+			target := w
+			if cfg.every > 0 {
+				target = min(w, (s.Cycle()/cfg.every+1)*cfg.every)
+			}
+			s.AdvanceTo(target)
 		}
 	}
 	r.ctr = s.Counters()
@@ -67,23 +91,36 @@ func runOneBlock(t *testing.T, l *kernel.Launch, traceInterval uint64, ff bool) 
 // actually taking skips (otherwise the case exercises nothing).
 func assertEquivalent(t *testing.T, l *kernel.Launch, traceInterval uint64) {
 	t.Helper()
-	naive := runOneBlock(t, l, traceInterval, false)
-	ff := runOneBlock(t, l, traceInterval, true)
+	naive := runOneBlock(t, l, runCfg{trace: traceInterval})
+	ff := runOneBlock(t, l, runCfg{trace: traceInterval, ff: true})
 	if ff.skips == 0 {
 		t.Errorf("%s: fast-forward took no skips; case exercises nothing", l.Program.Name)
 	}
-	if naive.cycles != ff.cycles {
-		t.Errorf("%s: cycles differ: naive %d, ff %d", l.Program.Name, naive.cycles, ff.cycles)
+	assertSameRun(t, l.Program.Name, naive, ff)
+}
+
+// assertSameRun demands identical cycle counts, final counters, periodic
+// counter snapshots and trace samples.
+func assertSameRun(t *testing.T, name string, want, got smRun) {
+	t.Helper()
+	if want.cycles != got.cycles {
+		t.Errorf("%s: cycles %d, want %d", name, got.cycles, want.cycles)
 	}
-	if naive.ctr != ff.ctr {
-		t.Errorf("%s: counters differ:\nnaive: %+v\nff:    %+v", l.Program.Name, naive.ctr, ff.ctr)
+	if want.ctr != got.ctr {
+		t.Errorf("%s: counters differ:\nwant: %+v\ngot:  %+v", name, want.ctr, got.ctr)
 	}
-	if len(naive.samples) != len(ff.samples) {
-		t.Fatalf("%s: trace sample count differs: naive %d, ff %d", l.Program.Name, len(naive.samples), len(ff.samples))
-	}
-	for i := range naive.samples {
-		if naive.samples[i] != ff.samples[i] {
-			t.Errorf("%s: trace sample %d differs", l.Program.Name, i)
+	for _, series := range []struct {
+		what      string
+		want, got []Counters
+	}{{"snapshot", want.snaps, got.snaps}, {"trace sample", want.samples, got.samples}} {
+		if len(series.want) != len(series.got) {
+			t.Fatalf("%s: %d %ss, want %d", name, len(series.got), series.what, len(series.want))
+		}
+		for i := range series.want {
+			if series.want[i] != series.got[i] {
+				t.Errorf("%s: %s %d differs:\nwant: %+v\ngot:  %+v", name, series.what, i, series.want[i], series.got[i])
+				break
+			}
 		}
 	}
 }
@@ -143,7 +180,7 @@ func TestWakeupEmptySubpartitions(t *testing.T) {
 	// The empty subpartitions must contribute nothing to SubpActiveCycles:
 	// with one resident warp the closure SubpActiveCycles == ActiveCycles
 	// holds on a 4-subpartition SM.
-	r := runOneBlock(t, l, 0, true)
+	r := runOneBlock(t, l, runCfg{ff: true})
 	if r.ctr.SubpActiveCycles != r.ctr.ActiveCycles {
 		t.Errorf("SubpActiveCycles %d != ActiveCycles %d with a single resident warp",
 			r.ctr.SubpActiveCycles, r.ctr.ActiveCycles)

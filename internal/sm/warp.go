@@ -45,8 +45,7 @@ type stackEntry struct {
 
 // warp is one resident warp context.
 type warp struct {
-	id          int // slot index within the SM (debugging)
-	subp        int
+	subp, slot  int // subpartition and slot within it: the warp's wake-table entry
 	block       *blockCtx
 	warpInBlock int
 	launchSeq   uint64 // global age for greedy-then-oldest scheduling
@@ -67,12 +66,11 @@ type warp struct {
 	nextEligible   uint64
 	eligibleReason WarpState
 
-	// stallCache short-circuits reclassification while the warp is blocked
-	// on a scoreboard dependency whose release cycle is already known:
-	// nothing about the warp can change until then, because it cannot
-	// issue. stallUntil is the expiry; stallState the cached answer.
-	stallUntil uint64
-	stallState WarpState
+	// ready is the decoded instruction at the top of the stack once classify
+	// has found it fetched and scoreboard-clear (sticky readiness): both facts
+	// depend only on this warp's own issues, so they hold until issue clears
+	// ready. nil means not yet established.
+	ready *decodedInstr
 
 	atBarrier     bool
 	membarPending bool
@@ -88,19 +86,12 @@ type warp struct {
 	fetchedLine uint64
 	ifetchReady uint64
 
-	// lastState is the warp state accounted by the most recent Tick. The
-	// fast-forward engine (SM.AdvanceTo) replays it for every bulk-skipped
-	// cycle: while no warp on the SM can issue and no wakeup bound has
-	// expired, the per-cycle classification is provably constant.
-	lastState WarpState
-
-	// wakeAt is the warp's private wake-list entry: the bound returned by its
-	// most recent classify call. While now < wakeAt, Tick skips classify
-	// entirely and charges lastState — classify's contract guarantees it
-	// would return the same state and mutate nothing until then. Eligible
-	// warps always get wakeAt = 0 (never skipped), and checkBarrier resets
-	// released warps' wakeAt so a barrier release is seen immediately.
-	wakeAt uint64
+	// state and since are the warp's open accounting interval: it has been in
+	// state for the cycles [since, now), none of them added to
+	// Counters.WarpStateCycles yet (see SM.enter). While the wake table lets
+	// Tick skip the warp, the interval simply grows with the clock.
+	state WarpState
+	since uint64
 
 	finished bool
 	dead     bool // finished already accounted against block.liveWarps
@@ -116,10 +107,10 @@ func (w *warp) markDead() { w.dead = true }
 // field is rewritten, and of the old value only the slices' backing arrays
 // survive, re-sliced to this kernel's register count and zeroed. A recycled
 // warp is thereby indistinguishable from a freshly allocated one.
-func (w *warp) reset(id, subp, warpInBlock int, blk *blockCtx, members uint32, numRegs int, seq uint64) {
+func (w *warp) reset(subp, slot, warpInBlock int, blk *blockCtx, members uint32, numRegs int, seq uint64) {
 	*w = warp{
-		id:            id,
 		subp:          subp,
+		slot:          slot,
 		block:         blk,
 		warpInBlock:   warpInBlock,
 		launchSeq:     seq,
