@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test golden bench
+.PHONY: all build test bench-build verify golden bench
 
 all: build
 
@@ -9,6 +9,16 @@ build:
 
 test:
 	$(GO) test ./...
+
+# bench-build compiles bench/, a module of its own that imports the root
+# packages and that `./...` therefore never sees: a root-API change can break
+# it with build and test green. CI's "Build bench module" step runs this
+# target, so the local check and the CI check are the same command.
+bench-build:
+	cd bench && $(GO) vet . && $(GO) build -o /dev/null .
+
+# verify is what to run before sending a change.
+verify: build test bench-build
 
 # golden regenerates the committed canonical-report corpus under
 # internal/check/testdata/golden (every suite app on both evaluation GPUs).

@@ -90,7 +90,7 @@ var flagSurface = map[string]map[string]string{
 		map[string]string{"metrics": "", "list-metrics": ""}),
 	"gpuprofd": {
 		"addr": `":8791"`, "workers": "2", "queue": "64", "gpu": `"rtx4000"`, "timeout": "",
-		"max-attempts": "1", "drain-timeout": "2m0s", "log-level": `"info"`, "log-format": `"text"`,
+		"drain-timeout": "2m0s", "log-level": `"info"`, "log-format": `"text"`,
 	},
 	"whatif":    union(deviceFlags, workloadFlags, map[string]string{"level": "3", "param": "", "values": ""}),
 	"figures":   {"fig": `"all"`, "sms": "", "format": `"table"`, "out": ""},

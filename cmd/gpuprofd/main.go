@@ -1,7 +1,8 @@
 // Command gpuprofd is the profiling-as-a-service daemon: it accepts
-// profiling jobs over a versioned HTTP API, runs them on a bounded worker
-// pool with per-job deadlines and bounded retries, and drains gracefully
-// on SIGTERM/SIGINT (stop accepting, finish running jobs, exit 0).
+// profiling jobs over a versioned HTTP API, runs each once on a bounded
+// worker pool with per-job deadlines (nothing is retried: the simulator is
+// deterministic), and drains gracefully on SIGTERM/SIGINT (stop accepting,
+// finish running jobs, exit 0).
 //
 //	gpuprofd -addr :8791 -workers 2 &
 //	curl -s -X POST localhost:8791/api/v1/jobs \
@@ -19,7 +20,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"os/signal"
 	"syscall"
@@ -38,7 +38,6 @@ func main() {
 	workers := flag.Int("workers", 2, "jobs run concurrently")
 	queue := flag.Int("queue", 64, "max jobs waiting for a worker before submissions get 503")
 	timeout := flag.Duration("timeout", 0, "default per-job deadline for jobs that do not set timeout_ms (0 = none)")
-	maxAttempts := flag.Int("max-attempts", 1, "default run attempts per job (1 = no retries)")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "max time to let running jobs finish on shutdown before cancelling them")
 	flag.Parse()
 
@@ -58,15 +57,13 @@ func main() {
 
 	runner := gputopdown.NewJobRunner(f.GPU, opts...)
 	srv, err := gputopdown.NewJobServer(gputopdown.JobServerOptions{
-		Runner:             runner.Run,
-		Workers:            *workers,
-		QueueDepth:         *queue,
-		DefaultTimeout:     *timeout,
-		DefaultMaxAttempts: *maxAttempts,
-		Backoff:            gputopdown.DefaultJobBackoff(rand.Float64),
-		Registry:           f.Registry,
-		Logger:             f.Logger,
-		Obs:                obsSrv.Handler(),
+		Runner:         runner.Run,
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		DefaultTimeout: *timeout,
+		Registry:       f.Registry,
+		Logger:         f.Logger,
+		Obs:            obsSrv.Handler(),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gpuprofd:", err)

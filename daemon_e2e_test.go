@@ -134,6 +134,7 @@ func TestDaemonIgnoredEngineFields(t *testing.T) {
 	for _, legacy := range []*JobRequest{
 		{Suite: "rodinia", App: "myocyte", Level: 1, SimWorkers: 4, FastForward: &off},
 		{Suite: "rodinia", App: "myocyte", Level: 1, ReplayWorkers: 4},
+		{Suite: "rodinia", App: "myocyte", Level: 1, MaxAttempts: 3},
 	} {
 		if got := canonical(legacy); !bytes.Equal(plain, got) {
 			t.Errorf("ignored fields of %+v changed the report:\n%s", legacy, check.DiffJSON(plain, got))
@@ -142,6 +143,7 @@ func TestDaemonIgnoredEngineFields(t *testing.T) {
 	for _, bad := range []*JobRequest{
 		{Suite: "rodinia", App: "myocyte", SimWorkers: -1},
 		{Suite: "rodinia", App: "myocyte", ReplayWorkers: -1},
+		{Suite: "rodinia", App: "myocyte", MaxAttempts: -1},
 	} {
 		_, err := c.Submit(ctx, bad)
 		if err == nil || !strings.Contains(err.Error(), "HTTP 400") {

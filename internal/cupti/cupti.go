@@ -105,7 +105,6 @@ type Session struct {
 	sampleEvery int
 	lastSampled map[string]pmu.Values
 
-	records     []KernelRecord
 	invocations map[string]int
 
 	// Overhead accounting (simulated device cycles).
@@ -230,12 +229,6 @@ func (s *Session) SetLogger(l *obs.Logger) {
 // kernel and pass it is currently replaying plus cache hit/miss counts, which
 // the obs HTTP server exposes on /api/progress. Nil detaches.
 func (s *Session) SetProgress(p *obs.Progress) { s.progress = p }
-
-// SetWorkers does nothing.
-//
-// Deprecated: each launch is simulated once, so there is no replay worker
-// pool to size.
-func (s *Session) SetWorkers(int) {}
 
 // Checker receives the session's invariant hooks. It extends the device-level
 // sim.Checker with the pass-merge conservation law: after the pass-order
@@ -434,15 +427,15 @@ func (s *Session) profileCached(l *kernel.Launch, e *replayEntry, profStart floa
 }
 
 // account books one fully profiled invocation, simulated or served from the
-// cache: its record, rec.Passes replays of rec.Cycles each paying fc flush
-// cycles (Fig. 13), and the span, named after how the counters were obtained.
+// cache: its invocation index, rec.Passes replays of rec.Cycles each paying
+// fc flush cycles (Fig. 13), and the span, named after how the counters were
+// obtained.
 func (s *Session) account(rec *KernelRecord, fc uint64, span string, profStart float64) {
 	rec.Invocation = s.invocations[rec.Kernel]
 	s.invocations[rec.Kernel]++
 	s.lastSampled[rec.Kernel] = rec.Values
 	s.nativeCycles += rec.Cycles
 	s.profiledCycles += uint64(rec.Passes) * (rec.Cycles + fc)
-	s.records = append(s.records, *rec)
 	if s.obsOn {
 		passes := float64(rec.Passes)
 		s.mSampled.Inc()
@@ -485,7 +478,6 @@ func (s *Session) profileSkipped(ctx context.Context, l *kernel.Launch, inv int)
 	s.invocations[rec.Kernel]++
 	s.nativeCycles += res.Cycles
 	s.profiledCycles += res.Cycles
-	s.records = append(s.records, *rec)
 	if s.obsOn {
 		s.mSkipped.Inc()
 		s.mNativeCyc.Add(float64(res.Cycles))
@@ -526,31 +518,8 @@ func (s *Session) collect(res *sim.RunResult) sm.Counters {
 	return scaled
 }
 
-// Records returns all kernel records in invocation order.
-func (s *Session) Records() []KernelRecord { return s.records }
-
-// RecordsFor returns the records of one kernel name, ordered by invocation.
-func (s *Session) RecordsFor(name string) []KernelRecord {
-	var out []KernelRecord
-	for _, r := range s.records {
-		if r.Kernel == name {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // Overhead returns (native, profiled) simulated cycle totals across every
 // profiled launch; profiled/native is the paper's Fig. 13 ratio.
 func (s *Session) Overhead() (native, profiled uint64) {
 	return s.nativeCycles, s.profiledCycles
-}
-
-// Reset clears records and overhead accounting, keeping the schedule and the
-// attached cache.
-func (s *Session) Reset() {
-	s.records = nil
-	s.invocations = map[string]int{}
-	s.nativeCycles = 0
-	s.profiledCycles = 0
 }

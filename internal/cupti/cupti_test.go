@@ -118,15 +118,9 @@ func TestInvocationIndexing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec.Invocation != i {
-			t.Errorf("invocation %d recorded as %d", i, rec.Invocation)
+		if rec.Kernel != "inc" || rec.Invocation != i {
+			t.Errorf("invocation %d recorded as %s #%d", i, rec.Kernel, rec.Invocation)
 		}
-	}
-	if got := len(s.RecordsFor("inc")); got != 3 {
-		t.Errorf("RecordsFor returned %d records", got)
-	}
-	if got := len(s.RecordsFor("nope")); got != 0 {
-		t.Errorf("RecordsFor(bogus) returned %d records", got)
 	}
 	// Memory reflects three logical executions.
 	if v := uint32(d.Storage.Read(buf, 4)); v != 3 {
@@ -150,13 +144,6 @@ func TestOverheadGrowsWithPasses(t *testing.T) {
 	ratio := float64(profiled) / float64(native)
 	if ratio < float64(s.NumPasses()) {
 		t.Errorf("overhead ratio %.1f below pass count %d", ratio, s.NumPasses())
-	}
-	s.Reset()
-	if n2, p2 := s.Overhead(); n2 != 0 || p2 != 0 {
-		t.Error("Reset did not clear overhead")
-	}
-	if len(s.Records()) != 0 {
-		t.Error("Reset did not clear records")
 	}
 }
 

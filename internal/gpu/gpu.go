@@ -194,6 +194,27 @@ func (s *Spec) Validate() error {
 	if s.LGQueueDepth < 1 || s.MIOQueueDepth < 1 || s.TEXQueueDepth < 1 || s.DRAMQueueDepth < 1 {
 		return fmt.Errorf("gpu %s: non-positive queue depth", s.Name)
 	}
+	// The models convert these to unsigned cycle counts and set/way counts:
+	// a negative latency would wrap to ~2^64 cycles, a zero-way cache divides
+	// by zero.
+	for _, f := range []struct {
+		name     string
+		val, min int
+	}{
+		{"ALULatency", s.ALULatency, 0}, {"FMALatency", s.FMALatency, 0},
+		{"FP64Latency", s.FP64Latency, 0}, {"SFULatency", s.SFULatency, 0},
+		{"SharedLatency", s.SharedLatency, 0}, {"L1Latency", s.L1Latency, 0},
+		{"L2Latency", s.L2Latency, 0}, {"DRAMLatency", s.DRAMLatency, 0},
+		{"IMCHitLatency", s.IMCHitLatency, 0}, {"IMCMissExtra", s.IMCMissExtra, 0},
+		{"BranchLatency", s.BranchLatency, 0}, {"TEXLatency", s.TEXLatency, 0},
+		{"ICacheWays", s.ICacheWays, 1}, {"L1Ways", s.L1Ways, 1},
+		{"L2Ways", s.L2Ways, 1}, {"IMCWays", s.IMCWays, 1},
+		{"RegistersPerSM", s.RegistersPerSM, 1}, {"SharedMemPerSM", s.SharedMemPerSM, 1},
+	} {
+		if f.val < f.min {
+			return fmt.Errorf("gpu %s: %s = %d (want >= %d)", s.Name, f.name, f.val, f.min)
+		}
+	}
 	return nil
 }
 

@@ -100,6 +100,44 @@ func TestValidateCatchesBadSpecs(t *testing.T) {
 	}
 }
 
+// TestValidateNamesTheField: a negative latency (which the models would wrap
+// to a huge unsigned cycle count) and a non-positive way count or per-SM
+// resource are rejected with an error naming the offending field.
+func TestValidateNamesTheField(t *testing.T) {
+	cases := []struct {
+		field string
+		mut   func(*Spec)
+	}{
+		{"ALULatency", func(s *Spec) { s.ALULatency = -1 }},
+		{"FMALatency", func(s *Spec) { s.FMALatency = -1 }},
+		{"FP64Latency", func(s *Spec) { s.FP64Latency = -1 }},
+		{"SFULatency", func(s *Spec) { s.SFULatency = -1 }},
+		{"SharedLatency", func(s *Spec) { s.SharedLatency = -1 }},
+		{"L1Latency", func(s *Spec) { s.L1Latency = -1 }},
+		{"L2Latency", func(s *Spec) { s.L2Latency = -1 }},
+		{"DRAMLatency", func(s *Spec) { s.DRAMLatency = -5 }},
+		{"IMCHitLatency", func(s *Spec) { s.IMCHitLatency = -1 }},
+		{"IMCMissExtra", func(s *Spec) { s.IMCMissExtra = -1 }},
+		{"BranchLatency", func(s *Spec) { s.BranchLatency = -1 }},
+		{"TEXLatency", func(s *Spec) { s.TEXLatency = -1 }},
+		{"ICacheWays", func(s *Spec) { s.ICacheWays = 0 }},
+		{"L1Ways", func(s *Spec) { s.L1Ways = 0 }},
+		{"L2Ways", func(s *Spec) { s.L2Ways = 0 }},
+		{"IMCWays", func(s *Spec) { s.IMCWays = 0 }},
+		{"RegistersPerSM", func(s *Spec) { s.RegistersPerSM = 0 }},
+		{"SharedMemPerSM", func(s *Spec) { s.SharedMemPerSM = 0 }},
+	}
+	for _, base := range []*Spec{GTX1070(), QuadroRTX4000()} {
+		for _, c := range cases {
+			s := *base
+			c.mut(&s)
+			if err := s.Validate(); err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Errorf("%s with bad %s: Validate = %v, want an error naming the field", base.Name, c.field, err)
+			}
+		}
+	}
+}
+
 func TestWithSMsScalesL2(t *testing.T) {
 	s := QuadroRTX4000()
 	d := s.WithSMs(4)

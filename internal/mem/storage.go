@@ -70,16 +70,6 @@ func (s *Storage) FreeAll() { s.next = s.base }
 // Size returns the total capacity in bytes.
 func (s *Storage) Size() int { return s.limit }
 
-// Clone returns an independent storage with the same capacity, watermark and
-// allocated contents. Bytes beyond the watermark are not copied (they are
-// unreachable until re-allocated), so cloning costs O(allocated), not
-// O(capacity).
-func (s *Storage) Clone() *Storage {
-	c := &Storage{data: make([]byte, len(s.data)), limit: s.limit, next: s.next, base: s.base}
-	copy(c.data[s.base:s.next], s.data[s.base:s.next])
-	return c
-}
-
 // Snapshot copies the allocated region of device memory, so it can be
 // restored later (as CUPTI's kernel replay save/restore does between
 // passes; here the replay result cache re-applies a kernel's memory effects
@@ -280,13 +270,6 @@ func (c *ConstantBank) Clear() {
 	for i := range c.data {
 		c.data[i] = 0
 	}
-}
-
-// Clone returns an independent copy of the bank.
-func (c *ConstantBank) Clone() *ConstantBank {
-	out := &ConstantBank{data: make([]byte, len(c.data))}
-	copy(out.data, c.data)
-	return out
 }
 
 // Hash returns a 64-bit hash of the bank contents, the constant-space

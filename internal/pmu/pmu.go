@@ -108,74 +108,55 @@ func StateMux(id CounterID) int {
 // Valid reports whether id names a defined counter.
 func Valid(id CounterID) bool { return id < numCounters }
 
+// counters is the one list of raw counters: each row is a counter's
+// ncu-flavoured name and the sm.Counters field it reads, so a new counter is
+// one row here plus its constant above. The warp-state range has no rows; its
+// names and values are computed from the state.
+var counters = [numCounters]struct {
+	name string
+	read func(*sm.Counters) uint64
+}{
+	CtrActiveCycles:        {"sm__cycles_active", func(c *sm.Counters) uint64 { return c.ActiveCycles }},
+	CtrElapsedCycles:       {"sm__cycles_elapsed", func(c *sm.Counters) uint64 { return c.ElapsedCycles }},
+	CtrActiveWarpCycles:    {"smsp__warps_active", func(c *sm.Counters) uint64 { return c.ActiveWarpCycles }},
+	CtrSubpActiveCycles:    {"smsp__cycles_active", func(c *sm.Counters) uint64 { return c.SubpActiveCycles }},
+	CtrInstExecuted:        {"smsp__inst_executed", func(c *sm.Counters) uint64 { return c.InstExecuted }},
+	CtrInstIssued:          {"smsp__inst_issued", func(c *sm.Counters) uint64 { return c.InstIssued }},
+	CtrThreadInstExecuted:  {"smsp__thread_inst_executed", func(c *sm.Counters) uint64 { return c.ThreadInstExecuted }},
+	CtrBlocksLaunched:      {"sm__ctas_launched", func(c *sm.Counters) uint64 { return c.BlocksLaunched }},
+	CtrWarpsLaunched:       {"smsp__warps_launched", func(c *sm.Counters) uint64 { return c.WarpsLaunched }},
+	CtrBranchInstrs:        {"smsp__inst_executed_op_branch", func(c *sm.Counters) uint64 { return c.BranchInstrs }},
+	CtrDivergentBranches:   {"smsp__branch_targets_threads_divergent", func(c *sm.Counters) uint64 { return c.DivergentBranches }},
+	CtrSharedLoads:         {"smsp__inst_executed_op_shared_ld", func(c *sm.Counters) uint64 { return c.SharedLoads }},
+	CtrSharedStores:        {"smsp__inst_executed_op_shared_st", func(c *sm.Counters) uint64 { return c.SharedStores }},
+	CtrSharedBankConflicts: {"l1tex__data_bank_conflicts_pipe_lsu_mem_shared", func(c *sm.Counters) uint64 { return c.SharedBankConflicts }},
+	CtrGlobalLoads:         {"smsp__inst_executed_op_global_ld", func(c *sm.Counters) uint64 { return c.GlobalLoads }},
+	CtrGlobalStores:        {"smsp__inst_executed_op_global_st", func(c *sm.Counters) uint64 { return c.GlobalStores }},
+	CtrLoadSectors:         {"l1tex__t_sectors_pipe_lsu_mem_global_op_ld", func(c *sm.Counters) uint64 { return c.LoadSectors }},
+	CtrStoreSectors:        {"l1tex__t_sectors_pipe_lsu_mem_global_op_st", func(c *sm.Counters) uint64 { return c.StoreSectors }},
+	CtrL1Hits:              {"l1tex__t_sectors_lookup_hit", func(c *sm.Counters) uint64 { return c.L1Hits }},
+	CtrL1Misses:            {"l1tex__t_sectors_lookup_miss", func(c *sm.Counters) uint64 { return c.L1Misses }},
+	CtrL2Hits:              {"lts__t_sectors_lookup_hit", func(c *sm.Counters) uint64 { return c.L2Hits }},
+	CtrL2Misses:            {"lts__t_sectors_lookup_miss", func(c *sm.Counters) uint64 { return c.L2Misses }},
+	CtrConstLoads:          {"smsp__inst_executed_op_ldc", func(c *sm.Counters) uint64 { return c.ConstLoads }},
+	CtrIMCHits:             {"idc__requests_lookup_hit", func(c *sm.Counters) uint64 { return c.IMCHits }},
+	CtrIMCMisses:           {"idc__requests_lookup_miss", func(c *sm.Counters) uint64 { return c.IMCMisses }},
+	CtrTexFetches:          {"smsp__inst_executed_op_texture", func(c *sm.Counters) uint64 { return c.TexFetches }},
+	CtrAtomics:             {"smsp__inst_executed_op_global_atom", func(c *sm.Counters) uint64 { return c.Atomics }},
+	CtrICacheHits:          {"icc__requests_lookup_hit", func(c *sm.Counters) uint64 { return c.ICacheHits }},
+	CtrICacheMisses:        {"icc__requests_lookup_miss", func(c *sm.Counters) uint64 { return c.ICacheMisses }},
+	CtrRegBankConflicts:    {"smsp__operand_collector_bank_conflicts", func(c *sm.Counters) uint64 { return c.RegBankConflicts }},
+}
+
 // Name returns a raw, ncu-flavoured counter name.
 func Name(id CounterID) string {
 	if s, ok := IsWarpState(id); ok {
 		return "smsp__warps_issue_stalled_" + s.String()
 	}
-	switch id {
-	case CtrActiveCycles:
-		return "sm__cycles_active"
-	case CtrElapsedCycles:
-		return "sm__cycles_elapsed"
-	case CtrActiveWarpCycles:
-		return "smsp__warps_active"
-	case CtrSubpActiveCycles:
-		return "smsp__cycles_active"
-	case CtrInstExecuted:
-		return "smsp__inst_executed"
-	case CtrInstIssued:
-		return "smsp__inst_issued"
-	case CtrThreadInstExecuted:
-		return "smsp__thread_inst_executed"
-	case CtrBlocksLaunched:
-		return "sm__ctas_launched"
-	case CtrWarpsLaunched:
-		return "smsp__warps_launched"
-	case CtrBranchInstrs:
-		return "smsp__inst_executed_op_branch"
-	case CtrDivergentBranches:
-		return "smsp__branch_targets_threads_divergent"
-	case CtrSharedLoads:
-		return "smsp__inst_executed_op_shared_ld"
-	case CtrSharedStores:
-		return "smsp__inst_executed_op_shared_st"
-	case CtrSharedBankConflicts:
-		return "l1tex__data_bank_conflicts_pipe_lsu_mem_shared"
-	case CtrGlobalLoads:
-		return "smsp__inst_executed_op_global_ld"
-	case CtrGlobalStores:
-		return "smsp__inst_executed_op_global_st"
-	case CtrLoadSectors:
-		return "l1tex__t_sectors_pipe_lsu_mem_global_op_ld"
-	case CtrStoreSectors:
-		return "l1tex__t_sectors_pipe_lsu_mem_global_op_st"
-	case CtrL1Hits:
-		return "l1tex__t_sectors_lookup_hit"
-	case CtrL1Misses:
-		return "l1tex__t_sectors_lookup_miss"
-	case CtrL2Hits:
-		return "lts__t_sectors_lookup_hit"
-	case CtrL2Misses:
-		return "lts__t_sectors_lookup_miss"
-	case CtrConstLoads:
-		return "smsp__inst_executed_op_ldc"
-	case CtrIMCHits:
-		return "idc__requests_lookup_hit"
-	case CtrIMCMisses:
-		return "idc__requests_lookup_miss"
-	case CtrTexFetches:
-		return "smsp__inst_executed_op_texture"
-	case CtrAtomics:
-		return "smsp__inst_executed_op_global_atom"
-	case CtrICacheHits:
-		return "icc__requests_lookup_hit"
-	case CtrICacheMisses:
-		return "icc__requests_lookup_miss"
-	case CtrRegBankConflicts:
-		return "smsp__operand_collector_bank_conflicts"
+	if !Valid(id) {
+		return fmt.Sprintf("counter_%d", uint16(id))
 	}
-	return fmt.Sprintf("counter_%d", uint16(id))
+	return counters[id].name
 }
 
 // Read extracts a counter's value from an SM counter snapshot.
@@ -183,69 +164,10 @@ func Read(c *sm.Counters, id CounterID) uint64 {
 	if s, ok := IsWarpState(id); ok {
 		return c.WarpStateCycles[s]
 	}
-	switch id {
-	case CtrActiveCycles:
-		return c.ActiveCycles
-	case CtrElapsedCycles:
-		return c.ElapsedCycles
-	case CtrActiveWarpCycles:
-		return c.ActiveWarpCycles
-	case CtrSubpActiveCycles:
-		return c.SubpActiveCycles
-	case CtrInstExecuted:
-		return c.InstExecuted
-	case CtrInstIssued:
-		return c.InstIssued
-	case CtrThreadInstExecuted:
-		return c.ThreadInstExecuted
-	case CtrBlocksLaunched:
-		return c.BlocksLaunched
-	case CtrWarpsLaunched:
-		return c.WarpsLaunched
-	case CtrBranchInstrs:
-		return c.BranchInstrs
-	case CtrDivergentBranches:
-		return c.DivergentBranches
-	case CtrSharedLoads:
-		return c.SharedLoads
-	case CtrSharedStores:
-		return c.SharedStores
-	case CtrSharedBankConflicts:
-		return c.SharedBankConflicts
-	case CtrGlobalLoads:
-		return c.GlobalLoads
-	case CtrGlobalStores:
-		return c.GlobalStores
-	case CtrLoadSectors:
-		return c.LoadSectors
-	case CtrStoreSectors:
-		return c.StoreSectors
-	case CtrL1Hits:
-		return c.L1Hits
-	case CtrL1Misses:
-		return c.L1Misses
-	case CtrL2Hits:
-		return c.L2Hits
-	case CtrL2Misses:
-		return c.L2Misses
-	case CtrConstLoads:
-		return c.ConstLoads
-	case CtrIMCHits:
-		return c.IMCHits
-	case CtrIMCMisses:
-		return c.IMCMisses
-	case CtrTexFetches:
-		return c.TexFetches
-	case CtrAtomics:
-		return c.Atomics
-	case CtrICacheHits:
-		return c.ICacheHits
-	case CtrICacheMisses:
-		return c.ICacheMisses
-	case CtrRegBankConflicts:
-		return c.RegBankConflicts
+	if !Valid(id) {
+		panic(fmt.Sprintf("pmu: unknown counter %d", uint16(id)))
 	}
-	panic(fmt.Sprintf("pmu: unknown counter %d", uint16(id)))
+	return counters[id].read(c)
 }
 
 // Schedule maps a counter request onto replay passes respecting the PMU's

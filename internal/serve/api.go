@@ -1,7 +1,8 @@
 // Package serve implements the profiling-as-a-service layer: versioned
 // wire types, an in-memory job store, a bounded worker pool with
-// deadline/cancellation propagation, bounded retries with exponential
-// backoff, and a graceful-drain HTTP server. The package is transport and
+// deadline/cancellation propagation, and a graceful-drain HTTP server. A job
+// is one Runner call: the simulator is deterministic, so a failed run fails
+// identically every time and nothing is retried. The package is transport and
 // policy; the actual profiling work is injected as a Runner so serve never
 // imports the root package (which re-exports these types).
 package serve
@@ -47,11 +48,12 @@ type JobRequest struct {
 	// SampleEvery profiles every n-th invocation of each kernel (paper
 	// §VII); 0 profiles all.
 	SampleEvery int `json:"sample_every,omitempty"`
-	// ReplayWorkers, SimWorkers and FastForward are accepted and ignored.
-	// They selected replay and simulation engines that no longer exist
-	// (results were bit-identical at every setting); the fields remain so
-	// v1 clients that still send them pass the strict decoder. A negative
-	// replay_workers or sim_workers is still rejected.
+	// ReplayWorkers, SimWorkers, FastForward and MaxAttempts are accepted
+	// and ignored. They selected replay and simulation engines and a retry
+	// policy that no longer exist; the fields remain so v1 clients that
+	// still send them pass the strict decoder. A negative replay_workers,
+	// sim_workers or max_attempts is still rejected. (bench/ also sets
+	// ReplayWorkers; see compat.go.)
 	ReplayWorkers int `json:"replay_workers,omitempty"`
 	SimWorkers    int `json:"sim_workers,omitempty"`
 	// ReplayCache toggles the replay cache; nil keeps the daemon default
@@ -61,10 +63,8 @@ type JobRequest struct {
 
 	// TimeoutMS is the per-job deadline in milliseconds from the moment
 	// the job starts running (not queue time); 0 uses the daemon default.
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// MaxAttempts caps runs of this job including the first; 0 uses the
-	// daemon default, 1 disables retries.
-	MaxAttempts int `json:"max_attempts,omitempty"`
+	TimeoutMS   int64 `json:"timeout_ms,omitempty"`
+	MaxAttempts int   `json:"max_attempts,omitempty"` // ignored, see ReplayWorkers
 }
 
 // Validate checks the request against schema v1. Every failure wraps
@@ -132,7 +132,9 @@ func (s JobState) Terminal() bool {
 type JobStatus struct {
 	ID    string   `json:"id"`
 	State JobState `json:"state"`
-	// Attempt is the number of runs started so far (1-based once running).
+	// Attempt is 0 while queued and 1 from the moment the job's one run
+	// starts; MaxAttempts is always 1. Both predate the removal of retries
+	// and stay for v1 readers.
 	Attempt     int    `json:"attempt"`
 	MaxAttempts int    `json:"max_attempts"`
 	Error       string `json:"error,omitempty"`

@@ -2,50 +2,26 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
-	"sync"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"gputopdown/internal/obs"
 )
 
-// fakeClock delivers After immediately while recording the requested
-// waits, so backoff tests are deterministic and take zero wall time.
-type fakeClock struct {
-	mu    sync.Mutex
-	now   time.Time
-	waits []time.Duration
-}
+// fakeClock is a Clock stuck at one instant, so job timestamps are exact.
+type fakeClock struct{ now time.Time }
 
-func newFakeClock() *fakeClock {
-	return &fakeClock{now: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)}
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *fakeClock) After(d time.Duration) <-chan time.Time {
-	c.mu.Lock()
-	c.waits = append(c.waits, d)
-	c.now = c.now.Add(d)
-	now := c.now
-	c.mu.Unlock()
-	ch := make(chan time.Time, 1)
-	ch <- now
-	return ch
-}
-
-func (c *fakeClock) recorded() []time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]time.Duration(nil), c.waits...)
-}
+func (c fakeClock) Now() time.Time { return c.now }
 
 func testReport(req *JobRequest) *Report {
 	return &Report{
@@ -81,6 +57,25 @@ func mustServer(t *testing.T, opts Options) *Server {
 		s.Drain(ctx) //nolint:errcheck // second Drain in tests that drained already
 	})
 	return s
+}
+
+// waitTerminal polls the store until the job reaches a terminal state.
+func waitTerminal(t *testing.T, s *Server, id string) *JobStatus {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		cur, err := s.Store().Status(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cur.State.Terminal() {
+			return cur
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s still %s after 5s", id, cur.State)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestSubmitPollReport drives the full happy path over real HTTP:
@@ -240,139 +235,111 @@ func TestDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		cur, _ := s.Store().Status(st.ID)
-		if cur.State.Terminal() {
-			if cur.State != StateFailed {
-				t.Fatalf("timed-out job = %s, want failed", cur.State)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("timed-out job did not terminate")
-		}
-		time.Sleep(2 * time.Millisecond)
+	if cur := waitTerminal(t, s, st.ID); cur.State != StateFailed {
+		t.Fatalf("timed-out job = %s, want failed", cur.State)
 	}
 }
 
-// TestRetryBackoffDeterministic: with a fake clock and a fixed jitter
-// source, the retry schedule is exactly reproducible and the job succeeds
-// on its final allowed attempt.
-func TestRetryBackoffDeterministic(t *testing.T) {
-	clock := newFakeClock()
-	var calls int
-	var mu sync.Mutex
-	jitter := []float64{0.5, 1.0 - 1e-9}
-	ji := 0
+// TestFailedJobRunsOnce: a job is one Runner call. A plain error fails the
+// job with exactly that error text (no attempt prefix, no join); timestamps
+// come from the injected Clock.
+func TestFailedJobRunsOnce(t *testing.T) {
+	clock := fakeClock{now: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)}
+	var calls atomic.Int32
 	s := mustServer(t, Options{
 		Clock: clock,
-		Backoff: Backoff{
-			Base: 100 * time.Millisecond, Factor: 2, Max: time.Second,
-			Jitter: 0.5,
-			Rand: func() float64 {
-				v := jitter[ji%len(jitter)]
-				ji++
-				return v
-			},
-		},
 		Runner: func(ctx context.Context, req *JobRequest) (*Report, error) {
-			mu.Lock()
-			calls++
-			n := calls
-			mu.Unlock()
-			if n < 3 {
-				return nil, fmt.Errorf("transient failure %d", n)
-			}
-			return testReport(req), nil
+			calls.Add(1)
+			return nil, fmt.Errorf("lookup %s: backend blew up", req.App)
 		},
 	})
-	st, err := s.Submit(&JobRequest{Suite: "altis", App: "gups", MaxAttempts: 3})
+	st, err := s.Submit(&JobRequest{Suite: "altis", App: "nope"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		cur, _ := s.Store().Status(st.ID)
-		if cur.State.Terminal() {
-			if cur.State != StateSucceeded || cur.Attempt != 3 {
-				t.Fatalf("retried job = %s attempt %d (%s), want succeeded on attempt 3",
-					cur.State, cur.Attempt, cur.Error)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("retried job did not terminate")
-		}
-		time.Sleep(time.Millisecond)
+	if st.State != StateQueued || st.Attempt != 0 || st.MaxAttempts != 1 {
+		t.Errorf("submit status = %s attempt %d/%d, want queued 0/1", st.State, st.Attempt, st.MaxAttempts)
 	}
-	// delay(1) = 100ms + 0.5·0.5·100ms = 125ms; delay(2) = 200ms + ~0.5·200ms.
-	want := []time.Duration{125 * time.Millisecond, 300*time.Millisecond - 1}
-	got := clock.recorded()
-	if len(got) != len(want) {
-		t.Fatalf("recorded waits %v, want %d waits", got, len(want))
+	cur := waitTerminal(t, s, st.ID)
+	if cur.State != StateFailed || cur.Error != "lookup nope: backend blew up" {
+		t.Errorf("job = %s %q, want failed with the runner's error text", cur.State, cur.Error)
 	}
-	for i := range want {
-		if d := got[i] - want[i]; d < -time.Microsecond || d > time.Microsecond {
-			t.Errorf("wait %d = %v, want %v", i, got[i], want[i])
-		}
+	if cur.Attempt != 1 || cur.MaxAttempts != 1 {
+		t.Errorf("attempt %d/%d, want 1/1", cur.Attempt, cur.MaxAttempts)
+	}
+	if !cur.SubmittedAt.Equal(clock.now) || !cur.StartedAt.Equal(clock.now) || !cur.FinishedAt.Equal(clock.now) {
+		t.Errorf("timestamps %v/%v/%v not from the injected clock", cur.SubmittedAt, cur.StartedAt, cur.FinishedAt)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("runner called %d times, want 1", n)
+	}
+	if rep, _, _ := s.Store().Report(st.ID); rep != nil {
+		t.Error("failed job has a report")
 	}
 }
 
-// TestRetryPermanent: a MarkPermanent failure stops after one attempt and
-// the original sentinel still unwraps through attempt wrapper + Join.
-func TestRetryPermanent(t *testing.T) {
-	sentinel := errors.New("no such app")
-	var calls int
-	var mu sync.Mutex
+// TestMaxAttemptsAcceptedAndIgnored: the v1 field max_attempts still passes
+// the strict decoder but buys no second run; a negative value and an unknown
+// field are 400; /metrics has no retry counter.
+func TestMaxAttemptsAcceptedAndIgnored(t *testing.T) {
+	reg := obs.NewRegistry()
+	var calls atomic.Int32
 	s := mustServer(t, Options{
-		Clock: newFakeClock(),
+		Registry: reg,
+		Obs:      obs.NewServer(nil, reg, nil).Handler(),
 		Runner: func(ctx context.Context, req *JobRequest) (*Report, error) {
-			mu.Lock()
-			calls++
-			mu.Unlock()
-			return nil, MarkPermanent(fmt.Errorf("lookup %s: %w", req.App, sentinel))
+			calls.Add(1)
+			return nil, errors.New("fails every time")
 		},
 	})
-	st, err := s.Submit(&JobRequest{Suite: "altis", App: "nope", MaxAttempts: 5})
+	h := httptest.NewServer(s.Handler())
+	defer h.Close()
+	post := func(body string) (int, string) {
+		resp, err := http.Post(h.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(b)
+	}
+
+	code, body := post(`{"suite":"altis","app":"gups","max_attempts":3}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("max_attempts 3: HTTP %d %s, want 202", code, body)
+	}
+	var st JobStatus
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
+		t.Fatal(err)
+	}
+	cur := waitTerminal(t, s, st.ID)
+	if cur.State != StateFailed || cur.Attempt != 1 || cur.MaxAttempts != 1 {
+		t.Errorf("job = %s attempt %d/%d, want failed 1/1", cur.State, cur.Attempt, cur.MaxAttempts)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("runner called %d times, want 1", n)
+	}
+
+	for _, bad := range []string{
+		`{"suite":"altis","app":"gups","max_attempts":-1}`,
+		`{"suite":"altis","app":"gups","backoff_ms":5}`,
+	} {
+		if code, body := post(bad); code != http.StatusBadRequest {
+			t.Errorf("%s: HTTP %d %s, want 400", bad, code, body)
+		}
+	}
+
+	resp, err := http.Get(h.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		cur, _ := s.Store().Status(st.ID)
-		if cur.State.Terminal() {
-			if cur.State != StateFailed || cur.Attempt != 1 {
-				t.Fatalf("permanent failure = %s attempt %d, want failed attempt 1", cur.State, cur.Attempt)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job did not terminate")
-		}
-		time.Sleep(time.Millisecond)
+	defer resp.Body.Close()
+	metrics, _ := io.ReadAll(resp.Body)
+	if !strings.Contains(string(metrics), `gpuprofd_jobs_completed_total{state="failed"} 1`) {
+		t.Errorf("/metrics lacks the failed-job count:\n%s", metrics)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if calls != 1 {
-		t.Errorf("permanent failure ran %d times, want 1", calls)
-	}
-}
-
-// TestRunWithRetryUnwrap: the joined multi-attempt error keeps errors.Is /
-// errors.As working for the per-attempt causes.
-func TestRunWithRetryUnwrap(t *testing.T) {
-	sentinel := errors.New("backend blew up")
-	clock := newFakeClock()
-	_, err := runWithRetry(context.Background(), 3, Backoff{}, clock,
-		func(attempt int) (*Report, error) {
-			return nil, fmt.Errorf("run %d: %w", attempt, sentinel)
-		}, nil)
-	if err == nil {
-		t.Fatal("exhausted retries returned nil error")
-	}
-	if !errors.Is(err, sentinel) {
-		t.Errorf("errors.Is through join+wrap lost the sentinel: %v", err)
+	if strings.Contains(string(metrics), "retries") {
+		t.Errorf("/metrics still exposes a retry counter:\n%s", metrics)
 	}
 }
 

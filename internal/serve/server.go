@@ -40,12 +40,7 @@ type Options struct {
 	// DefaultTimeout applies to jobs that do not set timeout_ms; 0 means
 	// no deadline.
 	DefaultTimeout time.Duration
-	// DefaultMaxAttempts applies to jobs that do not set max_attempts
-	// (default 1: no retries unless asked).
-	DefaultMaxAttempts int
-	// Backoff schedules retry delays; zero value retries immediately.
-	Backoff Backoff
-	// Clock drives queue/run timing and backoff waits (default wall clock).
+	// Clock stamps submission, start and finish times (default wall clock).
 	Clock Clock
 	// Registry receives job metrics when non-nil.
 	Registry *obs.Registry
@@ -54,7 +49,20 @@ type Options struct {
 	// Obs, when non-nil, is mounted at "/" so one port serves both the job
 	// API and the observability endpoints (/healthz, /metrics, ...).
 	Obs http.Handler
+
+	// Deprecated: never read — a job is one run. bench/ still sets it; see
+	// compat.go.
+	DefaultMaxAttempts int
+	// Deprecated: never read; see DefaultMaxAttempts.
+	Backoff Backoff
 }
+
+// Clock abstracts time so tests stamp jobs from a fake clock.
+type Clock interface{ Now() time.Time }
+
+type realClock struct{}
+
+func (realClock) Now() time.Time { return time.Now() }
 
 // Server is the profiling job daemon: HTTP API, store, and worker pool.
 // Construct with New (which starts the workers), serve via Start or mount
@@ -80,7 +88,6 @@ type Server struct {
 
 	mQueued    *obs.Gauge
 	mRunning   *obs.Gauge
-	mRetries   *obs.Counter
 	mCompleted map[JobState]*obs.Counter
 	mQueueLat  *obs.Histogram
 	mRunLat    *obs.Histogram
@@ -97,9 +104,6 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 64
-	}
-	if opts.DefaultMaxAttempts <= 0 {
-		opts.DefaultMaxAttempts = 1
 	}
 	if opts.Clock == nil {
 		opts.Clock = realClock{}
@@ -134,7 +138,6 @@ func (s *Server) initMetrics(reg *obs.Registry) {
 	}
 	s.mQueued = reg.Gauge("gpuprofd_jobs_queued", "Jobs waiting for a worker.", nil)
 	s.mRunning = reg.Gauge("gpuprofd_jobs_running", "Jobs currently executing.", nil)
-	s.mRetries = reg.Counter("gpuprofd_job_retries_total", "Job attempt re-runs after retryable failures.", nil)
 	s.mCompleted = make(map[JobState]*obs.Counter)
 	for _, st := range []JobState{StateSucceeded, StateFailed, StateCancelled} {
 		s.mCompleted[st] = reg.Counter("gpuprofd_jobs_completed_total",
@@ -162,10 +165,6 @@ func (s *Server) Submit(req *JobRequest) (*JobStatus, error) {
 	if req.APIVersion == "" {
 		req.APIVersion = APIVersion
 	}
-	maxAttempts := req.MaxAttempts
-	if maxAttempts == 0 {
-		maxAttempts = s.opts.DefaultMaxAttempts
-	}
 
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
@@ -175,7 +174,7 @@ func (s *Server) Submit(req *JobRequest) (*JobStatus, error) {
 	if len(s.queue) == cap(s.queue) {
 		return nil, ErrQueueFull
 	}
-	id := s.store.Add(req, maxAttempts, s.clock.Now())
+	id := s.store.Add(req, s.clock.Now())
 	s.queue <- id
 	s.mQueued.Add(1)
 	st, _ := s.store.Status(id)
@@ -225,15 +224,7 @@ func (s *Server) runJob(id string) {
 	}
 
 	start := s.clock.Now()
-	rep, err := runWithRetry(rctx, status.MaxAttempts, s.opts.Backoff, s.clock,
-		func(attempt int) (*Report, error) { return s.opts.Runner(rctx, req) },
-		func(attempt int) {
-			s.store.retrying(id)
-			s.mRetries.Inc()
-			if s.log.On(obs.LevelWarn) {
-				s.log.Warn("job retrying", "job", id, "attempt", attempt)
-			}
-		})
+	rep, err := s.opts.Runner(rctx, req)
 	end := s.clock.Now()
 	s.mRunLat.Observe(end.Sub(start).Seconds())
 

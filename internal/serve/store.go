@@ -24,15 +24,13 @@ type job struct {
 	req         *JobRequest
 	submittedAt time.Time
 
-	state       JobState
-	attempt     int
-	maxAttempts int
-	err         error
-	startedAt   time.Time
-	finishedAt  time.Time
+	state      JobState
+	err        error
+	startedAt  time.Time
+	finishedAt time.Time
 
-	// cancel aborts the running attempt with ErrJobCancelled as cause; nil
-	// unless the job is running.
+	// cancel aborts the run with ErrJobCancelled as cause; nil unless the
+	// job is running.
 	cancel context.CancelCauseFunc
 	// report is set exactly once, on success.
 	report *Report
@@ -53,7 +51,7 @@ func NewStore() *Store {
 }
 
 // Add registers a new queued job and returns its ID.
-func (st *Store) Add(req *JobRequest, maxAttempts int, now time.Time) string {
+func (st *Store) Add(req *JobRequest, now time.Time) string {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.seq++
@@ -63,7 +61,6 @@ func (st *Store) Add(req *JobRequest, maxAttempts int, now time.Time) string {
 		req:         req,
 		submittedAt: now,
 		state:       StateQueued,
-		maxAttempts: maxAttempts,
 	}
 	st.order = append(st.order, id)
 	return id
@@ -74,8 +71,7 @@ func (j *job) snapshot() *JobStatus {
 	s := &JobStatus{
 		ID:          j.id,
 		State:       j.state,
-		Attempt:     j.attempt,
-		MaxAttempts: j.maxAttempts,
+		MaxAttempts: 1,
 		SubmittedAt: j.submittedAt,
 		Request:     j.req,
 	}
@@ -83,6 +79,7 @@ func (j *job) snapshot() *JobStatus {
 		s.Error = j.err.Error()
 	}
 	if !j.startedAt.IsZero() {
+		s.Attempt = 1
 		t := j.startedAt
 		s.StartedAt = &t
 	}
@@ -151,9 +148,9 @@ func (st *Store) Cancel(id string, now time.Time) (*JobStatus, error) {
 	return j.snapshot(), nil
 }
 
-// claim transitions a queued job to running for a new attempt; returns
-// false when the job was cancelled while queued (or is otherwise not
-// runnable), telling the worker to skip it.
+// claim transitions a queued job to running; returns false when the job was
+// cancelled while queued (or is otherwise not runnable), telling the worker
+// to skip it.
 func (st *Store) claim(id string, cancel context.CancelCauseFunc, now time.Time) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -162,19 +159,9 @@ func (st *Store) claim(id string, cancel context.CancelCauseFunc, now time.Time)
 		return false
 	}
 	j.state = StateRunning
-	j.attempt = 1
 	j.startedAt = now
 	j.cancel = cancel
 	return true
-}
-
-// retrying bumps the attempt counter before a retry run.
-func (st *Store) retrying(id string) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if j, ok := st.jobs[id]; ok {
-		j.attempt++
-	}
 }
 
 // finish records the terminal state of a run. The worker decides the state

@@ -64,7 +64,6 @@ type Device struct {
 	Mem     *mem.MemSys // address-sliced L2 banks + per-slice DRAM channels
 	SMs     []*sm.SM
 
-	launches      uint64
 	traceInterval uint64
 
 	// fastForward enables the event-driven engine: when every busy SM
@@ -138,24 +137,6 @@ func assemble(spec *gpu.Spec, storage *mem.Storage, constBank *mem.ConstantBank)
 		d.SMs = append(d.SMs, sm.New(spec, i, d.Mem, d.Storage, d.Const))
 	}
 	return d
-}
-
-// Clone builds an independent device with the same spec and byte-identical
-// global and constant memory, but fresh (idle, cold-cache, cycle-zero) SMs,
-// L2 and DRAM. A launch on a clone after a cache flush is bit-identical to a
-// launch on the original after a Storage.Restore and a flush. Clone requires
-// the device to be idle and does not carry over observers; attach them
-// explicitly if wanted.
-func (d *Device) Clone() *Device {
-	for i, s := range d.SMs {
-		if s.Busy() {
-			panic(fmt.Sprintf("sim: Clone of device with busy SM %d", i))
-		}
-	}
-	c := assemble(d.Spec, d.Storage.Clone(), d.Const.Clone())
-	c.traceInterval = d.traceInterval
-	c.fastForward = d.fastForward
-	return c
 }
 
 // SetFastForward toggles the event-driven fast-forward engine. Off selects
@@ -326,7 +307,6 @@ func (d *Device) LaunchCtx(ctx context.Context, l *kernel.Launch) (*RunResult, e
 		default:
 		}
 	}
-	d.launches++
 
 	// Observability prologue: capture wall-clock and trace-clock starts.
 	// Guarded so the disabled path allocates nothing and costs ~one branch.

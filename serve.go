@@ -2,7 +2,6 @@ package gputopdown
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -10,8 +9,8 @@ import (
 	"gputopdown/internal/serve"
 )
 
-// Profiling-as-a-service surface. The wire types, store, retry policy, and
-// HTTP server live in internal/serve; this file re-exports them and
+// Profiling-as-a-service surface. The wire types, store and HTTP server
+// live in internal/serve; this file re-exports them and
 // supplies the one piece serve cannot own without an import cycle: the
 // JobRunner that turns a JobRequest into a profiled Report via the library
 // API. cmd/gpuprofd wires the two together.
@@ -37,13 +36,7 @@ type (
 	JobServer = serve.Server
 	// JobServerOptions configures NewJobServer.
 	JobServerOptions = serve.Options
-	// JobBackoff schedules retry delays for failed jobs.
-	JobBackoff = serve.Backoff
 )
-
-// DefaultJobBackoff is the daemon's stock retry schedule (250ms·2ⁿ capped
-// at 10s with ±20% jitter drawn from rand, which may be nil for none).
-func DefaultJobBackoff(rand func() float64) JobBackoff { return serve.DefaultBackoff(rand) }
 
 // Job lifecycle states: queued → running → {succeeded, failed, cancelled}.
 const (
@@ -91,7 +84,7 @@ func (jr *JobRunner) profilerFor(req *JobRequest) (*Profiler, error) {
 	}
 	spec, ok := LookupGPU(gpuID)
 	if !ok {
-		return nil, serve.MarkPermanent(fmt.Errorf("gputopdown: unknown gpu %q", gpuID))
+		return nil, fmt.Errorf("gputopdown: unknown gpu %q", gpuID)
 	}
 	replayCache := "unset"
 	if req.ReplayCache != nil {
@@ -123,20 +116,19 @@ func (jr *JobRunner) profilerFor(req *JobRequest) (*Profiler, error) {
 	}
 	p, err := NewProfilerE(spec, opts...)
 	if err != nil {
-		return nil, serve.MarkPermanent(err)
+		return nil, err
 	}
 	jr.profilers[key] = p
 	return p, nil
 }
 
 // Run is the serve.Runner: resolve the app, profile it under ctx, convert
-// the result. Unknown suite/app/gpu and invalid configurations are marked
-// permanent so the daemon does not retry them; errors.Is still reaches
-// ErrUnknownSuite / ErrUnknownApp through the marker.
+// the result. Errors come back as they were produced, so errors.Is reaches
+// ErrUnknownSuite / ErrUnknownApp / ErrKernelPanic and the context sentinels.
 func (jr *JobRunner) Run(ctx context.Context, req *JobRequest) (*serve.Report, error) {
 	app, err := GetApp(req.Suite, req.App)
 	if err != nil {
-		return nil, serve.MarkPermanent(err)
+		return nil, err
 	}
 	p, err := jr.profilerFor(req)
 	if err != nil {
@@ -144,12 +136,7 @@ func (jr *JobRunner) Run(ctx context.Context, req *JobRequest) (*serve.Report, e
 	}
 	res, err := p.ProfileApp(ctx, app)
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, err
-		}
-		// Deterministic simulator: the same request reproduces the same
-		// failure bit-identically, so retrying is wasted work.
-		return nil, serve.MarkPermanent(err)
+		return nil, err
 	}
 	return res.Report(), nil
 }

@@ -115,12 +115,6 @@ func WithSampling(n int) Option { return func(p *Profiler) { p.sampleEvery = n }
 // [26]) and attaches it to each AppResult.
 func WithRoofline() Option { return func(p *Profiler) { p.roofline = true } }
 
-// WithReplayWorkers does nothing.
-//
-// Deprecated: each launch is simulated once and its replay passes are
-// accounted from that one run, so there are no replay workers to set.
-func WithReplayWorkers(int) Option { return func(*Profiler) {} }
-
 // WithReplayCache enables deterministic memoization of byte-identical kernel
 // invocations: when the same (program, launch configuration, device memory,
 // constant bank) recurs under the same pass schedule, the recorded counter

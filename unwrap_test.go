@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"gputopdown/internal/kernel"
-	"gputopdown/internal/serve"
 	"gputopdown/internal/workloads"
 )
 
@@ -30,9 +29,11 @@ func panicApp() *App {
 }
 
 // TestTypedErrorUnwrapping audits the whole wrapping stack — fmt.Errorf
-// chains, errors.Join aggregation, the retry layer's permanent marker, and
-// the daemon runner — for errors.Is/errors.As transparency: however many
-// layers wrap a failure, the public sentinels stay reachable.
+// chains, errors.Join aggregation and the daemon runner — for
+// errors.Is/errors.As transparency: however many layers wrap a failure, the
+// public sentinels stay reachable. (Two case names still say "permanent
+// marker": the marker is gone, the names are kept so the cases keep their
+// identity in test history.)
 func TestTypedErrorUnwrapping(t *testing.T) {
 	ctx := context.Background()
 	runner := NewJobRunner("rtx4000")
@@ -59,7 +60,7 @@ func TestTypedErrorUnwrapping(t *testing.T) {
 				_, err := runner.Run(ctx, &JobRequest{Suite: "rodinia", App: "noapp"})
 				return err
 			},
-			is: []error{ErrUnknownApp, serve.ErrPermanent},
+			is: []error{ErrUnknownApp},
 		},
 		{
 			name: "unknown gpu through the job runner",
@@ -67,7 +68,7 @@ func TestTypedErrorUnwrapping(t *testing.T) {
 				_, err := runner.Run(ctx, &JobRequest{Suite: "rodinia", App: "hotspot", GPU: "nogpu"})
 				return err
 			},
-			is: []error{serve.ErrPermanent},
+			// No sentinel for an unknown gpu: the case pins that it is an error.
 		},
 		{
 			name: "no kernels through ProfileApp",
@@ -91,9 +92,9 @@ func TestTypedErrorUnwrapping(t *testing.T) {
 			name: "kernel panic through the job runner's permanent marker",
 			err: func() error {
 				_, perr := testProfiler(1).ProfileApp(ctx, panicApp())
-				return serve.MarkPermanent(fmt.Errorf("job: %w", perr))
+				return fmt.Errorf("job: %w", perr)
 			},
-			is: []error{ErrKernelPanic, serve.ErrPermanent},
+			is: []error{ErrKernelPanic},
 			as: true,
 		},
 		{
