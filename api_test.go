@@ -21,13 +21,11 @@ func TestNewProfilerEValidation(t *testing.T) {
 		ok   bool
 	}{
 		{"valid defaults", spec, nil, true},
-		{"valid full", spec, []Option{WithLevel(2), WithSampling(3), WithMemBytes(1 << 20), WithReplayCache(true)}, true},
+		{"valid full", spec, []Option{WithLevel(2), WithSampling(3), WithReplayCache(true)}, true},
 		{"nil spec", nil, nil, false},
 		{"level too low", spec, []Option{WithLevel(0)}, false},
 		{"level too high", spec, []Option{WithLevel(4)}, false},
 		{"negative sampling", spec, []Option{WithSampling(-1)}, false},
-		{"zero memory", spec, []Option{WithMemBytes(0)}, false},
-		{"negative memory", spec, []Option{WithMemBytes(-5)}, false},
 	}
 	for _, c := range cases {
 		p, err := NewProfilerE(c.spec, c.opts...)
@@ -39,12 +37,12 @@ func TestNewProfilerEValidation(t *testing.T) {
 		}
 	}
 	// NewProfiler documents clamping for the same inputs.
-	p := NewProfiler(spec, WithLevel(9), WithSampling(-3), WithMemBytes(-1))
+	p := NewProfiler(spec, WithLevel(9), WithSampling(-3))
 	if p.Level() < 1 || p.Level() > 3 {
 		t.Errorf("clamped level = %d", p.Level())
 	}
-	if p.sampleEvery != 0 || p.memBytes <= 0 {
-		t.Errorf("clamping left sampleEvery=%d memBytes=%d", p.sampleEvery, p.memBytes)
+	if p.sampleEvery != 0 {
+		t.Errorf("clamping left sampleEvery=%d", p.sampleEvery)
 	}
 }
 

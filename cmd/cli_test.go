@@ -84,7 +84,7 @@ func without(set map[string]string, names ...string) map[string]string {
 var flagSurface = map[string]map[string]string{
 	"topdown": union(deviceFlags, workloadFlags, collectionFlags, obsFlags, map[string]string{
 		"per-kernel": "", "format": `"text"`, "dynamic": "", "autotune": "", "compare": "", "list": "",
-		"all": "", "remote": "", "remote-timeout": "", "progress-every": "10s",
+		"all": "", "remote": "", "remote-timeout": "",
 	}),
 	"gpuprof": union(deviceFlags, workloadFlags, without(collectionFlags, "level", "raw"), obsFlags,
 		map[string]string{"metrics": "", "list-metrics": ""}),
@@ -175,6 +175,28 @@ func TestCLISmoke(t *testing.T) {
 	}
 }
 
+// TestCompareHonoursCollectionFlags: -compare builds both profilers from the
+// same options as a single-GPU run, so -raw must move the Frontend row.
+func TestCompareHonoursCollectionFlags(t *testing.T) {
+	frontend := func(extra ...string) string {
+		args := append(strings.Fields("-sms 4 -suite rodinia -app bfs -compare"), extra...)
+		out, err := exec.Command(filepath.Join(binDir, "topdown"), args...).Output()
+		if err != nil {
+			t.Fatalf("topdown %v: %v", args, err)
+		}
+		for _, line := range strings.Split(string(out), "\n") {
+			if strings.HasPrefix(line, "Frontend") {
+				return line
+			}
+		}
+		t.Fatalf("topdown %v: no Frontend row in\n%s", args, out)
+		return ""
+	}
+	if plain, raw := frontend(), frontend("-raw"); plain == raw {
+		t.Errorf("-compare -raw printed the same Frontend row as -compare: %q", plain)
+	}
+}
+
 func stripWall(b []byte) string {
 	var keep []string
 	for _, line := range strings.SplitAfter(string(b), "\n") {
@@ -186,9 +208,9 @@ func stripWall(b []byte) string {
 }
 
 // TestDaemonBinary starts the real gpuprofd, runs one job through it and
-// checks the observability endpoints it mounts: /metrics is live, and
-// /api/progress — which no job writes to — says so with a 503 instead of
-// serving a scoreboard of zeros. SIGTERM must drain and exit 0.
+// checks the observability endpoints it mounts: /metrics and /healthz are
+// live, and /api/progress is no route at all (the registry is the live
+// state). SIGTERM must drain and exit 0.
 func TestDaemonBinary(t *testing.T) {
 	cmd := exec.Command(filepath.Join(binDir, "gpuprofd"), "-addr", "127.0.0.1:0", "-workers", "1", "-log-level", "error")
 	stdout, err := cmd.StdoutPipe()
@@ -220,7 +242,7 @@ func TestDaemonBinary(t *testing.T) {
 	if len(rep.Kernels) == 0 {
 		t.Error("job report has no kernels")
 	}
-	for path, want := range map[string]int{"/api/progress": http.StatusServiceUnavailable, "/metrics": http.StatusOK, "/healthz": http.StatusOK} {
+	for path, want := range map[string]int{"/api/progress": http.StatusNotFound, "/metrics": http.StatusOK, "/healthz": http.StatusOK} {
 		resp, err := http.Get(base + path)
 		if err != nil {
 			t.Fatal(err)

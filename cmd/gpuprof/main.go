@@ -80,11 +80,10 @@ func main() {
 	// gpuprof is a client of the profiler middleware like the Top-Down tool
 	// is: the Profiler assembles device, session and observers; this command
 	// only chooses the counters and prints what comes back.
-	p, err := f.Open()
+	p, _, err := f.Open()
 	if err != nil {
 		fatalf("%v", err)
 	}
-	defer p.Close()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

@@ -50,9 +50,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	// No progress tracker: each job's Profiler tracks its own, so a daemon-
-	// wide /api/progress would have nothing behind it (it answers 503).
-	obsSrv := obs.NewServer(nil, f.Registry, nil)
+	// /metrics, /healthz and pprof beside the job API; no tracer, so /trace
+	// answers 503.
+	obsSrv := obs.NewServer(nil, f.Registry)
 	obsSrv.SetLogger(f.Logger)
 
 	runner := gputopdown.NewJobRunner(f.GPU, opts...)

@@ -39,10 +39,9 @@ func main() {
 	autotune := flag.Bool("autotune", false, "run the autotuning-harness workload (20 byte-identical GEMM launches; pairs with -replay-cache)")
 	compare := flag.Bool("compare", false, "run the app on both GPUs and print a side-by-side comparison")
 	list := flag.Bool("list", false, "list available devices and applications")
-	all := flag.Bool("all", false, "profile every app of -suite (a sweep; pairs with -serve and the progress log)")
+	all := flag.Bool("all", false, "profile every app of -suite (a sweep; pairs with -serve and -log-level)")
 	remote := flag.String("remote", "", "submit the profile as a job to a gpuprofd daemon at this base URL (e.g. http://127.0.0.1:8791) and print its JSON report")
 	remoteTimeout := flag.Duration("remote-timeout", 0, "per-job deadline sent with -remote (0 = daemon default)")
-	progressEvery := flag.Duration("progress-every", 10*time.Second, "period of the suite-progress log line (0 disables; needs -log-level)")
 	flag.Parse()
 
 	if *list {
@@ -60,12 +59,11 @@ func main() {
 		return
 	}
 
-	p, err := f.Open(gputopdown.WithProgressInterval(*progressEvery))
+	p, opts, err := f.Open()
 	if err != nil {
 		fatalf("%v (try -list)", err)
 	}
 	defer func() {
-		p.Close()
 		if err := f.Finish(p); err != nil {
 			fatalf("%v", err)
 		}
@@ -93,8 +91,7 @@ func main() {
 	}
 
 	if *compare {
-		f.Checks = false // the comparison builds its own profilers, unchecked
-		compareGPUs(ctx, app, f)
+		compareGPUs(ctx, app, f, opts)
 		return
 	}
 
@@ -202,8 +199,9 @@ func printOverhead(res *gputopdown.AppResult) {
 
 // compareGPUs reproduces the paper's architecture-vs-architecture reading of
 // the hierarchy (§V.B): the same application on Pascal and Turing,
-// component by component.
-func compareGPUs(ctx context.Context, app *gputopdown.App, f *cliflags.Flags) {
+// component by component. Both profilers are built from opts, so every
+// collection and observability flag applies to both devices.
+func compareGPUs(ctx context.Context, app *gputopdown.App, f *cliflags.Flags, opts []gputopdown.Option) {
 	type row struct {
 		name string
 		pick func(a *gputopdown.Analysis) float64
@@ -222,14 +220,13 @@ func compareGPUs(ctx context.Context, app *gputopdown.App, f *cliflags.Flags) {
 	var names []string
 	for _, id := range gpu.IDs() {
 		spec, _ := f.Spec(id)
-		opts := []gputopdown.Option{gputopdown.WithLevel(f.Level)}
-		if f.Tracer != nil || f.Registry != nil {
-			opts = append(opts, gputopdown.WithObserver(f.Tracer, f.Registry))
-		}
 		p := gputopdown.NewProfiler(spec, opts...)
 		res, err := p.ProfileApp(ctx, app)
 		if err != nil {
 			fatalf("%s: %v", id, err)
+		}
+		if err := p.CheckErr(); err != nil {
+			fatalf("%s: invariant checks failed:\n%v", id, err)
 		}
 		gputopdown.AddFlame(f.Flame, res)
 		results = append(results, res)

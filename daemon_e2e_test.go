@@ -158,11 +158,10 @@ func TestDaemonIgnoredEngineFields(t *testing.T) {
 	}
 }
 
-// TestDaemonProgressUnavailable: the daemon mounts the observability handler
-// without a progress tracker, because every job's Profiler tracks its own
-// and none would write a daemon-wide one. After a job has run,
-// /api/progress therefore answers 503 — not a 200 scoreboard of zeros — while
-// /metrics on the same port is live. Job state is what /api/v1/jobs is for.
+// TestDaemonProgressUnavailable: there is no progress scoreboard — the live
+// state of a run is the metrics registry. After a job has run, /api/progress
+// is not a route (404) while /metrics and /healthz on the same port are live.
+// Job state is what /api/v1/jobs is for.
 func TestDaemonProgressUnavailable(t *testing.T) {
 	ctx := context.Background()
 	reg := NewMetricsRegistry()
@@ -171,7 +170,7 @@ func TestDaemonProgressUnavailable(t *testing.T) {
 		Runner:   runner.Run,
 		Workers:  1,
 		Registry: reg,
-		Obs:      obs.NewServer(nil, reg, nil).Handler(),
+		Obs:      obs.NewServer(nil, reg).Handler(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +183,7 @@ func TestDaemonProgressUnavailable(t *testing.T) {
 	if _, err := SubmitAndWait(ctx, base, &JobRequest{Suite: "rodinia", App: "myocyte"}, 5*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	for path, want := range map[string]int{"/api/progress": http.StatusServiceUnavailable, "/metrics": http.StatusOK} {
+	for path, want := range map[string]int{"/api/progress": http.StatusNotFound, "/metrics": http.StatusOK, "/healthz": http.StatusOK} {
 		resp, err := http.Get(base + path)
 		if err != nil {
 			t.Fatal(err)
@@ -199,7 +198,8 @@ func TestDaemonProgressUnavailable(t *testing.T) {
 // TestJobRunnerKeysReplayCacheByValue: replay_cache is a *bool on the wire,
 // so every decoded request carries its own pointer. Requests that agree on
 // the pointed-to value must share one Profiler (and so one warm replay
-// cache); unset, true and false stay distinct.
+// cache); unset means the runner's default (off here), so it shares with
+// false, and true stays distinct.
 func TestJobRunnerKeysReplayCacheByValue(t *testing.T) {
 	jr := NewJobRunner("rtx4000")
 	profiler := func(replayCache *bool) *Profiler {
@@ -221,8 +221,44 @@ func TestJobRunnerKeysReplayCacheByValue(t *testing.T) {
 	if profiler(&off) == p || profiler(nil) == p {
 		t.Error("replay_cache false or unset shares the replay_cache:true Profiler")
 	}
-	if len(jr.profilers) != 3 {
-		t.Errorf("runner holds %d profilers for true/false/unset, want 3", len(jr.profilers))
+	if len(jr.profilers) != 2 {
+		t.Errorf("runner holds %d profilers for true/false/unset, want 2 (unset is the default, false)", len(jr.profilers))
+	}
+}
+
+// TestJobRunnerKeysOnConfiguration: the profiler cache is keyed on what the
+// request resolves to, not on how it is spelled — every default written out
+// is the same Profiler as the default left out, and a request that differs in
+// effect is not.
+func TestJobRunnerKeysOnConfiguration(t *testing.T) {
+	jr := NewJobRunner("rtx4000", WithReplayCache(true))
+	on := true
+	var want *Profiler
+	for _, body := range []JobRequest{
+		{Level: 0},
+		{Level: 3, Mode: "smpc", SampleEvery: 1},
+		{GPU: "rtx4000", ReplayCache: &on},
+	} {
+		p, err := jr.profilerFor(&body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = p
+		} else if p != want {
+			t.Errorf("%+v resolved to a second Profiler", body)
+		}
+	}
+	for _, body := range []JobRequest{{Level: 2}, {Mode: "hwpm"}, {SampleEvery: 2}, {RawEquations: true}, {GPU: "gtx1070"}} {
+		if p, err := jr.profilerFor(&body); err != nil || p == want {
+			t.Errorf("%+v resolved to (%p, %v), want a Profiler of its own", body, p, err)
+		}
+	}
+	if _, err := jr.profilerFor(&JobRequest{Level: 7}); err == nil {
+		t.Error("level 7 accepted")
+	}
+	if len(jr.profilers) != 6 {
+		t.Errorf("runner holds %d profilers, want 6", len(jr.profilers))
 	}
 }
 

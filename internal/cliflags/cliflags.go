@@ -1,19 +1,22 @@
 // Package cliflags declares the command-line flags the binaries under cmd/
 // share — name, help text and default, each once — and turns the parsed
 // values into what the library takes: a device model, a []gputopdown.Option,
-// and the files written when the run is over. A binary registers the groups
-// (or single flags) it accepts; a default that differs per binary is set on
-// the Flags value before Register.
+// the -serve listener, and the files written when the run is over. A binary
+// registers the groups (or single flags) it accepts; a default that differs
+// per binary is set on the Flags value before Register.
 package cliflags
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
 	"gputopdown"
 	"gputopdown/internal/gpu"
+	"gputopdown/internal/obs"
 )
 
 // Flag groups, as accepted by Register.
@@ -39,7 +42,10 @@ type Flags struct {
 
 	TraceOut, MetricsOut, FlameOut string
 	TraceBlocks, Overhead          bool
-	Serve, LogLevel, LogFormat     string
+	LogLevel, LogFormat            string
+	// Serve is the -serve address; Open replaces it with the address it
+	// bound, so ":0" reads back as the port that was picked.
+	Serve string
 
 	// Observers shared by every profiler the invocation builds. Options
 	// creates the ones the flags ask for (a Registry set beforehand is kept:
@@ -48,6 +54,8 @@ type Flags struct {
 	Registry *gputopdown.MetricsRegistry
 	Logger   *gputopdown.Logger
 	Flame    *gputopdown.Flame
+
+	server *obs.Server // the -serve listener, between Open and Finish
 }
 
 // New returns the stock defaults; prog prefixes the notes written to stderr.
@@ -75,7 +83,7 @@ var decls = []struct {
 	{Observability, "trace-out", "write a Chrome trace-event JSON file (open in chrome://tracing or Perfetto)", func(f *Flags) any { return &f.TraceOut }},
 	{Observability, "metrics-out", "write profiler self-metrics in Prometheus text format", func(f *Flags) any { return &f.MetricsOut }},
 	{Observability, "trace-blocks", "include per-block dispatch instants in the trace (voluminous)", func(f *Flags) any { return &f.TraceBlocks }},
-	{Observability, "serve", "serve live observability HTTP on this address (/metrics, /healthz, /trace, /api/progress, /debug/pprof/)", func(f *Flags) any { return &f.Serve }},
+	{Observability, "serve", "serve live observability HTTP on this address (/metrics, /healthz, /trace, /debug/pprof/)", func(f *Flags) any { return &f.Serve }},
 	{Observability, "flame-out", "write the simulated-cycle attribution as collapsed stacks (open in speedscope or flamegraph.pl)", func(f *Flags) any { return &f.FlameOut }},
 	{Observability, "log-level", "structured logging level: debug, info, warn or error (empty = off)", func(f *Flags) any { return &f.LogLevel }},
 	{Observability, "log-format", "structured log format: text or json", func(f *Flags) any { return &f.LogFormat }},
@@ -135,7 +143,8 @@ func (f *Flags) SelectedApp() (*gputopdown.App, error) {
 // Options turns the parsed flags into the -gpu device model and the profiler
 // options they ask for, creating the tracer, registry, logger and flame
 // accumulator that -trace-out, -metrics-out, -serve, -log-level and
-// -flame-out need.
+// -flame-out need. The slice holds no resource: it can build any number of
+// profilers, which then share those observers.
 func (f *Flags) Options() (*gputopdown.GPUSpec, []gputopdown.Option, error) {
 	spec, err := f.Spec(f.GPU)
 	if err != nil {
@@ -172,35 +181,49 @@ func (f *Flags) Options() (*gputopdown.GPUSpec, []gputopdown.Option, error) {
 		}
 		opts = append(opts, gputopdown.WithLogger(f.Logger))
 	}
-	if f.Serve != "" {
-		opts = append(opts, gputopdown.WithObsServer(f.Serve))
-	}
 	if f.FlameOut != "" {
 		f.Flame = gputopdown.NewFlame()
 	}
 	return spec, opts, nil
 }
 
-// Open builds the profiler the flags describe (extra options apply last) and,
-// under -serve, says where it listens. The caller closes it.
-func (f *Flags) Open(extra ...gputopdown.Option) (*gputopdown.Profiler, error) {
+// Open builds the profiler the flags describe and, under -serve, starts the
+// live observability listener over the tracer and registry Options created
+// (a bind failure is Open's error). The options come back too, for a caller
+// that builds further profilers on the same observers. Finish stops the
+// listener.
+func (f *Flags) Open() (*gputopdown.Profiler, []gputopdown.Option, error) {
 	spec, opts, err := f.Options()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	p, err := gputopdown.NewProfilerE(spec, append(opts, extra...)...)
+	p, err := gputopdown.NewProfilerE(spec, opts...)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if addr := p.ObsAddr(); addr != "" {
-		f.notef("observability HTTP on http://%s (/metrics /healthz /trace /api/progress /debug/pprof/)", addr)
+	if f.Serve != "" {
+		srv := obs.NewServer(f.Tracer, f.Registry)
+		srv.SetLogger(f.Logger)
+		if err := srv.Start(f.Serve); err != nil {
+			return nil, nil, err
+		}
+		f.server, f.Serve = srv, srv.Addr()
+		f.notef("observability HTTP on http://%s (/metrics /healthz /trace /debug/pprof/)", f.Serve)
 	}
-	return p, nil
+	return p, opts, nil
 }
 
-// Finish writes the files the run was asked for (-flame-out, -trace-out,
-// -metrics-out) and gives the -checks verdict of p.
+// Finish stops the -serve listener, writes the files the run was asked for
+// (-flame-out, -trace-out, -metrics-out) and gives the -checks verdict of p.
 func (f *Flags) Finish(p *gputopdown.Profiler) error {
+	if f.server != nil {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		if err := f.server.Shutdown(ctx); err != nil {
+			f.notef("stopping observability server: %v", err)
+		}
+		cancel()
+		f.server = nil
+	}
 	if f.Flame != nil {
 		if f.Flame.Len() == 0 {
 			return fmt.Errorf("writing flamegraph: no stacks to export")

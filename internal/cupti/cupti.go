@@ -130,12 +130,10 @@ type Session struct {
 	gPassesPK  *obs.Gauge
 	gCacheSize *obs.Gauge
 
-	// Structured logging (nil/disabled by default; see SetLogger) and live
-	// progress tracking (see SetProgress). Both are nil-safe, so the hot
-	// path guards only argument construction.
+	// Structured logging (nil/disabled by default; see SetLogger). Nil-safe,
+	// so the hot path guards only argument construction.
 	log      *obs.Logger // component "cupti"
 	cacheLog *obs.Logger // component "cache"
-	progress *obs.Progress
 }
 
 // NewSession builds a profiling session for the requested counters.
@@ -225,11 +223,6 @@ func (s *Session) SetLogger(l *obs.Logger) {
 	}
 }
 
-// SetProgress attaches a live progress tracker: the session reports the
-// kernel and pass it is currently replaying plus cache hit/miss counts, which
-// the obs HTTP server exposes on /api/progress. Nil detaches.
-func (s *Session) SetProgress(p *obs.Progress) { s.progress = p }
-
 // Checker receives the session's invariant hooks. It extends the device-level
 // sim.Checker with the pass-merge conservation law: after the pass-order
 // merge, every scheduled counter's merged value must equal its reading in the
@@ -308,7 +301,6 @@ func (s *Session) ProfileCtx(ctx context.Context, l *kernel.Launch) (*KernelReco
 	}
 	passes := s.sched.Passes
 	profStart := s.tracer.Now()
-	s.progress.StartKernel(l.Program.Name, len(passes))
 	if s.log.On(obs.LevelDebug) {
 		s.log.Debug("profiling kernel",
 			"kernel", l.Program.Name, "invocation", s.invocations[l.Program.Name],
@@ -319,7 +311,6 @@ func (s *Session) ProfileCtx(ctx context.Context, l *kernel.Launch) (*KernelReco
 	if s.cache != nil {
 		key = s.keyFor(l, s.dev.Storage.HashAllocated())
 		if e, ok := s.cache.get(key); ok && e.passes == len(passes) {
-			s.progress.CacheHit()
 			if s.cacheLog.On(obs.LevelDebug) {
 				s.cacheLog.Debug("replay cache hit",
 					"kernel", l.Program.Name, "invocation", s.invocations[l.Program.Name],
@@ -327,7 +318,6 @@ func (s *Session) ProfileCtx(ctx context.Context, l *kernel.Launch) (*KernelReco
 			}
 			return s.profileCached(l, e, profStart)
 		}
-		s.progress.CacheMiss()
 		if s.cacheLog.On(obs.LevelDebug) {
 			s.cacheLog.Debug("replay cache miss",
 				"kernel", l.Program.Name, "invocation", s.invocations[l.Program.Name],
@@ -370,9 +360,8 @@ func (s *Session) ProfileCtx(ctx context.Context, l *kernel.Launch) (*KernelReco
 	// Replay accounting: each scheduled pass keeps its own slots of the
 	// counter set and is charged one kernel run plus one flush (Fig. 13).
 	values := pmu.Values{}
-	for i, pass := range passes {
+	for _, pass := range passes {
 		values.Merge(pass, &counters)
-		s.progress.PassDone(i + 1)
 	}
 	if s.checker != nil {
 		s.checker.CheckPassMerge(l.Program.Name, passes, &counters, values)
@@ -454,7 +443,6 @@ func (s *Session) account(rec *KernelRecord, fc uint64, span string, profStart f
 				})
 		}
 	}
-	s.progress.KernelDone()
 }
 
 // profileSkipped runs an unsampled invocation once, natively, and reuses the
@@ -490,7 +478,6 @@ func (s *Session) profileSkipped(ctx context.Context, l *kernel.Launch, inv int)
 				skipStart, map[string]any{"invocation": inv, "cycles": res.Cycles})
 		}
 	}
-	s.progress.KernelDone()
 	if s.log.On(obs.LevelDebug) {
 		s.log.Debug("kernel run natively under sampling",
 			"kernel", rec.Kernel, "invocation", inv, "cycles", res.Cycles)

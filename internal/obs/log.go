@@ -14,7 +14,6 @@ import (
 	"io"
 	"log/slog"
 	"strings"
-	"sync/atomic"
 )
 
 // Log levels, re-exported so instrumented packages need not import log/slog.
@@ -101,25 +100,3 @@ func (l *Logger) Warn(msg string, args ...any) { l.Log(slog.LevelWarn, msg, args
 
 // Error emits an error record.
 func (l *Logger) Error(msg string, args ...any) { l.Log(slog.LevelError, msg, args...) }
-
-// CountingWriter wraps an io.Writer counting bytes written — used by tests
-// and the overhead experiments to observe logging volume without re-parsing
-// output. The zero value (nil W) counts and discards, like io.Discard.
-type CountingWriter struct {
-	W io.Writer
-	n atomic.Int64
-}
-
-// Write implements io.Writer.
-func (c *CountingWriter) Write(p []byte) (int, error) {
-	if c.W == nil {
-		c.n.Add(int64(len(p)))
-		return len(p), nil
-	}
-	n, err := c.W.Write(p)
-	c.n.Add(int64(n))
-	return n, err
-}
-
-// Bytes returns the total bytes written so far.
-func (c *CountingWriter) Bytes() int64 { return c.n.Load() }

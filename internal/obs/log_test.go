@@ -76,17 +76,3 @@ func TestLoggerComponentJSON(t *testing.T) {
 		t.Errorf("level = %v, want DEBUG", rec["level"])
 	}
 }
-
-func TestCountingWriter(t *testing.T) {
-	var cw CountingWriter
-	l := NewLogger(&cw, LevelInfo, "text")
-	l.Info("one line")
-	if cw.Bytes() == 0 {
-		t.Error("CountingWriter recorded no bytes after a log line")
-	}
-	before := cw.Bytes()
-	l.Debug("filtered, writes nothing")
-	if cw.Bytes() != before {
-		t.Error("filtered record reached the writer")
-	}
-}

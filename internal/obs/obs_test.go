@@ -171,7 +171,6 @@ func TestNilObservabilityIsSafeAndAllocationFree(t *testing.T) {
 	var g *Gauge
 	var h *Histogram
 	var lg *Logger
-	var pr *Progress
 	var fl *Flame
 	if tr.Enabled() {
 		t.Error("nil tracer claims enabled")
@@ -184,9 +183,6 @@ func TestNilObservabilityIsSafeAndAllocationFree(t *testing.T) {
 	}
 	if lg.Component("sim") != nil {
 		t.Error("nil logger returned a live component logger")
-	}
-	if got := pr.Snapshot(); got.ETASeconds != -1 {
-		t.Errorf("nil progress snapshot ETA = %v, want -1", got.ETASeconds)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		_ = tr.Now()
@@ -212,14 +208,6 @@ func TestNilObservabilityIsSafeAndAllocationFree(t *testing.T) {
 		if lg.On(LevelDebug) {
 			lg.Debug("unreachable on the disabled path")
 		}
-		pr.StartRun(4)
-		pr.StartApp("suite", "app")
-		pr.StartKernel("k", 9)
-		pr.PassDone(1)
-		pr.KernelDone()
-		pr.CacheHit()
-		pr.CacheMiss()
-		pr.AppDone()
 		fl.Add(1, "a", "b")
 	})
 	if allocs != 0 {
@@ -236,7 +224,6 @@ func BenchmarkObsDisabled(b *testing.B) {
 	var g *Gauge
 	var h *Histogram
 	var lg *Logger
-	var pr *Progress
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		start := tr.Now()
@@ -247,7 +234,6 @@ func BenchmarkObsDisabled(b *testing.B) {
 		if lg.On(LevelDebug) {
 			lg.Debug("pass complete", "pass", i)
 		}
-		pr.PassDone(i)
 	}
 }
 

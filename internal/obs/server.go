@@ -1,9 +1,9 @@
 // Live observability service: an embedded HTTP server exposing the metrics
 // registry as a Prometheus scrape target, the execution tracer as a Chrome
-// trace snapshot, the run's live progress as JSON, and net/http/pprof for
-// continuous self-profiling of the profiler process.
+// trace snapshot, and net/http/pprof for continuous self-profiling of the
+// profiler process.
 //
-// Two time domains meet here (see DESIGN.md §10): /debug/pprof profiles the
+// Two time domains meet here (see DESIGN.md §6): /debug/pprof profiles the
 // profiler itself on the host wall clock, while /metrics and /trace carry the
 // simulated-GPU accounting. The server is strictly read-only with respect to
 // the run — every handler snapshots state guarded by the same mutexes the
@@ -13,7 +13,6 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -25,10 +24,9 @@ import (
 // Server is the embedded observability HTTP server. Build with NewServer,
 // bind with Start, stop with Shutdown. The zero value is not useful.
 type Server struct {
-	tracer   *Tracer
-	reg      *Registry
-	progress *Progress
-	log      *Logger
+	tracer *Tracer
+	reg    *Registry
+	log    *Logger
 
 	mu   sync.Mutex
 	srv  *http.Server
@@ -39,8 +37,8 @@ type Server struct {
 // NewServer builds a server over the given (possibly nil) observability
 // components. A nil component turns its endpoint into a 503 — the server is
 // still useful for the rest.
-func NewServer(tr *Tracer, reg *Registry, pr *Progress) *Server {
-	return &Server{tracer: tr, reg: reg, progress: pr}
+func NewServer(tr *Tracer, reg *Registry) *Server {
+	return &Server{tracer: tr, reg: reg}
 }
 
 // SetLogger attaches a logger (component "obs") for lifecycle messages.
@@ -53,7 +51,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/trace", s.handleTrace)
-	mux.HandleFunc("/api/progress", s.handleProgress)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -87,19 +84,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Disposition", `attachment; filename="trace.json"`)
 	if err := s.tracer.WriteJSON(w); err != nil {
 		s.log.Error("trace snapshot failed", "err", err)
-	}
-}
-
-func (s *Server) handleProgress(w http.ResponseWriter, _ *http.Request) {
-	if s.progress == nil {
-		http.Error(w, "no progress tracker attached", http.StatusServiceUnavailable)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(s.progress.Snapshot()); err != nil {
-		s.log.Error("progress snapshot failed", "err", err)
 	}
 }
 

@@ -13,11 +13,10 @@ import (
 	"time"
 )
 
-func testServer() (*Server, *Tracer, *Registry, *Progress) {
+func testServer() (*Server, *Tracer, *Registry) {
 	tr := NewTracer()
 	reg := NewRegistry()
-	pr := NewProgress()
-	return NewServer(tr, reg, pr), tr, reg, pr
+	return NewServer(tr, reg), tr, reg
 }
 
 func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
@@ -30,11 +29,9 @@ func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
 
 // TestServerEndpoints smoke-tests every route of the observability handler.
 func TestServerEndpoints(t *testing.T) {
-	srv, tr, reg, pr := testServer()
+	srv, tr, reg := testServer()
 	reg.Counter("demo_total", "a demo counter", nil).Add(3)
 	tr.Complete(PIDProfiler, 1, "replay", "pass", tr.Now(), nil)
-	pr.StartRun(2)
-	pr.StartApp("altis", "gemm")
 	h := srv.Handler()
 
 	rec := get(t, h, "/healthz")
@@ -74,58 +71,12 @@ func TestServerEndpoints(t *testing.T) {
 	}
 }
 
-// TestServerProgressJSONSchema pins the /api/progress JSON field names —
-// the contract external pollers depend on.
-func TestServerProgressJSONSchema(t *testing.T) {
-	srv, _, _, pr := testServer()
-	pr.StartRun(4)
-	pr.StartApp("rodinia", "bfs")
-	pr.StartKernel("bfs_kernel", 9)
-	pr.PassDone(1)
-	pr.PassDone(2)
-	pr.KernelDone()
-	pr.CacheHit()
-	pr.CacheMiss()
-	pr.AppDone()
-
-	rec := get(t, srv.Handler(), "/api/progress")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("/api/progress: code %d", rec.Code)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
-		t.Fatalf("/api/progress is not JSON: %v", err)
-	}
-	for _, key := range []string{
-		"suite", "app", "kernel", "pass", "pass_total",
-		"apps_done", "apps_total", "kernels_done", "passes_done",
-		"cache_hits", "cache_misses", "cache_hit_ratio",
-		"elapsed_seconds", "passes_per_second", "eta_seconds",
-	} {
-		if _, ok := m[key]; !ok {
-			t.Errorf("/api/progress missing field %q", key)
-		}
-	}
-	if m["suite"] != "rodinia" || m["app"] != "bfs" || m["kernel"] != "bfs_kernel" {
-		t.Errorf("position fields wrong: %v", m)
-	}
-	if m["pass"] != float64(2) || m["pass_total"] != float64(9) {
-		t.Errorf("pass fields wrong: pass=%v pass_total=%v", m["pass"], m["pass_total"])
-	}
-	if m["cache_hit_ratio"] != 0.5 {
-		t.Errorf("cache_hit_ratio = %v, want 0.5", m["cache_hit_ratio"])
-	}
-	if eta, ok := m["eta_seconds"].(float64); !ok || eta < 0 {
-		t.Errorf("eta_seconds = %v, want >= 0 with 1/4 apps done", m["eta_seconds"])
-	}
-}
-
 // TestServerNilComponents: endpoints over missing components answer 503, not
 // panic, and /healthz still works.
 func TestServerNilComponents(t *testing.T) {
-	srv := NewServer(nil, nil, nil)
+	srv := NewServer(nil, nil)
 	h := srv.Handler()
-	for _, path := range []string{"/metrics", "/trace", "/api/progress"} {
+	for _, path := range []string{"/metrics", "/trace"} {
 		if rec := get(t, h, path); rec.Code != http.StatusServiceUnavailable {
 			t.Errorf("%s with nil component: code %d, want 503", path, rec.Code)
 		}
@@ -140,7 +91,7 @@ func TestServerNilComponents(t *testing.T) {
 // and the port closes.
 func TestServerStartShutdown(t *testing.T) {
 	before := runtime.NumGoroutine()
-	srv, _, reg, _ := testServer()
+	srv, _, reg := testServer()
 	reg.Gauge("up", "server liveness", nil).Set(1)
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -191,11 +142,11 @@ func TestServerStartShutdown(t *testing.T) {
 }
 
 // TestObservabilityConcurrency is the race-audit regression test: hammer the
-// tracer, registry, progress and flame from writer goroutines while scraping
+// tracer, registry and flame from writer goroutines while scraping
 // every read path concurrently. Run under -race (as CI does) this fails on
 // any unsynchronized access.
 func TestObservabilityConcurrency(t *testing.T) {
-	srv, tr, reg, pr := testServer()
+	srv, tr, reg := testServer()
 	fl := NewFlame()
 	c := reg.Counter("races_total", "", nil)
 	g := reg.Gauge("races_gauge", "", nil)
@@ -213,10 +164,6 @@ func TestObservabilityConcurrency(t *testing.T) {
 				g.Set(float64(i))
 				hist.Observe(float64(i % 150))
 				tr.Complete(PIDProfiler, w, "replay", "pass", tr.Now(), nil)
-				pr.StartKernel("k", 4)
-				pr.PassDone(i % 5)
-				pr.KernelDone()
-				pr.CacheHit()
 				fl.Add(1, "gpu", "app", "k")
 			}
 		}(w)
@@ -227,9 +174,7 @@ func TestObservabilityConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				get(t, h, "/metrics")
-				get(t, h, "/api/progress")
 				get(t, h, "/trace")
-				_ = pr.Snapshot()
 				_ = fl.Total()
 			}
 		}()

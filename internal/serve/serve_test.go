@@ -286,7 +286,7 @@ func TestMaxAttemptsAcceptedAndIgnored(t *testing.T) {
 	var calls atomic.Int32
 	s := mustServer(t, Options{
 		Registry: reg,
-		Obs:      obs.NewServer(nil, reg, nil).Handler(),
+		Obs:      obs.NewServer(nil, reg).Handler(),
 		Runner: func(ctx context.Context, req *JobRequest) (*Report, error) {
 			calls.Add(1)
 			return nil, errors.New("fails every time")

@@ -13,7 +13,7 @@ import (
 // oracle loop (fastForward false) has no profiler option, so the device is
 // built the way ProfileApp builds it and switched over.
 func profileOnLoop(p *Profiler, fastForward bool, app *App) (*AppResult, error) {
-	dev := sim.NewDeviceMem(p.spec, p.memBytes)
+	dev := sim.NewDevice(p.spec)
 	dev.SetFastForward(fastForward)
 	return p.profileOn(context.Background(), dev, app)
 }

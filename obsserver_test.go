@@ -1,47 +1,78 @@
-package gputopdown
+package gputopdown_test
 
 import (
 	"bytes"
 	"context"
+	"flag"
 	"io"
+	"net"
 	"net/http"
+	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"gputopdown"
+	"gputopdown/internal/cliflags"
 )
 
+// openFlags parses args into the shared flag set and opens the profiler the
+// way topdown and gpuprof do.
+func openFlags(t *testing.T, args ...string) (*cliflags.Flags, *gputopdown.Profiler, error) {
+	t.Helper()
+	f := cliflags.New("test")
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	f.Register(fs, cliflags.Device, cliflags.Workload, cliflags.Collection, cliflags.Observability)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	p, _, err := f.Open()
+	return f, p, err
+}
+
+// settlesAt polls until the goroutine count is back to at most want.
+func settlesAt(want int) (int, bool) {
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		runtime.GC()
+		n := runtime.NumGoroutine()
+		if n <= want || time.Now().After(deadline) {
+			return n, n <= want
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestObsServerEndToEnd is the acceptance check for the live observability
-// service: a profiler built with WithObsServer answers /metrics, /healthz,
-// /trace and /api/progress over real TCP while (and after) profiling, and
-// Close tears the listener down.
+// service: under -serve, Open binds the listener, /metrics, /healthz and
+// /trace answer over real TCP while (and after) profiling, /api/progress is
+// no route, and Finish takes the listener and its goroutine down.
 func TestObsServerEndToEnd(t *testing.T) {
-	spec, _ := LookupGPU("rtx4000")
-	logger, err := NewLogger(io.Discard, "debug", "json")
+	// No keep-alive, so the client leaves no goroutine behind to be counted.
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	before := runtime.NumGoroutine()
+	f, p, err := openFlags(t, "-sms", "2", "-app", "nw", "-serve", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewProfilerE(spec.WithSMs(2), WithLevel(3),
-		WithObsServer("127.0.0.1:0"), WithLogger(logger))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	addr := p.ObsAddr()
-	if addr == "" {
-		t.Fatal("WithObsServer bound no address")
+	addr := f.Serve
+	if strings.HasSuffix(addr, ":0") {
+		t.Fatalf("Open left -serve at %q, want the bound address", addr)
 	}
 
-	app, ok := LookupApp("rodinia", "nw")
-	if !ok {
-		t.Fatal("unknown app rodinia/nw")
+	app, err := f.SelectedApp()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if _, err := p.ProfileApp(context.Background(), app); err != nil {
 		t.Fatal(err)
 	}
 
 	fetch := func(path string) (int, string) {
-		resp, err := http.Get("http://" + addr + path)
+		resp, err := client.Get("http://" + addr + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
@@ -52,80 +83,116 @@ func TestObsServerEndToEnd(t *testing.T) {
 	if code, body := fetch("/healthz"); code != http.StatusOK || !strings.Contains(body, "ok") {
 		t.Errorf("/healthz: %d %q", code, body)
 	}
-	if code, body := fetch("/metrics"); code != http.StatusOK ||
-		!strings.Contains(body, "profiler_replay_overhead_ratio") {
-		t.Errorf("/metrics: %d, overhead ratio metric missing", code)
+	code, body := fetch("/metrics")
+	if code != http.StatusOK {
+		t.Errorf("/metrics: %d", code)
+	}
+	// The registry is the live scoreboard: what /api/progress used to count.
+	for _, metric := range []string{"profiler_replay_overhead_ratio", "profiler_passes_total", "profiler_kernels_profiled_total"} {
+		if !strings.Contains(body, metric) {
+			t.Errorf("/metrics missing %s", metric)
+		}
 	}
 	if code, body := fetch("/trace"); code != http.StatusOK || !strings.Contains(body, `"traceEvents"`) {
 		t.Errorf("/trace: %d, not trace-event JSON", code)
 	}
-	code, body := fetch("/api/progress")
-	if code != http.StatusOK {
-		t.Fatalf("/api/progress: %d", code)
-	}
-	for _, field := range []string{`"apps_done": 1`, `"suite": "rodinia"`, `"app": "nw"`} {
-		if !strings.Contains(body, field) {
-			t.Errorf("/api/progress missing %s:\n%s", field, body)
-		}
-	}
-	if snap := p.Progress(); snap.AppsDone != 1 || snap.KernelsDone == 0 {
-		t.Errorf("Progress() = %+v, want 1 app and >0 kernels done", snap)
+	if code, _ := fetch("/api/progress"); code != http.StatusNotFound {
+		t.Errorf("/api/progress: %d, want 404", code)
 	}
 
-	if err := p.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
+	if err := f.Finish(p); err != nil {
+		t.Fatalf("Finish: %v", err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if _, err := http.Get("http://" + addr + "/healthz"); err != nil {
-			break // listener is down, as required
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("server still answering after Close")
-		}
-		time.Sleep(10 * time.Millisecond)
+	if c, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+		c.Close()
+		t.Error("listener still accepting after Finish")
 	}
-	if err := p.Close(); err != nil {
-		t.Errorf("second Close: %v, want nil no-op", err)
+	if n, ok := settlesAt(before); !ok {
+		t.Errorf("goroutines: %d before Open, %d after Finish", before, n)
+	}
+	if err := f.Finish(p); err != nil {
+		t.Errorf("second Finish: %v, want nil", err)
 	}
 }
 
-// TestObsServerBadAddr: an unbindable address must surface as a construction
-// error from NewProfilerE, not a silent no-server run.
+// TestObsServerBadAddr: an unbindable -serve address is Open's error, not a
+// silent no-server run.
 func TestObsServerBadAddr(t *testing.T) {
-	spec, _ := LookupGPU("rtx4000")
-	if _, err := NewProfilerE(spec, WithObsServer("256.0.0.1:99999")); err == nil {
-		t.Error("NewProfilerE with unbindable obs address succeeded")
+	if _, _, err := openFlags(t, "-serve", "256.0.0.1:99999"); err == nil {
+		t.Error("Open with an unbindable -serve address succeeded")
+	}
+}
+
+// TestNewProfilerIsPure: building a profiler — with every option there is —
+// starts no goroutine and opens no listener, so one []Option can build two.
+func TestNewProfilerIsPure(t *testing.T) {
+	logger, err := gputopdown.NewLogger(io.Discard, "debug", "json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := []gputopdown.Option{
+		gputopdown.WithLevel(2), gputopdown.WithRawEquations(), gputopdown.WithHWPM(),
+		gputopdown.WithSampling(2), gputopdown.WithReplayCache(true), gputopdown.WithChecks(true),
+		gputopdown.WithObserver(gputopdown.NewTracer(), gputopdown.NewMetricsRegistry()),
+		gputopdown.WithLogger(logger), gputopdown.WithReplayWorkers(2),
+	}
+	// This process's open sockets (a listener is one); Linux only.
+	sockets := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("cannot list open descriptors: %v", err)
+		}
+		n := 0
+		for _, fd := range fds {
+			if link, _ := os.Readlink("/proc/self/fd/" + fd.Name()); strings.HasPrefix(link, "socket:") {
+				n++
+			}
+		}
+		return n
+	}
+	goroutines, open := runtime.NumGoroutine(), sockets()
+	spec := gputopdown.QuadroRTX4000().WithSMs(2)
+	a := gputopdown.NewProfiler(spec, opts...)
+	b, err := gputopdown.NewProfilerE(spec, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == b || a.Level() != 2 || b.Level() != 2 {
+		t.Errorf("one option slice built %p (level %d) and %p (level %d)", a, a.Level(), b, b.Level())
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Errorf("goroutines: %d before, %d after two constructors", goroutines, n)
+	}
+	if n := sockets(); n > open {
+		t.Errorf("open sockets: %d before, %d after two constructors", open, n)
 	}
 }
 
 // TestObservabilityResultsBitIdentical: the full observability stack (debug
-// logging, tracer+registry, HTTP server, progress) must not perturb profiling
-// results — RunResult equality bit for bit against a bare profiler.
+// logging, tracer + registry) must not perturb profiling results — AppResult
+// equality bit for bit against a bare profiler.
 func TestObservabilityResultsBitIdentical(t *testing.T) {
-	spec, _ := LookupGPU("gtx1070")
-	app, ok := LookupApp("rodinia", "hotspot")
+	spec, _ := gputopdown.LookupGPU("gtx1070")
+	app, ok := gputopdown.LookupApp("rodinia", "hotspot")
 	if !ok {
 		t.Fatal("unknown app rodinia/hotspot")
 	}
-	bare := NewProfiler(spec.WithSMs(2), WithLevel(3))
+	bare := gputopdown.NewProfiler(spec.WithSMs(2), gputopdown.WithLevel(3))
 	want, err := bare.ProfileApp(context.Background(), app)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	logger, err := NewLogger(io.Discard, "debug", "text")
+	logger, err := gputopdown.NewLogger(io.Discard, "debug", "text")
 	if err != nil {
 		t.Fatal(err)
 	}
-	observed, err := NewProfilerE(spec.WithSMs(2), WithLevel(3),
-		WithObserver(NewTracer(), NewMetricsRegistry()),
-		WithLogger(logger),
-		WithObsServer("127.0.0.1:0"))
+	observed, err := gputopdown.NewProfilerE(spec.WithSMs(2), gputopdown.WithLevel(3),
+		gputopdown.WithObserver(gputopdown.NewTracer(), gputopdown.NewMetricsRegistry()),
+		gputopdown.WithLogger(logger))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer observed.Close()
 	got, err := observed.ProfileApp(context.Background(), app)
 	if err != nil {
 		t.Fatal(err)
@@ -140,9 +207,9 @@ func TestObservabilityResultsBitIdentical(t *testing.T) {
 // device, level-3 stall-reason leaves, parseable "<frames> <int>" lines, and
 // a loud error when there is nothing to export.
 func TestFlameExport(t *testing.T) {
-	spec, _ := LookupGPU("rtx4000")
-	p := NewProfiler(spec.WithSMs(2), WithLevel(3))
-	app, ok := LookupApp("altis", "gemm")
+	spec, _ := gputopdown.LookupGPU("rtx4000")
+	p := gputopdown.NewProfiler(spec.WithSMs(2), gputopdown.WithLevel(3))
+	app, ok := gputopdown.LookupApp("altis", "gemm")
 	if !ok {
 		t.Fatal("unknown app altis/gemm")
 	}
@@ -151,7 +218,7 @@ func TestFlameExport(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteFlame(&buf, res); err != nil {
+	if err := gputopdown.WriteFlame(&buf, res); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -180,7 +247,7 @@ func TestFlameExport(t *testing.T) {
 		}
 	}
 
-	if err := WriteFlame(&bytes.Buffer{}); err == nil {
+	if err := gputopdown.WriteFlame(&bytes.Buffer{}); err == nil {
 		t.Error("WriteFlame with no results succeeded")
 	}
 }

@@ -76,7 +76,10 @@ func NewJobRunner(defaultGPU string, base ...Option) *JobRunner {
 }
 
 // profilerFor returns the cached Profiler for the request's configuration,
-// building it on first use.
+// building it on first use. The cache is keyed on the configuration the
+// options resolve to, not on how the request spelled it: level 0 and 3, mode
+// "" and "smpc", sample_every 0 and 1, and replay_cache unset and the base
+// default all name the same Profiler (and the same warm replay cache).
 func (jr *JobRunner) profilerFor(req *JobRequest) (*Profiler, error) {
 	gpuID := req.GPU
 	if gpuID == "" {
@@ -85,18 +88,6 @@ func (jr *JobRunner) profilerFor(req *JobRequest) (*Profiler, error) {
 	spec, ok := LookupGPU(gpuID)
 	if !ok {
 		return nil, fmt.Errorf("gputopdown: unknown gpu %q", gpuID)
-	}
-	replayCache := "unset"
-	if req.ReplayCache != nil {
-		replayCache = fmt.Sprint(*req.ReplayCache)
-	}
-	key := fmt.Sprintf("%s|%d|%s|%t|%d|%s",
-		gpuID, req.Level, req.Mode, req.RawEquations, req.SampleEvery, replayCache)
-
-	jr.mu.Lock()
-	defer jr.mu.Unlock()
-	if p, ok := jr.profilers[key]; ok {
-		return p, nil
 	}
 	opts := append([]Option(nil), jr.base...)
 	if req.Level > 0 {
@@ -114,9 +105,18 @@ func (jr *JobRunner) profilerFor(req *JobRequest) (*Profiler, error) {
 	if req.ReplayCache != nil {
 		opts = append(opts, WithReplayCache(*req.ReplayCache))
 	}
+	// Construction is pure and cheap, so build first and key on the result.
 	p, err := NewProfilerE(spec, opts...)
 	if err != nil {
 		return nil, err
+	}
+	key := fmt.Sprintf("%s|%d|%s|%t|%d|%t",
+		gpuID, p.Level(), p.mode, p.normalize, max(p.sampleEvery, 1), p.cacheOn)
+
+	jr.mu.Lock()
+	defer jr.mu.Unlock()
+	if cached, ok := jr.profilers[key]; ok {
+		return cached, nil
 	}
 	jr.profilers[key] = p
 	return p, nil

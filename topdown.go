@@ -99,21 +99,11 @@ func WithRawEquations() Option { return func(p *Profiler) { p.normalize = false 
 // sampling) instead of SMPC (paper §II.A).
 func WithHWPM() Option { return func(p *Profiler) { p.mode = cupti.ModeHWPM } }
 
-// WithMemBytes sets the simulated device-memory capacity: the limit at which
-// an application's allocations fail with out-of-memory. Host memory is taken
-// as the application allocates, not up front.
-func WithMemBytes(n int) Option { return func(p *Profiler) { p.memBytes = n } }
-
 // WithSampling profiles only every n-th invocation of each kernel, running
 // the rest natively with the most recent sampled values — the paper's §VII
 // mitigation for applications whose kernel counts make full replay
 // impractical.
 func WithSampling(n int) Option { return func(p *Profiler) { p.sampleEvery = n } }
-
-// WithRoofline additionally collects the counters for an instruction-
-// roofline placement (the complement analysis of the paper's related work
-// [26]) and attaches it to each AppResult.
-func WithRoofline() Option { return func(p *Profiler) { p.roofline = true } }
 
 // WithReplayCache enables deterministic memoization of byte-identical kernel
 // invocations: when the same (program, launch configuration, device memory,
@@ -170,10 +160,6 @@ func WithObserver(tr *Tracer, reg *MetricsRegistry) Option {
 // see internal/obs. Create one with NewLogger, attach it with WithLogger.
 type Logger = obs.Logger
 
-// ProgressSnapshot is a point-in-time view of a live profiling run — what
-// the observability server serves on /api/progress.
-type ProgressSnapshot = obs.ProgressSnapshot
-
 // NewLogger builds a structured logger writing to w. level is "debug",
 // "info", "warn" or "error" (the -log-level flag values); format is "text"
 // for logfmt-style lines or "json" for one JSON object per line.
@@ -188,110 +174,39 @@ func NewLogger(w io.Writer, level, format string) (*Logger, error) {
 // WithLogger attaches a structured logger to the profiler. Every subsystem
 // logs under its own component scope: "cupti" (pass start/stop, session
 // configuration), "cache" (replay-cache hits and misses), "sim" (kernel
-// launches and fast-forward accounting), "core" (analyses), "profiler"
-// (per-app summaries) and "progress" (the periodic suite-progress line; see
-// WithProgressInterval). A nil logger — or no WithLogger at all — keeps the
-// allocation-free disabled path.
+// launches and fast-forward accounting), "core" (analyses) and "profiler"
+// (one "app profiled" summary per app). A nil logger — or no WithLogger at
+// all — keeps the allocation-free disabled path.
 func WithLogger(l *Logger) Option { return func(p *Profiler) { p.logger = l } }
 
-// WithObsServer starts the live observability HTTP server on addr (":0"
-// picks a free port; query it with ObsAddr) when the profiler is built. The
-// server exposes GET /metrics (live Prometheus scrape), /healthz, /trace
-// (current Chrome trace snapshot), /api/progress (live run progress JSON)
-// and net/http/pprof under /debug/pprof/ for continuous self-profiling. If
-// no tracer or metrics registry was attached with WithObserver, both are
-// created so the endpoints have live data. The server shuts down gracefully
-// in Profiler.Close; a failed bind is reported by NewProfilerE (NewProfiler
-// records it and profiling proceeds without the server).
-func WithObsServer(addr string) Option { return func(p *Profiler) { p.obsAddr = addr } }
-
-// WithProgressInterval sets the period of the structured suite-progress log
-// line emitted during ProfileApps/ProfileSuite runs (default 10s; requires
-// WithLogger). d <= 0 disables the periodic line; progress is then still
-// available on /api/progress when the server is running.
-func WithProgressInterval(d time.Duration) Option {
-	return func(p *Profiler) { p.progressEvery = d }
-}
-
 // Profiler runs applications under Top-Down profiling on one GPU model.
+// Building one opens no socket and starts no goroutine, so the same []Option
+// can build any number of profilers.
 type Profiler struct {
-	spec          *gpu.Spec
-	level         int
-	normalize     bool
-	mode          cupti.Mode
-	memBytes      int
-	sampleEvery   int
-	roofline      bool
-	cacheOn       bool
-	checksOn      bool
-	checks        *check.Invariants
-	cache         *cupti.ReplayCache
-	tracer        *obs.Tracer
-	metrics       *obs.Registry
-	logger        *obs.Logger
-	progress      *obs.Progress
-	progressEvery time.Duration
-	obsAddr       string
-	obsServer     *obs.Server
-	obsErr        error
+	spec        *gpu.Spec
+	level       int
+	normalize   bool
+	mode        cupti.Mode
+	sampleEvery int
+	cacheOn     bool
+	checksOn    bool
+	checks      *check.Invariants
+	cache       *cupti.ReplayCache
+	tracer      *obs.Tracer
+	metrics     *obs.Registry
+	logger      *obs.Logger
 }
 
 // NewProfiler builds a profiler for a device model. The default is a
 // normalised level-3 analysis with SMPC collection.
 //
 // Out-of-range options are clamped rather than rejected: a level outside
-// 1..3 is capped by the analyzer, memBytes <= 0 falls back to the simulator
-// default, and sampleEvery < 1 disables sampling. Use NewProfilerE to have
-// invalid options reported as errors instead.
+// 1..3 is capped by the analyzer and sampleEvery < 1 disables sampling. Use
+// NewProfilerE to have invalid options reported as errors instead.
 func NewProfiler(spec *gpu.Spec, opts ...Option) *Profiler {
-	p := &Profiler{
-		spec:          spec,
-		level:         core.Level3,
-		normalize:     true,
-		mode:          cupti.ModeSMPC,
-		memBytes:      sim.DefaultMemBytes,
-		progressEvery: 10 * time.Second,
-	}
-	for _, o := range opts {
-		o(p)
-	}
-	if p.memBytes <= 0 {
-		p.memBytes = sim.DefaultMemBytes
-	}
+	p := build(spec, opts)
 	if p.sampleEvery < 0 {
 		p.sampleEvery = 0
-	}
-	if p.cacheOn {
-		p.cache = cupti.NewReplayCache(0)
-	}
-	if p.checksOn {
-		p.checks = check.New()
-	}
-	// Live observability service: the server needs a registry and tracer to
-	// scrape, and a progress tracker to report; create whatever is missing.
-	if p.obsAddr != "" {
-		if p.metrics == nil {
-			p.metrics = obs.NewRegistry()
-		}
-		if p.tracer == nil {
-			p.tracer = obs.NewTracer()
-		}
-	}
-	if p.obsAddr != "" || p.logger != nil {
-		p.progress = obs.NewProgress()
-	}
-	if p.obsAddr != "" {
-		srv := obs.NewServer(p.tracer, p.metrics, p.progress)
-		srv.SetLogger(p.logger)
-		if err := srv.Start(p.obsAddr); err != nil {
-			// NewProfiler has no error return; record the failure for
-			// NewProfilerE (and the logger) and profile without the server.
-			p.obsErr = err
-			p.logger.Error("observability server failed to start",
-				"addr", p.obsAddr, "err", err)
-		} else {
-			p.obsServer = srv
-		}
 	}
 	return p
 }
@@ -299,61 +214,38 @@ func NewProfiler(spec *gpu.Spec, opts ...Option) *Profiler {
 // NewProfilerE is the validating variant of NewProfiler: instead of clamping
 // out-of-range options it rejects them, so configuration mistakes fail fast
 // at construction rather than silently changing behavior. It returns an
-// error when spec is nil, the level is outside 1..3, sampleEvery is
-// negative, or memBytes is not positive.
+// error when spec is nil, the level is outside 1..3 or sampleEvery is
+// negative.
 func NewProfilerE(spec *gpu.Spec, opts ...Option) (*Profiler, error) {
 	if spec == nil {
 		return nil, fmt.Errorf("gputopdown: nil GPU spec")
 	}
-	probe := &Profiler{level: core.Level3, memBytes: sim.DefaultMemBytes}
-	for _, o := range opts {
-		o(probe)
+	p := build(spec, opts)
+	if p.level < core.Level1 || p.level > core.Level3 {
+		return nil, fmt.Errorf("gputopdown: analysis level %d outside 1..3", p.level)
 	}
-	if probe.level < core.Level1 || probe.level > core.Level3 {
-		return nil, fmt.Errorf("gputopdown: analysis level %d outside 1..3", probe.level)
-	}
-	if probe.sampleEvery < 0 {
-		return nil, fmt.Errorf("gputopdown: negative sampling interval %d", probe.sampleEvery)
-	}
-	if probe.memBytes <= 0 {
-		return nil, fmt.Errorf("gputopdown: non-positive device memory size %d", probe.memBytes)
-	}
-	p := NewProfiler(spec, opts...)
-	if p.obsErr != nil {
-		return nil, fmt.Errorf("gputopdown: %w", p.obsErr)
+	if p.sampleEvery < 0 {
+		return nil, fmt.Errorf("gputopdown: negative sampling interval %d", p.sampleEvery)
 	}
 	return p, nil
 }
 
-// Close releases profiler-owned background resources: when WithObsServer
-// started an observability server, it shuts down gracefully (in-flight
-// scrapes drain, the serve goroutine exits). Close is idempotent and safe on
-// a profiler without a server.
-func (p *Profiler) Close() error {
-	srv := p.obsServer
-	p.obsServer = nil
-	if srv == nil {
-		return nil
+// build applies opts over the defaults and creates the replay cache and
+// invariant checker they ask for; the constructors differ only in what they
+// do with an out-of-range value afterwards.
+func build(spec *gpu.Spec, opts []Option) *Profiler {
+	p := &Profiler{spec: spec, level: core.Level3, normalize: true, mode: cupti.ModeSMPC}
+	for _, o := range opts {
+		o(p)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	return srv.Shutdown(ctx)
-}
-
-// ObsAddr returns the bound address of the live observability server, e.g.
-// "127.0.0.1:40123" — useful with WithObsServer(":0"). Empty when no server
-// is running.
-func (p *Profiler) ObsAddr() string {
-	if p.obsServer == nil {
-		return ""
+	if p.cacheOn {
+		p.cache = cupti.NewReplayCache(0)
 	}
-	return p.obsServer.Addr()
+	if p.checksOn {
+		p.checks = check.New()
+	}
+	return p
 }
-
-// Progress returns a snapshot of the live run progress (apps/kernels/passes
-// completed, current position, cache hit ratio, ETA). Without WithObsServer
-// or WithLogger no progress is tracked and a zero snapshot is returned.
-func (p *Profiler) Progress() ProgressSnapshot { return p.progress.Snapshot() }
 
 // Spec returns the profiler's device model.
 func (p *Profiler) Spec() *gpu.Spec { return p.spec }
@@ -391,9 +283,6 @@ type AppResult struct {
 	ProfiledCycles uint64
 	// WallSeconds is the host wall-clock time the profiled run took.
 	WallSeconds float64
-	// Roofline is the app-level instruction-roofline placement, present
-	// when the profiler was built WithRoofline.
-	Roofline *core.Roofline
 	// Failed holds the kernels whose simulation panicked and was isolated
 	// (each wraps ErrKernelPanic); the rest of the application completed
 	// without them. Empty on a clean run.
@@ -450,8 +339,7 @@ func (r *AppResult) KernelNames() []string {
 // normally (graceful degradation). Only when every kernel fails — or the app
 // launches none — does ProfileApp return an error.
 func (p *Profiler) ProfileApp(ctx context.Context, app *workloads.App) (*AppResult, error) {
-	dev := sim.NewDeviceMem(p.spec, p.memBytes)
-	return p.profileOn(ctx, dev, app)
+	return p.profileOn(ctx, sim.NewDevice(p.spec), app)
 }
 
 // profileOn is the Top-Down analysis as a client of collect: it requests the
@@ -462,12 +350,6 @@ func (p *Profiler) profileOn(ctx context.Context, dev *sim.Device, app *workload
 	request, err := analyzer.CounterRequest()
 	if err != nil {
 		return nil, err
-	}
-	var roofIDs []pmu.CounterID
-	var roofTotal pmu.Values
-	if p.roofline {
-		roofIDs, roofTotal = core.RooflineRequest(), pmu.Values{}
-		request = append(request, roofIDs...)
 	}
 	if p.tracer != nil || p.metrics != nil {
 		analyzer.SetObserver(p.tracer, p.metrics)
@@ -486,9 +368,6 @@ func (p *Profiler) profileOn(ctx context.Context, dev *sim.Device, app *workload
 			Cycles:     rec.Cycles,
 			Analysis:   a,
 		})
-		for _, id := range roofIDs {
-			roofTotal[id] += rec.Values[id]
-		}
 		return nil
 	})
 	if err != nil {
@@ -503,9 +382,6 @@ func (p *Profiler) profileOn(ctx context.Context, dev *sim.Device, app *workload
 	}
 	res.Aggregate = core.Aggregate(app.Name, analyses)
 	p.checks.CheckAnalysis(res.Aggregate)
-	if p.roofline {
-		res.Roofline = core.ComputeRoofline(p.spec, roofTotal)
-	}
 	return res, nil
 }
 
@@ -537,13 +413,12 @@ type Collection struct {
 // requested raw counters for every kernel invocation over as many replay
 // passes as they need, and hands each launch with its merged record to visit,
 // in execution order. Everything the profiler was configured with applies —
-// collection mode, sampling, replay cache, invariant checks, observers, logger,
-// progress — and cancellation and panic isolation are ProfileApp's. An error
-// from visit stops the run and is returned.
+// collection mode, sampling, replay cache, invariant checks, observers, logger
+// — and cancellation and panic isolation are ProfileApp's. An error from visit
+// stops the run and is returned.
 func (p *Profiler) Collect(ctx context.Context, app *workloads.App, request []pmu.CounterID,
 	visit func(*kernel.Launch, *cupti.KernelRecord) error) (*Collection, error) {
-	p.progress.StartRun(1)
-	col, err := p.collect(ctx, sim.NewDeviceMem(p.spec, p.memBytes), app, request, visit)
+	col, err := p.collect(ctx, sim.NewDevice(p.spec), app, request, visit)
 	if err != nil {
 		return nil, err
 	}
@@ -552,8 +427,8 @@ func (p *Profiler) Collect(ctx context.Context, app *workloads.App, request []pm
 
 // collect is the one place a profiling session is assembled and driven:
 // session over dev for request, the profiler's sampling, cache, checker,
-// observers, logger and progress attached, ctx honoured per launch, and a
-// panicking kernel isolated onto Failed while the rest of the app runs.
+// observers and logger attached, ctx honoured per launch, and a panicking
+// kernel isolated onto Failed while the rest of the app runs.
 func (p *Profiler) collect(ctx context.Context, dev *sim.Device, app *workloads.App, request []pmu.CounterID,
 	visit func(*kernel.Launch, *cupti.KernelRecord) error) (Collection, error) {
 	sess, err := cupti.NewSession(dev, request, p.mode)
@@ -576,8 +451,6 @@ func (p *Profiler) collect(ctx context.Context, dev *sim.Device, app *workloads.
 	if p.logger != nil {
 		sess.SetLogger(p.logger)
 	}
-	sess.SetProgress(p.progress)
-	p.progress.StartApp(app.Suite, app.Name)
 	sessStart := p.tracer.Now()
 	wallStart := time.Now()
 	col := Collection{Passes: sess.NumPasses()}
@@ -637,7 +510,6 @@ func (p *Profiler) collect(ctx context.Context, dev *sim.Device, app *workloads.
 			"Live profiled/native simulated-cycle ratio (the paper's Fig. 13).",
 			obs.Labels{"app": app.ID(), "gpu": p.spec.Name}).Set(overhead)
 	}
-	p.progress.AppDone()
 	if p.logger.On(obs.LevelInfo) {
 		p.logger.Component("profiler").Info("app profiled",
 			"app", app.ID(), "gpu", p.spec.Name,
@@ -661,7 +533,13 @@ func (p *Profiler) Timeline(ctx context.Context, app *workloads.App, kernelName 
 	if interval == 0 {
 		return nil, fmt.Errorf("gputopdown: zero timeline interval")
 	}
-	dev := p.nativeDevice()
+	dev := sim.NewDevice(p.spec)
+	if p.checks != nil {
+		dev.SetChecker(p.checks)
+	}
+	if p.logger != nil {
+		dev.SetLogger(p.logger)
+	}
 	dev.EnableTrace(interval)
 	analyzer := core.NewAnalyzer(p.spec, p.level)
 	analyzer.Normalize = p.normalize
@@ -702,35 +580,6 @@ func (p *Profiler) Timeline(ctx context.Context, app *workloads.App, kernelName 
 	return points, nil
 }
 
-// nativeDevice builds a fresh device for a run without a profiling session,
-// with the profiler's invariant checker and logger attached directly.
-func (p *Profiler) nativeDevice() *sim.Device {
-	dev := sim.NewDeviceMem(p.spec, p.memBytes)
-	if p.checks != nil {
-		dev.SetChecker(p.checks)
-	}
-	if p.logger != nil {
-		dev.SetLogger(p.logger)
-	}
-	return dev
-}
-
-// RunNative executes an application without profiling and returns its total
-// device cycles — the Fig. 13 baseline.
-func (p *Profiler) RunNative(app *workloads.App) (uint64, error) {
-	dev := p.nativeDevice()
-	var total uint64
-	err := app.Execute(dev, func(l *kernel.Launch) error {
-		res, err := dev.Launch(l)
-		if err != nil {
-			return err
-		}
-		total += res.Cycles
-		return nil
-	})
-	return total, err
-}
-
 // ProfileSuite profiles every app of a suite, each on its own fresh device,
 // fanning the independent apps across CPU cores. Results keep suite order.
 // An unknown suite reports ErrUnknownSuite. Cancellation semantics are
@@ -750,9 +599,6 @@ func (p *Profiler) ProfileSuite(ctx context.Context, suite string) ([]*AppResult
 // failed indices), so partial progress is not discarded. Cancellation stops
 // the remaining apps and surfaces ctx.Err among the joined errors.
 func (p *Profiler) ProfileApps(ctx context.Context, apps []*workloads.App) ([]*AppResult, error) {
-	p.progress.StartRun(len(apps))
-	stopProgressLog := p.startProgressLog()
-	defer stopProgressLog()
 	results := make([]*AppResult, len(apps))
 	errs := make([]error, len(apps))
 	workers := runtime.NumCPU()
@@ -801,32 +647,4 @@ feed:
 		return results, err
 	}
 	return results, nil
-}
-
-// startProgressLog starts the periodic structured progress line for a suite
-// run — apps done/total, current kernel, pass throughput, cache hit ratio —
-// so long sweeps stay observable even without the HTTP server. It returns a
-// stop function (safe to call exactly once); a no-op closure is returned
-// when no logger or progress tracker is attached or the interval is off.
-func (p *Profiler) startProgressLog() func() {
-	if p.logger == nil || p.progress == nil || p.progressEvery <= 0 {
-		return func() {}
-	}
-	log := p.logger.Component("progress")
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		t := time.NewTicker(p.progressEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				log.Info("suite progress", p.progress.Snapshot().LogArgs()...)
-			}
-		}
-	}()
-	return func() { close(stop); <-done }
 }
