@@ -3,6 +3,7 @@ package cupti
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -54,6 +55,11 @@ func TestPanicIsolationSequential(t *testing.T) {
 	}
 	if !errors.Is(err, ErrKernelPanic) {
 		t.Fatalf("error %v does not wrap ErrKernelPanic", err)
+	}
+	// Lanes are bounds-checked in lane order: the error carries the storage
+	// panic of lane 0, the first active lane.
+	if want := "mem: access of 4 bytes at 0x40000000 outside allocated"; !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not carry %q", err, want)
 	}
 
 	// Sibling kernel on the same session and device still profiles.

@@ -171,8 +171,15 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("gpu %s: MaxThreadsPerSM = %d", s.Name, s.MaxThreadsPerSM)
 	case s.ClockMHz <= 0:
 		return fmt.Errorf("gpu %s: ClockMHz = %d", s.Name, s.ClockMHz)
-	case s.LineSize <= 0 || s.SectorSize <= 0 || s.LineSize%s.SectorSize != 0:
+	// A cache line's valid sectors are a 32-bit mask.
+	case s.LineSize <= 0 || s.SectorSize <= 0 || s.LineSize%s.SectorSize != 0 || s.LineSize/s.SectorSize > 32:
 		return fmt.Errorf("gpu %s: line size %d / sector size %d", s.Name, s.LineSize, s.SectorSize)
+	// The memory model splits addresses by shift and mask. SectorSize first:
+	// it divides LineSize, so it can only be at fault when LineSize is too.
+	case s.SectorSize&(s.SectorSize-1) != 0:
+		return fmt.Errorf("gpu %s: SectorSize = %d (want a power of two)", s.Name, s.SectorSize)
+	case s.LineSize&(s.LineSize-1) != 0:
+		return fmt.Errorf("gpu %s: LineSize = %d (want a power of two)", s.Name, s.LineSize)
 	case s.L1Size <= 0 || s.L2Size <= 0 || s.ICacheSize <= 0 || s.IMCSize <= 0:
 		return fmt.Errorf("gpu %s: non-positive cache size", s.Name)
 	case s.L2Slices < 1 || s.L2Slices&(s.L2Slices-1) != 0:

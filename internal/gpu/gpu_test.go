@@ -85,6 +85,7 @@ func TestValidateCatchesBadSpecs(t *testing.T) {
 		func(s *Spec) { s.SubpartitionsPerSM = 0 },
 		func(s *Spec) { s.ClockMHz = 0 },
 		func(s *Spec) { s.SectorSize = 48 }, // not dividing line size
+		func(s *Spec) { s.SectorSize = 2 },  // 64 sectors to the line
 		func(s *Spec) { s.L2Size = 0 },
 		func(s *Spec) { s.SchedulingPolicy = "random" },
 		func(s *Spec) { s.DivergenceMitigation = 2 },
@@ -126,6 +127,9 @@ func TestValidateNamesTheField(t *testing.T) {
 		{"IMCWays", func(s *Spec) { s.IMCWays = 0 }},
 		{"RegistersPerSM", func(s *Spec) { s.RegistersPerSM = 0 }},
 		{"SharedMemPerSM", func(s *Spec) { s.SharedMemPerSM = 0 }},
+		// Both divide evenly and used to pass, then panicked in mem.NewMemSys.
+		{"LineSize = 96", func(s *Spec) { s.LineSize, s.SectorSize = 96, 32 }},
+		{"SectorSize = 24", func(s *Spec) { s.LineSize, s.SectorSize = 96, 24 }},
 	}
 	for _, base := range []*Spec{GTX1070(), QuadroRTX4000()} {
 		for _, c := range cases {

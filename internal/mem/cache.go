@@ -24,32 +24,31 @@ type CacheStats struct {
 	Evictions uint64
 }
 
-type cacheLine struct {
-	tag     uint64
-	valid   bool
-	sectors uint32 // bitmask of valid sectors within the line
-	lastUse uint64 // LRU timestamp
-}
-
 // Cache is a sectored, set-associative, LRU cache. A lookup hits only if the
 // specific sector of the line is present; a miss fills that sector (and
 // allocates the line if needed), modelling NVIDIA's 128-byte lines with
 // 32-byte sectors.
+//
+// Line state is one allocation holding, set after set, three parallel arrays
+// of ways entries each — keys, sector masks, LRU stamps — so a set scan reads
+// only the keys (128 contiguous bytes for a 16-way set) and the mask and
+// stamp of the way it finds are on the next host cache lines, not in another
+// table. A key is the line number plus one; zero marks an invalid way, whose
+// sector mask and LRU stamp are then meaningless.
 type Cache struct {
-	name       string
-	sets       int
-	ways       int
-	lineSize   uint64
-	sectorSize uint64
-	// Shift/mask fast path for the (overwhelmingly common) power-of-two
-	// geometry: lineShift/sectorShift replace the per-access divisions and
-	// setShift/setMask the set modulo. pow2 gates the fast path.
+	name string
+	sets int
+	ways int
+	// Line and sector sizes are powers of two (gpu.Spec.Validate enforces it
+	// for device specs), so addresses split by shift and mask. The set index
+	// is line & setMask, or line % setMod when the set count is not a power
+	// of two (setMod is zero otherwise): the GTX 1070's L1D has 96 sets.
 	lineShift   uint
 	sectorShift uint
-	setShift    uint
+	lineMask    uint64
 	setMask     uint64
-	pow2        bool
-	lines       []cacheLine // sets*ways, row-major by set
+	setMod      uint64
+	state       []uint64 // per set: ways keys, ways sector masks, ways stamps
 	tick        uint64
 	stats       CacheStats
 }
@@ -58,16 +57,12 @@ func log2u64(v uint64) (uint, bool) {
 	if v == 0 || v&(v-1) != 0 {
 		return 0, false
 	}
-	var s uint
-	for v > 1 {
-		v >>= 1
-		s++
-	}
-	return s, true
+	return uint(bits.TrailingZeros64(v)), true
 }
 
 // NewCache builds a cache of size bytes with the given associativity and
-// line/sector geometry. size must be a multiple of ways*lineSize.
+// line/sector geometry. size must be a multiple of ways*lineSize; lineSize
+// and sectorSize must be powers of two with at most 32 sectors to the line.
 func NewCache(name string, size, ways, lineSize, sectorSize int) *Cache {
 	if size <= 0 || ways <= 0 || lineSize <= 0 || sectorSize <= 0 {
 		panic(fmt.Sprintf("mem: bad cache geometry %s size=%d ways=%d line=%d sector=%d",
@@ -76,93 +71,117 @@ func NewCache(name string, size, ways, lineSize, sectorSize int) *Cache {
 	if lineSize%sectorSize != 0 {
 		panic(fmt.Sprintf("mem: %s line size %d not a multiple of sector size %d", name, lineSize, sectorSize))
 	}
+	lineShift, lok := log2u64(uint64(lineSize))
+	sectorShift, sok := log2u64(uint64(sectorSize))
+	// A one-byte line would let line number + 1 wrap to the invalid key.
+	if !lok || !sok || lineSize < 2 || lineSize/sectorSize > 32 {
+		panic(fmt.Sprintf("mem: %s line size %d / sector size %d (want powers of two, 2-byte lines or longer, at most 32 sectors each)",
+			name, lineSize, sectorSize))
+	}
 	sets := size / (ways * lineSize)
 	if sets < 1 {
 		sets = 1
 	}
 	c := &Cache{
-		name:       name,
-		sets:       sets,
-		ways:       ways,
-		lineSize:   uint64(lineSize),
-		sectorSize: uint64(sectorSize),
-		lines:      make([]cacheLine, sets*ways),
+		name:        name,
+		sets:        sets,
+		ways:        ways,
+		lineShift:   lineShift,
+		sectorShift: sectorShift,
+		lineMask:    uint64(lineSize) - 1,
+		setMask:     uint64(sets) - 1,
+		state:       make([]uint64, 3*sets*ways),
 	}
-	ls, lok := log2u64(c.lineSize)
-	ss, sok := log2u64(c.sectorSize)
-	ts, setsOK := log2u64(uint64(sets))
-	if lok && sok && setsOK {
-		c.lineShift, c.sectorShift, c.setShift = ls, ss, ts
-		c.setMask = uint64(sets) - 1
-		c.pow2 = true
+	if sets&(sets-1) != 0 {
+		c.setMod = uint64(sets)
 	}
 	return c
 }
 
-// locate splits addr into (tag, set index, sector bit) per the cache
-// geometry.
-func (c *Cache) locate(addr uint64) (tag uint64, set int, sectorBit uint32) {
-	if c.pow2 {
-		lineAddr := addr >> c.lineShift
-		return lineAddr >> c.setShift, int(lineAddr & c.setMask),
-			uint32(1) << ((addr & (c.lineSize - 1)) >> c.sectorShift)
+// locate returns the key of the line containing addr and the state of its
+// set.
+func (c *Cache) locate(addr uint64) (key uint64, keys, sectors, lastUse []uint64) {
+	line := addr >> c.lineShift
+	set := line & c.setMask
+	if c.setMod != 0 {
+		set = line % c.setMod
 	}
-	lineAddr := addr / c.lineSize
-	return lineAddr / uint64(c.sets), int(lineAddr % uint64(c.sets)),
-		uint32(1) << ((addr % c.lineSize) / c.sectorSize)
+	keys, sectors, lastUse = c.set(int(set))
+	return line + 1, keys, sectors, lastUse
+}
+
+// set returns the three arrays of set i, one entry per way: keys (line
+// number + 1, 0 = invalid), valid-sector bitmasks and LRU timestamps.
+func (c *Cache) set(i int) (keys, sectors, lastUse []uint64) {
+	n := c.ways
+	s := c.state[3*n*i:][:3*n]
+	return s[:n], s[n : 2*n], s[2*n:]
+}
+
+// sectorBit returns the bit of the sector containing addr within its line.
+func (c *Cache) sectorBit(addr uint64) uint32 {
+	return 1 << ((addr & c.lineMask) >> c.sectorShift)
 }
 
 // Access looks up the sector containing addr, filling it on a miss, and
 // reports whether it hit.
 func (c *Cache) Access(addr uint64) bool {
-	c.tick++
-	c.stats.Lookups++
-	tag, set, sectorBit := c.locate(addr)
+	return c.AccessLine(addr, c.sectorBit(addr)) != 0
+}
 
-	base := set * c.ways
-	var victim, lruWay int
-	var lruTick uint64 = ^uint64(0)
-	victim = -1
-	for w := 0; w < c.ways; w++ {
-		ln := &c.lines[base+w]
-		if ln.valid && ln.tag == tag {
-			ln.lastUse = c.tick
-			if ln.sectors&sectorBit != 0 {
-				c.stats.Hits++
-				return true
-			}
-			// Line present, sector absent: sector miss, fill the sector.
-			ln.sectors |= sectorBit
-			c.stats.Misses++
-			return false
-		}
-		if !ln.valid {
-			if victim < 0 {
-				victim = w
-			}
-		} else if ln.lastUse < lruTick {
-			lruTick = ln.lastUse
-			lruWay = w
+// AccessLine looks up the sectors of want (a bitmask, bit i = sector i) in
+// the line containing addr, fills the ones that miss, and returns the mask
+// of those that hit. It is defined as Access on each sector of want in
+// ascending order and leaves exactly that state and those statistics, with
+// one scan of the set: n sequential lookups advance the clock by n and stamp
+// the line with the last tick; if the line is absent, the first lookup
+// allocates it (choosing the victim from the state before any fill) and the
+// other n-1 are sector misses on the new line.
+func (c *Cache) AccessLine(addr uint64, want uint32) (hit uint32) {
+	n := uint64(bits.OnesCount32(want))
+	if n == 0 {
+		return 0
+	}
+	c.tick += n
+	c.stats.Lookups += n
+	key, keys, sectors, lastUse := c.locate(addr)
+	for w, k := range keys {
+		if k == key {
+			hit = uint32(sectors[w]) & want
+			sectors[w] |= uint64(want)
+			lastUse[w] = c.tick
+			nh := uint64(bits.OnesCount32(hit))
+			c.stats.Hits += nh
+			c.stats.Misses += n - nh
+			return hit
 		}
 	}
-	c.stats.Misses++
-	if victim < 0 {
-		victim = lruWay
+	// Line absent: take the first invalid way, else the least recently used.
+	victim, lru := -1, ^uint64(0)
+	for w, k := range keys {
+		if k == 0 {
+			victim = w
+			break
+		}
+		if t := lastUse[w]; t < lru {
+			victim, lru = w, t
+		}
+	}
+	if keys[victim] != 0 {
 		c.stats.Evictions++
 	}
-	c.lines[base+victim] = cacheLine{tag: tag, valid: true, sectors: sectorBit, lastUse: c.tick}
-	return false
+	c.stats.Misses += n
+	keys[victim], sectors[victim], lastUse[victim] = key, uint64(want), c.tick
+	return 0
 }
 
 // Probe reports whether the sector containing addr is present without
 // modifying any state.
 func (c *Cache) Probe(addr uint64) bool {
-	tag, set, sectorBit := c.locate(addr)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		ln := &c.lines[base+w]
-		if ln.valid && ln.tag == tag && ln.sectors&sectorBit != 0 {
-			return true
+	key, keys, sectors, _ := c.locate(addr)
+	for w, k := range keys {
+		if k == key {
+			return uint32(sectors[w])&c.sectorBit(addr) != 0
 		}
 	}
 	return false
@@ -170,11 +189,7 @@ func (c *Cache) Probe(addr uint64) bool {
 
 // Flush invalidates every line, as the profiler does before a profiled launch.
 // Statistics are preserved.
-func (c *Cache) Flush() {
-	for i := range c.lines {
-		c.lines[i] = cacheLine{}
-	}
-}
+func (c *Cache) Flush() { clear(c.state) }
 
 // Reset flushes the cache and zeroes its statistics.
 func (c *Cache) Reset() {
@@ -196,15 +211,18 @@ func (c *Cache) Sets() int { return c.sets }
 func (c *Cache) Ways() int { return c.ways }
 
 // SectorSize returns the sector size in bytes.
-func (c *Cache) SectorSize() uint64 { return c.sectorSize }
+func (c *Cache) SectorSize() uint64 { return 1 << c.sectorShift }
 
 // ResidentLines counts the valid lines currently held. It can never exceed
 // Sets()*Ways(); the invariant checker asserts that bound.
 func (c *Cache) ResidentLines() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid {
-			n++
+	for i := 0; i < c.sets; i++ {
+		keys, _, _ := c.set(i)
+		for _, k := range keys {
+			if k != 0 {
+				n++
+			}
 		}
 	}
 	return n
@@ -215,9 +233,12 @@ func (c *Cache) ResidentLines() int {
 // ResidentSectors() >= ResidentLines() whenever any line is resident.
 func (c *Cache) ResidentSectors() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid {
-			n += bits.OnesCount32(c.lines[i].sectors)
+	for i := 0; i < c.sets; i++ {
+		keys, sectors, _ := c.set(i)
+		for w, k := range keys {
+			if k != 0 {
+				n += bits.OnesCount64(sectors[w])
+			}
 		}
 	}
 	return n

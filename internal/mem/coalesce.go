@@ -1,5 +1,7 @@
 package mem
 
+import "math/bits"
+
 // CoalesceSectors reduces the per-thread addresses of one warp memory
 // instruction to the set of unique memory sectors touched, which is the unit
 // of L1/L2/DRAM traffic. addrs[i] is the address of lane i; only lanes whose
@@ -19,37 +21,46 @@ func CoalesceSectors(addrs *[32]uint64, mask uint32, size int, sectorSize uint64
 // passes a per-SM scratch buffer here; the returned slice must therefore be
 // fully consumed before the next memory instruction issues on that SM, which
 // the memory data path guarantees (it only iterates, never retains).
+//
+// sectorSize is a power of two. Lanes are taken in ascending order; a sector
+// above the last one appended goes on the end, one equal to it is a
+// duplicate, and only a sector below it (a descending or scattered pattern)
+// is searched for.
 func CoalesceSectorsInto(dst []uint64, addrs *[32]uint64, mask uint32, size int, sectorSize uint64) []uint64 {
 	sectors := dst[:0]
-	for lane := 0; lane < 32; lane++ {
-		if mask&(1<<lane) == 0 {
-			continue
-		}
-		first := addrs[lane] / sectorSize
-		last := (addrs[lane] + uint64(size) - 1) / sectorSize
-		for s := first; s <= last; s++ {
-			sectors = insertSorted(sectors, s*sectorSize)
+	shift := uint(bits.TrailingZeros64(sectorSize))
+	for ; mask != 0; mask &= mask - 1 {
+		a := addrs[bits.TrailingZeros32(mask)&31]
+		// Sector numbers, not addresses: the last sector of the address
+		// space has no successor to step to.
+		last := (a + uint64(size) - 1) >> shift
+		for n := a >> shift; n <= last; n++ {
+			s := n << shift
+			if k := len(sectors); k == 0 || s > sectors[k-1] {
+				sectors = append(sectors, s)
+			} else if s != sectors[k-1] {
+				sectors = insertSorted(sectors, s)
+			}
 		}
 	}
 	return sectors
 }
 
+// insertSorted inserts v into the ascending, duplicate-free xs unless it is
+// there already. It searches backwards from the end: the list has at most 64
+// entries, and where the sector of a scattered lane falls is a coin toss per
+// probe of a binary search but one mispredicted branch, the last, here.
 func insertSorted(xs []uint64, v uint64) []uint64 {
-	lo, hi := 0, len(xs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if xs[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	i := len(xs)
+	for i > 0 && xs[i-1] > v {
+		i--
 	}
-	if lo < len(xs) && xs[lo] == v {
+	if i > 0 && xs[i-1] == v {
 		return xs
 	}
 	xs = append(xs, 0)
-	copy(xs[lo+1:], xs[lo:])
-	xs[lo] = v
+	copy(xs[i+1:], xs[i:])
+	xs[i] = v
 	return xs
 }
 

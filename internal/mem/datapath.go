@@ -1,6 +1,10 @@
 package mem
 
-import "gputopdown/internal/gpu"
+import (
+	"math/bits"
+
+	"gputopdown/internal/gpu"
+)
 
 // DataPathStats counts per-SM memory-path activity, feeding the PMU's
 // memory counters.
@@ -43,62 +47,61 @@ func NewDataPath(spec *gpu.Spec, smID int, ms *MemSys) *DataPath {
 	}
 }
 
-// loadSector runs one 32-byte sector through L1→L2→DRAM and returns its
-// completion cycle.
-func (dp *DataPath) loadSector(now uint64, addr uint64) uint64 {
-	if dp.L1.Access(addr) {
-		dp.st.L1Hits++
-		return now + uint64(dp.spec.L1Latency)
-	}
-	dp.st.L1Misses++
-	return dp.sharedLoadSector(now, addr)
-}
-
-// sharedLoadSector runs one sector through the shared L2 slice → DRAM channel
-// (the part of a load below the SM-private L1) and returns its completion
-// cycle.
-func (dp *DataPath) sharedLoadSector(now uint64, addr uint64) uint64 {
-	slice := dp.Mem.SliceOf(addr)
-	if dp.Mem.AccessSlice(slice, addr) {
-		dp.st.L2Hits++
-		return now + uint64(dp.spec.L2Latency)
-	}
-	dp.st.L2Misses++
-	done := dp.Mem.RequestSlice(slice, now, int(dp.spec.SectorSize))
-	base := now + uint64(dp.spec.DRAMLatency)
-	if done < base {
-		done = base
+// loadLines runs the sectors of a warp load (sorted, as the coalescer returns
+// them) through L1→L2→DRAM a cache line at a time and returns the completion
+// cycle of the slowest sector, 0 for none. L1, each L2 slice and each DRAM
+// channel are independent state machines; walking by line hands each of them
+// the sectors it would see one Access at a time, in the same order, so every
+// hit, miss, eviction and queue slot is the per-sector walk's.
+func (dp *DataPath) loadLines(now uint64, sectors []uint64) (done uint64) {
+	for len(sectors) > 0 {
+		var addr uint64
+		var want uint32
+		addr, want, sectors = dp.Mem.nextLine(sectors)
+		hit := dp.L1.AccessLine(addr, want)
+		if hit != 0 {
+			dp.st.L1Hits += uint64(bits.OnesCount32(hit))
+			done = max(done, now+uint64(dp.spec.L1Latency))
+		}
+		if miss := want &^ hit; miss != 0 {
+			dp.st.L1Misses += uint64(bits.OnesCount32(miss))
+			done = max(done, dp.sharedLine(now, addr, miss))
+		}
 	}
 	return done
 }
 
-// sharedStoreSector runs one store sector through the shared L2 slice,
-// charging the DRAM channel on a write miss.
-func (dp *DataPath) sharedStoreSector(now uint64, addr uint64) {
+// sharedLine runs the sectors want of one line through the shared half of
+// the hierarchy — its L2 slice, then one DRAM request per sector the slice
+// missed — and returns the completion cycle of the slowest: the L2 latency
+// for a hit, the channel's answer (at least the DRAM latency) for a miss.
+// Loads, stores (which ignore the cycle) and atomics all pass through here.
+func (dp *DataPath) sharedLine(now, addr uint64, want uint32) (done uint64) {
 	slice := dp.Mem.SliceOf(addr)
-	if dp.Mem.AccessSlice(slice, addr) {
-		dp.st.L2Hits++
-		return
+	hit := dp.Mem.AccessSliceLine(slice, addr, want)
+	if hit != 0 {
+		dp.st.L2Hits += uint64(bits.OnesCount32(hit))
+		done = now + uint64(dp.spec.L2Latency)
 	}
-	dp.st.L2Misses++
-	dp.Mem.RequestSlice(slice, now, int(dp.spec.SectorSize))
+	misses := bits.OnesCount32(want &^ hit)
+	dp.st.L2Misses += uint64(misses)
+	for ; misses > 0; misses-- {
+		d := dp.Mem.RequestSlice(slice, now, dp.spec.SectorSize)
+		done = max(done, d, now+uint64(dp.spec.DRAMLatency))
+	}
+	return done
 }
 
-// sharedAtomicSector runs one atomic sector through the shared L2 slice and
-// returns its completion cycle (0 on an L2 hit: a hit does not lengthen the
-// atomic's L2-latency base).
-func (dp *DataPath) sharedAtomicSector(now uint64, addr uint64) uint64 {
-	slice := dp.Mem.SliceOf(addr)
-	if dp.Mem.AccessSlice(slice, addr) {
-		dp.st.L2Hits++
-		return 0
+// sharedLines is sharedLine over a sorted sector list, for the instructions
+// that bypass L1.
+func (dp *DataPath) sharedLines(now uint64, sectors []uint64) (done uint64) {
+	for len(sectors) > 0 {
+		var addr uint64
+		var want uint32
+		addr, want, sectors = dp.Mem.nextLine(sectors)
+		done = max(done, dp.sharedLine(now, addr, want))
 	}
-	dp.st.L2Misses++
-	d := dp.Mem.RequestSlice(slice, now, int(dp.spec.SectorSize))
-	if base := now + uint64(dp.spec.DRAMLatency); d < base {
-		d = base
-	}
-	return d
+	return done
 }
 
 // atomicAdjust applies the atomic unit's serialisation penalties on top of a
@@ -124,13 +127,7 @@ func (dp *DataPath) atomicAdjust(done uint64, ops, maxContention int) uint64 {
 func (dp *DataPath) GlobalLoad(now uint64, sectors []uint64) (uint64, int) {
 	dp.st.GlobalLoads++
 	dp.st.LoadSectors += uint64(len(sectors))
-	done := now + uint64(dp.spec.L1Latency)
-	for _, s := range sectors {
-		if d := dp.loadSector(now, s); d > done {
-			done = d
-		}
-	}
-	return done, len(sectors)
+	return max(now+uint64(dp.spec.L1Latency), dp.loadLines(now, sectors)), len(sectors)
 }
 
 // GlobalStore services a warp global-store. NVIDIA L1s are write-through /
@@ -144,9 +141,7 @@ func (dp *DataPath) GlobalStore(now uint64, sectors []uint64) (posted, visible u
 	dp.st.StoreSectors += uint64(len(sectors))
 	posted = now + uint64(dp.spec.L1Latency) + uint64(len(sectors))
 	visible = now + uint64(dp.spec.L2Latency)
-	for _, s := range sectors {
-		dp.sharedStoreSector(now, s)
-	}
+	dp.sharedLines(now, sectors)
 	return posted, visible, len(sectors)
 }
 
@@ -167,14 +162,10 @@ func (dp *DataPath) ConstLoad(now uint64, off int64) (uint64, bool) {
 func (dp *DataPath) TexFetch(now uint64, sectors []uint64) (uint64, int) {
 	dp.st.TexFetches++
 	done := now + uint64(dp.spec.TEXLatency)
-	for _, s := range sectors {
-		d := dp.loadSector(now, s)
+	if len(sectors) > 0 {
 		// The texture pipeline adds filtering latency on top of the cache
-		// access.
-		d += uint64(dp.spec.TEXLatency - dp.spec.L1Latency)
-		if d > done {
-			done = d
-		}
+		// access; the same amount for every sector, so on top of the slowest.
+		done = max(done, dp.loadLines(now, sectors)+uint64(dp.spec.TEXLatency-dp.spec.L1Latency))
 	}
 	return done, len(sectors)
 }
@@ -186,12 +177,7 @@ func (dp *DataPath) TexFetch(now uint64, sectors []uint64) (uint64, int) {
 // and distinct addresses still share the L2 atomic unit's throughput.
 func (dp *DataPath) Atomic(now uint64, sectors []uint64, ops, maxContention int) (uint64, int) {
 	dp.st.Atomics += uint64(ops)
-	done := now + uint64(dp.spec.L2Latency)
-	for _, s := range sectors {
-		if d := dp.sharedAtomicSector(now, s); d > done {
-			done = d
-		}
-	}
+	done := max(now+uint64(dp.spec.L2Latency), dp.sharedLines(now, sectors))
 	return dp.atomicAdjust(done, ops, maxContention), len(sectors)
 }
 

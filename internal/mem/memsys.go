@@ -22,10 +22,11 @@ type MemSys struct {
 	// Address routing: slice = bits of the line number just above the line
 	// offset; the slice-local address drops those bits so each slice sees a
 	// dense, private line space.
-	lineShift uint
-	sliceBits uint
-	sliceMask uint64
-	lineMask  uint64
+	lineShift   uint
+	sectorShift uint
+	sliceBits   uint
+	sliceMask   uint64
+	lineMask    uint64
 
 	slices []*Cache
 	chans  []*DRAM
@@ -40,20 +41,26 @@ func NewMemSys(spec *gpu.Spec) *MemSys {
 	if n&(n-1) != 0 {
 		panic(fmt.Sprintf("mem: L2Slices = %d (want a power of two)", n))
 	}
+	// Spec.Validate rejects both; these assert it for hand-built specs.
 	lineShift, ok := log2u64(uint64(spec.LineSize))
 	if !ok {
 		panic(fmt.Sprintf("mem: line size %d (want a power of two)", spec.LineSize))
 	}
+	sectorShift, ok := log2u64(uint64(spec.SectorSize))
+	if !ok {
+		panic(fmt.Sprintf("mem: sector size %d (want a power of two)", spec.SectorSize))
+	}
 	sliceBits, _ := log2u64(uint64(n))
 	m := &MemSys{
-		spec:      spec,
-		nSlices:   n,
-		lineShift: lineShift,
-		sliceBits: sliceBits,
-		sliceMask: uint64(n) - 1,
-		lineMask:  uint64(spec.LineSize) - 1,
-		slices:    make([]*Cache, n),
-		chans:     make([]*DRAM, n),
+		spec:        spec,
+		nSlices:     n,
+		lineShift:   lineShift,
+		sectorShift: sectorShift,
+		sliceBits:   sliceBits,
+		sliceMask:   uint64(n) - 1,
+		lineMask:    uint64(spec.LineSize) - 1,
+		slices:      make([]*Cache, n),
+		chans:       make([]*DRAM, n),
 	}
 	chanDepth := spec.DRAMQueueDepth / n
 	if chanDepth < 1 {
@@ -94,17 +101,31 @@ func (m *MemSys) Unrebase(slice int, local uint64) uint64 {
 	return (line << m.lineShift) | (local & m.lineMask)
 }
 
-// AccessSlice runs a lookup for addr (an original, un-rebased address) on the
-// given slice, filling on miss, and reports whether it hit. The caller must
-// pass slice == SliceOf(addr); splitting routing from access lets DataPath
-// route a sector once for both its L2 lookup and its DRAM request.
-func (m *MemSys) AccessSlice(slice int, addr uint64) bool {
-	return m.slices[slice].Access(m.Rebase(addr))
+// nextLine splits the leading run of same-line sectors off a sorted sector
+// list: the first sector's address, the run as a sector bitmask of its line,
+// and the remaining list. All sectors of one line belong to one L1 set, one
+// L2 slice and one DRAM channel, so a line is the unit DataPath looks up.
+func (m *MemSys) nextLine(sectors []uint64) (addr uint64, want uint32, rest []uint64) {
+	addr = sectors[0]
+	i := 0
+	for ; i < len(sectors) && sectors[i]>>m.lineShift == addr>>m.lineShift; i++ {
+		want |= 1 << ((sectors[i] & m.lineMask) >> m.sectorShift)
+	}
+	return addr, want, sectors[i:]
 }
 
-// Access routes addr to its slice and performs the lookup.
+// AccessSliceLine runs Cache.AccessLine for the sectors want of the line
+// containing addr (an original, un-rebased address) on the given slice and
+// returns the mask of sectors that hit. The caller must pass slice ==
+// SliceOf(addr); splitting routing from access lets DataPath route a line
+// once for both its L2 lookup and its DRAM requests.
+func (m *MemSys) AccessSliceLine(slice int, addr uint64, want uint32) uint32 {
+	return m.slices[slice].AccessLine(m.Rebase(addr), want)
+}
+
+// Access routes addr to its slice and performs a one-sector lookup.
 func (m *MemSys) Access(addr uint64) bool {
-	return m.AccessSlice(m.SliceOf(addr), addr)
+	return m.slices[m.SliceOf(addr)].Access(m.Rebase(addr))
 }
 
 // Probe reports whether the sector containing addr is present, without

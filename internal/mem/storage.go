@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Storage is flat byte-addressable device memory with a bump allocator. The
@@ -50,15 +51,14 @@ func (s *Storage) Alloc(n int) uint64 {
 	return addr
 }
 
-// grow doubles the backing (from at least minBacking) until it covers the
-// watermark, capped at the capacity. The whole old backing is carried over,
-// released bytes included, so a re-allocation after Release reads what it
-// would have read without the growth; new bytes are zero.
+// grow re-sizes the backing to cover the watermark: to the watermark rounded
+// up to minBacking, or to twice the old backing when that is more (so a run
+// of small allocations still costs amortised O(1) copies each), capped at the
+// capacity. The whole old backing is carried over, released bytes included,
+// so a re-allocation after Release reads what it would have read without the
+// growth; new bytes are zero.
 func (s *Storage) grow() {
-	n := max(2*len(s.data), minBacking)
-	for uint64(n) < s.next {
-		n *= 2
-	}
+	n := max(2*len(s.data), (int(s.next)+minBacking-1)/minBacking*minBacking)
 	grown := make([]byte, min(n, s.limit))
 	copy(grown, s.data)
 	s.data = grown
@@ -136,10 +136,18 @@ func (s *Storage) InBounds(addr uint64, n int) bool {
 	return addr >= s.base && addr+uint64(n) <= s.next
 }
 
+// check is the bounds rule of every device access, host-side or lane-wise:
+// [addr, addr+n) must lie inside the allocated range. The panic sits in its
+// own function so that check inlines into the lane loops.
 func (s *Storage) check(addr uint64, n int) {
 	if !s.InBounds(addr, n) {
-		panic(fmt.Sprintf("mem: access of %d bytes at 0x%x outside allocated [0x%x,0x%x)", n, addr, s.base, s.next))
+		s.outOfBounds(addr, n)
 	}
+}
+
+//go:noinline
+func (s *Storage) outOfBounds(addr uint64, n int) {
+	panic(fmt.Sprintf("mem: access of %d bytes at 0x%x outside allocated [0x%x,0x%x)", n, addr, s.base, s.next))
 }
 
 // Read returns size (4 or 8) bytes at addr, zero-extended to 64 bits.
@@ -163,6 +171,51 @@ func (s *Storage) Write(addr uint64, v uint64, size int) {
 		binary.LittleEndian.PutUint32(s.data[addr:], uint32(v))
 	case 8:
 		binary.LittleEndian.PutUint64(s.data[addr:], v)
+	default:
+		panic(fmt.Sprintf("mem: unsupported access size %d", size))
+	}
+}
+
+// ReadLanes is Read for one warp instruction: dst[lane] = Read(addrs[lane],
+// size) for every lane of mask, in ascending lane order, with the access
+// width decided once. Each lane is bounds-checked on its own, so the first
+// offending active lane panics as Read would and inactive lanes are never
+// looked at.
+func (s *Storage) ReadLanes(dst, addrs *[32]uint64, mask uint32, size int) {
+	switch size {
+	case 4:
+		for ; mask != 0; mask &= mask - 1 {
+			lane := bits.TrailingZeros32(mask) & 31
+			s.check(addrs[lane], 4)
+			dst[lane] = uint64(binary.LittleEndian.Uint32(s.data[addrs[lane]:]))
+		}
+	case 8:
+		for ; mask != 0; mask &= mask - 1 {
+			lane := bits.TrailingZeros32(mask) & 31
+			s.check(addrs[lane], 8)
+			dst[lane] = binary.LittleEndian.Uint64(s.data[addrs[lane]:])
+		}
+	default:
+		panic(fmt.Sprintf("mem: unsupported access size %d", size))
+	}
+}
+
+// WriteLanes is Write for one warp instruction, the counterpart of
+// ReadLanes: lanes below the first offending one have stored when it panics.
+func (s *Storage) WriteLanes(addrs, src *[32]uint64, mask uint32, size int) {
+	switch size {
+	case 4:
+		for ; mask != 0; mask &= mask - 1 {
+			lane := bits.TrailingZeros32(mask) & 31
+			s.check(addrs[lane], 4)
+			binary.LittleEndian.PutUint32(s.data[addrs[lane]:], uint32(src[lane]))
+		}
+	case 8:
+		for ; mask != 0; mask &= mask - 1 {
+			lane := bits.TrailingZeros32(mask) & 31
+			s.check(addrs[lane], 8)
+			binary.LittleEndian.PutUint64(s.data[addrs[lane]:], src[lane])
+		}
 	default:
 		panic(fmt.Sprintf("mem: unsupported access size %d", size))
 	}

@@ -3,6 +3,7 @@ package mem
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -105,8 +106,65 @@ func TestStorageGrowsOnDemand(t *testing.T) {
 				t.Fatalf("allocation at %#x lost its contents when the backing grew", a)
 			}
 		}
+		// Released bytes are carried over too: a re-allocation after Release
+		// reads what it would have read had the backing never grown.
+		mark := s.Mark()
+		a := s.Alloc(64)
+		s.Write(a, 0xfeed, 8)
+		s.Release(mark)
+		before := len(s.data)
+		s.Alloc(16 << 20)
+		if len(s.data) == before {
+			t.Fatal("a 16 MiB allocation did not grow the backing")
+		}
+		if got := s.Read(a, 8); got != 0xfeed {
+			t.Errorf("released bytes read %#x after growth, want 0xfeed", got)
+		}
 		if s.Size() != 64<<20 {
 			t.Errorf("Size() = %d after growth, want the capacity", s.Size())
+		}
+	})
+
+	// The backing follows the watermark in minBacking steps and at least
+	// doubles when it grows: one large allocation is not rounded up to a
+	// power of two, and a run of small ones is not copied once per step.
+	t.Run("backing sizes", func(t *testing.T) {
+		const mib = 1 << 20
+		repeat := func(n int, sizes ...int) (out []int) {
+			for ; n > 0; n-- {
+				out = append(out, sizes...)
+			}
+			return out
+		}
+		for _, c := range []struct {
+			name   string
+			limit  int
+			allocs []int
+			steps  []int // the backing after each growth
+		}{
+			{"one 8 MiB + 4 KiB table", 1 << 30, []int{8*mib + 4096}, []int{9 * mib}},
+			{"64 x 256 KiB", 1 << 30, repeat(64, 256<<10), []int{mib, 2 * mib, 4 * mib, 8 * mib, 16 * mib, 32 * mib}},
+			{"alternating 64 B / 3 MiB", 1 << 30, repeat(4, 64, 3*mib), []int{mib, 4 * mib, 8 * mib, 16 * mib}},
+			{"capped at the capacity", 5*mib + 4096, []int{2 * mib, 2 * mib, 64}, []int{3 * mib, 5*mib + 4096}},
+		} {
+			s := NewStorage(c.limit)
+			var steps []int
+			for _, n := range c.allocs {
+				before := len(s.data)
+				s.Alloc(n)
+				if len(s.data) != before {
+					steps = append(steps, len(s.data))
+				}
+				if uint64(len(s.data)) < s.Mark() {
+					t.Fatalf("%s: backing of %d bytes below the watermark %d", c.name, len(s.data), s.Mark())
+				}
+			}
+			if !slices.Equal(steps, c.steps) {
+				t.Errorf("%s: backing grew %v, want %v", c.name, steps, c.steps)
+			}
+			if s.Size() != c.limit {
+				t.Errorf("%s: Size() = %d, want %d", c.name, s.Size(), c.limit)
+			}
 		}
 	})
 

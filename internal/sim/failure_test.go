@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -63,6 +64,87 @@ func TestOutOfBoundsAccessPanics(t *testing.T) {
 		Grid:    kernel.Dim3{X: 1},
 		Block:   kernel.Dim3{X: 32},
 	})
+}
+
+// wildLanes builds a one-warp kernel whose lanes below firstBad address their
+// word of the buffer in parameter 0 and whose other lanes address
+// wildBase + 4*lane, far beyond any allocation. access emits the memory
+// instruction under test given the address register, the lane id and the
+// predicate "lane is below firstBad".
+const (
+	wildBase = 1 << 30
+	firstBad = 5
+)
+
+func wildLanes(name string, access func(b *kernel.Builder, addr, lane isa.Reg, good isa.PredReg)) *kernel.Program {
+	b := kernel.NewBuilder(name)
+	lane := b.S2R(isa.SRTidX)
+	good := b.ISetpImm(isa.CmpLT, lane, firstBad)
+	off := b.Shl(lane, 2)
+	addr := b.Sel(good, b.IAdd(b.Param(0), off), b.IAddImm(off, wildBase))
+	access(b, addr, lane, good)
+	b.Exit()
+	return b.MustBuild()
+}
+
+// launchWildLanes runs the kernel on one warp over a zeroed 32-word buffer
+// and returns the buffer afterwards and what the launch panicked with.
+func launchWildLanes(p *kernel.Program) (buf []uint32, panicked any) {
+	d := NewDevice(tinySpec())
+	out := d.Alloc(32 * 4)
+	defer func() {
+		panicked = recover()
+		buf = d.Storage.ReadU32Slice(out, 32)
+	}()
+	d.MustLaunch(&kernel.Launch{Program: p, Grid: kernel.Dim3{X: 1}, Block: kernel.Dim3{X: 32}, Params: []uint64{out}})
+	return
+}
+
+// TestOutOfBoundsNamesFirstOffendingLane pins what the lane-batched storage
+// access keeps of the per-lane one: lanes are checked one by one in lane
+// order, so the panic names the first offending active lane's address, and a
+// store has landed for every lane below it and for none above.
+func TestOutOfBoundsNamesFirstOffendingLane(t *testing.T) {
+	want := fmt.Sprintf("mem: access of 4 bytes at 0x%x outside allocated", wildBase+4*firstBad)
+	for _, c := range []struct {
+		name   string
+		access func(b *kernel.Builder, addr, lane isa.Reg, good isa.PredReg)
+		stored int // lanes whose word of the buffer must hold lane+100
+	}{
+		{"ldg", func(b *kernel.Builder, addr, _ isa.Reg, _ isa.PredReg) { b.Ldg(addr, 0, 4) }, 0},
+		{"stg", func(b *kernel.Builder, addr, lane isa.Reg, _ isa.PredReg) { b.Stg(addr, b.IAddImm(lane, 100), 0, 4) }, firstBad},
+	} {
+		buf, panicked := launchWildLanes(wildLanes(c.name, c.access))
+		if msg, _ := panicked.(string); !strings.HasPrefix(msg, want) {
+			t.Errorf("%s: panicked with %v, want %q...", c.name, panicked, want)
+		}
+		for lane, v := range buf {
+			if exp := uint32(lane + 100); lane < c.stored && v != exp || lane >= c.stored && v != 0 {
+				t.Errorf("%s: word %d of the buffer holds %d after the panic", c.name, lane, v)
+			}
+		}
+	}
+}
+
+// TestInactiveWildLaneIsNeverChecked: the same wild addresses in lanes the
+// instruction's guard predicate switches off are not formed into accesses at
+// all — the launch completes, and only the active lanes load and store.
+func TestInactiveWildLaneIsNeverChecked(t *testing.T) {
+	p := wildLanes("guarded", func(b *kernel.Builder, addr, lane isa.Reg, good isa.PredReg) {
+		b.StgIf(good, false, addr, b.IAddImm(lane, 100), 0, 4)
+		v := b.Reg()
+		b.Emit(isa.Instr{Op: isa.OpLDG, Dst: v, Srcs: [3]isa.Reg{addr, isa.RZ, isa.RZ}, Size: 4, Pred: good})
+		b.StgIf(good, false, addr, b.IAddImm(v, 100), 0, 4)
+	})
+	buf, panicked := launchWildLanes(p)
+	if panicked != nil {
+		t.Fatalf("guarded wild lanes panicked: %v", panicked)
+	}
+	for lane, v := range buf {
+		if exp := uint32(lane + 200); lane < firstBad && v != exp || lane >= firstBad && v != 0 {
+			t.Errorf("word %d of the buffer holds %d", lane, v)
+		}
+	}
 }
 
 func TestSharedOverflowPanics(t *testing.T) {

@@ -260,14 +260,6 @@ func (s *SM) execS2R(w *warp, in *isa.Instr, pmask uint32, now uint64) {
 	w.store(in.Dst, &res, pmask)
 }
 
-// readReg returns a lane's register value, with RZ reading zero.
-func (w *warp) readReg(r isa.Reg, lane int) uint64 {
-	if r == isa.RZ {
-		return 0
-	}
-	return w.regs[r][lane]
-}
-
 // fpOperandB is operand B of a floating-point instruction: the Srcs[1] row,
 // or — the immediate form, Srcs[1] == RZ with a non-zero Imm — buf filled
 // with the bit pattern in Imm.
@@ -494,53 +486,71 @@ func execMUFU(dst, src *[32]uint64, fn isa.MufuFunc, mask uint32) {
 	}
 }
 
+// laneAddrs computes the effective address of a memory instruction, the
+// Srcs[0] register plus Imm, for every lane of mask.
+func (w *warp) laneAddrs(addrs *[32]uint64, in *isa.Instr, mask uint32) {
+	base := w.row(in.Srcs[0])
+	for ; mask != 0; mask &= mask - 1 {
+		lane := bits.TrailingZeros32(mask) & 31
+		addrs[lane] = uint64(int64(base[lane]) + in.Imm)
+	}
+}
+
 // execMemory handles every load/store/atomic. It returns the number of
-// extra (replay) issues and the LSU/MIO occupancy in cycles.
+// extra (replay) issues and the LSU/MIO occupancy in cycles. Like the ALU
+// loops it decides opcode and width once and then runs over operand rows,
+// but only over the lanes of the issue mask: an inactive lane's address is
+// never formed, checked or accessed.
 func (s *SM) execMemory(sp *subpart, w *warp, in *isa.Instr, pmask uint32, now uint64) (extraIssues int, pipeBusy uint64) {
 	spec := s.spec
 	size := int(in.Size)
 
 	switch in.Op {
-	case isa.OpLDG, isa.OpSTG, isa.OpATOM, isa.OpRED:
+	case isa.OpLDG, isa.OpSTG, isa.OpATOM, isa.OpRED, isa.OpLDL, isa.OpSTL, isa.OpTEX:
 		var addrs [32]uint64
-		for lane := 0; lane < 32; lane++ {
-			if pmask&(1<<lane) != 0 {
-				addrs[lane] = uint64(int64(w.readReg(in.Srcs[0], lane)) + in.Imm)
+		w.laneAddrs(&addrs, in, pmask)
+		if in.Op == isa.OpLDL || in.Op == isa.OpSTL {
+			// Local memory is interleaved per-word so that same-offset
+			// accesses across a warp coalesce, as the hardware arranges.
+			// The access width is 4 or 8 (isa.Instr.Validate): words by shift.
+			gtid := uint64(w.block.blockLinear*w.block.launch.BlockThreads() + w.warpInBlock*kernel.WarpSize)
+			wordShift := uint(bits.TrailingZeros8(in.Size))
+			for m := pmask; m != 0; m &= m - 1 {
+				lane := bits.TrailingZeros32(m) & 31
+				word := addrs[lane] >> wordShift
+				addrs[lane] = s.localBase + (word*uint64(s.totalThreads)+gtid+uint64(lane))<<wordShift
 			}
 		}
 		sectors := mem.CoalesceSectorsInto(s.sectorScratch[:0], &addrs, pmask, size, uint64(spec.SectorSize))
 		s.sectorScratch = sectors // keep the (possibly re-grown) backing
 		switch in.Op {
-		case isa.OpLDG:
-			for lane := 0; lane < 32; lane++ {
-				if pmask&(1<<lane) != 0 {
-					w.regs[in.Dst][lane] = s.storage.Read(addrs[lane], size)
-				}
-			}
+		case isa.OpLDG, isa.OpLDL:
+			s.storage.ReadLanes(&w.regs[in.Dst], &addrs, pmask, size)
 			done, n := s.dp.GlobalLoad(now, sectors)
 			w.setRegReady(in.Dst, done, depLong)
 			sp.lgQueue.Push(done)
-			return (max0(n - 1)) / 4, uint64(max1(n / 2))
-		case isa.OpSTG:
-			for lane := 0; lane < 32; lane++ {
-				if pmask&(1<<lane) != 0 {
-					s.storage.Write(addrs[lane], w.readReg(in.Srcs[1], lane), size)
-				}
-			}
+			return max0(n-1) / 4, uint64(max1(n / 2))
+		case isa.OpSTG, isa.OpSTL:
+			s.storage.WriteLanes(&addrs, w.row(in.Srcs[1]), pmask, size)
 			posted, visible, n := s.dp.GlobalStore(now, sectors)
 			w.storesPending = append(w.storesPending, posted)
 			w.fenceUntil = maxU64(w.fenceUntil, visible)
 			sp.lgQueue.Push(posted)
-			return (max0(n - 1)) / 4, uint64(max1(n / 2))
-		default: // ATOM, RED
+			return max0(n-1) / 4, uint64(max1(n / 2))
+		case isa.OpTEX:
+			s.storage.ReadLanes(&w.regs[in.Dst], &addrs, pmask, size)
+			done, n := s.dp.TexFetch(now, sectors)
+			w.setRegReady(in.Dst, done, depLong)
+			sp.texQueue.Push(done)
+			return max0(n-1) / 4, uint64(max1(n / 2))
+		default: // ATOM, RED: strict lane order, one read-modify-write each
 			ops := int(popcount(pmask))
 			contention := mem.MaxContention(&addrs, pmask)
-			for lane := 0; lane < 32; lane++ {
-				if pmask&(1<<lane) == 0 {
-					continue
-				}
+			vals, cmps := w.row(in.Srcs[1]), w.row(in.Srcs[2])
+			for m := pmask; m != 0; m &= m - 1 {
+				lane := bits.TrailingZeros32(m) & 31
 				old := s.storage.Read(addrs[lane], size)
-				val := w.readReg(in.Srcs[1], lane)
+				val := vals[lane]
 				var nv uint64
 				switch in.Atom {
 				case isa.AtomAdd:
@@ -563,7 +573,7 @@ func (s *SM) execMemory(sp *subpart, w *warp, in *isa.Instr, pmask uint32, now u
 					nv = old | val
 				case isa.AtomCAS:
 					nv = old
-					if old == uint64(int64(w.readReg(in.Srcs[2], lane))) {
+					if old == cmps[lane] {
 						nv = val
 					}
 				}
@@ -583,11 +593,7 @@ func (s *SM) execMemory(sp *subpart, w *warp, in *isa.Instr, pmask uint32, now u
 
 	case isa.OpLDS, isa.OpSTS:
 		var addrs [32]uint64
-		for lane := 0; lane < 32; lane++ {
-			if pmask&(1<<lane) != 0 {
-				addrs[lane] = uint64(int64(w.readReg(in.Srcs[0], lane)) + in.Imm)
-			}
-		}
+		w.laneAddrs(&addrs, in, pmask)
 		degree := mem.BankConflictDegree(&addrs, pmask, size)
 		if degree > 1 {
 			s.ctr.SharedBankConflicts += uint64(degree - 1)
@@ -595,75 +601,43 @@ func (s *SM) execMemory(sp *subpart, w *warp, in *isa.Instr, pmask uint32, now u
 		done := now + uint64(spec.SharedLatency) + uint64(max0(degree-1))
 		if in.Op == isa.OpLDS {
 			s.ctr.SharedLoads++
-			for lane := 0; lane < 32; lane++ {
-				if pmask&(1<<lane) != 0 {
-					w.regs[in.Dst][lane] = w.block.sharedRead(addrs[lane], size)
-				}
+			dst := &w.regs[in.Dst]
+			for m := pmask; m != 0; m &= m - 1 {
+				lane := bits.TrailingZeros32(m) & 31
+				dst[lane] = w.block.sharedRead(addrs[lane], size)
 			}
 			w.setRegReady(in.Dst, done, depShort)
 		} else {
 			s.ctr.SharedStores++
-			for lane := 0; lane < 32; lane++ {
-				if pmask&(1<<lane) != 0 {
-					w.block.sharedWrite(addrs[lane], w.readReg(in.Srcs[1], lane), size)
-				}
+			src := w.row(in.Srcs[1])
+			for m := pmask; m != 0; m &= m - 1 {
+				lane := bits.TrailingZeros32(m) & 31
+				w.block.sharedWrite(addrs[lane], src[lane], size)
 			}
 			w.storesPending = append(w.storesPending, done)
 		}
 		sp.mioQueue.Push(done)
 		return max0(degree - 1), uint64(degree)
 
-	case isa.OpLDL, isa.OpSTL:
-		var addrs [32]uint64
-		bt := w.block.launch.BlockThreads()
-		for lane := 0; lane < 32; lane++ {
-			if pmask&(1<<lane) == 0 {
-				continue
-			}
-			off := uint64(int64(w.readReg(in.Srcs[0], lane)) + in.Imm)
-			gtid := uint64(w.block.blockLinear*bt + w.warpInBlock*kernel.WarpSize + lane)
-			// Local memory is interleaved per-word so that same-offset
-			// accesses across a warp coalesce, as the hardware arranges.
-			addrs[lane] = s.localBase + (off/uint64(size))*uint64(size)*uint64(s.totalThreads) + gtid*uint64(size)
-		}
-		sectors := mem.CoalesceSectorsInto(s.sectorScratch[:0], &addrs, pmask, size, uint64(spec.SectorSize))
-		s.sectorScratch = sectors
-		if in.Op == isa.OpLDL {
-			for lane := 0; lane < 32; lane++ {
-				if pmask&(1<<lane) != 0 {
-					w.regs[in.Dst][lane] = s.storage.Read(addrs[lane], size)
-				}
-			}
-			done, n := s.dp.GlobalLoad(now, sectors)
-			w.setRegReady(in.Dst, done, depLong)
-			sp.lgQueue.Push(done)
-			return max0(n-1) / 4, uint64(max1(n / 2))
-		}
-		for lane := 0; lane < 32; lane++ {
-			if pmask&(1<<lane) != 0 {
-				s.storage.Write(addrs[lane], w.readReg(in.Srcs[1], lane), size)
-			}
-		}
-		posted, visible, n := s.dp.GlobalStore(now, sectors)
-		w.storesPending = append(w.storesPending, posted)
-		w.fenceUntil = maxU64(w.fenceUntil, visible)
-		sp.lgQueue.Push(posted)
-		return max0(n-1) / 4, uint64(max1(n / 2))
-
 	case isa.OpLDC:
 		// Per-lane offsets support indexed constant reads; the IMC works in
 		// 64-byte lines. At most 32 active lanes means at most 32 unique
-		// lines, so a fixed array avoids the per-issue allocation.
+		// lines, so a fixed array avoids the per-issue allocation. With no
+		// index register every lane reads c[Imm]: the first active lane does
+		// the bank read and the IMC lookup for all of them.
 		var lines [32]uint64
 		nlines := 0
 		done := now
 		anyMiss := false
-		for lane := 0; lane < 32; lane++ {
-			if pmask&(1<<lane) == 0 {
-				continue
-			}
-			off := int64(w.readReg(in.Srcs[0], lane)) + in.Imm
-			w.regs[in.Dst][lane] = s.constBank.Read(off, size)
+		base, dst := w.row(in.Srcs[0]), &w.regs[in.Dst]
+		lanes := pmask
+		if in.Srcs[0] == isa.RZ {
+			lanes &= -lanes
+		}
+		for m := lanes; m != 0; m &= m - 1 {
+			lane := bits.TrailingZeros32(m) & 31
+			off := int64(base[lane]) + in.Imm
+			dst[lane] = s.constBank.Read(off, size)
 			line := uint64(off) / 64
 			dup := false
 			for _, l := range lines[:nlines] {
@@ -682,31 +656,18 @@ func (s *SM) execMemory(sp *subpart, w *warp, in *isa.Instr, pmask uint32, now u
 				done = maxU64(done, dn)
 			}
 		}
+		if rest := pmask &^ lanes; rest != 0 {
+			v := dst[bits.TrailingZeros32(lanes)&31]
+			for ; rest != 0; rest &= rest - 1 {
+				dst[bits.TrailingZeros32(rest)&31] = v
+			}
+		}
 		kind := depFixed
 		if anyMiss {
 			kind = depIMC
 		}
 		w.setRegReady(in.Dst, done, kind)
 		return max0(nlines - 1), uint64(max1(nlines))
-
-	case isa.OpTEX:
-		var addrs [32]uint64
-		for lane := 0; lane < 32; lane++ {
-			if pmask&(1<<lane) != 0 {
-				addrs[lane] = uint64(int64(w.readReg(in.Srcs[0], lane)) + in.Imm)
-			}
-		}
-		sectors := mem.CoalesceSectorsInto(s.sectorScratch[:0], &addrs, pmask, size, uint64(spec.SectorSize))
-		s.sectorScratch = sectors
-		for lane := 0; lane < 32; lane++ {
-			if pmask&(1<<lane) != 0 {
-				w.regs[in.Dst][lane] = s.storage.Read(addrs[lane], size)
-			}
-		}
-		done, n := s.dp.TexFetch(now, sectors)
-		w.setRegReady(in.Dst, done, depLong)
-		sp.texQueue.Push(done)
-		return max0(n-1) / 4, uint64(max1(n / 2))
 	}
 	panic(fmt.Sprintf("sm: unhandled memory op %s", in.Op))
 }
