@@ -165,8 +165,9 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("gpu %s: SubpartitionsPerSM = %d", s.Name, s.SubpartitionsPerSM)
 	case s.DispatchPerSubpartition < 1:
 		return fmt.Errorf("gpu %s: DispatchPerSubpartition = %d", s.Name, s.DispatchPerSubpartition)
-	case s.WarpSlotsPerSubpartition < 1:
-		return fmt.Errorf("gpu %s: WarpSlotsPerSubpartition = %d", s.Name, s.WarpSlotsPerSubpartition)
+	// The SM scheduler keeps sets of warp slots as 64-bit masks.
+	case s.WarpSlotsPerSubpartition < 1 || s.WarpSlotsPerSubpartition > 64:
+		return fmt.Errorf("gpu %s: WarpSlotsPerSubpartition = %d (want 1 to 64)", s.Name, s.WarpSlotsPerSubpartition)
 	case s.MaxThreadsPerSM < WarpSize:
 		return fmt.Errorf("gpu %s: MaxThreadsPerSM = %d", s.Name, s.MaxThreadsPerSM)
 	case s.ClockMHz <= 0:

@@ -127,6 +127,8 @@ func TestValidateNamesTheField(t *testing.T) {
 		{"IMCWays", func(s *Spec) { s.IMCWays = 0 }},
 		{"RegistersPerSM", func(s *Spec) { s.RegistersPerSM = 0 }},
 		{"SharedMemPerSM", func(s *Spec) { s.SharedMemPerSM = 0 }},
+		// One past the width of the SM scheduler's slot masks.
+		{"WarpSlotsPerSubpartition", func(s *Spec) { s.WarpSlotsPerSubpartition = 65 }},
 		// Both divide evenly and used to pass, then panicked in mem.NewMemSys.
 		{"LineSize = 96", func(s *Spec) { s.LineSize, s.SectorSize = 96, 32 }},
 		{"SectorSize = 24", func(s *Spec) { s.LineSize, s.SectorSize = 96, 24 }},

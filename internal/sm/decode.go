@@ -24,6 +24,23 @@ const (
 	queueTEX
 )
 
+// A gate is what a warp whose own state is settled still waits on: the
+// execution pipe of its next instruction and the queue in front of it. There
+// is one per pipe — its number is the pipe's — plus gateLDC: a constant load
+// occupies the LSU but takes no LG-queue entry.
+const (
+	gateLDC  = isa.NumPipes
+	numGates = isa.NumPipes + 1
+)
+
+// gatePipe is the execution pipe behind gate g.
+func gatePipe(g int) isa.Pipe {
+	if g == gateLDC {
+		return isa.PipeLSU
+	}
+	return isa.Pipe(g)
+}
+
 // decodedInstr is the per-program issue metadata for one isa.Instr. It is
 // read on every classify and every issue of that instruction; the original
 // Instr is still consulted for functional semantics (immediates, lane
@@ -44,6 +61,8 @@ type decodedInstr struct {
 	throttle WarpState
 	// queue selects the front-end queue whose fullness blocks issue.
 	queue uint8
+	// gate is pipe and queue as one number: the ready set the warp joins.
+	gate  uint8
 	isMem bool // load or store: issue charges replay dispatch cycles
 
 	// bankConflict marks statically colliding source registers (the operand
@@ -91,6 +110,7 @@ func (s *SM) decodeInstr(in *isa.Instr) decodedInstr {
 		pdstRead: isa.PT,
 		pipe:     info.Pipe,
 		throttle: throttleState(info.Pipe),
+		gate:     uint8(info.Pipe),
 		isMem:    info.IsLoad || info.IsStore,
 		ii:       uint64(ceilDiv(kernel.WarpSize, spec.PipeLanes[info.Pipe])),
 		dispatch: 1,
@@ -106,6 +126,8 @@ func (s *SM) decodeInstr(in *isa.Instr) decodedInstr {
 	case isa.PipeLSU:
 		if in.Op != isa.OpLDC {
 			d.queue = queueLG
+		} else {
+			d.gate = gateLDC
 		}
 	case isa.PipeMIO:
 		d.queue = queueMIO

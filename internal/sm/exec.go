@@ -31,7 +31,6 @@ func (s *SM) issue(sp *subpart, w *warp, now uint64) {
 	pc := w.stack[topIdx].pc
 	in := &w.block.launch.Program.Instrs[pc]
 	d := &w.block.dec.instrs[pc]
-	w.ready = nil // the next instruction's fetch and scoreboard are unproven
 	active := w.activeMask()
 	pmask := w.predMask(in.Pred, in.PredNeg) & active
 	spec := s.spec
@@ -473,16 +472,23 @@ var mufuFuncs = [...]func(float64) float64{
 }
 
 // execMUFU applies the SFU function to the lanes of mask only: unlike the ALU
-// operations a transcendental is too costly to compute for idle lanes. An
-// unknown function writes zero.
+// operations a transcendental is too costly to compute for idle lanes — and
+// for the same reason it is evaluated once per run of consecutive active lanes
+// holding the same operand bits, which for a warp-uniform operand is once. An
+// unknown function writes zero. dst may be src.
 func execMUFU(dst, src *[32]uint64, fn isa.MufuFunc, mask uint32) {
 	f := func(float64) float64 { return 0 }
 	if int(fn) < len(mufuFuncs) {
 		f = mufuFuncs[fn]
 	}
-	for ; mask != 0; mask &= mask - 1 {
+	var arg uint32 // operand bits res was computed from, once evaluated
+	var res uint64
+	for evaluated := false; mask != 0; mask &= mask - 1 {
 		lane := bits.TrailingZeros32(mask) & 31
-		dst[lane] = f32bits(float32(f(float64(f32val(src[lane])))))
+		if x := uint32(src[lane]); !evaluated || x != arg {
+			arg, res, evaluated = x, f32bits(float32(f(float64(math.Float32frombits(x))))), true
+		}
+		dst[lane] = res
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"gputopdown/internal/gpu"
 	"gputopdown/internal/isa"
 	"gputopdown/internal/kernel"
+	"gputopdown/internal/mem"
 )
 
 // TestDecodeMatchesOpInfo pins the decoded-instruction cache to the inline
@@ -47,6 +48,27 @@ func TestDecodeMatchesOpInfo(t *testing.T) {
 			}
 			if d.queue != wantQ {
 				t.Errorf("%s: queue %d, want %d", op, d.queue, wantQ)
+			}
+			// The gate is pipe and queue as one number, both ways round.
+			wantGate := int(info.Pipe)
+			if op == isa.OpLDC {
+				wantGate = gateLDC
+			}
+			if int(d.gate) != wantGate || gatePipe(wantGate) != info.Pipe {
+				t.Errorf("%s: gate %d behind pipe %v, want %d behind %v", op, d.gate, gatePipe(int(d.gate)), wantGate, info.Pipe)
+			}
+			var wantGQ *mem.TimedQueue
+			sp := &s.subparts[0]
+			switch wantQ {
+			case queueLG:
+				wantGQ = sp.lgQueue
+			case queueMIO:
+				wantGQ = sp.mioQueue
+			case queueTEX:
+				wantGQ = sp.texQueue
+			}
+			if sp.gateQueue(int(d.gate)) != wantGQ {
+				t.Errorf("%s: gate %d waits on the wrong queue", op, d.gate)
 			}
 			if want := uint64(ceilDiv(kernel.WarpSize, spec.PipeLanes[info.Pipe])); d.ii != want {
 				t.Errorf("%s: ii %d, want %d", op, d.ii, want)
@@ -217,36 +239,6 @@ func multiSubpartLaunch() *kernel.Launch {
 		Program: b.MustBuild(),
 		Grid:    kernel.Dim3{X: 1},
 		Block:   kernel.Dim3{X: 256},
-	}
-}
-
-// TestCandScratchSingleBacking pins the candidate-scratch invariant: one
-// backing array, sized to a single subpartition's slots, serves every
-// subpartition of every tick without ever being regrown — pick always
-// consumes the slice before the next truncation.
-func TestCandScratchSingleBacking(t *testing.T) {
-	s := testSMBacked()
-	l := multiSubpartLaunch()
-	s.LaunchBlock(l, [3]int64{}, 0)
-	if cap(s.candScratch) != s.spec.WarpSlotsPerSubpartition {
-		t.Fatalf("initial candScratch cap %d, want %d", cap(s.candScratch), s.spec.WarpSlotsPerSubpartition)
-	}
-	base := &s.candScratch[:1][0]
-	for guard := 0; s.Busy(); guard++ {
-		if guard > 2_000_000 {
-			t.Fatal("SM did not go idle")
-		}
-		s.Tick()
-	}
-	if got := &s.candScratch[:1][0]; got != base {
-		t.Error("candScratch backing was reallocated during the run")
-	}
-	// Every warp of every subpartition executed the whole program exactly
-	// once: cross-subpartition scheduling stayed correct while sharing the
-	// one backing.
-	want := uint64(256 / kernel.WarpSize * l.Program.Len())
-	if got := s.Counters().InstExecuted; got != want {
-		t.Errorf("InstExecuted %d, want %d", got, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package sm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gputopdown/internal/gpu"
 	"gputopdown/internal/isa"
@@ -16,11 +17,21 @@ type subpart struct {
 	nres  int     // occupied slots, maintained by LaunchBlock/reapFinished
 
 	// wakeAt is the wake table, parallel to warps: the bound returned by the
-	// slot's most recent classify. While now < wakeAt, Tick skips the slot —
-	// classify's contract guarantees a re-run would return the same state and
-	// mutate nothing — and a free slot reads neverWake, so the skip scan is a
-	// run over contiguous words that never touches a warp.
+	// slot's most recent own-state classification (SM.own). While now < wakeAt,
+	// Tick skips the slot — the contract guarantees a re-run would return the
+	// same state and mutate nothing. A free slot and a warp in a ready set
+	// both read neverWake, so the skip scan is a run over contiguous words
+	// that never touches a warp.
 	wakeAt []uint64
+
+	// ready[g] is the ready set of gate g, a slot bitmask: the warps whose
+	// own-state checks have passed for an instruction behind that gate, and
+	// which therefore wait only on what the subpartition shares — the dispatch
+	// unit, the gate's pipe, its queue, the pick. They carry no accounting
+	// interval: Tick decides each gate once and charges the set by popcount.
+	// readyAll is the union. A warp leaves its set only by issuing.
+	ready    [numGates]uint64
+	readyAll uint64
 
 	pipeFree     [isa.NumPipes]uint64
 	dispatchFree uint64
@@ -66,11 +77,15 @@ type SM struct {
 	// stores, so the per-tick reap scan runs only when it can reap.
 	drainCount int
 
-	// noWakeList disables both classify shortcuts — the wake-table skip in
-	// Tick and the sticky readiness in classify — so every resident warp is
-	// classified from scratch every tick (test hook: the exactness tests run
-	// both ways and demand identical counters).
+	// noWakeList selects the reference engine: no wake table, no ready sets,
+	// every resident warp classified from scratch every tick by classify (test
+	// hook: the exactness tests run both ways and demand identical counters).
 	noWakeList bool
+
+	// groupCharge is what the last Tick charged the ready sets for gates found
+	// closed, in warps per state. A quiet tick repeats until NextWakeup, so
+	// AdvanceTo charges it again for every cycle it skips.
+	groupCharge [NumWarpStates]uint32
 
 	// progCache holds the per-program decoded-instruction tables (see
 	// decode.go), keyed by program identity and retained for the SM's
@@ -81,12 +96,8 @@ type SM struct {
 	localBase    uint64
 	totalThreads int
 
-	// Per-tick scratch buffers (no allocation in the cycle loop).
-	// candScratch is a single backing array shared by every subpartition of
-	// a tick in turn: Tick truncates it per subpartition and stores the
-	// (possibly re-grown) backing once per tick. sectorScratch backs
-	// CoalesceSectorsInto in the issue path.
-	candScratch   []int
+	// sectorScratch backs CoalesceSectorsInto in the issue path (no
+	// allocation in the cycle loop).
 	sectorScratch []uint64
 
 	// Retired block contexts and their warps, filled by retireBlock and
@@ -115,8 +126,13 @@ type SM struct {
 	ctr Counters
 }
 
+// referenceEngine is what New puts in SM.noWakeList. Only tests set it
+// (export_test.go), to run whole applications on the reference engine.
+var referenceEngine bool
+
 // New builds an SM around the device-shared memory system, global storage
-// and constant bank.
+// and constant bank. The spec is validated by its owner (gpu.Spec.Validate
+// bounds WarpSlotsPerSubpartition by the width of a ready-set mask).
 func New(spec *gpu.Spec, id int, ms *mem.MemSys, storage *mem.Storage, constBank *mem.ConstantBank) *SM {
 	nsp, slots := spec.SubpartitionsPerSM, spec.WarpSlotsPerSubpartition
 	s := &SM{
@@ -128,7 +144,7 @@ func New(spec *gpu.Spec, id int, ms *mem.MemSys, storage *mem.Storage, constBank
 		constBank:     constBank,
 		subparts:      make([]subpart, nsp),
 		lrr:           spec.SchedulingPolicy == "lrr",
-		candScratch:   make([]int, 0, slots),
+		noWakeList:    referenceEngine,
 		sectorScratch: make([]uint64, 0, 64),
 	}
 	// One backing per slot table for the whole SM, carved per subpartition: a
@@ -290,18 +306,18 @@ func (s *SM) checkBarrier(b *blockCtx) {
 const neverWake = ^uint64(0)
 
 // ensureFetched models the instruction supply: one line-fetch per SM per
-// cycle through the L1 instruction cache. It returns true when the warp's
-// next instruction is available in its instruction buffer, and otherwise
-// the cycle at which this warp's fetch wait can end (port free or decode
-// complete).
-func (s *SM) ensureFetched(w *warp, pc int, now uint64) (bool, uint64) {
+// cycle through the L1 instruction cache. With the warp's next instruction in
+// its instruction buffer, or on its way there, it returns the cycle the
+// instruction is decoded and true; with the fetch port busy, the cycle the
+// port frees and false — the warp must ask again then.
+func (s *SM) ensureFetched(w *warp, pc int, now uint64) (uint64, bool) {
 	lineSize := uint64(s.spec.LineSize)
 	line := uint64(pc*s.spec.InstrBytes) / lineSize
 	if w.fetchedLine == line+1 {
-		return now >= w.ifetchReady, w.ifetchReady
+		return w.ifetchReady, true
 	}
 	if s.fetchBusy > now {
-		return false, s.fetchBusy // fetch port busy this cycle
+		return s.fetchBusy, false // fetch port busy this cycle
 	}
 	s.fetchBusy = now + uint64(s.spec.FetchCyclesPerLine)
 	w.fetchedLine = line + 1
@@ -312,59 +328,81 @@ func (s *SM) ensureFetched(w *warp, pc int, now uint64) (bool, uint64) {
 		s.ctr.ICacheMisses++
 		w.ifetchReady = now + uint64(s.spec.L2Latency)/2 + uint64(s.spec.DecodeDelay)
 	}
-	return false, w.ifetchReady
+	return w.ifetchReady, true
 }
 
-// classify determines the warp's state this cycle. eligible is true only
-// when the warp could issue right now. For ineligible warps, wake is the
-// earliest cycle at which the warp's classification can change — until
-// then, re-running classify would return the same state and mutate
-// nothing. Bounds may be in the past (e.g. a drained store list); Tick
-// clamps them to now+1.
+// own runs the half of a warp's classification that reads only state the
+// warp's own issue can change — SIMT stack, exit, barrier, membar,
+// nextEligible, instruction buffer, scoreboard — so a result holds until the
+// returned wake cycle whatever the rest of the SM does. Three outcomes:
+//
+//   - d == nil: the warp is in state st and own must run again at wake
+//     (neverWake: only another warp can release it). Bounds may be in the
+//     past (a drained store list); the caller clamps them to now+1.
+//   - d != nil, wake > now: the warp waits in st until wake for the last
+//     thing its next instruction d needs — its decode, or the completion of
+//     its last operand — and from then on is ready: nothing but its own issue
+//     moves that cycle.
+//   - d != nil, wake <= now: the warp is ready to issue d.
+func (s *SM) own(w *warp, now uint64) (d *decodedInstr, st WarpState, wake uint64) {
+	w.syncStack()
+	if w.finished {
+		if w.block.liveWarps > 0 && !w.deadCounted() {
+			w.markDead()
+			w.block.liveWarps--
+			s.drainCount++
+			s.checkBarrier(w.block)
+			// The death may have released the block barrier, changing
+			// peers classified earlier this tick: force a normal tick.
+			s.tickEvent = true
+		}
+		// Reaped by reapFinished at the last store's completion cycle.
+		return nil, StateDrain, w.lastStoreDone()
+	}
+	if w.atBarrier {
+		return nil, StateBarrier, neverWake
+	}
+	if w.membarPending {
+		if w.drainStores(now) > 0 || now < w.fenceUntil {
+			return nil, StateMembar, maxU64(w.lastStoreDone(), w.fenceUntil)
+		}
+		w.membarPending = false
+	}
+	if now < w.nextEligible {
+		return nil, w.eligibleReason, w.nextEligible
+	}
+	pc := w.top().pc
+	if pc >= w.block.launch.Program.Len() {
+		panic(fmt.Sprintf("sm %d: warp %d.%d ran past program end (kernel %s)", s.id, w.subp, w.slot, w.block.launch.Program.Name))
+	}
+	decoded, fetched := s.ensureFetched(w, pc, now)
+	if !fetched {
+		return nil, StateNoInstruction, decoded
+	}
+	d = &w.block.dec.instrs[pc]
+	ready, kind := w.scoreboardDec(d)
+	if decoded > now {
+		if ready > decoded {
+			d = nil // the scoreboard stall that follows is a state of its own
+		}
+		return d, StateNoInstruction, decoded
+	}
+	if ready > now {
+		return d, kind.stallState(), ready
+	}
+	return d, StateSelected, now
+}
+
+// classify is the reference engine's classifier: the state of one warp this
+// cycle, decided from scratch. eligible is true only when the warp could
+// issue right now. For ineligible warps, wake is the earliest cycle at which
+// the classification can change. The production engine runs the own half per
+// warp and decides the subpartition half once per gate (Tick); the two must
+// charge every cycle alike.
 func (s *SM) classify(sp *subpart, w *warp, now uint64) (state WarpState, eligible bool, wake uint64) {
-	// Sticky readiness: every check down to the scoreboard reads state only
-	// this warp's own issue can change, so once passed they hold until then
-	// and only the subpartition conditions below are re-checked.
-	d := w.ready
-	if d == nil || s.noWakeList {
-		w.syncStack()
-		if w.finished {
-			if w.block.liveWarps > 0 && !w.deadCounted() {
-				w.markDead()
-				w.block.liveWarps--
-				s.drainCount++
-				s.checkBarrier(w.block)
-				// The death may have released the block barrier, changing
-				// peers classified earlier this tick: force a normal tick.
-				s.tickEvent = true
-			}
-			// Reaped by reapFinished at the last store's completion cycle.
-			return StateDrain, false, w.lastStoreDone()
-		}
-		if w.atBarrier {
-			return StateBarrier, false, neverWake
-		}
-		if w.membarPending {
-			if w.drainStores(now) > 0 || now < w.fenceUntil {
-				return StateMembar, false, maxU64(w.lastStoreDone(), w.fenceUntil)
-			}
-			w.membarPending = false
-		}
-		if now < w.nextEligible {
-			return w.eligibleReason, false, w.nextEligible
-		}
-		pc := w.top().pc
-		if pc >= w.block.launch.Program.Len() {
-			panic(fmt.Sprintf("sm %d: warp %d.%d ran past program end (kernel %s)", s.id, w.subp, w.slot, w.block.launch.Program.Name))
-		}
-		if ok, fwake := s.ensureFetched(w, pc, now); !ok {
-			return StateNoInstruction, false, fwake
-		}
-		d = &w.block.dec.instrs[pc]
-		if ready, kind := w.scoreboardDec(d); ready > now {
-			return kind.stallState(), false, ready
-		}
-		w.ready = d
+	d, st, wake := s.own(w, now)
+	if d == nil || wake > now {
+		return st, false, wake
 	}
 	if now < sp.dispatchFree {
 		return StateDispatchStall, false, sp.dispatchFree
@@ -389,35 +427,27 @@ func (s *SM) classify(sp *subpart, w *warp, now uint64) (state WarpState, eligib
 	return StateSelected, true, now
 }
 
-// pick selects one eligible warp per the spec's scheduling policy.
-// candidates holds slot indices; returns -1 when empty.
-func (s *SM) pick(sp *subpart, candidates []int) int {
-	if len(candidates) == 0 {
+// pick selects one eligible warp per the spec's scheduling policy from a
+// slot bitmask; returns -1 when it is empty.
+func (s *SM) pick(sp *subpart, cand uint64) int {
+	if cand == 0 {
 		return -1
 	}
 	if s.lrr {
-		// First eligible slot after the last issued one.
-		n := len(sp.warps)
-		for off := 1; off <= n; off++ {
-			slot := (sp.lastIssued + off) % n
-			for _, c := range candidates {
-				if c == slot {
-					return slot
-				}
-			}
+		// First eligible slot after the last issued one, wrapping around.
+		if after := cand &^ (1<<(sp.lastIssued+1) - 1); after != 0 {
+			cand = after
 		}
-		return candidates[0]
+		return bits.TrailingZeros64(cand)
 	}
 	// Greedy-then-oldest: keep issuing the same warp while possible,
 	// otherwise the oldest (smallest launch sequence).
-	for _, c := range candidates {
-		if c == sp.lastIssued && sp.warps[c] != nil {
-			return c
-		}
+	if cand>>sp.lastIssued&1 != 0 {
+		return sp.lastIssued
 	}
-	best := candidates[0]
-	for _, c := range candidates[1:] {
-		if sp.warps[c].launchSeq < sp.warps[best].launchSeq {
+	best := bits.TrailingZeros64(cand)
+	for m := cand & (cand - 1); m != 0; m &= m - 1 {
+		if c := bits.TrailingZeros64(m); sp.warps[c].launchSeq < sp.warps[best].launchSeq {
 			best = c
 		}
 	}
@@ -425,12 +455,141 @@ func (s *SM) pick(sp *subpart, candidates []int) int {
 }
 
 // enter closes the warp's open accounting interval at now and opens one in
-// state st. Every resident warp is in exactly one state each cycle, so its
-// residency is a sequence of such intervals and a cycle in which nothing
-// about the warp changes costs nothing.
+// state st. Every resident warp outside the ready sets is in exactly one
+// state each cycle, so its residency is a sequence of such intervals and a
+// cycle in which nothing about the warp changes costs nothing.
 func (s *SM) enter(w *warp, st WarpState, now uint64) {
 	s.ctr.WarpStateCycles[w.state] += now - w.since
 	w.state, w.since = st, now
+}
+
+// charge accounts this cycle for the n ready warps found stalled in state st.
+func (s *SM) charge(st WarpState, n int) {
+	s.ctr.WarpStateCycles[st] += uint64(n)
+	s.groupCharge[st] += uint32(n)
+}
+
+// classifyAll is the reference engine's scan of one subpartition: every
+// resident warp classified from scratch, stalled warps entering their state,
+// eligible ones returned as a slot mask, with wake lowered to the earliest
+// bound met.
+func (s *SM) classifyAll(sp *subpart, now, wake uint64) (cand, earliest uint64) {
+	for slot, w := range sp.warps {
+		if w == nil {
+			continue
+		}
+		st, eligible, wb := s.classify(sp, w, now)
+		if eligible {
+			cand |= 1 << slot
+			continue
+		}
+		s.enter(w, st, now)
+		wake = min(wake, max(wb, now+1))
+	}
+	return cand, wake
+}
+
+// wakeWarps is the production engine's pass over one subpartition's wake
+// table: a slot whose bound has not expired is skipped — its open interval
+// keeps growing, which is what a fresh classification would account — and a
+// warp whose bound has expired runs own, unless own promised it ready at that
+// bound (warp.pending). A ready warp settles its interval and joins the ready
+// set of its instruction's gate. It returns wake lowered to the earliest bound
+// still pending.
+func (s *SM) wakeWarps(sp *subpart, now, wake uint64) uint64 {
+	for slot, wa := range sp.wakeAt {
+		if now < wa {
+			wake = min(wake, wa)
+			continue
+		}
+		w := sp.warps[slot]
+		d := w.pending
+		if d == nil {
+			var st WarpState
+			var wb uint64
+			if d, st, wb = s.own(w, now); d == nil || wb > now {
+				s.enter(w, st, now)
+				w.pending = d
+				wb = max(wb, now+1)
+				sp.wakeAt[slot] = wb
+				wake = min(wake, wb)
+				continue
+			}
+		}
+		w.pending = nil
+		s.ctr.WarpStateCycles[w.state] += now - w.since
+		sp.ready[d.gate] |= 1 << slot
+		sp.readyAll |= 1 << slot
+		sp.wakeAt[slot] = neverWake
+	}
+	return wake
+}
+
+// issueReady issues the next instruction of the warp picked at cycle now and
+// takes it out of its ready set: from now+1 its state is its own again, to be
+// found by the next pass over the wake table — unless the issue itself put the
+// warp to sleep (a branch resolving, the operand collector, NANOSLEEP; none of
+// them exits, joins a barrier or raises a fence), which is then all own could
+// say of it until nextEligible.
+func (s *SM) issueReady(sp *subpart, w *warp, now uint64) {
+	bit := uint64(1) << w.slot
+	sp.ready[w.block.dec.instrs[w.top().pc].gate] &^= bit
+	sp.readyAll &^= bit
+	s.issue(sp, w, now)
+	w.state, w.since = StateSelected, now+1
+	sp.wakeAt[w.slot] = 0
+	if w.nextEligible > now+1 {
+		w.state = w.eligibleReason
+		sp.wakeAt[w.slot] = w.nextEligible
+	}
+}
+
+// gateQueue is the instruction queue an instruction behind gate g must find
+// an entry in, nil when it needs none.
+func (sp *subpart) gateQueue(g int) *mem.TimedQueue {
+	switch g {
+	case int(isa.PipeLSU):
+		return sp.lgQueue
+	case int(isa.PipeMIO):
+		return sp.mioQueue
+	case int(isa.PipeTEX):
+		return sp.texQueue
+	}
+	return nil
+}
+
+// openGates decides, once per gate, what classify decides per warp for the
+// subpartition's ready warps: dispatch unit busy — all of them stall on it —
+// else per non-empty gate pipe busy or queue full, else the gate is open. The
+// warps behind a closed gate are charged its state for this cycle; those
+// behind open gates are returned as the candidate mask, with wake lowered to
+// the earliest cycle a closed gate can open.
+func (s *SM) openGates(sp *subpart, now, wake uint64) (cand, earliest uint64) {
+	if sp.readyAll == 0 {
+		return 0, wake
+	}
+	if now < sp.dispatchFree {
+		s.charge(StateDispatchStall, bits.OnesCount64(sp.readyAll))
+		return 0, min(wake, sp.dispatchFree)
+	}
+	for g := range sp.ready { // by index: ranging over the array's values would copy it
+		set := sp.ready[g]
+		if set == 0 {
+			continue
+		}
+		opens := sp.pipeFree[gatePipe(g)]
+		if opens <= now {
+			q := sp.gateQueue(g)
+			if q == nil || !q.Full(now) {
+				cand |= set
+				continue
+			}
+			opens = max(q.NextCompletion(), now+1)
+		}
+		s.charge(throttleState(gatePipe(g)), bits.OnesCount64(set))
+		wake = min(wake, opens)
+	}
+	return cand, wake
 }
 
 // Tick advances the SM one cycle and recomputes the fast-forward bound
@@ -439,65 +598,45 @@ func (s *SM) Tick() {
 	now := s.cycle
 	s.ctr.ElapsedCycles++
 	s.accountResidency(1)
+	s.groupCharge = [NumWarpStates]uint32{}
 	quiet := true     // no issue, reap or cross-warp event this tick
-	wake := neverWake // min over ineligible warps' wakeup bounds
-	skip := !s.noWakeList
+	wake := neverWake // min over the wakeup bounds of warps and gates
 
-	// candidates shares one backing array (s.candScratch) across every
-	// subpartition: pick consumes it before the next truncation, and the
-	// possibly re-grown backing is stored back exactly once after the loop.
-	candidates := s.candScratch[:0]
 	for i := range s.subparts {
 		sp := &s.subparts[i]
 		if sp.nres == 0 {
 			continue
 		}
-		candidates = candidates[:0]
-		for slot, wa := range sp.wakeAt {
-			if skip && now < wa {
-				// Wake-table skip: the slot is free, or its last classify
-				// bound proves a re-run now would return the state of its open
-				// interval and mutate nothing. That state is never
-				// Selected/NotSelected (an eligible warp's entry is already in
-				// the past), so leaving the interval open accounts the cycle
-				// exactly as a fresh classify would.
-				if wa < wake {
-					wake = wa
-				}
-				continue
-			}
-			w := sp.warps[slot]
-			if w == nil {
-				continue // free slot, reached only under noWakeList
-			}
-			st, eligible, wb := s.classify(sp, w, now)
-			if eligible {
-				candidates = append(candidates, slot)
-				continue
-			}
-			s.enter(w, st, now)
-			if wb <= now {
-				wb = now + 1
-			}
-			if wb < wake {
-				wake = wb
-			}
-			sp.wakeAt[slot] = wb
+		var cand uint64
+		if s.noWakeList {
+			cand, wake = s.classifyAll(sp, now, wake)
+		} else {
+			wake = s.wakeWarps(sp, now, wake)
+			cand, wake = s.openGates(sp, now, wake)
 		}
-		if winner := s.pick(sp, candidates); winner >= 0 {
-			for _, c := range candidates {
+		winner := s.pick(sp, cand)
+		if winner < 0 {
+			continue
+		}
+		w := sp.warps[winner]
+		if s.noWakeList {
+			for m := cand; m != 0; m &= m - 1 {
+				c := bits.TrailingZeros64(m)
 				st := StateNotSelected // eligible but not picked
 				if c == winner {
 					st = StateSelected
 				}
 				s.enter(sp.warps[c], st, now)
 			}
-			s.issue(sp, sp.warps[winner], now)
-			sp.lastIssued = winner
-			quiet = false
+			s.issue(sp, w, now)
+		} else {
+			s.ctr.WarpStateCycles[StateNotSelected] += uint64(bits.OnesCount64(cand) - 1)
+			s.ctr.WarpStateCycles[StateSelected]++
+			s.issueReady(sp, w, now)
 		}
+		sp.lastIssued = winner
+		quiet = false
 	}
-	s.candScratch = candidates[:0]
 
 	if s.drainCount > 0 && s.reapFinished(now) {
 		quiet = false
@@ -549,10 +688,10 @@ func (s *SM) accountResidency(n uint64) {
 func (s *SM) NextWakeup() uint64 { return s.nextWakeup }
 
 // AdvanceTo jumps the clock to target, accounting the cycles [s.cycle,
-// target) as exact repeats of the last tick: residency is charged per cycle,
-// and every warp's open state interval simply grows with the clock. Only
-// legal up to the bound reported by NextWakeup; the panic guards the
-// bit-identity invariant.
+// target) as exact repeats of the last tick: residency and the ready sets'
+// group charge are charged per cycle, and every warp's open state interval
+// simply grows with the clock. Only legal up to the bound reported by
+// NextWakeup; the panic guards the bit-identity invariant.
 func (s *SM) AdvanceTo(target uint64) {
 	if target <= s.cycle {
 		return
@@ -563,6 +702,9 @@ func (s *SM) AdvanceTo(target uint64) {
 	n := target - s.cycle
 	s.ctr.ElapsedCycles += n
 	s.accountResidency(n)
+	for st, warps := range s.groupCharge {
+		s.ctr.WarpStateCycles[st] += n * uint64(warps)
+	}
 	s.cycle = target
 }
 
@@ -643,13 +785,15 @@ func (s *SM) CheckQueues(report func(queue string, subpart int)) {
 }
 
 // Counters returns the SM's counters including the memory-path statistics
-// and the still-open state interval of every resident warp. It mutates
-// nothing: calling it mid-launch (trace samples do) changes no later value.
+// and the still-open state interval of every resident warp that has one
+// (warps in a ready set are charged as they go). It mutates nothing: calling
+// it mid-launch (trace samples do) changes no later value.
 func (s *SM) Counters() Counters {
 	c := s.ctr
 	for i := range s.subparts {
-		for _, w := range s.subparts[i].warps {
-			if w != nil {
+		sp := &s.subparts[i]
+		for slot, w := range sp.warps {
+			if w != nil && sp.readyAll>>slot&1 == 0 {
 				c.WarpStateCycles[w.state] += s.cycle - w.since
 			}
 		}
@@ -725,6 +869,7 @@ func (s *SM) ResetClock() {
 	s.fetchBusy = 0
 	s.nextWakeup = 0
 	s.tickEvent = false
+	s.groupCharge = [NumWarpStates]uint32{}
 	for i := range s.subparts {
 		sp := &s.subparts[i]
 		sp.pipeFree = [isa.NumPipes]uint64{}

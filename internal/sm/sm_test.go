@@ -270,15 +270,15 @@ func TestGTOPrefersSameWarp(t *testing.T) {
 	sp.warps[3] = &warp{launchSeq: 4}
 	sp.warps[5] = &warp{launchSeq: 2}
 	sp.lastIssued = 3
-	if got := s.pick(sp, []int{1, 3, 5}); got != 3 {
+	if got := s.pick(sp, 1<<1|1<<3|1<<5); got != 3 {
 		t.Errorf("GTO picked %d, want greedy 3", got)
 	}
 	// Oldest otherwise.
 	sp.lastIssued = 0
-	if got := s.pick(sp, []int{1, 5}); got != 5 {
+	if got := s.pick(sp, 1<<1|1<<5); got != 5 {
 		t.Errorf("GTO picked %d, want oldest 5", got)
 	}
-	if got := s.pick(sp, nil); got != -1 {
+	if got := s.pick(sp, 0); got != -1 {
 		t.Errorf("empty candidates -> %d", got)
 	}
 }
@@ -289,11 +289,11 @@ func TestLRRRotates(t *testing.T) {
 	s := testSMOf(&spec)
 	sp := &s.subparts[0]
 	sp.lastIssued = 3
-	if got := s.pick(sp, []int{1, 3, 5}); got != 5 {
+	if got := s.pick(sp, 1<<1|1<<3|1<<5); got != 5 {
 		t.Errorf("LRR picked %d, want next-after-3 = 5", got)
 	}
 	sp.lastIssued = 5
-	if got := s.pick(sp, []int{1, 3}); got != 1 {
+	if got := s.pick(sp, 1<<1|1<<3); got != 1 {
 		t.Errorf("LRR picked %d, want wraparound 1", got)
 	}
 }

@@ -66,11 +66,11 @@ type warp struct {
 	nextEligible   uint64
 	eligibleReason WarpState
 
-	// ready is the decoded instruction at the top of the stack once classify
-	// has found it fetched and scoreboard-clear (sticky readiness): both facts
-	// depend only on this warp's own issues, so they hold until issue clears
-	// ready. nil means not yet established.
-	ready *decodedInstr
+	// pending is the instruction at the top of the stack while the warp's
+	// wake-table bound is the last thing that instruction waits for, its decode
+	// or its scoreboard (see SM.own): at the bound the warp is ready to issue
+	// it without being classified again. nil otherwise.
+	pending *decodedInstr
 
 	atBarrier     bool
 	membarPending bool
@@ -89,7 +89,8 @@ type warp struct {
 	// state and since are the warp's open accounting interval: it has been in
 	// state for the cycles [since, now), none of them added to
 	// Counters.WarpStateCycles yet (see SM.enter). While the wake table lets
-	// Tick skip the warp, the interval simply grows with the clock.
+	// Tick skip the warp, the interval simply grows with the clock. A warp in
+	// a ready set has none: the set is charged by count, cycle by cycle.
 	state WarpState
 	since uint64
 
