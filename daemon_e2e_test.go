@@ -262,6 +262,52 @@ func TestJobRunnerKeysOnConfiguration(t *testing.T) {
 	}
 }
 
+// TestJobRunnerBoundsProfilers: jobs naming 20 configurations (sample_every
+// 1..20) leave at most maxProfilers cached, the least recently used evicted
+// first; a repeat of a retained configuration runs on its profiler and hits
+// its warm replay cache, and an evicted one starts over on a new profiler.
+func TestJobRunnerBoundsProfilers(t *testing.T) {
+	ctx := context.Background()
+	jr := NewJobRunner("gtx1070", WithReplayCache(true))
+	run := func(sampleEvery int) *Profiler {
+		t.Helper()
+		req := &JobRequest{Suite: "rodinia", App: "myocyte", SampleEvery: sampleEvery}
+		p, err := jr.profilerFor(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := jr.Run(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+		if len(jr.profilers) > maxProfilers {
+			t.Fatalf("runner holds %d profilers, bound %d", len(jr.profilers), maxProfilers)
+		}
+		return p
+	}
+	ran := map[int]*Profiler{}
+	for n := 1; n <= 20; n++ {
+		ran[n] = run(n)
+	}
+	// 13..20 are retained; repeating 13 makes 14 the least recently used.
+	hits, _ := ran[13].cache.Stats()
+	if run(13) != ran[13] {
+		t.Fatal("a retained configuration got a new profiler")
+	}
+	if h, _ := ran[13].cache.Stats(); h <= hits {
+		t.Errorf("repeating a retained configuration hit its replay cache %d times before, %d after", hits, h)
+	}
+	run(21)
+	if len(jr.profilers) != maxProfilers {
+		t.Errorf("runner holds %d profilers, want %d", len(jr.profilers), maxProfilers)
+	}
+	if p := run(13); p != ran[13] {
+		t.Error("the most recently used configuration was evicted")
+	}
+	if p := run(14); p == ran[14] {
+		t.Error("the least recently used configuration was not evicted")
+	}
+}
+
 // TestDaemonCancelRunning: DELETE on a job mid-simulation lands within the
 // 2s budget (cancellation is checked inside the simulation loop, not just
 // between kernels) and the store records cancelled.

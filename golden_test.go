@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -37,19 +38,40 @@ func goldenProfile(t *testing.T, gpuID, suite, app string) []byte {
 	if !ok {
 		t.Fatalf("unknown gpu %q", gpuID)
 	}
+	return profileReport(t, NewProfiler(spec), suite, app)
+}
+
+// profileReport profiles one app on p and returns its canonical report bytes.
+func profileReport(t *testing.T, p *Profiler, suite, app string) []byte {
+	t.Helper()
 	a, err := GetApp(suite, app)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewProfiler(spec).ProfileApp(context.Background(), a)
+	res, err := p.ProfileApp(context.Background(), a)
 	if err != nil {
-		t.Fatalf("%s/%s on %s: %v", suite, app, gpuID, err)
+		t.Fatalf("%s/%s on %s: %v", suite, app, p.Spec().Name, err)
 	}
 	data, err := check.ReportJSON(res.Report())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// goldenIDs lists the suite/app ids the golden tests profile on gpuID: the
+// sample, or with GOLDEN_FULL=1 every suite app.
+func goldenIDs(gpuID string) []string {
+	if os.Getenv("GOLDEN_FULL") == "" {
+		return goldenSample[gpuID]
+	}
+	var ids []string
+	for _, s := range Suites() {
+		for _, a := range SuiteApps(s) {
+			ids = append(ids, s+"/"+a.Name)
+		}
+	}
+	return ids
 }
 
 // TestGoldenCorpusComplete checks corpus shape without profiling: every suite
@@ -89,19 +111,8 @@ func TestGoldenReports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiling gate skipped in -short mode")
 	}
-	full := os.Getenv("GOLDEN_FULL") != ""
 	for _, g := range goldenGPUs {
-		var ids []string
-		if full {
-			for _, s := range Suites() {
-				for _, a := range SuiteApps(s) {
-					ids = append(ids, s+"/"+a.Name)
-				}
-			}
-		} else {
-			ids = goldenSample[g]
-		}
-		for _, id := range ids {
+		for _, id := range goldenIDs(g) {
 			g, id := g, id
 			t.Run(g+"/"+strings.ReplaceAll(id, "/", "__"), func(t *testing.T) {
 				suite, app, _ := strings.Cut(id, "/")
@@ -116,6 +127,39 @@ func TestGoldenReports(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestReusedProfilerReproducesGoldens: one Profiler per GPU profiles the
+// golden apps forward and then in reverse, so every run after the first is on
+// a device reset after a different app (and, in reverse, the same apps meet
+// other predecessors), and every report must still equal its golden byte for
+// byte. Samples goldenSample by default; GOLDEN_FULL=1 runs all apps.
+func TestReusedProfilerReproducesGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("profiling gate skipped in -short mode")
+	}
+	for _, g := range goldenGPUs {
+		t.Run(g, func(t *testing.T) {
+			spec, _ := LookupGPU(g)
+			p := NewProfiler(spec)
+			ids := goldenIDs(g)
+			order := append(slices.Clone(ids), ids...)
+			slices.Reverse(order[len(ids):])
+			for i, id := range order {
+				suite, app, _ := strings.Cut(id, "/")
+				want, err := os.ReadFile(goldenPath(g, suite, app))
+				if err != nil {
+					t.Fatalf("missing golden (run `make golden`): %v", err)
+				}
+				if d := check.DiffJSON(want, profileReport(t, p, suite, app)); d != "" {
+					t.Errorf("run %d (%s) on the reused profiler diverged from its golden:\n%s", i, id, d)
+				}
+				if len(p.idle) != 1 {
+					t.Fatalf("after run %d the profiler holds %d idle devices, want 1", i, len(p.idle))
+				}
+			}
+		})
 	}
 }
 

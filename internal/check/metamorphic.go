@@ -23,6 +23,10 @@ type Config struct {
 	Observer bool
 	// Checks attaches the in-loop invariant checker.
 	Checks bool
+	// ReusedDevice runs the profile on a device reset after another,
+	// heavier application (more registers and shared memory per thread
+	// block) ran on it, instead of on a new one.
+	ReusedDevice bool
 }
 
 // BaseConfig is the reference point every property mutates away from: all
@@ -52,6 +56,7 @@ func Properties() []Property {
 		{Name: "checks-on", Mutate: func(c Config) Config { c.Checks = true; return c }},
 		{Name: "replay-cache-off", Mutate: func(c Config) Config { c.ReplayCache = false; return c }},
 		{Name: "fast-forward-off", Mutate: func(c Config) Config { c.FastForward = false; return c }},
+		{Name: "reused-device", Mutate: func(c Config) Config { c.ReusedDevice = true; return c }},
 	}
 }
 

@@ -12,8 +12,8 @@ func TestBaseConfig(t *testing.T) {
 	if !c.FastForward || !c.ReplayCache {
 		t.Fatalf("unexpected base config: %+v", c)
 	}
-	if c.Tracing || c.Observer || c.Checks {
-		t.Fatalf("base config must not attach instrumentation: %+v", c)
+	if c.Tracing || c.Observer || c.Checks || c.ReusedDevice {
+		t.Fatalf("base config must attach no instrumentation and run on a new device: %+v", c)
 	}
 }
 
@@ -32,7 +32,7 @@ func TestPropertiesMutateOneKnob(t *testing.T) {
 	// The table must cover every knob the design claims is result-preserving.
 	for _, want := range []string{
 		"tracing-on", "observer-on", "checks-on",
-		"replay-cache-off", "fast-forward-off",
+		"replay-cache-off", "fast-forward-off", "reused-device",
 	} {
 		if !seen[want] {
 			t.Errorf("property %q missing from the table", want)
@@ -72,7 +72,7 @@ func TestMetamorphicDivergence(t *testing.T) {
 	if strings.Contains(msg, "tracing-on:") {
 		t.Fatalf("clean property named in failure: %v", err)
 	}
-	if !strings.Contains(msg, "1 of 5") {
+	if !strings.Contains(msg, fmt.Sprintf("1 of %d", len(Properties()))) {
 		t.Fatalf("failure tally missing: %v", err)
 	}
 }

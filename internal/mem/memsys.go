@@ -171,3 +171,12 @@ func (m *MemSys) ResetDRAM() {
 		d.Reset()
 	}
 }
+
+// Reset returns the memory system to what NewMemSys built: every slice cold
+// with zero statistics, every channel empty with zero statistics.
+func (m *MemSys) Reset() {
+	for _, c := range m.slices {
+		c.Reset()
+	}
+	m.ResetDRAM()
+}

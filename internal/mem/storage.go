@@ -67,6 +67,14 @@ func (s *Storage) grow() {
 // FreeAll releases every allocation (the data itself is retained).
 func (s *Storage) FreeAll() { s.next = s.base }
 
+// Reset releases every allocation and zeroes the backing, which it keeps:
+// the storage then reads, allocates and hashes as NewStorage's does, without
+// re-growing what a previous application already grew.
+func (s *Storage) Reset() {
+	clear(s.data)
+	s.next = s.base
+}
+
 // Size returns the total capacity in bytes.
 func (s *Storage) Size() int { return s.limit }
 

@@ -606,6 +606,29 @@ func (d *Device) ResetSMs() {
 	d.Mem.ResetDRAM()
 }
 
+// Reset returns an idle device to what NewDeviceMem built: global memory
+// unallocated and zero, the constant bank zero, every cache cold and every
+// DRAM channel empty with zero statistics, each SM reset (sm.SM.Reset), no
+// observer, checker or logger, trace off, fast-forward on. It keeps the host
+// backings — the storage buffer, the cache arrays, each SM's retired block
+// and warp contexts with their register files — so the next application
+// pays none of a new device's allocations, and is indistinguishable from a
+// new device (TestResetDeviceBitIdentical). Only legal between launches.
+func (d *Device) Reset() {
+	d.Storage.Reset()
+	d.Const.Clear()
+	d.Mem.Reset()
+	for _, s := range d.SMs {
+		s.Reset()
+	}
+	d.traceInterval = 0
+	d.fastForward = true
+	d.lastTicks, d.checkNext, d.simCursorUS = 0, 0, 0
+	d.checker, d.log = nil, nil
+	d.SetObserver(nil, nil)
+	d.smTracks = nil
+}
+
 // MustLaunch is Launch that panics on error, for tests and examples.
 func (d *Device) MustLaunch(l *kernel.Launch) *RunResult {
 	r, err := d.Launch(l)

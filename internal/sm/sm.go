@@ -88,8 +88,8 @@ type SM struct {
 	groupCharge [NumWarpStates]uint32
 
 	// progCache holds the per-program decoded-instruction tables (see
-	// decode.go), keyed by program identity and retained for the SM's
-	// lifetime — replay passes re-launch the same programs.
+	// decode.go), keyed by program identity and retained until Reset —
+	// replay passes re-launch the same programs.
 	progCache map[*kernel.Program]*decodedProgram
 
 	// Launch-wide context for local-memory addressing, set by the device.
@@ -102,8 +102,9 @@ type SM struct {
 
 	// Retired block contexts and their warps, filled by retireBlock and
 	// drained by LaunchBlock, which resets whatever it takes (warp.reset), so
-	// nothing of a retired block is visible to the next one. They die with
-	// the SM: Device.ResetSMs rebuilds SMs after a failed kernel.
+	// nothing of a retired block is visible to the next one. Reset keeps
+	// them; they die with the SM, which Device.ResetSMs rebuilds after a
+	// failed kernel.
 	freeBlocks []*blockCtx
 	freeWarps  []*warp
 
@@ -879,4 +880,23 @@ func (s *SM) ResetClock() {
 		sp.texQueue.Reset()
 		sp.lastIssued = 0
 	}
+}
+
+// Reset returns an idle SM to what New built — clock, pipelines, caches,
+// counters, tracing and decoded programs — but keeps the retired block and
+// warp contexts, with their register, shared-memory and store backings, for
+// the next launch to take: LaunchBlock rewrites everything it takes from them
+// (TestDirtyReuseBitIdentical). Dropping the decoded programs keeps a
+// long-lived SM from holding every program it ever ran. Only legal when idle.
+func (s *SM) Reset() {
+	s.ResetClock()
+	s.dp.Reset()
+	s.icache.Reset()
+	s.launchSeq, s.residencyVer = 0, 0
+	s.noWakeList = referenceEngine
+	clear(s.progCache)
+	s.localBase, s.totalThreads = 0, 0
+	s.DisableTrace()
+	s.traceBase = Counters{}
+	s.ctr = Counters{}
 }

@@ -2,28 +2,39 @@ package gputopdown
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"testing"
 
 	"gputopdown/internal/check"
-	"gputopdown/internal/sim"
 )
 
 // profileOnLoop is ProfileApp on an explicitly chosen run loop. The naive
 // oracle loop (fastForward false) has no profiler option, so the device is
-// built the way ProfileApp builds it and switched over.
+// taken from the profiler the way ProfileApp takes it and switched over.
 func profileOnLoop(p *Profiler, fastForward bool, app *App) (*AppResult, error) {
-	dev := sim.NewDevice(p.spec)
+	dev := p.takeDevice()
 	dev.SetFastForward(fastForward)
-	return p.profileOn(context.Background(), dev, app)
+	res, err := p.profileOn(context.Background(), dev, app)
+	if err == nil && len(res.Failed) == 0 {
+		p.releaseDevice(dev)
+	}
+	return res, err
 }
 
 // metamorphicRunner builds the check.Runner for one app on one device: each
 // configuration gets a fresh profiler (no shared replay cache between
-// property runs) and returns the canonical report bytes.
+// property runs) and returns the canonical report bytes. For the
+// reused-device property the profiler first runs rodinia/pathfinder, which
+// needs more registers and shared memory per block than any app the matrix
+// profiles, so the app runs on that device reset.
 func metamorphicRunner(t *testing.T, spec *GPUSpec, suite, app string) check.Runner {
 	t.Helper()
 	a, err := GetApp(suite, app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heavy, err := GetApp("rodinia", "pathfinder")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,6 +52,14 @@ func metamorphicRunner(t *testing.T, spec *GPUSpec, suite, app string) check.Run
 			opts = append(opts, WithObserver(NewTracer(), NewMetricsRegistry()))
 		}
 		p := NewProfiler(spec, opts...)
+		if cfg.ReusedDevice {
+			if _, err := profileOnLoop(p, cfg.FastForward, heavy); err != nil {
+				return nil, err
+			}
+			if len(p.idle) != 1 {
+				return nil, fmt.Errorf("%s left %d idle devices, want 1", heavy.ID(), len(p.idle))
+			}
+		}
 		res, err := profileOnLoop(p, cfg.FastForward, a)
 		if err != nil {
 			return nil, err

@@ -3,6 +3,7 @@ package gputopdown
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -51,16 +52,25 @@ const (
 // serve.Options. Most callers want NewJobRunner's Run as Options.Runner.
 func NewJobServer(opts JobServerOptions) (*JobServer, error) { return serve.New(opts) }
 
+// maxProfilers bounds JobRunner's profiler cache. A cached profiler holds its
+// replay cache and its idle devices — megabytes — and requests can name
+// configurations without limit (sample_every is any positive integer), so
+// past this many the least recently used profiler is evicted, taking both
+// with it.
+const maxProfilers = 8
+
 // JobRunner executes job requests through the library API. It caches one
-// Profiler per distinct request configuration so jobs with the same config
-// share a replay cache (repeat submissions hit warm autotune and replay
-// state, like repeated ProfileApp calls on one Profiler).
+// Profiler per distinct request configuration, up to maxProfilers, so jobs
+// with the same config share a replay cache and reuse devices (repeat
+// submissions hit warm autotune and replay state, like repeated ProfileApp
+// calls on one Profiler).
 type JobRunner struct {
 	defaultGPU string
 	base       []Option
 
 	mu        sync.Mutex
 	profilers map[string]*Profiler
+	recent    []string // profilers' keys, least recently used first
 }
 
 // NewJobRunner returns a runner whose jobs default to the given device id
@@ -76,10 +86,11 @@ func NewJobRunner(defaultGPU string, base ...Option) *JobRunner {
 }
 
 // profilerFor returns the cached Profiler for the request's configuration,
-// building it on first use. The cache is keyed on the configuration the
-// options resolve to, not on how the request spelled it: level 0 and 3, mode
-// "" and "smpc", sample_every 0 and 1, and replay_cache unset and the base
-// default all name the same Profiler (and the same warm replay cache).
+// building it on first use and then evicting the least recently used one if
+// more than maxProfilers are cached. The cache is keyed on the configuration
+// the options resolve to, not on how the request spelled it: level 0 and 3,
+// mode "" and "smpc", sample_every 0 and 1, and replay_cache unset and the
+// base default all name the same Profiler (and the same warm replay cache).
 func (jr *JobRunner) profilerFor(req *JobRequest) (*Profiler, error) {
 	gpuID := req.GPU
 	if gpuID == "" {
@@ -116,9 +127,16 @@ func (jr *JobRunner) profilerFor(req *JobRequest) (*Profiler, error) {
 	jr.mu.Lock()
 	defer jr.mu.Unlock()
 	if cached, ok := jr.profilers[key]; ok {
+		i := slices.Index(jr.recent, key)
+		jr.recent = append(slices.Delete(jr.recent, i, i+1), key)
 		return cached, nil
 	}
+	if len(jr.recent) == maxProfilers {
+		delete(jr.profilers, jr.recent[0])
+		jr.recent = slices.Delete(jr.recent, 0, 1)
+	}
 	jr.profilers[key] = p
+	jr.recent = append(jr.recent, key)
 	return p, nil
 }
 

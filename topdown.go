@@ -182,6 +182,12 @@ func WithLogger(l *Logger) Option { return func(p *Profiler) { p.logger = l } }
 // Profiler runs applications under Top-Down profiling on one GPU model.
 // Building one opens no socket and starts no goroutine, so the same []Option
 // can build any number of profilers.
+//
+// A Profiler keeps the simulated devices its runs used: each run takes an
+// idle device and resets it (sim.Device.Reset), building one only when none
+// is idle, and a device goes back to the idle list only from a run that
+// completed cleanly. It therefore holds at most as many devices as it ever
+// ran applications concurrently.
 type Profiler struct {
 	spec        *gpu.Spec
 	level       int
@@ -195,6 +201,35 @@ type Profiler struct {
 	tracer      *obs.Tracer
 	metrics     *obs.Registry
 	logger      *obs.Logger
+
+	devMu sync.Mutex
+	idle  []*sim.Device
+}
+
+// takeDevice returns an idle device, reset, or a new one when none is idle.
+// The reset happens here rather than on release, so a profiler that runs one
+// application pays for exactly one new device.
+func (p *Profiler) takeDevice() *sim.Device {
+	p.devMu.Lock()
+	n := len(p.idle)
+	if n == 0 {
+		p.devMu.Unlock()
+		return sim.NewDevice(p.spec)
+	}
+	dev := p.idle[n-1]
+	p.idle = p.idle[:n-1]
+	p.devMu.Unlock()
+	dev.Reset()
+	return dev
+}
+
+// releaseDevice makes dev idle again once its run completed cleanly. A device
+// whose run failed, isolated a panicked kernel or panicked through the
+// profiler is never released, so no later run inherits its state.
+func (p *Profiler) releaseDevice(dev *sim.Device) {
+	p.devMu.Lock()
+	p.idle = append(p.idle, dev)
+	p.devMu.Unlock()
 }
 
 // NewProfiler builds a profiler for a device model. The default is a
@@ -324,12 +359,12 @@ func (r *AppResult) KernelNames() []string {
 	return names
 }
 
-// ProfileApp runs one application on a fresh simulated device under the
-// profiler and returns its Top-Down results. The context is first-class:
-// cancellation and deadlines are checked between kernel launches and inside
-// the simulation loop itself (every few hundred simulated-cycle steps,
-// including fast-forward wakeup boundaries), so a profiled run stops well
-// within one kernel simulation of ctx being cancelled, returning ctx.Err
+// ProfileApp runs one application on an idle simulated device, new or reset
+// (see Profiler), and returns its Top-Down results. The context is
+// first-class: cancellation and deadlines are checked between kernel launches
+// and inside the simulation loop itself (every few hundred simulated-cycle
+// steps, including fast-forward wakeup boundaries), so a profiled run stops
+// well within one kernel simulation of ctx being cancelled, returning ctx.Err
 // wrapped in a *KernelError. Pass context.Background()
 // when no cancellation is wanted.
 //
@@ -339,7 +374,12 @@ func (r *AppResult) KernelNames() []string {
 // normally (graceful degradation). Only when every kernel fails — or the app
 // launches none — does ProfileApp return an error.
 func (p *Profiler) ProfileApp(ctx context.Context, app *workloads.App) (*AppResult, error) {
-	return p.profileOn(ctx, sim.NewDevice(p.spec), app)
+	dev := p.takeDevice()
+	res, err := p.profileOn(ctx, dev, app)
+	if err == nil && len(res.Failed) == 0 {
+		p.releaseDevice(dev)
+	}
+	return res, err
 }
 
 // profileOn is the Top-Down analysis as a client of collect: it requests the
@@ -409,18 +449,23 @@ type Collection struct {
 }
 
 // Collect is the middleware below the Top-Down analysis (paper §II.B: the
-// nvprof/ncu layer): it runs app on a fresh simulated device, collects the
-// requested raw counters for every kernel invocation over as many replay
-// passes as they need, and hands each launch with its merged record to visit,
-// in execution order. Everything the profiler was configured with applies —
-// collection mode, sampling, replay cache, invariant checks, observers, logger
-// — and cancellation and panic isolation are ProfileApp's. An error from visit
-// stops the run and is returned.
+// nvprof/ncu layer): it runs app on an idle simulated device, new or reset
+// (see Profiler), collects the requested raw counters for every kernel
+// invocation over as many replay passes as they need, and hands each launch
+// with its merged record to visit, in execution order. Everything the
+// profiler was configured with applies — collection mode, sampling, replay
+// cache, invariant checks, observers, logger — and cancellation and panic
+// isolation are ProfileApp's. An error from visit stops the run and is
+// returned.
 func (p *Profiler) Collect(ctx context.Context, app *workloads.App, request []pmu.CounterID,
 	visit func(*kernel.Launch, *cupti.KernelRecord) error) (*Collection, error) {
-	col, err := p.collect(ctx, sim.NewDevice(p.spec), app, request, visit)
+	dev := p.takeDevice()
+	col, err := p.collect(ctx, dev, app, request, visit)
 	if err != nil {
 		return nil, err
+	}
+	if len(col.Failed) == 0 {
+		p.releaseDevice(dev)
 	}
 	return &col, nil
 }
@@ -533,7 +578,7 @@ func (p *Profiler) Timeline(ctx context.Context, app *workloads.App, kernelName 
 	if interval == 0 {
 		return nil, fmt.Errorf("gputopdown: zero timeline interval")
 	}
-	dev := sim.NewDevice(p.spec)
+	dev := p.takeDevice()
 	if p.checks != nil {
 		dev.SetChecker(p.checks)
 	}
@@ -571,6 +616,7 @@ func (p *Profiler) Timeline(ctx context.Context, app *workloads.App, kernelName 
 	if err != nil {
 		return nil, err
 	}
+	p.releaseDevice(dev)
 	if seen == 0 {
 		return nil, fmt.Errorf("gputopdown: %s never launched kernel %q", app.ID(), kernelName)
 	}
@@ -580,10 +626,10 @@ func (p *Profiler) Timeline(ctx context.Context, app *workloads.App, kernelName 
 	return points, nil
 }
 
-// ProfileSuite profiles every app of a suite, each on its own fresh device,
-// fanning the independent apps across CPU cores. Results keep suite order.
-// An unknown suite reports ErrUnknownSuite. Cancellation semantics are
-// ProfileApps'.
+// ProfileSuite profiles every app of a suite, each on an idle device of its
+// own, new or reset, fanning the independent apps across CPU cores. Results
+// keep suite order. An unknown suite reports ErrUnknownSuite. Cancellation
+// semantics are ProfileApps'.
 func (p *Profiler) ProfileSuite(ctx context.Context, suite string) ([]*AppResult, error) {
 	apps := workloads.BySuite(suite)
 	if len(apps) == 0 {
@@ -592,11 +638,11 @@ func (p *Profiler) ProfileSuite(ctx context.Context, suite string) ([]*AppResult
 	return p.ProfileApps(ctx, apps)
 }
 
-// ProfileApps profiles a list of apps concurrently, one fresh device each,
-// under a context. Every app is attempted and all failures are aggregated
-// with errors.Join, each wrapped with its app id; the returned slice keeps
-// input order and holds the results of the apps that succeeded (nil at
-// failed indices), so partial progress is not discarded. Cancellation stops
+// ProfileApps profiles a list of apps concurrently, each on an idle device,
+// new or reset, under a context. Every app is attempted and all failures are
+// aggregated with errors.Join, each wrapped with its app id; the returned
+// slice keeps input order and holds the results of the apps that succeeded
+// (nil at failed indices), so partial progress is not discarded. Cancellation stops
 // the remaining apps and surfaces ctx.Err among the joined errors.
 func (p *Profiler) ProfileApps(ctx context.Context, apps []*workloads.App) ([]*AppResult, error) {
 	results := make([]*AppResult, len(apps))
