@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench-build verify golden bench
+.PHONY: all build test bench-build verify golden bench loc
 
 all: build
 
@@ -38,3 +38,12 @@ SEED ?= 1
 
 bench:
 	bash bench/run.sh --workload $(WORKLOAD) --seconds $(SECONDS) --seed $(SEED)
+
+# loc prints the non-test Go lines of every package and their total — the
+# size figures CHANGES.md and ROADMAP.md quote. bench/ is a module of its own
+# and `./...` does not reach it.
+loc:
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
+	while read -r pkg files; do \
+		[ -n "$$files" ] && printf '%6d %s\n' "$$(cat $$files | wc -l)" "$$pkg"; \
+	done | awk '{ print; n += $$1 } END { printf "%6d total\n", n }'

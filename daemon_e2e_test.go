@@ -3,7 +3,9 @@ package gputopdown
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"strings"
@@ -353,9 +355,12 @@ func TestDaemonDrainWaitsForRunningJob(t *testing.T) {
 	if err := srv.Drain(dctx); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	final, err := srv.Store().Status(st.ID)
-	if err != nil {
-		t.Fatal(err)
+	// The listener is closed; the handler still answers in process.
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/jobs/"+st.ID, nil))
+	var final JobStatus
+	if err := json.Unmarshal(rec.Body.Bytes(), &final); err != nil {
+		t.Fatalf("status after drain (HTTP %d): %v", rec.Code, err)
 	}
 	if final.State != StateSucceeded {
 		t.Errorf("running job after graceful drain = %s (%s), want succeeded", final.State, final.Error)

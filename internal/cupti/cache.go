@@ -33,7 +33,8 @@ type replayKey struct {
 	// data between launches).
 	konst uint64
 	// mode and sched pin the collection mechanism and the pass identity the
-	// cached merged values were produced under.
+	// cached merged values were produced under; sched (pmu.Schedule's
+	// Fingerprint) folds in the pass count.
 	mode  Mode
 	sched uint64
 }
@@ -44,7 +45,6 @@ type replayEntry struct {
 	values  pmu.Values
 	cycles  uint64
 	smsUsed int
-	passes  int
 	// post is the device-memory snapshot after the kernel ran (same
 	// watermark as the pre-launch snapshot the key hashed).
 	post []byte

@@ -310,7 +310,7 @@ func (s *Session) ProfileCtx(ctx context.Context, l *kernel.Launch) (*KernelReco
 	var key replayKey
 	if s.cache != nil {
 		key = s.keyFor(l, s.dev.Storage.HashAllocated())
-		if e, ok := s.cache.get(key); ok && e.passes == len(passes) {
+		if e, ok := s.cache.get(key); ok {
 			if s.cacheLog.On(obs.LevelDebug) {
 				s.cacheLog.Debug("replay cache hit",
 					"kernel", l.Program.Name, "invocation", s.invocations[l.Program.Name],
@@ -380,7 +380,6 @@ func (s *Session) ProfileCtx(ctx context.Context, l *kernel.Launch) (*KernelReco
 			values:  values.Clone(),
 			cycles:  rec.Cycles,
 			smsUsed: rec.SMsUsed,
-			passes:  len(passes),
 			post:    s.dev.Storage.Snapshot(),
 		})
 		s.gCacheSize.Set(float64(s.cache.Len()))

@@ -19,7 +19,7 @@ var ErrKernelPanic = errors.New("kernel panicked")
 
 // safeLaunch runs one launch under ctx with per-kernel panic isolation: a
 // panic anywhere inside the simulator is recovered, the device's SMs are
-// rebuilt to idle (global/constant memory keep the panicked kernel's partial
+// reset to idle (global/constant memory keep the panicked kernel's partial
 // writes — deterministically, as the panic point is reproducible), and the
 // failure is reported as an error wrapping ErrKernelPanic.
 func safeLaunch(ctx context.Context, dev *sim.Device, l *kernel.Launch) (res *sim.RunResult, err error) {

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gputopdown/internal/kernel"
 	"gputopdown/internal/obs"
+	"gputopdown/internal/pmu"
 )
 
 // fillKernel stores a constant into every element of a buffer. It is
@@ -115,6 +117,97 @@ func TestReplayCacheKeyedOnMemory(t *testing.T) {
 		if v != 4 {
 			t.Fatalf("buf[%d] = %d after 4 cached-miss runs, want 4", i, v)
 		}
+	}
+}
+
+// TestReplayCacheKeyedOnPassCount: sessions whose schedules have different
+// pass counts share a cache but never an entry — the key's schedule
+// fingerprint includes the pass count — so each is charged its own passes.
+func TestReplayCacheKeyedOnPassCount(t *testing.T) {
+	const n = 512
+	cache := NewReplayCache(0)
+	d := testDevice()
+	buf := d.Alloc(n * 4)
+	var sessions []*Session
+	for _, req := range [][]pmu.CounterID{
+		fullStallRequest(),
+		{pmu.CtrInstExecuted, pmu.CtrActiveCycles, pmu.CtrThreadInstExecuted},
+	} {
+		s, err := NewSession(d, req, ModeSMPC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetCache(cache)
+		sessions = append(sessions, s)
+	}
+	if a, b := sessions[0].NumPasses(), sessions[1].NumPasses(); a == b {
+		t.Fatalf("both schedules need %d passes; the test needs two pass counts", a)
+	}
+	// fill is idempotent: from its second run on, every run starts from the
+	// same bytes, so only the schedule tells the keys apart.
+	for round := 0; round < 3; round++ {
+		for _, s := range sessions {
+			rec, err := s.Profile(launchFill(buf, n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.Passes != s.NumPasses() {
+				t.Errorf("round %d: a %d-pass session was charged %d passes (cached %v)", round, s.NumPasses(), rec.Passes, rec.Cached)
+			}
+		}
+	}
+	// Round 0 misses twice (fresh bytes, then filled bytes under the other
+	// schedule); round 1 misses for the first session, whose only entry is for
+	// zeroed memory, and hits for the second; round 2 hits twice.
+	if hits, misses := cache.Stats(); hits != 3 || misses != 3 || cache.Len() != 3 {
+		t.Errorf("cache: %d hits, %d misses, %d entries; want 3, 3, 3", hits, misses, cache.Len())
+	}
+}
+
+// TestOversizedLocalLaunchKeepsTheSession: a launch whose local memory does
+// not fit in device memory fails with an error naming the kernel and the
+// bytes, moves no allocation mark, and the session — replay cache on, which
+// hashes the allocated memory — profiles the next kernel as a session that
+// never saw it does.
+func TestOversizedLocalLaunchKeepsTheSession(t *testing.T) {
+	const n = 512
+	b := kernel.NewBuilder("spill")
+	off := b.DeclLocal(1 << 20)
+	b.Stl(b.MovImm(0), b.MovImm(1), off, 4)
+	b.Exit()
+	spill := &kernel.Launch{Program: b.MustBuild(), Grid: kernel.Dim3{X: 4}, Block: kernel.Dim3{X: 128}}
+
+	run := func(oversized bool) *KernelRecord {
+		d := testDevice()
+		buf := d.Alloc(n * 4)
+		s, err := NewSession(d, fullStallRequest(), ModeSMPC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetCache(NewReplayCache(0))
+		if oversized {
+			mark := d.Storage.Mark()
+			_, err := s.Profile(spill)
+			if err == nil || errors.Is(err, ErrKernelPanic) {
+				t.Fatalf("oversized local memory: error %v, want one that is not a panic", err)
+			}
+			for _, want := range []string{"spill", "536870912 bytes", "free"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not name %q", err, want)
+				}
+			}
+			if d.Storage.Mark() != mark {
+				t.Fatalf("the failed launch moved the allocation mark from %#x to %#x", mark, d.Storage.Mark())
+			}
+		}
+		rec, err := s.Profile(launchFill(buf, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	if want, got := run(false), run(true); !reflect.DeepEqual(want, got) {
+		t.Errorf("the kernel after an oversized launch profiled differently:\nwant %+v\ngot  %+v", want, got)
 	}
 }
 

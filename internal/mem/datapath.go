@@ -190,11 +190,6 @@ func (dp *DataPath) Flush() {
 	dp.IMC.Flush()
 }
 
-// FlushIMC invalidates only the immediate-constant cache, which happens on
-// every kernel launch because the constant bank contents (parameters,
-// __constant__ data) may have changed.
-func (dp *DataPath) FlushIMC() { dp.IMC.Flush() }
-
 // ResetStats zeroes the statistics without touching cache contents.
 func (dp *DataPath) ResetStats() { dp.st = DataPathStats{} }
 

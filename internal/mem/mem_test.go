@@ -449,13 +449,14 @@ func TestStorageSlices(t *testing.T) {
 	}
 }
 
-func TestStorageFreeAll(t *testing.T) {
+func TestStorageReleaseRewinds(t *testing.T) {
 	s := NewStorage(1 << 16)
+	mark := s.Mark()
 	a := s.Alloc(32)
-	s.FreeAll()
+	s.Release(mark)
 	b := s.Alloc(32)
 	if a != b {
-		t.Errorf("FreeAll did not rewind allocator: %d vs %d", a, b)
+		t.Errorf("Release did not rewind allocator: %d vs %d", a, b)
 	}
 }
 

@@ -34,17 +34,18 @@ func NewStorage(size int) *Storage {
 	return &Storage{data: make([]byte, min(size, storagePage)), limit: size, next: storagePage, base: storagePage}
 }
 
-// Alloc reserves n bytes (8-byte aligned) and returns the device address.
+// Alloc reserves n bytes (8-byte aligned) and returns the device address. A
+// request beyond the capacity panics and leaves the watermark where it was.
 func (s *Storage) Alloc(n int) uint64 {
 	if n < 0 {
 		panic("mem: negative allocation")
 	}
-	addr := s.next
-	s.next += uint64(n)
-	s.next = (s.next + 7) &^ 7
-	if s.next > uint64(s.limit) {
-		panic(fmt.Sprintf("mem: device out of memory (%d of %d bytes used)", s.next, s.limit))
+	end := (s.next + uint64(n) + 7) &^ 7
+	if end > uint64(s.limit) {
+		panic(fmt.Sprintf("mem: device out of memory (%d of %d bytes used)", end, s.limit))
 	}
+	addr := s.next
+	s.next = end
 	if s.next > uint64(len(s.data)) {
 		s.grow()
 	}
@@ -63,9 +64,6 @@ func (s *Storage) grow() {
 	copy(grown, s.data)
 	s.data = grown
 }
-
-// FreeAll releases every allocation (the data itself is retained).
-func (s *Storage) FreeAll() { s.next = s.base }
 
 // Reset releases every allocation and zeroes the backing, which it keeps:
 // the storage then reads, allocates and hashes as NewStorage's does, without

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -186,6 +187,27 @@ func TestStorageGrowsOnDemand(t *testing.T) {
 		}
 	})
 
+	// A request that does not fit panics without moving the watermark, so
+	// the storage snapshots, hashes and allocates afterwards as before it.
+	t.Run("out of memory keeps the mark", func(t *testing.T) {
+		s := NewStorage(1 << 20)
+		a := s.Alloc(4096)
+		s.Write(a, 0xC0DE, 8)
+		mark, hash := s.Mark(), s.HashAllocated()
+		for _, n := range []int{1 << 20, 1<<20 - storagePage - 4096 + 1, math.MaxInt} {
+			oomText(t, s, n)
+			if s.Mark() != mark {
+				t.Fatalf("Alloc(%d) past the capacity moved the mark from %#x to %#x", n, mark, s.Mark())
+			}
+		}
+		if len(s.Snapshot()) != 4096 || s.HashAllocated() != hash {
+			t.Error("the storage reads differently after a failed allocation")
+		}
+		if b := s.Alloc(8); b != mark {
+			t.Errorf("the next allocation landed at %#x, want the old mark %#x", b, mark)
+		}
+	})
+
 	t.Run("never allocated", func(t *testing.T) {
 		s := NewStorage(1 << 30)
 		if len(s.data) != storagePage {
@@ -224,9 +246,9 @@ func TestStorageGrowsOnDemand(t *testing.T) {
 		if got := s.Read(a+(2<<20)-8, 8); got != 0xFEED {
 			t.Errorf("released bytes read %#x after growth, want them kept", got)
 		}
-		s.FreeAll()
+		s.Release(storagePage)
 		if s.Mark() != storagePage || len(s.data) < 12<<20 {
-			t.Error("FreeAll did not keep the backing")
+			t.Error("releasing every allocation did not keep the backing")
 		}
 	})
 }

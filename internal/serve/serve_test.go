@@ -64,7 +64,7 @@ func waitTerminal(t *testing.T, s *Server, id string) *JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		cur, err := s.Store().Status(id)
+		cur, err := s.store.Status(id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func TestSubmitValidation(t *testing.T) {
 			t.Errorf("case %d: Submit(%+v) = %v, want ErrBadRequest", i, req, err)
 		}
 	}
-	if len(s.Store().List()) != 0 {
+	if len(s.store.List()) != 0 {
 		t.Error("invalid submissions reached the store")
 	}
 }
@@ -158,12 +158,12 @@ func TestCancelRunning(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	if _, err := s.Store().Cancel(st.ID, time.Now()); err != nil {
+	if _, err := s.store.Cancel(st.ID, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		cur, _ := s.Store().Status(st.ID)
+		cur, _ := s.store.Status(st.ID)
 		if cur.State.Terminal() {
 			if cur.State != StateCancelled {
 				t.Fatalf("cancelled job ended %s (%s), want cancelled", cur.State, cur.Error)
@@ -199,7 +199,7 @@ func TestCancelQueued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := s.Store().Cancel(second.ID, time.Now())
+	st, err := s.store.Cancel(second.ID, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestCancelQueued(t *testing.T) {
 	if err := s.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := s.Store().Status(first.ID); got.State != StateSucceeded {
+	if got, _ := s.store.Status(first.ID); got.State != StateSucceeded {
 		t.Errorf("first job = %s, want succeeded", got.State)
 	}
 	select {
@@ -273,7 +273,7 @@ func TestFailedJobRunsOnce(t *testing.T) {
 	if n := calls.Load(); n != 1 {
 		t.Errorf("runner called %d times, want 1", n)
 	}
-	if rep, _, _ := s.Store().Report(st.ID); rep != nil {
+	if rep, _, _ := s.store.Report(st.ID); rep != nil {
 		t.Error("failed job has a report")
 	}
 }
@@ -425,10 +425,10 @@ func TestDrainGraceful(t *testing.T) {
 		t.Fatalf("Drain: %v", err)
 	}
 
-	if got, _ := s.Store().Status(running.ID); got.State != StateSucceeded {
+	if got, _ := s.store.Status(running.ID); got.State != StateSucceeded {
 		t.Errorf("running job after drain = %s, want succeeded", got.State)
 	}
-	if got, _ := s.Store().Status(queued.ID); got.State != StateCancelled {
+	if got, _ := s.store.Status(queued.ID); got.State != StateCancelled {
 		t.Errorf("queued job after drain = %s, want cancelled", got.State)
 	}
 	if _, err := s.Submit(request()); !errors.Is(err, ErrDraining) {
@@ -462,7 +462,7 @@ func TestDrainDeadline(t *testing.T) {
 	}
 	waitRunning := time.Now().Add(2 * time.Second)
 	for {
-		cur, _ := s.Store().Status(st.ID)
+		cur, _ := s.store.Status(st.ID)
 		if cur.State == StateRunning {
 			break
 		}
@@ -476,7 +476,7 @@ func TestDrainDeadline(t *testing.T) {
 	if err := s.Drain(dctx); err != nil {
 		t.Fatalf("Drain after deadline: %v", err)
 	}
-	cur, _ := s.Store().Status(st.ID)
+	cur, _ := s.store.Status(st.ID)
 	if !cur.State.Terminal() {
 		t.Errorf("job after deadline drain = %s, want terminal", cur.State)
 	}

@@ -148,9 +148,6 @@ func (s *Server) initMetrics(reg *obs.Registry) {
 	s.mRunLat = reg.Histogram("gpuprofd_job_run_seconds", "Start-to-terminal latency.", lat, nil)
 }
 
-// Store exposes the job store (read-mostly; tests and embedders).
-func (s *Server) Store() *Store { return s.store }
-
 // Handler returns the daemon's routing handler, independent of any
 // listener — tests drive it through net/http/httptest.
 func (s *Server) Handler() http.Handler { return s.mux }

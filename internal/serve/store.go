@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
@@ -210,24 +209,4 @@ func (st *Store) cancelRunning(cause error) int {
 		}
 	}
 	return n
-}
-
-// counts returns the number of jobs per state, for metrics and drain logs.
-func (st *Store) counts() map[JobState]int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make(map[JobState]int)
-	for _, j := range st.jobs {
-		out[j.state]++
-	}
-	return out
-}
-
-// ids returns all job IDs sorted, a test convenience.
-func (st *Store) ids() []string {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := append([]string(nil), st.order...)
-	sort.Strings(out)
-	return out
 }

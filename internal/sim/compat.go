@@ -20,6 +20,6 @@ func (d *Device) Clone() *Device {
 	}
 	c := assemble(d.Spec, d.Storage.Clone(), d.Const.Clone())
 	c.traceInterval = d.traceInterval
-	c.fastForward = d.fastForward
+	c.naiveLoop = d.naiveLoop
 	return c
 }

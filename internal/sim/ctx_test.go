@@ -3,6 +3,8 @@ package sim
 import (
 	"context"
 	"errors"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -117,6 +119,93 @@ func TestLaunchCtxNoPerturbation(t *testing.T) {
 	}
 	if got.Cycles != want.Cycles || got.Counters != want.Counters {
 		t.Errorf("LaunchCtx diverged from Launch: cycles %d vs %d", got.Cycles, want.Cycles)
+	}
+}
+
+// epochHook is a Checker that runs do at the first epoch at or past guard,
+// while the launch's blocks are resident mid-kernel.
+type epochHook struct {
+	guard uint64
+	do    func()
+}
+
+func (h *epochHook) CheckEpoch(_ *Device, guard uint64) {
+	if guard >= h.guard && h.do != nil {
+		do := h.do
+		h.do = nil
+		do()
+	}
+}
+
+func (h *epochHook) CheckLaunch(*Device, *RunResult) {}
+
+// TestRecoveryAllocFree: recovering a device from a kernel cancelled or
+// panicked mid-launch resets the SMs it has — ResetSMs builds no SM, cache,
+// queue or register file and allocates nothing. The recovery runs on what each
+// failure leaves: blocks resident mid-kernel, and a warp that panicked on a
+// wild load. End to end, a launch cancelled mid-kernel keeps every SM.
+func TestRecoveryAllocFree(t *testing.T) {
+	spin := &kernel.Launch{Program: buildSpin(1 << 20), Grid: kernel.Dim3{X: 8}, Block: kernel.Dim3{X: 128}}
+	wild := kernel.NewBuilder("wild")
+	wild.Ldg(wild.IMad(wild.GlobalIDX(), wild.MovImm(4), wild.MovImm(1<<30)), 0, 4)
+	wild.Exit()
+	for _, c := range []struct {
+		name  string
+		fails func(d *Device)
+	}{
+		{"cancelled mid-launch", func(d *Device) {
+			d.SetChecker(&epochHook{guard: 2048, do: func() { panic("launch stopped mid-kernel") }})
+			_, _ = d.Launch(spin)
+		}},
+		{"panicked kernel", func(d *Device) {
+			_, _ = d.Launch(&kernel.Launch{Program: wild.MustBuild(), Grid: kernel.Dim3{X: 8}, Block: kernel.Dim3{X: 128}})
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d := NewDevice(testSpec())
+			d.MustLaunch(&kernel.Launch{Program: buildSpin(100), Grid: kernel.Dim3{X: 8}, Block: kernel.Dim3{X: 128}})
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("the launch did not stop")
+					}
+				}()
+				c.fails(d)
+			}()
+			d.SetChecker(nil)
+			if !d.SMs[0].Busy() {
+				t.Fatal("the failed launch left SM 0 idle; nothing to recover")
+			}
+			// One P, as testing.AllocsPerRun measures: no other goroutine's
+			// allocation lands between the two readings.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			d.ResetSMs()
+			runtime.ReadMemStats(&after)
+			if n, b := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc; n != 0 || b != 0 {
+				t.Errorf("recovery allocated %d times, %d bytes; want 0", n, b)
+			}
+			for i, s := range d.SMs {
+				if s.Busy() || s.Cycle() != 0 {
+					t.Fatalf("SM %d not reset: busy=%v cycle=%d", i, s.Busy(), s.Cycle())
+				}
+			}
+		})
+	}
+
+	d := NewDevice(testSpec())
+	sms := slices.Clone(d.SMs)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	d.SetChecker(&epochHook{guard: 2048, do: cancel})
+	if _, err := d.LaunchCtx(ctx, spin); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled launch = %v, want context.Canceled", err)
+	}
+	for i, s := range d.SMs {
+		if s != sms[i] || s.Busy() {
+			t.Errorf("after a cancelled launch SM %d is a new SM (%v) or busy (%v)", i, s != sms[i], s.Busy())
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"gputopdown/internal/gpu"
@@ -66,12 +67,12 @@ type Device struct {
 
 	traceInterval uint64
 
-	// fastForward enables the event-driven engine: when every busy SM
-	// reports a wakeup bound past the current cycle, Launch jumps all SM
-	// clocks to the device-wide minimum and bulk-accounts the skipped
+	// naiveLoop turns off the event-driven engine, under which, when every
+	// busy SM reports a wakeup bound past the current cycle, Launch jumps all
+	// SM clocks to the device-wide minimum and bulk-accounts the skipped
 	// cycles (see sm.SM.NextWakeup/AdvanceTo). Results are bit-identical
-	// either way; only host wall-clock changes. On by default.
-	fastForward bool
+	// either way; only host wall-clock changes.
+	naiveLoop bool
 	// lastTicks counts the simulation-loop iterations of the most recent
 	// launch; with fast-forward on, Cycles - lastTicks cycles were skipped.
 	lastTicks uint64
@@ -100,9 +101,8 @@ type Device struct {
 	log *obs.Logger
 
 	// Per-launch scratch reused across launches so the Launch prologue
-	// allocates nothing: pre-launch counter snapshots, which SMs received a
-	// block, and the dispatch dirty flags.
-	launchBefore   []sm.Counters
+	// allocates nothing: which SMs received a block, and the dispatch dirty
+	// flags.
 	launchUsed     []bool
 	launchRejected []uint64
 }
@@ -128,24 +128,23 @@ func assemble(spec *gpu.Spec, storage *mem.Storage, constBank *mem.ConstantBank)
 		Storage:        storage,
 		Const:          constBank,
 		Mem:            mem.NewMemSys(spec),
-		fastForward:    true,
-		launchBefore:   make([]sm.Counters, spec.SMs),
+		SMs:            make([]*sm.SM, spec.SMs),
 		launchUsed:     make([]bool, spec.SMs),
 		launchRejected: make([]uint64, spec.SMs),
 	}
-	for i := 0; i < spec.SMs; i++ {
-		d.SMs = append(d.SMs, sm.New(spec, i, d.Mem, d.Storage, d.Const))
+	for i := range d.SMs {
+		d.SMs[i] = sm.New(spec, i, d.Mem, d.Storage, d.Const)
 	}
 	return d
 }
 
-// SetFastForward toggles the event-driven fast-forward engine. Off selects
-// the naive cycle loop, the reference implementation the engine-equivalence
-// tests compare against; production code leaves it on.
-func (d *Device) SetFastForward(on bool) { d.fastForward = on }
+// SetFastForward toggles the event-driven fast-forward engine, on by default.
+// Off selects the naive cycle loop, the reference implementation the
+// engine-equivalence tests compare against; production code leaves it on.
+func (d *Device) SetFastForward(on bool) { d.naiveLoop = !on }
 
 // FastForwardEnabled reports whether the fast-forward engine is active.
-func (d *Device) FastForwardEnabled() bool { return d.fastForward }
+func (d *Device) FastForwardEnabled() bool { return !d.naiveLoop }
 
 // LastLaunchTicks returns how many per-cycle loop iterations the most
 // recent launch actually executed. The difference to the launch's Cycles is
@@ -154,9 +153,6 @@ func (d *Device) LastLaunchTicks() uint64 { return d.lastTicks }
 
 // Alloc reserves device global memory.
 func (d *Device) Alloc(n int) uint64 { return d.Storage.Alloc(n) }
-
-// FreeAll releases all global-memory allocations (between applications).
-func (d *Device) FreeAll() { d.Storage.FreeAll() }
 
 // FlushCaches invalidates every cache on the device — what the profiler does
 // before a profiled launch so it observes cold-start conditions.
@@ -173,13 +169,6 @@ func (d *Device) FlushCaches() {
 // sampling support); the Top-Down analyzer consumes the samples unchanged.
 func (d *Device) EnableTrace(interval uint64) {
 	d.traceInterval = interval
-}
-
-// DisableTrace stops intra-kernel timeline recording: subsequent launches
-// record no Trace samples. Symmetric to EnableTrace (equivalent to
-// EnableTrace(0)); the per-SM sample buffers are cleared at the next launch.
-func (d *Device) DisableTrace() {
-	d.traceInterval = 0
 }
 
 // SetObserver attaches an execution tracer and a metrics registry to the
@@ -225,32 +214,15 @@ func (d *Device) SetChecker(c Checker) { d.checker = c }
 // and restores the zero-cost path.
 func (d *Device) SetLogger(l *obs.Logger) { d.log = l.Component("sim") }
 
-// ResetCounters zeroes every SM's counters.
-func (d *Device) ResetCounters() {
-	for _, s := range d.SMs {
-		s.ResetCounters()
-	}
-}
-
-// Counters returns the device-wide aggregate of all SM counters.
-func (d *Device) Counters() sm.Counters {
-	var total sm.Counters
-	for _, s := range d.SMs {
-		c := s.Counters()
-		total.Add(&c)
-	}
-	return total
-}
-
 // RunResult describes one kernel launch.
 type RunResult struct {
 	Kernel string
 	// Cycles is the launch's duration: the max cycle count over SMs.
 	Cycles uint64
-	// Counters is the device-wide aggregate delta for this launch.
+	// Counters is the device-wide aggregate for this launch.
 	Counters sm.Counters
-	// PerSM holds each SM's counter delta (index = SM id), for HWPM-style
-	// collection that observes a subset of SMs.
+	// PerSM holds each SM's counters for this launch (index = SM id), for
+	// HWPM-style collection that observes a subset of SMs.
 	PerSM []sm.Counters
 	// SMsUsed is how many SMs received at least one block.
 	SMsUsed int
@@ -291,7 +263,7 @@ const ctxCheckInterval = 256
 // LaunchCtx is Launch with cooperative cancellation: ctx is consulted every
 // ctxCheckInterval simulation-loop iterations — which includes every
 // fast-forward wakeup boundary, since a jump ends the iteration that took it.
-// On cancellation the SMs are rebuilt to the idle state (ResetSMs), global
+// On cancellation the SMs are reset to the idle state (ResetSMs), global
 // and constant memory keep whatever intermediate values the aborted kernel
 // wrote, and the returned error wraps ctx.Err. A background (or never
 // cancelled) context pays one nil check per iteration.
@@ -334,9 +306,8 @@ func (d *Device) LaunchCtx(ctx context.Context, l *kernel.Launch) (*RunResult, e
 		if c := s.Cycle(); c > res.Cycles {
 			res.Cycles = c
 		}
-		delta := s.Counters().Sub(&d.launchBefore[i])
-		res.PerSM[i] = delta
-		res.Counters.Add(&delta)
+		res.PerSM[i] = s.Counters()
+		res.Counters.Add(&res.PerSM[i])
 		if d.launchUsed[i] {
 			res.SMsUsed++
 		}
@@ -400,40 +371,40 @@ func (d *Device) LaunchCtx(ctx context.Context, l *kernel.Launch) (*RunResult, e
 const neverRejected = ^uint64(0)
 
 // launchPrologue readies the device for one launch: it materialises the
-// launch parameters in the constant bank (invalidating the per-SM constant
-// caches, as the driver's upload does), carves the per-launch local-memory
-// backing, resets SM clocks, snapshots pre-launch counters and arms tracing.
-// It returns the storage mark the caller must Release when the kernel
-// finishes. All per-launch slices live on the Device and are reused, so the
+// launch parameters in the constant bank, carves the per-launch local-memory
+// backing and begins the launch on every SM (sm.SM.BeginLaunch). It returns
+// the storage mark the caller must Release when the kernel finishes, or an
+// error, having changed nothing, when an SM is busy or the local memory does
+// not fit. All per-launch slices live on the Device and are reused, so the
 // prologue performs no heap allocation (see BenchmarkLaunchPrologue).
 func (d *Device) launchPrologue(l *kernel.Launch) (markMem uint64, err error) {
+	for i, s := range d.SMs {
+		if s.Busy() {
+			return 0, fmt.Errorf("sim: SM %d busy at launch of %s", i, l.Program.Name)
+		}
+	}
+	markMem = d.Storage.Mark()
+	totalThreads := l.TotalThreads()
+	// Alloc rounds up to 8 bytes from an 8-aligned mark, so the local memory
+	// fits exactly when it is at most the free bytes rounded down to 8.
+	hi, local := bits.Mul64(uint64(l.Program.LocalBytes), uint64(totalThreads))
+	if free := uint64(d.Storage.Size()) - markMem; l.Program.LocalBytes > 0 && (hi != 0 || local > free&^7) {
+		needed := fmt.Sprint(local)
+		if hi != 0 {
+			needed = "over 2^64"
+		}
+		return 0, fmt.Errorf("sim: kernel %s needs %s bytes of local memory (%d threads × %d bytes), %d bytes of device memory are free",
+			l.Program.Name, needed, totalThreads, l.Program.LocalBytes, free)
+	}
 	for i, p := range l.Params {
 		d.Const.Write(kernel.ParamOffset(i), p, 8)
 	}
-	for _, s := range d.SMs {
-		s.FlushIMC()
-	}
-
-	markMem = d.Storage.Mark()
 	var localBase uint64
-	totalThreads := l.TotalThreads()
 	if l.Program.LocalBytes > 0 {
-		localBase = d.Storage.Alloc(l.Program.LocalBytes * totalThreads)
+		localBase = d.Storage.Alloc(int(local))
 	}
-
 	for i, s := range d.SMs {
-		if s.Busy() {
-			d.Storage.Release(markMem)
-			return 0, fmt.Errorf("sim: SM %d busy at launch of %s", i, l.Program.Name)
-		}
-		s.ResetClock()
-		s.SetLaunchContext(localBase, totalThreads)
-		d.launchBefore[i] = s.Counters()
-		if d.traceInterval > 0 {
-			s.EnableTrace(d.traceInterval)
-		} else {
-			s.DisableTrace()
-		}
+		s.BeginLaunch(localBase, totalThreads, d.traceInterval)
 		d.launchUsed[i] = false
 		// Dispatch dirty flags: the residency version at which each SM last
 		// rejected a block. CanAccept is a pure function of occupancy, so
@@ -504,7 +475,7 @@ func (d *Device) runLoop(ctx context.Context, done <-chan struct{}, l *kernel.La
 				select {
 				case <-done:
 					// Leave the device reusable: the aborted kernel's blocks
-					// are still resident, so rebuild the SMs to idle.
+					// are still resident, so reset the SMs to idle.
 					d.ResetSMs()
 					return fmt.Errorf("sim: kernel %s cancelled after %d cycles: %w",
 						l.Program.Name, guard, ctx.Err())
@@ -541,7 +512,7 @@ func (d *Device) runLoop(ctx context.Context, done <-chan struct{}, l *kernel.La
 				s.Tick()
 				d.lastTicks++
 				c = s.Cycle()
-				if d.fastForward {
+				if !d.naiveLoop {
 					if w := s.NextWakeup(); w > c {
 						// Cap runaway bounds (a deadlocked SM reports
 						// neverWake) so the cycle guard below still trips.
@@ -574,7 +545,7 @@ func (d *Device) runLoop(ctx context.Context, done <-chan struct{}, l *kernel.La
 		// Dispatch needs no extra cap: a parked SM's occupancy is frozen
 		// (reaps happen only in ticks), so no pending block could have
 		// dispatched during the jumped span.
-		if d.fastForward && minNext > guard {
+		if !d.naiveLoop && minNext > guard {
 			target := minNext
 			if sampleResidency {
 				if b := (guard + residencySampleCycles - 1) / residencySampleCycles * residencySampleCycles; b < target {
@@ -591,29 +562,30 @@ func (d *Device) runLoop(ctx context.Context, done <-chan struct{}, l *kernel.La
 	}
 }
 
-// ResetSMs rebuilds every SM from scratch — idle, cycle zero, cold caches,
-// zeroed counters — and resets the shared L2 and DRAM. Global and constant
-// memory are preserved. This is the recovery path after a kernel panicked or
-// was cancelled mid-launch, when SMs may be left busy with resident blocks
-// that will never retire; the profiling middleware calls it before converting
-// the failure into a KernelError so the device can keep serving the
-// application's remaining kernels.
+// ResetSMs resets every SM (sm.SM.Reset: idle, cycle zero, cold caches,
+// zeroed counters, resident contexts dropped), flushes the shared L2 and
+// resets the DRAM channels. Global and constant memory are preserved. This is
+// the recovery path after a kernel panicked or was cancelled mid-launch, when
+// SMs may be left busy with resident blocks that will never retire; the
+// profiling middleware calls it before converting the failure into a
+// KernelError so the device can keep serving the application's remaining
+// kernels.
 func (d *Device) ResetSMs() {
-	for i := range d.SMs {
-		d.SMs[i] = sm.New(d.Spec, i, d.Mem, d.Storage, d.Const)
+	for _, s := range d.SMs {
+		s.Reset()
 	}
 	d.Mem.FlushL2()
 	d.Mem.ResetDRAM()
 }
 
-// Reset returns an idle device to what NewDeviceMem built: global memory
-// unallocated and zero, the constant bank zero, every cache cold and every
-// DRAM channel empty with zero statistics, each SM reset (sm.SM.Reset), no
-// observer, checker or logger, trace off, fast-forward on. It keeps the host
-// backings — the storage buffer, the cache arrays, each SM's retired block
-// and warp contexts with their register files — so the next application
-// pays none of a new device's allocations, and is indistinguishable from a
-// new device (TestResetDeviceBitIdentical). Only legal between launches.
+// Reset returns the device, in whatever state a run left it, to what
+// NewDeviceMem built: global memory unallocated and zero, the constant bank
+// zero, every cache cold and every DRAM channel empty with zero statistics,
+// each SM reset (sm.SM.Reset), no observer, checker or logger, trace off,
+// fast-forward on. It keeps the host backings — the storage buffer, the cache
+// arrays, each SM's retired block and warp contexts with their register
+// files — so the next application pays none of a new device's allocations,
+// and is indistinguishable from a new device (TestResetDeviceBitIdentical).
 func (d *Device) Reset() {
 	d.Storage.Reset()
 	d.Const.Clear()
@@ -621,12 +593,8 @@ func (d *Device) Reset() {
 	for _, s := range d.SMs {
 		s.Reset()
 	}
-	d.traceInterval = 0
-	d.fastForward = true
-	d.lastTicks, d.checkNext, d.simCursorUS = 0, 0, 0
-	d.checker, d.log = nil, nil
-	d.SetObserver(nil, nil)
-	d.smTracks = nil
+	*d = Device{Spec: d.Spec, Storage: d.Storage, Const: d.Const, Mem: d.Mem, SMs: d.SMs,
+		launchUsed: d.launchUsed, launchRejected: d.launchRejected}
 }
 
 // MustLaunch is Launch that panics on error, for tests and examples.

@@ -21,8 +21,8 @@ func saxpyLaunch(d *Device, n int) *kernel.Launch {
 	}
 }
 
-// TestDisableTraceStopsSamples: re-launching after DisableTrace must record
-// no Trace samples (the symmetric counterpart of EnableTrace).
+// TestDisableTraceStopsSamples: re-launching after EnableTrace(0) must record
+// no Trace samples.
 func TestDisableTraceStopsSamples(t *testing.T) {
 	d := NewDevice(testSpec())
 	l := saxpyLaunch(d, 4096)
@@ -33,10 +33,10 @@ func TestDisableTraceStopsSamples(t *testing.T) {
 		t.Fatal("EnableTrace(64) recorded no samples")
 	}
 
-	d.DisableTrace()
+	d.EnableTrace(0)
 	res = d.MustLaunch(l)
 	if len(res.Trace) != 0 {
-		t.Fatalf("launch after DisableTrace recorded %d Trace samples, want 0", len(res.Trace))
+		t.Fatalf("launch after EnableTrace(0) recorded %d Trace samples, want 0", len(res.Trace))
 	}
 	// The per-SM buffers must be cleared too, not just unmerged.
 	for i, s := range d.SMs {

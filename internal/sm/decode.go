@@ -186,9 +186,6 @@ func (s *SM) decodeProgram(p *kernel.Program) *decodedProgram {
 	for i := range p.Instrs {
 		d.instrs[i] = s.decodeInstr(&p.Instrs[i])
 	}
-	if s.progCache == nil {
-		s.progCache = make(map[*kernel.Program]*decodedProgram)
-	}
 	s.progCache[p] = d
 	return d
 }

@@ -2,6 +2,7 @@ package sm
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -25,41 +26,60 @@ func runToIdle(t *testing.T, s *SM, l *kernel.Launch) {
 	}
 }
 
-// TestResetMatchesNew: an SM that has run every accounting kernel on both
-// engines, with tracing and a launch context set, equals after Reset — field
-// for field, caches, queues, counters and clocks included — an SM New builds
-// around the same memory system, except for what Reset keeps on purpose: the
-// retired block and warp contexts and the coalescer's scratch backing.
+// TestResetMatchesNew: an SM that has run every accounting kernel, with
+// tracing and a launch context set, equals after Reset — field for field,
+// caches, queues, counters and clocks included — an SM New builds around the
+// same memory system, except for the retired block and warp contexts Reset
+// keeps on purpose. It does so on both engines whether the SM was idle or had
+// blocks resident mid-kernel, and a context still resident at the Reset is
+// dropped, never put on a free list.
 func TestResetMatchesNew(t *testing.T) {
 	spec := gpu.QuadroRTX4000().WithSMs(1)
 	ms := mem.NewMemSys(spec)
 	st := mem.NewStorage(1 << 20)
 	st.Alloc(1 << 19)
 	cb := mem.NewConstantBank(spec.ConstBankSize)
-	s := New(spec, 0, ms, st, cb)
-	s.SetLaunchContext(1<<18, 1024)
-	s.EnableTrace(64)
-	for _, reference := range []bool{false, true} {
-		s.noWakeList = reference
-		for _, l := range accountingLaunches() {
-			runToIdle(t, s, l)
+	for _, busy := range []bool{false, true} {
+		for _, reference := range []bool{false, true} {
+			s := New(spec, 0, ms, st, cb)
+			s.noWakeList = reference
+			s.BeginLaunch(1<<18, 1024, 64)
+			for _, l := range accountingLaunches() {
+				runToIdle(t, s, l)
+			}
+			if busy {
+				for _, l := range accountingLaunches() {
+					if s.CanAccept(l) {
+						s.LaunchBlock(l, [3]int64{}, 0)
+					}
+				}
+				for i := 0; i < 300; i++ {
+					s.Tick()
+				}
+				if len(s.blocks) < 2 {
+					t.Fatalf("reference engine %v: %d blocks resident mid-kernel, want several", reference, len(s.blocks))
+				}
+			}
+			if len(s.freeBlocks) == 0 || len(s.freeWarps) == 0 || len(s.progCache) == 0 {
+				t.Fatal("the kernels left no contexts or decoded programs behind")
+			}
+			resident, freeBlocks, freeWarps := residents(s), len(s.freeBlocks), len(s.freeWarps)
+			s.Reset()
+			ms.Reset()
+			if len(s.freeBlocks) != freeBlocks || len(s.freeWarps) != freeWarps {
+				t.Errorf("busy %v, reference engine %v: Reset moved the free lists from %d blocks / %d warps to %d / %d",
+					busy, reference, freeBlocks, freeWarps, len(s.freeBlocks), len(s.freeWarps))
+			}
+			for _, w := range resident {
+				if slices.Contains(s.freeWarps, w) {
+					t.Fatalf("busy %v, reference engine %v: a warp resident at the Reset is on the free list", busy, reference)
+				}
+			}
+			s.freeBlocks, s.freeWarps = nil, nil
+			if diff := fieldsDiffering(*s, *New(spec, 0, ms, st, cb)); len(diff) > 0 {
+				t.Errorf("busy %v, reference engine %v: a reset SM differs from a new one in %v", busy, reference, diff)
+			}
 		}
-	}
-	if len(s.freeBlocks) == 0 || len(s.freeWarps) == 0 || len(s.progCache) == 0 {
-		t.Fatal("the kernels left no contexts or decoded programs behind")
-	}
-	s.Reset()
-	ms.Reset()
-	if len(s.progCache) != 0 {
-		t.Errorf("Reset kept %d decoded programs", len(s.progCache))
-	}
-	if len(s.blocks) != 0 {
-		t.Fatalf("an idle SM lists %d resident blocks", len(s.blocks))
-	}
-	s.blocks, s.freeBlocks, s.freeWarps, s.progCache = nil, nil, nil, nil
-	s.sectorScratch = s.sectorScratch[:0]
-	if diff := fieldsDiffering(*s, *New(spec, 0, ms, st, cb)); len(diff) > 0 {
-		t.Errorf("a reset SM differs from a new one in %v", diff)
 	}
 }
 

@@ -41,9 +41,21 @@ type subpart struct {
 	lastIssued   int // slot of the most recently issued warp (GTO/LRR)
 }
 
-func (sp *subpart) resident() int { return sp.nres }
-
 func (sp *subpart) freeSlots() int { return len(sp.warps) - sp.nres }
+
+// reset empties the subpartition — no warp in a slot, every wake-table entry
+// neverWake, no ready set — and frees its pipes, dispatch unit and instruction
+// queues. The slot tables and queues keep their backings.
+func (sp *subpart) reset() {
+	clear(sp.warps)
+	for i := range sp.wakeAt {
+		sp.wakeAt[i] = neverWake
+	}
+	sp.lgQueue.Reset()
+	sp.mioQueue.Reset()
+	sp.texQueue.Reset()
+	*sp = subpart{warps: sp.warps, wakeAt: sp.wakeAt, lgQueue: sp.lgQueue, mioQueue: sp.mioQueue, texQueue: sp.texQueue}
+}
 
 // SM is one Streaming Multiprocessor.
 type SM struct {
@@ -92,7 +104,7 @@ type SM struct {
 	// replay passes re-launch the same programs.
 	progCache map[*kernel.Program]*decodedProgram
 
-	// Launch-wide context for local-memory addressing, set by the device.
+	// Launch-wide context for local-memory addressing, set by BeginLaunch.
 	localBase    uint64
 	totalThreads int
 
@@ -103,8 +115,7 @@ type SM struct {
 	// Retired block contexts and their warps, filled by retireBlock and
 	// drained by LaunchBlock, which resets whatever it takes (warp.reset), so
 	// nothing of a retired block is visible to the next one. Reset keeps
-	// them; they die with the SM, which Device.ResetSMs rebuilds after a
-	// failed kernel.
+	// them and drops whatever is still resident.
 	freeBlocks []*blockCtx
 	freeWarps  []*warp
 
@@ -132,7 +143,8 @@ type SM struct {
 var referenceEngine bool
 
 // New builds an SM around the device-shared memory system, global storage
-// and constant bank. The spec is validated by its owner (gpu.Spec.Validate
+// and constant bank: it allocates the SM's backings and leaves every other
+// field to Reset. The spec is validated by its owner (gpu.Spec.Validate
 // bounds WarpSlotsPerSubpartition by the width of a ready-set mask).
 func New(spec *gpu.Spec, id int, ms *mem.MemSys, storage *mem.Storage, constBank *mem.ConstantBank) *SM {
 	nsp, slots := spec.SubpartitionsPerSM, spec.WarpSlotsPerSubpartition
@@ -144,17 +156,14 @@ func New(spec *gpu.Spec, id int, ms *mem.MemSys, storage *mem.Storage, constBank
 		storage:       storage,
 		constBank:     constBank,
 		subparts:      make([]subpart, nsp),
-		lrr:           spec.SchedulingPolicy == "lrr",
-		noWakeList:    referenceEngine,
+		blocks:        make([]*blockCtx, 0, spec.MaxBlocksPerSM),
+		progCache:     make(map[*kernel.Program]*decodedProgram),
 		sectorScratch: make([]uint64, 0, 64),
 	}
 	// One backing per slot table for the whole SM, carved per subpartition: a
 	// device build pays two allocations per SM however many subpartitions.
 	warps := make([]*warp, nsp*slots)
 	wakeAt := make([]uint64, nsp*slots)
-	for i := range wakeAt {
-		wakeAt[i] = neverWake
-	}
 	for i := range s.subparts {
 		lo, hi := i*slots, (i+1)*slots
 		s.subparts[i] = subpart{
@@ -165,14 +174,67 @@ func New(spec *gpu.Spec, id int, ms *mem.MemSys, storage *mem.Storage, constBank
 			texQueue: mem.NewTimedQueue(spec.TEXQueueDepth),
 		}
 	}
+	s.Reset()
 	return s
 }
 
-// SetLaunchContext installs the per-launch local-memory base and total
-// thread count used for local address interleaving.
-func (s *SM) SetLaunchContext(localBase uint64, totalThreads int) {
-	s.localBase = localBase
-	s.totalThreads = totalThreads
+// Reset puts the SM, idle or busy, in the state New leaves it in: nothing
+// resident, clock and pipelines at cycle zero, caches cold, no counts, no
+// tracing, no launch context, no decoded program. It is the one place that
+// writes the initial value of an SM field. The backings stay — slot tables,
+// queues, caches, and the retired block and warp contexts with their register
+// files, which LaunchBlock rewrites whole (TestDirtyReuseBitIdentical).
+// Contexts resident at the call are dropped, not recycled: a kernel that
+// panicked or was cancelled may have left them in any state.
+func (s *SM) Reset() {
+	for i := range s.subparts {
+		s.subparts[i].reset()
+	}
+	s.dp.Reset()
+	s.icache.Reset()
+	clear(s.blocks)
+	clear(s.progCache)
+	*s = SM{
+		spec:          s.spec,
+		id:            s.id,
+		dp:            s.dp,
+		icache:        s.icache,
+		storage:       s.storage,
+		constBank:     s.constBank,
+		subparts:      s.subparts,
+		blocks:        s.blocks[:0],
+		lrr:           s.spec.SchedulingPolicy == "lrr",
+		noWakeList:    referenceEngine,
+		progCache:     s.progCache,
+		sectorScratch: s.sectorScratch[:0],
+		freeBlocks:    s.freeBlocks,
+		freeWarps:     s.freeWarps,
+	}
+}
+
+// BeginLaunch readies an idle SM for a kernel launch: clock, pipelines,
+// dispatch unit and instruction queues start again at cycle zero; the
+// launch's local-memory base and total thread count (for local address
+// interleaving) are installed; the immediate-constant cache is invalidated,
+// as the launch rewrote the constant bank; the counters are zeroed, so
+// Counters counts this launch alone; and a counter delta is sampled every
+// traceInterval cycles (0: no tracing). Caches, decoded programs and retired
+// contexts carry over.
+func (s *SM) BeginLaunch(localBase uint64, totalThreads int, traceInterval uint64) {
+	if s.Busy() {
+		panic(fmt.Sprintf("sm %d: BeginLaunch while busy", s.id))
+	}
+	for i := range s.subparts {
+		s.subparts[i].reset()
+	}
+	s.cycle, s.fetchBusy, s.nextWakeup = 0, 0, 0
+	s.tickEvent = false
+	s.groupCharge = [NumWarpStates]uint32{}
+	s.localBase, s.totalThreads = localBase, totalThreads
+	s.dp.IMC.Flush()
+	s.dp.ResetStats()
+	s.ctr = Counters{}
+	s.traceInterval, s.traceBase, s.traceSamples = traceInterval, Counters{}, nil
 }
 
 // Busy reports whether any warp is resident.
@@ -816,87 +878,12 @@ func (s *SM) Counters() Counters {
 	return c
 }
 
-// ResetCounters zeroes all statistics (between profiler passes). Open state
-// intervals of resident warps are re-anchored at the current cycle, so what
-// is counted afterwards is exactly what happens afterwards.
-func (s *SM) ResetCounters() {
-	s.ctr = Counters{}
-	s.dp.ResetStats()
-	for i := range s.subparts {
-		for _, w := range s.subparts[i].warps {
-			if w != nil {
-				w.since = s.cycle
-			}
-		}
-	}
-}
-
 // FlushCaches invalidates the SM-private caches (between profiler passes).
 func (s *SM) FlushCaches() {
 	s.dp.Flush()
 	s.icache.Flush()
 }
 
-// FlushIMC invalidates the immediate-constant cache, done at every kernel
-// launch since constant-bank contents change with it.
-func (s *SM) FlushIMC() { s.dp.FlushIMC() }
-
-// EnableTrace starts per-interval counter snapshots (an intra-kernel
-// timeline). interval is in cycles; 0 disables. Existing samples are
-// discarded and the delta base is re-anchored at the current counters.
-func (s *SM) EnableTrace(interval uint64) {
-	s.traceInterval = interval
-	s.traceSamples = nil
-	s.traceBase = s.Counters()
-}
-
-// DisableTrace stops tracing and clears samples.
-func (s *SM) DisableTrace() {
-	s.traceInterval = 0
-	s.traceSamples = nil
-}
-
 // TraceSamples returns the per-interval counter deltas recorded since
-// EnableTrace, oldest first.
+// BeginLaunch, oldest first.
 func (s *SM) TraceSamples() []Counters { return s.traceSamples }
-
-// ResetClock rewinds the SM's cycle counter and pipeline bookkeeping to zero
-// between kernel launches. Only legal when idle.
-func (s *SM) ResetClock() {
-	if s.Busy() {
-		panic(fmt.Sprintf("sm %d: ResetClock while busy", s.id))
-	}
-	s.cycle = 0
-	s.fetchBusy = 0
-	s.nextWakeup = 0
-	s.tickEvent = false
-	s.groupCharge = [NumWarpStates]uint32{}
-	for i := range s.subparts {
-		sp := &s.subparts[i]
-		sp.pipeFree = [isa.NumPipes]uint64{}
-		sp.dispatchFree = 0
-		sp.lgQueue.Reset()
-		sp.mioQueue.Reset()
-		sp.texQueue.Reset()
-		sp.lastIssued = 0
-	}
-}
-
-// Reset returns an idle SM to what New built — clock, pipelines, caches,
-// counters, tracing and decoded programs — but keeps the retired block and
-// warp contexts, with their register, shared-memory and store backings, for
-// the next launch to take: LaunchBlock rewrites everything it takes from them
-// (TestDirtyReuseBitIdentical). Dropping the decoded programs keeps a
-// long-lived SM from holding every program it ever ran. Only legal when idle.
-func (s *SM) Reset() {
-	s.ResetClock()
-	s.dp.Reset()
-	s.icache.Reset()
-	s.launchSeq, s.residencyVer = 0, 0
-	s.noWakeList = referenceEngine
-	clear(s.progCache)
-	s.localBase, s.totalThreads = 0, 0
-	s.DisableTrace()
-	s.traceBase = Counters{}
-	s.ctr = Counters{}
-}

@@ -252,15 +252,15 @@ func TestTickIdleSM(t *testing.T) {
 	}
 }
 
-func TestResetClockPanicsWhenBusy(t *testing.T) {
+func TestBeginLaunchPanicsWhenBusy(t *testing.T) {
 	s := testSM()
 	s.LaunchBlock(trivialLaunch(32), [3]int64{0, 0, 0}, 0)
 	defer func() {
 		if recover() == nil {
-			t.Error("ResetClock on busy SM did not panic")
+			t.Error("BeginLaunch on busy SM did not panic")
 		}
 	}()
-	s.ResetClock()
+	s.BeginLaunch(0, 32, 0)
 }
 
 func TestGTOPrefersSameWarp(t *testing.T) {

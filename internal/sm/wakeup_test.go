@@ -24,7 +24,7 @@ func testSMOf(spec *gpu.Spec) *SM {
 
 // runCfg selects how runOneBlock drives the SM.
 type runCfg struct {
-	trace      uint64 // EnableTrace interval, 0 = off
+	trace      uint64 // BeginLaunch trace interval, 0 = off
 	ff         bool   // jump to NextWakeup whenever the bound allows, exactly as Device.Launch does
 	noWakeList bool   // reference engine: every warp classified from scratch every tick
 	every      uint64 // record Counters() whenever the clock reaches a multiple, 0 = never
@@ -44,9 +44,7 @@ func runOneBlock(t *testing.T, l *kernel.Launch, cfg runCfg) smRun {
 	t.Helper()
 	s := testSMBacked()
 	s.noWakeList = cfg.noWakeList
-	if cfg.trace > 0 {
-		s.EnableTrace(cfg.trace)
-	}
+	s.BeginLaunch(0, 0, cfg.trace)
 	if !s.CanAccept(l) {
 		t.Fatalf("block of %s does not fit on an idle SM", l.Program.Name)
 	}
@@ -198,7 +196,7 @@ func TestWakeupTraceBoundaryClipping(t *testing.T) {
 
 	// Every computed bound must respect the clipping invariant.
 	s := testSMBacked()
-	s.EnableTrace(interval)
+	s.BeginLaunch(0, 0, interval)
 	s.LaunchBlock(l, [3]int64{}, 0)
 	clipped := false
 	for guard := 0; s.Busy(); guard++ {

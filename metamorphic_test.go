@@ -14,12 +14,9 @@ import (
 // taken from the profiler the way ProfileApp takes it and switched over.
 func profileOnLoop(p *Profiler, fastForward bool, app *App) (*AppResult, error) {
 	dev := p.takeDevice()
+	defer p.releaseDevice(dev)
 	dev.SetFastForward(fastForward)
-	res, err := p.profileOn(context.Background(), dev, app)
-	if err == nil && len(res.Failed) == 0 {
-		p.releaseDevice(dev)
-	}
-	return res, err
+	return p.profileOn(context.Background(), dev, app)
 }
 
 // metamorphicRunner builds the check.Runner for one app on one device: each

@@ -57,3 +57,60 @@ func TestEveryOptionHasACaller(t *testing.T) {
 		}
 	}
 }
+
+// TestEveryUnexportedFuncIsReferenced is the offline stand-in for
+// staticcheck's U1000 check: an unexported func or method anywhere in the
+// module outside bench/ must be named by some other identifier of its
+// package, test files included. Methods are matched by name alone, so one
+// that shares its name with a used identifier goes unnoticed; nothing that is
+// used fails.
+func TestEveryUnexportedFuncIsReferenced(t *testing.T) {
+	type pkg struct{ dir, name string }
+	type decl struct {
+		pkg  pkg
+		name *ast.Ident
+	}
+	var decls []decl
+	refs := map[pkg]map[string]int{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && (d.Name() == "bench" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go"):
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		p := pkg{filepath.Dir(path), f.Name.Name}
+		own := map[*ast.Ident]bool{}
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && !fn.Name.IsExported() && fn.Name.Name != "init" && fn.Name.Name != "main" {
+				decls = append(decls, decl{p, fn.Name})
+				own[fn.Name] = true
+			}
+		}
+		if refs[p] == nil {
+			refs[p] = map[string]int{}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !own[id] {
+				refs[p][id.Name]++
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range decls {
+		if refs[d.pkg][d.name.Name] == 0 {
+			t.Errorf("%s: %s is declared but nothing in package %s refers to it", fset.Position(d.name.Pos()), d.name.Name, d.pkg.name)
+		}
+	}
+}

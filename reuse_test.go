@@ -9,6 +9,7 @@ import (
 
 	"gputopdown/internal/check"
 	"gputopdown/internal/kernel"
+	"gputopdown/internal/sim"
 	"gputopdown/internal/workloads"
 )
 
@@ -105,11 +106,18 @@ func wildLaunch() *kernel.Launch {
 	return &kernel.Launch{Program: b.MustBuild(), Grid: kernel.Dim3{X: 4}, Block: kernel.Dim3{X: 64}}
 }
 
-// TestFailedRunDropsItsDevice: a run that is cancelled, whose every kernel
-// panics, that isolates one panicked kernel, or that panics on the host side
-// leaves its device out of the profiler's idle list, and the next clean run on
-// the same profiler still reproduces its golden report.
-func TestFailedRunDropsItsDevice(t *testing.T) {
+// cancelInLaunch is a device checker that cancels a run from its first
+// in-loop epoch, so the cancellation lands inside the launch, blocks resident.
+type cancelInLaunch struct{ cancel context.CancelFunc }
+
+func (c cancelInLaunch) CheckEpoch(*sim.Device, uint64)          { c.cancel() }
+func (c cancelInLaunch) CheckLaunch(*sim.Device, *sim.RunResult) {}
+
+// TestFailedRunReturnsItsDevice: a run that is cancelled between launches or
+// inside one, whose every kernel panics, that isolates one panicked kernel, or
+// that panics on the host side gives its device back, and the next run on the
+// same profiler takes that device and still reproduces its golden report.
+func TestFailedRunReturnsItsDevice(t *testing.T) {
 	myocyte, err := GetApp("rodinia", "myocyte")
 	if err != nil {
 		t.Fatal(err)
@@ -121,33 +129,51 @@ func TestFailedRunDropsItsDevice(t *testing.T) {
 	p := NewProfiler(GTX1070())
 	clean := func(after string) {
 		t.Helper()
+		if len(p.idle) != 1 {
+			t.Fatalf("after %s the profiler holds %d idle devices, want 1", after, len(p.idle))
+		}
+		dev := p.idle[0]
 		if d := check.DiffJSON(want, profileReport(t, p, "rodinia", "myocyte")); d != "" {
 			t.Errorf("the clean run after %s diverged from its golden:\n%s", after, d)
 		}
-		if len(p.idle) != 1 {
-			t.Fatalf("after a clean run the profiler holds %d idle devices, want 1", len(p.idle))
+		if len(p.idle) != 1 || p.idle[0] != dev {
+			t.Fatalf("the clean run after %s did not run on the device %s returned", after, after)
 		}
 	}
-	clean("the first")
+	profileReport(t, p, "rodinia", "myocyte")
+	clean("a clean run")
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	bg := context.Background()
+	between, cancelBetween := context.WithCancel(bg)
+	defer cancelBetween()
+	inside, cancelInside := context.WithCancel(bg)
+	defer cancelInside()
 	wild := &App{Name: "wild", Suite: "test", Run: func(rc *workloads.RunCtx) error {
 		rc.Dev.Storage.Write(rc.Dev.Alloc(4096), 0xBAD, 4)
 		return rc.Exec(wildLaunch())
+	}}
+	spin := &App{Name: "spin", Suite: "test", Run: func(rc *workloads.RunCtx) error {
+		b := kernel.NewBuilder("spin")
+		b.For(0, b.MovImm(1<<40), 1)
+		b.EndFor()
+		b.Exit()
+		rc.Dev.SetChecker(cancelInLaunch{cancelInside})
+		return rc.Exec(&kernel.Launch{Program: b.MustBuild(), Grid: kernel.Dim3{X: 64}, Block: kernel.Dim3{X: 256}})
 	}}
 	for _, c := range []struct {
 		name    string
 		ctx     context.Context
 		app     *App
 		outcome string // "error", "isolated" or "panic"
+		errText string // what an "error" outcome says
 	}{
-		{"a cancelled run", ctx, afterFirstLaunch(myocyte, func(workloads.LaunchFunc) error { cancel(); return nil }), "error"},
-		{"an all-kernels-panicked run", bg, wild, "error"},
-		{"a run isolating a panicked kernel", bg, afterFirstLaunch(myocyte, func(exec workloads.LaunchFunc) error { return exec(wildLaunch()) }), "isolated"},
-		{"a host-side panic", bg, afterFirstLaunch(myocyte, func(workloads.LaunchFunc) error { panic("host-side failure") }), "panic"},
+		{"a run cancelled between launches", between, afterFirstLaunch(myocyte, func(workloads.LaunchFunc) error { cancelBetween(); return nil }), "error", "context canceled"},
+		{"a run cancelled inside a launch", inside, spin, "error", "cancelled after"},
+		{"an all-kernels-panicked run", bg, wild, "error", "all 1 kernels failed"},
+		{"a run isolating a panicked kernel", bg, afterFirstLaunch(myocyte, func(exec workloads.LaunchFunc) error { return exec(wildLaunch()) }), "isolated", ""},
+		{"a host-side panic", bg, afterFirstLaunch(myocyte, func(workloads.LaunchFunc) error { panic("host-side failure") }), "panic", ""},
 	} {
+		var runErr error
 		outcome := func() (outcome string) {
 			defer func() {
 				if recover() != nil {
@@ -157,6 +183,7 @@ func TestFailedRunDropsItsDevice(t *testing.T) {
 			res, err := p.ProfileApp(c.ctx, c.app)
 			switch {
 			case err != nil:
+				runErr = err
 				return "error"
 			case len(res.Failed) > 0:
 				return "isolated"
@@ -166,8 +193,8 @@ func TestFailedRunDropsItsDevice(t *testing.T) {
 		if outcome != c.outcome {
 			t.Fatalf("%s ended as %s, want %s", c.name, outcome, c.outcome)
 		}
-		if len(p.idle) != 0 {
-			t.Errorf("%s returned its device to the profiler", c.name)
+		if runErr != nil && !strings.Contains(runErr.Error(), c.errText) {
+			t.Fatalf("%s failed with %q, want it to say %q", c.name, runErr, c.errText)
 		}
 		clean(c.name)
 	}

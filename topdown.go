@@ -185,8 +185,8 @@ func WithLogger(l *Logger) Option { return func(p *Profiler) { p.logger = l } }
 //
 // A Profiler keeps the simulated devices its runs used: each run takes an
 // idle device and resets it (sim.Device.Reset), building one only when none
-// is idle, and a device goes back to the idle list only from a run that
-// completed cleanly. It therefore holds at most as many devices as it ever
+// is idle, and gives it back however the run ends — a reset brings a device
+// back from any state. It therefore holds at most as many devices as it ever
 // ran applications concurrently.
 type Profiler struct {
 	spec        *gpu.Spec
@@ -223,9 +223,7 @@ func (p *Profiler) takeDevice() *sim.Device {
 	return dev
 }
 
-// releaseDevice makes dev idle again once its run completed cleanly. A device
-// whose run failed, isolated a panicked kernel or panicked through the
-// profiler is never released, so no later run inherits its state.
+// releaseDevice makes dev idle again when its run ends, cleanly or not.
 func (p *Profiler) releaseDevice(dev *sim.Device) {
 	p.devMu.Lock()
 	p.idle = append(p.idle, dev)
@@ -375,11 +373,8 @@ func (r *AppResult) KernelNames() []string {
 // launches none — does ProfileApp return an error.
 func (p *Profiler) ProfileApp(ctx context.Context, app *workloads.App) (*AppResult, error) {
 	dev := p.takeDevice()
-	res, err := p.profileOn(ctx, dev, app)
-	if err == nil && len(res.Failed) == 0 {
-		p.releaseDevice(dev)
-	}
-	return res, err
+	defer p.releaseDevice(dev)
+	return p.profileOn(ctx, dev, app)
 }
 
 // profileOn is the Top-Down analysis as a client of collect: it requests the
@@ -460,12 +455,10 @@ type Collection struct {
 func (p *Profiler) Collect(ctx context.Context, app *workloads.App, request []pmu.CounterID,
 	visit func(*kernel.Launch, *cupti.KernelRecord) error) (*Collection, error) {
 	dev := p.takeDevice()
+	defer p.releaseDevice(dev)
 	col, err := p.collect(ctx, dev, app, request, visit)
 	if err != nil {
 		return nil, err
-	}
-	if len(col.Failed) == 0 {
-		p.releaseDevice(dev)
 	}
 	return &col, nil
 }
@@ -579,6 +572,7 @@ func (p *Profiler) Timeline(ctx context.Context, app *workloads.App, kernelName 
 		return nil, fmt.Errorf("gputopdown: zero timeline interval")
 	}
 	dev := p.takeDevice()
+	defer p.releaseDevice(dev)
 	if p.checks != nil {
 		dev.SetChecker(p.checks)
 	}
@@ -616,7 +610,6 @@ func (p *Profiler) Timeline(ctx context.Context, app *workloads.App, kernelName 
 	if err != nil {
 		return nil, err
 	}
-	p.releaseDevice(dev)
 	if seen == 0 {
 		return nil, fmt.Errorf("gputopdown: %s never launched kernel %q", app.ID(), kernelName)
 	}
