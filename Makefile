@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench-build verify golden bench loc
+.PHONY: all vet build test bench-build verify golden bench loc
 
 all: build
 
@@ -17,8 +17,13 @@ test:
 bench-build:
 	cd bench && $(GO) vet . && $(GO) build -o /dev/null .
 
+# vet is the static half of CI's test job: gofmt lists no file, go vet passes.
+vet:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
+	$(GO) vet ./...
+
 # verify is what to run before sending a change.
-verify: build test bench-build
+verify: vet build test bench-build
 
 # golden regenerates the committed canonical-report corpus under
 # internal/check/testdata/golden (every suite app on both evaluation GPUs).

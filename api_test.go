@@ -166,25 +166,37 @@ func TestKernelErrorSurfacesThroughProfiler(t *testing.T) {
 // exists for: repeated byte-identical launches (a small GemmAutotune
 // instance). Every invocation's analysis, the pass count and the Fig. 13
 // cycle totals must match the uncached profiler bit for bit even though all
-// but the first two invocations replay from the cache.
+// but the first two invocations replay from the cache. Under sampling the
+// cache must stand aside: a hit leaves L1 and L2 as the launch before it
+// left them, and the native invocation after it runs on them unflushed.
 func TestDeterminismAutotuneCache(t *testing.T) {
-	app := workloads.GemmAutotuneSized(64, 8)
-	spec := QuadroRTX4000().WithSMs(4)
-	base := NewProfiler(spec, WithLevel(3))
-	fast := NewProfiler(spec, WithLevel(3), WithReplayCache(true))
-	want, err := base.ProfileApp(context.Background(), app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := fast.ProfileApp(context.Background(), app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Kernels) != 8 {
-		t.Fatalf("got %d invocations, want 8", len(want.Kernels))
-	}
-	want.WallSeconds, got.WallSeconds = 0, 0
-	if !reflect.DeepEqual(want, got) {
-		t.Error("cached autotune profile diverged from uncached")
+	for _, tc := range []struct {
+		name                string
+		spec                *GPUSpec
+		dim, reps, sampling int
+	}{
+		{"rtx4000-4sm", QuadroRTX4000().WithSMs(4), 64, 8, 1},
+		{"gtx1070-sampling-2", GTX1070(), 128, 6, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			app := workloads.GemmAutotuneSized(tc.dim, tc.reps)
+			opts := []Option{WithLevel(3), WithSampling(tc.sampling)}
+			want, err := NewProfiler(tc.spec, opts...).ProfileApp(context.Background(), app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := NewProfiler(tc.spec, append(opts, WithReplayCache(true))...).ProfileApp(context.Background(), app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want.Kernels) != tc.reps {
+				t.Fatalf("got %d invocations, want %d", len(want.Kernels), tc.reps)
+			}
+			want.WallSeconds, got.WallSeconds = 0, 0
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("cached autotune profile diverged from uncached: native cycles %d, want %d",
+					got.NativeCycles, want.NativeCycles)
+			}
+		})
 	}
 }

@@ -256,6 +256,18 @@ func TestJobRunnerKeysOnConfiguration(t *testing.T) {
 			t.Errorf("%+v resolved to (%p, %v), want a Profiler of its own", body, p, err)
 		}
 	}
+	// A sampling profiler uses no replay cache, so replay_cache does not tell
+	// two sampled requests apart.
+	sampled, err := jr.profilerFor(&JobRequest{SampleEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := false
+	for _, cache := range []*bool{&on, &off} {
+		if p, err := jr.profilerFor(&JobRequest{SampleEvery: 2, ReplayCache: cache}); err != nil || p != sampled {
+			t.Errorf("sample_every 2, replay_cache %t resolved to (%p, %v), want the sample_every 2 Profiler", *cache, p, err)
+		}
+	}
 	if _, err := jr.profilerFor(&JobRequest{Level: 7}); err == nil {
 		t.Error("level 7 accepted")
 	}
@@ -266,8 +278,8 @@ func TestJobRunnerKeysOnConfiguration(t *testing.T) {
 
 // TestJobRunnerBoundsProfilers: jobs naming 20 configurations (sample_every
 // 1..20) leave at most maxProfilers cached, the least recently used evicted
-// first; a repeat of a retained configuration runs on its profiler and hits
-// its warm replay cache, and an evicted one starts over on a new profiler.
+// first; a repeat of a retained configuration runs on its profiler and that
+// profiler's idle device, and an evicted one starts over on a new profiler.
 func TestJobRunnerBoundsProfilers(t *testing.T) {
 	ctx := context.Background()
 	jr := NewJobRunner("gtx1070", WithReplayCache(true))
@@ -291,12 +303,12 @@ func TestJobRunnerBoundsProfilers(t *testing.T) {
 		ran[n] = run(n)
 	}
 	// 13..20 are retained; repeating 13 makes 14 the least recently used.
-	hits, _ := ran[13].cache.Stats()
+	dev := ran[13].idle[0]
 	if run(13) != ran[13] {
 		t.Fatal("a retained configuration got a new profiler")
 	}
-	if h, _ := ran[13].cache.Stats(); h <= hits {
-		t.Errorf("repeating a retained configuration hit its replay cache %d times before, %d after", hits, h)
+	if len(ran[13].idle) != 1 || ran[13].idle[0] != dev {
+		t.Error("repeating a retained configuration did not run on its profiler's idle device")
 	}
 	run(21)
 	if len(jr.profilers) != maxProfilers {

@@ -19,7 +19,6 @@ func BenchmarkChecksDisabled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		inv.CheckCounters("bench", &c)
 		inv.CheckAnalysis(a)
-		inv.CheckPassMerge("k", nil, nil, nil)
 		inv.CheckLaunch(nil, nil)
 		inv.CheckEpoch(nil, 0)
 	}

@@ -9,7 +9,6 @@ import (
 	"gputopdown/internal/isa"
 	"gputopdown/internal/kernel"
 	"gputopdown/internal/mem"
-	"gputopdown/internal/pmu"
 	"gputopdown/internal/sim"
 	"gputopdown/internal/sm"
 )
@@ -83,7 +82,6 @@ func TestNilReceiverSafe(t *testing.T) {
 	c := goodCounters()
 	inv.CheckCounters("nil", &c)
 	inv.CheckMemSys("nil", mem.NewMemSys(testSpec()), 0)
-	inv.CheckPassMerge("k", nil, nil, nil)
 	inv.CheckAnalysis(nil)
 	inv.CheckEpoch(nil, 0) // nil receiver returns before touching the device
 	inv.CheckLaunch(nil, nil)
@@ -229,58 +227,6 @@ func TestCheckLaunchViolations(t *testing.T) {
 			}
 		})
 	}
-}
-
-func TestCheckPassMerge(t *testing.T) {
-	var counters sm.Counters
-	counters.ElapsedCycles = 100
-	counters.InstExecuted = 40
-	counters.WarpStateCycles[1] = 7
-	counters.WarpStateCycles[2] = 9
-
-	stall1 := pmu.StallCounter(1)
-	stall2 := pmu.StallCounter(2)
-	passes := [][]pmu.CounterID{
-		{pmu.CtrInstExecuted, stall1},
-		{stall2},
-	}
-	merged := pmu.Values{
-		pmu.CtrInstExecuted: 40,
-		stall1:              7,
-		stall2:              9,
-	}
-
-	inv := New()
-	inv.CheckPassMerge("k", passes, &counters, merged)
-	if err := inv.Err(); err != nil {
-		t.Fatalf("consistent merge flagged: %v", err)
-	}
-
-	t.Run("missing-counter", func(t *testing.T) {
-		inv := New()
-		bad := pmu.Values{pmu.CtrInstExecuted: 40, stall1: 7}
-		inv.CheckPassMerge("k", passes, &counters, bad)
-		if lawCounts(inv)["pass-merge-complete"] == 0 {
-			t.Fatal("missing counter not flagged")
-		}
-	})
-	t.Run("wrong-value", func(t *testing.T) {
-		inv := New()
-		bad := pmu.Values{pmu.CtrInstExecuted: 40, stall1: 8, stall2: 9}
-		inv.CheckPassMerge("k", passes, &counters, bad)
-		if lawCounts(inv)["pass-merge-value"] == 0 {
-			t.Fatal("wrong merged value not flagged")
-		}
-	})
-	t.Run("free-running-drift", func(t *testing.T) {
-		inv := New()
-		drift := counters
-		drift.InstExecuted = 41
-		inv.CheckPassMerge("k", passes, &drift, merged)
-		if lawCounts(inv)["pass-merge-value"] == 0 {
-			t.Fatal("free-running drift not flagged")
-		}
-	})
 }
 
 // goodAnalysis returns a level-2 normalised analysis obeying every closure.

@@ -99,17 +99,6 @@ var (
 	ncuMemorySegs = []string{"long_scoreboard", "imc_miss", "mio_throttle", "drain", "lg_throttle", "short_scoreboard"}
 )
 
-// MemoryComponentLabels maps level-3 memory segments to the labels used in
-// the paper's Fig. 7/10 discussion.
-var MemoryComponentLabels = map[string]string{
-	"long_scoreboard":  "L1",
-	"imc_miss":         "Constant",
-	"mio_throttle":     "MIO Throttle",
-	"drain":            "Drain",
-	"lg_throttle":      "LG Throttle",
-	"short_scoreboard": "Short Scoreboard",
-}
-
 func ncuStallMetric(seg string) string {
 	return "smsp__warp_issue_stalled_" + seg + "_per_warp_active.pct"
 }

@@ -324,11 +324,3 @@ func TestWarpEfficiencyClamped(t *testing.T) {
 		t.Errorf("Branch = %g, want >= 0", a.Branch)
 	}
 }
-
-func TestMemoryComponentLabels(t *testing.T) {
-	for _, seg := range ncuMemorySegs {
-		if MemoryComponentLabels[seg] == "" {
-			t.Errorf("memory segment %q has no figure label", seg)
-		}
-	}
-}

@@ -2,12 +2,12 @@
 // invocations.
 //
 // The device simulator is deterministic (internal/sim), so a kernel
-// invocation is fully determined by (program fingerprint, launch
-// configuration, device-memory snapshot hash, constant-bank hash) together
-// with the session's collection mode and pass schedule identity. When the
-// same key recurs — an autotuning harness replays the same configuration
-// with identical inputs tens of times × 8 passes (workloads.GemmAutotune
-// models this) — the session can skip
+// invocation is fully determined by (device model, program fingerprint,
+// launch configuration, device-memory snapshot hash, constant-bank hash)
+// together with the session's collection mode and pass schedule identity.
+// When the same key recurs — an autotuning harness replays the same
+// configuration with identical inputs tens of times × 8 passes
+// (workloads.GemmAutotune models this) — the session can skip
 // re-simulation entirely: it replays the recorded counter values, re-applies
 // the recorded memory effects, and still charges the full simulated
 // replay+flush cost to the Fig. 13 overhead accounting, so cached and
@@ -17,13 +17,18 @@ package cupti
 import (
 	"sync"
 
+	"gputopdown/internal/gpu"
 	"gputopdown/internal/kernel"
 	"gputopdown/internal/pmu"
 )
 
-// replayKey identifies a byte-identical kernel invocation under a fixed
-// collection mode and pass schedule.
+// replayKey identifies a byte-identical kernel invocation on one device model
+// under a fixed collection mode and pass schedule.
 type replayKey struct {
+	// spec is the device model: a cache shared by sessions on two models must
+	// not hand one model's counters to the other's launch. Identity is
+	// enough — a copied spec is another model.
+	spec *gpu.Spec
 	// config folds the program fingerprint, grid/block geometry, dynamic
 	// shared memory and parameter values (kernel.Launch.ConfigHash).
 	config uint64
@@ -55,8 +60,9 @@ const DefaultReplayCacheEntries = 1024
 
 // ReplayCache memoizes profiled kernel invocations. It is safe for
 // concurrent use by multiple sessions (ProfileApps fans apps across
-// goroutines); determinism is preserved because every entry is a pure
-// function of its key, so it does not matter which session populates it.
+// goroutines), on one device model or several; determinism is preserved
+// because every entry is a pure function of its key, so it does not matter
+// which session populates it.
 // Eviction is FIFO with a fixed entry bound.
 type ReplayCache struct {
 	mu      sync.Mutex
@@ -124,6 +130,7 @@ func (c *ReplayCache) Stats() (hits, misses uint64) {
 // device state. memHash must be HashAllocated of the pre-launch memory.
 func (s *Session) keyFor(l *kernel.Launch, memHash uint64) replayKey {
 	return replayKey{
+		spec:   s.dev.Spec,
 		config: l.ConfigHash(),
 		mem:    memHash,
 		konst:  s.dev.Const.Hash(),

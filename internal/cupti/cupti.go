@@ -17,13 +17,20 @@
 // (TestDeterminismReplayOracle), which proves the two equal on every
 // suite application.
 //
-// Result cache (SetCache): byte-identical invocations — same program
-// fingerprint, launch configuration, memory hash and constant-bank hash —
-// skip even that one simulation, re-applying the recorded counters and
-// memory effects while still charging the full simulated replay+flush cost.
+// One path. ProfileCtx decides once what an invocation is — run natively
+// because sampling skips it (SetSampling), served from the result cache, or
+// simulated — launches at one site, flushing first only for a profiled
+// launch, and books all three kinds through one accounting step.
 //
-// A simulation failure is a KernelError with Pass 0; cancellation is polled
-// before the invocation and inside the one LaunchCtx.
+// Result cache (SetCache): byte-identical invocations — same device model,
+// program fingerprint, launch configuration, memory hash and constant-bank
+// hash — skip even that one simulation, re-applying the recorded counters
+// and memory effects while still charging the full simulated replay+flush
+// cost. A sampling session does not consult the cache (see SetCache).
+//
+// A simulation failure is a KernelError with Pass 0 (Pass -1 for a native
+// run); cancellation is polled before the invocation and inside the one
+// LaunchCtx.
 package cupti
 
 import (
@@ -94,11 +101,6 @@ type Session struct {
 	// cache, when non-nil, memoizes byte-identical invocations.
 	cache *ReplayCache
 
-	// checker, when non-nil, receives in-loop device invariant hooks (via
-	// the session device) plus the session-level pass-merge check after each
-	// profiled invocation.
-	checker Checker
-
 	// sampleEvery > 1 enables the paper's §VII mitigation: only every n-th
 	// invocation of a kernel is fully replayed; the rest run natively once
 	// and inherit the most recent sampled counter values.
@@ -154,17 +156,16 @@ func NewSession(dev *sim.Device, request []pmu.CounterID, mode Mode) (*Session, 
 }
 
 // SetObserver attaches an execution tracer and metrics registry to the
-// session and, through it, to the underlying device. Either may be nil: a
-// tracer-only observer records spans without metrics, a registry-only
-// observer the reverse. The session emits spans for each profiled kernel,
-// its one simulated pass and the cache flush before it, and maintains the
-// profiler self-metrics — including the live replay_overhead_ratio that reproduces
-// the paper's Fig. 13 accounting from instrumentation rather than post-hoc
-// arithmetic.
+// session; the device it profiles on is observed through its own
+// sim.Device.SetObserver. Either may be nil: a tracer-only observer records
+// spans without metrics, a registry-only observer the reverse. The session
+// emits spans for each profiled kernel, its one simulated pass and the cache
+// flush before it, and maintains the profiler self-metrics — including the
+// live replay_overhead_ratio that reproduces the paper's Fig. 13 accounting
+// from instrumentation rather than post-hoc arithmetic.
 func (s *Session) SetObserver(tr *obs.Tracer, reg *obs.Registry) {
 	s.tracer = tr
 	s.obsOn = tr != nil || reg != nil
-	s.dev.SetObserver(tr, reg)
 	if reg == nil {
 		// Explicitly guard the handle creation: a tracer-only observer must
 		// not depend on nil-receiver forgiveness in the registry.
@@ -207,15 +208,14 @@ func (s *Session) SetObserver(tr *obs.Tracer, reg *obs.Registry) {
 	s.gPassesPK.Set(float64(s.sched.NumPasses()))
 }
 
-// SetLogger attaches a structured logger to the session and its device. The
-// session logs pass starts/stops and schedule decisions under component
-// "cupti" and replay-cache hits/misses under component "cache"; the device
-// logs launch/fast-forward activity under component "sim". A nil logger
-// detaches all three and restores the zero-cost path.
+// SetLogger attaches a structured logger to the session: pass starts/stops
+// and schedule decisions under component "cupti", replay-cache hits/misses
+// under component "cache". The device logs through its own
+// sim.Device.SetLogger. A nil logger detaches both components and restores
+// the zero-cost path.
 func (s *Session) SetLogger(l *obs.Logger) {
 	s.log = l.Component("cupti")
 	s.cacheLog = l.Component("cache")
-	s.dev.SetLogger(l)
 	if s.log.On(obs.LevelDebug) {
 		s.log.Debug("session configured",
 			"mode", s.mode.String(), "passes", s.sched.NumPasses(),
@@ -223,48 +223,26 @@ func (s *Session) SetLogger(l *obs.Logger) {
 	}
 }
 
-// Checker receives the session's invariant hooks. It extends the device-level
-// sim.Checker with the pass-merge conservation law: after the pass-order
-// merge, every scheduled counter's merged value must equal its reading in the
-// launch's counter set. internal/check.Invariants implements it.
-type Checker interface {
-	sim.Checker
-	// CheckPassMerge runs after merging the scheduled passes of one profiled
-	// invocation. passes is the schedule, counters the counter set of the
-	// one simulated launch every pass reads from, merged the final values.
-	CheckPassMerge(kernel string, passes [][]pmu.CounterID, counters *sm.Counters, merged pmu.Values)
-}
-
-// SetChecker attaches an invariant checker to the session and its device
-// (nil detaches). Like SetObserver, the attachment is observational only:
-// profiled results are bit-identical with and without a checker.
-func (s *Session) SetChecker(c Checker) {
-	s.checker = c
-	var devC sim.Checker
-	if c != nil {
-		devC = c
-	}
-	s.dev.SetChecker(devC)
-}
-
 // SetCache attaches a replay result cache (nil detaches). The cache may be
-// shared by many sessions, including concurrently.
+// shared by many sessions, including concurrently and on different device
+// models. A session that samples (SetSampling with n > 1) does not consult
+// it: a hit restores memory but not the caches a simulated launch leaves
+// behind, and under sampling the next invocation runs natively on exactly
+// those caches, without a flush.
 func (s *Session) SetCache(c *ReplayCache) { s.cache = c }
 
 // SetSampling makes the session fully profile only every n-th invocation of
 // each kernel; the others execute once, natively, and reuse the most recent
 // sampled values. This is the overhead mitigation the paper proposes for
 // applications with very large kernel-invocation counts (§V.E, §VII). n < 1
-// is treated as 1 (profile everything).
+// is treated as 1 (profile everything). With n > 1 the result cache is not
+// consulted (see SetCache).
 func (s *Session) SetSampling(n int) {
 	if n < 1 {
 		n = 1
 	}
 	s.sampleEvery = n
 }
-
-// SampleEvery returns the configured sampling interval.
-func (s *Session) SampleEvery() int { return s.sampleEvery }
 
 // NumPasses returns the replay count per kernel.
 func (s *Session) NumPasses() int { return s.sched.NumPasses() }
@@ -290,59 +268,86 @@ func (s *Session) Profile(l *kernel.Launch) (*KernelRecord, error) {
 // before the invocation and inside the simulated launch. On cancellation the
 // returned error wraps ctx.Err(); device memory is then in an unspecified
 // intermediate state, as with any mid-profile failure.
+//
+// It is the one path through an invocation. One that sampling skips runs
+// natively: one launch, no flush, one pass of its own cycles, the kernel's
+// last sampled values. A profiled one is served from the cache when an
+// identical invocation was simulated before, and is otherwise flushed,
+// launched and merged over every scheduled pass; either way each pass is
+// charged its cycles plus a flush.
 func (s *Session) ProfileCtx(ctx context.Context, l *kernel.Launch) (*KernelRecord, error) {
+	name := l.Program.Name
 	if err := ctx.Err(); err != nil {
-		return nil, &KernelError{Kernel: l.Program.Name, Pass: -1, Err: err}
+		return nil, &KernelError{Kernel: name, Pass: -1, Err: err}
 	}
-	if s.sampleEvery > 1 {
-		if inv := s.invocations[l.Program.Name]; inv%s.sampleEvery != 0 {
-			return s.profileSkipped(ctx, l, inv)
+	start := s.tracer.Now()
+	inv := s.invocations[name]
+	rec := &KernelRecord{Kernel: name, Invocation: inv, Passes: 1, Sampled: inv%s.sampleEvery == 0}
+	var fc uint64
+	if rec.Sampled {
+		rec.Passes, fc = s.sched.NumPasses(), s.flushCycles()
+		if s.log.On(obs.LevelDebug) {
+			s.log.Debug("profiling kernel", "kernel", name, "invocation", inv, "passes", rec.Passes)
 		}
 	}
-	passes := s.sched.Passes
-	profStart := s.tracer.Now()
-	if s.log.On(obs.LevelDebug) {
-		s.log.Debug("profiling kernel",
-			"kernel", l.Program.Name, "invocation", s.invocations[l.Program.Name],
-			"passes", len(passes))
-	}
 
+	useCache := s.cache != nil && s.sampleEvery == 1
 	var key replayKey
-	if s.cache != nil {
+	var hit *replayEntry
+	if useCache {
 		key = s.keyFor(l, s.dev.Storage.HashAllocated())
-		if e, ok := s.cache.get(key); ok {
-			if s.cacheLog.On(obs.LevelDebug) {
-				s.cacheLog.Debug("replay cache hit",
-					"kernel", l.Program.Name, "invocation", s.invocations[l.Program.Name],
-					"cycles", e.cycles, "entries", s.cache.Len())
-			}
-			return s.profileCached(l, e, profStart)
-		}
-		if s.cacheLog.On(obs.LevelDebug) {
-			s.cacheLog.Debug("replay cache miss",
-				"kernel", l.Program.Name, "invocation", s.invocations[l.Program.Name],
-				"entries", s.cache.Len())
-		}
-		if s.obsOn {
-			s.mCacheMiss.Inc()
-		}
+		hit = s.lookup(key, rec)
 	}
+	if hit != nil {
+		// The recorded memory effects stand in for the launch. Restore keeps
+		// the watermark, so fc is what the simulation was charged.
+		s.dev.Storage.Restore(hit.post)
+		rec.Cycles, rec.SMsUsed, rec.Values, rec.Cached = hit.cycles, hit.smsUsed, hit.values, true
+	} else if err := s.launch(ctx, l, rec, fc); err != nil {
+		return nil, err
+	}
+	s.account(rec, fc, start)
+	if useCache && hit == nil {
+		s.cache.put(key, &replayEntry{
+			values:  rec.Values,
+			cycles:  rec.Cycles,
+			smsUsed: rec.SMsUsed,
+			post:    s.dev.Storage.Snapshot(),
+		})
+		s.gCacheSize.Set(float64(s.cache.Len()))
+	}
+	return rec, nil
+}
 
-	// The one simulation every pass reads from: cold caches, then the launch.
+// launch runs rec's invocation once. A profiled one starts from cold caches
+// and its counter set is merged over every scheduled pass; a native one
+// starts from whatever the previous launch left and inherits the kernel's
+// most recent sampled values.
+func (s *Session) launch(ctx context.Context, l *kernel.Launch, rec *KernelRecord, fc uint64) error {
 	var passWall time.Time
-	if s.obsOn {
-		passWall = time.Now()
-	}
-	fc := s.flushCycles()
-	flushStart := s.tracer.Now()
-	s.dev.FlushCaches()
-	if s.tracer != nil {
-		s.tracer.Complete(obs.PIDProfiler, 1, "cupti", "flush",
-			flushStart, map[string]any{"flush_cycles": fc})
+	var flushStart float64
+	if rec.Sampled {
+		if s.obsOn {
+			passWall = time.Now()
+		}
+		flushStart = s.tracer.Now()
+		s.dev.FlushCaches()
+		if s.tracer != nil {
+			s.tracer.Complete(obs.PIDProfiler, 1, "cupti", "flush",
+				flushStart, map[string]any{"flush_cycles": fc})
+		}
 	}
 	res, err := safeLaunch(ctx, s.dev, l)
 	if err != nil {
-		return nil, &KernelError{Kernel: l.Program.Name, Pass: 0, Err: err}
+		if !rec.Sampled {
+			return &KernelError{Kernel: rec.Kernel, Pass: -1, Err: fmt.Errorf("skipped invocation: %w", err)}
+		}
+		return &KernelError{Kernel: rec.Kernel, Pass: 0, Err: err}
+	}
+	rec.Cycles, rec.SMsUsed = res.Cycles, res.SMsUsed
+	if !rec.Sampled {
+		rec.Values = s.lastSampled[rec.Kernel]
+		return nil
 	}
 	counters := s.collect(res)
 	if s.obsOn {
@@ -352,136 +357,87 @@ func (s *Session) ProfileCtx(ctx context.Context, l *kernel.Launch) (*KernelReco
 		s.hPassWall.Observe(wall)
 		if s.tracer != nil {
 			s.tracer.Complete(obs.PIDProfiler, 1, "cupti",
-				fmt.Sprintf("pass 1/%d", len(passes)), flushStart,
-				map[string]any{"kernel": l.Program.Name, "cycles": res.Cycles})
+				fmt.Sprintf("pass 1/%d", rec.Passes), flushStart,
+				map[string]any{"kernel": rec.Kernel, "cycles": res.Cycles})
 		}
 	}
-
-	// Replay accounting: each scheduled pass keeps its own slots of the
-	// counter set and is charged one kernel run plus one flush (Fig. 13).
-	values := pmu.Values{}
-	for _, pass := range passes {
-		values.Merge(pass, &counters)
+	// Each scheduled pass keeps its own slots of the one counter set.
+	for _, pass := range s.sched.Passes {
+		rec.Values.Merge(pass, &counters)
 	}
-	if s.checker != nil {
-		s.checker.CheckPassMerge(l.Program.Name, passes, &counters, values)
-	}
-	rec := &KernelRecord{
-		Kernel:  l.Program.Name,
-		Cycles:  res.Cycles,
-		Passes:  len(passes),
-		Values:  values,
-		Sampled: true,
-		SMsUsed: res.SMsUsed,
-	}
-	s.account(rec, fc, "profile", profStart)
-	if s.cache != nil {
-		s.cache.put(key, &replayEntry{
-			values:  values.Clone(),
-			cycles:  rec.Cycles,
-			smsUsed: rec.SMsUsed,
-			post:    s.dev.Storage.Snapshot(),
-		})
-		s.gCacheSize.Set(float64(s.cache.Len()))
-	}
-	if s.log.On(obs.LevelDebug) {
-		s.log.Debug("kernel profiled",
-			"kernel", rec.Kernel, "invocation", rec.Invocation,
-			"cycles", rec.Cycles, "passes", rec.Passes)
-	}
-	return rec, nil
+	return nil
 }
 
-// profileCached serves an invocation from the replay result cache: the
-// recorded counter values and memory effects are replayed, and the full
-// simulated replay+flush cost is charged so the Fig. 13 overhead accounting
-// is bit-identical to an uncached session.
-func (s *Session) profileCached(l *kernel.Launch, e *replayEntry, profStart float64) (*KernelRecord, error) {
-	s.dev.Storage.Restore(e.post)
-	rec := &KernelRecord{
-		Kernel:  l.Program.Name,
-		Cycles:  e.cycles,
-		Passes:  s.sched.NumPasses(),
-		Values:  e.values.Clone(),
-		Sampled: true,
-		Cached:  true,
-		SMsUsed: e.smsUsed,
+// lookup consults the cache for a profiled invocation, logging and counting
+// the hit or miss; it returns nil on a miss.
+func (s *Session) lookup(key replayKey, rec *KernelRecord) *replayEntry {
+	e, ok := s.cache.get(key)
+	if s.cacheLog.On(obs.LevelDebug) {
+		if ok {
+			s.cacheLog.Debug("replay cache hit", "kernel", rec.Kernel, "invocation", rec.Invocation,
+				"cycles", e.cycles, "entries", s.cache.Len())
+		} else {
+			s.cacheLog.Debug("replay cache miss", "kernel", rec.Kernel, "invocation", rec.Invocation,
+				"entries", s.cache.Len())
+		}
 	}
 	if s.obsOn {
-		s.mCacheHits.Inc()
+		if ok {
+			s.mCacheHits.Inc()
+		} else {
+			s.mCacheMiss.Inc()
+		}
 	}
-	s.account(rec, s.flushCycles(), "cached", profStart)
-	return rec, nil
+	return e
 }
 
-// account books one fully profiled invocation, simulated or served from the
-// cache: its invocation index, rec.Passes replays of rec.Cycles each paying
-// fc flush cycles (Fig. 13), and the span, named after how the counters were
-// obtained.
-func (s *Session) account(rec *KernelRecord, fc uint64, span string, profStart float64) {
-	rec.Invocation = s.invocations[rec.Kernel]
+// account books one invocation, however its counters were obtained: its
+// invocation index, rec.Passes runs of rec.Cycles each paying fc flush
+// cycles (Fig. 13; a native run is one pass with no flush), the self-metrics,
+// and a span and a debug line named after how the counters were obtained.
+func (s *Session) account(rec *KernelRecord, fc uint64, start float64) {
 	s.invocations[rec.Kernel]++
-	s.lastSampled[rec.Kernel] = rec.Values
+	if rec.Sampled {
+		s.lastSampled[rec.Kernel] = rec.Values
+	}
 	s.nativeCycles += rec.Cycles
 	s.profiledCycles += uint64(rec.Passes) * (rec.Cycles + fc)
 	if s.obsOn {
 		passes := float64(rec.Passes)
-		s.mSampled.Inc()
 		s.mNativeCyc.Add(float64(rec.Cycles))
 		s.mProfCyc.Add(passes * (float64(rec.Cycles) + float64(fc)))
-		s.mPasses.Add(passes)
-		s.mFlushCyc.Add(passes * float64(fc))
+		if rec.Sampled {
+			s.mSampled.Inc()
+			s.mPasses.Add(passes)
+			s.mFlushCyc.Add(passes * float64(fc))
+		} else {
+			s.mSkipped.Inc()
+		}
 		if s.nativeCycles > 0 {
 			s.gOverhead.Set(float64(s.profiledCycles) / float64(s.nativeCycles))
 		}
 		if s.tracer != nil {
-			s.tracer.Complete(obs.PIDProfiler, 1, "cupti", span+" "+rec.Kernel,
-				profStart, map[string]any{
-					"passes": rec.Passes, "invocation": rec.Invocation,
-					"cycles": rec.Cycles, "mode": s.mode.String(),
-				})
-		}
-	}
-}
-
-// profileSkipped runs an unsampled invocation once, natively, and reuses the
-// kernel's most recent sampled values.
-func (s *Session) profileSkipped(ctx context.Context, l *kernel.Launch, inv int) (*KernelRecord, error) {
-	skipStart := s.tracer.Now()
-	res, err := safeLaunch(ctx, s.dev, l)
-	if err != nil {
-		return nil, &KernelError{Kernel: l.Program.Name, Pass: -1,
-			Err: fmt.Errorf("skipped invocation: %w", err)}
-	}
-	rec := &KernelRecord{
-		Kernel:     l.Program.Name,
-		Invocation: inv,
-		Cycles:     res.Cycles,
-		Passes:     1,
-		Values:     s.lastSampled[l.Program.Name],
-		Sampled:    false,
-		SMsUsed:    res.SMsUsed,
-	}
-	s.invocations[rec.Kernel]++
-	s.nativeCycles += res.Cycles
-	s.profiledCycles += res.Cycles
-	if s.obsOn {
-		s.mSkipped.Inc()
-		s.mNativeCyc.Add(float64(res.Cycles))
-		s.mProfCyc.Add(float64(res.Cycles))
-		if s.nativeCycles > 0 {
-			s.gOverhead.Set(float64(s.profiledCycles) / float64(s.nativeCycles))
-		}
-		if s.tracer != nil {
-			s.tracer.Complete(obs.PIDProfiler, 1, "cupti", "native "+rec.Kernel,
-				skipStart, map[string]any{"invocation": inv, "cycles": res.Cycles})
+			span, args := "native", map[string]any{"invocation": rec.Invocation, "cycles": rec.Cycles}
+			if rec.Sampled {
+				span, args["passes"], args["mode"] = "profile", rec.Passes, s.mode.String()
+				if rec.Cached {
+					span = "cached"
+				}
+			}
+			s.tracer.Complete(obs.PIDProfiler, 1, "cupti", span+" "+rec.Kernel, start, args)
 		}
 	}
 	if s.log.On(obs.LevelDebug) {
-		s.log.Debug("kernel run natively under sampling",
-			"kernel", rec.Kernel, "invocation", inv, "cycles", res.Cycles)
+		switch {
+		case !rec.Sampled:
+			s.log.Debug("kernel run natively under sampling",
+				"kernel", rec.Kernel, "invocation", rec.Invocation, "cycles", rec.Cycles)
+		case !rec.Cached:
+			s.log.Debug("kernel profiled",
+				"kernel", rec.Kernel, "invocation", rec.Invocation,
+				"cycles", rec.Cycles, "passes", rec.Passes)
+		}
 	}
-	return rec, nil
 }
 
 // collect reduces a run result to one counter snapshot per the session mode.

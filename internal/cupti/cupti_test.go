@@ -236,9 +236,6 @@ func TestSamplingReducesOverhead(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.SetSampling(every)
-		if s.SampleEvery() != max(1, every) {
-			t.Fatalf("SampleEvery = %d", s.SampleEvery())
-		}
 		l := launchInc(d, buf, n)
 		for i := 0; i < 12; i++ {
 			rec, err := s.Profile(l)
@@ -252,7 +249,7 @@ func TestSamplingReducesOverhead(t *testing.T) {
 				if rec.Passes != 1 {
 					t.Errorf("skipped invocation used %d passes", rec.Passes)
 				}
-				if rec.Values == nil {
+				if rec.Values[pmu.CtrInstExecuted] == 0 {
 					t.Error("skipped invocation has no inherited values")
 				}
 			}
@@ -303,6 +300,7 @@ func TestSessionObserverSpansAndMetrics(t *testing.T) {
 	tr := obs.NewTracer()
 	reg := obs.NewRegistry()
 	s.SetObserver(tr, reg)
+	d.SetObserver(tr, reg)
 
 	if _, err := s.Profile(launchInc(d, buf, n)); err != nil {
 		t.Fatal(err)

@@ -7,9 +7,11 @@ import (
 	"strings"
 	"testing"
 
+	"gputopdown/internal/gpu"
 	"gputopdown/internal/kernel"
 	"gputopdown/internal/obs"
 	"gputopdown/internal/pmu"
+	"gputopdown/internal/sim"
 )
 
 // fillKernel stores a constant into every element of a buffer. It is
@@ -161,6 +163,43 @@ func TestReplayCacheKeyedOnPassCount(t *testing.T) {
 	// zeroed memory, and hits for the second; round 2 hits twice.
 	if hits, misses := cache.Stats(); hits != 3 || misses != 3 || cache.Len() != 3 {
 		t.Errorf("cache: %d hits, %d misses, %d entries; want 3, 3, 3", hits, misses, cache.Len())
+	}
+}
+
+// TestReplayCacheKeyedOnDeviceModel: sessions on two device models share a
+// cache but never an entry. The second model is a one-SM copy of the first,
+// so an entry handed across shows in Cycles and SMsUsed.
+func TestReplayCacheKeyedOnDeviceModel(t *testing.T) {
+	const n = 512
+	profile := func(spec *gpu.Spec, cache *ReplayCache) []KernelRecord {
+		d := sim.NewDevice(spec)
+		buf := d.Alloc(n * 4)
+		s, err := NewSession(d, fullStallRequest(), ModeSMPC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetCache(cache)
+		var recs []KernelRecord
+		for i := 0; i < 3; i++ {
+			rec, err := s.Profile(launchFill(buf, n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec.Cached = false // provenance, not result
+			recs = append(recs, *rec)
+		}
+		return recs
+	}
+	stock := gpu.QuadroRTX4000().WithSMs(2)
+	other := stock.WithSMs(1)
+	cache := NewReplayCache(0)
+	profile(stock, cache)
+	if got, want := profile(other, cache), profile(other, nil); !reflect.DeepEqual(got, want) {
+		t.Errorf("a session on a second model got another model's records:\n got  %+v\n want %+v", got, want)
+	}
+	// Each model misses on zeroed and on filled memory and hits on the repeat.
+	if hits, misses := cache.Stats(); hits != 2 || misses != 4 {
+		t.Errorf("cache stats = %d hits / %d misses, want 2/4", hits, misses)
 	}
 }
 

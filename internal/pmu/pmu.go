@@ -207,18 +207,6 @@ func (s *Schedule) Fingerprint() uint64 {
 	return h
 }
 
-// PassOf returns the pass index collecting the given counter, or -1.
-func (s *Schedule) PassOf(id CounterID) int {
-	for i, pass := range s.Passes {
-		for _, c := range pass {
-			if c == id {
-				return i
-			}
-		}
-	}
-	return -1
-}
-
 // BuildSchedule packs the requested counters into as few passes as the PMU
 // capacity allows. The request is deduplicated; order does not matter.
 func BuildSchedule(request []CounterID) (*Schedule, error) {
@@ -286,22 +274,14 @@ func AllCounters() []CounterID {
 	return ids
 }
 
-// Values holds merged counter readings across passes.
-type Values map[CounterID]uint64
+// Values holds one reading per raw counter, merged across passes. It is an
+// array, so a reading is a value — copying a record copies its readings —
+// and a counter no pass collected reads zero.
+type Values [NumCounters]uint64
 
 // Merge records the counters of one completed pass into v.
-func (v Values) Merge(pass []CounterID, c *sm.Counters) {
+func (v *Values) Merge(pass []CounterID, c *sm.Counters) {
 	for _, id := range pass {
 		v[id] = Read(c, id)
 	}
-}
-
-// Clone returns an independent copy of v. The replay result cache hands the
-// same logical values to many kernel records; cloning keeps them isolated.
-func (v Values) Clone() Values {
-	out := make(Values, len(v))
-	for id, val := range v {
-		out[id] = val
-	}
-	return out
 }

@@ -161,19 +161,6 @@ func TestScheduleRejectsUnknown(t *testing.T) {
 	}
 }
 
-func TestPassOf(t *testing.T) {
-	sched, _ := BuildSchedule(level3Request())
-	if sched.PassOf(CtrInstExecuted) != 0 {
-		t.Error("free counter not in pass 0")
-	}
-	if sched.PassOf(CtrRegBankConflicts) != -1 {
-		t.Error("unrequested counter found")
-	}
-	if sched.PassOf(StallCounter(sm.StateWait)) < 0 {
-		t.Error("requested state counter not scheduled")
-	}
-}
-
 func TestValuesMerge(t *testing.T) {
 	var c sm.Counters
 	c.InstExecuted = 5

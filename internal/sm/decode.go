@@ -190,9 +190,9 @@ func (s *SM) decodeProgram(p *kernel.Program) *decodedProgram {
 	return d
 }
 
-// scoreboardDec is scoreboardBlock over the decoded metadata: the
-// latest-ready operand among compacted sources, the WAW destination and the
-// read predicates, with its dependency class.
+// scoreboardDec returns the latest-ready operand of a decoded instruction —
+// among its compacted sources, the WAW destination and the read predicates —
+// with its dependency class.
 func (w *warp) scoreboardDec(d *decodedInstr) (uint64, depKind) {
 	var ready uint64
 	kind := depNone

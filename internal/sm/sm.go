@@ -410,8 +410,8 @@ func (s *SM) ensureFetched(w *warp, pc int, now uint64) (uint64, bool) {
 func (s *SM) own(w *warp, now uint64) (d *decodedInstr, st WarpState, wake uint64) {
 	w.syncStack()
 	if w.finished {
-		if w.block.liveWarps > 0 && !w.deadCounted() {
-			w.markDead()
+		if w.block.liveWarps > 0 && !w.dead {
+			w.dead = true
 			w.block.liveWarps--
 			s.drainCount++
 			s.checkBarrier(w.block)

@@ -137,17 +137,18 @@ func TestPredMask(t *testing.T) {
 }
 
 func TestScoreboardBlockPicksLatest(t *testing.T) {
+	s := testSM()
 	w := newWarp(0, 0, 0, nil, 0xFFFFFFFF, 16, 1)
 	w.setRegReady(isa.R(1), 100, depLong)
 	w.setRegReady(isa.R(2), 50, depShort)
-	in := isa.Instr{Op: isa.OpIADD, Dst: isa.R(3), Srcs: [3]isa.Reg{isa.R(1), isa.R(2), isa.RZ}}
-	ready, kind := w.scoreboardBlock(&in)
+	in := s.decodeInstr(&isa.Instr{Op: isa.OpIADD, Dst: isa.R(3), Srcs: [3]isa.Reg{isa.R(1), isa.R(2), isa.RZ}})
+	ready, kind := w.scoreboardDec(&in)
 	if ready != 100 || kind != depLong {
 		t.Errorf("scoreboard = (%d,%v), want (100,depLong)", ready, kind)
 	}
 	// WAW on destination.
-	in2 := isa.Instr{Op: isa.OpMOV32, Dst: isa.R(1)}
-	ready2, _ := w.scoreboardBlock(&in2)
+	in2 := s.decodeInstr(&isa.Instr{Op: isa.OpMOV32, Dst: isa.R(1)})
+	ready2, _ := w.scoreboardDec(&in2)
 	if ready2 != 100 {
 		t.Errorf("WAW not detected: %d", ready2)
 	}
@@ -347,18 +348,4 @@ func TestSharedAccessBounds(t *testing.T) {
 		}
 	}()
 	blk.sharedRead(62, 4)
-}
-
-func TestTotalStallCyclesExcludesProductive(t *testing.T) {
-	var c Counters
-	c.WarpStateCycles[StateSelected] = 10
-	c.WarpStateCycles[StateNotSelected] = 5
-	c.WarpStateCycles[StateLongScoreboard] = 7
-	c.WarpStateCycles[StateBarrier] = 3
-	if got := c.TotalStallCycles(); got != 10 {
-		t.Errorf("TotalStallCycles = %d, want 10", got)
-	}
-	if got := c.StateSum(); got != 25 {
-		t.Errorf("StateSum = %d, want 25", got)
-	}
 }

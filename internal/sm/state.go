@@ -213,15 +213,6 @@ func (c Counters) Sub(o *Counters) Counters {
 	return r
 }
 
-// TotalStallCycles sums warp-cycles over all non-productive states.
-func (c *Counters) TotalStallCycles() uint64 {
-	var t uint64
-	for s := StateNoInstruction; s < NumWarpStates; s++ {
-		t += c.WarpStateCycles[s]
-	}
-	return t
-}
-
 // StateSum sums warp-cycles over every state, which must equal
 // ActiveWarpCycles (property-tested).
 func (c *Counters) StateSum() uint64 {

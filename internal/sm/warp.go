@@ -98,12 +98,6 @@ type warp struct {
 	dead     bool // finished already accounted against block.liveWarps
 }
 
-// deadCounted reports whether the warp's death was already accounted.
-func (w *warp) deadCounted() bool { return w.dead }
-
-// markDead records that the warp's death has been accounted.
-func (w *warp) markDead() { w.dead = true }
-
 // reset makes w the initial context of a warp, whatever it held before: every
 // field is rewritten, and of the old value only the slices' backing arrays
 // survive, re-sliced to this kernel's register count and zeroed. A recycled
@@ -192,27 +186,6 @@ func (w *warp) setRegReady(r isa.Reg, ready uint64, kind depKind) {
 	}
 	w.regReady[r] = ready
 	w.regDep[r] = kind
-}
-
-// scoreboardBlock returns the latest-ready operand among the instruction's
-// sources, destination (WAW) and guard predicate, with its dependency class.
-// It is the ad-hoc form of scoreboardDec — the hot path uses the decoded
-// table; this wrapper decodes the hazard-relevant fields on the fly so both
-// paths share one scoreboard implementation.
-func (w *warp) scoreboardBlock(in *isa.Instr) (uint64, depKind) {
-	d := decodedInstr{
-		dst:      in.Dst,
-		checkDst: in.Op.Info().WritesDst,
-		pred:     in.Pred,
-		pdstRead: isa.PT,
-	}
-	regs, n := in.SourceRegs()
-	d.srcs, d.nsrcs = regs, uint8(n)
-	// SEL and VOTE read the predicate in PDst.
-	if in.Op == isa.OpSEL || in.Op == isa.OpVOTE {
-		d.pdstRead = in.PDst
-	}
-	return w.scoreboardDec(&d)
 }
 
 // drainStores drops completed stores and returns the number still pending.

@@ -121,8 +121,10 @@ func (jr *JobRunner) profilerFor(req *JobRequest) (*Profiler, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A sampling profiler uses no replay cache, so it is keyed as one without.
+	cacheOn := p.cacheOn && p.sampleEvery <= 1
 	key := fmt.Sprintf("%s|%d|%s|%t|%d|%t",
-		gpuID, p.Level(), p.mode, p.normalize, max(p.sampleEvery, 1), p.cacheOn)
+		gpuID, p.Level(), p.mode, p.normalize, max(p.sampleEvery, 1), cacheOn)
 
 	jr.mu.Lock()
 	defer jr.mu.Unlock()

@@ -102,7 +102,7 @@ func WithHWPM() Option { return func(p *Profiler) { p.mode = cupti.ModeHWPM } }
 // WithSampling profiles only every n-th invocation of each kernel, running
 // the rest natively with the most recent sampled values — the paper's §VII
 // mitigation for applications whose kernel counts make full replay
-// impractical.
+// impractical. With n > 1 the replay cache is not used (see WithReplayCache).
 func WithSampling(n int) Option { return func(p *Profiler) { p.sampleEvery = n } }
 
 // WithReplayCache enables deterministic memoization of byte-identical kernel
@@ -111,11 +111,14 @@ func WithSampling(n int) Option { return func(p *Profiler) { p.sampleEvery = n }
 // values and memory effects are replayed instead of re-simulating, while the
 // full replay cost is still charged to the Fig. 13 overhead accounting. The
 // cache is shared across every session the profiler creates (ProfileApps runs
-// apps concurrently; the cache is safe for that).
+// apps concurrently; the cache is safe for that). It is used only while every
+// invocation is profiled: a hit restores memory but not the L1/L2 contents
+// the simulated launch would have left, and under WithSampling(n > 1) the
+// next invocation runs natively on exactly those, unflushed.
 func WithReplayCache(on bool) Option { return func(p *Profiler) { p.cacheOn = on } }
 
 // WithChecks attaches the in-loop invariant checker (internal/check): every
-// checkpointed simulation epoch, kernel launch, PMU pass merge, and Top-Down
+// checkpointed simulation epoch, kernel launch and Top-Down
 // analysis is asserted against the conservation laws the design guarantees
 // (warp-state histogram sums, cache/DRAM accounting, Top-Down closure).
 // Violations accumulate on the profiler and are reported by CheckErr; they do
@@ -206,20 +209,33 @@ type Profiler struct {
 	idle  []*sim.Device
 }
 
-// takeDevice returns an idle device, reset, or a new one when none is idle.
-// The reset happens here rather than on release, so a profiler that runs one
-// application pays for exactly one new device.
+// takeDevice returns an idle device, reset, or a new one when none is idle,
+// with the profiler's checker, observers and logger attached: this is the one
+// place they reach a device, and Reset detaches them again. The reset happens
+// here rather than on release, so a profiler that runs one application pays
+// for exactly one new device.
 func (p *Profiler) takeDevice() *sim.Device {
 	p.devMu.Lock()
-	n := len(p.idle)
-	if n == 0 {
-		p.devMu.Unlock()
-		return sim.NewDevice(p.spec)
+	var dev *sim.Device
+	if n := len(p.idle); n > 0 {
+		dev = p.idle[n-1]
+		p.idle = p.idle[:n-1]
 	}
-	dev := p.idle[n-1]
-	p.idle = p.idle[:n-1]
 	p.devMu.Unlock()
-	dev.Reset()
+	if dev == nil {
+		dev = sim.NewDevice(p.spec)
+	} else {
+		dev.Reset()
+	}
+	if p.checks != nil {
+		dev.SetChecker(p.checks)
+	}
+	if p.tracer != nil || p.metrics != nil {
+		dev.SetObserver(p.tracer, p.metrics)
+	}
+	if p.logger != nil {
+		dev.SetLogger(p.logger)
+	}
 	return dev
 }
 
@@ -286,6 +302,20 @@ func (p *Profiler) Spec() *gpu.Spec { return p.spec }
 // Level returns the configured analysis level after device capping.
 func (p *Profiler) Level() int {
 	return core.NewAnalyzer(p.spec, p.level).Level
+}
+
+// newAnalyzer builds the Top-Down analyzer of one run, normalised as
+// configured, with the profiler's observers and logger attached.
+func (p *Profiler) newAnalyzer() *core.Analyzer {
+	an := core.NewAnalyzer(p.spec, p.level)
+	an.Normalize = p.normalize
+	if p.tracer != nil || p.metrics != nil {
+		an.SetObserver(p.tracer, p.metrics)
+	}
+	if p.logger != nil {
+		an.SetLogger(p.logger)
+	}
+	return an
 }
 
 // KernelResult is the Top-Down analysis of one kernel invocation.
@@ -380,17 +410,10 @@ func (p *Profiler) ProfileApp(ctx context.Context, app *workloads.App) (*AppResu
 // profileOn is the Top-Down analysis as a client of collect: it requests the
 // analyzer's counters, analyses each visited invocation and aggregates.
 func (p *Profiler) profileOn(ctx context.Context, dev *sim.Device, app *workloads.App) (*AppResult, error) {
-	analyzer := core.NewAnalyzer(p.spec, p.level)
-	analyzer.Normalize = p.normalize
+	analyzer := p.newAnalyzer()
 	request, err := analyzer.CounterRequest()
 	if err != nil {
 		return nil, err
-	}
-	if p.tracer != nil || p.metrics != nil {
-		analyzer.SetObserver(p.tracer, p.metrics)
-	}
-	if p.logger != nil {
-		analyzer.SetLogger(p.logger)
 	}
 	res := &AppResult{App: app.Name, Suite: app.Suite, GPU: p.spec.Name}
 	col, err := p.collect(ctx, dev, app, request, func(_ *kernel.Launch, rec *cupti.KernelRecord) error {
@@ -464,9 +487,10 @@ func (p *Profiler) Collect(ctx context.Context, app *workloads.App, request []pm
 }
 
 // collect is the one place a profiling session is assembled and driven:
-// session over dev for request, the profiler's sampling, cache, checker,
-// observers and logger attached, ctx honoured per launch, and a panicking
-// kernel isolated onto Failed while the rest of the app runs.
+// session over dev (whose hooks takeDevice attached) for request, the
+// profiler's sampling, cache, observers and logger attached to it, ctx
+// honoured per launch, and a panicking kernel isolated onto Failed while the
+// rest of the app runs.
 func (p *Profiler) collect(ctx context.Context, dev *sim.Device, app *workloads.App, request []pmu.CounterID,
 	visit func(*kernel.Launch, *cupti.KernelRecord) error) (Collection, error) {
 	sess, err := cupti.NewSession(dev, request, p.mode)
@@ -478,9 +502,6 @@ func (p *Profiler) collect(ctx context.Context, dev *sim.Device, app *workloads.
 	}
 	if p.cache != nil {
 		sess.SetCache(p.cache)
-	}
-	if p.checks != nil {
-		sess.SetChecker(p.checks)
 	}
 	obsOn := p.tracer != nil || p.metrics != nil
 	if obsOn {
@@ -573,22 +594,8 @@ func (p *Profiler) Timeline(ctx context.Context, app *workloads.App, kernelName 
 	}
 	dev := p.takeDevice()
 	defer p.releaseDevice(dev)
-	if p.checks != nil {
-		dev.SetChecker(p.checks)
-	}
-	if p.logger != nil {
-		dev.SetLogger(p.logger)
-	}
 	dev.EnableTrace(interval)
-	analyzer := core.NewAnalyzer(p.spec, p.level)
-	analyzer.Normalize = p.normalize
-	if p.tracer != nil || p.metrics != nil {
-		dev.SetObserver(p.tracer, p.metrics)
-		analyzer.SetObserver(p.tracer, p.metrics)
-	}
-	if p.logger != nil {
-		analyzer.SetLogger(p.logger)
-	}
+	analyzer := p.newAnalyzer()
 	var points []TimelinePoint
 	seen := 0
 	err := app.Execute(dev, func(l *kernel.Launch) error {
