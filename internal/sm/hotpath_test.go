@@ -134,13 +134,117 @@ func TestDecodeProgramCached(t *testing.T) {
 	}
 }
 
-// accountingLaunches is the kernel set the accounting tests run: barrier
-// release by a dying peer, store drain, long-scoreboard stalls, an empty
-// subpartition, a fully occupied SM, steady memory traffic, and — in
-// divergentMembarLaunch — MEMBAR, divergent branches and a partial last warp.
-func accountingLaunches() []*kernel.Launch {
+// accountingLaunches is the kernel set the accounting tests run on an SM of
+// the given model: barrier release by a dying peer, store drain,
+// long-scoreboard stalls, an empty subpartition, a fully occupied SM, steady
+// memory traffic, MEMBAR with divergent branches and a partial last warp, a
+// barrier released mid-pass by a death in an earlier or a later slot, warps
+// queueing for the fetch port, and bounds on both sides of the wake index's
+// wheel.
+func accountingLaunches(spec *gpu.Spec) []*kernel.Launch {
 	return []*kernel.Launch{barrierDrainLaunch(), singleWarpLaunch(), multiSubpartLaunch(),
-		saturatingLaunch(), memSteadyLaunch(), divergentMembarLaunch()}
+		saturatingLaunch(), memSteadyLaunch(), divergentMembarLaunch(),
+		deathReleaseLaunch(false), deathReleaseLaunch(true), fetchContendedLaunch(), wheelBoundaryLaunch(spec)}
+}
+
+// deathReleaseLaunch builds an 8-warp block in which the barrier is released
+// by a death, not an arrival: one half of the warps reaches the barrier at
+// once, the other half runs an FFMA chain and exits without reaching it, and
+// the last of those deaths — found by own during a subpartition's pass —
+// releases the waiters. Warps are dealt to subpartitions round-robin, so the
+// first half sits in earlier slots than the second on every subpartition:
+// with lateWaiters the released warps sit after the dying one and are
+// reclassified in the same pass, otherwise before it and in the next tick.
+func deathReleaseLaunch(lateWaiters bool) *kernel.Launch {
+	name := "deathrelease_early"
+	if lateWaiters {
+		name = "deathrelease_late"
+	}
+	b := kernel.NewBuilder(name)
+	gid := b.GlobalIDX()
+	waiter := b.ISetpImm(isa.CmpLT, b.S2R(isa.SRWarpID), 4)
+	if lateWaiters {
+		waiter = b.ISetpImm(isa.CmpGE, b.S2R(isa.SRWarpID), 4)
+	}
+	b.If(waiter)
+	b.Bar()
+	b.Stg(b.IAddImm(b.Shl(gid, 2), 4096), gid, 0, 4)
+	b.Else()
+	x := b.I2F(gid)
+	for i := 0; i < 12; i++ {
+		x = b.FFma(x, x, x)
+	}
+	b.Stg(b.IAddImm(b.Shl(gid, 2), 4096), x, 0, 4)
+	b.EndIf()
+	b.Exit()
+	return &kernel.Launch{
+		Program: b.MustBuild(),
+		Grid:    kernel.Dim3{X: 1},
+		Block:   kernel.Dim3{X: 256},
+	}
+}
+
+// fetchContendedLaunch keeps 16 warps on every subpartition of a GTX 1070 (two
+// 1024-thread blocks) asking for the SM's one fetch port at once: each warp
+// runs its own straight-line body, on instruction-cache lines no other warp of
+// its subpartition runs, so nearly every instruction-buffer refill is a
+// fetch, and most fetches find the port busy.
+func fetchContendedLaunch() *kernel.Launch {
+	b := kernel.NewBuilder("fetchcontend")
+	gid := b.GlobalIDX()
+	body := b.AndImm(b.Shr(gid, 7), 15) // global warp index / 4: distinct among the 16 warps of a GTX 1070 subpartition
+	x := b.MovImm(1)
+	b.ForImm(0, 2, 1)
+	for k := int64(0); k < 16; k++ {
+		b.If(b.ISetpImm(isa.CmpEQ, body, k))
+		for i := 0; i < 24; i++ { // x += k in place: a 1024-thread block has few registers to spare
+			b.Emit(isa.Instr{Op: isa.OpIADD, Dst: x, Srcs: [3]isa.Reg{x, isa.RZ, isa.RZ}, Imm: k})
+		}
+		b.EndIf()
+	}
+	b.EndFor()
+	b.Stg(b.IAddImm(b.Shl(gid, 2), 4096), x, 0, 4)
+	b.Exit()
+	return &kernel.Launch{
+		Program: b.MustBuild(),
+		Grid:    kernel.Dim3{X: 2},
+		Block:   kernel.Dim3{X: 1024},
+	}
+}
+
+// wheelBoundaryLaunch builds a block whose bounds fall on both sides of the
+// wake index's wheel edge and far past it: NANOSLEEP 63, 64 and 65 make the
+// issue itself file bounds that many cycles out; a dependent chase around a
+// 128 KiB ring, laid out to thrash the L1, waits out mostly DRAM latencies on
+// its first lap and L2 hits on its second; and each of the 8 warps sleeps
+// between a load and its use, for a time that puts the use's scoreboard bound
+// 61 to 68 cycles out when own files it on the second lap. The waits are long
+// enough that the fast-forward jumps cross many wheel wraps.
+func wheelBoundaryLaunch(spec *gpu.Spec) *kernel.Launch {
+	const ring = 1 << 17
+	b := kernel.NewBuilder("wheelboundary")
+	gid := b.GlobalIDX()
+	wid := b.S2R(isa.SRWarpID)
+	b.Nanosleep(63)
+	b.Nanosleep(64)
+	b.Nanosleep(65)
+	off := b.Shl(wid, 12)
+	b.ForImm(0, 2*ring/4096, 1)
+	for k := int64(0); k < 8; k++ {
+		b.If(b.ISetpImm(isa.CmpEQ, wid, k))
+		v := b.Ldg(off, 8192, 4) // the ring is never written: v is zero, but a true dependency
+		b.Nanosleep(int64(spec.L2Latency) - 62 - k)
+		b.MovTo(off, b.AndImm(b.IAddImm(b.IAdd(off, v), 4096), ring-1))
+		b.EndIf()
+	}
+	b.EndFor()
+	b.Stg(b.IAddImm(b.Shl(gid, 2), 8192+ring), off, 0, 4)
+	b.Exit()
+	return &kernel.Launch{
+		Program: b.MustBuild(),
+		Grid:    kernel.Dim3{X: 1},
+		Block:   kernel.Dim3{X: 256},
+	}
 }
 
 // divergentMembarLaunch builds a 72-thread block (two full warps and an
@@ -173,13 +277,22 @@ func divergentMembarLaunch() *kernel.Launch {
 // fast-forward, for kernels covering the cases where a stale skip or a stale
 // readiness flag would mis-account warp states.
 func TestWakeListEquivalence(t *testing.T) {
-	for _, l := range accountingLaunches() {
-		ref := runOneBlock(t, l, runCfg{noWakeList: true, every: 97})
-		for _, ff := range []bool{false, true} {
-			got := runOneBlock(t, l, runCfg{ff: ff, every: 97})
-			assertSameRun(t, fmt.Sprintf("%s ff=%v", l.Program.Name, ff), ref, got)
+	for _, spec := range equivalenceSpecs() {
+		for _, l := range accountingLaunches(spec) {
+			ref := runGrid(t, l, runCfg{spec: spec, noWakeList: true, every: 97})
+			for _, ff := range []bool{false, true} {
+				got := runGrid(t, l, runCfg{spec: spec, ff: ff, every: 97})
+				assertSameRun(t, fmt.Sprintf("%s %s ff=%v", spec.Name, l.Program.Name, ff), ref, got)
+			}
 		}
 	}
+}
+
+// equivalenceSpecs are the SM models the equivalence tests run on: a one-SM
+// RTX 4000 (2 × 16 warp slots, a fetch port serving a line a cycle) and a
+// one-SM GTX 1070 (4 × 16 slots, a line every 3 cycles).
+func equivalenceSpecs() []*gpu.Spec {
+	return []*gpu.Spec{gpu.QuadroRTX4000().WithSMs(1), gpu.GTX1070().WithSMs(1)}
 }
 
 // TestTraceSamplesMatchReference demands identical intra-kernel trace samples
@@ -187,11 +300,13 @@ func TestWakeListEquivalence(t *testing.T) {
 // fast-forward, at intervals shorter than, comparable to and longer than the
 // skip windows.
 func TestTraceSamplesMatchReference(t *testing.T) {
-	for _, l := range accountingLaunches() {
-		for _, interval := range []uint64{1, 50, 1000} {
-			ref := runOneBlock(t, l, runCfg{trace: interval, noWakeList: true})
-			got := runOneBlock(t, l, runCfg{trace: interval, ff: true})
-			assertSameRun(t, fmt.Sprintf("%s interval=%d", l.Program.Name, interval), ref, got)
+	for _, spec := range equivalenceSpecs() {
+		for _, l := range accountingLaunches(spec) {
+			for _, interval := range []uint64{1, 50, 1000} {
+				ref := runGrid(t, l, runCfg{spec: spec, trace: interval, noWakeList: true})
+				got := runGrid(t, l, runCfg{spec: spec, trace: interval, ff: true})
+				assertSameRun(t, fmt.Sprintf("%s %s interval=%d", spec.Name, l.Program.Name, interval), ref, got)
+			}
 		}
 	}
 }
@@ -435,4 +550,13 @@ func stalledLaunch() *kernel.Launch {
 // what changes in it, not what is resident.
 func BenchmarkTickStalled(b *testing.B) {
 	benchTickLoop(b, testSMOf(gpu.GTX1070().WithSMs(1)), stalledLaunch(), 2)
+}
+
+// BenchmarkTickFetchContended measures the per-cycle cost of warps queueing
+// for the SM's one fetch port: 16 warps on every subpartition of a GTX 1070,
+// each on instruction-cache lines of its own, the port serving a line every 3
+// cycles. A warp the port turns away waits on the port and costs nothing
+// until it frees.
+func BenchmarkTickFetchContended(b *testing.B) {
+	benchTickLoop(b, testSMOf(gpu.GTX1070().WithSMs(1)), fetchContendedLaunch(), 2)
 }

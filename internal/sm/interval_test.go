@@ -35,7 +35,7 @@ func residents(s *SM) []*warp {
 // contexts.
 func TestIntervalAccountingMatchesPerCycleSampling(t *testing.T) {
 	var seen Counters
-	for _, l := range accountingLaunches() {
+	for _, l := range accountingLaunches(gpu.QuadroRTX4000()) {
 		prod, ref := testSMBacked(), testSMBacked()
 		ref.noWakeList = true
 		var sampled [NumWarpStates]uint64
@@ -90,9 +90,9 @@ func TestIntervalAccountingMatchesPerCycleSampling(t *testing.T) {
 // copy, so calling it mid-launch — twice in a row, or every 7 cycles —
 // changes nothing later.
 func TestCountersIsPure(t *testing.T) {
-	for _, l := range accountingLaunches() {
-		plain := runOneBlock(t, l, runCfg{ff: true})
-		polled := runOneBlock(t, l, runCfg{ff: true, every: 7})
+	for _, l := range accountingLaunches(gpu.QuadroRTX4000()) {
+		plain := runGrid(t, l, runCfg{ff: true})
+		polled := runGrid(t, l, runCfg{ff: true, every: 7})
 		if plain.ctr != polled.ctr || plain.cycles != polled.cycles {
 			t.Errorf("%s: polling Counters every 7 cycles changed the run:\nplain:  %+v\npolled: %+v", l.Program.Name, plain.ctr, polled.ctr)
 		}

@@ -44,11 +44,11 @@ func TestResetMatchesNew(t *testing.T) {
 			s := New(spec, 0, ms, st, cb)
 			s.noWakeList = reference
 			s.BeginLaunch(1<<18, 1024, 64)
-			for _, l := range accountingLaunches() {
+			for _, l := range accountingLaunches(spec) {
 				runToIdle(t, s, l)
 			}
 			if busy {
-				for _, l := range accountingLaunches() {
+				for _, l := range accountingLaunches(spec) {
 					if s.CanAccept(l) {
 						s.LaunchBlock(l, [3]int64{}, 0)
 					}

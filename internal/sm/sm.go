@@ -17,12 +17,34 @@ type subpart struct {
 	nres  int     // occupied slots, maintained by LaunchBlock/reapFinished
 
 	// wakeAt is the wake table, parallel to warps: the bound returned by the
-	// slot's most recent own-state classification (SM.own). While now < wakeAt,
-	// Tick skips the slot — the contract guarantees a re-run would return the
-	// same state and mutate nothing. A free slot and a warp in a ready set
-	// both read neverWake, so the skip scan is a run over contiguous words
-	// that never touches a warp.
+	// slot's most recent own-state classification (SM.own), 0 for a slot made
+	// due by a launch, an issue or a barrier release, neverWake for a free slot,
+	// a warp in a ready set and one with no bound of its own. It is the truth:
+	// a slot is due at cycle now when wakeAt <= now, and until then Tick skips
+	// it — the contract guarantees a re-run would return the same state and
+	// mutate nothing.
 	wakeAt []uint64
+
+	// The wake index hands wakeWarps the due slots without reading the table.
+	// A slot whose bound is not neverWake is filed in exactly one place (file,
+	// unfile), and a bit is only ever a hint checked against wakeAt:
+	//   - woken: the bound had passed when it was filed (0: a launch, an issue,
+	//     a barrier release);
+	//   - wheel[t%wheelSpan]: the bound t was less than wheelSpan cycles away
+	//     when filed; bit b of wheelOcc is set when wheel[b] is non-empty, so
+	//     the next bound is one rotate and one trailing-zero count away;
+	//   - far: further away; farMin is the least such bound (neverWake when far
+	//     is empty), and reaching it re-files the far slots (refileFar);
+	//   - fetchWait: own found the SM's fetch port busy; the bound is the cycle
+	//     the port frees, and until the port is free own would say the same.
+	woken, far, fetchWait uint64
+	farMin                uint64
+	wheelOcc              uint64
+	wheel                 [wheelSpan]uint64
+
+	// draining holds the slots of finished warps waiting for their stores:
+	// what reapFinished visits, in slot order.
+	draining uint64
 
 	// ready[g] is the ready set of gate g, a slot bitmask: the warps whose
 	// own-state checks have passed for an instruction behind that gate, and
@@ -41,11 +63,15 @@ type subpart struct {
 	lastIssued   int // slot of the most recently issued warp (GTO/LRR)
 }
 
+// wheelSpan is the number of cycles the timing wheel covers: one slot mask
+// per cycle, and the occupancy of all of them in one word.
+const wheelSpan = 64
+
 func (sp *subpart) freeSlots() int { return len(sp.warps) - sp.nres }
 
 // reset empties the subpartition — no warp in a slot, every wake-table entry
-// neverWake, no ready set — and frees its pipes, dispatch unit and instruction
-// queues. The slot tables and queues keep their backings.
+// neverWake, nothing filed, no ready set — and frees its pipes, dispatch unit
+// and instruction queues. The slot tables and queues keep their backings.
 func (sp *subpart) reset() {
 	clear(sp.warps)
 	for i := range sp.wakeAt {
@@ -54,7 +80,74 @@ func (sp *subpart) reset() {
 	sp.lgQueue.Reset()
 	sp.mioQueue.Reset()
 	sp.texQueue.Reset()
-	*sp = subpart{warps: sp.warps, wakeAt: sp.wakeAt, lgQueue: sp.lgQueue, mioQueue: sp.mioQueue, texQueue: sp.texQueue}
+	*sp = subpart{warps: sp.warps, wakeAt: sp.wakeAt, farMin: neverWake, lgQueue: sp.lgQueue, mioQueue: sp.mioQueue, texQueue: sp.texQueue}
+}
+
+// file sets slot's bound to t and files it by its distance from now. The slot
+// must not be filed anywhere else.
+func (sp *subpart) file(slot int, t, now uint64) {
+	sp.wakeAt[slot] = t
+	bit := uint64(1) << slot
+	switch {
+	case t == neverWake:
+	case t <= now:
+		sp.woken |= bit
+	case t-now < wheelSpan:
+		b := t % wheelSpan
+		sp.wheel[b] |= bit
+		sp.wheelOcc |= 1 << b
+	default:
+		sp.far |= bit
+		sp.farMin = min(sp.farMin, t)
+	}
+}
+
+// unfile takes slot out of the index, wherever its bound is filed.
+func (sp *subpart) unfile(slot int, now uint64) {
+	bit := uint64(1) << slot
+	t := sp.wakeAt[slot]
+	sp.woken &^= bit
+	sp.fetchWait &^= bit
+	if b := t % wheelSpan; sp.wheel[b]&bit != 0 {
+		if sp.wheel[b] &^= bit; sp.wheel[b] == 0 {
+			sp.wheelOcc &^= 1 << b
+		}
+	}
+	if sp.far&bit != 0 {
+		sp.far &^= bit
+		if t == sp.farMin {
+			sp.refileFar(now) // keeps farMin exact
+		}
+	}
+}
+
+// refileFar files every far slot again as of now: those whose bound has come
+// within wheelSpan cycles move to the wheel (or to woken, when due now), the
+// rest stay far under a recomputed farMin.
+func (sp *subpart) refileFar(now uint64) {
+	far := sp.far
+	sp.far, sp.farMin = 0, neverWake
+	for ; far != 0; far &= far - 1 {
+		slot := bits.TrailingZeros64(far)
+		sp.file(slot, sp.wakeAt[slot], now)
+	}
+}
+
+// nextBound is the earliest bound filed in the subpartition after a pass at
+// now — the minimum over the wake table of what the pass left — given that
+// the port the fetch waiters wait on frees at fetchBusy.
+func (sp *subpart) nextBound(now, fetchBusy uint64) uint64 {
+	next := sp.farMin
+	if sp.wheelOcc != 0 {
+		// Every wheel bound lies in [now+1, now+wheelSpan-1]: rotate bit
+		// (now+1)%wheelSpan to the bottom and count.
+		r := bits.RotateLeft64(sp.wheelOcc, -int((now+1)%wheelSpan))
+		next = min(next, now+1+uint64(bits.TrailingZeros64(r)))
+	}
+	if sp.fetchWait != 0 {
+		next = min(next, fetchBusy)
+	}
+	return next
 }
 
 // SM is one Streaming Multiprocessor.
@@ -73,21 +166,22 @@ type SM struct {
 	fetchBusy uint64
 	launchSeq uint64
 
+	// fetchRefused is set by ensureFetched when it turns a warp away because
+	// the fetch port is busy, and read and cleared by wakeWarps after own (the
+	// reference engine ignores it).
+	fetchRefused bool
+
 	// Fast-forward bookkeeping. nextWakeup is the bound computed by the
 	// most recent Tick: the earliest cycle at which the next Tick can do
 	// anything other than exactly repeat the last one (see NextWakeup).
-	// tickEvent is set by classify when it mutates cross-warp state
-	// (barrier release on warp death) and forces the bound to collapse to
-	// the current cycle. residencyVer counts resource-occupancy changes so
+	// tickEvent is set by own when it mutates cross-warp state (barrier
+	// release on warp death) and forces the bound to collapse to the
+	// current cycle. residencyVer counts resource-occupancy changes so
 	// the device's dispatcher can skip SMs whose last rejection is still
 	// current.
 	nextWakeup   uint64
 	tickEvent    bool
 	residencyVer uint64
-
-	// drainCount tracks warps that have finished but still hold outstanding
-	// stores, so the per-tick reap scan runs only when it can reap.
-	drainCount int
 
 	// noWakeList selects the reference engine: no wake table, no ready sets,
 	// every resident warp classified from scratch every tick by classify (test
@@ -314,7 +408,7 @@ func (s *SM) LaunchBlock(l *kernel.Launch, ctaid [3]int64, blockLinear int) {
 		w.reset(spIdx, slot, wi, blk, members, l.Program.NumRegs, s.launchSeq)
 		w.since = s.cycle // classified at the next tick; until then the interval is empty
 		sp.warps[slot] = w
-		sp.wakeAt[slot] = 0
+		sp.file(slot, 0, s.cycle)
 		if sp.nres++; sp.nres == 1 {
 			s.activeSubps++
 		}
@@ -356,9 +450,12 @@ func (s *SM) checkBarrier(b *blockCtx) {
 			continue // dead or already reaped: its slot may belong to another warp
 		}
 		w.atBarrier = false
-		// The release is a cross-warp event: drop the released warp's wake
-		// table entry so the next Tick reclassifies it immediately.
-		s.subparts[w.subp].wakeAt[w.slot] = 0
+		// The release is a cross-warp event: make the released warp due, so
+		// that the next pass over its subpartition reclassifies it — this
+		// tick's, if that pass has not reached its slot yet.
+		sp := &s.subparts[w.subp]
+		sp.unfile(w.slot, s.cycle)
+		sp.file(w.slot, 0, s.cycle)
 	}
 	b.arrived = 0
 }
@@ -372,7 +469,8 @@ const neverWake = ^uint64(0)
 // cycle through the L1 instruction cache. With the warp's next instruction in
 // its instruction buffer, or on its way there, it returns the cycle the
 // instruction is decoded and true; with the fetch port busy, the cycle the
-// port frees and false — the warp must ask again then.
+// port frees and false — the warp must ask again then — and it sets
+// fetchRefused.
 func (s *SM) ensureFetched(w *warp, pc int, now uint64) (uint64, bool) {
 	lineSize := uint64(s.spec.LineSize)
 	line := uint64(pc*s.spec.InstrBytes) / lineSize
@@ -380,6 +478,7 @@ func (s *SM) ensureFetched(w *warp, pc int, now uint64) (uint64, bool) {
 		return w.ifetchReady, true
 	}
 	if s.fetchBusy > now {
+		s.fetchRefused = true
 		return s.fetchBusy, false // fetch port busy this cycle
 	}
 	s.fetchBusy = now + uint64(s.spec.FetchCyclesPerLine)
@@ -407,13 +506,17 @@ func (s *SM) ensureFetched(w *warp, pc int, now uint64) (uint64, bool) {
 //     its last operand — and from then on is ready: nothing but its own issue
 //     moves that cycle.
 //   - d != nil, wake <= now: the warp is ready to issue d.
+//
+// When the fetch port turned the warp away (d == nil, StateNoInstruction,
+// wake the cycle the port frees, fetchRefused set), nothing own reads can
+// change before the port frees: until then own would say the same again.
 func (s *SM) own(w *warp, now uint64) (d *decodedInstr, st WarpState, wake uint64) {
 	w.syncStack()
 	if w.finished {
 		if w.block.liveWarps > 0 && !w.dead {
 			w.dead = true
 			w.block.liveWarps--
-			s.drainCount++
+			s.subparts[w.subp].draining |= 1 << w.slot
 			s.checkBarrier(w.block)
 			// The death may have released the block barrier, changing
 			// peers classified earlier this tick: force a normal tick.
@@ -552,40 +655,74 @@ func (s *SM) classifyAll(sp *subpart, now, wake uint64) (cand, earliest uint64) 
 	return cand, wake
 }
 
-// wakeWarps is the production engine's pass over one subpartition's wake
-// table: a slot whose bound has not expired is skipped — its open interval
-// keeps growing, which is what a fresh classification would account — and a
-// warp whose bound has expired runs own, unless own promised it ready at that
-// bound (warp.pending). A ready warp settles its interval and joins the ready
-// set of its instruction's gate. It returns wake lowered to the earliest bound
-// still pending.
+// wakeWarps is the production engine's pass over one subpartition's due
+// slots, in slot order, as the wake index hands them over: a slot not due is
+// never visited — its open interval keeps growing, which is what a fresh
+// classification would account — and a due warp runs own, unless own promised
+// it ready at its bound (warp.pending). A ready warp settles its interval and
+// joins the ready set of its instruction's gate. A warp the fetch port turned
+// away waits on the port (fetchWait): it is due when the port is free as the
+// pass reaches its slot, and skipped, its interval left open, when an earlier
+// warp has taken the port this tick. A barrier release by a dying warp makes
+// the slots after the current one due in this pass and those before it due in
+// the next. It returns wake lowered to the earliest bound still pending.
 func (s *SM) wakeWarps(sp *subpart, now, wake uint64) uint64 {
-	for slot, wa := range sp.wakeAt {
-		if now < wa {
-			wake = min(wake, wa)
-			continue
+	if now >= sp.farMin {
+		sp.refileFar(now)
+	}
+	b := now % wheelSpan
+	due := sp.woken | sp.wheel[b]
+	sp.woken, sp.wheel[b] = 0, 0
+	sp.wheelOcc &^= 1 << b
+	if s.fetchBusy <= now {
+		due |= sp.fetchWait
+	}
+	for due != 0 {
+		slot := bits.TrailingZeros64(due)
+		bit := uint64(1) << slot
+		due &^= bit
+		if sp.fetchWait&bit != 0 {
+			if s.fetchBusy > now {
+				continue // an earlier warp took the port in this tick
+			}
+			sp.fetchWait &^= bit
+		}
+		if now < sp.wakeAt[slot] {
+			continue // a stale hint: the slot is filed under its real bound
 		}
 		w := sp.warps[slot]
 		d := w.pending
 		if d == nil {
 			var st WarpState
 			var wb uint64
-			if d, st, wb = s.own(w, now); d == nil || wb > now {
+			d, st, wb = s.own(w, now)
+			if sp.woken != 0 {
+				// w's death released a barrier: the released slots after
+				// this one are due in this pass, those before it in the next.
+				later := sp.woken &^ (bit<<1 - 1)
+				due |= later
+				sp.woken &^= later
+			}
+			if d == nil || wb > now {
 				s.enter(w, st, now)
 				w.pending = d
-				wb = max(wb, now+1)
-				sp.wakeAt[slot] = wb
-				wake = min(wake, wb)
+				if s.fetchRefused {
+					s.fetchRefused = false
+					sp.wakeAt[slot] = wb
+					sp.fetchWait |= bit
+				} else {
+					sp.file(slot, max(wb, now+1), now)
+				}
 				continue
 			}
 		}
 		w.pending = nil
 		s.ctr.WarpStateCycles[w.state] += now - w.since
-		sp.ready[d.gate] |= 1 << slot
-		sp.readyAll |= 1 << slot
+		sp.ready[d.gate] |= bit
+		sp.readyAll |= bit
 		sp.wakeAt[slot] = neverWake
 	}
-	return wake
+	return min(wake, sp.nextBound(now, s.fetchBusy))
 }
 
 // issueReady issues the next instruction of the warp picked at cycle now and
@@ -600,11 +737,14 @@ func (s *SM) issueReady(sp *subpart, w *warp, now uint64) {
 	sp.readyAll &^= bit
 	s.issue(sp, w, now)
 	w.state, w.since = StateSelected, now+1
-	sp.wakeAt[w.slot] = 0
 	if w.nextEligible > now+1 {
 		w.state = w.eligibleReason
-		sp.wakeAt[w.slot] = w.nextEligible
+		sp.file(w.slot, w.nextEligible, now)
+		return
 	}
+	// A BAR that released the barrier it arrived at has filed the warp as
+	// woken already; filing it again changes nothing.
+	sp.file(w.slot, 0, now)
 }
 
 // gateQueue is the instruction queue an instruction behind gate g must find
@@ -701,7 +841,7 @@ func (s *SM) Tick() {
 		quiet = false
 	}
 
-	if s.drainCount > 0 && s.reapFinished(now) {
+	if s.reapFinished(now) {
 		quiet = false
 	}
 	if s.tickEvent {
@@ -777,17 +917,17 @@ func (s *SM) AdvanceTo(target uint64) {
 // version moves, because CanAccept is a pure function of occupancy.
 func (s *SM) ResidencyVersion() uint64 { return s.residencyVer }
 
-// reapFinished frees warps whose threads have all exited and whose stores
-// have drained, and retires completed blocks. Returns whether anything was
-// freed (a residency event that invalidates fast-forward bounds).
+// reapFinished frees the draining warps — all threads exited — whose stores
+// have drained, visiting them in slot order, and retires completed blocks.
+// Returns whether anything was freed (a residency event that invalidates
+// fast-forward bounds).
 func (s *SM) reapFinished(now uint64) bool {
 	reaped := false
 	for i := range s.subparts {
 		sp := &s.subparts[i]
-		for slot, w := range sp.warps {
-			if w == nil || !w.finished {
-				continue
-			}
+		for m := sp.draining; m != 0; m &= m - 1 {
+			slot := bits.TrailingZeros64(m)
+			w := sp.warps[slot]
 			if w.drainStores(now) > 0 {
 				continue
 			}
@@ -795,11 +935,12 @@ func (s *SM) reapFinished(now uint64) bool {
 			// interval [since, now] and free the slot.
 			s.ctr.WarpStateCycles[w.state] += now + 1 - w.since
 			sp.warps[slot] = nil
+			sp.draining &^= 1 << slot
+			sp.unfile(slot, now)
 			sp.wakeAt[slot] = neverWake
 			if sp.nres--; sp.nres == 0 {
 				s.activeSubps--
 			}
-			s.drainCount--
 			s.residentWarps--
 			s.residentThreads -= int(popcount(w.members))
 			s.residentRegs -= len(w.regs) * int(popcount(w.members))

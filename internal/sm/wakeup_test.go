@@ -22,16 +22,18 @@ func testSMOf(spec *gpu.Spec) *SM {
 	return New(spec, 0, ms, st, cb)
 }
 
-// runCfg selects how runOneBlock drives the SM.
+// runCfg selects how runGrid drives the SM.
 type runCfg struct {
-	trace      uint64 // BeginLaunch trace interval, 0 = off
-	ff         bool   // jump to NextWakeup whenever the bound allows, exactly as Device.Launch does
-	noWakeList bool   // reference engine: every warp classified from scratch every tick
-	every      uint64 // record Counters() whenever the clock reaches a multiple, 0 = never
+	spec       *gpu.Spec // the SM's model, nil = a one-SM RTX 4000
+	trace      uint64    // BeginLaunch trace interval, 0 = off
+	ff         bool      // jump to NextWakeup whenever the bound allows, exactly as Device.Launch does
+	noWakeList bool      // reference engine: every warp classified from scratch every tick
+	every      uint64    // record Counters() whenever the clock reaches a multiple, 0 = never
+	tick       func(*SM) // called in place of SM.Tick, which it must call once, nil = SM.Tick
 }
 
-// smRun is the outcome of driving one SM to completion on a single block;
-// skips counts the jump windows taken.
+// smRun is the outcome of driving one SM to completion on a grid; skips
+// counts the jump windows taken.
 type smRun struct {
 	ctr     Counters
 	cycles  uint64
@@ -40,21 +42,35 @@ type smRun struct {
 	snaps   []Counters
 }
 
-func runOneBlock(t *testing.T, l *kernel.Launch, cfg runCfg) smRun {
+// runGrid runs every block of l's one-dimensional grid on one SM, making each
+// block resident as soon as it fits (all of them at cycle 0 when they do), and
+// ticks the SM until the last block has drained.
+func runGrid(t *testing.T, l *kernel.Launch, cfg runCfg) smRun {
 	t.Helper()
-	s := testSMBacked()
+	spec := cfg.spec
+	if spec == nil {
+		spec = gpu.QuadroRTX4000().WithSMs(1)
+	}
+	s := testSMOf(spec)
 	s.noWakeList = cfg.noWakeList
 	s.BeginLaunch(0, 0, cfg.trace)
 	if !s.CanAccept(l) {
 		t.Fatalf("block of %s does not fit on an idle SM", l.Program.Name)
 	}
-	s.LaunchBlock(l, [3]int64{}, 0)
 	var r smRun
-	for guard := 0; s.Busy(); guard++ {
+	for next, guard := 0, 0; next < l.Grid.X || s.Busy(); guard++ {
 		if guard > 2_000_000 {
 			t.Fatalf("%s: SM did not go idle", l.Program.Name)
 		}
-		s.Tick()
+		for next < l.Grid.X && s.CanAccept(l) {
+			s.LaunchBlock(l, [3]int64{int64(next)}, next)
+			next++
+		}
+		if cfg.tick != nil {
+			cfg.tick(s)
+		} else {
+			s.Tick()
+		}
 		w := s.NextWakeup()
 		if w < s.Cycle() {
 			t.Fatalf("%s: NextWakeup %d behind clock %d", l.Program.Name, w, s.Cycle())
@@ -89,8 +105,8 @@ func runOneBlock(t *testing.T, l *kernel.Launch, cfg runCfg) smRun {
 // actually taking skips (otherwise the case exercises nothing).
 func assertEquivalent(t *testing.T, l *kernel.Launch, traceInterval uint64) {
 	t.Helper()
-	naive := runOneBlock(t, l, runCfg{trace: traceInterval})
-	ff := runOneBlock(t, l, runCfg{trace: traceInterval, ff: true})
+	naive := runGrid(t, l, runCfg{trace: traceInterval})
+	ff := runGrid(t, l, runCfg{trace: traceInterval, ff: true})
 	if ff.skips == 0 {
 		t.Errorf("%s: fast-forward took no skips; case exercises nothing", l.Program.Name)
 	}
@@ -178,7 +194,7 @@ func TestWakeupEmptySubpartitions(t *testing.T) {
 	// The empty subpartitions must contribute nothing to SubpActiveCycles:
 	// with one resident warp the closure SubpActiveCycles == ActiveCycles
 	// holds on a 4-subpartition SM.
-	r := runOneBlock(t, l, runCfg{ff: true})
+	r := runGrid(t, l, runCfg{ff: true})
 	if r.ctr.SubpActiveCycles != r.ctr.ActiveCycles {
 		t.Errorf("SubpActiveCycles %d != ActiveCycles %d with a single resident warp",
 			r.ctr.SubpActiveCycles, r.ctr.ActiveCycles)
