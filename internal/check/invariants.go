@@ -183,9 +183,10 @@ func (inv *Invariants) CheckCounters(context string, c *sm.Counters) {
 }
 
 // CheckMemSys asserts the memory-system conservation laws: per-slice cache
-// accounting (Hits+Misses == Lookups), line-residency bounds, sorted DRAM
-// channel queues, and the address<->(slice, local) bijection on a sample of
-// addresses around the given probe point.
+// accounting (Hits+Misses == Lookups), line-residency bounds, and the
+// address<->(slice, local) bijection on a sample of addresses around the
+// given probe point. There is no DRAM law: a channel is a latency and a bus
+// cycle that only rises, so its completions are monotone by construction.
 func (inv *Invariants) CheckMemSys(context string, ms *mem.MemSys, probe uint64) {
 	if inv == nil {
 		return
@@ -205,10 +206,6 @@ func (inv *Invariants) CheckMemSys(context string, ms *mem.MemSys, probe uint64)
 			inv.violate("sector-residency", fmt.Sprintf("%s L2[%d]", context, i),
 				"ResidentSectors = %d < ResidentLines = %d (a line with no valid sector)",
 				c.ResidentSectors(), c.ResidentLines())
-		}
-		if !ms.Chan(i).PendingSorted() {
-			inv.violate("dram-queue-monotone", fmt.Sprintf("%s DRAM[%d]", context, i),
-				"inflight completion cycles out of order")
 		}
 	}
 	// Slice-routing bijection on a deterministic probe sample: line counts

@@ -55,7 +55,7 @@ type Flags struct {
 	Logger   *gputopdown.Logger
 	Flame    *gputopdown.Flame
 
-	server *obs.Server // the -serve listener, between Open and Finish
+	server *obs.Listener // the -serve listener, between Open and Finish
 }
 
 // New returns the stock defaults; prog prefixes the notes written to stderr.
@@ -202,12 +202,15 @@ func (f *Flags) Open() (*gputopdown.Profiler, []gputopdown.Option, error) {
 		return nil, nil, err
 	}
 	if f.Serve != "" {
-		srv := obs.NewServer(f.Tracer, f.Registry)
-		srv.SetLogger(f.Logger)
-		if err := srv.Start(f.Serve); err != nil {
-			return nil, nil, err
+		svc := obs.NewServer(f.Tracer, f.Registry)
+		svc.SetLogger(f.Logger)
+		srv := new(obs.Listener)
+		log := f.Logger.Component("obs")
+		if err := srv.Start(f.Serve, svc.Handler(), log); err != nil {
+			return nil, nil, fmt.Errorf("obs: %w", err)
 		}
 		f.server, f.Serve = srv, srv.Addr()
+		log.Info("observability server listening", "addr", f.Serve)
 		f.notef("observability HTTP on http://%s (/metrics /healthz /trace /debug/pprof/)", f.Serve)
 	}
 	return p, opts, nil
@@ -218,7 +221,9 @@ func (f *Flags) Open() (*gputopdown.Profiler, []gputopdown.Option, error) {
 func (f *Flags) Finish(p *gputopdown.Profiler) error {
 	if f.server != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		if err := f.server.Shutdown(ctx); err != nil {
+		err := f.server.Shutdown(ctx)
+		f.Logger.Component("obs").Info("observability server stopped", "err", err)
+		if err != nil {
 			f.notef("stopping observability server: %v", err)
 		}
 		cancel()

@@ -56,7 +56,6 @@ type Spec struct {
 	PowerW             int
 
 	// Dispatch and residency.
-	DispatchPerSubpartition  int // dispatch units per subpartition
 	WarpSlotsPerSubpartition int // resident warp contexts per subpartition
 	MaxThreadsPerSM          int
 	MaxBlocksPerSM           int
@@ -67,10 +66,9 @@ type Spec struct {
 	ClockMHz int
 
 	// Instruction supply.
-	InstrBytes     int // encoded instruction width (8 on Pascal, 16 on Turing)
-	ICacheSize     int // per-SM L1 instruction cache bytes
-	ICacheWays     int
-	IBufferEntries int // instruction-buffer entries per warp
+	InstrBytes int // encoded instruction width (8 on Pascal, 16 on Turing)
+	ICacheSize int // per-SM L1 instruction cache bytes
+	ICacheWays int
 	// FetchCyclesPerLine is how long the SM's single fetch port is busy per
 	// icache line; with more subpartitions sharing the port (Pascal), supply
 	// pressure rises and no_instruction stalls grow.
@@ -90,9 +88,8 @@ type Spec struct {
 	// channels behind them), as real GPUs slice the L2 across memory
 	// partitions. Consecutive cache lines map to consecutive slices; each
 	// slice is an independent L2Size/L2Slices cache backed by a channel with
-	// 1/L2Slices of the DRAM bandwidth and queue depth. Must be a power of
-	// two. The slicing is a device property: cycle counts and stall
-	// attribution depend on it.
+	// 1/L2Slices of the DRAM bandwidth. Must be a power of two. The slicing
+	// is a device property: cycle counts and stall attribution depend on it.
 	L2Slices int
 
 	// Constant path: a small immediate-constant cache (IMC) in front of a
@@ -119,12 +116,11 @@ type Spec struct {
 	// occupies its pipe for WarpSize/lanes cycles.
 	PipeLanes [isa.NumPipes]int
 
-	// Queue depths (entries) per subpartition, and the DRAM request queue
-	// for the whole device.
-	LGQueueDepth   int
-	MIOQueueDepth  int
-	TEXQueueDepth  int
-	DRAMQueueDepth int
+	// Queue depths (entries) per subpartition. A full queue at issue is a
+	// throttle stall; device memory itself is latency plus bandwidth.
+	LGQueueDepth  int
+	MIOQueueDepth int
+	TEXQueueDepth int
 	// DRAMBytesPerCycle is device memory bandwidth expressed per core cycle.
 	DRAMBytesPerCycle float64
 
@@ -145,9 +141,9 @@ type Spec struct {
 
 // IPCMax returns the paper's IPC_MAX: the number of dispatch units per SM
 // (§IV.C), i.e. the peak warp instructions a single SM can issue per cycle.
-func (s *Spec) IPCMax() float64 {
-	return float64(s.SubpartitionsPerSM * s.DispatchPerSubpartition)
-}
+// Each subpartition has one dispatch unit, and the SM issues at most one
+// warp per subpartition per cycle.
+func (s *Spec) IPCMax() float64 { return float64(s.SubpartitionsPerSM) }
 
 // WarpsPerSM returns the maximum resident warps per SM.
 func (s *Spec) WarpsPerSM() int {
@@ -163,8 +159,6 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("gpu %s: SMs = %d", s.Name, s.SMs)
 	case s.SubpartitionsPerSM < 1:
 		return fmt.Errorf("gpu %s: SubpartitionsPerSM = %d", s.Name, s.SubpartitionsPerSM)
-	case s.DispatchPerSubpartition < 1:
-		return fmt.Errorf("gpu %s: DispatchPerSubpartition = %d", s.Name, s.DispatchPerSubpartition)
 	// The SM scheduler keeps sets of warp slots as 64-bit masks.
 	case s.WarpSlotsPerSubpartition < 1 || s.WarpSlotsPerSubpartition > 64:
 		return fmt.Errorf("gpu %s: WarpSlotsPerSubpartition = %d (want 1 to 64)", s.Name, s.WarpSlotsPerSubpartition)
@@ -199,7 +193,7 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("gpu %s: pipe %s has %d lanes", s.Name, isa.Pipe(p), lanes)
 		}
 	}
-	if s.LGQueueDepth < 1 || s.MIOQueueDepth < 1 || s.TEXQueueDepth < 1 || s.DRAMQueueDepth < 1 {
+	if s.LGQueueDepth < 1 || s.MIOQueueDepth < 1 || s.TEXQueueDepth < 1 {
 		return fmt.Errorf("gpu %s: non-positive queue depth", s.Name)
 	}
 	// The models convert these to unsigned cycle counts and set/way counts:
@@ -262,7 +256,6 @@ func GTX1070() *Spec {
 		MemoryType:         "DDR5",
 		PowerW:             150,
 
-		DispatchPerSubpartition:  1,
 		WarpSlotsPerSubpartition: 16,
 		MaxThreadsPerSM:          2048,
 		MaxBlocksPerSM:           32,
@@ -274,7 +267,6 @@ func GTX1070() *Spec {
 		InstrBytes:         8,
 		ICacheSize:         8 * 1024,
 		ICacheWays:         4,
-		IBufferEntries:     2,
 		FetchCyclesPerLine: 3,
 		DecodeDelay:        4,
 
@@ -317,7 +309,6 @@ func GTX1070() *Spec {
 		LGQueueDepth:      16,
 		MIOQueueDepth:     8,
 		TEXQueueDepth:     4,
-		DRAMQueueDepth:    96,
 		DRAMBytesPerCycle: 170,
 
 		RegFileBanks: 4,
@@ -345,7 +336,6 @@ func QuadroRTX4000() *Spec {
 		MemoryType:         "DDR6",
 		PowerW:             160,
 
-		DispatchPerSubpartition:  1,
 		WarpSlotsPerSubpartition: 16,
 		MaxThreadsPerSM:          1024,
 		MaxBlocksPerSM:           16,
@@ -357,7 +347,6 @@ func QuadroRTX4000() *Spec {
 		InstrBytes:         16,
 		ICacheSize:         16 * 1024,
 		ICacheWays:         4,
-		IBufferEntries:     3,
 		FetchCyclesPerLine: 1,
 		DecodeDelay:        2,
 
@@ -400,7 +389,6 @@ func QuadroRTX4000() *Spec {
 		LGQueueDepth:      16,
 		MIOQueueDepth:     8,
 		TEXQueueDepth:     4,
-		DRAMQueueDepth:    128,
 		DRAMBytesPerCycle: 270,
 
 		RegFileBanks: 4,

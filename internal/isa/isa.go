@@ -150,35 +150,6 @@ func (p Pipe) String() string {
 	return fmt.Sprintf("PIPE_%d", uint8(p))
 }
 
-// Space identifies a memory address space.
-type Space uint8
-
-// Memory spaces.
-const (
-	SpaceNone Space = iota
-	// SpaceGlobal is device memory, cached in L1 and L2.
-	SpaceGlobal
-	// SpaceShared is per-SM scratchpad memory with 32 banks.
-	SpaceShared
-	// SpaceLocal is per-thread spill space (global memory, always coalesced
-	// by the compiler's interleaving).
-	SpaceLocal
-	// SpaceConstant is the read-only constant bank cached by the IMC.
-	SpaceConstant
-	// SpaceTexture is the texture path through L1TEX.
-	SpaceTexture
-)
-
-var spaceNames = [...]string{"", "GLOBAL", "SHARED", "LOCAL", "CONST", "TEX"}
-
-// String implements fmt.Stringer for spaces.
-func (s Space) String() string {
-	if int(s) < len(spaceNames) {
-		return spaceNames[s]
-	}
-	return fmt.Sprintf("SPACE_%d", uint8(s))
-}
-
 // CmpOp is the comparison operator of ISETP/FSETP/DSETP.
 type CmpOp uint8
 
@@ -329,7 +300,6 @@ const (
 type OpInfo struct {
 	Name     string
 	Pipe     Pipe
-	Space    Space // memory space, SpaceNone for non-memory ops
 	IsLoad   bool
 	IsStore  bool
 	IsAtomic bool
@@ -337,10 +307,9 @@ type OpInfo struct {
 	WritesDst bool
 	// WritesPred reports whether the op produces a predicate result.
 	WritesPred bool
-	// IsBranch, IsBarrier, IsExit flag control-flow classes.
-	IsBranch  bool
-	IsBarrier bool
-	IsExit    bool
+	// IsBranch flags the ops that carry a branch target and reconvergence
+	// point.
+	IsBranch bool
 	// NumSrcs is how many GPR sources the op reads.
 	NumSrcs int
 }
@@ -386,20 +355,20 @@ var opInfos = [numOps]OpInfo{
 	OpSHFL: {Name: "SHFL", Pipe: PipeMIO, WritesDst: true, NumSrcs: 1},
 	OpVOTE: {Name: "VOTE.BALLOT", Pipe: PipeALU, WritesDst: true},
 
-	OpLDG:  {Name: "LDG", Pipe: PipeLSU, Space: SpaceGlobal, IsLoad: true, WritesDst: true, NumSrcs: 1},
-	OpSTG:  {Name: "STG", Pipe: PipeLSU, Space: SpaceGlobal, IsStore: true, NumSrcs: 2},
-	OpLDS:  {Name: "LDS", Pipe: PipeMIO, Space: SpaceShared, IsLoad: true, WritesDst: true, NumSrcs: 1},
-	OpSTS:  {Name: "STS", Pipe: PipeMIO, Space: SpaceShared, IsStore: true, NumSrcs: 2},
-	OpLDL:  {Name: "LDL", Pipe: PipeLSU, Space: SpaceLocal, IsLoad: true, WritesDst: true, NumSrcs: 1},
-	OpSTL:  {Name: "STL", Pipe: PipeLSU, Space: SpaceLocal, IsStore: true, NumSrcs: 2},
-	OpLDC:  {Name: "LDC", Pipe: PipeLSU, Space: SpaceConstant, IsLoad: true, WritesDst: true, NumSrcs: 1},
-	OpTEX:  {Name: "TEX", Pipe: PipeTEX, Space: SpaceTexture, IsLoad: true, WritesDst: true, NumSrcs: 1},
-	OpATOM: {Name: "ATOM", Pipe: PipeLSU, Space: SpaceGlobal, IsAtomic: true, IsLoad: true, IsStore: true, WritesDst: true, NumSrcs: 3},
-	OpRED:  {Name: "RED", Pipe: PipeLSU, Space: SpaceGlobal, IsAtomic: true, IsStore: true, NumSrcs: 2},
+	OpLDG:  {Name: "LDG", Pipe: PipeLSU, IsLoad: true, WritesDst: true, NumSrcs: 1},
+	OpSTG:  {Name: "STG", Pipe: PipeLSU, IsStore: true, NumSrcs: 2},
+	OpLDS:  {Name: "LDS", Pipe: PipeMIO, IsLoad: true, WritesDst: true, NumSrcs: 1},
+	OpSTS:  {Name: "STS", Pipe: PipeMIO, IsStore: true, NumSrcs: 2},
+	OpLDL:  {Name: "LDL", Pipe: PipeLSU, IsLoad: true, WritesDst: true, NumSrcs: 1},
+	OpSTL:  {Name: "STL", Pipe: PipeLSU, IsStore: true, NumSrcs: 2},
+	OpLDC:  {Name: "LDC", Pipe: PipeLSU, IsLoad: true, WritesDst: true, NumSrcs: 1},
+	OpTEX:  {Name: "TEX", Pipe: PipeTEX, IsLoad: true, WritesDst: true, NumSrcs: 1},
+	OpATOM: {Name: "ATOM", Pipe: PipeLSU, IsAtomic: true, IsLoad: true, IsStore: true, WritesDst: true, NumSrcs: 3},
+	OpRED:  {Name: "RED", Pipe: PipeLSU, IsAtomic: true, IsStore: true, NumSrcs: 2},
 
 	OpBRA:       {Name: "BRA", Pipe: PipeCBU, IsBranch: true},
-	OpEXIT:      {Name: "EXIT", Pipe: PipeCBU, IsExit: true},
-	OpBAR:       {Name: "BAR.SYNC", Pipe: PipeCBU, IsBarrier: true},
+	OpEXIT:      {Name: "EXIT", Pipe: PipeCBU},
+	OpBAR:       {Name: "BAR.SYNC", Pipe: PipeCBU},
 	OpMEMBAR:    {Name: "MEMBAR", Pipe: PipeCBU},
 	OpNANOSLEEP: {Name: "NANOSLEEP", Pipe: PipeCBU},
 }

@@ -50,29 +50,25 @@ func TestOpPipeAssignments(t *testing.T) {
 	}
 }
 
-func TestMemoryOpSpaces(t *testing.T) {
+func TestMemoryOpLoadsAndStores(t *testing.T) {
 	cases := []struct {
 		op    Op
-		space Space
 		load  bool
 		store bool
 	}{
-		{OpLDG, SpaceGlobal, true, false},
-		{OpSTG, SpaceGlobal, false, true},
-		{OpLDS, SpaceShared, true, false},
-		{OpSTS, SpaceShared, false, true},
-		{OpLDL, SpaceLocal, true, false},
-		{OpSTL, SpaceLocal, false, true},
-		{OpLDC, SpaceConstant, true, false},
-		{OpTEX, SpaceTexture, true, false},
-		{OpATOM, SpaceGlobal, true, true},
-		{OpRED, SpaceGlobal, false, true},
+		{OpLDG, true, false},
+		{OpSTG, false, true},
+		{OpLDS, true, false},
+		{OpSTS, false, true},
+		{OpLDL, true, false},
+		{OpSTL, false, true},
+		{OpLDC, true, false},
+		{OpTEX, true, false},
+		{OpATOM, true, true},
+		{OpRED, false, true},
 	}
 	for _, c := range cases {
 		info := c.op.Info()
-		if info.Space != c.space {
-			t.Errorf("%s: space = %s, want %s", c.op, info.Space, c.space)
-		}
 		if info.IsLoad != c.load || info.IsStore != c.store {
 			t.Errorf("%s: load/store = %v/%v, want %v/%v", c.op, info.IsLoad, info.IsStore, c.load, c.store)
 		}
@@ -190,7 +186,7 @@ func TestDisassemblyShapes(t *testing.T) {
 
 func TestStringerTotality(t *testing.T) {
 	// Every enum's String must be total, including out-of-range values.
-	if Pipe(200).String() == "" || Space(200).String() == "" ||
+	if Pipe(200).String() == "" ||
 		CmpOp(200).String() == "" || MufuFunc(200).String() == "" ||
 		AtomOp(200).String() == "" || Op(200).String() == "" ||
 		SpecialReg(200).String() == "" {

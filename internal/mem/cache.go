@@ -1,8 +1,8 @@
 // Package mem implements the GPU memory substrate: device-memory storage,
 // sectored set-associative caches (L1 data, L1 instruction, immediate-
-// constant), a bandwidth/latency DRAM model with a finite request queue,
-// timed instruction queues (LG/MIO/TEX), the global-memory coalescer and the
-// shared-memory bank-conflict model.
+// constant), a latency-plus-bandwidth DRAM model, timed instruction queues
+// (LG/MIO/TEX), the global-memory coalescer and the shared-memory
+// bank-conflict model.
 //
 // Everything here is deterministic: given the same access sequence, every
 // structure returns the same hits, misses and completion cycles. That
@@ -209,9 +209,6 @@ func (c *Cache) Sets() int { return c.sets }
 
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
-
-// SectorSize returns the sector size in bytes.
-func (c *Cache) SectorSize() uint64 { return 1 << c.sectorShift }
 
 // ResidentLines counts the valid lines currently held. It can never exceed
 // Sets()*Ways(); the invariant checker asserts that bound.

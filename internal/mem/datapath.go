@@ -52,7 +52,7 @@ func NewDataPath(spec *gpu.Spec, smID int, ms *MemSys) *DataPath {
 // cycle of the slowest sector, 0 for none. L1, each L2 slice and each DRAM
 // channel are independent state machines; walking by line hands each of them
 // the sectors it would see one Access at a time, in the same order, so every
-// hit, miss, eviction and queue slot is the per-sector walk's.
+// hit, miss, eviction and bus slot is the per-sector walk's.
 func (dp *DataPath) loadLines(now uint64, sectors []uint64) (done uint64) {
 	for len(sectors) > 0 {
 		var addr uint64

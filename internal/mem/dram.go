@@ -2,103 +2,48 @@ package mem
 
 // DRAMStats counts device-memory activity.
 type DRAMStats struct {
-	Requests     uint64
-	Bytes        uint64
-	QueueRejects uint64 // requests bounced off a full queue
+	Requests uint64
+	Bytes    uint64
 }
 
 // DRAM models device memory as a fixed service latency plus a bandwidth
-// constraint, fronted by a finite request queue. When the queue is full the
-// requester must retry later — the condition the SM reports as a memory-
-// throttle stall.
+// constraint: a request starts when the data bus is free and completes a
+// latency later. Nothing bounds the number in flight; the SM's issue-side
+// throttling comes from its LG, MIO and TEX queues (TimedQueue).
 type DRAM struct {
 	latency       uint64
 	bytesPerCycle float64
-	queueDepth    int
 
 	// bandFree is the cycle at which the data bus becomes free.
 	bandFree float64
-	// inflight[head:] holds completion cycles of queued requests, oldest
-	// first. Drained entries advance head; the slice is compacted lazily so
-	// a drain is amortized O(1) instead of an O(n) copy per completion.
-	inflight []uint64
-	head     int
 	stats    DRAMStats
 }
 
 // NewDRAM builds a DRAM model. latency is the full L2-miss service latency in
 // core cycles; bytesPerCycle is the sustained bandwidth.
-func NewDRAM(latency int, bytesPerCycle float64, queueDepth int) *DRAM {
-	return &DRAM{
-		latency:       uint64(latency),
-		bytesPerCycle: bytesPerCycle,
-		queueDepth:    queueDepth,
-		inflight:      make([]uint64, 0, queueDepth),
-	}
+func NewDRAM(latency int, bytesPerCycle float64) *DRAM {
+	return &DRAM{latency: uint64(latency), bytesPerCycle: bytesPerCycle}
 }
 
-func (d *DRAM) drain(now uint64) {
-	for d.head < len(d.inflight) && d.inflight[d.head] <= now {
-		d.head++
-	}
-	if d.head == len(d.inflight) {
-		d.inflight = d.inflight[:0]
-		d.head = 0
-	} else if d.head > 64 && d.head*2 >= len(d.inflight) {
-		n := copy(d.inflight, d.inflight[d.head:])
-		d.inflight = d.inflight[:n]
-		d.head = 0
-	}
-}
-
-// Full reports whether the request queue is full at the given cycle.
-func (d *DRAM) Full(now uint64) bool {
-	d.drain(now)
-	if len(d.inflight)-d.head >= d.queueDepth {
-		d.stats.QueueRejects++
-		return true
-	}
-	return false
-}
-
-// Request enqueues a transfer of n bytes at cycle now and returns its
-// completion cycle. Callers must check Full first; Request never rejects.
+// Request books a transfer of n bytes at cycle now and returns its
+// completion cycle.
 func (d *DRAM) Request(now uint64, n int) uint64 {
-	d.drain(now)
 	start := float64(now)
 	if d.bandFree > start {
 		start = d.bandFree
 	}
 	d.bandFree = start + float64(n)/d.bytesPerCycle
-	done := uint64(start) + d.latency
-	// Keep the inflight list sorted by completion; completions are
-	// monotonic because start times are.
-	d.inflight = append(d.inflight, done)
 	d.stats.Requests++
 	d.stats.Bytes += uint64(n)
-	return done
+	return uint64(start) + d.latency
 }
 
 // Stats returns a copy of the accumulated statistics.
 func (d *DRAM) Stats() DRAMStats { return d.stats }
 
-// PendingSorted reports whether the live portion of the inflight list is in
-// non-decreasing completion order — the invariant the drain loop depends on.
-// It is a non-mutating scan for the invariant checker.
-func (d *DRAM) PendingSorted() bool {
-	for i := d.head + 1; i < len(d.inflight); i++ {
-		if d.inflight[i] < d.inflight[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
-// Reset clears queue state and statistics.
+// Reset frees the bus and clears statistics.
 func (d *DRAM) Reset() {
 	d.bandFree = 0
-	d.inflight = d.inflight[:0]
-	d.head = 0
 	d.stats = DRAMStats{}
 }
 
@@ -108,7 +53,8 @@ func (d *DRAM) Reset() {
 type TimedQueue struct {
 	depth int
 	// pending[head:] holds live completion cycles, oldest first; drained
-	// entries advance head and the slice is compacted lazily (see DRAM).
+	// entries advance head and the slice is compacted lazily, so a drain is
+	// amortized O(1) instead of an O(n) copy per completion.
 	pending []uint64
 	head    int
 }

@@ -88,7 +88,7 @@ func TestCacheAccountingProperty(t *testing.T) {
 }
 
 func TestDRAMLatencyAndBandwidth(t *testing.T) {
-	d := NewDRAM(100, 2.0, 8) // 2 bytes/cycle
+	d := NewDRAM(100, 2.0) // 2 bytes/cycle
 	done1 := d.Request(0, 32)
 	if done1 != 100 {
 		t.Errorf("first request done at %d, want 100", done1)
@@ -101,21 +101,6 @@ func TestDRAMLatencyAndBandwidth(t *testing.T) {
 	st := d.Stats()
 	if st.Requests != 2 || st.Bytes != 64 {
 		t.Errorf("stats %+v", st)
-	}
-}
-
-func TestDRAMQueueFull(t *testing.T) {
-	d := NewDRAM(1000, 1000, 2)
-	d.Request(0, 32)
-	d.Request(0, 32)
-	if !d.Full(0) {
-		t.Error("queue of depth 2 not full after 2 in-flight requests")
-	}
-	if d.Full(2000) {
-		t.Error("queue still full after completions drained")
-	}
-	if d.Stats().QueueRejects == 0 {
-		t.Error("reject not counted")
 	}
 }
 

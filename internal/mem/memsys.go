@@ -8,14 +8,13 @@ import (
 
 // MemSys is the device-shared half of the memory hierarchy: the L2 cache
 // split into Spec.L2Slices address-interleaved slices, each backed by its own
-// DRAM channel with an equal share of the device bandwidth and request-queue
-// depth. Consecutive cache lines map to consecutive slices (the interleaving
-// real GPUs use across memory partitions), so streaming traffic spreads
-// evenly.
+// DRAM channel with an equal share of the device bandwidth. Consecutive
+// cache lines map to consecutive slices (the interleaving real GPUs use
+// across memory partitions), so streaming traffic spreads evenly.
 //
 // The slicing is part of the device model, not a host-side execution choice:
-// hit/miss sequences and channel queueing depend on it, and the golden report
-// corpus pins them.
+// hit/miss sequences and each channel's bus occupancy depend on it, and the
+// golden report corpus pins them.
 type MemSys struct {
 	spec    *gpu.Spec
 	nSlices int
@@ -62,14 +61,10 @@ func NewMemSys(spec *gpu.Spec) *MemSys {
 		slices:      make([]*Cache, n),
 		chans:       make([]*DRAM, n),
 	}
-	chanDepth := spec.DRAMQueueDepth / n
-	if chanDepth < 1 {
-		chanDepth = 1
-	}
 	for i := 0; i < n; i++ {
 		m.slices[i] = NewCache(fmt.Sprintf("L2[%d]", i), spec.L2Size/n, spec.L2Ways,
 			spec.LineSize, spec.SectorSize)
-		m.chans[i] = NewDRAM(spec.DRAMLatency, spec.DRAMBytesPerCycle/float64(n), chanDepth)
+		m.chans[i] = NewDRAM(spec.DRAMLatency, spec.DRAMBytesPerCycle/float64(n))
 	}
 	return m
 }
@@ -153,7 +148,6 @@ func (m *MemSys) DRAMStats() DRAMStats {
 		s := d.Stats()
 		st.Requests += s.Requests
 		st.Bytes += s.Bytes
-		st.QueueRejects += s.QueueRejects
 	}
 	return st
 }
@@ -165,7 +159,7 @@ func (m *MemSys) FlushL2() {
 	}
 }
 
-// ResetDRAM clears every channel's queue state and statistics.
+// ResetDRAM frees every channel's bus and clears its statistics.
 func (m *MemSys) ResetDRAM() {
 	for _, d := range m.chans {
 		d.Reset()
@@ -173,7 +167,7 @@ func (m *MemSys) ResetDRAM() {
 }
 
 // Reset returns the memory system to what NewMemSys built: every slice cold
-// with zero statistics, every channel empty with zero statistics.
+// with zero statistics, every channel's bus free with zero statistics.
 func (m *MemSys) Reset() {
 	for _, c := range m.slices {
 		c.Reset()

@@ -12,6 +12,7 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"gputopdown/internal/gpu"
@@ -23,10 +24,18 @@ import (
 type Context struct {
 	Spec   *gpu.Spec
 	Values pmu.Values
+	// reads, when not nil, collects each counter the formula reads, in the
+	// order of its first read: how Registry.add learns a metric's Counters.
+	reads []pmu.CounterID
 }
 
 // get reads a raw counter from the context (0 when absent).
-func (c *Context) get(id pmu.CounterID) float64 { return float64(c.Values[id]) }
+func (c *Context) get(id pmu.CounterID) float64 {
+	if c.reads != nil && !slices.Contains(c.reads, id) {
+		c.reads = append(c.reads, id)
+	}
+	return float64(c.Values[id])
+}
 
 func safeDiv(a, b float64) float64 {
 	if b == 0 {
@@ -39,10 +48,13 @@ func safeDiv(a, b float64) float64 {
 type Metric struct {
 	Name        string
 	Description string
-	// Counters lists the raw PMU counters the metric needs; the profiling
-	// session schedules them into passes.
+	// Counters lists the raw PMU counters the metric needs, in the order Eval
+	// first reads them; the profiling session schedules them into passes.
+	// Registry.add fills it in by running Eval once, so a counter the
+	// formula reads cannot be missing from it.
 	Counters []pmu.CounterID
-	// Eval computes the metric from collected counters.
+	// Eval computes the metric from collected counters. It reads every
+	// counter it uses whatever their values, as the formulas here do.
 	Eval func(*Context) float64
 }
 
@@ -51,6 +63,7 @@ type Registry struct {
 	tool    string
 	byName  map[string]*Metric
 	ordered []string
+	probe   *Context // what add runs each formula on, made by the first add
 }
 
 // Tool returns "nvprof" or "ncu".
@@ -103,9 +116,19 @@ func (r *Registry) add(m *Metric) {
 	if _, dup := r.byName[m.Name]; dup {
 		panic("metrics: duplicate metric " + m.Name)
 	}
+	if r.probe == nil {
+		r.probe = &Context{Spec: &probeSpec, reads: make([]pmu.CounterID, 0, pmu.NumCounters)}
+	}
+	r.probe.reads = r.probe.reads[:0]
+	m.Eval(r.probe)
+	m.Counters = slices.Clone(r.probe.reads)
 	r.byName[m.Name] = m
 	r.ordered = append(r.ordered, m.Name)
 }
+
+// probeSpec is the device Registry.add evaluates formulas on; they only
+// read it.
+var probeSpec gpu.Spec
 
 // ForCC returns the metric registry matching a compute capability, the way
 // the paper's tool picks nvprof below CC 7.2 and ncu at or above it.
@@ -144,14 +167,6 @@ func allStallStates() []sm.WarpState {
 	return out
 }
 
-func stallCounters(states []sm.WarpState) []pmu.CounterID {
-	out := make([]pmu.CounterID, len(states))
-	for i, s := range states {
-		out[i] = stall(s)
-	}
-	return out
-}
-
 func sumStates(ctx *Context, states []sm.WarpState) float64 {
 	var t float64
 	for _, s := range states {
@@ -168,7 +183,6 @@ func Nvprof() *Registry {
 	r.add(&Metric{
 		Name:        "ipc",
 		Description: "Average number of executed instructions per cycle, per SM",
-		Counters:    []pmu.CounterID{pmu.CtrInstExecuted, pmu.CtrActiveCycles},
 		Eval: func(c *Context) float64 {
 			return safeDiv(c.get(pmu.CtrInstExecuted), c.get(pmu.CtrActiveCycles))
 		},
@@ -176,7 +190,6 @@ func Nvprof() *Registry {
 	r.add(&Metric{
 		Name:        "issued_ipc",
 		Description: "Average number of instructions issued per cycle, per SM, including replays",
-		Counters:    []pmu.CounterID{pmu.CtrInstIssued, pmu.CtrActiveCycles},
 		Eval: func(c *Context) float64 {
 			return safeDiv(c.get(pmu.CtrInstIssued), c.get(pmu.CtrActiveCycles))
 		},
@@ -184,21 +197,17 @@ func Nvprof() *Registry {
 	r.add(&Metric{
 		Name:        "warp_execution_efficiency",
 		Description: "Ratio of average active threads per warp to the maximum (%)",
-		Counters:    []pmu.CounterID{pmu.CtrThreadInstExecuted, pmu.CtrInstExecuted},
 		Eval: func(c *Context) float64 {
 			return 100 * safeDiv(c.get(pmu.CtrThreadInstExecuted), c.get(pmu.CtrInstExecuted)*32)
 		},
 	})
 
 	// Stall percentages: each group over the sum of all non-issuing states.
-	denomCounters := stallCounters(allStallStates())
 	for name, states := range nvprofStallGroups {
 		states := states
-		ctrs := append(stallCounters(states), denomCounters...)
 		r.add(&Metric{
 			Name:        name,
 			Description: "Percentage of issue stalls attributed to " + name[len("stall_"):],
-			Counters:    ctrs,
 			Eval: func(c *Context) float64 {
 				return 100 * safeDiv(sumStates(c, states), sumStates(c, allStallStates()))
 			},
@@ -208,7 +217,6 @@ func Nvprof() *Registry {
 	r.add(&Metric{
 		Name:        "achieved_occupancy",
 		Description: "Ratio of average active warps per cycle to maximum warps per SM",
-		Counters:    []pmu.CounterID{pmu.CtrActiveWarpCycles, pmu.CtrActiveCycles},
 		Eval: func(c *Context) float64 {
 			return safeDiv(c.get(pmu.CtrActiveWarpCycles),
 				c.get(pmu.CtrActiveCycles)*float64(c.Spec.WarpsPerSM()))
@@ -217,7 +225,6 @@ func Nvprof() *Registry {
 	r.add(&Metric{
 		Name:        "branch_efficiency",
 		Description: "Ratio of non-divergent branches to total branches (%)",
-		Counters:    []pmu.CounterID{pmu.CtrBranchInstrs, pmu.CtrDivergentBranches},
 		Eval: func(c *Context) float64 {
 			b := c.get(pmu.CtrBranchInstrs)
 			return 100 * safeDiv(b-c.get(pmu.CtrDivergentBranches), b)
@@ -226,7 +233,6 @@ func Nvprof() *Registry {
 	r.add(&Metric{
 		Name:        "gld_transactions_per_request",
 		Description: "Average sectors per global load",
-		Counters:    []pmu.CounterID{pmu.CtrLoadSectors, pmu.CtrGlobalLoads},
 		Eval: func(c *Context) float64 {
 			return safeDiv(c.get(pmu.CtrLoadSectors), c.get(pmu.CtrGlobalLoads))
 		},
@@ -234,7 +240,6 @@ func Nvprof() *Registry {
 	r.add(&Metric{
 		Name:        "tex_cache_hit_rate",
 		Description: "L1/tex cache hit rate (%)",
-		Counters:    []pmu.CounterID{pmu.CtrL1Hits, pmu.CtrL1Misses},
 		Eval: func(c *Context) float64 {
 			h := c.get(pmu.CtrL1Hits)
 			return 100 * safeDiv(h, h+c.get(pmu.CtrL1Misses))
@@ -243,7 +248,6 @@ func Nvprof() *Registry {
 	r.add(&Metric{
 		Name:        "l2_tex_hit_rate",
 		Description: "L2 hit rate for L1 misses (%)",
-		Counters:    []pmu.CounterID{pmu.CtrL2Hits, pmu.CtrL2Misses},
 		Eval: func(c *Context) float64 {
 			h := c.get(pmu.CtrL2Hits)
 			return 100 * safeDiv(h, h+c.get(pmu.CtrL2Misses))
@@ -252,7 +256,6 @@ func Nvprof() *Registry {
 	r.add(&Metric{
 		Name:        "shared_replay_overhead",
 		Description: "Average shared-memory replays per executed instruction",
-		Counters:    []pmu.CounterID{pmu.CtrSharedBankConflicts, pmu.CtrInstExecuted},
 		Eval: func(c *Context) float64 {
 			return safeDiv(c.get(pmu.CtrSharedBankConflicts), c.get(pmu.CtrInstExecuted))
 		},
@@ -291,7 +294,6 @@ func NCU() *Registry {
 	r.add(&Metric{
 		Name:        "smsp__inst_executed.avg.per_cycle_active",
 		Description: "Average number of instructions per cycle, per SM",
-		Counters:    []pmu.CounterID{pmu.CtrInstExecuted, pmu.CtrActiveCycles},
 		Eval: func(c *Context) float64 {
 			return safeDiv(c.get(pmu.CtrInstExecuted), c.get(pmu.CtrActiveCycles))
 		},
@@ -299,7 +301,6 @@ func NCU() *Registry {
 	r.add(&Metric{
 		Name:        "smsp__inst_issued.avg.per_cycle_active",
 		Description: "Average number of instructions issued per cycle, per SM, including replayed",
-		Counters:    []pmu.CounterID{pmu.CtrInstIssued, pmu.CtrActiveCycles},
 		Eval: func(c *Context) float64 {
 			return safeDiv(c.get(pmu.CtrInstIssued), c.get(pmu.CtrActiveCycles))
 		},
@@ -307,7 +308,6 @@ func NCU() *Registry {
 	r.add(&Metric{
 		Name:        "smsp__thread_inst_executed_per_inst_executed.ratio",
 		Description: "Ratio of average active threads per warp to the maximum",
-		Counters:    []pmu.CounterID{pmu.CtrThreadInstExecuted, pmu.CtrInstExecuted},
 		Eval: func(c *Context) float64 {
 			return safeDiv(c.get(pmu.CtrThreadInstExecuted), c.get(pmu.CtrInstExecuted))
 		},
@@ -319,7 +319,6 @@ func NCU() *Registry {
 		r.add(&Metric{
 			Name:        name,
 			Description: "Percentage of active warp-cycles stalled in " + seg,
-			Counters:    []pmu.CounterID{stall(state), pmu.CtrActiveWarpCycles},
 			Eval: func(c *Context) float64 {
 				return 100 * safeDiv(c.get(stall(state)), c.get(pmu.CtrActiveWarpCycles))
 			},
@@ -329,7 +328,6 @@ func NCU() *Registry {
 	r.add(&Metric{
 		Name:        "sm__warps_active.avg.pct_of_peak_sustained_active",
 		Description: "Achieved occupancy (%)",
-		Counters:    []pmu.CounterID{pmu.CtrActiveWarpCycles, pmu.CtrActiveCycles},
 		Eval: func(c *Context) float64 {
 			return 100 * safeDiv(c.get(pmu.CtrActiveWarpCycles),
 				c.get(pmu.CtrActiveCycles)*float64(c.Spec.WarpsPerSM()))
@@ -338,7 +336,6 @@ func NCU() *Registry {
 	r.add(&Metric{
 		Name:        "l1tex__t_sector_hit_rate.pct",
 		Description: "L1TEX sector hit rate (%)",
-		Counters:    []pmu.CounterID{pmu.CtrL1Hits, pmu.CtrL1Misses},
 		Eval: func(c *Context) float64 {
 			h := c.get(pmu.CtrL1Hits)
 			return 100 * safeDiv(h, h+c.get(pmu.CtrL1Misses))
@@ -347,7 +344,6 @@ func NCU() *Registry {
 	r.add(&Metric{
 		Name:        "lts__t_sector_hit_rate.pct",
 		Description: "L2 sector hit rate (%)",
-		Counters:    []pmu.CounterID{pmu.CtrL2Hits, pmu.CtrL2Misses},
 		Eval: func(c *Context) float64 {
 			h := c.get(pmu.CtrL2Hits)
 			return 100 * safeDiv(h, h+c.get(pmu.CtrL2Misses))
@@ -356,7 +352,6 @@ func NCU() *Registry {
 	r.add(&Metric{
 		Name:        "idc__request_hit_rate.pct",
 		Description: "Immediate-constant cache hit rate (%)",
-		Counters:    []pmu.CounterID{pmu.CtrIMCHits, pmu.CtrIMCMisses},
 		Eval: func(c *Context) float64 {
 			h := c.get(pmu.CtrIMCHits)
 			return 100 * safeDiv(h, h+c.get(pmu.CtrIMCMisses))
@@ -365,7 +360,6 @@ func NCU() *Registry {
 	r.add(&Metric{
 		Name:        "l1tex__average_t_sectors_per_request_pipe_lsu_mem_global_op_ld.ratio",
 		Description: "Average sectors per global load request",
-		Counters:    []pmu.CounterID{pmu.CtrLoadSectors, pmu.CtrGlobalLoads},
 		Eval: func(c *Context) float64 {
 			return safeDiv(c.get(pmu.CtrLoadSectors), c.get(pmu.CtrGlobalLoads))
 		},
@@ -373,7 +367,6 @@ func NCU() *Registry {
 	r.add(&Metric{
 		Name:        "sm__cycles_active.avg",
 		Description: "Average active cycles per SM",
-		Counters:    []pmu.CounterID{pmu.CtrActiveCycles},
 		Eval: func(c *Context) float64 {
 			return safeDiv(c.get(pmu.CtrActiveCycles), float64(c.Spec.SMs))
 		},

@@ -266,3 +266,37 @@ func TestNamesSortedAndComplete(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricCountersAreWhatTheFormulaReads perturbs each counter in turn
+// under every metric of both registries: the counters whose change moves the
+// value must be exactly the metric's Counters, each listed once. A counter
+// missing from the list would read 0 in a profile; an extra one would cost
+// passes for nothing.
+func TestMetricCountersAreWhatTheFormulaReads(t *testing.T) {
+	var base pmu.Values
+	for id := range base {
+		base[id] = 1000 + 37*uint64(id) // distinct and nonzero: no formula divides by zero
+	}
+	spec := gpu.GTX1070()
+	for _, reg := range []*Registry{Nvprof(), NCU()} {
+		for _, n := range reg.Names() {
+			m, _ := reg.Lookup(n)
+			want := m.Eval(&Context{Spec: spec, Values: base})
+			listed := map[pmu.CounterID]bool{}
+			for _, id := range m.Counters {
+				if listed[id] {
+					t.Errorf("%s/%s lists %s twice", reg.Tool(), n, pmu.Name(id))
+				}
+				listed[id] = true
+			}
+			for _, id := range pmu.AllCounters() {
+				v := base
+				v[id] = 3*v[id] + 11
+				moved := m.Eval(&Context{Spec: spec, Values: v}) != want
+				if moved != listed[id] {
+					t.Errorf("%s/%s: %s moves the value %v, listed %v", reg.Tool(), n, pmu.Name(id), moved, listed[id])
+				}
+			}
+		}
+	}
+}

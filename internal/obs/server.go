@@ -21,17 +21,13 @@ import (
 	"time"
 )
 
-// Server is the embedded observability HTTP server. Build with NewServer,
-// bind with Start, stop with Shutdown. The zero value is not useful.
+// Server is the embedded observability HTTP service. Build with NewServer
+// and serve its Handler on a Listener, or mount it beside other routes (the
+// job daemon does). The zero value is not useful.
 type Server struct {
 	tracer *Tracer
 	reg    *Registry
 	log    *Logger
-
-	mu   sync.Mutex
-	srv  *http.Server
-	ln   net.Listener
-	done chan struct{}
 }
 
 // NewServer builds a server over the given (possibly nil) observability
@@ -41,7 +37,7 @@ func NewServer(tr *Tracer, reg *Registry) *Server {
 	return &Server{tracer: tr, reg: reg}
 }
 
-// SetLogger attaches a logger (component "obs") for lifecycle messages.
+// SetLogger attaches a logger (component "obs") for failed scrapes.
 func (s *Server) SetLogger(l *Logger) { s.log = l.Component("obs") }
 
 // Handler returns the server's routing handler, independent of any listener —
@@ -87,55 +83,68 @@ func (s *Server) handleTrace(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// Start binds addr (":0" picks a free port; query it with Addr) and serves in
-// a background goroutine until Shutdown. Starting an already started server
-// is an error.
-func (s *Server) Start(addr string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.srv != nil {
-		return fmt.Errorf("obs: server already started on %s", s.ln.Addr())
+// Listener is the lifecycle of one HTTP listener, shared by every server in
+// the module: Start binds an address and serves a handler in a background
+// goroutine, Addr reports the bound address, Shutdown stops it. Header reads
+// are bounded, so a client that opens a connection and never finishes its
+// request headers is dropped instead of holding the connection open. The
+// zero value is ready to Start.
+type Listener struct {
+	mu   sync.Mutex
+	srv  *http.Server
+	ln   net.Listener
+	done chan struct{}
+}
+
+// readHeaderTimeout bounds how long a Listener waits for a request's
+// headers.
+var readHeaderTimeout = 10 * time.Second
+
+// Start binds addr (":0" picks a free port; query it with Addr) and serves h
+// in a background goroutine until Shutdown, reporting an abnormal end of the
+// serve loop to log. Starting an already started listener is an error.
+func (l *Listener) Start(addr string, h http.Handler, log *Logger) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.srv != nil {
+		return fmt.Errorf("server already started on %s", l.ln.Addr())
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return fmt.Errorf("obs: listen %s: %w", addr, err)
+		return fmt.Errorf("listen %s: %w", addr, err)
 	}
-	s.ln = ln
-	s.srv = &http.Server{
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	s.done = make(chan struct{})
+	l.ln = ln
+	l.srv = &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+	l.done = make(chan struct{})
 	go func(srv *http.Server, done chan struct{}) {
 		defer close(done)
 		// ErrServerClosed is the normal Shutdown result.
 		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			s.log.Error("observability server failed", "err", err)
+			log.Error("serve loop failed", "addr", ln.Addr().String(), "err", err)
 		}
-	}(s.srv, s.done)
-	s.log.Info("observability server listening", "addr", ln.Addr().String())
+	}(l.srv, l.done)
 	return nil
 }
 
 // Addr returns the bound address ("" before Start).
-func (s *Server) Addr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
+func (l *Listener) Addr() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.ln == nil {
 		return ""
 	}
-	return s.ln.Addr().String()
+	return l.ln.Addr().String()
 }
 
-// Shutdown gracefully stops the server: the listener closes, in-flight
-// requests drain (bounded by ctx), and the serve goroutine exits before
-// Shutdown returns, so no goroutine leaks past it. Shutdown of a never
-// started (or already stopped) server is a no-op.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	srv, done := s.srv, s.done
-	s.srv, s.ln, s.done = nil, nil, nil
-	s.mu.Unlock()
+// Shutdown gracefully stops the listener: it closes, in-flight requests
+// drain (bounded by ctx), and the serve goroutine exits before Shutdown
+// returns, so no goroutine leaks past it. Shutdown of a never started (or
+// already stopped) listener is a no-op.
+func (l *Listener) Shutdown(ctx context.Context) error {
+	l.mu.Lock()
+	srv, done := l.srv, l.done
+	l.srv, l.ln, l.done = nil, nil, nil
+	l.mu.Unlock()
 	if srv == nil {
 		return nil
 	}
@@ -147,6 +156,5 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			err = ctx.Err()
 		}
 	}
-	s.log.Info("observability server stopped", "err", err)
 	return err
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -91,16 +92,17 @@ func TestServerNilComponents(t *testing.T) {
 // and the port closes.
 func TestServerStartShutdown(t *testing.T) {
 	before := runtime.NumGoroutine()
-	srv, _, reg := testServer()
+	svc, _, reg := testServer()
 	reg.Gauge("up", "server liveness", nil).Set(1)
-	if err := srv.Start("127.0.0.1:0"); err != nil {
+	var srv Listener
+	if err := srv.Start("127.0.0.1:0", svc.Handler(), nil); err != nil {
 		t.Fatal(err)
 	}
 	addr := srv.Addr()
 	if addr == "" {
 		t.Fatal("no bound address after Start")
 	}
-	if err := srv.Start("127.0.0.1:0"); err == nil {
+	if err := srv.Start("127.0.0.1:0", svc.Handler(), nil); err == nil {
 		t.Error("second Start succeeded, want already-started error")
 	}
 
@@ -138,6 +140,31 @@ func TestServerStartShutdown(t *testing.T) {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestListenerDropsSlowHeaders: a client that sends part of a request's
+// headers and then nothing is disconnected once the header timeout passes,
+// instead of holding its connection open.
+func TestListenerDropsSlowHeaders(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 100 * time.Millisecond
+	var srv Listener
+	if err := srv.Start("127.0.0.1:0", NewServer(nil, nil).Handler(), nil); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Errorf("connection with unfinished headers still open after 5 s: %v", err)
 	}
 }
 

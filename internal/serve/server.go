@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"sync"
 	"time"
@@ -81,10 +80,7 @@ type Server struct {
 
 	wg sync.WaitGroup
 
-	httpMu sync.Mutex
-	srv    *http.Server
-	ln     net.Listener
-	done   chan struct{}
+	ln obs.Listener // the HTTP listener, between Start and Drain
 
 	mQueued    *obs.Gauge
 	mRunning   *obs.Gauge
@@ -244,39 +240,17 @@ func (s *Server) runJob(id string) {
 // Start listens on addr ("host:0" picks a free port; see Addr) and serves
 // the handler until Drain.
 func (s *Server) Start(addr string) error {
-	s.httpMu.Lock()
-	defer s.httpMu.Unlock()
-	if s.srv != nil {
-		return fmt.Errorf("serve: server already started on %s", s.ln.Addr())
+	if err := s.ln.Start(addr, s.mux, s.log); err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("serve: listen %s: %w", addr, err)
-	}
-	s.ln = ln
-	s.srv = &http.Server{Handler: s.mux}
-	s.done = make(chan struct{})
-	go func(srv *http.Server, done chan struct{}) {
-		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			s.log.Warn("serve loop exited", "err", err)
-		}
-		close(done)
-	}(s.srv, s.done)
 	if s.log.On(obs.LevelInfo) {
-		s.log.Info("daemon listening", "addr", ln.Addr().String())
+		s.log.Info("daemon listening", "addr", s.ln.Addr())
 	}
 	return nil
 }
 
 // Addr returns the bound listen address, or "" before Start.
-func (s *Server) Addr() string {
-	s.httpMu.Lock()
-	defer s.httpMu.Unlock()
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
+func (s *Server) Addr() string { return s.ln.Addr() }
 
 // Drain performs graceful shutdown: new submissions are rejected with 503,
 // still-queued jobs are cancelled, running jobs are given until ctx
@@ -311,15 +285,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		<-idle // cancellation lands within a pass; workers exit promptly
 	}
 
-	s.httpMu.Lock()
-	srv, done := s.srv, s.done
-	s.srv, s.ln, s.done = nil, nil, nil
-	s.httpMu.Unlock()
-	if srv == nil {
-		return nil
-	}
-	err := srv.Shutdown(context.Background())
-	<-done
+	err := s.ln.Shutdown(context.Background())
 	if s.log.On(obs.LevelInfo) {
 		s.log.Info("daemon drained")
 	}

@@ -56,8 +56,8 @@ func TestResetMatchesNew(t *testing.T) {
 				for i := 0; i < 300; i++ {
 					s.Tick()
 				}
-				if len(s.blocks) < 2 {
-					t.Fatalf("reference engine %v: %d blocks resident mid-kernel, want several", reference, len(s.blocks))
+				if s.residentBlocks < 2 {
+					t.Fatalf("reference engine %v: %d blocks resident mid-kernel, want several", reference, s.residentBlocks)
 				}
 			}
 			if len(s.freeBlocks) == 0 || len(s.freeWarps) == 0 || len(s.progCache) == 0 {

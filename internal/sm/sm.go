@@ -42,8 +42,9 @@ type subpart struct {
 	wheelOcc              uint64
 	wheel                 [wheelSpan]uint64
 
-	// draining holds the slots of finished warps waiting for their stores:
-	// what reapFinished visits, in slot order.
+	// draining holds the slots of finished warps waiting for their stores,
+	// each already counted off its block's liveWarps: what reapFinished
+	// visits, in slot order.
 	draining uint64
 
 	// ready[g] is the ready set of gate g, a slot bitmask: the warps whose
@@ -159,7 +160,6 @@ type SM struct {
 	storage   *mem.Storage
 	constBank *mem.ConstantBank
 	subparts  []subpart
-	blocks    []*blockCtx
 	lrr       bool // spec.SchedulingPolicy == "lrr", decided once in New
 
 	cycle     uint64
@@ -250,7 +250,6 @@ func New(spec *gpu.Spec, id int, ms *mem.MemSys, storage *mem.Storage, constBank
 		storage:       storage,
 		constBank:     constBank,
 		subparts:      make([]subpart, nsp),
-		blocks:        make([]*blockCtx, 0, spec.MaxBlocksPerSM),
 		progCache:     make(map[*kernel.Program]*decodedProgram),
 		sectorScratch: make([]uint64, 0, 64),
 	}
@@ -286,7 +285,6 @@ func (s *SM) Reset() {
 	}
 	s.dp.Reset()
 	s.icache.Reset()
-	clear(s.blocks)
 	clear(s.progCache)
 	*s = SM{
 		spec:          s.spec,
@@ -296,7 +294,6 @@ func (s *SM) Reset() {
 		storage:       s.storage,
 		constBank:     s.constBank,
 		subparts:      s.subparts,
-		blocks:        s.blocks[:0],
 		lrr:           s.spec.SchedulingPolicy == "lrr",
 		noWakeList:    referenceEngine,
 		progCache:     s.progCache,
@@ -414,7 +411,6 @@ func (s *SM) LaunchBlock(l *kernel.Launch, ctaid [3]int64, blockLinear int) {
 		}
 		blk.warps = append(blk.warps, w)
 	}
-	s.blocks = append(s.blocks, blk)
 	s.residentBlocks++
 	s.residentThreads += bt
 	s.residentWarps += wpb
@@ -447,7 +443,7 @@ func (s *SM) checkBarrier(b *blockCtx) {
 	}
 	for _, w := range b.warps {
 		if !w.atBarrier {
-			continue // dead or already reaped: its slot may belong to another warp
+			continue // draining or already reaped: its slot may belong to another warp
 		}
 		w.atBarrier = false
 		// The release is a cross-warp event: make the released warp due, so
@@ -513,10 +509,9 @@ func (s *SM) ensureFetched(w *warp, pc int, now uint64) (uint64, bool) {
 func (s *SM) own(w *warp, now uint64) (d *decodedInstr, st WarpState, wake uint64) {
 	w.syncStack()
 	if w.finished {
-		if w.block.liveWarps > 0 && !w.dead {
-			w.dead = true
+		if sp := &s.subparts[w.subp]; sp.draining&(1<<w.slot) == 0 {
+			sp.draining |= 1 << w.slot
 			w.block.liveWarps--
-			s.subparts[w.subp].draining |= 1 << w.slot
 			s.checkBarrier(w.block)
 			// The death may have released the block barrier, changing
 			// peers classified earlier this tick: force a normal tick.
@@ -956,12 +951,6 @@ func (s *SM) reapFinished(now uint64) bool {
 }
 
 func (s *SM) retireBlock(b *blockCtx) {
-	for i, blk := range s.blocks {
-		if blk == b {
-			s.blocks = append(s.blocks[:i], s.blocks[i+1:]...)
-			break
-		}
-	}
 	s.residentBlocks--
 	s.residentShared -= b.launch.SharedBytes()
 	// Every warp of b has been reaped: nothing refers to them or to b.

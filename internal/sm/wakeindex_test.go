@@ -225,7 +225,13 @@ func TestDeathReleaseReachesLaterSlotsInThePass(t *testing.T) {
 		s := testSMOf(spec)
 		s.BeginLaunch(0, 0, 0)
 		s.LaunchBlock(l, [3]int64{}, 0)
-		blk := s.blocks[0]
+		blk := residents(s)[0].block
+		// A warp has died once own has moved it to draining; reapFinished
+		// may already have freed its slot.
+		died := func(w *warp) bool {
+			sp := &s.subparts[w.subp]
+			return sp.draining>>w.slot&1 != 0 || sp.warps[w.slot] != w
+		}
 		var since [8]uint64
 		var dead [8]bool
 		released := false
@@ -235,7 +241,7 @@ func TestDeathReleaseReachesLaterSlotsInThePass(t *testing.T) {
 			}
 			live := blk.liveWarps
 			for i, w := range blk.warps {
-				since[i], dead[i] = w.since, w.dead
+				since[i], dead[i] = w.since, died(w)
 			}
 			now := s.Cycle()
 			s.Tick()
@@ -245,7 +251,7 @@ func TestDeathReleaseReachesLaterSlotsInThePass(t *testing.T) {
 			released = true
 			checked := 0
 			for i, w := range blk.warps {
-				if !w.dead || dead[i] {
+				if !died(w) || dead[i] {
 					continue
 				}
 				// w died in this tick and released the barrier; its peer in the

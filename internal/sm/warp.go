@@ -95,7 +95,6 @@ type warp struct {
 	since uint64
 
 	finished bool
-	dead     bool // finished already accounted against block.liveWarps
 }
 
 // reset makes w the initial context of a warp, whatever it held before: every

@@ -114,3 +114,105 @@ func TestEveryUnexportedFuncIsReferenced(t *testing.T) {
 		}
 	}
 }
+
+// TestEverySpecFieldIsConsumed: every field of gpu.Spec and isa.OpInfo is
+// read by non-test code outside bench/, so every number a device model states
+// changes something the model does. Reads by the type's own methods do not
+// count: a field that only its own Validate or a derived getter looks at is
+// consulted by nothing else. A read is a selector naming the field, not
+// assigned to. Fields are matched by name alone, so one sharing its name with
+// a read field of another type goes unnoticed; nothing that is read fails.
+func TestEverySpecFieldIsConsumed(t *testing.T) {
+	for _, c := range []struct{ file, typ string }{
+		{"internal/gpu/gpu.go", "Spec"},
+		{"internal/isa/isa.go", "OpInfo"},
+	} {
+		fields := structFields(t, c.file, c.typ)
+		if len(fields) == 0 {
+			t.Fatalf("%s declares no struct %s", c.file, c.typ)
+		}
+		read := map[string]bool{}
+		err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+			switch {
+			case err != nil:
+				return err
+			case d.IsDir() && path != "." && (d.Name() == "bench" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")):
+				return filepath.SkipDir
+			case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+				return nil
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+			if err != nil {
+				return err
+			}
+			assigned := map[ast.Expr]bool{}
+			for _, decl := range f.Decls {
+				if path == c.file && isMethodOf(decl, c.typ) {
+					continue
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.AssignStmt:
+						if n.Tok == token.ASSIGN {
+							for _, lhs := range n.Lhs {
+								assigned[lhs] = true
+							}
+						}
+					case *ast.SelectorExpr:
+						if !assigned[n] {
+							read[n.Sel.Name] = true
+						}
+					}
+					return true
+				})
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range fields {
+			if !read[name] {
+				t.Errorf("%s.%s: no non-test code but %[1]s's own methods reads it", c.typ, name)
+			}
+		}
+	}
+}
+
+// structFields lists the field names of the struct type typ declared in file.
+func structFields(t *testing.T, file, typ string) []string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		if ts, ok := n.(*ast.TypeSpec); ok && ts.Name.Name == typ {
+			if st, ok := ts.Type.(*ast.StructType); ok {
+				for _, fld := range st.Fields.List {
+					for _, id := range fld.Names {
+						names = append(names, id.Name)
+					}
+				}
+			}
+			return false
+		}
+		return true
+	})
+	return names
+}
+
+// isMethodOf reports whether decl is a method with receiver typ or *typ.
+func isMethodOf(decl ast.Decl, typ string) bool {
+	fn, ok := decl.(*ast.FuncDecl)
+	if !ok || fn.Recv == nil {
+		return false
+	}
+	recv := fn.Recv.List[0].Type
+	if star, ok := recv.(*ast.StarExpr); ok {
+		recv = star.X
+	}
+	id, ok := recv.(*ast.Ident)
+	return ok && id.Name == typ
+}
