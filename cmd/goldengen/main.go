@@ -11,7 +11,8 @@
 // Run it via `make golden` after an intentional behavior change; on an
 // unchanged tree it is a no-op (the files are byte-identical because the
 // profiler is deterministic and wall-clock is zeroed by the canonical
-// form).
+// form). It evaluates the paper's claims (internal/paper) on the corpus
+// before and after writing and prints every claim whose verdict changed.
 package main
 
 import (
@@ -27,6 +28,7 @@ import (
 	"gputopdown"
 	"gputopdown/internal/check"
 	"gputopdown/internal/gpu"
+	"gputopdown/internal/paper"
 )
 
 // gpus is the corpus device axis: both evaluation GPUs of the paper
@@ -52,6 +54,8 @@ func main() {
 			fatalf("%v", err)
 		}
 	}
+
+	before, beforeErr := check.LoadCorpus(*dir)
 
 	var wrote, unchanged atomic.Int64
 	var firstErr atomic.Value
@@ -91,6 +95,23 @@ func main() {
 	}
 	fmt.Printf("goldengen: %d reports (%d rewritten, %d unchanged)\n",
 		len(jobs), wrote.Load(), unchanged.Load())
+
+	after, err := check.LoadCorpus(*dir)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	if beforeErr != nil {
+		fmt.Printf("goldengen: no complete corpus before this run (%v); claim verdicts not compared\n", beforeErr)
+		return
+	}
+	flips := 0
+	for _, cl := range paper.Claims {
+		if was, is := cl.Verdict(before.Reports), cl.Verdict(after.Reports); was != is {
+			flips++
+			fmt.Printf("claim flipped: %s %q: %s -> %s\n", cl.Fig, cl.Sentence, was, is)
+		}
+	}
+	fmt.Printf("goldengen: %d of %d paper claims changed verdict\n", flips, len(paper.Claims))
 }
 
 // goldenFor profiles one app at the corpus configuration and returns its
