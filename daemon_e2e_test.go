@@ -278,8 +278,8 @@ func TestJobRunnerKeysOnConfiguration(t *testing.T) {
 
 // TestJobRunnerBoundsProfilers: jobs naming 20 configurations (sample_every
 // 1..20) leave at most maxProfilers cached, the least recently used evicted
-// first; a repeat of a retained configuration runs on its profiler and that
-// profiler's idle device, and an evicted one starts over on a new profiler.
+// first; a repeat of a retained configuration runs on its profiler and on the
+// pool's one idle device, and an evicted one starts over on a new profiler.
 func TestJobRunnerBoundsProfilers(t *testing.T) {
 	ctx := context.Background()
 	jr := NewJobRunner("gtx1070", WithReplayCache(true))
@@ -298,17 +298,19 @@ func TestJobRunnerBoundsProfilers(t *testing.T) {
 		}
 		return p
 	}
+	emptyPool()
 	ran := map[int]*Profiler{}
 	for n := 1; n <= 20; n++ {
 		ran[n] = run(n)
 	}
 	// 13..20 are retained; repeating 13 makes 14 the least recently used.
-	dev := ran[13].idle[0]
+	// Every configuration names the same GPU, so all ran on one device.
+	devs := idle()
 	if run(13) != ran[13] {
 		t.Fatal("a retained configuration got a new profiler")
 	}
-	if len(ran[13].idle) != 1 || ran[13].idle[0] != dev {
-		t.Error("repeating a retained configuration did not run on its profiler's idle device")
+	if after := idle(); len(devs) != 1 || len(after) != 1 || after[0] != devs[0] {
+		t.Error("repeating a retained configuration did not run on the pool's idle device")
 	}
 	run(21)
 	if len(jr.profilers) != maxProfilers {

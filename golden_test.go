@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"gputopdown/internal/check"
+	"gputopdown/internal/sim"
 )
 
 // goldenDir is the committed corpus root: one canonical report per suite app
@@ -31,13 +32,16 @@ func goldenPath(gpuID, suite, app string) string {
 }
 
 // goldenProfile profiles one app at the corpus configuration (library
-// defaults; must match cmd/goldengen.goldenFor) and returns canonical bytes.
+// defaults; must match cmd/goldengen.goldenFor) on a new device and returns
+// canonical bytes. The device pool is emptied first, so the golden gate runs
+// on new devices and TestReusedProfilerReproducesGoldens on reset ones.
 func goldenProfile(t *testing.T, gpuID, suite, app string) []byte {
 	t.Helper()
 	spec, ok := LookupGPU(gpuID)
 	if !ok {
 		t.Fatalf("unknown gpu %q", gpuID)
 	}
+	emptyPool()
 	return profileReport(t, NewProfiler(spec), suite, app)
 }
 
@@ -130,11 +134,12 @@ func TestGoldenReports(t *testing.T) {
 	}
 }
 
-// TestReusedProfilerReproducesGoldens: one Profiler per GPU profiles the
-// golden apps forward and then in reverse, so every run after the first is on
-// a device reset after a different app (and, in reverse, the same apps meet
-// other predecessors), and every report must still equal its golden byte for
-// byte. Samples goldenSample by default; GOLDEN_FULL=1 runs all apps.
+// TestReusedProfilerReproducesGoldens: one Profiler per GPU, starting from an
+// empty device pool, profiles the golden apps forward and then in reverse, so
+// every run after the first is on the first run's device reset after a
+// different app (and, in reverse, the same apps meet other predecessors), and
+// every report must still equal its golden byte for byte. Samples
+// goldenSample by default; GOLDEN_FULL=1 runs all apps.
 func TestReusedProfilerReproducesGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiling gate skipped in -short mode")
@@ -142,7 +147,9 @@ func TestReusedProfilerReproducesGoldens(t *testing.T) {
 	for _, g := range goldenGPUs {
 		t.Run(g, func(t *testing.T) {
 			spec, _ := LookupGPU(g)
+			emptyPool()
 			p := NewProfiler(spec)
+			var dev *sim.Device
 			ids := goldenIDs(g)
 			order := append(slices.Clone(ids), ids...)
 			slices.Reverse(order[len(ids):])
@@ -155,9 +162,11 @@ func TestReusedProfilerReproducesGoldens(t *testing.T) {
 				if d := check.DiffJSON(want, profileReport(t, p, suite, app)); d != "" {
 					t.Errorf("run %d (%s) on the reused profiler diverged from its golden:\n%s", i, id, d)
 				}
-				if len(p.idle) != 1 {
-					t.Fatalf("after run %d the profiler holds %d idle devices, want 1", i, len(p.idle))
+				devs := idle()
+				if len(devs) != 1 || dev != nil && devs[0] != dev {
+					t.Fatalf("after run %d the pool holds %d idle devices, want the first run's device alone", i, len(devs))
 				}
+				dev = devs[0]
 			}
 		})
 	}

@@ -9,7 +9,7 @@ package mem
 // unreachable until re-allocated), so cloning costs O(allocated), not
 // O(capacity).
 func (s *Storage) Clone() *Storage {
-	c := &Storage{data: make([]byte, len(s.data)), limit: s.limit, next: s.next, base: s.base}
+	c := &Storage{data: make([]byte, len(s.data)), limit: s.limit, next: s.next, base: s.base, high: s.next}
 	copy(c.data[s.base:s.next], s.data[s.base:s.next])
 	return c
 }

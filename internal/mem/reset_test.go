@@ -66,3 +66,32 @@ func TestStorageResetReadsAsNew(t *testing.T) {
 		t.Error("a reset storage allocates or hashes differently from a new one")
 	}
 }
+
+// TestStorageResetClearsReleasedBytes: Reset zeroes up to the largest
+// watermark since the last Reset, not the current one, so bytes a released
+// allocation wrote read zero after a smaller allocation and a Reset; and a
+// Reset after a small application leaves a large backing zero too.
+func TestStorageResetClearsReleasedBytes(t *testing.T) {
+	const limit = 16 << 20
+	s := NewStorage(limit)
+	mark := s.Mark()
+	a := s.Alloc(3 << 20)
+	for off := uint64(0); off < 3<<20; off += 4 {
+		s.Write(a+off, 0xDEADBEEF, 4)
+	}
+	s.Release(mark)
+	b := s.Alloc(1 << 20)
+	s.Write(b, 0xFEED, 4)
+	s.Reset()
+	s.Write(s.Alloc(4096), 0xCAFE, 4)
+	s.Reset()
+	for i, v := range s.data {
+		if v != 0 {
+			t.Fatalf("byte %#x of the backing is %#x after reset", i, v)
+		}
+	}
+	fresh := NewStorage(limit)
+	if s.next != fresh.next || s.high != fresh.high {
+		t.Errorf("reset storage: next %#x high %#x, new: %#x %#x", s.next, s.high, fresh.next, fresh.high)
+	}
+}

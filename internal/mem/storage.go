@@ -13,14 +13,17 @@ import (
 // immediate failures instead of silent corruption.
 //
 // limit is the device's capacity; data is the host backing, which covers the
-// allocation high-water mark (len(data) >= next always) and grows towards
-// limit as Alloc advances, so a device costs what its application allocates,
-// not what it could.
+// allocation high-water mark high (len(data) >= high >= next always) and
+// grows towards limit as Alloc advances, so a device costs what its
+// application allocates, not what it could. high is the largest next since
+// the last Reset, which Release does not lower: every access is bounds-checked
+// against [base, next), so no byte at or above high has been written.
 type Storage struct {
 	data  []byte
 	limit int
 	next  uint64
 	base  uint64
+	high  uint64
 }
 
 // storagePage is the unmapped null page; minBacking the smallest growth step.
@@ -31,7 +34,7 @@ const (
 
 // NewStorage creates a device memory with a capacity of size bytes.
 func NewStorage(size int) *Storage {
-	return &Storage{data: make([]byte, min(size, storagePage)), limit: size, next: storagePage, base: storagePage}
+	return &Storage{data: make([]byte, min(size, storagePage)), limit: size, next: storagePage, base: storagePage, high: storagePage}
 }
 
 // Alloc reserves n bytes (8-byte aligned) and returns the device address. A
@@ -46,8 +49,11 @@ func (s *Storage) Alloc(n int) uint64 {
 	}
 	addr := s.next
 	s.next = end
-	if s.next > uint64(len(s.data)) {
-		s.grow()
+	if end > s.high {
+		s.high = end
+		if end > uint64(len(s.data)) {
+			s.grow()
+		}
 	}
 	return addr
 }
@@ -65,12 +71,14 @@ func (s *Storage) grow() {
 	s.data = grown
 }
 
-// Reset releases every allocation and zeroes the backing, which it keeps:
-// the storage then reads, allocates and hashes as NewStorage's does, without
-// re-growing what a previous application already grew.
+// Reset releases every allocation and zeroes what was written since the last
+// Reset, [base, high), keeping the whole backing: the storage then reads,
+// allocates and hashes as NewStorage's does, without re-growing what a
+// previous application already grew, and a small application after a large
+// one zeroes only its own footprint on the next Reset.
 func (s *Storage) Reset() {
-	clear(s.data)
-	s.next = s.base
+	clear(s.data[s.base:s.high])
+	s.next, s.high = s.base, s.base
 }
 
 // Size returns the total capacity in bytes.

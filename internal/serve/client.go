@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 )
 
@@ -122,18 +123,25 @@ func (c *Client) Cancel(ctx context.Context, id string) (*JobStatus, error) {
 	return &st, nil
 }
 
-// Wait polls every poll interval until the job reaches a terminal state or
-// ctx expires. It returns the terminal status; a non-succeeded terminal
-// state also returns an error wrapping ErrJobFailed.
+// Wait blocks until the job reaches a terminal state or ctx expires. It
+// asks the server to hold each status request until then (wait_ms, see
+// maxStatusWait), so a job costs one request however long it runs; a status
+// that comes back non-terminal is asked for again after the poll interval.
+// It returns the terminal status; a non-succeeded terminal state also
+// returns an error wrapping ErrJobFailed.
 func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (*JobStatus, error) {
 	if poll <= 0 {
 		poll = 100 * time.Millisecond
 	}
 	t := time.NewTicker(poll)
 	defer t.Stop()
+	path := "/api/v1/jobs/" + id + "?wait_ms=" + strconv.FormatInt(maxStatusWait.Milliseconds(), 10)
 	for {
-		st, err := c.Status(ctx, id)
-		if err != nil {
+		st := new(JobStatus)
+		if err := c.do(ctx, http.MethodGet, path, nil, st); err != nil {
+			if ctx.Err() != nil {
+				return nil, fmt.Errorf("serve client: wait %s: %w", id, ctx.Err())
+			}
 			return nil, err
 		}
 		if st.State.Terminal() {

@@ -119,6 +119,88 @@ func TestSubmitPollReport(t *testing.T) {
 	}
 }
 
+// countingTransport counts the GET requests a client makes.
+type countingTransport struct{ gets atomic.Int64 }
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method == http.MethodGet {
+		c.gets.Add(1)
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestWaitIsOneRequest: the server holds Wait's status request until the job
+// ends, so waiting costs one request however long the job runs — not one
+// per poll interval, which would make a client's load follow the job's
+// duration.
+func TestWaitIsOneRequest(t *testing.T) {
+	release := make(chan struct{})
+	s := mustServer(t, Options{Runner: func(ctx context.Context, req *JobRequest) (*Report, error) {
+		<-release
+		return testReport(req), nil
+	}})
+	h := httptest.NewServer(s.Handler())
+	defer h.Close()
+	tr := &countingTransport{}
+	c := &Client{Base: h.URL, HTTP: &http.Client{Transport: tr}}
+	ctx := context.Background()
+
+	st, err := c.Submit(ctx, request())
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.AfterFunc(50*time.Millisecond, func() { close(release) })
+	if st, err = c.Wait(ctx, st.ID, time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateSucceeded {
+		t.Fatalf("Wait returned %s, want succeeded", st.State)
+	}
+	if n := tr.gets.Load(); n != 1 {
+		t.Errorf("Wait over a 50 ms job at a 1 ms poll interval made %d status requests, want 1", n)
+	}
+}
+
+// TestStatusWaitParameter: wait_ms is validated, ends at its own bound with
+// the job still running, and does not hold a request for an unknown job.
+func TestStatusWaitParameter(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	s := mustServer(t, Options{Runner: func(ctx context.Context, req *JobRequest) (*Report, error) {
+		<-release
+		return testReport(req), nil
+	}})
+	st, err := s.Submit(request())
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func(query string) (int, *JobStatus, time.Duration) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		start := time.Now()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/jobs/"+query, nil))
+		var cur JobStatus
+		if rec.Code == http.StatusOK {
+			if err := json.Unmarshal(rec.Body.Bytes(), &cur); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return rec.Code, &cur, time.Since(start)
+	}
+	for _, q := range []string{"x", "-1", "1.5"} {
+		if code, _, _ := get(st.ID + "?wait_ms=" + q); code != http.StatusBadRequest {
+			t.Errorf("wait_ms=%s answered %d, want 400", q, code)
+		}
+	}
+	if code, _, took := get("job-999999?wait_ms=10000"); code != http.StatusNotFound || took > 5*time.Second {
+		t.Errorf("unknown job with wait_ms answered %d after %v, want 404 at once", code, took)
+	}
+	code, cur, took := get(st.ID + "?wait_ms=20")
+	if code != http.StatusOK || cur.State.Terminal() || took < 20*time.Millisecond {
+		t.Errorf("wait_ms=20 on a blocked job answered %d, state %s, after %v; want 200, non-terminal, >= 20ms", code, cur.State, took)
+	}
+}
+
 // TestSubmitValidation: schema violations come back as 400/ErrBadRequest
 // without ever reaching the queue.
 func TestSubmitValidation(t *testing.T) {

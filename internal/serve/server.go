@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -331,8 +332,32 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.store.List()})
 }
 
+// maxStatusWait caps how long a status request's wait_ms holds it.
+const maxStatusWait = 30 * time.Second
+
+// handleStatus answers with the job's status. With wait_ms it first holds
+// the request until the job is terminal, wait_ms (at most maxStatusWait)
+// has passed or the client has gone, so a waiting client needs one request
+// however long the job runs.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st, err := s.store.Status(r.PathValue("id"))
+	id := r.PathValue("id")
+	if q := r.URL.Query().Get("wait_ms"); q != "" {
+		ms, err := strconv.ParseInt(q, 10, 64)
+		if err != nil || ms < 0 {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("%w: wait_ms %q is not a non-negative integer", ErrBadRequest, q))
+			return
+		}
+		if done, err := s.store.done(id); err == nil {
+			t := time.NewTimer(time.Duration(min(ms, maxStatusWait.Milliseconds())) * time.Millisecond)
+			select {
+			case <-done:
+			case <-t.C:
+			case <-r.Context().Done():
+			}
+			t.Stop()
+		}
+	}
+	st, err := s.store.Status(id)
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return

@@ -33,6 +33,8 @@ type job struct {
 	cancel context.CancelCauseFunc
 	// report is set exactly once, on success.
 	report *Report
+	// done is closed when the job reaches a terminal state.
+	done chan struct{}
 }
 
 // Store is the in-memory job registry: submission order preserved, statuses
@@ -60,6 +62,7 @@ func (st *Store) Add(req *JobRequest, now time.Time) string {
 		req:         req,
 		submittedAt: now,
 		state:       StateQueued,
+		done:        make(chan struct{}),
 	}
 	st.order = append(st.order, id)
 	return id
@@ -87,6 +90,24 @@ func (j *job) snapshot() *JobStatus {
 		s.FinishedAt = &t
 	}
 	return s
+}
+
+// terminate moves the job to a terminal state and wakes every request held
+// on it. Caller holds st.mu.
+func (j *job) terminate(state JobState, err error, now time.Time) {
+	j.state, j.err, j.finishedAt = state, err, now
+	close(j.done)
+}
+
+// done returns a channel that is closed once the job is terminal.
+func (st *Store) done(id string) (<-chan struct{}, error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	j, ok := st.jobs[id]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrUnknownJob, id)
+	}
+	return j.done, nil
 }
 
 // Status returns the wire status of one job.
@@ -136,9 +157,7 @@ func (st *Store) Cancel(id string, now time.Time) (*JobStatus, error) {
 	}
 	switch j.state {
 	case StateQueued:
-		j.state = StateCancelled
-		j.err = ErrJobCancelled
-		j.finishedAt = now
+		j.terminate(StateCancelled, ErrJobCancelled, now)
 	case StateRunning:
 		if j.cancel != nil {
 			j.cancel(ErrJobCancelled)
@@ -172,11 +191,9 @@ func (st *Store) finish(id string, state JobState, rep *Report, err error, now t
 	if !ok {
 		return
 	}
-	j.state = state
 	j.report = rep
-	j.err = err
-	j.finishedAt = now
 	j.cancel = nil
+	j.terminate(state, err, now)
 }
 
 // cancelQueued marks every still-queued job cancelled with cause — the
@@ -187,9 +204,7 @@ func (st *Store) cancelQueued(cause error, now time.Time) int {
 	n := 0
 	for _, j := range st.jobs {
 		if j.state == StateQueued {
-			j.state = StateCancelled
-			j.err = cause
-			j.finishedAt = now
+			j.terminate(StateCancelled, cause, now)
 			n++
 		}
 	}

@@ -59,7 +59,7 @@ type Checker interface {
 
 // Device is one simulated GPU.
 type Device struct {
-	Spec    *gpu.Spec
+	Spec    *gpu.Spec // the device's own copy (see NewDeviceMem)
 	Storage *mem.Storage
 	Const   *mem.ConstantBank
 	Mem     *mem.MemSys // address-sliced L2 banks + per-slice DRAM channels
@@ -113,12 +113,14 @@ func NewDevice(spec *gpu.Spec) *Device {
 }
 
 // NewDeviceMem builds a device with an explicit global-memory capacity in
-// bytes.
+// bytes. The device, its SMs and its memory system share a copy of *spec, so
+// a caller that edits its spec afterwards changes no device built from it.
 func NewDeviceMem(spec *gpu.Spec, memBytes int) *Device {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	return assemble(spec, mem.NewStorage(memBytes), mem.NewConstantBank(spec.ConstBankSize))
+	own := *spec
+	return assemble(&own, mem.NewStorage(memBytes), mem.NewConstantBank(own.ConstBankSize))
 }
 
 // assemble wires SMs and the sliced memory system around the given substrate.

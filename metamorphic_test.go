@@ -21,10 +21,11 @@ func profileOnLoop(p *Profiler, fastForward bool, app *App) (*AppResult, error) 
 
 // metamorphicRunner builds the check.Runner for one app on one device: each
 // configuration gets a fresh profiler (no shared replay cache between
-// property runs) and returns the canonical report bytes. For the
-// reused-device property the profiler first runs rodinia/pathfinder, which
-// needs more registers and shared memory per block than any app the matrix
-// profiles, so the app runs on that device reset.
+// property runs) and an empty device pool (so it runs on a new device), and
+// returns the canonical report bytes. For the reused-device property the
+// profiler first runs rodinia/pathfinder, which needs more registers and
+// shared memory per block than any app the matrix profiles, so the app runs
+// on that device reset.
 func metamorphicRunner(t *testing.T, spec *GPUSpec, suite, app string) check.Runner {
 	t.Helper()
 	a, err := GetApp(suite, app)
@@ -48,13 +49,14 @@ func metamorphicRunner(t *testing.T, spec *GPUSpec, suite, app string) check.Run
 		if cfg.Observer {
 			opts = append(opts, WithObserver(NewTracer(), NewMetricsRegistry()))
 		}
+		emptyPool()
 		p := NewProfiler(spec, opts...)
 		if cfg.ReusedDevice {
 			if _, err := profileOnLoop(p, cfg.FastForward, heavy); err != nil {
 				return nil, err
 			}
-			if len(p.idle) != 1 {
-				return nil, fmt.Errorf("%s left %d idle devices, want 1", heavy.ID(), len(p.idle))
+			if n := len(idle()); n != 1 {
+				return nil, fmt.Errorf("%s left %d idle devices, want 1", heavy.ID(), n)
 			}
 		}
 		res, err := profileOnLoop(p, cfg.FastForward, a)

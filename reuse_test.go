@@ -1,9 +1,11 @@
 package gputopdown
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,6 +15,33 @@ import (
 	"gputopdown/internal/workloads"
 )
 
+// idle returns the pool's idle devices, least recently released first.
+func idle() []*sim.Device {
+	idleDevices.Lock()
+	defer idleDevices.Unlock()
+	return slices.Clone(idleDevices.devs)
+}
+
+// emptyPool drops every idle device, so the next run of any profiler builds
+// a new one.
+func emptyPool() {
+	idleDevices.Lock()
+	idleDevices.devs = nil
+	idleDevices.Unlock()
+}
+
+// allocatedBy returns the bytes profiling app on p allocates.
+func allocatedBy(t *testing.T, p *Profiler, app *App) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := p.ProfileApp(context.Background(), app); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
 // TestReusedProfilerAllocs: a profiler's second run of an application takes a
 // reset device instead of building one, so it allocates a small fraction of
 // what the first run, which built the device, allocated.
@@ -21,26 +50,150 @@ func TestReusedProfilerAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	emptyPool()
 	p := NewProfiler(QuadroRTX4000())
-	allocated := func() uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if _, err := p.ProfileApp(context.Background(), app); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	first, second := allocated(), allocated()
+	first, second := allocatedBy(t, p, app), allocatedBy(t, p, app)
 	if second*4 > first {
 		t.Errorf("the second profile of %s allocated %d bytes, the first %d; want at most 25 %%", app.ID(), second, first)
 	}
 }
 
+// TestFreshProfilerAllocs: a second fresh profiler of the same GPU model,
+// built from its own spec value, takes the device the first one released, so
+// its run allocates a small fraction of what the first run, which built the
+// device, allocated.
+func TestFreshProfilerAllocs(t *testing.T) {
+	app, err := GetApp("rodinia", "myocyte")
+	if err != nil {
+		t.Fatal(err)
+	}
+	emptyPool()
+	first := allocatedBy(t, NewProfiler(QuadroRTX4000()), app)
+	second := allocatedBy(t, NewProfiler(QuadroRTX4000()), app)
+	if second*4 > first {
+		t.Errorf("a second fresh profiler's profile of %s allocated %d bytes, the first's %d; want at most 25 %%", app.ID(), second, first)
+	}
+}
+
+// TestIdleDevicesBounded: releasing more devices than maxIdleDevices, each of
+// a distinct model, keeps the most recently released ones and drops the
+// least recently released; a profiler whose model is no longer pooled builds
+// a new device, and one whose model is pooled takes that device.
+func TestIdleDevicesBounded(t *testing.T) {
+	emptyPool()
+	var released []*sim.Device
+	for n := 1; n <= maxIdleDevices+1; n++ {
+		p := NewProfiler(GTX1070().WithSMs(n))
+		dev := p.takeDevice()
+		p.releaseDevice(dev)
+		released = append(released, dev)
+	}
+	if devs := idle(); !slices.Equal(devs, released[1:]) {
+		t.Fatalf("the pool holds %d devices after %d releases; want the last %d, in release order", len(devs), len(released), maxIdleDevices)
+	}
+	if dev := NewProfiler(GTX1070().WithSMs(1)).takeDevice(); dev == released[0] || slices.Contains(idle(), dev) {
+		t.Error("a profiler took the dropped device or another model's device")
+	}
+	if dev := NewProfiler(GTX1070().WithSMs(2)).takeDevice(); dev != released[1] || slices.Contains(idle(), dev) {
+		t.Error("a profiler did not take the idle device of its model out of the pool")
+	}
+}
+
+// TestDeviceOwnsItsSpec: a caller that edits the spec it profiled with, as
+// cmd/whatif builds variants, neither changes the device the first run left
+// idle nor gets that device for the edited model; a profiler on the original
+// value then still takes it and reproduces the golden report.
+func TestDeviceOwnsItsSpec(t *testing.T) {
+	want, err := os.ReadFile(goldenPath("gtx1070", "rodinia", "myocyte"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	emptyPool()
+	spec := GTX1070()
+	profileReport(t, NewProfiler(spec), "rodinia", "myocyte")
+	original := idle()
+	spec.L1Size *= 2
+	profileReport(t, NewProfiler(spec), "rodinia", "myocyte")
+	devs := idle()
+	if len(original) != 1 || len(devs) != 2 || devs[0] != original[0] {
+		t.Fatalf("the edited model's run took the original model's device (pool %d then %d devices)", len(original), len(devs))
+	}
+	if devs[0].Spec.L1Size != GTX1070().L1Size || devs[1].Spec.L1Size != spec.L1Size {
+		t.Fatalf("device L1 sizes %d and %d, want %d and %d", devs[0].Spec.L1Size, devs[1].Spec.L1Size, GTX1070().L1Size, spec.L1Size)
+	}
+	if d := check.DiffJSON(want, profileReport(t, NewProfiler(GTX1070()), "rodinia", "myocyte")); d != "" {
+		t.Errorf("the original model's run after an edited one diverged from its golden:\n%s", d)
+	}
+	if after := idle(); len(after) != 2 || after[1] != original[0] {
+		t.Error("the original model's run did not take the original model's device")
+	}
+}
+
+// TestPooledDeviceForgetsItsProfiler: a device that a profiler with a checker,
+// a tracer and metrics, a logger, sampling and HWPM collection used last, in
+// a run that ended with a panicked kernel, keeps none of those hooks while
+// idle, and serves a plain profiler next. The plain run reproduces its golden
+// report, reaches none of the first profiler's hooks, and builds no device.
+func TestPooledDeviceForgetsItsProfiler(t *testing.T) {
+	myocyte, err := GetApp("rodinia", "myocyte")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(goldenPath("gtx1070", "rodinia", "myocyte"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	emptyPool()
+	tr := NewTracer()
+	var logged bytes.Buffer
+	logger, err := NewLogger(&logged, "debug", "text")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := NewProfiler(GTX1070(), WithChecks(true), WithObserver(tr, NewMetricsRegistry()),
+		WithLogger(logger), WithSampling(3), WithHWPM())
+	endsWild := &App{Name: "myocyte_wild", Suite: "test", Run: func(rc *workloads.RunCtx) error {
+		if err := myocyte.Run(rc); err != nil {
+			return err
+		}
+		return rc.Exec(wildLaunch())
+	}}
+	res, err := first.ProfileApp(context.Background(), endsWild)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Failed) != 1 {
+		t.Fatalf("the first run isolated %d panicked kernels, want 1", len(res.Failed))
+	}
+	devs := idle()
+	events, lines := tr.Len(), logged.Len()
+	if len(devs) != 1 || events == 0 || lines == 0 {
+		t.Fatalf("after the first run: %d idle devices, %d trace events, %d log bytes", len(devs), events, lines)
+	}
+	nop := kernel.NewBuilder("nop")
+	nop.Exit()
+	devs[0].MustLaunch(&kernel.Launch{Program: nop.MustBuild(), Grid: kernel.Dim3{X: 1}, Block: kernel.Dim3{X: 32}})
+	if tr.Len() != events || logged.Len() != lines {
+		t.Fatalf("a launch on the idle device reached the first profiler's tracer (%d → %d events) or logger (%d → %d bytes)",
+			events, tr.Len(), lines, logged.Len())
+	}
+	if d := check.DiffJSON(want, profileReport(t, NewProfiler(GTX1070()), "rodinia", "myocyte")); d != "" {
+		t.Errorf("the plain run on the pooled device diverged from its golden:\n%s", d)
+	}
+	if tr.Len() != events || logged.Len() != lines {
+		t.Errorf("the plain run reached the first profiler's tracer (%d → %d events) or logger (%d → %d bytes)",
+			events, tr.Len(), lines, logged.Len())
+	}
+	if after := idle(); len(after) != 1 || after[0] != devs[0] {
+		t.Error("the plain run did not run on the pooled device")
+	}
+}
+
 // TestProfileAppsReusesDevices: ProfileApps runs every golden-sample app
 // twice on one profiler, its workers taking devices from and returning them
-// to the profiler concurrently. Both profiles of an app are byte-equal, and
-// the profiler ends up holding no more devices than ProfileApps ran workers.
+// to the pool concurrently. Both profiles of an app are byte-equal, and the
+// pool, empty before, ends up holding no more devices than ProfileApps ran
+// workers.
 func TestProfileAppsReusesDevices(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiling skipped in -short mode")
@@ -58,6 +211,7 @@ func TestProfileAppsReusesDevices(t *testing.T) {
 	}
 	n := len(apps)
 	apps = append(apps, apps...)
+	emptyPool()
 	p := NewProfiler(QuadroRTX4000().WithSMs(4))
 	res, err := p.ProfileApps(context.Background(), apps)
 	if err != nil {
@@ -76,8 +230,8 @@ func TestProfileAppsReusesDevices(t *testing.T) {
 			t.Errorf("the two profiles of %s differ:\n%s", apps[i].ID(), d)
 		}
 	}
-	if workers := min(runtime.NumCPU(), len(apps)); len(p.idle) == 0 || len(p.idle) > workers {
-		t.Errorf("the profiler holds %d idle devices after %d workers ran, want 1..%d", len(p.idle), workers, workers)
+	if workers, n := min(runtime.NumCPU(), len(apps)), len(idle()); n == 0 || n > workers {
+		t.Errorf("the pool holds %d idle devices after %d workers ran, want 1..%d", n, workers, workers)
 	}
 }
 
@@ -115,8 +269,9 @@ func (c cancelInLaunch) CheckLaunch(*sim.Device, *sim.RunResult) {}
 
 // TestFailedRunReturnsItsDevice: a run that is cancelled between launches or
 // inside one, whose every kernel panics, that isolates one panicked kernel, or
-// that panics on the host side gives its device back, and the next run on the
-// same profiler takes that device and still reproduces its golden report.
+// that panics on the host side gives its device back to the pool, and the
+// next run on the same profiler takes that device and still reproduces its
+// golden report.
 func TestFailedRunReturnsItsDevice(t *testing.T) {
 	myocyte, err := GetApp("rodinia", "myocyte")
 	if err != nil {
@@ -126,17 +281,18 @@ func TestFailedRunReturnsItsDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	emptyPool()
 	p := NewProfiler(GTX1070())
 	clean := func(after string) {
 		t.Helper()
-		if len(p.idle) != 1 {
-			t.Fatalf("after %s the profiler holds %d idle devices, want 1", after, len(p.idle))
+		devs := idle()
+		if len(devs) != 1 {
+			t.Fatalf("after %s the pool holds %d idle devices, want 1", after, len(devs))
 		}
-		dev := p.idle[0]
 		if d := check.DiffJSON(want, profileReport(t, p, "rodinia", "myocyte")); d != "" {
 			t.Errorf("the clean run after %s diverged from its golden:\n%s", after, d)
 		}
-		if len(p.idle) != 1 || p.idle[0] != dev {
+		if now := idle(); len(now) != 1 || now[0] != devs[0] {
 			t.Fatalf("the clean run after %s did not run on the device %s returned", after, after)
 		}
 	}

@@ -53,17 +53,17 @@ const (
 func NewJobServer(opts JobServerOptions) (*JobServer, error) { return serve.New(opts) }
 
 // maxProfilers bounds JobRunner's profiler cache. A cached profiler holds its
-// replay cache and its idle devices — megabytes — and requests can name
-// configurations without limit (sample_every is any positive integer), so
-// past this many the least recently used profiler is evicted, taking both
-// with it.
+// replay cache — megabytes; its devices are in the process-wide idle pool,
+// bounded by maxIdleDevices — and requests can name configurations without
+// limit (sample_every is any positive integer), so past this many the least
+// recently used profiler is evicted, taking its cache with it.
 const maxProfilers = 8
 
 // JobRunner executes job requests through the library API. It caches one
 // Profiler per distinct request configuration, up to maxProfilers, so jobs
-// with the same config share a replay cache and reuse devices (repeat
-// submissions hit warm autotune and replay state, like repeated ProfileApp
-// calls on one Profiler).
+// with the same config share a replay cache (repeat submissions hit warm
+// autotune and replay state, like repeated ProfileApp calls on one Profiler).
+// Jobs on the same GPU reuse idle devices whatever their configuration.
 type JobRunner struct {
 	defaultGPU string
 	base       []Option

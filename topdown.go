@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -186,11 +187,12 @@ func WithLogger(l *Logger) Option { return func(p *Profiler) { p.logger = l } }
 // Building one opens no socket and starts no goroutine, so the same []Option
 // can build any number of profilers.
 //
-// A Profiler keeps the simulated devices its runs used: each run takes an
-// idle device and resets it (sim.Device.Reset), building one only when none
-// is idle, and gives it back however the run ends — a reset brings a device
-// back from any state. It therefore holds at most as many devices as it ever
-// ran applications concurrently.
+// A Profiler holds no device between runs: each run takes an idle device of
+// its GPU model from a process-wide pool and resets it (sim.Device.Reset),
+// building one only when none is idle, and gives it back however the run
+// ends — a reset brings a device back from any state. A fresh Profiler
+// therefore runs on a device an earlier profiler of the same model released,
+// when one is idle.
 type Profiler struct {
 	spec        *gpu.Spec
 	level       int
@@ -204,24 +206,39 @@ type Profiler struct {
 	tracer      *obs.Tracer
 	metrics     *obs.Registry
 	logger      *obs.Logger
-
-	devMu sync.Mutex
-	idle  []*sim.Device
 }
 
-// takeDevice returns an idle device, reset, or a new one when none is idle,
-// with the profiler's checker, observers and logger attached: this is the one
-// place they reach a device, and Reset detaches them again. The reset happens
-// here rather than on release, so a profiler that runs one application pays
-// for exactly one new device.
+// maxIdleDevices bounds the idle-device pool. An idle device holds what its
+// largest run made resident — megabytes — and a process can name GPU models
+// without limit (WithSMs, cmd/whatif's variants), so past this many the least
+// recently released device is dropped.
+const maxIdleDevices = 8
+
+// idleDevices is the process's one pool of idle devices, least recently
+// released first. Any profiler whose spec equals a device's by value may take
+// it; a device owns a copy of its spec (sim.NewDeviceMem), so the comparison
+// cannot be changed under it.
+var idleDevices struct {
+	sync.Mutex
+	devs []*sim.Device
+}
+
+// takeDevice returns an idle device of the profiler's model, reset, or a new
+// one when none is idle, with the profiler's checker, observers and logger
+// attached: this is the one place they reach a device, and Reset detaches
+// them again. The reset happens here rather than on release, so a device
+// dropped from the pool is never reset for nothing.
 func (p *Profiler) takeDevice() *sim.Device {
-	p.devMu.Lock()
 	var dev *sim.Device
-	if n := len(p.idle); n > 0 {
-		dev = p.idle[n-1]
-		p.idle = p.idle[:n-1]
+	idleDevices.Lock()
+	for i := len(idleDevices.devs) - 1; i >= 0; i-- {
+		if *idleDevices.devs[i].Spec == *p.spec {
+			dev = idleDevices.devs[i]
+			idleDevices.devs = slices.Delete(idleDevices.devs, i, i+1)
+			break
+		}
 	}
-	p.devMu.Unlock()
+	idleDevices.Unlock()
 	if dev == nil {
 		dev = sim.NewDevice(p.spec)
 	} else {
@@ -239,11 +256,20 @@ func (p *Profiler) takeDevice() *sim.Device {
 	return dev
 }
 
-// releaseDevice makes dev idle again when its run ends, cleanly or not.
+// releaseDevice makes dev idle again when its run ends, cleanly or not,
+// dropping the least recently released device past maxIdleDevices. It
+// detaches the hooks the run attached, so an idle device keeps no profiler's
+// checker, observers or logger alive.
 func (p *Profiler) releaseDevice(dev *sim.Device) {
-	p.devMu.Lock()
-	p.idle = append(p.idle, dev)
-	p.devMu.Unlock()
+	dev.SetChecker(nil)
+	dev.SetObserver(nil, nil)
+	dev.SetLogger(nil)
+	idleDevices.Lock()
+	if len(idleDevices.devs) == maxIdleDevices {
+		idleDevices.devs = slices.Delete(idleDevices.devs, 0, 1)
+	}
+	idleDevices.devs = append(idleDevices.devs, dev)
+	idleDevices.Unlock()
 }
 
 // NewProfiler builds a profiler for a device model. The default is a
