@@ -14,6 +14,7 @@ import (
 
 	"gputopdown/internal/check"
 	"gputopdown/internal/obs"
+	"gputopdown/internal/sim"
 )
 
 // startDaemon builds a real JobRunner-backed daemon on a free port and
@@ -103,9 +104,9 @@ func TestDaemonReportBitIdentical(t *testing.T) {
 
 // TestDaemonIgnoredEngineFields pins v1 wire compatibility for the removed
 // engine selectors: a body carrying replay_workers, sim_workers or
-// fast_forward still passes the strict decoder, yields the byte-identical
-// canonical report, and shares the cached Profiler of the same job without
-// them; a negative replay_workers or sim_workers is still a 400.
+// fast_forward still passes the strict decoder and yields the byte-identical
+// canonical report of the same job without them; a negative replay_workers
+// or sim_workers is still a 400.
 func TestDaemonIgnoredEngineFields(t *testing.T) {
 	ctx := context.Background()
 	runner := NewJobRunner("gtx1070")
@@ -152,12 +153,6 @@ func TestDaemonIgnoredEngineFields(t *testing.T) {
 			t.Errorf("%+v = %v, want HTTP 400", bad, err)
 		}
 	}
-	runner.mu.Lock()
-	n := len(runner.profilers)
-	runner.mu.Unlock()
-	if n != 1 {
-		t.Errorf("runner cached %d profilers for jobs differing only in ignored fields, want 1", n)
-	}
 }
 
 // TestDaemonProgressUnavailable: there is no progress scoreboard — the live
@@ -197,130 +192,106 @@ func TestDaemonProgressUnavailable(t *testing.T) {
 	}
 }
 
+// runCounted runs req through jr, whose profilers count on reg, and returns
+// the job's canonical report and the replay-cache hits and misses it added.
+func runCounted(t *testing.T, jr *JobRunner, reg *MetricsRegistry, req JobRequest) (report []byte, hits, misses float64) {
+	t.Helper()
+	h0, m0 := cacheLookups(reg)
+	rep, err := jr.Run(context.Background(), &req)
+	if err != nil {
+		t.Fatalf("%+v: %v", req, err)
+	}
+	if report, err = check.ReportJSON(rep); err != nil {
+		t.Fatal(err)
+	}
+	h1, m1 := cacheLookups(reg)
+	return report, h1 - h0, m1 - m0
+}
+
 // TestJobRunnerKeysReplayCacheByValue: replay_cache is a *bool on the wire,
-// so every decoded request carries its own pointer. Requests that agree on
-// the pointed-to value must share one Profiler (and so one warm replay
-// cache); unset means the runner's default (off here), so it shares with
-// false, and true stays distinct.
+// so every decoded request carries its own pointer, and what a job does
+// follows the pointed-to value. A repeat replay_cache:true job runs on a
+// profiler of its own and is still served wholly from the process's replay
+// cache, with the first job's report; false, or unset (the runner's default,
+// off here), consults no cache.
 func TestJobRunnerKeysReplayCacheByValue(t *testing.T) {
-	jr := NewJobRunner("rtx4000")
-	profiler := func(replayCache *bool) *Profiler {
-		t.Helper()
-		p, err := jr.profilerFor(&JobRequest{Suite: "altis", App: "gups", ReplayCache: replayCache})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
+	reg := NewMetricsRegistry()
+	jr := NewJobRunner("rtx4000", WithObserver(nil, reg))
 	on1, on2, off := true, true, false
-	p := profiler(&on1)
-	if profiler(&on2) != p {
-		t.Error("two replay_cache:true requests got different Profilers")
+	emptyReplayResults()
+	first, _, misses := runCounted(t, jr, reg, JobRequest{Suite: "rodinia", App: "myocyte", ReplayCache: &on1})
+	if misses == 0 {
+		t.Fatal("the first replay_cache:true job missed nothing on an empty cache")
 	}
-	if len(jr.profilers) != 1 {
-		t.Errorf("runner holds %d profilers after two replay_cache:true requests, want 1", len(jr.profilers))
+	repeat, hits, misses := runCounted(t, jr, reg, JobRequest{Suite: "rodinia", App: "myocyte", ReplayCache: &on2})
+	if hits != 3 || misses != 0 {
+		t.Errorf("the repeat replay_cache:true job hit %v and missed %v of its 3 launches, want 3 and 0", hits, misses)
 	}
-	if profiler(&off) == p || profiler(nil) == p {
-		t.Error("replay_cache false or unset shares the replay_cache:true Profiler")
+	if !bytes.Equal(first, repeat) {
+		t.Errorf("the cache-served job's report differs:\n%s", check.DiffJSON(first, repeat))
 	}
-	if len(jr.profilers) != 2 {
-		t.Errorf("runner holds %d profilers for true/false/unset, want 2 (unset is the default, false)", len(jr.profilers))
+	for _, cache := range []*bool{&off, nil} {
+		if _, hits, misses := runCounted(t, jr, reg, JobRequest{Suite: "rodinia", App: "myocyte", ReplayCache: cache}); hits+misses != 0 {
+			t.Errorf("replay_cache %v: the job consulted the cache %v times, want 0", cache, hits+misses)
+		}
 	}
 }
 
-// TestJobRunnerKeysOnConfiguration: the profiler cache is keyed on what the
-// request resolves to, not on how it is spelled — every default written out
-// is the same Profiler as the default left out, and a request that differs in
-// effect is not.
+// TestJobRunnerKeysOnConfiguration: the replay cache is keyed on what a
+// request resolves to, not on how it is spelled — level 0 and 3, mode "" and
+// "smpc", sample_every 0 and 1, and replay_cache unset and the runner's
+// default (on here) hit one another's entries — while a request that
+// collects differently (another level's pass schedule, HWPM, another GPU)
+// hits none of them: it looks its launches up as the first job did on an
+// empty cache. A level outside 1..3 is rejected.
 func TestJobRunnerKeysOnConfiguration(t *testing.T) {
-	jr := NewJobRunner("rtx4000", WithReplayCache(true))
+	reg := NewMetricsRegistry()
+	jr := NewJobRunner("rtx4000", WithReplayCache(true), WithObserver(nil, reg))
 	on := true
-	var want *Profiler
+	emptyReplayResults()
+	_, coldHits, coldMisses := runCounted(t, jr, reg, JobRequest{Suite: "rodinia", App: "myocyte"})
 	for _, body := range []JobRequest{
-		{Level: 0},
 		{Level: 3, Mode: "smpc", SampleEvery: 1},
 		{GPU: "rtx4000", ReplayCache: &on},
 	} {
-		p, err := jr.profilerFor(&body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want = p
-		} else if p != want {
-			t.Errorf("%+v resolved to a second Profiler", body)
+		body.Suite, body.App = "rodinia", "myocyte"
+		if _, hits, misses := runCounted(t, jr, reg, body); hits != 3 || misses != 0 {
+			t.Errorf("%+v hit %v and missed %v of its 3 launches, want 3 and 0", body, hits, misses)
 		}
 	}
-	for _, body := range []JobRequest{{Level: 2}, {Mode: "hwpm"}, {SampleEvery: 2}, {RawEquations: true}, {GPU: "gtx1070"}} {
-		if p, err := jr.profilerFor(&body); err != nil || p == want {
-			t.Errorf("%+v resolved to (%p, %v), want a Profiler of its own", body, p, err)
+	for _, body := range []JobRequest{{Level: 1}, {Mode: "hwpm"}, {GPU: "gtx1070"}} {
+		body.Suite, body.App = "rodinia", "myocyte"
+		if _, hits, misses := runCounted(t, jr, reg, body); hits != coldHits || misses != coldMisses {
+			t.Errorf("%+v hit %v and missed %v launches, want %v and %v as on an empty cache", body, hits, misses, coldHits, coldMisses)
 		}
 	}
-	// A sampling profiler uses no replay cache, so replay_cache does not tell
-	// two sampled requests apart.
-	sampled, err := jr.profilerFor(&JobRequest{SampleEvery: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	off := false
-	for _, cache := range []*bool{&on, &off} {
-		if p, err := jr.profilerFor(&JobRequest{SampleEvery: 2, ReplayCache: cache}); err != nil || p != sampled {
-			t.Errorf("sample_every 2, replay_cache %t resolved to (%p, %v), want the sample_every 2 Profiler", *cache, p, err)
-		}
-	}
-	if _, err := jr.profilerFor(&JobRequest{Level: 7}); err == nil {
+	if _, err := jr.Run(context.Background(), &JobRequest{Suite: "rodinia", App: "myocyte", Level: 7}); err == nil {
 		t.Error("level 7 accepted")
-	}
-	if len(jr.profilers) != 6 {
-		t.Errorf("runner holds %d profilers, want 6", len(jr.profilers))
 	}
 }
 
-// TestJobRunnerBoundsProfilers: jobs naming 20 configurations (sample_every
-// 1..20) leave at most maxProfilers cached, the least recently used evicted
-// first; a repeat of a retained configuration runs on its profiler and on the
-// pool's one idle device, and an evicted one starts over on a new profiler.
+// TestJobRunnerBoundsProfilers: a JobRunner holds no profilers, so nothing it
+// keeps grows with the configurations jobs name. Jobs naming 20 of them
+// (sample_every 1..20, replay_cache on) all run on the pool's one idle
+// device, and only sample_every 1 consults the replay cache: a sampling
+// profiler uses none.
 func TestJobRunnerBoundsProfilers(t *testing.T) {
-	ctx := context.Background()
-	jr := NewJobRunner("gtx1070", WithReplayCache(true))
-	run := func(sampleEvery int) *Profiler {
-		t.Helper()
-		req := &JobRequest{Suite: "rodinia", App: "myocyte", SampleEvery: sampleEvery}
-		p, err := jr.profilerFor(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := jr.Run(ctx, req); err != nil {
-			t.Fatal(err)
-		}
-		if len(jr.profilers) > maxProfilers {
-			t.Fatalf("runner holds %d profilers, bound %d", len(jr.profilers), maxProfilers)
-		}
-		return p
-	}
+	reg := NewMetricsRegistry()
+	jr := NewJobRunner("gtx1070", WithReplayCache(true), WithObserver(nil, reg))
 	emptyPool()
-	ran := map[int]*Profiler{}
+	emptyReplayResults()
+	var devs []*sim.Device
 	for n := 1; n <= 20; n++ {
-		ran[n] = run(n)
-	}
-	// 13..20 are retained; repeating 13 makes 14 the least recently used.
-	// Every configuration names the same GPU, so all ran on one device.
-	devs := idle()
-	if run(13) != ran[13] {
-		t.Fatal("a retained configuration got a new profiler")
+		_, hits, misses := runCounted(t, jr, reg, JobRequest{Suite: "rodinia", App: "myocyte", SampleEvery: n})
+		if consulted := hits+misses > 0; consulted != (n == 1) {
+			t.Errorf("sample_every %d: the job consulted the replay cache %v times", n, hits+misses)
+		}
+		if devs == nil {
+			devs = idle()
+		}
 	}
 	if after := idle(); len(devs) != 1 || len(after) != 1 || after[0] != devs[0] {
-		t.Error("repeating a retained configuration did not run on the pool's idle device")
-	}
-	run(21)
-	if len(jr.profilers) != maxProfilers {
-		t.Errorf("runner holds %d profilers, want %d", len(jr.profilers), maxProfilers)
-	}
-	if p := run(13); p != ran[13] {
-		t.Error("the most recently used configuration was evicted")
-	}
-	if p := run(14); p == ran[14] {
-		t.Error("the least recently used configuration was not evicted")
+		t.Errorf("jobs of 20 configurations left %d idle devices, want the first job's one", len(after))
 	}
 }
 

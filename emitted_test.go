@@ -29,6 +29,7 @@ func TestProfiledRunEmits(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec, app, ctx := QuadroRTX4000().WithSMs(2), workloads.GemmAutotuneSized(32, 3), context.Background()
+	emptyReplayResults() // the cached run must simulate and serve invocations
 	observed := func(opt Option) *Profiler {
 		return NewProfiler(spec, WithObserver(tr, reg), WithLogger(logger), opt)
 	}

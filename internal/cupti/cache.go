@@ -9,7 +9,8 @@
 // configuration with identical inputs tens of times × 8 passes
 // (workloads.GemmAutotune models this) — the session can skip
 // re-simulation entirely: it replays the recorded counter values, re-applies
-// the recorded memory effects, and still charges the full simulated
+// the recorded memory effects, writes the launch's parameters into the
+// constant bank as the launch would have, and still charges the full simulated
 // replay+flush cost to the Fig. 13 overhead accounting, so cached and
 // uncached sessions report bit-identical results.
 package cupti
@@ -25,10 +26,11 @@ import (
 // replayKey identifies a byte-identical kernel invocation on one device model
 // under a fixed collection mode and pass schedule.
 type replayKey struct {
-	// spec is the device model: a cache shared by sessions on two models must
-	// not hand one model's counters to the other's launch. Identity is
-	// enough — a copied spec is another model.
-	spec *gpu.Spec
+	// spec is the device model, by value: a cache shared by sessions on two
+	// models must not hand one model's counters to the other's launch, and
+	// every device owns a copy of its spec (sim.NewDeviceMem), so two devices
+	// of one model share entries only if the key compares the values.
+	spec gpu.Spec
 	// config folds the program fingerprint, grid/block geometry, dynamic
 	// shared memory and parameter values (kernel.Launch.ConfigHash).
 	config uint64
@@ -55,31 +57,43 @@ type replayEntry struct {
 	post []byte
 }
 
-// DefaultReplayCacheEntries bounds the cache when NewReplayCache is given 0.
-const DefaultReplayCacheEntries = 1024
-
 // ReplayCache memoizes profiled kernel invocations. It is safe for
-// concurrent use by multiple sessions (ProfileApps fans apps across
-// goroutines), on one device model or several; determinism is preserved
-// because every entry is a pure function of its key, so it does not matter
-// which session populates it.
-// Eviction is FIFO with a fixed entry bound.
+// concurrent use by multiple sessions, on one device or several, of one
+// model or several; determinism is preserved because every entry is a pure
+// function of its key, so it does not matter which session populates it.
+// Its bound is the bytes of the post-launch snapshots it holds, the only
+// part of an entry that grows with the application; past it the oldest
+// entries are evicted first.
 type ReplayCache struct {
-	mu      sync.Mutex
-	max     int
-	entries map[replayKey]*replayEntry
-	order   []replayKey
-	hits    uint64
-	misses  uint64
+	mu       sync.Mutex
+	maxBytes int
+	bytes    int
+	entries  map[replayKey]*replayEntry
+	order    []replayKey
+	hits     uint64
+	misses   uint64
 }
 
-// NewReplayCache builds a cache bounded to maxEntries invocations
-// (0 means DefaultReplayCacheEntries).
-func NewReplayCache(maxEntries int) *ReplayCache {
-	if maxEntries <= 0 {
-		maxEntries = DefaultReplayCacheEntries
+// maxReplayBytes is the bound NewReplayCache(0) gives: the bytes of the
+// post-launch memory snapshots the cache holds, which is what an entry costs.
+// A snapshot is the application's allocated device memory, 6 KB
+// (rodinia/myocyte) to 8.4 MB (altis/gups) per launch across the suites. A
+// process keeps its cache for as long as it runs and can profile
+// configurations without limit (daemon jobs, autotuning sweeps), so past
+// this many bytes the oldest entries are evicted. 64 MiB holds every launch
+// of any one suite application (the most is rodinia/gaussian's 48 launches
+// of 1 MB) or the two distinct launches of about 160 GemmAutotune
+// configurations, and is the live heap of two or three idle devices.
+const maxReplayBytes = 64 << 20
+
+// NewReplayCache builds a cache holding at most maxBytes of post-launch
+// snapshots (0 means maxReplayBytes). An invocation whose snapshot alone
+// exceeds the bound is never stored.
+func NewReplayCache(maxBytes int) *ReplayCache {
+	if maxBytes <= 0 {
+		maxBytes = maxReplayBytes
 	}
-	return &ReplayCache{max: maxEntries, entries: map[replayKey]*replayEntry{}}
+	return &ReplayCache{maxBytes: maxBytes, entries: map[replayKey]*replayEntry{}}
 }
 
 // get returns the entry for key, counting the hit or miss.
@@ -95,21 +109,27 @@ func (c *ReplayCache) get(key replayKey) (*replayEntry, bool) {
 	return e, ok
 }
 
-// put stores an entry, evicting the oldest when full. Racing puts for the
-// same key are idempotent by determinism; first writer wins.
+// put stores an entry, evicting the oldest until its snapshot fits. Racing
+// puts for the same key are idempotent by determinism; first writer wins.
 func (c *ReplayCache) put(key replayKey, e *replayEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[key]; ok {
 		return
 	}
-	for len(c.entries) >= c.max && len(c.order) > 0 {
+	size := len(e.post)
+	if size > c.maxBytes {
+		return
+	}
+	for c.bytes+size > c.maxBytes {
 		oldest := c.order[0]
 		c.order = c.order[1:]
+		c.bytes -= len(c.entries[oldest].post)
 		delete(c.entries, oldest)
 	}
 	c.entries[key] = e
 	c.order = append(c.order, key)
+	c.bytes += size
 }
 
 // Len returns the number of cached invocations.
@@ -130,7 +150,7 @@ func (c *ReplayCache) Stats() (hits, misses uint64) {
 // device state. memHash must be HashAllocated of the pre-launch memory.
 func (s *Session) keyFor(l *kernel.Launch, memHash uint64) replayKey {
 	return replayKey{
-		spec:   s.dev.Spec,
+		spec:   *s.dev.Spec,
 		config: l.ConfigHash(),
 		mem:    memHash,
 		konst:  s.dev.Const.Hash(),

@@ -24,9 +24,10 @@
 //
 // Result cache (SetCache): byte-identical invocations — same device model,
 // program fingerprint, launch configuration, memory hash and constant-bank
-// hash — skip even that one simulation, re-applying the recorded counters
-// and memory effects while still charging the full simulated replay+flush
-// cost. A sampling session does not consult the cache (see SetCache).
+// hash — skip even that one simulation, re-applying the recorded counters,
+// the memory effects and the launch parameters while still charging the
+// full simulated replay+flush cost. A sampling session does not consult the
+// cache (see SetCache).
 //
 // A simulation failure is a KernelError with Pass 0 (Pass -1 for a native
 // run); cancellation is polled before the invocation and inside the one
@@ -98,8 +99,10 @@ type Session struct {
 	schedFP uint64
 	mode    Mode
 
-	// cache, when non-nil, memoizes byte-identical invocations.
-	cache *ReplayCache
+	// cache, when non-nil, memoizes byte-identical invocations; hits and
+	// misses count this session's lookups in it.
+	cache        *ReplayCache
+	hits, misses uint64
 
 	// sampleEvery > 1 enables the paper's §VII mitigation: only every n-th
 	// invocation of a kernel is fully replayed; the rest run natively once
@@ -244,6 +247,11 @@ func (s *Session) SetSampling(n int) {
 	s.sampleEvery = n
 }
 
+// CacheStats returns how many of this session's invocations the replay
+// cache served and how many it missed; a cache shared with other sessions
+// counts theirs too (ReplayCache.Stats).
+func (s *Session) CacheStats() (hits, misses uint64) { return s.hits, s.misses }
+
 // NumPasses returns the replay count per kernel.
 func (s *Session) NumPasses() int { return s.sched.NumPasses() }
 
@@ -299,9 +307,12 @@ func (s *Session) ProfileCtx(ctx context.Context, l *kernel.Launch) (*KernelReco
 		hit = s.lookup(key, rec)
 	}
 	if hit != nil {
-		// The recorded memory effects stand in for the launch. Restore keeps
-		// the watermark, so fc is what the simulation was charged.
+		// The recorded memory effects and the parameter write stand in for
+		// the launch, so the next invocation's key hashes what a simulated
+		// launch would have left. Restore keeps the watermark, so fc is what
+		// the simulation was charged.
 		s.dev.Storage.Restore(hit.post)
+		s.dev.WriteParams(l)
 		rec.Cycles, rec.SMsUsed, rec.Values, rec.Cached = hit.cycles, hit.smsUsed, hit.values, true
 	} else if err := s.launch(ctx, l, rec, fc); err != nil {
 		return nil, err
@@ -372,6 +383,11 @@ func (s *Session) launch(ctx context.Context, l *kernel.Launch, rec *KernelRecor
 // the hit or miss; it returns nil on a miss.
 func (s *Session) lookup(key replayKey, rec *KernelRecord) *replayEntry {
 	e, ok := s.cache.get(key)
+	if ok {
+		s.hits++
+	} else {
+		s.misses++
+	}
 	if s.cacheLog.On(obs.LevelDebug) {
 		if ok {
 			s.cacheLog.Debug("replay cache hit", "kernel", rec.Kernel, "invocation", rec.Invocation,

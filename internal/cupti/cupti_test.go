@@ -276,13 +276,6 @@ func TestSamplingReducesOverhead(t *testing.T) {
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // TestSessionObserverSpansAndMetrics: a profiled invocation is simulated
 // once, so it must emit one profile span, one pass span, one flush and one
 // launch, while the self-metrics still account every scheduled pass and agree

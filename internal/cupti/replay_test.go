@@ -250,20 +250,103 @@ func TestOversizedLocalLaunchKeepsTheSession(t *testing.T) {
 	}
 }
 
-// TestReplayCacheEviction bounds the cache FIFO.
+// TestReplayCacheEviction bounds the cache by the bytes of its snapshots,
+// evicting the oldest entries first; a snapshot larger than the bound is
+// never stored, and a cache built with bound 0 holds maxReplayBytes.
 func TestReplayCacheEviction(t *testing.T) {
-	c := NewReplayCache(2)
+	c := NewReplayCache(25)
 	for i := 0; i < 5; i++ {
-		c.put(replayKey{config: uint64(i)}, &replayEntry{})
+		c.put(replayKey{config: uint64(i)}, &replayEntry{post: make([]byte, 10)})
 	}
-	if c.Len() != 2 {
-		t.Fatalf("cache holds %d entries, want bound 2", c.Len())
+	if c.Len() != 2 || c.bytes != 20 {
+		t.Fatalf("cache holds %d entries of %d bytes, want 2 of 20 under a 25-byte bound", c.Len(), c.bytes)
 	}
 	if _, ok := c.get(replayKey{config: 4}); !ok {
 		t.Fatal("newest entry evicted")
 	}
-	if _, ok := c.get(replayKey{config: 0}); ok {
+	if _, ok := c.get(replayKey{config: 2}); ok {
 		t.Fatal("oldest entry not evicted")
+	}
+	c.put(replayKey{config: 5}, &replayEntry{post: make([]byte, 26)})
+	if _, ok := c.get(replayKey{config: 5}); ok || c.Len() != 2 {
+		t.Fatal("an entry larger than the bound was stored")
+	}
+	c.put(replayKey{config: 6}, &replayEntry{post: make([]byte, 25)})
+	if c.Len() != 1 || c.bytes != 25 {
+		t.Fatalf("an entry of the bound's size left %d entries of %d bytes, want 1 of 25", c.Len(), c.bytes)
+	}
+	if c := NewReplayCache(0); c.maxBytes != maxReplayBytes {
+		t.Fatalf("NewReplayCache(0) holds %d bytes, want %d", c.maxBytes, maxReplayBytes)
+	}
+}
+
+// TestReplayKeyIsSpecValue: every device owns a copy of its spec, so two
+// devices of one model hold different *gpu.Spec; a cache keyed on the model
+// by value serves a session on the second device every invocation a session
+// on the first one stored.
+func TestReplayKeyIsSpecValue(t *testing.T) {
+	const n = 512
+	spec := gpu.QuadroRTX4000().WithSMs(2)
+	cache := NewReplayCache(0)
+	for _, d := range []*sim.Device{sim.NewDevice(spec), sim.NewDevice(spec)} {
+		buf := d.Alloc(n * 4)
+		s, err := NewSession(d, fullStallRequest(), ModeSMPC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetCache(cache)
+		for i := 0; i < 3; i++ {
+			if _, err := s.Profile(launchFill(buf, n)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// The first device misses on zeroed and on filled memory and hits the
+	// repeat; the second hits all three.
+	if hits, misses := cache.Stats(); hits != 4 || misses != 2 || cache.Len() != 2 {
+		t.Errorf("cache: %d hits, %d misses, %d entries; want 4, 2, 2", hits, misses, cache.Len())
+	}
+}
+
+// TestReplayHitLeavesDeviceAsSimulated: a hit restores the launch's memory
+// effects and writes its parameters into the constant bank, so after every
+// invocation the device's memory and constant-bank hashes equal those an
+// uncached session's device has. Two launches with different parameters
+// alternate, so a hit that skipped the parameter write would leave the
+// previous launch's parameters for the next key to hash: a session on a
+// second device, whose cache a first session filled, would then miss.
+func TestReplayHitLeavesDeviceAsSimulated(t *testing.T) {
+	const n = 512
+	spec := gpu.QuadroRTX4000().WithSMs(2)
+	cache := NewReplayCache(0)
+	type state struct{ mem, konst uint64 }
+	run := func(cache *ReplayCache) (*Session, []state) {
+		d := sim.NewDevice(spec)
+		a, b := d.Alloc(n*4), d.Alloc(n*4)
+		s, err := NewSession(d, fullStallRequest(), ModeSMPC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetCache(cache)
+		var after []state
+		for i := 0; i < 4; i++ {
+			for _, buf := range []uint64{a, b} {
+				if _, err := s.Profile(launchFill(buf, n)); err != nil {
+					t.Fatal(err)
+				}
+				after = append(after, state{d.Storage.HashAllocated(), d.Const.Hash()})
+			}
+		}
+		return s, after
+	}
+	_, want := run(nil)
+	run(cache)
+	second, got := run(cache)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("device state after each cache-served invocation differs from the simulated one:\n got  %v\n want %v", got, want)
+	}
+	if hits, misses := second.CacheStats(); hits != 8 || misses != 0 {
+		t.Errorf("a session on a second device hit %d and missed %d of 8 invocations the first one cached, want 8 and 0", hits, misses)
 	}
 }
 

@@ -369,6 +369,16 @@ func (d *Device) LaunchCtx(ctx context.Context, l *kernel.Launch) (*RunResult, e
 	return res, nil
 }
 
+// WriteParams writes the launch's parameters into the constant bank, as the
+// launch prologue does. A profiler that serves a launch from its replay
+// cache instead of simulating it calls it too, so the constant bank, like
+// the restored storage, ends where the launch would have left it.
+func (d *Device) WriteParams(l *kernel.Launch) {
+	for i, p := range l.Params {
+		d.Const.Write(kernel.ParamOffset(i), p, 8)
+	}
+}
+
 // neverRejected marks an SM the dispatcher has not yet seen reject a block.
 const neverRejected = ^uint64(0)
 
@@ -398,9 +408,7 @@ func (d *Device) launchPrologue(l *kernel.Launch) (markMem uint64, err error) {
 		return 0, fmt.Errorf("sim: kernel %s needs %s bytes of local memory (%d threads × %d bytes), %d bytes of device memory are free",
 			l.Program.Name, needed, totalThreads, l.Program.LocalBytes, free)
 	}
-	for i, p := range l.Params {
-		d.Const.Write(kernel.ParamOffset(i), p, 8)
-	}
+	d.WriteParams(l)
 	var localBase uint64
 	if l.Program.LocalBytes > 0 {
 		localBase = d.Storage.Alloc(int(local))

@@ -20,9 +20,10 @@ func profileOnLoop(p *Profiler, fastForward bool, app *App) (*AppResult, error) 
 }
 
 // metamorphicRunner builds the check.Runner for one app on one device: each
-// configuration gets a fresh profiler (no shared replay cache between
-// property runs) and an empty device pool (so it runs on a new device), and
-// returns the canonical report bytes. For the reused-device property the
+// configuration gets a fresh profiler, an emptied process replay cache (so a
+// cache-on run simulates every distinct launch itself instead of being served
+// the previous configuration's results) and an empty device pool (so it runs
+// on a new device), and returns the canonical report bytes. For the reused-device property the
 // profiler first runs rodinia/pathfinder, which needs more registers and
 // shared memory per block than any app the matrix profiles, so the app runs
 // on that device reset.
@@ -50,6 +51,7 @@ func metamorphicRunner(t *testing.T, spec *GPUSpec, suite, app string) check.Run
 			opts = append(opts, WithObserver(NewTracer(), NewMetricsRegistry()))
 		}
 		emptyPool()
+		emptyReplayResults()
 		p := NewProfiler(spec, opts...)
 		if cfg.ReusedDevice {
 			if _, err := profileOnLoop(p, cfg.FastForward, heavy); err != nil {

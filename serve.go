@@ -3,8 +3,6 @@ package gputopdown
 import (
 	"context"
 	"fmt"
-	"slices"
-	"sync"
 	"time"
 
 	"gputopdown/internal/serve"
@@ -52,25 +50,14 @@ const (
 // serve.Options. Most callers want NewJobRunner's Run as Options.Runner.
 func NewJobServer(opts JobServerOptions) (*JobServer, error) { return serve.New(opts) }
 
-// maxProfilers bounds JobRunner's profiler cache. A cached profiler holds its
-// replay cache — megabytes; its devices are in the process-wide idle pool,
-// bounded by maxIdleDevices — and requests can name configurations without
-// limit (sample_every is any positive integer), so past this many the least
-// recently used profiler is evicted, taking its cache with it.
-const maxProfilers = 8
-
-// JobRunner executes job requests through the library API. It caches one
-// Profiler per distinct request configuration, up to maxProfilers, so jobs
-// with the same config share a replay cache (repeat submissions hit warm
-// autotune and replay state, like repeated ProfileApp calls on one Profiler).
-// Jobs on the same GPU reuse idle devices whatever their configuration.
+// JobRunner executes job requests through the library API. Each job runs on
+// a Profiler of its own, built from the request; it holds no warm state,
+// because the warm state is the process's: jobs on one GPU reuse its idle
+// devices whatever their configuration, and replay_cache jobs share the one
+// replay cache (WithReplayCache), so a repeat submission is served from it.
 type JobRunner struct {
 	defaultGPU string
 	base       []Option
-
-	mu        sync.Mutex
-	profilers map[string]*Profiler
-	recent    []string // profilers' keys, least recently used first
 }
 
 // NewJobRunner returns a runner whose jobs default to the given device id
@@ -78,20 +65,11 @@ type JobRunner struct {
 // (e.g. WithLogger, WithObserver) apply to every profiler it builds, before
 // request-derived options.
 func NewJobRunner(defaultGPU string, base ...Option) *JobRunner {
-	return &JobRunner{
-		defaultGPU: defaultGPU,
-		base:       base,
-		profilers:  make(map[string]*Profiler),
-	}
+	return &JobRunner{defaultGPU: defaultGPU, base: base}
 }
 
-// profilerFor returns the cached Profiler for the request's configuration,
-// building it on first use and then evicting the least recently used one if
-// more than maxProfilers are cached. The cache is keyed on the configuration
-// the options resolve to, not on how the request spelled it: level 0 and 3,
-// mode "" and "smpc", sample_every 0 and 1, and replay_cache unset and the
-// base default all name the same Profiler (and the same warm replay cache).
-func (jr *JobRunner) profilerFor(req *JobRequest) (*Profiler, error) {
+// profiler builds the Profiler the request describes.
+func (jr *JobRunner) profiler(req *JobRequest) (*Profiler, error) {
 	gpuID := req.GPU
 	if gpuID == "" {
 		gpuID = jr.defaultGPU
@@ -116,30 +94,7 @@ func (jr *JobRunner) profilerFor(req *JobRequest) (*Profiler, error) {
 	if req.ReplayCache != nil {
 		opts = append(opts, WithReplayCache(*req.ReplayCache))
 	}
-	// Construction is pure and cheap, so build first and key on the result.
-	p, err := NewProfilerE(spec, opts...)
-	if err != nil {
-		return nil, err
-	}
-	// A sampling profiler uses no replay cache, so it is keyed as one without.
-	cacheOn := p.cacheOn && p.sampleEvery <= 1
-	key := fmt.Sprintf("%s|%d|%s|%t|%d|%t",
-		gpuID, p.Level(), p.mode, p.normalize, max(p.sampleEvery, 1), cacheOn)
-
-	jr.mu.Lock()
-	defer jr.mu.Unlock()
-	if cached, ok := jr.profilers[key]; ok {
-		i := slices.Index(jr.recent, key)
-		jr.recent = append(slices.Delete(jr.recent, i, i+1), key)
-		return cached, nil
-	}
-	if len(jr.recent) == maxProfilers {
-		delete(jr.profilers, jr.recent[0])
-		jr.recent = slices.Delete(jr.recent, 0, 1)
-	}
-	jr.profilers[key] = p
-	jr.recent = append(jr.recent, key)
-	return p, nil
+	return NewProfilerE(spec, opts...)
 }
 
 // Run is the serve.Runner: resolve the app, profile it under ctx, convert
@@ -150,7 +105,7 @@ func (jr *JobRunner) Run(ctx context.Context, req *JobRequest) (*serve.Report, e
 	if err != nil {
 		return nil, err
 	}
-	p, err := jr.profilerFor(req)
+	p, err := jr.profiler(req)
 	if err != nil {
 		return nil, err
 	}

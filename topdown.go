@@ -107,15 +107,20 @@ func WithHWPM() Option { return func(p *Profiler) { p.mode = cupti.ModeHWPM } }
 func WithSampling(n int) Option { return func(p *Profiler) { p.sampleEvery = n } }
 
 // WithReplayCache enables deterministic memoization of byte-identical kernel
-// invocations: when the same (program, launch configuration, device memory,
-// constant bank) recurs under the same pass schedule, the recorded counter
-// values and memory effects are replayed instead of re-simulating, while the
-// full replay cost is still charged to the Fig. 13 overhead accounting. The
-// cache is shared across every session the profiler creates (ProfileApps runs
-// apps concurrently; the cache is safe for that). It is used only while every
-// invocation is profiled: a hit restores memory but not the L1/L2 contents
-// the simulated launch would have left, and under WithSampling(n > 1) the
-// next invocation runs natively on exactly those, unflushed.
+// invocations: when the same (GPU model, program, launch configuration,
+// device memory, constant bank) recurs under the same collection mode and
+// pass schedule, the recorded counter values, memory effects and parameter
+// write are replayed instead of re-simulating, while the full replay cost is
+// still charged to the Fig. 13 overhead accounting. The cache belongs to the
+// process, not to the profiler: every profiler built with it on consults and
+// fills the same one, concurrently or one after another, so a fresh profiler
+// re-profiling a configuration this process profiled before pays for none of
+// its launches, and one the process has not seen gains nothing. It holds at
+// most 64 MiB of memory snapshots, the oldest evicted first. It is
+// used only while every invocation is profiled: a hit restores memory but
+// not the L1/L2 contents the simulated launch would have left, and under
+// WithSampling(n > 1) the next invocation runs natively on exactly those,
+// unflushed.
 func WithReplayCache(on bool) Option { return func(p *Profiler) { p.cacheOn = on } }
 
 // WithChecks attaches the in-loop invariant checker (internal/check): every
@@ -202,7 +207,6 @@ type Profiler struct {
 	cacheOn     bool
 	checksOn    bool
 	checks      *check.Invariants
-	cache       *cupti.ReplayCache
 	tracer      *obs.Tracer
 	metrics     *obs.Registry
 	logger      *obs.Logger
@@ -272,6 +276,12 @@ func (p *Profiler) releaseDevice(dev *sim.Device) {
 	idleDevices.Unlock()
 }
 
+// replayResults is the process's one replay cache, consulted by every
+// profiler built WithReplayCache(true) and bounded by the bytes of its
+// memory snapshots. Its key holds the GPU model by value, so runs on
+// different devices of one model share entries.
+var replayResults = cupti.NewReplayCache(0)
+
 // NewProfiler builds a profiler for a device model. The default is a
 // normalised level-3 analysis with SMPC collection.
 //
@@ -305,16 +315,13 @@ func NewProfilerE(spec *gpu.Spec, opts ...Option) (*Profiler, error) {
 	return p, nil
 }
 
-// build applies opts over the defaults and creates the replay cache and
-// invariant checker they ask for; the constructors differ only in what they
-// do with an out-of-range value afterwards.
+// build applies opts over the defaults and creates the invariant checker
+// they ask for; the constructors differ only in what they do with an
+// out-of-range value afterwards.
 func build(spec *gpu.Spec, opts []Option) *Profiler {
 	p := &Profiler{spec: spec, level: core.Level3, normalize: true, mode: cupti.ModeSMPC}
 	for _, o := range opts {
 		o(p)
-	}
-	if p.cacheOn {
-		p.cache = cupti.NewReplayCache(0)
 	}
 	if p.checksOn {
 		p.checks = check.New()
@@ -485,9 +492,9 @@ type Collection struct {
 	// Failed holds the invocations whose simulation panicked and was
 	// isolated, as on AppResult.Failed.
 	Failed []*KernelError
-	// CacheHits, CacheMisses and CacheEntries describe the profiler's replay
-	// cache after the run (cumulative over the profiler's lifetime; all zero
-	// without WithReplayCache).
+	// CacheHits and CacheMisses count this run's invocations the replay
+	// cache served and missed; CacheEntries is the process's replay cache
+	// size after the run. All are zero without WithReplayCache.
 	CacheHits, CacheMisses uint64
 	CacheEntries           int
 }
@@ -526,8 +533,8 @@ func (p *Profiler) collect(ctx context.Context, dev *sim.Device, app *workloads.
 	if p.sampleEvery > 1 {
 		sess.SetSampling(p.sampleEvery)
 	}
-	if p.cache != nil {
-		sess.SetCache(p.cache)
+	if p.cacheOn {
+		sess.SetCache(replayResults)
 	}
 	obsOn := p.tracer != nil || p.metrics != nil
 	if obsOn {
@@ -578,9 +585,9 @@ func (p *Profiler) collect(ctx context.Context, dev *sim.Device, app *workloads.
 	}
 	col.NativeCycles, col.ProfiledCycles = sess.Overhead()
 	col.WallSeconds = time.Since(wallStart).Seconds()
-	if p.cache != nil {
-		col.CacheHits, col.CacheMisses = p.cache.Stats()
-		col.CacheEntries = p.cache.Len()
+	if p.cacheOn {
+		col.CacheHits, col.CacheMisses = sess.CacheStats()
+		col.CacheEntries = replayResults.Len()
 	}
 	overhead := overheadRatio(col.NativeCycles, col.ProfiledCycles)
 	if obsOn {
