@@ -26,13 +26,15 @@ vet:
 verify: vet build test bench-build
 
 # golden regenerates the committed canonical-report corpus under
-# internal/check/testdata/golden (every suite app on both evaluation GPUs).
-# On an unchanged tree it rewrites nothing — the profiler is deterministic
-# and the canonical form zeroes wall-clock. Run it after an intentional
-# simulator or analysis change and review the resulting diff like any other
-# code change.
+# internal/check/testdata/golden (every suite app and the srad dynamic run on
+# both evaluation GPUs) and figures_full.txt, the paper's tables printed from
+# it. On an unchanged tree it rewrites nothing — the profiler is
+# deterministic and the canonical form zeroes wall-clock. Run it after an
+# intentional simulator or analysis change and review both diffs like any
+# other code change.
 golden:
 	$(GO) run ./cmd/goldengen
+	$(GO) run ./cmd/figures -fig all > figures_full.txt
 
 # bench runs one workload of the repository benchmark (BENCHMARK.json,
 # bench/README.md): the detail document on standard output, the result line

@@ -63,6 +63,25 @@ func TestGetAppTypedErrors(t *testing.T) {
 	}
 }
 
+// TestGetAppStandalone: the two apps no suite lists resolve by name, and the
+// altis suite (whose averages Figs. 8-10 and 13 print) lists neither.
+func TestGetAppStandalone(t *testing.T) {
+	for _, name := range []string{"srad_dynamic", "gemm_autotune"} {
+		a, err := GetApp("altis", name)
+		if err != nil || a.ID() != "altis/"+name {
+			t.Errorf("GetApp(altis, %s) = %v, %v", name, a, err)
+		}
+		for _, s := range SuiteApps("altis") {
+			if s.Name == name {
+				t.Errorf("SuiteApps(altis) lists %s", name)
+			}
+		}
+	}
+	if _, err := GetApp("rodinia", "srad_dynamic"); !errors.Is(err, ErrUnknownApp) {
+		t.Errorf("GetApp(rodinia, srad_dynamic) = %v, want ErrUnknownApp", err)
+	}
+}
+
 func TestProfileAppNoKernels(t *testing.T) {
 	empty := &App{Name: "empty", Suite: "test", Run: func(*workloads.RunCtx) error { return nil }}
 	_, err := testProfiler(1).ProfileApp(context.Background(), empty)

@@ -2,12 +2,11 @@ package gputopdown
 
 // The paper's figures are computed by internal/paper, and their §V claims
 // are checked over the golden corpus by TestPaperClaims. What stays here are
-// the benchmarks that profile: the srad dynamic series (Figs. 11-12), which
-// the corpus does not hold, and ablations that quantify the design choices
-// DESIGN.md calls out (scheduler policy, collection mode, normalisation,
-// replay cost), each on a downscaled device with its headline quantities as
-// custom metrics. Wall-clock performance is not measured here: that is the
-// repository benchmark (BENCHMARK.json, bench/).
+// ablations that quantify the design choices DESIGN.md calls out (scheduler
+// policy, collection mode, normalisation, replay cost), each on a downscaled
+// device with its headline quantities as custom metrics. Wall-clock
+// performance is not measured here: that is the repository benchmark
+// (BENCHMARK.json, bench/).
 
 import (
 	"context"
@@ -36,53 +35,6 @@ func mustProfile(b *testing.B, p *Profiler, suite, name string) *AppResult {
 		b.Fatal(err)
 	}
 	return res
-}
-
-func dynamicContrast(b *testing.B, kernelName string) (early, late float64, cyclesEarly, cyclesLate float64) {
-	p := benchProfiler(b, "rtx4000", 1)
-	res, err := p.ProfileApp(context.Background(), SradDynamic())
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := res.Series(kernelName)
-	q := len(s) / 4
-	for _, a := range s[:q] {
-		early += a.Fraction(a.Retire) / float64(q)
-		cyclesEarly += a.Weight / float64(q)
-	}
-	for _, a := range s[len(s)-q:] {
-		late += a.Fraction(a.Retire) / float64(q)
-		cyclesLate += a.Weight / float64(q)
-	}
-	return
-}
-
-// BenchmarkFig11SradCuda1Dynamic: two phases across the 100 invocations.
-func BenchmarkFig11SradCuda1Dynamic(b *testing.B) {
-	var early, late, ce, cl float64
-	for i := 0; i < b.N; i++ {
-		early, late, ce, cl = dynamicContrast(b, "srad_cuda_1")
-	}
-	b.ReportMetric(100*early, "phase1_retire_pct")
-	b.ReportMetric(100*late, "phase2_retire_pct")
-	b.ReportMetric(ce/cl, "phase1_to_phase2_cycles_ratio")
-	if ce <= cl {
-		b.Error("fig11 shape: phase 1 should be the heavy phase")
-	}
-}
-
-// BenchmarkFig12SradCuda2Dynamic: same for the second kernel.
-func BenchmarkFig12SradCuda2Dynamic(b *testing.B) {
-	var early, late, ce, cl float64
-	for i := 0; i < b.N; i++ {
-		early, late, ce, cl = dynamicContrast(b, "srad_cuda_2")
-	}
-	b.ReportMetric(100*early, "phase1_retire_pct")
-	b.ReportMetric(100*late, "phase2_retire_pct")
-	b.ReportMetric(ce/cl, "phase1_to_phase2_cycles_ratio")
-	if ce <= cl {
-		b.Error("fig12 shape: phase 1 should be the heavy phase")
-	}
 }
 
 // ---- Ablations (design choices called out in DESIGN.md) ----

@@ -80,7 +80,9 @@ func without(set map[string]string, names ...string) map[string]string {
 }
 
 // flagSurface is the record of what every binary accepts: the flag names and
-// defaults at 76bc239, before the shared flags moved to internal/cliflags.
+// defaults at 76bc239, before the shared flags moved to internal/cliflags,
+// except that figures reads the golden corpus (-dir) instead of profiling
+// (-sms).
 var flagSurface = map[string]map[string]string{
 	"topdown": union(deviceFlags, workloadFlags, collectionFlags, obsFlags, map[string]string{
 		"per-kernel": "", "format": `"text"`, "dynamic": "", "autotune": "", "compare": "", "list": "",
@@ -93,7 +95,7 @@ var flagSurface = map[string]map[string]string{
 		"drain-timeout": "2m0s", "log-level": `"info"`, "log-format": `"text"`,
 	},
 	"whatif":    union(deviceFlags, workloadFlags, map[string]string{"level": "3", "param": "", "values": ""}),
-	"figures":   {"fig": `"all"`, "sms": "", "format": `"table"`, "out": ""},
+	"figures":   {"fig": `"all"`, "dir": `"internal/check/testdata/golden"`, "format": `"table"`, "out": ""},
 	"goldengen": {"dir": `"internal/check/testdata/golden"`, "workers": strconv.Itoa(runtime.NumCPU())},
 }
 
@@ -138,10 +140,11 @@ func TestFlagSurface(t *testing.T) {
 	}
 }
 
-// TestCLISmoke runs each command line on a 4-SM device and compares standard
-// output with what the binaries of 76bc239 printed (testdata/), so moving
-// the wiring behind the commands cannot move what they print. Lines carrying
-// wall= hold host time and are dropped on both sides.
+// TestCLISmoke runs each command line, on a 4-SM device where it profiles,
+// and compares standard output with what the binaries of 76bc239 printed
+// (testdata/; figures_table9.txt is the full devices' table since figures
+// lost -sms), so moving the wiring behind the commands cannot move what they
+// print. Lines carrying wall= hold host time and are dropped on both sides.
 func TestCLISmoke(t *testing.T) {
 	cases := []struct{ golden, cmdline string }{
 		{"topdown_bfs_perkernel", "topdown -sms 4 -suite rodinia -app bfs -per-kernel"},
@@ -151,7 +154,7 @@ func TestCLISmoke(t *testing.T) {
 		{"gpuprof_bfs_ipc", "gpuprof -sms 4 -gpu gtx1070 -suite rodinia -app bfs -metrics ipc,issued_ipc"},
 		{"gpuprof_autotune_cache", "gpuprof -sms 4 -suite altis -app gemm_autotune -replay-cache -hwpm -checks -metrics smsp__inst_executed.avg.per_cycle_active"},
 		{"whatif_myocyte_imcsize", "whatif -sms 4 -suite rodinia -app myocyte -param imcsize -values 2048,8192"},
-		{"figures_table9", "figures -sms 4 -fig table9"},
+		{"figures_table9", "figures -dir ../internal/check/testdata/golden -fig table9"},
 	}
 	for _, c := range cases {
 		t.Run(c.golden, func(t *testing.T) {

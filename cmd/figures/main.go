@@ -1,18 +1,19 @@
-// Command figures regenerates every table and figure of the paper's
-// evaluation (§V): Table IX, Figs. 4-10 (the tile sweep and the Rodinia and
-// Altis analyses at levels 1-3), the srad dynamic series (Figs. 11-12) and
-// the profiling overhead (Fig. 13). internal/paper computes the tables; this
-// command profiles their inputs, each suite once, and prints them.
+// Command figures prints every table and figure of the paper's evaluation
+// (§V): Table IX, Figs. 4-10 (the tile sweep and the Rodinia and Altis
+// analyses at levels 1-3), the srad dynamic series (Figs. 11-12) and the
+// profiling overhead (Fig. 13). internal/paper computes the tables from the
+// committed golden corpus (check.LoadCorpus), so this command simulates
+// nothing; `make golden` re-profiles the corpus and rewrites
+// figures_full.txt, its `-fig all` output.
 //
 // Examples:
 //
 //	figures -fig table9
 //	figures -fig 4 -format csv
-//	figures -fig all -sms 8 > figures.txt   # downscaled quick run
+//	figures -fig all > figures_full.txt
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -21,41 +22,41 @@ import (
 	"strconv"
 	"strings"
 
-	"gputopdown"
-	"gputopdown/internal/cliflags"
+	"gputopdown/internal/check"
 	"gputopdown/internal/paper"
 )
 
 var figureIDs = []string{"table9", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13"}
 
 type config struct {
-	flags  *cliflags.Flags // -sms
-	format string          // "table" or "csv"
-	outDir string          // when set, every table is also written as a CSV file
+	format string // "table" or "csv"
+	outDir string // when set, every table is also written as a CSV file
 	w      io.Writer
-	runs   map[string][]*gputopdown.JobReport // live profiles by gpu/suite
 }
 
 func main() {
-	shared := cliflags.New("figures")
-	shared.Register(flag.CommandLine, "sms")
-	fig := flag.String("fig", "all", "figure to regenerate: table9, 4..13, or all")
+	fig := flag.String("fig", "all", "figure to print: table9, 4..13, or all")
 	format := flag.String("format", "table", "output format: table or csv")
 	outDir := flag.String("out", "", "also write each emitted table as a CSV file into this directory")
+	dir := flag.String("dir", "internal/check/testdata/golden", "golden corpus root directory")
 	flag.Parse()
 
-	c := &config{flags: shared, format: *format, outDir: *outDir, w: os.Stdout, runs: map[string][]*gputopdown.JobReport{}}
+	c := &config{format: *format, outDir: *outDir, w: os.Stdout}
 	if c.outDir != "" {
 		if err := os.MkdirAll(c.outDir, 0o755); err != nil {
 			fatalf("%v", err)
 		}
+	}
+	corpus, err := check.LoadCorpus(*dir)
+	if err != nil {
+		fatalf("%v (run from the repository root or set -dir)", err)
 	}
 	ids := []string{*fig}
 	if *fig == "all" {
 		ids = figureIDs
 	}
 	for _, id := range ids {
-		if !c.figure(id, c.profile) {
+		if !c.figure(id, corpus.Reports) {
 			fatalf("unknown figure %q", id)
 		}
 		if *fig == "all" {
@@ -69,40 +70,10 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
-func (c *config) device(id string) *gputopdown.GPUSpec {
-	spec, _ := c.flags.Spec(id)
-	return spec
-}
-
-// profile is the live paper.Source. It profiles each suite once, at the
-// library defaults (level 3, capped to 2 on Pascal) as the golden corpus
-// does, and "srad_dynamic" at level 1.
-func (c *config) profile(gpuID, suite string) []*gputopdown.JobReport {
-	key := gpuID + "/" + suite
-	if reps, ok := c.runs[key]; ok {
-		return reps
-	}
-	apps, opts := gputopdown.SuiteApps(suite), []gputopdown.Option(nil)
-	if suite == "srad_dynamic" {
-		apps, opts = []*gputopdown.App{gputopdown.SradDynamic()}, []gputopdown.Option{gputopdown.WithLevel(1)}
-	}
-	res, err := gputopdown.NewProfiler(c.device(gpuID), opts...).ProfileApps(context.Background(), apps)
-	if err != nil {
-		fatalf("%s on %s: %v", suite, gpuID, err)
-	}
-	for _, r := range res {
-		c.runs[key] = append(c.runs[key], r.Report())
-	}
-	return c.runs[key]
-}
-
 // figure prints the tables of one figure, separated by blank lines, reading
-// the reports of Figs. 4-13 from src; false for an unknown id.
+// its reports from src; false for an unknown id.
 func (c *config) figure(id string, src paper.Source) bool {
 	ts := paper.Figure(id, src)
-	if id == "table9" {
-		ts = []paper.Table{paper.Table9(c.device("gtx1070"), c.device("rtx4000"))}
-	}
 	for i, t := range ts {
 		if i > 0 {
 			fmt.Fprintln(c.w)

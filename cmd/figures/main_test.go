@@ -4,47 +4,34 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"gputopdown/internal/check"
-	"gputopdown/internal/cliflags"
 	"gputopdown/internal/paper"
 )
 
-// TestCorpusTablesMatchFiguresFull renders the tables of Table IX, Figs 4-10
-// and Fig 13, computed from the committed golden corpus, through the printer
-// and requires the text of the committed full-fidelity run, figures_full.txt,
-// byte for byte. Figs 11/12 read a dynamic run the corpus does not hold.
+// TestCorpusTablesMatchFiguresFull prints every figure from the committed
+// golden corpus, as `figures -fig all` does, and requires the committed
+// figures_full.txt byte for byte.
 func TestCorpusTablesMatchFiguresFull(t *testing.T) {
 	corpus, err := check.LoadCorpus("../../internal/check/testdata/golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := os.ReadFile("../../figures_full.txt")
+	want, err := os.ReadFile("../../figures_full.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := string(full)
-	from, to := strings.Index(want, "Figure 11."), strings.Index(want, "Figure 13.")
-	if from < 0 || to < from {
-		t.Fatal("figures_full.txt lacks the Figure 11 or Figure 13 section")
-	}
-	want = want[:from] + want[to:]
-
 	var got bytes.Buffer
-	c := &config{flags: cliflags.New("figures"), format: "table", w: &got}
+	c := &config{format: "table", w: &got}
 	for _, id := range figureIDs {
-		if id == "11" || id == "12" {
-			continue
-		}
 		if !c.figure(id, corpus.Reports) {
 			t.Fatalf("figure %s printed nothing", id)
 		}
 		got.WriteString("\n")
 	}
-	if got.String() != want {
-		t.Errorf("corpus tables differ from figures_full.txt:\n--- got\n%s\n--- want\n%s", got.String(), want)
+	if got.String() != string(want) {
+		t.Errorf("corpus tables differ from figures_full.txt (run `make golden`):\n--- got\n%s\n--- want\n%s", got.String(), want)
 	}
 }
 

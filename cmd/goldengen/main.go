@@ -1,12 +1,12 @@
 // Command goldengen regenerates the golden-report corpus under
 // internal/check/testdata/golden: one canonical JSON Top-Down report per
-// suite application per evaluation GPU, profiled at the library defaults
-// (level 3 — capped to 2 on the Pascal device — normalised, SMPC,
-// fast-forward on). The corpus is the repository's
-// end-to-end regression baseline: TestGoldenReports re-profiles every app
-// and requires byte-identical output, so any change to simulator timing,
-// counter accounting, or analysis equations shows up as a reviewable diff
-// of these files.
+// corpus app (every suite app and the srad dynamic run, check.CorpusIDs)
+// per evaluation GPU, profiled at the library defaults (level 3 — capped to
+// 2 on the Pascal device — normalised, SMPC, fast-forward on). The corpus is
+// the repository's end-to-end regression baseline: TestGoldenReports
+// re-profiles every app and requires byte-identical output, so any change to
+// simulator timing, counter accounting, or analysis equations shows up as a
+// reviewable diff of these files.
 //
 // Run it via `make golden` after an intentional behavior change; on an
 // unchanged tree it is a no-op (the files are byte-identical because the
@@ -22,6 +22,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -31,25 +32,19 @@ import (
 	"gputopdown/internal/paper"
 )
 
-// gpus is the corpus device axis: both evaluation GPUs of the paper
-// (Table IX), exercising the nvprof (CC < 7.2) and ncu metric paths.
-var gpus = gpu.IDs()
-
 func main() {
 	dir := flag.String("dir", "internal/check/testdata/golden", "corpus root directory")
 	workers := flag.Int("workers", runtime.NumCPU(), "concurrent profiles")
 	flag.Parse()
 
-	type job struct{ gpu, suite, app string }
+	// The device axis is both evaluation GPUs of the paper (Table IX),
+	// exercising the nvprof (CC < 7.2) and ncu metric paths.
+	type job struct{ gpu, id string }
 	var jobs []job
-	for _, g := range gpus {
-		for _, s := range gputopdown.Suites() {
-			for _, a := range gputopdown.SuiteApps(s) {
-				jobs = append(jobs, job{gpu: g, suite: s, app: a.Name})
-			}
+	for _, g := range gpu.IDs() {
+		for _, id := range check.CorpusIDs() {
+			jobs = append(jobs, job{gpu: g, id: id})
 		}
-	}
-	for _, g := range gpus {
 		if err := os.MkdirAll(filepath.Join(*dir, g), 0o755); err != nil {
 			fatalf("%v", err)
 		}
@@ -57,7 +52,7 @@ func main() {
 
 	before, beforeErr := check.LoadCorpus(*dir)
 
-	var wrote, unchanged atomic.Int64
+	var wrote atomic.Int64
 	var firstErr atomic.Value
 	ch := make(chan job)
 	var wg sync.WaitGroup
@@ -66,14 +61,13 @@ func main() {
 		go func() {
 			defer wg.Done()
 			for j := range ch {
-				path := filepath.Join(*dir, j.gpu, j.suite+"__"+j.app+".json")
-				data, err := goldenFor(j.gpu, j.suite, j.app)
+				path := check.CorpusPath(*dir, j.gpu, j.id)
+				data, err := goldenFor(j.gpu, j.id)
 				if err != nil {
-					firstErr.CompareAndSwap(nil, fmt.Errorf("%s/%s on %s: %w", j.suite, j.app, j.gpu, err))
+					firstErr.CompareAndSwap(nil, fmt.Errorf("%s on %s: %w", j.id, j.gpu, err))
 					continue
 				}
 				if old, err := os.ReadFile(path); err == nil && string(old) == string(data) {
-					unchanged.Add(1)
 					continue
 				}
 				if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -94,7 +88,7 @@ func main() {
 		fatalf("%v", err)
 	}
 	fmt.Printf("goldengen: %d reports (%d rewritten, %d unchanged)\n",
-		len(jobs), wrote.Load(), unchanged.Load())
+		len(jobs), wrote.Load(), int64(len(jobs))-wrote.Load())
 
 	after, err := check.LoadCorpus(*dir)
 	if err != nil {
@@ -117,17 +111,17 @@ func main() {
 // goldenFor profiles one app at the corpus configuration and returns its
 // canonical report bytes. The profiler configuration must match
 // TestGoldenReports exactly; both sides use the library defaults.
-func goldenFor(gpuID, suite, app string) ([]byte, error) {
+func goldenFor(gpuID, id string) ([]byte, error) {
 	spec, ok := gputopdown.LookupGPU(gpuID)
 	if !ok {
 		return nil, fmt.Errorf("unknown gpu %q", gpuID)
 	}
+	suite, app, _ := strings.Cut(id, "/")
 	a, err := gputopdown.GetApp(suite, app)
 	if err != nil {
 		return nil, err
 	}
-	p := gputopdown.NewProfiler(spec)
-	res, err := p.ProfileApp(context.Background(), a)
+	res, err := gputopdown.NewProfiler(spec).ProfileApp(context.Background(), a)
 	if err != nil {
 		return nil, err
 	}

@@ -81,12 +81,13 @@ func main() {
 		return
 	}
 
-	var app *gputopdown.App
 	if *dynamic {
-		app = gputopdown.SradDynamic()
+		f.Suite, f.App = "altis", "srad_dynamic"
 	} else if *autotune {
-		app = gputopdown.GemmAutotune()
-	} else if app, err = f.SelectedApp(); err != nil {
+		f.Suite, f.App = "altis", "gemm_autotune"
+	}
+	app, err := f.SelectedApp()
+	if err != nil {
 		fatalf("%v (try -list)", err)
 	}
 

@@ -43,8 +43,7 @@ type KernelError = cupti.KernelError
 // when the suite exists but the name does not. LookupApp is the legacy
 // boolean variant.
 func GetApp(suite, name string) (*App, error) {
-	app, ok := LookupApp(suite, name)
-	if ok {
+	if app, ok := LookupApp(suite, name); ok {
 		return app, nil
 	}
 	if len(SuiteApps(suite)) == 0 {

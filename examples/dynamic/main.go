@@ -18,7 +18,8 @@ func main() {
 	// invocations stay cheap.
 	profiler := gputopdown.NewProfiler(spec, gputopdown.WithLevel(1))
 
-	res, err := profiler.ProfileApp(context.Background(), gputopdown.SradDynamic())
+	app, _ := gputopdown.LookupApp("altis", "srad_dynamic")
+	res, err := profiler.ProfileApp(context.Background(), app)
 	if err != nil {
 		log.Fatal(err)
 	}

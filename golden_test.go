@@ -9,27 +9,15 @@ import (
 	"testing"
 
 	"gputopdown/internal/check"
+	"gputopdown/internal/gpu"
 	"gputopdown/internal/sim"
 )
 
-// goldenDir is the committed corpus root: one canonical report per suite app
-// per evaluation GPU, regenerated with `make golden` (cmd/goldengen).
+// goldenDir is the committed corpus root, laid out as internal/check's
+// corpus.go says and regenerated with `make golden` (cmd/goldengen).
 const goldenDir = "internal/check/testdata/golden"
 
-// goldenGPUs is the corpus device axis (must match cmd/goldengen).
-var goldenGPUs = []string{"gtx1070", "rtx4000"}
-
-// goldenSample is the subset TestGoldenReports re-profiles on every `go test`
-// run: one app per suite spanning both metric paths, cheap enough for tier-1.
-// Set GOLDEN_FULL=1 (the CI golden job does) to re-profile the whole corpus.
-var goldenSample = map[string][]string{
-	"gtx1070": {"rodinia/bfs", "shoc/triad"},
-	"rtx4000": {"altis/gups", "cudasamples/binaryPartitionCG_tile8"},
-}
-
-func goldenPath(gpuID, suite, app string) string {
-	return filepath.Join(goldenDir, gpuID, suite+"__"+app+".json")
-}
+func goldenPath(gpuID, id string) string { return check.CorpusPath(goldenDir, gpuID, id) }
 
 // goldenProfile profiles one app at the corpus configuration (library
 // defaults; must match cmd/goldengen.goldenFor) on a new device and returns
@@ -64,45 +52,35 @@ func profileReport(t *testing.T, p *Profiler, suite, app string) []byte {
 }
 
 // goldenIDs lists the suite/app ids the golden tests profile on gpuID: the
-// sample, or with GOLDEN_FULL=1 every suite app.
+// tier-1 sample (check.CorpusSample), or with GOLDEN_FULL=1 every corpus app.
 func goldenIDs(gpuID string) []string {
 	if os.Getenv("GOLDEN_FULL") == "" {
-		return goldenSample[gpuID]
+		return check.CorpusSample[gpuID]
 	}
-	var ids []string
-	for _, s := range Suites() {
-		for _, a := range SuiteApps(s) {
-			ids = append(ids, s+"/"+a.Name)
-		}
-	}
-	return ids
+	return check.CorpusIDs()
 }
 
-// TestGoldenCorpusComplete checks corpus shape without profiling: every suite
-// app of both GPUs has a committed golden file, and no stale file outlives
-// its app. Catches forgotten `make golden` after adding or renaming apps.
+// TestGoldenCorpusComplete checks corpus shape without profiling: every
+// corpus app of both GPUs has a committed golden file, and no stale file
+// outlives its app. Catches forgotten `make golden` after adding or renaming
+// apps.
 func TestGoldenCorpusComplete(t *testing.T) {
 	want := map[string]bool{}
-	for _, g := range goldenGPUs {
-		for _, s := range Suites() {
-			for _, a := range SuiteApps(s) {
-				p := goldenPath(g, s, a.Name)
-				want[p] = true
-				if _, err := os.Stat(p); err != nil {
-					t.Errorf("missing golden %s (run `make golden`)", p)
-				}
+	for _, g := range gpu.IDs() {
+		for _, id := range check.CorpusIDs() {
+			p := goldenPath(g, id)
+			want[p] = true
+			if _, err := os.Stat(p); err != nil {
+				t.Errorf("missing golden %s (run `make golden`)", p)
 			}
 		}
-	}
-	for _, g := range goldenGPUs {
 		entries, err := os.ReadDir(filepath.Join(goldenDir, g))
 		if err != nil {
 			t.Fatalf("corpus directory missing: %v", err)
 		}
 		for _, e := range entries {
-			p := filepath.Join(goldenDir, g, e.Name())
-			if !want[p] {
-				t.Errorf("stale golden %s: no such suite app (run `make golden` and delete it)", p)
+			if p := filepath.Join(goldenDir, g, e.Name()); !want[p] {
+				t.Errorf("stale golden %s: no such corpus app (run `make golden` and delete it)", p)
 			}
 		}
 	}
@@ -110,24 +88,25 @@ func TestGoldenCorpusComplete(t *testing.T) {
 
 // TestGoldenReports is the end-to-end regression gate: re-profile and demand
 // byte-identity with the committed corpus, reporting a per-node diff on
-// mismatch. Samples goldenSample by default; GOLDEN_FULL=1 sweeps all apps.
+// mismatch. Samples check.CorpusSample by default; GOLDEN_FULL=1 sweeps all
+// apps.
 func TestGoldenReports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiling gate skipped in -short mode")
 	}
-	for _, g := range goldenGPUs {
+	for _, g := range gpu.IDs() {
 		for _, id := range goldenIDs(g) {
 			g, id := g, id
 			t.Run(g+"/"+strings.ReplaceAll(id, "/", "__"), func(t *testing.T) {
 				suite, app, _ := strings.Cut(id, "/")
-				want, err := os.ReadFile(goldenPath(g, suite, app))
+				want, err := os.ReadFile(goldenPath(g, id))
 				if err != nil {
 					t.Fatalf("missing golden (run `make golden`): %v", err)
 				}
 				got := goldenProfile(t, g, suite, app)
 				if d := check.DiffJSON(want, got); d != "" {
 					t.Errorf("report diverged from golden %s:\n%s\n(if intentional, run `make golden` and review the diff)",
-						goldenPath(g, suite, app), d)
+						goldenPath(g, id), d)
 				}
 			})
 		}
@@ -139,12 +118,12 @@ func TestGoldenReports(t *testing.T) {
 // every run after the first is on the first run's device reset after a
 // different app (and, in reverse, the same apps meet other predecessors), and
 // every report must still equal its golden byte for byte. Samples
-// goldenSample by default; GOLDEN_FULL=1 runs all apps.
+// check.CorpusSample by default; GOLDEN_FULL=1 runs all apps.
 func TestReusedProfilerReproducesGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiling gate skipped in -short mode")
 	}
-	for _, g := range goldenGPUs {
+	for _, g := range gpu.IDs() {
 		t.Run(g, func(t *testing.T) {
 			spec, _ := LookupGPU(g)
 			emptyPool()
@@ -155,7 +134,7 @@ func TestReusedProfilerReproducesGoldens(t *testing.T) {
 			slices.Reverse(order[len(ids):])
 			for i, id := range order {
 				suite, app, _ := strings.Cut(id, "/")
-				want, err := os.ReadFile(goldenPath(g, suite, app))
+				want, err := os.ReadFile(goldenPath(g, id))
 				if err != nil {
 					t.Fatalf("missing golden (run `make golden`): %v", err)
 				}

@@ -132,11 +132,6 @@ func (f *Flags) SelectedApp() (*gputopdown.App, error) {
 	if f.App == "" {
 		return nil, fmt.Errorf("missing -app")
 	}
-	if f.Suite == "altis" && f.App == "gemm_autotune" {
-		// Standalone workload: not in the suite list (it would skew the
-		// suite-average figures) but reachable by name for cache experiments.
-		return gputopdown.GemmAutotune(), nil
-	}
 	return gputopdown.GetApp(f.Suite, f.App)
 }
 

@@ -1,7 +1,5 @@
 package paper
 
-import "gputopdown/internal/gpu"
-
 // A Claim is one sentence of §V as a predicate over the tables the golden
 // corpus yields. Holds is false for a documented deviation (EXPERIMENTS.md):
 // the corpus contradicts the paper there and Check asserts what it measures,
@@ -29,12 +27,31 @@ func at(src Source, fig string, i int, label, col string) float64 {
 	return Figure(fig, src)[i].At(label, col)
 }
 
+// phase averages column col of Fig. 11 or 12 over the first quarter of the
+// kernel's invocations (phase 1) or, when late, over the last quarter
+// (phase 2); NaN (0/0) without invocations.
+func phase(src Source, fig, col string, late bool) float64 {
+	t := Figure(fig, src)[0]
+	q, sum := len(t.Rows)/4, 0.0
+	rows := t.Rows[:q]
+	if late {
+		rows = t.Rows[len(t.Rows)-q:]
+	}
+	for _, r := range rows {
+		sum += t.At(r.Label, col)
+	}
+	return sum / float64(q)
+}
+
+// shift is the change of column col of Fig. 11 or 12 from phase 1 to phase 2.
+func shift(src Source, fig, col string) float64 {
+	return phase(src, fig, col, true) - phase(src, fig, col, false)
+}
+
 // Claims lists §V's checkable claims, in figure order.
 var Claims = []Claim{
-	{"Table IX", "The GTX 1070 has 15 SMs, the Quadro RTX 4000 36.", true, func(Source) bool {
-		g, _ := gpu.Lookup("gtx1070")
-		q, _ := gpu.Lookup("rtx4000")
-		sms := Table9(g, q).Rows[3]
+	{"Table IX", "The GTX 1070 has 15 SMs, the Quadro RTX 4000 36.", true, func(s Source) bool {
+		sms := Figure("table9", s)[0].Rows[3]
 		return sms.Label == "SMs" && sms.Text[0] == "15" && sms.Text[1] == "36"
 	}},
 	{"Fig 4", "Performance clearly degrades as the tile size shrinks.", true, func(s Source) bool {
@@ -76,6 +93,23 @@ var Claims = []Claim{
 	// 38.7 % to 11.9 %: only the ML apps are constant-bound.
 	{"Fig 10", "The constant cache becomes the main contributor on average.", false, func(s Source) bool {
 		return at(s, "10", 0, "AVERAGE", "long_scoreboard%") > at(s, "10", 0, "AVERAGE", "imc_miss%")
+	}},
+	{"Figs 11/12", "Phase 1 is backend-dominated.", true, func(s Source) bool {
+		return phase(s, "11", "backend%", false) > phase(s, "11", "retire%", false) &&
+			phase(s, "12", "backend%", false) > phase(s, "12", "retire%", false)
+	}},
+	{"Figs 11/12", "The Top-Down metrics move between the phases: retire falls.", true, func(s Source) bool {
+		return shift(s, "11", "retire%") < 0 && shift(s, "12", "retire%") < 0
+	}},
+	// The paper's srad_cuda_1 is heavier in phase 1; here its invocations
+	// take 1 819 cycles in phase 1 and 2 101 in phase 2.
+	{"Fig 11", "Phase 1 is the heavier phase.", false, func(s Source) bool { return shift(s, "11", "cycles") > 0 }},
+	{"Fig 12", "Phase 1 is the heavier phase.", true, func(s Source) bool { return shift(s, "12", "cycles") < 0 }},
+	// The paper's phase 2 trades backend for frontend; here srad_cuda_1's
+	// backend grows, 53.1 % to 55.7 %, and divergence grows most, 5.2 % to
+	// 13.3 % (srad_cuda_2: backend 60.4 % to 59.9 %, frontend 7.5 % to 7.3 %).
+	{"Fig 11", "In phase 2 the backend shrinks and the frontend grows.", false, func(s Source) bool {
+		return shift(s, "11", "backend%") > 0
 	}},
 	{"Fig 13", "The level-3 metric set needs 8 passes per kernel.", true, func(s Source) bool {
 		n := 0

@@ -1,8 +1,8 @@
 // Package paper computes the tables of the paper's evaluation (§V: Table IX,
 // Figs. 4-13) from Top-Down reports and states §V's claims about them as
-// predicates. The tables are pure functions of their inputs: cmd/figures
-// feeds them live profiles, TestPaperClaims and cmd/goldengen the golden
-// corpus (check.LoadCorpus).
+// predicates. The tables are pure functions of their inputs, which are the
+// golden corpus's reports (check.LoadCorpus) for cmd/figures,
+// TestPaperClaims and cmd/goldengen alike.
 package paper
 
 import (
@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 
+	"gputopdown/internal/check"
 	"gputopdown/internal/core"
 	"gputopdown/internal/gpu"
 	"gputopdown/internal/serve"
@@ -127,17 +128,19 @@ var breakdowns = []breakdown{
 }
 
 // A Source returns the reports of one suite profiled on one GPU, in suite
-// order.
+// order, or given check.DynamicID the srad dynamic run's report.
 type Source func(gpuID, suite string) []*serve.Report
 
-// Figure returns the tables of one of Figs. 4-13 in print order, nil for any
-// other id. Figs. 11-12 read src's "srad_dynamic" suite, the srad dynamic
-// application profiled at level 1.
+// Figure returns the tables of Table IX ("table9") or of one of Figs. 4-13,
+// in print order; nil for any other id. Figs. 11-12 read src's
+// check.DynamicID report.
 func Figure(id string, src Source) []Table {
 	switch id {
+	case "table9":
+		return []Table{table9()}
 	case "11", "12":
 		kernel := map[string]string{"11": "srad_cuda_1", "12": "srad_cuda_2"}[id]
-		return []Table{dynamic(id, kernel, src("rtx4000", "srad_dynamic")[0])}
+		return []Table{dynamic(id, kernel, src("rtx4000", check.DynamicID))}
 	case "13":
 		return []Table{overhead(src("rtx4000", "rodinia"), src("rtx4000", "altis"))}
 	}
@@ -158,13 +161,15 @@ func Figure(id string, src Source) []Table {
 	return ts
 }
 
-// Table9 is Table IX, the characteristics of the two evaluation GPUs.
-func Table9(g, q *gpu.Spec) Table {
-	t := Table{Title: "Table IX. GPU characteristics", Header: []string{"Feature", g.Name, q.Name}}
+// table9 is Table IX, the characteristics of the two evaluation GPUs.
+func table9() Table {
+	t := Table{Title: "Table IX. GPU characteristics", Header: []string{"Feature"}}
 	for _, l := range []string{"Compute Capability", "Memory", "CUDA cores", "SMs", "SM Subpartitions", "Power", "IPC_MAX"} {
 		t.Rows = append(t.Rows, Row{Label: l})
 	}
-	for _, s := range []*gpu.Spec{g, q} {
+	for _, id := range gpu.IDs() {
+		s, _ := gpu.Lookup(id)
+		t.Header = append(t.Header, s.Name)
 		for i, cell := range []string{fmt.Sprintf("%s (%s)", s.Compute, s.Architecture),
 			fmt.Sprintf("%dGB %s", s.MemoryGB, s.MemoryType), fmt.Sprint(s.CUDACores), fmt.Sprint(s.SMs),
 			fmt.Sprint(s.SubpartitionsPerSM), fmt.Sprintf("%dW", s.PowerW), fmt.Sprintf("%.0f", s.IPCMax())} {
@@ -175,14 +180,16 @@ func Table9(g, q *gpu.Spec) Table {
 }
 
 // dynamic is Fig. 11 or 12: the cycles and level-1 shares of every invocation
-// of one kernel, in invocation order.
-func dynamic(fig, kernel string, rep *serve.Report) Table {
+// of one kernel in reps, in invocation order; no rows without reports.
+func dynamic(fig, kernel string, reps []*serve.Report) Table {
 	t := Table{Title: fmt.Sprintf("Figure %s. Level-1 Top-Down evolution of %s on Turing", fig, kernel),
 		Header: append([]string{"invocation"}, header("cycles", level1)...)}
-	for _, k := range rep.Kernels {
-		if k.Kernel == kernel {
-			t.Rows = append(t.Rows, Row{Label: fmt.Sprint(len(t.Rows)),
-				Values: append([]float64{float64(k.Cycles)}, shares(k.Analysis, level1, false)...)})
+	for _, rep := range reps {
+		for _, k := range rep.Kernels {
+			if k.Kernel == kernel {
+				t.Rows = append(t.Rows, Row{Label: fmt.Sprint(len(t.Rows)),
+					Values: append([]float64{float64(k.Cycles)}, shares(k.Analysis, level1, false)...)})
+			}
 		}
 	}
 	return t

@@ -3,7 +3,6 @@ package sm_test
 import (
 	"context"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -15,20 +14,14 @@ import (
 
 const goldenDir = "../check/testdata/golden"
 
-// referenceSample is the root package's goldenSample: what tier-1 profiles on
-// the reference engine. Two of the four are reports the wake table used to get
-// wrong (rodinia/bfs@gtx1070, binaryPartitionCG_tile8@rtx4000).
-var referenceSample = map[string][]string{
-	"gtx1070": {"rodinia/bfs", "shoc/triad"},
-	"rtx4000": {"altis/gups", "cudasamples/binaryPartitionCG_tile8"},
-}
-
 // TestReferenceEngineReproducesGoldens profiles suite applications end to end
 // with every SM a reference engine — each resident warp classified from
 // scratch every tick — and demands the bytes of the committed golden reports,
 // which TestGoldenReports demands of the production engine: the two engines
-// are equal on whole applications, not only on this package's kernels.
-// GOLDEN_FULL=1 runs all 116.
+// are equal on whole applications, not only on this package's kernels. It
+// profiles check.CorpusSample, two of whose four reports the wake table used
+// to get wrong (rodinia/bfs@gtx1070, binaryPartitionCG_tile8@rtx4000);
+// GOLDEN_FULL=1 runs all 118.
 func TestReferenceEngineReproducesGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiling gate skipped in -short mode")
@@ -37,20 +30,15 @@ func TestReferenceEngineReproducesGoldens(t *testing.T) {
 	defer sm.SetReferenceEngine(false)
 	full := os.Getenv("GOLDEN_FULL") != ""
 	for _, g := range gpu.IDs() {
-		ids := referenceSample[g]
+		ids := check.CorpusSample[g]
 		if full {
-			ids = nil
-			for _, s := range gputopdown.Suites() {
-				for _, a := range gputopdown.SuiteApps(s) {
-					ids = append(ids, s+"/"+a.Name)
-				}
-			}
+			ids = check.CorpusIDs()
 		}
 		spec, _ := gputopdown.LookupGPU(g)
 		for _, id := range ids {
 			suite, name, _ := strings.Cut(id, "/")
 			t.Run(g+"/"+suite+"__"+name, func(t *testing.T) {
-				path := filepath.Join(goldenDir, g, suite+"__"+name+".json")
+				path := check.CorpusPath(goldenDir, g, id)
 				want, err := os.ReadFile(path)
 				if err != nil {
 					t.Fatalf("missing golden (run `make golden`): %v", err)

@@ -11,13 +11,12 @@ import (
 // is what makes the constant cache the top level-3 contributor in the
 // paper's Fig. 10.
 func Altis() []*App {
-	sradApp, _ := makeSrad("altis", "srad", 128, 30)
 	return []*App{
 		bfsApp("altis", 2), cfdApp("altis", 2), dwt2dApp(), gemmApp(),
 		gupsApp(), kmeansApp("altis"), lavaMDApp("altis"), mandelbrotApp(),
 		maxflopsApp(), nwApp("altis"), particlefilterApp("altis"),
 		pathfinderApp("altis"), raytracingApp(), sortApp(), whereApp(),
-		cnnApp(), lstmApp(), mlpApp(), gruApp(), sradApp,
+		cnnApp(), lstmApp(), mlpApp(), gruApp(), makeSrad("altis", "srad", 128, 30),
 	}
 }
 

@@ -63,23 +63,13 @@ func seedFor(id string) int64 {
 	return int64(h & 0x7FFFFFFFFFFFFFFF)
 }
 
-// Lookup finds an app by suite and name across all registered suites.
+// Lookup finds an app by suite and name: a suite app, or one of the
+// standalone apps altis/srad_dynamic (Figs. 11-12) and altis/gemm_autotune
+// (the replay cache's workload), which no suite lists so that suite averages
+// do not move.
 func Lookup(suite, name string) (*App, bool) {
-	var apps []*App
-	switch suite {
-	case "rodinia":
-		apps = Rodinia()
-	case "altis":
-		apps = Altis()
-	case "shoc":
-		apps = SHOC()
-	case "cudasamples":
-		apps = CUDASamples()
-	default:
-		return nil, false
-	}
-	for _, a := range apps {
-		if a.Name == name {
+	for _, a := range append(BySuite(suite), SradDynamic(), GemmAutotune()) {
+		if a.Suite == suite && a.Name == name {
 			return a, true
 		}
 	}
@@ -89,20 +79,15 @@ func Lookup(suite, name string) (*App, bool) {
 // Suites returns the registered suite names.
 func Suites() []string { return []string{"rodinia", "altis", "shoc", "cudasamples"} }
 
-// BySuite returns a suite's apps.
+// BySuite returns a suite's apps, nil for an unknown suite.
 func BySuite(suite string) []*App {
-	switch suite {
-	case "rodinia":
-		return Rodinia()
-	case "altis":
-		return Altis()
-	case "shoc":
-		return SHOC()
-	case "cudasamples":
-		return CUDASamples()
+	if apps := suites[suite]; apps != nil {
+		return apps()
 	}
 	return nil
 }
+
+var suites = map[string]func() []*App{"rodinia": Rodinia, "altis": Altis, "shoc": SHOC, "cudasamples": CUDASamples}
 
 // ---- input-data helpers ----
 

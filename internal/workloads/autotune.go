@@ -16,23 +16,15 @@ import "gputopdown/internal/kernel"
 // 20 repetitions is at the low end of real harnesses (Kernel Tuner and KTT
 // default to tens of observations per configuration); it keeps the profiled
 // run short while leaving 18 of 20 invocations cacheable.
-func GemmAutotune() *App {
-	return makeGemmAutotune("gemm_autotune", 128, 20)
-}
+func GemmAutotune() *App { return GemmAutotuneSized(128, 20) }
 
 // GemmAutotuneSized is GemmAutotune with an explicit problem size and
 // repetition count (dim must be a multiple of the 16x16 tile) — real
 // harnesses sweep both. Tests use a small instance so the cache path is
 // exercised cheaply.
 func GemmAutotuneSized(dim, reps int) *App {
-	return makeGemmAutotune("gemm_autotune", dim, reps)
-}
-
-// makeGemmAutotune builds an autotune app multiplying dim x dim matrices
-// reps times. dim must be a multiple of the 16x16 tile.
-func makeGemmAutotune(name string, dim, reps int) *App {
 	return &App{
-		Name:  name,
+		Name:  "gemm_autotune",
 		Suite: "altis",
 		Description: "autotuning harness: one shared-memory GEMM configuration " +
 			"launched repeatedly with identical inputs",

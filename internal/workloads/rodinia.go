@@ -666,7 +666,7 @@ func pathfinderApp(suite string) *App {
 }
 
 func sradV1App() *App {
-	app, _ := makeSrad("rodinia", "srad_v1", 128, 24)
+	app := makeSrad("rodinia", "srad_v1", 128, 24)
 	app.Description = "speckle-reducing anisotropic diffusion, v1 kernels"
 	return app
 }

@@ -136,14 +136,11 @@ func sradKernel2() *kernel.Program {
 // SradDynamic returns the 100-invocation SRAD used for the paper's dynamic
 // analysis (Figs. 11 and 12): long enough for the convergence-driven phase
 // transition to land mid-run.
-func SradDynamic() *App {
-	app, _ := makeSrad("altis", "srad_dynamic", 128, 100)
-	return app
-}
+func SradDynamic() *App { return makeSrad("altis", "srad_dynamic", 128, 100) }
 
 // makeSrad builds an SRAD app over a size x size image running iters
 // diffusion iterations (two kernel invocations each).
-func makeSrad(suite, name string, size, iters int) (*App, int) {
+func makeSrad(suite, name string, size, iters int) *App {
 	return &App{
 		Name:  name,
 		Suite: suite,
@@ -191,5 +188,5 @@ func makeSrad(suite, name string, size, iters int) (*App, int) {
 			}
 			return nil
 		},
-	}, iters
+	}
 }

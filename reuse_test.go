@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"gputopdown/internal/check"
+	"gputopdown/internal/gpu"
 	"gputopdown/internal/kernel"
 	"gputopdown/internal/sim"
 	"gputopdown/internal/workloads"
@@ -104,7 +105,7 @@ func TestIdleDevicesBounded(t *testing.T) {
 // idle nor gets that device for the edited model; a profiler on the original
 // value then still takes it and reproduces the golden report.
 func TestDeviceOwnsItsSpec(t *testing.T) {
-	want, err := os.ReadFile(goldenPath("gtx1070", "rodinia", "myocyte"))
+	want, err := os.ReadFile(goldenPath("gtx1070", "rodinia/myocyte"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestPooledDeviceForgetsItsProfiler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile(goldenPath("gtx1070", "rodinia", "myocyte"))
+	want, err := os.ReadFile(goldenPath("gtx1070", "rodinia/myocyte"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,8 +200,8 @@ func TestProfileAppsReusesDevices(t *testing.T) {
 		t.Skip("profiling skipped in -short mode")
 	}
 	var apps []*App
-	for _, g := range goldenGPUs {
-		for _, id := range goldenSample[g] {
+	for _, g := range gpu.IDs() {
+		for _, id := range check.CorpusSample[g] {
 			suite, name, _ := strings.Cut(id, "/")
 			a, err := GetApp(suite, name)
 			if err != nil {
@@ -277,7 +278,7 @@ func TestFailedRunReturnsItsDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile(goldenPath("gtx1070", "rodinia", "myocyte"))
+	want, err := os.ReadFile(goldenPath("gtx1070", "rodinia/myocyte"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,17 +73,6 @@ func Suites() []string { return workloads.Suites() }
 // SuiteApps lists a suite's applications.
 func SuiteApps(suite string) []*App { return workloads.BySuite(suite) }
 
-// SradDynamic returns the 100-invocation SRAD application used for the
-// paper's per-invocation dynamic analysis (Figs. 11 and 12).
-func SradDynamic() *App { return workloads.SradDynamic() }
-
-// GemmAutotune returns an autotuning-harness workload: the same GEMM
-// configuration launched repeatedly with identical inputs, so from the
-// second repetition on every invocation is byte-identical. It is the
-// reference workload for the replay result cache (see WithReplayCache; the
-// repository benchmark's `replay` workload times it).
-func GemmAutotune() *App { return workloads.GemmAutotune() }
-
 // Option configures a Profiler.
 type Option func(*Profiler)
 

@@ -103,9 +103,19 @@ func TestProfilePascalCapsLevel(t *testing.T) {
 	}
 }
 
+// sradDynamic resolves the standalone 100-invocation srad of Figs. 11-12.
+func sradDynamic(t *testing.T) *App {
+	t.Helper()
+	a, err := GetApp("altis", "srad_dynamic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 func TestDynamicSeries(t *testing.T) {
 	p := testProfiler(1)
-	res, err := p.ProfileApp(context.Background(), SradDynamic())
+	res, err := p.ProfileApp(context.Background(), sradDynamic(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,11 +249,11 @@ func TestOverheadAboutThirteenX(t *testing.T) {
 
 func TestWithSamplingFacade(t *testing.T) {
 	p := testProfiler(3, WithSampling(10))
-	res, err := p.ProfileApp(context.Background(), SradDynamic())
+	res, err := p.ProfileApp(context.Background(), sradDynamic(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := testProfiler(3).ProfileApp(context.Background(), SradDynamic())
+	full, err := testProfiler(3).ProfileApp(context.Background(), sradDynamic(t))
 	if err != nil {
 		t.Fatal(err)
 	}
