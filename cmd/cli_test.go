@@ -143,8 +143,10 @@ func TestFlagSurface(t *testing.T) {
 // TestCLISmoke runs each command line, on a 4-SM device where it profiles,
 // and compares standard output with what the binaries of 76bc239 printed
 // (testdata/; figures_table9.txt is the full devices' table since figures
-// lost -sms), so moving the wiring behind the commands cannot move what they
-// print. Lines carrying wall= hold host time and are dropped on both sides.
+// lost -sms; whatif_myocyte_imcmissextra.txt postdates them, as whatif
+// reached no latency then), so moving the wiring behind the commands cannot
+// move what they print. Lines carrying wall= hold host time and are dropped
+// on both sides.
 func TestCLISmoke(t *testing.T) {
 	cases := []struct{ golden, cmdline string }{
 		{"topdown_bfs_perkernel", "topdown -sms 4 -suite rodinia -app bfs -per-kernel"},
@@ -154,6 +156,7 @@ func TestCLISmoke(t *testing.T) {
 		{"gpuprof_bfs_ipc", "gpuprof -sms 4 -gpu gtx1070 -suite rodinia -app bfs -metrics ipc,issued_ipc"},
 		{"gpuprof_autotune_cache", "gpuprof -sms 4 -suite altis -app gemm_autotune -replay-cache -hwpm -checks -metrics smsp__inst_executed.avg.per_cycle_active"},
 		{"whatif_myocyte_imcsize", "whatif -sms 4 -suite rodinia -app myocyte -param imcsize -values 2048,8192"},
+		{"whatif_myocyte_imcmissextra", "whatif -sms 4 -suite rodinia -app myocyte -param IMCMissExtra -values 160,0"},
 		{"figures_table9", "figures -dir ../internal/check/testdata/golden -fig table9"},
 	}
 	for _, c := range cases {
@@ -197,6 +200,21 @@ func TestCompareHonoursCollectionFlags(t *testing.T) {
 	}
 	if plain, raw := frontend(), frontend("-raw"); plain == raw {
 		t.Errorf("-compare -raw printed the same Frontend row as -compare: %q", plain)
+	}
+}
+
+// TestRemoteRejectsUnsentFlags: a daemon job carries the device id, the
+// workload and the collection mode, nothing else, so topdown -remote fails on
+// any other flag before it connects instead of silently dropping it.
+func TestRemoteRejectsUnsentFlags(t *testing.T) {
+	cmd := exec.Command(filepath.Join(binDir, "topdown"), strings.Fields("-remote http://127.0.0.1:1 -sms 4 -app bfs")...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err == nil {
+		t.Fatal("topdown -remote -sms 4 exited 0")
+	}
+	if msg := stderr.String(); !strings.Contains(msg, "-sms") || strings.Contains(msg, "remote profile:") {
+		t.Errorf("stderr = %q, want a rejection of -sms before any connection", msg)
 	}
 }
 

@@ -55,6 +55,14 @@ func main() {
 	defer stop()
 
 	if *remote != "" {
+		// A daemon job carries only these; fail rather than drop the rest.
+		sent := map[string]bool{"remote": true, "gpu": true, "suite": true, "app": true, "level": true,
+			"raw": true, "hwpm": true, "replay-cache": true, "remote-timeout": true}
+		flag.Visit(func(fl *flag.Flag) {
+			if !sent[fl.Name] {
+				fatalf("-%s is not sent with -remote", fl.Name)
+			}
+		})
 		remoteProfile(ctx, *remote, f, *remoteTimeout)
 		return
 	}

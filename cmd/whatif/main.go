@@ -6,11 +6,15 @@
 // — answering "would a bigger constant cache fix myocyte?" in seconds
 // instead of a simulator campaign.
 //
+// The parameter is any model value of the device spec, named by its field
+// (case-insensitive; a pipe's lane count is PipeLanes.<pipe>); -h lists them.
+//
 // Examples:
 //
-//	whatif -suite rodinia -app myocyte -param imcsize -values 2048,8192,32768
-//	whatif -suite rodinia -app hotspot -param l1size -values 32768,65536,131072
-//	whatif -suite altis -app gemm -param policy -values gto,lrr
+//	whatif -suite rodinia -app myocyte -param IMCSize -values 2048,8192,32768
+//	whatif -suite rodinia -app myocyte -param IMCMissExtra -values 160,0
+//	whatif -suite rodinia -app hotspot -param L1Size -values 32768,65536,131072
+//	whatif -suite altis -app gemm -param SchedulingPolicy -values gto,lrr
 package main
 
 import (
@@ -18,17 +22,17 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"gputopdown"
 	"gputopdown/internal/cliflags"
+	"gputopdown/internal/gpu"
 )
 
 func main() {
 	f := cliflags.New("whatif")
 	f.Register(flag.CommandLine, cliflags.Device, cliflags.Workload, "level")
-	param := flag.String("param", "", "parameter to sweep: l1size, l2size, imcsize, lgqueue, mioqueue, fp64lanes, policy, dramlat")
+	param := flag.String("param", "", "device parameter to sweep, case-insensitive: "+strings.Join(gpu.ParamNames(), ", "))
 	values := flag.String("values", "", "comma-separated values")
 	flag.Parse()
 
@@ -55,9 +59,10 @@ func main() {
 		*param, "cycles", "retire", "diverg", "front", "back", "memory", "const")
 	for _, v := range vals {
 		spec := *base // copy
-		if err := apply(&spec, *param, v); err != nil {
+		if err := spec.Set(*param, v); err != nil {
 			fatalf("%v", err)
 		}
+		spec.Name = fmt.Sprintf("%s[%s=%s]", spec.Name, *param, v)
 		if err := spec.Validate(); err != nil {
 			fatalf("variant %s=%s: %v", *param, v, err)
 		}
@@ -76,32 +81,6 @@ func main() {
 			v, res.NativeCycles, f(a.Retire), f(a.Divergence),
 			f(a.Frontend), f(a.Backend), f(a.Memory), constPct)
 	}
-}
-
-// apply mutates one spec parameter from its string value.
-func apply(spec *gputopdown.GPUSpec, param, value string) error {
-	ints := map[string]*int{
-		"l1size":    &spec.L1Size,
-		"l2size":    &spec.L2Size,
-		"imcsize":   &spec.IMCSize,
-		"lgqueue":   &spec.LGQueueDepth,
-		"mioqueue":  &spec.MIOQueueDepth,
-		"fp64lanes": &spec.PipeLanes[2], // isa.PipeFP64
-		"dramlat":   &spec.DRAMLatency,
-	}
-	if field, ok := ints[param]; ok {
-		n, err := strconv.Atoi(value)
-		if err != nil {
-			return err
-		}
-		*field = n
-	} else if param == "policy" {
-		spec.SchedulingPolicy = value
-	} else {
-		return fmt.Errorf("unknown parameter %q", param)
-	}
-	spec.Name = fmt.Sprintf("%s[%s=%s]", spec.Name, param, value)
-	return nil
 }
 
 func fatalf(format string, args ...any) {

@@ -17,9 +17,9 @@ type Config struct {
 	FastForward bool
 	// ReplayCache enables the replay result cache.
 	ReplayCache bool
-	// Tracing attaches interval tracing to the run.
+	// Tracing attaches the execution tracer to the run.
 	Tracing bool
-	// Observer attaches a progress observer (metrics sink).
+	// Observer attaches an execution tracer and a metrics registry.
 	Observer bool
 	// Checks attaches the in-loop invariant checker.
 	Checks bool
@@ -29,8 +29,10 @@ type Config struct {
 	ReusedDevice bool
 }
 
-// BaseConfig is the reference point every property mutates away from: all
-// accelerations on (the production default), no instrumentation attached.
+// BaseConfig is the reference point every property mutates away from: both
+// accelerations on (fast-forward is the production default; the replay cache
+// is opt-in, off unless WithReplayCache enables it), no instrumentation
+// attached.
 func BaseConfig() Config {
 	return Config{
 		FastForward: true,

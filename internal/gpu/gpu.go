@@ -11,7 +11,11 @@ package gpu
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"gputopdown/internal/isa"
 )
@@ -150,72 +154,33 @@ func (s *Spec) WarpsPerSM() int {
 	return s.SubpartitionsPerSM * s.WarpSlotsPerSubpartition
 }
 
-// Validate checks internal consistency of the spec.
+// Validate checks every model value against its row of the parameter table
+// (params), then the rules that tie values together. It allocates nothing
+// on a valid spec.
 func (s *Spec) Validate() error {
-	switch {
-	case s.Name == "":
+	if s.Name == "" {
 		return fmt.Errorf("gpu: spec has no name")
-	case s.SMs < 1:
-		return fmt.Errorf("gpu %s: SMs = %d", s.Name, s.SMs)
-	case s.SubpartitionsPerSM < 1:
-		return fmt.Errorf("gpu %s: SubpartitionsPerSM = %d", s.Name, s.SubpartitionsPerSM)
-	// The SM scheduler keeps sets of warp slots as 64-bit masks.
-	case s.WarpSlotsPerSubpartition < 1 || s.WarpSlotsPerSubpartition > 64:
-		return fmt.Errorf("gpu %s: WarpSlotsPerSubpartition = %d (want 1 to 64)", s.Name, s.WarpSlotsPerSubpartition)
-	case s.MaxThreadsPerSM < WarpSize:
-		return fmt.Errorf("gpu %s: MaxThreadsPerSM = %d", s.Name, s.MaxThreadsPerSM)
-	case s.ClockMHz <= 0:
-		return fmt.Errorf("gpu %s: ClockMHz = %d", s.Name, s.ClockMHz)
+	}
+	spec := reflect.ValueOf(s).Elem()
+	for i := range params {
+		if err := params[i].check(s, spec); err != nil {
+			return err
+		}
+	}
+	switch {
 	// A cache line's valid sectors are a 32-bit mask.
-	case s.LineSize <= 0 || s.SectorSize <= 0 || s.LineSize%s.SectorSize != 0 || s.LineSize/s.SectorSize > 32:
-		return fmt.Errorf("gpu %s: line size %d / sector size %d", s.Name, s.LineSize, s.SectorSize)
+	case s.LineSize%s.SectorSize != 0 || s.LineSize/s.SectorSize > 32:
+		return fmt.Errorf("gpu %s: LineSize %d / SectorSize %d (want a multiple, at most 32 sectors)", s.Name, s.LineSize, s.SectorSize)
 	// The memory model splits addresses by shift and mask. SectorSize first:
 	// it divides LineSize, so it can only be at fault when LineSize is too.
 	case s.SectorSize&(s.SectorSize-1) != 0:
 		return fmt.Errorf("gpu %s: SectorSize = %d (want a power of two)", s.Name, s.SectorSize)
 	case s.LineSize&(s.LineSize-1) != 0:
 		return fmt.Errorf("gpu %s: LineSize = %d (want a power of two)", s.Name, s.LineSize)
-	case s.L1Size <= 0 || s.L2Size <= 0 || s.ICacheSize <= 0 || s.IMCSize <= 0:
-		return fmt.Errorf("gpu %s: non-positive cache size", s.Name)
-	case s.L2Slices < 1 || s.L2Slices&(s.L2Slices-1) != 0:
+	case s.L2Slices&(s.L2Slices-1) != 0:
 		return fmt.Errorf("gpu %s: L2Slices = %d (want a power of two)", s.Name, s.L2Slices)
 	case s.L2Size%s.L2Slices != 0:
-		return fmt.Errorf("gpu %s: L2Size %d not divisible by %d slices", s.Name, s.L2Size, s.L2Slices)
-	case s.FetchCyclesPerLine < 1 || s.DecodeDelay < 1:
-		return fmt.Errorf("gpu %s: fetch throughput/decode delay must be positive", s.Name)
-	case s.SchedulingPolicy != "gto" && s.SchedulingPolicy != "lrr":
-		return fmt.Errorf("gpu %s: unknown scheduling policy %q", s.Name, s.SchedulingPolicy)
-	case s.DivergenceMitigation < 0 || s.DivergenceMitigation > 1:
-		return fmt.Errorf("gpu %s: DivergenceMitigation = %g", s.Name, s.DivergenceMitigation)
-	}
-	for p, lanes := range s.PipeLanes {
-		if lanes < 1 || lanes > WarpSize {
-			return fmt.Errorf("gpu %s: pipe %s has %d lanes", s.Name, isa.Pipe(p), lanes)
-		}
-	}
-	if s.LGQueueDepth < 1 || s.MIOQueueDepth < 1 || s.TEXQueueDepth < 1 {
-		return fmt.Errorf("gpu %s: non-positive queue depth", s.Name)
-	}
-	// The models convert these to unsigned cycle counts and set/way counts:
-	// a negative latency would wrap to ~2^64 cycles, a zero-way cache divides
-	// by zero.
-	for _, f := range []struct {
-		name     string
-		val, min int
-	}{
-		{"ALULatency", s.ALULatency, 0}, {"FMALatency", s.FMALatency, 0},
-		{"FP64Latency", s.FP64Latency, 0}, {"SFULatency", s.SFULatency, 0},
-		{"SharedLatency", s.SharedLatency, 0}, {"L1Latency", s.L1Latency, 0},
-		{"L2Latency", s.L2Latency, 0}, {"DRAMLatency", s.DRAMLatency, 0},
-		{"IMCHitLatency", s.IMCHitLatency, 0}, {"IMCMissExtra", s.IMCMissExtra, 0},
-		{"BranchLatency", s.BranchLatency, 0}, {"TEXLatency", s.TEXLatency, 0},
-		{"ICacheWays", s.ICacheWays, 1}, {"L1Ways", s.L1Ways, 1},
-		{"L2Ways", s.L2Ways, 1}, {"IMCWays", s.IMCWays, 1},
-		{"RegistersPerSM", s.RegistersPerSM, 1}, {"SharedMemPerSM", s.SharedMemPerSM, 1},
-	} {
-		if f.val < f.min {
-			return fmt.Errorf("gpu %s: %s = %d (want >= %d)", s.Name, f.name, f.val, f.min)
-		}
+		return fmt.Errorf("gpu %s: L2Size %d not divisible by %d L2Slices", s.Name, s.L2Size, s.L2Slices)
 	}
 	return nil
 }
@@ -244,160 +209,16 @@ func (s *Spec) WithSMs(n int) *Spec {
 // GTX1070 returns the NVIDIA GeForce GTX 1070 model (Pascal, CC 6.1) from
 // the paper's Table IX.
 func GTX1070() *Spec {
-	s := &Spec{
-		Name:         "NVIDIA GTX 1070",
-		Architecture: "Pascal",
-		Compute:      CC{6, 1},
-
-		SMs:                15,
-		SubpartitionsPerSM: 4,
-		CUDACores:          1920,
-		MemoryGB:           8,
-		MemoryType:         "DDR5",
-		PowerW:             150,
-
-		WarpSlotsPerSubpartition: 16,
-		MaxThreadsPerSM:          2048,
-		MaxBlocksPerSM:           32,
-		RegistersPerSM:           65536,
-		SharedMemPerSM:           96 * 1024,
-
-		ClockMHz: 1506,
-
-		InstrBytes:         8,
-		ICacheSize:         8 * 1024,
-		ICacheWays:         4,
-		FetchCyclesPerLine: 3,
-		DecodeDelay:        4,
-
-		L1Size:     48 * 1024,
-		L1Ways:     4,
-		LineSize:   128,
-		SectorSize: 32,
-		L2Size:     2 * 1024 * 1024,
-		L2Ways:     16,
-		L2Slices:   4,
-
-		IMCSize:       2 * 1024,
-		IMCWays:       4,
-		ConstBankSize: 64 * 1024,
-
-		ALULatency:    6,
-		FMALatency:    6,
-		FP64Latency:   8,
-		SFULatency:    14,
-		SharedLatency: 24,
-		L1Latency:     32,
-		L2Latency:     216,
-		DRAMLatency:   440,
-		IMCHitLatency: 4,
-		IMCMissExtra:  180,
-		BranchLatency: 8,
-		TEXLatency:    80,
-
-		PipeLanes: pipeLanes(map[isa.Pipe]int{
-			isa.PipeALU:  32,
-			isa.PipeFMA:  32,
-			isa.PipeFP64: 1,
-			isa.PipeSFU:  8,
-			isa.PipeLSU:  8,
-			isa.PipeMIO:  8,
-			isa.PipeTEX:  2,
-			isa.PipeCBU:  32,
-		}),
-
-		LGQueueDepth:      16,
-		MIOQueueDepth:     8,
-		TEXQueueDepth:     4,
-		DRAMBytesPerCycle: 170,
-
-		RegFileBanks: 4,
-
-		DivergenceMitigation: 0,
-		SchedulingPolicy:     "gto",
-	}
-	mustValidate(s)
-	return s
+	return fill(0, Spec{Name: "NVIDIA GTX 1070", Architecture: "Pascal", Compute: CC{6, 1},
+		MemoryType: "DDR5", SchedulingPolicy: "gto"})
 }
 
 // QuadroRTX4000 returns the NVIDIA Quadro RTX 4000 model (Turing, CC 7.5)
 // from the paper's Table IX. The paper reports 2 SM subpartitions for this
 // part and IPC_MAX follows from it.
 func QuadroRTX4000() *Spec {
-	s := &Spec{
-		Name:         "NVIDIA Quadro RTX 4000",
-		Architecture: "Turing",
-		Compute:      CC{7, 5},
-
-		SMs:                36,
-		SubpartitionsPerSM: 2,
-		CUDACores:          2304,
-		MemoryGB:           8,
-		MemoryType:         "DDR6",
-		PowerW:             160,
-
-		WarpSlotsPerSubpartition: 16,
-		MaxThreadsPerSM:          1024,
-		MaxBlocksPerSM:           16,
-		RegistersPerSM:           65536,
-		SharedMemPerSM:           64 * 1024,
-
-		ClockMHz: 1545,
-
-		InstrBytes:         16,
-		ICacheSize:         16 * 1024,
-		ICacheWays:         4,
-		FetchCyclesPerLine: 1,
-		DecodeDelay:        2,
-
-		L1Size:     64 * 1024,
-		L1Ways:     4,
-		LineSize:   128,
-		SectorSize: 32,
-		L2Size:     4 * 1024 * 1024,
-		L2Ways:     16,
-		L2Slices:   4,
-
-		IMCSize:       2 * 1024,
-		IMCWays:       4,
-		ConstBankSize: 64 * 1024,
-
-		ALULatency:    4,
-		FMALatency:    4,
-		FP64Latency:   8,
-		SFULatency:    12,
-		SharedLatency: 22,
-		L1Latency:     28,
-		L2Latency:     188,
-		DRAMLatency:   420,
-		IMCHitLatency: 4,
-		IMCMissExtra:  160,
-		BranchLatency: 7,
-		TEXLatency:    72,
-
-		PipeLanes: pipeLanes(map[isa.Pipe]int{
-			isa.PipeALU:  32,
-			isa.PipeFMA:  32,
-			isa.PipeFP64: 1,
-			isa.PipeSFU:  4,
-			isa.PipeLSU:  8,
-			isa.PipeMIO:  8,
-			isa.PipeTEX:  2,
-			isa.PipeCBU:  32,
-		}),
-
-		LGQueueDepth:      16,
-		MIOQueueDepth:     8,
-		TEXQueueDepth:     4,
-		DRAMBytesPerCycle: 270,
-
-		RegFileBanks: 4,
-
-		DivergenceMitigation: 0.3,
-		SchedulingPolicy:     "gto",
-	}
-	mustValidate(s)
-	return s
+	return fill(1, Spec{Name: "NVIDIA Quadro RTX 4000", Architecture: "Turing", Compute: CC{7, 5},
+		MemoryType: "DDR6", SchedulingPolicy: "gto"})
 }
 
 // All returns the built-in device models, keyed by a short CLI-friendly id.
@@ -425,19 +246,195 @@ func Lookup(id string) (*Spec, bool) {
 	return s, ok
 }
 
-func pipeLanes(m map[isa.Pipe]int) [isa.NumPipes]int {
-	var lanes [isa.NumPipes]int
-	for i := range lanes {
-		lanes[i] = 1
-	}
-	for p, n := range m {
-		lanes[p] = n
-	}
-	return lanes
+// param is one model value of a Spec: an int or float64 field, one pipe's
+// entry of PipeLanes, or SchedulingPolicy. A numeric value is legal in
+// [min, max] (NaN never is) and builtin holds the GTX 1070's and the RTX
+// 4000's; a string value is legal in set.
+type param struct {
+	name     string // Go field name; "PipeLanes.<pipe>" for a lane count
+	min, max float64
+	builtin  [2]float64
+	set      []string
+	field    int // index in Spec
+	elem     int // index in PipeLanes, or -1
 }
 
-func mustValidate(s *Spec) {
+func row(name string, min, max, gtx1070, rtx4000 float64) param {
+	return param{name: name, min: min, max: max, builtin: [2]float64{gtx1070, rtx4000}}
+}
+
+// params is the only list of Spec's model values: their legal ranges, which
+// Validate checks and Set writes within, and the built-in devices' values. A
+// floor is what the model needs; a cap keeps allocations and unsigned cycle
+// arithmetic bounded. Rows are row(name, min, max, GTX 1070, RTX 4000).
+var params = resolve([]param{
+	// Table IX. SMs and SubpartitionsPerSM size the device; the rest are printed.
+	row("SMs", 1, 1024, 15, 36),
+	row("SubpartitionsPerSM", 1, 16, 4, 2),
+	row("CUDACores", 1, 1<<20, 1920, 2304),
+	row("MemoryGB", 1, 1024, 8, 8),
+	row("PowerW", 1, 4096, 150, 160),
+	// Residency. The SM scheduler keeps sets of warp slots as 64-bit masks.
+	row("WarpSlotsPerSubpartition", 1, 64, 16, 16),
+	row("MaxThreadsPerSM", WarpSize, 1<<16, 2048, 1024),
+	row("MaxBlocksPerSM", 1, 1024, 32, 16),
+	row("RegistersPerSM", 1, 1<<20, 65536, 65536),
+	row("SharedMemPerSM", 1, 1<<24, 96<<10, 64<<10),
+	row("ClockMHz", 1, 1<<14, 1506, 1545),
+	// Instruction supply. A non-positive width would wrap the fetch address.
+	row("InstrBytes", 1, 256, 8, 16),
+	row("ICacheSize", 1, 1<<24, 8<<10, 16<<10),
+	row("ICacheWays", 1, 64, 4, 4),
+	row("FetchCyclesPerLine", 1, 1024, 3, 1),
+	row("DecodeDelay", 1, 1024, 4, 2),
+	// Data caches; a zero-way cache divides by zero, and a line of one
+	// byte would let line number + 1, its key, wrap.
+	row("L1Size", 1, 1<<24, 48<<10, 64<<10),
+	row("L1Ways", 1, 64, 4, 4),
+	row("LineSize", 2, 4096, 128, 128),
+	row("SectorSize", 1, 4096, 32, 32),
+	row("L2Size", 1, 1<<28, 2<<20, 4<<20),
+	row("L2Ways", 1, 64, 16, 16),
+	row("L2Slices", 1, 64, 4, 4),
+	// Constant path. The suite apps write their constant tables at
+	// kernel.ParamSpace and size them for CUDA's 64 KiB bank.
+	row("IMCSize", 1, 1<<24, 2<<10, 2<<10),
+	row("IMCWays", 1, 64, 4, 4),
+	row("ConstBankSize", 64<<10, 1<<20, 64<<10, 64<<10),
+	// Latencies become unsigned cycle counts: a negative one would wrap to ~2^64.
+	row("ALULatency", 0, 1<<20, 6, 4),
+	row("FMALatency", 0, 1<<20, 6, 4),
+	row("FP64Latency", 0, 1<<20, 8, 8),
+	row("SFULatency", 0, 1<<20, 14, 12),
+	row("SharedLatency", 0, 1<<20, 24, 22),
+	row("L1Latency", 0, 1<<20, 32, 28),
+	row("L2Latency", 0, 1<<20, 216, 188),
+	row("DRAMLatency", 0, 1<<20, 440, 420),
+	row("IMCHitLatency", 0, 1<<20, 4, 4),
+	row("IMCMissExtra", 0, 1<<20, 180, 160),
+	row("BranchLatency", 0, 1<<20, 8, 7),
+	row("TEXLatency", 0, 1<<20, 80, 72),
+	// Lanes per subpartition; a warp instruction holds its pipe WarpSize/lanes cycles.
+	row("PipeLanes.ALU", 1, WarpSize, 32, 32),
+	row("PipeLanes.FMA", 1, WarpSize, 32, 32),
+	row("PipeLanes.FP64", 1, WarpSize, 1, 1),
+	row("PipeLanes.SFU", 1, WarpSize, 8, 4),
+	row("PipeLanes.LSU", 1, WarpSize, 8, 8),
+	row("PipeLanes.MIO", 1, WarpSize, 8, 8),
+	row("PipeLanes.TEX", 1, WarpSize, 2, 2),
+	row("PipeLanes.CBU", 1, WarpSize, 32, 32),
+	row("LGQueueDepth", 1, 1024, 16, 16),
+	row("MIOQueueDepth", 1, 1024, 8, 8),
+	row("TEXQueueDepth", 1, 1024, 4, 4),
+	// At zero bandwidth DRAM never finishes a transfer.
+	row("DRAMBytesPerCycle", 1, 1<<16, 170, 270),
+	row("RegFileBanks", 1, 64, 4, 4),
+	row("DivergenceMitigation", 0, 1, 0, 0.3),
+	{name: "SchedulingPolicy", set: []string{"gto", "lrr"}},
+})
+
+// resolve binds each row to its Spec field, and a PipeLanes row to its pipe.
+func resolve(rows []param) []param {
+	t := reflect.TypeOf(Spec{})
+	for i := range rows {
+		field, pipe, _ := strings.Cut(rows[i].name, ".")
+		f, ok := t.FieldByName(field)
+		rows[i].elem = -1
+		for p := range isa.NumPipes {
+			if isa.Pipe(p).String() == pipe {
+				rows[i].elem = p
+			}
+		}
+		if !ok || (pipe != "") != (rows[i].elem >= 0) {
+			panic("gpu: parameter " + rows[i].name + " names no Spec value")
+		}
+		rows[i].field = f.Index[0]
+	}
+	return rows
+}
+
+// value returns the row's value in spec, a settable Spec.
+func (p *param) value(spec reflect.Value) reflect.Value {
+	v := spec.Field(p.field)
+	if p.elem >= 0 {
+		v = v.Index(p.elem)
+	}
+	return v
+}
+
+// check returns an error naming the row if its value in s is illegal.
+func (p *param) check(s *Spec, spec reflect.Value) error {
+	v := p.value(spec)
+	var f float64
+	switch v.Kind() {
+	case reflect.Int:
+		f = float64(v.Int())
+	case reflect.Float64:
+		f = v.Float()
+	default:
+		if !slices.Contains(p.set, v.String()) {
+			return fmt.Errorf("gpu %s: %s = %q (want one of %s)", s.Name, p.name, v.String(), strings.Join(p.set, ", "))
+		}
+		return nil
+	}
+	if !(f >= p.min && f <= p.max) {
+		return fmt.Errorf("gpu %s: %s = %v (want %s to %s)", s.Name, p.name, v,
+			strconv.FormatFloat(p.min, 'f', -1, 64), strconv.FormatFloat(p.max, 'f', -1, 64))
+	}
+	return nil
+}
+
+// fill sets s's numeric model values from column col of params.
+func fill(col int, s Spec) *Spec {
+	spec := reflect.ValueOf(&s).Elem()
+	for i := range params {
+		switch v := params[i].value(spec); v.Kind() {
+		case reflect.Int:
+			v.SetInt(int64(params[i].builtin[col]))
+		case reflect.Float64:
+			v.SetFloat(params[i].builtin[col])
+		}
+	}
 	if err := s.Validate(); err != nil {
 		panic(err)
 	}
+	return &s
+}
+
+// ParamNames returns the names Set accepts, in Spec's field order.
+func ParamNames() []string {
+	names := make([]string, len(params))
+	for i, p := range params {
+		names[i] = p.name
+	}
+	return names
+}
+
+// Set parses value by the kind of the model value called name (a ParamNames
+// entry, matched case-insensitively) and stores it in s. It does not check
+// the range: call Validate.
+func (s *Spec) Set(name, value string) error {
+	i := slices.IndexFunc(params, func(p param) bool { return strings.EqualFold(p.name, name) })
+	if i < 0 {
+		return fmt.Errorf("gpu: unknown parameter %q (want one of %s)", name, strings.Join(ParamNames(), ", "))
+	}
+	p := &params[i]
+	v := p.value(reflect.ValueOf(s).Elem())
+	switch v.Kind() {
+	case reflect.Int:
+		n, err := strconv.Atoi(value)
+		if err != nil {
+			return fmt.Errorf("gpu: %s: %w", p.name, err)
+		}
+		v.SetInt(int64(n))
+	case reflect.Float64:
+		f, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			return fmt.Errorf("gpu: %s: %w", p.name, err)
+		}
+		v.SetFloat(f)
+	default:
+		v.SetString(value)
+	}
+	return nil
 }

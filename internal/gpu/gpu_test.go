@@ -1,6 +1,9 @@
 package gpu
 
 import (
+	"math"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -101,37 +104,53 @@ func TestValidateCatchesBadSpecs(t *testing.T) {
 	}
 }
 
-// TestValidateNamesTheField: a negative latency (which the models would wrap
-// to a huge unsigned cycle count) and a non-positive way count or per-SM
-// resource are rejected with an error naming the offending field.
+// TestValidateNamesTheField: every row of the parameter table set just
+// outside its range (NaN too, for a float), and each listed defect, is
+// rejected with an error naming the offending field.
 func TestValidateNamesTheField(t *testing.T) {
-	cases := []struct {
+	type bad struct {
 		field string
 		mut   func(*Spec)
-	}{
-		{"ALULatency", func(s *Spec) { s.ALULatency = -1 }},
-		{"FMALatency", func(s *Spec) { s.FMALatency = -1 }},
-		{"FP64Latency", func(s *Spec) { s.FP64Latency = -1 }},
-		{"SFULatency", func(s *Spec) { s.SFULatency = -1 }},
-		{"SharedLatency", func(s *Spec) { s.SharedLatency = -1 }},
-		{"L1Latency", func(s *Spec) { s.L1Latency = -1 }},
-		{"L2Latency", func(s *Spec) { s.L2Latency = -1 }},
-		{"DRAMLatency", func(s *Spec) { s.DRAMLatency = -5 }},
-		{"IMCHitLatency", func(s *Spec) { s.IMCHitLatency = -1 }},
-		{"IMCMissExtra", func(s *Spec) { s.IMCMissExtra = -1 }},
-		{"BranchLatency", func(s *Spec) { s.BranchLatency = -1 }},
-		{"TEXLatency", func(s *Spec) { s.TEXLatency = -1 }},
-		{"ICacheWays", func(s *Spec) { s.ICacheWays = 0 }},
-		{"L1Ways", func(s *Spec) { s.L1Ways = 0 }},
-		{"L2Ways", func(s *Spec) { s.L2Ways = 0 }},
-		{"IMCWays", func(s *Spec) { s.IMCWays = 0 }},
-		{"RegistersPerSM", func(s *Spec) { s.RegistersPerSM = 0 }},
-		{"SharedMemPerSM", func(s *Spec) { s.SharedMemPerSM = 0 }},
-		// One past the width of the SM scheduler's slot masks.
-		{"WarpSlotsPerSubpartition", func(s *Spec) { s.WarpSlotsPerSubpartition = 65 }},
+	}
+	cases := []bad{
+		// Each of these used to validate, then misbehaved in a profile: a
+		// negative bandwidth wrapped ProfiledCycles to ~2^64, a NaN one made
+		// transfers free and its flush cost an implementation-defined
+		// integer, a zero one never finished a transfer, a bank under 64 KiB
+		// panicked in the suite apps' constant writes, a NaN mitigation made
+		// the thread-instruction count implementation-defined, a negative
+		// instruction width wrapped the fetch address.
+		{"DRAMBytesPerCycle", func(s *Spec) { s.DRAMBytesPerCycle = -1 }},
+		{"DRAMBytesPerCycle", func(s *Spec) { s.DRAMBytesPerCycle = math.NaN() }},
+		{"DRAMBytesPerCycle", func(s *Spec) { s.DRAMBytesPerCycle = 0 }},
+		{"ConstBankSize", func(s *Spec) { s.ConstBankSize = 0 }},
+		{"ConstBankSize", func(s *Spec) { s.ConstBankSize = 4096 }},
+		{"DivergenceMitigation", func(s *Spec) { s.DivergenceMitigation = math.NaN() }},
+		{"InstrBytes", func(s *Spec) { s.InstrBytes = -8 }},
 		// Both divide evenly and used to pass, then panicked in mem.NewMemSys.
 		{"LineSize = 96", func(s *Spec) { s.LineSize, s.SectorSize = 96, 32 }},
 		{"SectorSize = 24", func(s *Spec) { s.LineSize, s.SectorSize = 96, 24 }},
+		{"L2Slices = 3", func(s *Spec) { s.L2Slices = 3 }},
+		{"SchedulingPolicy", func(s *Spec) { s.SchedulingPolicy = "random" }},
+	}
+	for _, p := range params {
+		var outside []string
+		switch p.value(reflect.ValueOf(GTX1070()).Elem()).Kind() {
+		case reflect.Int:
+			outside = append(outside, strconv.Itoa(int(p.min)-1), strconv.Itoa(int(p.max)+1))
+		case reflect.Float64:
+			for _, f := range []float64{math.Nextafter(p.min, math.Inf(-1)), math.Nextafter(p.max, math.Inf(1)), math.NaN()} {
+				outside = append(outside, strconv.FormatFloat(f, 'g', -1, 64))
+			}
+		}
+		for _, v := range outside {
+			name, v := p.name, v
+			cases = append(cases, bad{name, func(s *Spec) {
+				if err := s.Set(name, v); err != nil {
+					t.Fatal(err)
+				}
+			}})
+		}
 	}
 	for _, base := range []*Spec{GTX1070(), QuadroRTX4000()} {
 		for _, c := range cases {
@@ -141,6 +160,81 @@ func TestValidateNamesTheField(t *testing.T) {
 				t.Errorf("%s with bad %s: Validate = %v, want an error naming the field", base.Name, c.field, err)
 			}
 		}
+	}
+}
+
+// TestValidateAllocFree: gpu.Lookup validates both built-in specs on every
+// call, and the daemon looks one up per job.
+func TestValidateAllocFree(t *testing.T) {
+	for _, s := range All() {
+		if n := testing.AllocsPerRun(100, func() {
+			if err := s.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: Validate allocates %v times per call, want 0", s.Name, n)
+		}
+	}
+}
+
+// TestParamsCoverSpec: walking Spec by reflection, every model value has
+// exactly one row of the parameter table and every row names one. The
+// descriptive fields (name, architecture, memory type, compute capability)
+// are not model values.
+func TestParamsCoverSpec(t *testing.T) {
+	rows := map[string]int{}
+	for _, name := range ParamNames() {
+		rows[strings.ToLower(name)]++
+	}
+	descriptive := map[string]bool{"Name": true, "Architecture": true, "MemoryType": true, "Compute": true}
+	want := map[string]bool{}
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Spec{})) {
+		switch {
+		case descriptive[f.Name]:
+		case f.Type.Kind() == reflect.Array:
+			for p := range f.Type.Len() {
+				want[f.Name+"."+isa.Pipe(p).String()] = true
+			}
+		default:
+			want[f.Name] = true
+		}
+	}
+	for name := range want {
+		if n := rows[strings.ToLower(name)]; n != 1 {
+			t.Errorf("Spec value %s has %d rows, want 1", name, n)
+		}
+	}
+	for _, name := range ParamNames() {
+		if !want[name] {
+			t.Errorf("row %s names no model value of Spec", name)
+		}
+	}
+}
+
+// TestSet: a name resolves case-insensitively and parses by its field's
+// kind; an unknown name lists the table, a malformed value names the field.
+func TestSet(t *testing.T) {
+	s := QuadroRTX4000()
+	for _, c := range [][2]string{
+		{"imcsize", "8192"}, {"IMCMissExtra", "0"}, {"pipelanes.fp64", "4"},
+		{"DRAMBytesPerCycle", "96.5"}, {"schedulingpolicy", "lrr"},
+	} {
+		if err := s.Set(c[0], c[1]); err != nil {
+			t.Fatalf("Set(%s, %s): %v", c[0], c[1], err)
+		}
+	}
+	if s.IMCSize != 8192 || s.IMCMissExtra != 0 || s.PipeLanes[isa.PipeFP64] != 4 ||
+		s.DRAMBytesPerCycle != 96.5 || s.SchedulingPolicy != "lrr" {
+		t.Errorf("Set wrote %d %d %d %g %s", s.IMCSize, s.IMCMissExtra, s.PipeLanes[isa.PipeFP64], s.DRAMBytesPerCycle, s.SchedulingPolicy)
+	}
+	if err := s.Validate(); err != nil {
+		t.Errorf("spec after Set: %v", err)
+	}
+	if err := s.Set("lgqueue", "4"); err == nil || !strings.Contains(err.Error(), "LGQueueDepth") {
+		t.Errorf("Set(lgqueue) = %v, want an error listing LGQueueDepth", err)
+	}
+	if err := s.Set("L1Size", "big"); err == nil || !strings.Contains(err.Error(), "L1Size") {
+		t.Errorf("Set(L1Size, big) = %v, want an error naming L1Size", err)
 	}
 }
 

@@ -155,15 +155,21 @@ func (l *Launch) Validate() error {
 	if l.NumBlocks() < 1 {
 		return fmt.Errorf("kernel %s: empty grid %s", l.Program.Name, l.Grid)
 	}
+	if len(l.Params) > MaxParams {
+		return fmt.Errorf("kernel %s: %d parameters, want at most %d (more would overwrite constant data at ParamSpace)",
+			l.Program.Name, len(l.Params), MaxParams)
+	}
 	return nil
 }
 
 // ParamBase is the constant-bank offset at which launch parameters are
 // materialised, mirroring CUDA's c[0x0][0x160]-style parameter space. User
-// constant data written by the host must live at ParamSpace or above.
+// constant data written by the host must live at ParamSpace or above, so a
+// launch has at most MaxParams 8-byte parameters.
 const (
 	ParamBase  = 0x160
 	ParamSpace = 0x1000
+	MaxParams  = (ParamSpace - ParamBase) / 8
 )
 
 // ParamOffset returns the constant-bank offset of the i-th launch parameter.

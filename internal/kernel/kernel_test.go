@@ -281,6 +281,20 @@ func TestLaunchValidation(t *testing.T) {
 	if err := noProg.Validate(); err == nil {
 		t.Error("launch without program accepted")
 	}
+
+	// The 468th parameter is the last below ParamSpace; a 469th would be
+	// written over the app's constant data there.
+	if MaxParams != 468 || ParamOffset(MaxParams-1)+8 != ParamSpace {
+		t.Errorf("MaxParams = %d, want 468 ending at ParamSpace", MaxParams)
+	}
+	full := &Launch{Program: prog, Grid: Dim3{X: 1}, Block: Dim3{X: 32}, Params: make([]uint64, MaxParams)}
+	if err := full.Validate(); err != nil {
+		t.Errorf("launch with %d parameters rejected: %v", MaxParams, err)
+	}
+	full.Params = append(full.Params, 0)
+	if err := full.Validate(); err == nil || !strings.Contains(err.Error(), "469 parameters") {
+		t.Errorf("launch with 469 parameters: Validate = %v, want an error counting them", err)
+	}
 }
 
 func TestProgramValidateRejectsEmptyAndFallthrough(t *testing.T) {
