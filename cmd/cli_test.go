@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -26,8 +27,13 @@ import (
 
 var binaries = []string{"topdown", "gpuprof", "gpuprofd", "whatif", "figures", "goldengen"}
 
-// binDir holds the binaries, built once for the whole package.
-var binDir string
+// binDir holds the binaries, built once for the whole package, from the
+// packages in srcDirs.
+var (
+	binDir  string
+	srcDirs []string
+	opened  sync.Once
+)
 
 func TestMain(m *testing.M) {
 	os.Exit(func() int {
@@ -45,8 +51,36 @@ func TestMain(m *testing.M) {
 				return 1
 			}
 		}
+		args := []string{"list", "-deps", "-f", "{{if not .Standard}}{{.Dir}}{{end}}"}
+		for _, b := range binaries {
+			args = append(args, "./"+b)
+		}
+		out, err := exec.Command("go", args...).Output()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "go list: %v\n", err)
+			return 1
+		}
+		srcDirs = strings.Fields(string(out))
 		return m.Run()
 	}())
+}
+
+// bin returns the path of a built binary. Its first call opens the
+// directory of every package the binaries are built from: the go test cache
+// keys a cached result on the files and directories the tests opened (a
+// directory by the size and time of each file in it), so an edit to a
+// command or to any package it imports reruns these tests instead of
+// replaying a result its binaries no longer produce.
+func bin(t *testing.T, name string) string {
+	t.Helper()
+	opened.Do(func() {
+		for _, d := range srcDirs {
+			if f, err := os.Open(d); err == nil {
+				f.Close()
+			}
+		}
+	})
+	return filepath.Join(binDir, name)
 }
 
 // Defaults as `-h` prints them; a flag whose default is the zero value of its
@@ -108,7 +142,7 @@ var (
 func TestFlagSurface(t *testing.T) {
 	for _, b := range binaries {
 		t.Run(b, func(t *testing.T) {
-			out, err := exec.Command(filepath.Join(binDir, b), "-h").CombinedOutput()
+			out, err := exec.Command(bin(t, b), "-h").CombinedOutput()
 			if err != nil {
 				t.Fatalf("-h: %v\n%s", err, out)
 			}
@@ -145,25 +179,33 @@ func TestFlagSurface(t *testing.T) {
 // (testdata/; figures_table9.txt is the full devices' table since figures
 // lost -sms; whatif_myocyte_imcmissextra.txt postdates them, as whatif
 // reached no latency then), so moving the wiring behind the commands cannot
-// move what they print. Lines carrying wall= hold host time and are dropped
-// on both sides.
+// move what they print. The csv and -compare lines were recorded before the
+// renderings came to walk the Top-Down node table, and the last three lines
+// after, since they print "-" for a component their analysis level does not
+// compute where the older binaries printed 0.0%. Lines carrying wall= hold
+// host time and are dropped on both sides.
 func TestCLISmoke(t *testing.T) {
 	cases := []struct{ golden, cmdline string }{
 		{"topdown_bfs_perkernel", "topdown -sms 4 -suite rodinia -app bfs -per-kernel"},
 		{"topdown_gemm_json", "topdown -sms 4 -gpu gtx1070 -suite altis -app gemm -level 2 -format json"},
 		{"topdown_autotune_cache", "topdown -sms 4 -autotune -replay-cache"},
+		{"topdown_gemm_csv", "topdown -sms 4 -suite altis -app gemm -format csv"},
+		{"topdown_bfs_compare", "topdown -sms 4 -suite rodinia -app bfs -compare"},
 		{"gpuprof_list_metrics", "gpuprof -sms 4 -list-metrics -gpu gtx1070"},
 		{"gpuprof_bfs_ipc", "gpuprof -sms 4 -gpu gtx1070 -suite rodinia -app bfs -metrics ipc,issued_ipc"},
 		{"gpuprof_autotune_cache", "gpuprof -sms 4 -suite altis -app gemm_autotune -replay-cache -hwpm -checks -metrics smsp__inst_executed.avg.per_cycle_active"},
 		{"whatif_myocyte_imcsize", "whatif -sms 4 -suite rodinia -app myocyte -param imcsize -values 2048,8192"},
 		{"whatif_myocyte_imcmissextra", "whatif -sms 4 -suite rodinia -app myocyte -param IMCMissExtra -values 160,0"},
 		{"figures_table9", "figures -dir ../internal/check/testdata/golden -fig table9"},
+		{"whatif_myocyte_level1", "whatif -sms 4 -suite rodinia -app myocyte -level 1 -param IMCSize -values 2048"},
+		{"whatif_myocyte_gtx1070", "whatif -sms 4 -gpu gtx1070 -suite rodinia -app myocyte -param IMCSize -values 2048"},
+		{"topdown_bfs_level1_perkernel", "topdown -sms 4 -suite rodinia -app bfs -level 1 -per-kernel"},
 	}
 	for _, c := range cases {
 		t.Run(c.golden, func(t *testing.T) {
 			t.Parallel()
 			args := strings.Fields(c.cmdline)
-			cmd := exec.Command(filepath.Join(binDir, args[0]), args[1:]...)
+			cmd := exec.Command(bin(t, args[0]), args[1:]...)
 			var stderr bytes.Buffer
 			cmd.Stderr = &stderr
 			out, err := cmd.Output()
@@ -186,7 +228,7 @@ func TestCLISmoke(t *testing.T) {
 func TestCompareHonoursCollectionFlags(t *testing.T) {
 	frontend := func(extra ...string) string {
 		args := append(strings.Fields("-sms 4 -suite rodinia -app bfs -compare"), extra...)
-		out, err := exec.Command(filepath.Join(binDir, "topdown"), args...).Output()
+		out, err := exec.Command(bin(t, "topdown"), args...).Output()
 		if err != nil {
 			t.Fatalf("topdown %v: %v", args, err)
 		}
@@ -207,7 +249,7 @@ func TestCompareHonoursCollectionFlags(t *testing.T) {
 // workload and the collection mode, nothing else, so topdown -remote fails on
 // any other flag before it connects instead of silently dropping it.
 func TestRemoteRejectsUnsentFlags(t *testing.T) {
-	cmd := exec.Command(filepath.Join(binDir, "topdown"), strings.Fields("-remote http://127.0.0.1:1 -sms 4 -app bfs")...)
+	cmd := exec.Command(bin(t, "topdown"), strings.Fields("-remote http://127.0.0.1:1 -sms 4 -app bfs")...)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	if err := cmd.Run(); err == nil {
@@ -233,7 +275,7 @@ func stripWall(b []byte) string {
 // live, and /api/progress is no route at all (the registry is the live
 // state). SIGTERM must drain and exit 0.
 func TestDaemonBinary(t *testing.T) {
-	cmd := exec.Command(filepath.Join(binDir, "gpuprofd"), "-addr", "127.0.0.1:0", "-workers", "1", "-log-level", "error")
+	cmd := exec.Command(bin(t, "gpuprofd"), "-addr", "127.0.0.1:0", "-workers", "1", "-log-level", "error")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)

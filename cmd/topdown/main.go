@@ -22,11 +22,13 @@ import (
 	"os"
 	"os/signal"
 	"sort"
+	"strings"
 	"syscall"
 	"time"
 
 	"gputopdown"
 	"gputopdown/internal/cliflags"
+	"gputopdown/internal/core"
 	"gputopdown/internal/gpu"
 )
 
@@ -137,10 +139,9 @@ func main() {
 		fmt.Println()
 		for _, k := range res.Kernels {
 			a := k.Analysis
-			fmt.Printf("%-24s inv %-3d %8d cyc  retire %5.1f%%  div %5.1f%%  fe %5.1f%%  be %5.1f%%\n",
-				k.Kernel, k.Invocation, k.Cycles,
-				100*a.Fraction(a.Retire), 100*a.Fraction(a.Divergence),
-				100*a.Fraction(a.Frontend), 100*a.Fraction(a.Backend))
+			fmt.Printf("%-24s inv %-3d %8d cyc  retire %s  div %s  fe %s  be %s\n",
+				k.Kernel, k.Invocation, k.Cycles, core.Pct(a, "retire", 6), core.Pct(a, "divergence", 6),
+				core.Pct(a, "frontend", 6), core.Pct(a, "backend", 6))
 		}
 	}
 }
@@ -180,11 +181,9 @@ func printSweep(results []*gputopdown.AppResult, overhead bool) {
 		"app", "cycles", "retire", "diverg", "front", "back", "overhead")
 	for _, res := range results {
 		a := res.Aggregate
-		fmt.Printf("%-28s %10d %6.1f%% %6.1f%% %6.1f%% %6.1f%% %8.1fx\n",
-			res.Suite+"/"+res.App, res.NativeCycles,
-			100*a.Fraction(a.Retire), 100*a.Fraction(a.Divergence),
-			100*a.Fraction(a.Frontend), 100*a.Fraction(a.Backend),
-			res.Overhead())
+		fmt.Printf("%-28s %10d %s %s %s %s %8.1fx\n",
+			res.Suite+"/"+res.App, res.NativeCycles, core.Pct(a, "retire", 7), core.Pct(a, "divergence", 7),
+			core.Pct(a, "frontend", 7), core.Pct(a, "backend", 7), res.Overhead())
 	}
 	if overhead {
 		for _, res := range results {
@@ -207,24 +206,11 @@ func printOverhead(res *gputopdown.AppResult) {
 }
 
 // compareGPUs reproduces the paper's architecture-vs-architecture reading of
-// the hierarchy (§V.B): the same application on Pascal and Turing,
-// component by component. Both profilers are built from opts, so every
-// collection and observability flag applies to both devices.
+// the hierarchy (§V.B): the same application on Pascal and Turing, the
+// level-1 stack and the stall categories under it. Both profilers are built
+// from opts, so every collection and observability flag applies to both
+// devices.
 func compareGPUs(ctx context.Context, app *gputopdown.App, f *cliflags.Flags, opts []gputopdown.Option) {
-	type row struct {
-		name string
-		pick func(a *gputopdown.Analysis) float64
-	}
-	rows := []row{
-		{"Retire", func(a *gputopdown.Analysis) float64 { return a.Retire }},
-		{"Divergence", func(a *gputopdown.Analysis) float64 { return a.Divergence }},
-		{"Frontend", func(a *gputopdown.Analysis) float64 { return a.Frontend }},
-		{"  Fetch", func(a *gputopdown.Analysis) float64 { return a.Fetch }},
-		{"  Decode", func(a *gputopdown.Analysis) float64 { return a.Decode }},
-		{"Backend", func(a *gputopdown.Analysis) float64 { return a.Backend }},
-		{"  Core", func(a *gputopdown.Analysis) float64 { return a.Core }},
-		{"  Memory", func(a *gputopdown.Analysis) float64 { return a.Memory }},
-	}
 	var results []*gputopdown.AppResult
 	var names []string
 	for _, id := range gpu.IDs() {
@@ -243,10 +229,13 @@ func compareGPUs(ctx context.Context, app *gputopdown.App, f *cliflags.Flags, op
 	}
 	fmt.Printf("Top-Down comparison of %s/%s (shares of each device's IPC_MAX)\n", app.Suite, app.Name)
 	fmt.Printf("%-12s %24s %24s\n", "component", names[0], names[1])
-	for _, r := range rows {
-		a0, a1 := results[0].Aggregate, results[1].Aggregate
-		fmt.Printf("%-12s %23.1f%% %23.1f%%\n",
-			r.name, 100*a0.Fraction(r.pick(a0)), 100*a1.Fraction(r.pick(a1)))
+	a0, a1 := results[0].Aggregate, results[1].Aggregate
+	for _, n := range core.Nodes {
+		if (n.Depth > 1 && n.NCU == nil) || !(n.In(a0) || n.In(a1)) {
+			continue
+		}
+		fmt.Printf("%-12s %s %s\n", strings.Repeat("  ", n.Depth-1)+n.Name,
+			core.Pct(a0, n.Path, 24), core.Pct(a1, n.Path, 24))
 	}
 	fmt.Printf("%-12s %24d %24d\n", "cycles", results[0].NativeCycles, results[1].NativeCycles)
 	fmt.Printf("%-12s %23.1fx %23.1fx\n", "overhead", results[0].Overhead(), results[1].Overhead())
@@ -258,10 +247,8 @@ func printDynamic(res *gputopdown.AppResult) {
 		fmt.Printf("%4s %8s %7s %7s %7s %7s\n", "inv", "cycles", "retire", "diverg", "front", "back")
 		series := res.Series(name)
 		for i, a := range series {
-			fmt.Printf("%4d %8.0f %6.1f%% %6.1f%% %6.1f%% %6.1f%%\n",
-				i, a.Weight,
-				100*a.Fraction(a.Retire), 100*a.Fraction(a.Divergence),
-				100*a.Fraction(a.Frontend), 100*a.Fraction(a.Backend))
+			fmt.Printf("%4d %8.0f %s %s %s %s\n", i, a.Weight, core.Pct(a, "retire", 7),
+				core.Pct(a, "divergence", 7), core.Pct(a, "frontend", 7), core.Pct(a, "backend", 7))
 		}
 	}
 }

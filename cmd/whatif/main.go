@@ -26,6 +26,7 @@ import (
 
 	"gputopdown"
 	"gputopdown/internal/cliflags"
+	"gputopdown/internal/core"
 	"gputopdown/internal/gpu"
 )
 
@@ -71,15 +72,11 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
+		// const is the constant-cache miss stalls (Fig. 7's myocyte bottleneck).
 		a := res.Aggregate
-		f := func(x float64) float64 { return 100 * a.Fraction(x) }
-		constPct := 0.0
-		if a.MemoryDetail != nil {
-			constPct = 100 * a.Fraction(a.MemoryDetail["imc_miss"])
-		}
-		fmt.Printf("%-12s %9d %7.1f%% %7.1f%% %7.1f%% %7.1f%% | %7.1f%% %7.1f%%\n",
-			v, res.NativeCycles, f(a.Retire), f(a.Divergence),
-			f(a.Frontend), f(a.Backend), f(a.Memory), constPct)
+		fmt.Printf("%-12s %9d %s %s %s %s | %s %s\n", v, res.NativeCycles,
+			core.Pct(a, "retire", 8), core.Pct(a, "divergence", 8), core.Pct(a, "frontend", 8),
+			core.Pct(a, "backend", 8), core.Pct(a, "backend/memory", 8), core.Pct(a, "backend/memory/imc_miss", 8))
 	}
 }
 

@@ -3,7 +3,6 @@ package gputopdown
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"gputopdown/internal/core"
 	"gputopdown/internal/obs"
@@ -17,18 +16,17 @@ type Flame = obs.Flame
 func NewFlame() *Flame { return obs.NewFlame() }
 
 // AddFlame folds an app result's Top-Down cycle attribution into f: one
-// weighted stack per kernel invocation and hierarchy leaf,
+// weighted stack per kernel invocation and leaf of its breakdown,
 //
 //	gpu;suite/app;kernel;<Top-Down node>;<stall reason>  cycles
 //
 // weighted by the invocation's simulated cycles times the component's share
-// of IPC_MAX. Level-3 analyses contribute their stall-reason leaves
-// (long_scoreboard, no_instruction, ...), level-2 the four stall categories,
-// level-1 only Retire/Divergence/Stall. Repeated invocations of one kernel
-// fold together, so the flamegraph answers "where did the simulated cycles
-// of this run go?" in any tool that reads collapsed stacks. The SM dimension
-// is aggregated away by SMPC collection before analysis, so stacks start at
-// the device.
+// of IPC_MAX. Level-3 analyses contribute their stall-reason leaves, level-2
+// the four stall categories, level-1 only Retire/Divergence/Stall. Repeated
+// invocations of one kernel fold together, so the flamegraph answers "where
+// did the simulated cycles of this run go?" in any tool that reads collapsed
+// stacks. The SM dimension is aggregated away by SMPC collection before
+// analysis, so stacks start at the device.
 func AddFlame(f *Flame, r *AppResult) {
 	if f == nil || r == nil {
 		return
@@ -41,38 +39,11 @@ func AddFlame(f *Flame, r *AppResult) {
 			continue
 		}
 		cyc := float64(k.Cycles)
-		add := func(w float64, frames ...string) {
-			f.Add(cyc*a.Fraction(w), append([]string{r.GPU, appID, k.Kernel}, frames...)...)
-		}
-		add(a.Retire, "Retire")
-		if a.Level < core.Level2 {
-			add(a.Divergence, "Divergence")
-			add(a.Stall, "Stall")
-			continue
-		}
-		add(a.Branch, "Divergence", "Branch")
-		add(a.Replay, "Divergence", "Replay")
-		addCategory(add, "Frontend", "Fetch", a.Fetch, a.FetchDetail)
-		addCategory(add, "Frontend", "Decode", a.Decode, a.DecodeDetail)
-		addCategory(add, "Backend", "Core", a.Core, a.CoreDetail)
-		addCategory(add, "Backend", "Memory", a.Memory, a.MemoryDetail)
-	}
-}
-
-// addCategory emits one stall category: its level-3 stall-reason leaves when
-// the analysis has them, otherwise the category itself as the leaf.
-func addCategory(add func(w float64, frames ...string), group, name string, total float64, detail map[string]float64) {
-	if len(detail) == 0 {
-		add(total, group, name)
-		return
-	}
-	segs := make([]string, 0, len(detail))
-	for seg := range detail {
-		segs = append(segs, seg)
-	}
-	sort.Strings(segs)
-	for _, seg := range segs {
-		add(detail[seg], group, name, seg)
+		core.Walk(a, func(n *core.Node, ipc float64) {
+			if n.IsLeaf(a) {
+				f.Add(cyc*a.Fraction(ipc), append([]string{r.GPU, appID, k.Kernel}, n.Frames...)...)
+			}
+		})
 	}
 }
 

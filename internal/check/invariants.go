@@ -21,6 +21,7 @@ package check
 import (
 	"fmt"
 	"math"
+	"path"
 	"strings"
 	"sync"
 
@@ -281,9 +282,9 @@ func (inv *Invariants) CheckLaunch(d *sim.Device, res *sim.RunResult) {
 }
 
 // CheckAnalysis asserts the Top-Down closure laws on one analysis: children
-// sum to parents at every level, components stay within [0, IPC_MAX], and in
-// normalised mode the level-1 stack fills IPC_MAX exactly (the "fractions sum
-// to 1" law), all within analysisEps.
+// sum to parents at every level, components (level-3 leaves included) stay
+// within [0, IPC_MAX], and in normalised mode the level-1 stack fills
+// IPC_MAX exactly (the "fractions sum to 1" law), all within analysisEps.
 func (inv *Invariants) CheckAnalysis(a *core.Analysis) {
 	if inv == nil || a == nil {
 		return
@@ -299,48 +300,39 @@ func (inv *Invariants) CheckAnalysis(a *core.Analysis) {
 			inv.violate("component-range", ctx, "%s = %.9f outside [0, IPC_MAX=%.0f]", name, v, a.IPCMax)
 		}
 	}
-	inRange("Retire", a.Retire)
-	inRange("Divergence", a.Divergence)
-	inRange("Stall", a.Stall)
-	inRange("Branch", a.Branch)
-	inRange("Replay", a.Replay)
-	inRange("Frontend", a.Frontend)
-	inRange("Backend", a.Backend)
-	inRange("Fetch", a.Fetch)
-	inRange("Decode", a.Decode)
-	inRange("Core", a.Core)
-	inRange("Memory", a.Memory)
-
-	if a.Level >= core.Level2 {
-		closeTo("divergence-closure", a.Branch+a.Replay, a.Divergence)
-		closeTo("frontend-closure", a.Fetch+a.Decode, a.Frontend)
-		closeTo("backend-closure", a.Core+a.Memory, a.Backend)
-		// Frontend+Backend can fall short of Stall only when the stall
-		// category percentages degenerate to zero (scale = 0); it must never
-		// exceed it in normalised mode.
-		if fb := a.Frontend + a.Backend; fb > a.Stall+analysisEps {
-			inv.violate("stall-closure", ctx,
-				"Frontend+Backend = %.9f > Stall = %.9f", fb, a.Stall)
-		} else if a.Normalized && fb > 0 {
-			closeTo("stall-closure", fb, a.Stall)
-			// Level-1 stack: Retire + Divergence + Frontend + Backend fills
-			// IPC_MAX (fractions sum to 1) unless Stall was clamped at zero.
-			if a.Stall > 0 {
-				closeTo("level1-sum", a.Retire+a.Divergence+fb, a.IPCMax)
-			}
+	for _, n := range core.Nodes {
+		v, detail := n.IPC(a), n.Detail(a)
+		inRange(n.Name, v)
+		var children, leaves float64
+		for _, c := range n.Children {
+			children += c.IPC(a)
+		}
+		for seg, d := range detail {
+			inRange(seg, d)
+			leaves += d
+		}
+		if a.Level >= core.Level2 && n.Children != nil {
+			closeTo(path.Base(n.Path)+"-closure", children, v)
+		}
+		if a.Level >= core.Level3 && detail != nil {
+			closeTo(path.Base(n.Path)+"-detail-closure", leaves, v)
 		}
 	}
-	sumDetail := func(m map[string]float64) float64 {
-		var t float64
-		for _, v := range m {
-			t += v
-		}
-		return t
+	// Frontend+Backend can fall short of Stall only when the stall category
+	// percentages degenerate to zero (scale = 0); it must never exceed it in
+	// normalised mode.
+	if a.Level < core.Level2 {
+		return
 	}
-	if a.Level >= core.Level3 && a.FetchDetail != nil {
-		closeTo("fetch-detail-closure", sumDetail(a.FetchDetail), a.Fetch)
-		closeTo("decode-detail-closure", sumDetail(a.DecodeDetail), a.Decode)
-		closeTo("core-detail-closure", sumDetail(a.CoreDetail), a.Core)
-		closeTo("memory-detail-closure", sumDetail(a.MemoryDetail), a.Memory)
+	if fb := a.Frontend + a.Backend; fb > a.Stall+analysisEps {
+		inv.violate("stall-closure", ctx,
+			"Frontend+Backend = %.9f > Stall = %.9f", fb, a.Stall)
+	} else if a.Normalized && fb > 0 {
+		closeTo("stall-closure", fb, a.Stall)
+		// Level-1 stack: Retire + Divergence + Frontend + Backend fills
+		// IPC_MAX (fractions sum to 1) unless Stall was clamped at zero.
+		if a.Stall > 0 {
+			closeTo("level1-sum", a.Retire+a.Divergence+fb, a.IPCMax)
+		}
 	}
 }

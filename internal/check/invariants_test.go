@@ -292,6 +292,28 @@ func TestCheckAnalysis(t *testing.T) {
 		}
 	})
 
+	// A level-3 leaf out of range, offset by a sibling so that its category
+	// still closes, is reported: the range law covers every node.
+	t.Run("level3-leaf-range", func(t *testing.T) {
+		for _, memory := range []map[string]float64{
+			{"lg": -0.1, "mio": 0.85},
+			{"lg": 3, "mio": -2.25},
+		} {
+			a := goodAnalysis()
+			a.Level = core.Level3
+			a.FetchDetail = map[string]float64{"no_inst": 0.3}
+			a.DecodeDetail = map[string]float64{"dispatch": 0.1}
+			a.CoreDetail = map[string]float64{"alu": 0.25}
+			a.MemoryDetail = memory
+			inv := New()
+			inv.CheckAnalysis(a)
+			laws := lawCounts(inv)
+			if laws["component-range"] == 0 || laws["memory-detail-closure"] != 0 {
+				t.Errorf("MemoryDetail %v: violations %v, want component-range only", memory, inv.Violations())
+			}
+		}
+	})
+
 	t.Run("level1-no-closures", func(t *testing.T) {
 		inv := New()
 		inv.CheckAnalysis(&core.Analysis{Kernel: "k", Level: core.Level1, IPCMax: 2, Retire: 0.5, Stall: 1.5})

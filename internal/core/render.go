@@ -20,37 +20,10 @@ type Row struct {
 // CSV/JSON export or plotting.
 func (a *Analysis) Rows() []Row {
 	var rows []Row
-	add := func(path string, level int, v float64) {
-		rows = append(rows, Row{Path: path, Level: level, IPC: v, Fraction: a.Fraction(v)})
-	}
-	add("retire", 1, a.Retire)
-	add("divergence", 1, a.Divergence)
-	if a.Level >= Level2 {
-		add("divergence/branch", 2, a.Branch)
-		add("divergence/replay", 2, a.Replay)
-		add("frontend", 1, a.Frontend)
-		add("frontend/fetch", 2, a.Fetch)
-		a.addDetail(&rows, "frontend/fetch/", a.FetchDetail)
-		add("frontend/decode", 2, a.Decode)
-		a.addDetail(&rows, "frontend/decode/", a.DecodeDetail)
-		add("backend", 1, a.Backend)
-		add("backend/core", 2, a.Core)
-		a.addDetail(&rows, "backend/core/", a.CoreDetail)
-		add("backend/memory", 2, a.Memory)
-		a.addDetail(&rows, "backend/memory/", a.MemoryDetail)
-	} else {
-		add("stall", 1, a.Stall)
-	}
+	Walk(a, func(n *Node, ipc float64) {
+		rows = append(rows, Row{Path: n.Path, Level: n.Depth, IPC: ipc, Fraction: a.Fraction(ipc)})
+	})
 	return rows
-}
-
-func (a *Analysis) addDetail(rows *[]Row, prefix string, d map[string]float64) {
-	if a.Level < Level3 || d == nil {
-		return
-	}
-	for _, k := range sortedKeys(d) {
-		*rows = append(*rows, Row{Path: prefix + k, Level: 3, IPC: d[k], Fraction: a.Fraction(d[k])})
-	}
 }
 
 // CSV renders the analysis as comma-separated hierarchy rows with a header.

@@ -17,7 +17,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -36,7 +35,8 @@ const (
 
 // Analysis is the Top-Down result for one kernel (or a weighted aggregate of
 // kernels). All component values are in IPC units; Fraction converts to a
-// share of IPC_MAX.
+// share of IPC_MAX. Each component field is bound to one row of Nodes,
+// through which everything that walks the hierarchy reads it.
 type Analysis struct {
 	Tool   string
 	GPU    string
@@ -91,16 +91,16 @@ func (a *Analysis) Fraction(v float64) float64 {
 // Degradation returns IPC_MAX - Retire: the total IPC lost.
 func (a *Analysis) Degradation() float64 { return a.IPCMax - a.Retire }
 
-// ncu level-3 component groupings (Tables VI and VIII).
-var (
-	ncuFetchSegs  = []string{"no_instruction", "barrier", "membar", "branch_resolving", "sleeping"}
-	ncuDecodeSegs = []string{"misc", "dispatch_stall"}
-	ncuCoreSegs   = []string{"math_pipe_throttle", "wait", "tex_throttle"}
-	ncuMemorySegs = []string{"long_scoreboard", "imc_miss", "mio_throttle", "drain", "lg_throttle", "short_scoreboard"}
-)
-
-func ncuStallMetric(seg string) string {
-	return "smsp__warp_issue_stalled_" + seg + "_per_warp_active.pct"
+// levelOne names each tool's metrics of equations (2)-(5) (Tables III and
+// VI): executed IPC, warp execution efficiency and its value for a full
+// warp, and issued IPC.
+var levelOne = map[string]struct {
+	ipc, warpEff, issued string
+	fullWarp             float64
+}{
+	"ncu": {"smsp__inst_executed.avg.per_cycle_active",
+		"smsp__thread_inst_executed_per_inst_executed.ratio", "smsp__inst_issued.avg.per_cycle_active", 32},
+	"nvprof": {"ipc", "warp_execution_efficiency", "issued_ipc", 100},
 }
 
 // Analyzer computes Top-Down analyses for one device.
@@ -161,37 +161,13 @@ func NewAnalyzer(spec *gpu.Spec, level int) *Analyzer {
 // MetricNames returns the profiler metrics the analysis consumes at the
 // configured level — what the paper's tool asks nvprof/ncu for.
 func (an *Analyzer) MetricNames() []string {
-	var names []string
-	if an.Registry.Tool() == "ncu" {
-		names = append(names,
-			"smsp__inst_executed.avg.per_cycle_active",
-			"smsp__thread_inst_executed_per_inst_executed.ratio",
-			"smsp__inst_issued.avg.per_cycle_active",
-		)
-		if an.Level >= Level2 {
-			for _, seg := range ncuFetchSegs {
-				names = append(names, ncuStallMetric(seg))
-			}
-			for _, seg := range ncuDecodeSegs {
-				names = append(names, ncuStallMetric(seg))
-			}
-			for _, seg := range ncuCoreSegs {
-				names = append(names, ncuStallMetric(seg))
-			}
-			for _, seg := range ncuMemorySegs {
-				names = append(names, ncuStallMetric(seg))
-			}
-		}
-		return names
-	}
-	names = append(names, "ipc", "warp_execution_efficiency", "issued_ipc")
+	tool := an.Registry.Tool()
+	t := levelOne[tool]
+	names := []string{t.ipc, t.warpEff, t.issued}
 	if an.Level >= Level2 {
-		names = append(names,
-			"stall_inst_fetch", "stall_sync", "stall_other",
-			"stall_exec_dependency", "stall_pipe_busy",
-			"stall_memory_dependency", "stall_constant_memory_dependency",
-			"stall_memory_throttle",
-		)
+		for _, n := range categories {
+			names = append(names, n.metrics[tool]...)
+		}
 	}
 	return names
 }
@@ -217,15 +193,7 @@ func (an *Analyzer) Analyze(kernelName string, values pmu.Values) *Analysis {
 			}
 		}()
 	}
-	ctx := &metrics.Context{Spec: an.Spec, Values: values}
-	eval := func(name string) float64 {
-		v, err := an.Registry.Eval(name, ctx)
-		if err != nil {
-			panic(fmt.Sprintf("core: %v", err))
-		}
-		return v
-	}
-
+	names := an.MetricNames()
 	a := &Analysis{
 		Tool:       an.Registry.Tool(),
 		GPU:        an.Spec.Name,
@@ -234,22 +202,21 @@ func (an *Analyzer) Analyze(kernelName string, values pmu.Values) *Analysis {
 		Level:      an.Level,
 		Normalized: an.Normalize,
 		IPCMax:     an.Spec.IPCMax(),
-		Metrics:    map[string]float64{},
+		Metrics:    make(map[string]float64, len(names)),
 	}
-	for _, n := range an.MetricNames() {
-		a.Metrics[n] = eval(n)
+	ctx := &metrics.Context{Spec: an.Spec, Values: values}
+	for _, n := range names {
+		v, err := an.Registry.Eval(n, ctx)
+		if err != nil {
+			panic(fmt.Sprintf("core: %v", err))
+		}
+		a.Metrics[n] = v
 	}
 
-	var ipcRep, warpEff, ipcIss float64
-	if a.Tool == "ncu" {
-		ipcRep = a.Metrics["smsp__inst_executed.avg.per_cycle_active"]
-		warpEff = a.Metrics["smsp__thread_inst_executed_per_inst_executed.ratio"] / 32
-		ipcIss = a.Metrics["smsp__inst_issued.avg.per_cycle_active"]
-	} else {
-		ipcRep = a.Metrics["ipc"]
-		warpEff = a.Metrics["warp_execution_efficiency"] / 100
-		ipcIss = a.Metrics["issued_ipc"]
-	}
+	t := levelOne[a.Tool]
+	ipcRep := a.Metrics[t.ipc]
+	warpEff := a.Metrics[t.warpEff] / t.fullWarp
+	ipcIss := a.Metrics[t.issued]
 	if warpEff > 1 {
 		warpEff = 1
 	}
@@ -272,31 +239,14 @@ func (an *Analyzer) Analyze(kernelName string, values pmu.Values) *Analysis {
 		return a
 	}
 
-	// Level 2: stall category percentages (eqs. 6, 8–14).
-	var fetchPct, decodePct, corePct, memPct float64
-	var fetchParts, decodeParts, coreParts, memParts map[string]float64
-	if a.Tool == "ncu" {
-		sum := func(segs []string) (float64, map[string]float64) {
-			parts := map[string]float64{}
-			var t float64
-			for _, seg := range segs {
-				v := a.Metrics[ncuStallMetric(seg)]
-				parts[seg] = v
-				t += v
-			}
-			return t, parts
+	// Level 2: stall category percentages (eqs. 6, 8–14), summed in place.
+	var total float64
+	for _, n := range categories {
+		pct := n.ipc(a)
+		for _, m := range n.metrics[a.Tool] {
+			*pct += a.Metrics[m]
 		}
-		fetchPct, fetchParts = sum(ncuFetchSegs)
-		decodePct, decodeParts = sum(ncuDecodeSegs)
-		corePct, coreParts = sum(ncuCoreSegs)
-		memPct, memParts = sum(ncuMemorySegs)
-	} else {
-		fetchPct = a.Metrics["stall_inst_fetch"] + a.Metrics["stall_sync"]
-		decodePct = a.Metrics["stall_other"]
-		corePct = a.Metrics["stall_exec_dependency"] + a.Metrics["stall_pipe_busy"]
-		memPct = a.Metrics["stall_memory_dependency"] +
-			a.Metrics["stall_constant_memory_dependency"] +
-			a.Metrics["stall_memory_throttle"]
+		total += *pct
 	}
 
 	// Scale percentages into IPC: eq. (8)-(14) use pct/100 x IPC_STALL; the
@@ -304,35 +254,25 @@ func (an *Analyzer) Analyze(kernelName string, values pmu.Values) *Analysis {
 	// categories so the stack closes (the paper's figure normalisation).
 	scale := a.Stall / 100
 	if an.Normalize {
-		if total := fetchPct + decodePct + corePct + memPct; total > 0 {
+		if total > 0 {
 			scale = a.Stall / total
 		} else {
 			scale = 0
 		}
 	}
-	a.Fetch = fetchPct * scale
-	a.Decode = decodePct * scale
-	a.Core = corePct * scale
-	a.Memory = memPct * scale
-	a.Frontend = a.Fetch + a.Decode
-	a.Backend = a.Core + a.Memory
-
-	if an.Level < Level3 || a.Tool != "ncu" {
-		an.logAnalysis(a)
-		return a
-	}
-
-	scaleDetail := func(parts map[string]float64) map[string]float64 {
-		out := make(map[string]float64, len(parts))
-		for k, v := range parts {
-			out[k] = v * scale
+	detail := an.Level >= Level3 && a.Tool == "ncu"
+	for _, n := range categories {
+		v := n.ipc(a)
+		*v *= scale
+		*n.parent.ipc(a) += *v
+		if detail {
+			d := make(map[string]float64, len(n.NCU))
+			for i, m := range n.metrics["ncu"] {
+				d[n.NCU[i]] = a.Metrics[m] * scale
+			}
+			*n.detailOf(a) = d
 		}
-		return out
 	}
-	a.FetchDetail = scaleDetail(fetchParts)
-	a.DecodeDetail = scaleDetail(decodeParts)
-	a.CoreDetail = scaleDetail(coreParts)
-	a.MemoryDetail = scaleDetail(memParts)
 	an.logAnalysis(a)
 	return a
 }
@@ -372,90 +312,45 @@ func Aggregate(name string, as []*Analysis) *Analysis {
 		Level:      as[0].Level,
 		Normalized: as[0].Normalized,
 		IPCMax:     as[0].IPCMax,
-		Metrics:    map[string]float64{},
+		Metrics:    make(map[string]float64, len(as[0].Metrics)),
 		Weight:     totalW,
 	}
-	acc := func(dst *float64, v, w float64) { *dst += v * w / totalW }
 	for _, a := range as {
 		w := a.Weight
 		if w <= 0 {
 			w = 1
 		}
-		acc(&out.Retire, a.Retire, w)
-		acc(&out.Divergence, a.Divergence, w)
-		acc(&out.Frontend, a.Frontend, w)
-		acc(&out.Backend, a.Backend, w)
-		acc(&out.Stall, a.Stall, w)
-		acc(&out.Branch, a.Branch, w)
-		acc(&out.Replay, a.Replay, w)
-		acc(&out.Fetch, a.Fetch, w)
-		acc(&out.Decode, a.Decode, w)
-		acc(&out.Core, a.Core, w)
-		acc(&out.Memory, a.Memory, w)
+		for _, n := range Nodes {
+			*n.ipc(out) += *n.ipc(a) * w / totalW
+			if src := n.Detail(a); src != nil {
+				dst := n.detailOf(out)
+				if *dst == nil {
+					*dst = make(map[string]float64, len(src))
+				}
+				for k, v := range src {
+					(*dst)[k] += v * w / totalW
+				}
+			}
+		}
 		for k, v := range a.Metrics {
 			out.Metrics[k] += v * w / totalW
 		}
-		mergeDetail := func(dst *map[string]float64, src map[string]float64) {
-			if src == nil {
-				return
-			}
-			if *dst == nil {
-				*dst = map[string]float64{}
-			}
-			for k, v := range src {
-				(*dst)[k] += v * w / totalW
-			}
-		}
-		mergeDetail(&out.FetchDetail, a.FetchDetail)
-		mergeDetail(&out.DecodeDetail, a.DecodeDetail)
-		mergeDetail(&out.CoreDetail, a.CoreDetail)
-		mergeDetail(&out.MemoryDetail, a.MemoryDetail)
 	}
 	return out
-}
-
-func sortedKeys(m map[string]float64) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }
 
 // String renders the analysis as an indented hierarchy with percentages of
 // IPC_MAX.
 func (a *Analysis) String() string {
 	var sb strings.Builder
-	pct := func(v float64) string { return fmt.Sprintf("%5.1f%%", 100*a.Fraction(v)) }
 	fmt.Fprintf(&sb, "Top-Down %s on %s (CC %s, %s), IPC_MAX=%.0f\n",
 		a.Kernel, a.GPU, a.CC, a.Tool, a.IPCMax)
-	fmt.Fprintf(&sb, "  Retire      %s\n", pct(a.Retire))
-	fmt.Fprintf(&sb, "  Divergence  %s\n", pct(a.Divergence))
-	if a.Level >= Level2 {
-		fmt.Fprintf(&sb, "    Branch    %s\n", pct(a.Branch))
-		fmt.Fprintf(&sb, "    Replay    %s\n", pct(a.Replay))
-		fmt.Fprintf(&sb, "  Frontend    %s\n", pct(a.Frontend))
-		fmt.Fprintf(&sb, "    Fetch     %s\n", pct(a.Fetch))
-		a.detail(&sb, a.FetchDetail)
-		fmt.Fprintf(&sb, "    Decode    %s\n", pct(a.Decode))
-		a.detail(&sb, a.DecodeDetail)
-		fmt.Fprintf(&sb, "  Backend     %s\n", pct(a.Backend))
-		fmt.Fprintf(&sb, "    Core      %s\n", pct(a.Core))
-		a.detail(&sb, a.CoreDetail)
-		fmt.Fprintf(&sb, "    Memory    %s\n", pct(a.Memory))
-		a.detail(&sb, a.MemoryDetail)
-	} else {
-		fmt.Fprintf(&sb, "  Stall       %s\n", pct(a.Stall))
-	}
+	Walk(a, func(n *Node, ipc float64) {
+		if n.Depth < Level3 {
+			fmt.Fprintf(&sb, "%*s%-*s%5.1f%%\n", 2*n.Depth, "", 14-2*n.Depth, n.Name, 100*a.Fraction(ipc))
+		} else {
+			fmt.Fprintf(&sb, "      %-18s %5.1f%%\n", n.Name, 100*a.Fraction(ipc))
+		}
+	})
 	return sb.String()
-}
-
-func (a *Analysis) detail(sb *strings.Builder, d map[string]float64) {
-	if a.Level < Level3 || d == nil {
-		return
-	}
-	for _, k := range sortedKeys(d) {
-		fmt.Fprintf(sb, "      %-18s %5.1f%%\n", k, 100*a.Fraction(d[k]))
-	}
 }

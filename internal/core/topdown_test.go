@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -248,18 +249,32 @@ func TestAggregateDefaultsWeight(t *testing.T) {
 	}
 }
 
+// TestMetricNamesMatchLevel: the metric list, order included, feeds the
+// counter request and the pass schedule, so it is pinned for both tools at
+// every level.
 func TestMetricNamesMatchLevel(t *testing.T) {
-	l1 := turingAnalyzer(1).MetricNames()
-	l3 := turingAnalyzer(3).MetricNames()
-	if len(l1) != 3 {
-		t.Errorf("level-1 ncu needs %d metrics, want 3", len(l1))
+	ncu1 := []string{"smsp__inst_executed.avg.per_cycle_active",
+		"smsp__thread_inst_executed_per_inst_executed.ratio", "smsp__inst_issued.avg.per_cycle_active"}
+	var ncu2 []string
+	for _, seg := range strings.Fields(`no_instruction barrier membar branch_resolving sleeping
+		misc dispatch_stall math_pipe_throttle wait tex_throttle
+		long_scoreboard imc_miss mio_throttle drain lg_throttle short_scoreboard`) {
+		ncu2 = append(ncu2, "smsp__warp_issue_stalled_"+seg+"_per_warp_active.pct")
 	}
-	if len(l3) != 3+16 {
-		t.Errorf("level-3 ncu needs %d metrics, want 19", len(l3))
-	}
-	p2 := pascalAnalyzer(2).MetricNames()
-	if len(p2) != 11 {
-		t.Errorf("level-2 nvprof needs %d metrics, want 11", len(p2))
+	nvprof1 := []string{"ipc", "warp_execution_efficiency", "issued_ipc"}
+	nvprof2 := strings.Fields(`stall_inst_fetch stall_sync stall_other stall_exec_dependency
+		stall_pipe_busy stall_memory_dependency stall_constant_memory_dependency stall_memory_throttle`)
+	for level, want := range map[int][2][]string{
+		Level1: {ncu1, nvprof1},
+		Level2: {slices.Concat(ncu1, ncu2), slices.Concat(nvprof1, nvprof2)},
+		Level3: {slices.Concat(ncu1, ncu2), slices.Concat(nvprof1, nvprof2)},
+	} {
+		if got := turingAnalyzer(level).MetricNames(); !slices.Equal(got, want[0]) {
+			t.Errorf("ncu level %d: MetricNames = %q, want %q", level, got, want[0])
+		}
+		if got := pascalAnalyzer(level).MetricNames(); !slices.Equal(got, want[1]) {
+			t.Errorf("nvprof level %d: MetricNames = %q, want %q", level, got, want[1])
+		}
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"math"
 	"path"
 	"sort"
-	"strings"
 
 	"gputopdown/internal/check"
 	"gputopdown/internal/core"
@@ -90,18 +89,30 @@ func header(first string, paths []string) []string {
 	return h
 }
 
-var (
-	level1 = []string{"retire", "divergence", "frontend", "backend"}
-	level2 = []string{"divergence/branch", "divergence/replay", "frontend/fetch",
-		"frontend/decode", "backend/core", "backend/memory"}
-	level3 = strings.Fields(`
-		frontend/fetch/no_instruction frontend/fetch/barrier frontend/fetch/membar
-		frontend/fetch/branch_resolving frontend/fetch/sleeping
-		frontend/decode/misc frontend/decode/dispatch_stall
-		backend/core/math_pipe_throttle backend/core/wait backend/core/tex_throttle
-		backend/memory/long_scoreboard backend/memory/imc_miss backend/memory/mio_throttle
-		backend/memory/lg_throttle backend/memory/short_scoreboard backend/memory/drain`)
-)
+// level1 and level2 are the paths a level-3 analysis, the corpus's, shows at
+// depth 1 and 2; level3 is each stall category's ncu segments in table
+// order, but with drain last: Figs. 7 and 10 print it there, the column
+// order figures_full.txt and the claim rows read, while the table keeps
+// ncu's order, which the counter request and its pass schedule follow.
+var level1, level2, level3 = columns()
+
+func columns() (l1, l2, l3 []string) {
+	for _, n := range core.Nodes {
+		switch {
+		case n.MaxLevel < core.Level3:
+		case n.Depth == 1:
+			l1 = append(l1, n.Path)
+		default:
+			l2 = append(l2, n.Path)
+		}
+		for _, seg := range n.NCU {
+			if seg != "drain" {
+				l3 = append(l3, n.Path+"/"+seg)
+			}
+		}
+	}
+	return l1, l2, append(l3, "backend/memory/drain")
+}
 
 const normTitle = " (normalised to total IPC degradation)"
 
