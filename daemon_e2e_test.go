@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -185,9 +186,23 @@ func TestDaemonProgressUnavailable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if resp.StatusCode != want {
 			t.Errorf("GET %s = %d, want %d", path, resp.StatusCode, want)
+		}
+		if path != "/metrics" {
+			continue
+		}
+		// The job's profiler observed through the runner's base options.
+		for _, series := range []string{"\nprofiler_passes_total ", "\nsim_launches_total ", "\nanalysis_total ",
+			"\ngpuprofd_jobs_completed_total{state=\"succeeded\"} 1\n"} {
+			if !strings.Contains(string(body), series) {
+				t.Errorf("/metrics after one job lacks %q", strings.TrimSpace(series))
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"os"
 	"regexp"
 	"sort"
 	"strings"
@@ -48,6 +49,7 @@ func TestProfiledRunEmits(t *testing.T) {
 	if err := reg.WriteProm(&prom); err != nil {
 		t.Fatal(err)
 	}
+	checkMetricTable(t, prom.String())
 	labelKey := regexp.MustCompile(`(\w+)="`)
 	for _, line := range strings.Split(prom.String(), "\n") {
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -67,12 +69,24 @@ func TestProfiledRunEmits(t *testing.T) {
 			emitted[fmt.Sprintf("span %d/%d %s %s", e.PID, e.TID, e.Cat, name)] = true
 		}
 	}
+	sampleEvery := map[int]bool{}
 	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
-		var rec struct{ Component, Msg string }
+		var rec struct {
+			Component, Msg string
+			SampleEvery    int `json:"sample_every"`
+		}
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatalf("log line %q: %v", line, err)
 		}
 		emitted["log "+rec.Component+": "+rec.Msg] = true
+		if rec.Msg == "session configured" {
+			sampleEvery[rec.SampleEvery] = true
+		}
+	}
+	// The cached run's session profiles every invocation, the sampled one's
+	// every second.
+	if !sampleEvery[1] || !sampleEvery[2] || len(sampleEvery) != 2 {
+		t.Errorf("session configured with sample_every %v, want 1 and 2", sampleEvery)
 	}
 
 	// Recorded before the session's invocation paths were merged into one.
@@ -136,5 +150,25 @@ func TestProfiledRunEmits(t *testing.T) {
 	sort.Strings(extra)
 	for _, s := range extra {
 		t.Errorf("newly emitted: %q", s)
+	}
+}
+
+// checkMetricTable fails for every metric family in prom, a Prometheus
+// exposition, that README.md's Observability metric table does not list.
+func checkMetricTable(t *testing.T, prom string) {
+	t.Helper()
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, _ := strings.Cut(string(readme), "\n**Metrics**")
+	_, table, _ = strings.Cut(table, "\n|")
+	table, _, _ = strings.Cut(table, "\n\n")
+	for _, line := range strings.Split(prom, "\n") {
+		typed, ok := strings.CutPrefix(line, "# TYPE ")
+		family, _, _ := strings.Cut(typed, " ")
+		if ok && !strings.Contains(table, "`"+family+"`") && !strings.Contains(table, "`"+family+"{") {
+			t.Errorf("README.md's metric table does not list %s", family)
+		}
 	}
 }

@@ -51,6 +51,22 @@ func ExampleProfiler_ProfileApp_pascal() {
 	// level: 2
 }
 
+// ExampleWithObserver is the README's observability snippet: one run's
+// Chrome trace and Prometheus self-metrics, written to files. It is compiled,
+// not run.
+func ExampleWithObserver() {
+	tracer := gputopdown.NewTracer()
+	registry := gputopdown.NewMetricsRegistry()
+	p := gputopdown.NewProfiler(gputopdown.QuadroRTX4000(),
+		gputopdown.WithLevel(3),
+		gputopdown.WithObserver(tracer, registry))
+	app, _ := gputopdown.LookupApp("rodinia", "srad_v1")
+	res, _ := p.ProfileApp(context.Background(), app)
+	tracer.WriteFile("trace.json")     // open at https://ui.perfetto.dev
+	registry.WriteFile("metrics.prom") // Prometheus text exposition 0.0.4
+	_ = res
+}
+
 // ExampleAppResult_Series retrieves the per-invocation dynamic analysis of
 // one kernel (the paper's Figs. 11-12 workflow).
 func ExampleAppResult_Series() {

@@ -23,10 +23,10 @@ type TimelinePoint struct {
 // itself is the unchanged Top-Down machinery.
 func (an *Analyzer) AnalyzeTimeline(kernelName string, samples []sm.Counters, interval uint64) []TimelinePoint {
 	var out []TimelinePoint
-	if an.tracer != nil {
-		spanStart := an.tracer.Now()
+	if tr := an.hooks.Trace(); tr != nil {
+		spanStart := tr.Now()
 		defer func() {
-			an.tracer.Complete(obs.PIDProfiler, 2, "core",
+			tr.Complete(obs.PIDProfiler, 2, "core",
 				"timeline "+kernelName, spanStart,
 				map[string]any{"samples": len(samples), "points": len(out),
 					"interval_cycles": interval})

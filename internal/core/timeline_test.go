@@ -88,7 +88,7 @@ func TestAnalyzeTimelineObserverSpan(t *testing.T) {
 	an := NewAnalyzer(gpu.QuadroRTX4000(), Level1)
 	tr := obs.NewTracer()
 	reg := obs.NewRegistry()
-	an.SetObserver(tr, reg)
+	an.SetHooks(obs.NewHooks(tr, reg, nil))
 	samples := []sm.Counters{activeSample(1), activeSample(2)}
 	points := an.AnalyzeTimeline("k", samples, 50)
 	if len(points) != 2 {

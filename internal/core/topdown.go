@@ -113,29 +113,15 @@ type Analyzer struct {
 	// stack adds up to IPC_MAX (default true, as in the paper's figures).
 	Normalize bool
 
-	// Observability (nil/disabled by default; see SetObserver/SetLogger).
-	tracer    *obs.Tracer
-	obsOn     bool
-	mAnalyses *obs.Counter
-	hAnalWall *obs.Histogram
-	log       *obs.Logger // component "core"
+	// hooks observe every analysis (nil: not observed; see SetHooks).
+	hooks *obs.Hooks
 }
 
-// SetObserver attaches an execution tracer and metrics registry to the
-// analyzer: every Analyze and AnalyzeTimeline call becomes a wall-clock span
-// and feeds the analysis self-metrics. Either argument may be nil.
-func (an *Analyzer) SetObserver(tr *obs.Tracer, reg *obs.Registry) {
-	an.tracer = tr
-	an.obsOn = tr != nil || reg != nil
-	an.mAnalyses = reg.Counter("analysis_total",
-		"Top-Down analyses computed (kernels plus timeline intervals).", nil)
-	an.hAnalWall = reg.Histogram("analysis_wall_seconds",
-		"Wall-clock duration of individual Top-Down analyses.", nil, nil)
-}
-
-// SetLogger attaches a structured logger; each computed analysis is logged at
-// debug level under component "core". Nil detaches.
-func (an *Analyzer) SetLogger(l *obs.Logger) { an.log = l.Component("core") }
+// SetHooks attaches the analyzer's observers: every Analyze and
+// AnalyzeTimeline call becomes a wall-clock span and feeds the analysis
+// self-metrics, and each analysis is logged at debug level under component
+// "core". Nil detaches them.
+func (an *Analyzer) SetHooks(h *obs.Hooks) { an.hooks = h }
 
 // NewAnalyzer builds an analyzer for a device at the given level. It caps
 // the level at 2 on pre-unified-metrics devices, where the PMU lacks the
@@ -180,14 +166,14 @@ func (an *Analyzer) CounterRequest() ([]pmu.CounterID, error) {
 
 // Analyze computes the Top-Down breakdown from collected counter values.
 func (an *Analyzer) Analyze(kernelName string, values pmu.Values) *Analysis {
-	if an.obsOn {
-		spanStart := an.tracer.Now()
+	if h := an.hooks; h != nil {
+		spanStart := h.Trace().Now()
 		wallStart := time.Now()
 		defer func() {
-			an.mAnalyses.Inc()
-			an.hAnalWall.Observe(time.Since(wallStart).Seconds())
-			if an.tracer != nil {
-				an.tracer.Complete(obs.PIDProfiler, 2, "core",
+			h.Analyses.Inc()
+			h.AnalysisWall.Observe(time.Since(wallStart).Seconds())
+			if tr := h.Trace(); tr != nil {
+				tr.Complete(obs.PIDProfiler, 2, "core",
 					"analyze "+kernelName, spanStart,
 					map[string]any{"level": an.Level, "tool": an.Registry.Tool()})
 			}
@@ -280,10 +266,11 @@ func (an *Analyzer) Analyze(kernelName string, values pmu.Values) *Analysis {
 // logAnalysis emits the per-analysis debug record (level-1 shares only; the
 // full hierarchy is in the Analysis itself).
 func (an *Analyzer) logAnalysis(a *Analysis) {
-	if !an.log.On(obs.LevelDebug) {
+	lg := an.hooks.Log(obs.Core)
+	if !lg.On(obs.LevelDebug) {
 		return
 	}
-	an.log.Debug("analysis computed",
+	lg.Debug("analysis computed",
 		"kernel", a.Kernel, "level", a.Level, "tool", a.Tool,
 		"retire", a.Fraction(a.Retire), "divergence", a.Fraction(a.Divergence),
 		"frontend", a.Fraction(a.Frontend), "backend", a.Fraction(a.Backend))

@@ -110,38 +110,17 @@ type Session struct {
 	sampleEvery int
 	lastSampled map[string]pmu.Values
 
+	// invocations counts each kernel's invocations; the first one makes it.
 	invocations map[string]int
 
 	// Overhead accounting (simulated device cycles).
 	nativeCycles   uint64
 	profiledCycles uint64
-
-	// Observability (nil/disabled by default; see SetObserver). Handles are
-	// created once so the replay hot path is allocation-free when disabled.
-	tracer     *obs.Tracer
-	obsOn      bool
-	mPasses    *obs.Counter
-	mFlushes   *obs.Counter
-	mFlushCyc  *obs.Counter
-	mNativeCyc *obs.Counter
-	mProfCyc   *obs.Counter
-	mSampled   *obs.Counter
-	mSkipped   *obs.Counter
-	mCacheHits *obs.Counter
-	mCacheMiss *obs.Counter
-	mPassWall  *obs.Counter
-	hPassWall  *obs.Histogram
-	gOverhead  *obs.Gauge
-	gPassesPK  *obs.Gauge
-	gCacheSize *obs.Gauge
-
-	// Structured logging (nil/disabled by default; see SetLogger). Nil-safe,
-	// so the hot path guards only argument construction.
-	log      *obs.Logger // component "cupti"
-	cacheLog *obs.Logger // component "cache"
 }
 
-// NewSession builds a profiling session for the requested counters.
+// NewSession builds a profiling session for the requested counters. The
+// session observes through dev's hooks (sim.Device.SetHooks): spans, the
+// profiler self-metrics and debug records under "cupti" and "cache".
 func NewSession(dev *sim.Device, request []pmu.CounterID, mode Mode) (*Session, error) {
 	sched, err := pmu.BuildSchedule(request)
 	if err != nil {
@@ -154,76 +133,7 @@ func NewSession(dev *sim.Device, request []pmu.CounterID, mode Mode) (*Session, 
 		mode:        mode,
 		sampleEvery: 1,
 		lastSampled: map[string]pmu.Values{},
-		invocations: map[string]int{},
 	}, nil
-}
-
-// SetObserver attaches an execution tracer and metrics registry to the
-// session; the device it profiles on is observed through its own
-// sim.Device.SetObserver. Either may be nil: a tracer-only observer records
-// spans without metrics, a registry-only observer the reverse. The session
-// emits spans for each profiled kernel, its one simulated pass and the cache
-// flush before it, and maintains the profiler self-metrics — including the
-// live replay_overhead_ratio that reproduces the paper's Fig. 13 accounting
-// from instrumentation rather than post-hoc arithmetic.
-func (s *Session) SetObserver(tr *obs.Tracer, reg *obs.Registry) {
-	s.tracer = tr
-	s.obsOn = tr != nil || reg != nil
-	if reg == nil {
-		// Explicitly guard the handle creation: a tracer-only observer must
-		// not depend on nil-receiver forgiveness in the registry.
-		s.mPasses, s.mFlushes, s.mFlushCyc = nil, nil, nil
-		s.mNativeCyc, s.mProfCyc = nil, nil
-		s.mSampled, s.mSkipped = nil, nil
-		s.mCacheHits, s.mCacheMiss = nil, nil
-		s.mPassWall, s.hPassWall = nil, nil
-		s.gOverhead, s.gPassesPK, s.gCacheSize = nil, nil, nil
-		return
-	}
-	s.mPasses = reg.Counter("profiler_passes_total",
-		"Replay passes accounted across all profiled kernel invocations.", nil)
-	s.mFlushes = reg.Counter("profiler_cache_flushes_total",
-		"Device cache flushes performed before simulated launches.", nil)
-	s.mFlushCyc = reg.Counter("profiler_flush_cycles_total",
-		"Simulated cycles charged to inter-pass cache/memory flushes.", nil)
-	s.mNativeCyc = reg.Counter("profiler_native_cycles_total",
-		"Simulated cycles the application would take without profiling.", nil)
-	s.mProfCyc = reg.Counter("profiler_profiled_cycles_total",
-		"Simulated cycles including every replay pass and flush.", nil)
-	s.mSampled = reg.Counter("profiler_kernels_profiled_total",
-		"Kernel invocations fully profiled via multi-pass replay.", nil)
-	s.mSkipped = reg.Counter("profiler_kernels_skipped_total",
-		"Kernel invocations run natively under sampling (values inherited).", nil)
-	s.mCacheHits = reg.Counter("profiler_replay_cache_hits_total",
-		"Kernel invocations served from the replay result cache.", nil)
-	s.mCacheMiss = reg.Counter("profiler_replay_cache_misses_total",
-		"Kernel invocations that missed the replay result cache.", nil)
-	s.mPassWall = reg.Counter("profiler_pass_wall_seconds_total",
-		"Host wall-clock seconds spent simulating profiled launches.", nil)
-	s.hPassWall = reg.Histogram("profiler_pass_wall_seconds",
-		"Wall-clock duration of each profiled launch's one simulated pass.", nil, nil)
-	s.gOverhead = reg.Gauge("profiler_replay_overhead_ratio",
-		"Live profiled/native simulated-cycle ratio (the paper's Fig. 13).", nil)
-	s.gPassesPK = reg.Gauge("profiler_passes_per_kernel",
-		"Replay passes the scheduled counter set requires per kernel.", nil)
-	s.gCacheSize = reg.Gauge("profiler_replay_cache_entries",
-		"Invocations currently memoized in the replay result cache.", nil)
-	s.gPassesPK.Set(float64(s.sched.NumPasses()))
-}
-
-// SetLogger attaches a structured logger to the session: pass starts/stops
-// and schedule decisions under component "cupti", replay-cache hits/misses
-// under component "cache". The device logs through its own
-// sim.Device.SetLogger. A nil logger detaches both components and restores
-// the zero-cost path.
-func (s *Session) SetLogger(l *obs.Logger) {
-	s.log = l.Component("cupti")
-	s.cacheLog = l.Component("cache")
-	if s.log.On(obs.LevelDebug) {
-		s.log.Debug("session configured",
-			"mode", s.mode.String(), "passes", s.sched.NumPasses(),
-			"sample_every", s.sampleEvery)
-	}
 }
 
 // SetCache attaches a replay result cache (nil detaches). The cache may be
@@ -288,14 +198,22 @@ func (s *Session) ProfileCtx(ctx context.Context, l *kernel.Launch) (*KernelReco
 	if err := ctx.Err(); err != nil {
 		return nil, &KernelError{Kernel: name, Pass: -1, Err: err}
 	}
-	start := s.tracer.Now()
+	h := s.dev.Hooks()
+	if s.invocations == nil { // the first invocation, once SetSampling has had its say
+		s.invocations = map[string]int{}
+		if lg := h.Log(obs.Cupti); lg.On(obs.LevelDebug) {
+			lg.Debug("session configured", "mode", s.mode.String(), "passes", s.sched.NumPasses(),
+				"sample_every", s.sampleEvery)
+		}
+	}
+	start := h.Trace().Now()
 	inv := s.invocations[name]
 	rec := &KernelRecord{Kernel: name, Invocation: inv, Passes: 1, Sampled: inv%s.sampleEvery == 0}
 	var fc uint64
 	if rec.Sampled {
 		rec.Passes, fc = s.sched.NumPasses(), s.flushCycles()
-		if s.log.On(obs.LevelDebug) {
-			s.log.Debug("profiling kernel", "kernel", name, "invocation", inv, "passes", rec.Passes)
+		if lg := h.Log(obs.Cupti); lg.On(obs.LevelDebug) {
+			lg.Debug("profiling kernel", "kernel", name, "invocation", inv, "passes", rec.Passes)
 		}
 	}
 
@@ -304,7 +222,7 @@ func (s *Session) ProfileCtx(ctx context.Context, l *kernel.Launch) (*KernelReco
 	var hit *replayEntry
 	if useCache {
 		key = s.keyFor(l, s.dev.Storage.HashAllocated())
-		hit = s.lookup(key, rec)
+		hit = s.lookup(h, key, rec)
 	}
 	if hit != nil {
 		// The recorded memory effects and the parameter write stand in for
@@ -314,10 +232,10 @@ func (s *Session) ProfileCtx(ctx context.Context, l *kernel.Launch) (*KernelReco
 		s.dev.Storage.Restore(hit.post)
 		s.dev.WriteParams(l)
 		rec.Cycles, rec.SMsUsed, rec.Values, rec.Cached = hit.cycles, hit.smsUsed, hit.values, true
-	} else if err := s.launch(ctx, l, rec, fc); err != nil {
+	} else if err := s.launch(ctx, h, l, rec, fc); err != nil {
 		return nil, err
 	}
-	s.account(rec, fc, start)
+	s.account(h, rec, fc, start)
 	if useCache && hit == nil {
 		s.cache.put(key, &replayEntry{
 			values:  rec.Values,
@@ -325,7 +243,9 @@ func (s *Session) ProfileCtx(ctx context.Context, l *kernel.Launch) (*KernelReco
 			smsUsed: rec.SMsUsed,
 			post:    s.dev.Storage.Snapshot(),
 		})
-		s.gCacheSize.Set(float64(s.cache.Len()))
+		if h != nil {
+			h.CacheEntries.Set(float64(s.cache.Len()))
+		}
 	}
 	return rec, nil
 }
@@ -334,17 +254,18 @@ func (s *Session) ProfileCtx(ctx context.Context, l *kernel.Launch) (*KernelReco
 // and its counter set is merged over every scheduled pass; a native one
 // starts from whatever the previous launch left and inherits the kernel's
 // most recent sampled values.
-func (s *Session) launch(ctx context.Context, l *kernel.Launch, rec *KernelRecord, fc uint64) error {
+func (s *Session) launch(ctx context.Context, h *obs.Hooks, l *kernel.Launch, rec *KernelRecord, fc uint64) error {
+	tr := h.Trace()
 	var passWall time.Time
 	var flushStart float64
 	if rec.Sampled {
-		if s.obsOn {
+		if h != nil {
 			passWall = time.Now()
 		}
-		flushStart = s.tracer.Now()
+		flushStart = tr.Now()
 		s.dev.FlushCaches()
-		if s.tracer != nil {
-			s.tracer.Complete(obs.PIDProfiler, 1, "cupti", "flush",
+		if tr != nil {
+			tr.Complete(obs.PIDProfiler, 1, "cupti", "flush",
 				flushStart, map[string]any{"flush_cycles": fc})
 		}
 	}
@@ -361,16 +282,16 @@ func (s *Session) launch(ctx context.Context, l *kernel.Launch, rec *KernelRecor
 		return nil
 	}
 	counters := s.collect(res)
-	if s.obsOn {
+	if h != nil {
 		wall := time.Since(passWall).Seconds()
-		s.mFlushes.Inc()
-		s.mPassWall.Add(wall)
-		s.hPassWall.Observe(wall)
-		if s.tracer != nil {
-			s.tracer.Complete(obs.PIDProfiler, 1, "cupti",
-				fmt.Sprintf("pass 1/%d", rec.Passes), flushStart,
-				map[string]any{"kernel": rec.Kernel, "cycles": res.Cycles})
-		}
+		h.Flushes.Inc()
+		h.PassWall.Add(wall)
+		h.PassWallHist.Observe(wall)
+	}
+	if tr != nil {
+		tr.Complete(obs.PIDProfiler, 1, "cupti",
+			fmt.Sprintf("pass 1/%d", rec.Passes), flushStart,
+			map[string]any{"kernel": rec.Kernel, "cycles": res.Cycles})
 	}
 	// Each scheduled pass keeps its own slots of the one counter set.
 	for _, pass := range s.sched.Passes {
@@ -381,27 +302,25 @@ func (s *Session) launch(ctx context.Context, l *kernel.Launch, rec *KernelRecor
 
 // lookup consults the cache for a profiled invocation, logging and counting
 // the hit or miss; it returns nil on a miss.
-func (s *Session) lookup(key replayKey, rec *KernelRecord) *replayEntry {
+func (s *Session) lookup(h *obs.Hooks, key replayKey, rec *KernelRecord) *replayEntry {
 	e, ok := s.cache.get(key)
 	if ok {
 		s.hits++
 	} else {
 		s.misses++
 	}
-	if s.cacheLog.On(obs.LevelDebug) {
+	if h != nil && ok {
+		h.CacheHits.Inc()
+	} else if h != nil {
+		h.CacheMisses.Inc()
+	}
+	if lg := h.Log(obs.Cache); lg.On(obs.LevelDebug) {
 		if ok {
-			s.cacheLog.Debug("replay cache hit", "kernel", rec.Kernel, "invocation", rec.Invocation,
+			lg.Debug("replay cache hit", "kernel", rec.Kernel, "invocation", rec.Invocation,
 				"cycles", e.cycles, "entries", s.cache.Len())
 		} else {
-			s.cacheLog.Debug("replay cache miss", "kernel", rec.Kernel, "invocation", rec.Invocation,
+			lg.Debug("replay cache miss", "kernel", rec.Kernel, "invocation", rec.Invocation,
 				"entries", s.cache.Len())
-		}
-	}
-	if s.obsOn {
-		if ok {
-			s.mCacheHits.Inc()
-		} else {
-			s.mCacheMiss.Inc()
 		}
 	}
 	return e
@@ -411,45 +330,48 @@ func (s *Session) lookup(key replayKey, rec *KernelRecord) *replayEntry {
 // invocation index, rec.Passes runs of rec.Cycles each paying fc flush
 // cycles (Fig. 13; a native run is one pass with no flush), the self-metrics,
 // and a span and a debug line named after how the counters were obtained.
-func (s *Session) account(rec *KernelRecord, fc uint64, start float64) {
+func (s *Session) account(h *obs.Hooks, rec *KernelRecord, fc uint64, start float64) {
 	s.invocations[rec.Kernel]++
 	if rec.Sampled {
 		s.lastSampled[rec.Kernel] = rec.Values
 	}
 	s.nativeCycles += rec.Cycles
 	s.profiledCycles += uint64(rec.Passes) * (rec.Cycles + fc)
-	if s.obsOn {
+	if h != nil {
 		passes := float64(rec.Passes)
-		s.mNativeCyc.Add(float64(rec.Cycles))
-		s.mProfCyc.Add(passes * (float64(rec.Cycles) + float64(fc)))
+		h.NativeCycles.Add(float64(rec.Cycles))
+		h.ProfiledCycles.Add(passes * (float64(rec.Cycles) + float64(fc)))
 		if rec.Sampled {
-			s.mSampled.Inc()
-			s.mPasses.Add(passes)
-			s.mFlushCyc.Add(passes * float64(fc))
+			h.Profiled.Inc()
+			h.Passes.Add(passes)
+			h.PassesPerKernel.Set(passes)
+			h.FlushCycles.Add(passes * float64(fc))
 		} else {
-			s.mSkipped.Inc()
+			h.Skipped.Inc()
 		}
-		if s.nativeCycles > 0 {
-			s.gOverhead.Set(float64(s.profiledCycles) / float64(s.nativeCycles))
-		}
-		if s.tracer != nil {
-			span, args := "native", map[string]any{"invocation": rec.Invocation, "cycles": rec.Cycles}
-			if rec.Sampled {
-				span, args["passes"], args["mode"] = "profile", rec.Passes, s.mode.String()
-				if rec.Cached {
-					span = "cached"
-				}
-			}
-			s.tracer.Complete(obs.PIDProfiler, 1, "cupti", span+" "+rec.Kernel, start, args)
+		// The registry's totals, not this session's: sessions sharing a
+		// registry (ProfileApps, a daemon) agree on the unlabelled ratio.
+		if native := h.NativeCycles.Value(); native > 0 {
+			h.Overhead.Set(h.ProfiledCycles.Value() / native)
 		}
 	}
-	if s.log.On(obs.LevelDebug) {
+	if tr := h.Trace(); tr != nil {
+		span, args := "native", map[string]any{"invocation": rec.Invocation, "cycles": rec.Cycles}
+		if rec.Sampled {
+			span, args["passes"], args["mode"] = "profile", rec.Passes, s.mode.String()
+			if rec.Cached {
+				span = "cached"
+			}
+		}
+		tr.Complete(obs.PIDProfiler, 1, "cupti", span+" "+rec.Kernel, start, args)
+	}
+	if lg := h.Log(obs.Cupti); lg.On(obs.LevelDebug) {
 		switch {
 		case !rec.Sampled:
-			s.log.Debug("kernel run natively under sampling",
+			lg.Debug("kernel run natively under sampling",
 				"kernel", rec.Kernel, "invocation", rec.Invocation, "cycles", rec.Cycles)
 		case !rec.Cached:
-			s.log.Debug("kernel profiled",
+			lg.Debug("kernel profiled",
 				"kernel", rec.Kernel, "invocation", rec.Invocation,
 				"cycles", rec.Cycles, "passes", rec.Passes)
 		}

@@ -292,8 +292,7 @@ func TestSessionObserverSpansAndMetrics(t *testing.T) {
 	}
 	tr := obs.NewTracer()
 	reg := obs.NewRegistry()
-	s.SetObserver(tr, reg)
-	d.SetObserver(tr, reg)
+	d.SetHooks(obs.NewHooks(tr, reg, nil))
 
 	if _, err := s.Profile(launchInc(d, buf, n)); err != nil {
 		t.Fatal(err)
@@ -334,6 +333,41 @@ func TestSessionObserverSpansAndMetrics(t *testing.T) {
 	}
 }
 
+// TestOverheadRatioSharedRegistry: sessions sharing a registry (ProfileApps,
+// a daemon) with different replay overheads do not overwrite each other's
+// unlabelled profiler_replay_overhead_ratio: it is the registry's profiled
+// cycles over its native cycles, whichever session accounted last.
+func TestOverheadRatioSharedRegistry(t *testing.T) {
+	reg := obs.NewRegistry()
+	h := obs.NewHooks(nil, reg, nil)
+	const n = 1024
+	var native, profiled uint64
+	var ratios []float64
+	for _, request := range [][]pmu.CounterID{fullStallRequest(), {pmu.CtrInstExecuted}} {
+		d := testDevice()
+		d.SetHooks(h)
+		buf := d.Alloc(n * 4)
+		d.Storage.WriteU32Slice(buf, make([]uint32, n))
+		s, err := NewSession(d, request, ModeSMPC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Profile(launchInc(d, buf, n)); err != nil {
+			t.Fatal(err)
+		}
+		sn, sp := s.Overhead()
+		native, profiled = native+sn, profiled+sp
+		ratios = append(ratios, float64(sp)/float64(sn))
+	}
+	if ratios[0] == ratios[1] {
+		t.Fatalf("both sessions have overhead %v; the test needs two different ratios", ratios[0])
+	}
+	want := float64(profiled) / float64(native)
+	if got := reg.Gauge("profiler_replay_overhead_ratio", "", nil).Value(); got != want {
+		t.Errorf("profiler_replay_overhead_ratio = %v, want %v (registry totals; the sessions' own ratios are %v)", got, want, ratios)
+	}
+}
+
 // TestSessionObserverSampling: skipped invocations must count as skipped and
 // emit native spans, not pass spans.
 func TestSessionObserverSampling(t *testing.T) {
@@ -349,7 +383,7 @@ func TestSessionObserverSampling(t *testing.T) {
 	s.SetSampling(2)
 	tr := obs.NewTracer()
 	reg := obs.NewRegistry()
-	s.SetObserver(tr, reg)
+	d.SetHooks(obs.NewHooks(tr, reg, nil))
 
 	for i := 0; i < 4; i++ {
 		if _, err := s.Profile(launchInc(d, buf, n)); err != nil {

@@ -400,8 +400,9 @@ func TestProfileCtxCancellation(t *testing.T) {
 }
 
 // TestSetObserverTracerOnly is the regression test for the nil-registry
-// hazard: attaching a tracer without a registry must neither panic at
-// SetObserver time nor during profiling, and spans must still be recorded.
+// hazard: a session on a device whose hooks hold a tracer without a registry
+// must not panic while profiling, and spans must still be recorded; a
+// registry without a tracer must count the invocation.
 func TestSetObserverTracerOnly(t *testing.T) {
 	d := testDevice()
 	const n = 256
@@ -412,15 +413,27 @@ func TestSetObserverTracerOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := obs.NewTracer()
-	s.SetObserver(tr, nil) // must not create handles on a nil registry
+	d.SetHooks(obs.NewHooks(tr, nil, nil)) // no handles on a nil registry
 	if _, err := s.Profile(launchInc(d, buf, n)); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Len() == 0 {
 		t.Fatal("tracer-only observer recorded no spans")
 	}
+	// Registry only: the previous tracer is detached, the invocation counted.
+	reg, events := obs.NewRegistry(), tr.Len()
+	d.SetHooks(obs.NewHooks(nil, reg, nil))
+	if _, err := s.Profile(launchInc(d, buf, n)); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Len() != events {
+		t.Errorf("detached tracer still accumulated events: %d -> %d", events, tr.Len())
+	}
+	if got := reg.Counter("profiler_kernels_profiled_total", "", nil).Value(); got != 1 {
+		t.Errorf("profiler_kernels_profiled_total = %v, want 1", got)
+	}
 	// Flipping back to fully disabled must also be safe.
-	s.SetObserver(nil, nil)
+	d.SetHooks(nil)
 	if _, err := s.Profile(launchInc(d, buf, n)); err != nil {
 		t.Fatal(err)
 	}

@@ -184,6 +184,9 @@ func TestNilObservabilityIsSafeAndAllocationFree(t *testing.T) {
 	if lg.Component("sim") != nil {
 		t.Error("nil logger returned a live component logger")
 	}
+	if NewHooks(nil, nil, nil) != nil {
+		t.Error("hooks with no tracer, registry or logger are not nil")
+	}
 	allocs := testing.AllocsPerRun(200, func() {
 		_ = tr.Now()
 		tr.Complete(PIDProfiler, 1, "cat", "name", 0, nil)
@@ -209,6 +212,7 @@ func TestNilObservabilityIsSafeAndAllocationFree(t *testing.T) {
 			lg.Debug("unreachable on the disabled path")
 		}
 		fl.Add(1, "a", "b")
+		disabledInvocation(nil, 1)
 	})
 	if allocs != 0 {
 		t.Errorf("nil observability hooks allocated %.1f bytes/op, want 0", allocs)
@@ -216,24 +220,33 @@ func TestNilObservabilityIsSafeAndAllocationFree(t *testing.T) {
 }
 
 // BenchmarkObsDisabled is the CI allocation gate for the disabled
-// observability path: the exact hook sequence a profiled kernel pass
-// executes, against all-nil handles, must stay at 0 allocs/op.
+// observability path: the hook sequence one profiled, cache-missed and
+// analysed kernel invocation takes through the device, the session and the
+// analyzer, against nil *Hooks, must stay at 0 allocs/op.
 func BenchmarkObsDisabled(b *testing.B) {
-	var tr *Tracer
-	var c *Counter
-	var g *Gauge
-	var h *Histogram
-	var lg *Logger
+	var h *Hooks
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		start := tr.Now()
-		tr.Complete(PIDProfiler, 1, "replay", "pass", start, nil)
-		c.Inc()
-		g.Set(float64(i))
-		h.Observe(float64(i))
-		if lg.On(LevelDebug) {
-			lg.Debug("pass complete", "pass", i)
+		disabledInvocation(h, i)
+	}
+}
+
+// disabledInvocation is that sequence: on nil hooks every guard fails and
+// every method returns at once.
+func disabledInvocation(h *Hooks, i int) {
+	start := h.Trace().Now()
+	for _, c := range []Component{Cupti, Cache, Sim, Core} {
+		if lg := h.Log(c); lg.On(LevelDebug) {
+			lg.Debug("unreachable on the disabled path", "invocation", i)
 		}
+	}
+	if h != nil {
+		h.Launches.Inc()
+	}
+	h.Trace().Complete(PIDProfiler, 1, "cupti", "pass", start, nil)
+	h.AppOverhead("app", "gpu", 1)
+	if lg := h.Log(Profiler); lg.On(LevelInfo) {
+		lg.Info("app profiled", "overhead", 1)
 	}
 }
 

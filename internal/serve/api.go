@@ -10,6 +10,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"gputopdown/internal/core"
@@ -67,6 +68,10 @@ type JobRequest struct {
 	MaxAttempts int   `json:"max_attempts,omitempty"` // ignored, see ReplayWorkers
 }
 
+// maxTimeoutMS is the largest timeout_ms a time.Duration holds; a larger one
+// would wrap to a negative (no deadline at all) or a tiny one.
+const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
+
 // Validate checks the request against schema v1. Every failure wraps
 // ErrBadRequest.
 func (r *JobRequest) Validate() error {
@@ -98,6 +103,9 @@ func (r *JobRequest) Validate() error {
 	}
 	if r.TimeoutMS < 0 {
 		return fmt.Errorf("%w: timeout_ms %d negative", ErrBadRequest, r.TimeoutMS)
+	}
+	if r.TimeoutMS > maxTimeoutMS {
+		return fmt.Errorf("%w: timeout_ms %d above %d, the longest time.Duration", ErrBadRequest, r.TimeoutMS, maxTimeoutMS)
 	}
 	if r.MaxAttempts < 0 {
 		return fmt.Errorf("%w: max_attempts %d negative", ErrBadRequest, r.MaxAttempts)

@@ -206,13 +206,15 @@ func TestStatusWaitParameter(t *testing.T) {
 func TestSubmitValidation(t *testing.T) {
 	s := mustServer(t, Options{})
 	cases := []*JobRequest{
-		{},                                       // no suite
-		{Suite: "altis"},                         // no app
-		{Suite: "a", App: "b", Level: 9},         // level out of range
-		{Suite: "a", App: "b", Mode: "wrong"},    // bad mode
-		{Suite: "a", App: "b", TimeoutMS: -1},    // negative timeout
-		{Suite: "a", App: "b", SimWorkers: -1},   // negative sim workers
-		{Suite: "a", App: "b", APIVersion: "v2"}, // future version
+		{},                                    // no suite
+		{Suite: "altis"},                      // no app
+		{Suite: "a", App: "b", Level: 9},      // level out of range
+		{Suite: "a", App: "b", Mode: "wrong"}, // bad mode
+		{Suite: "a", App: "b", TimeoutMS: -1}, // negative timeout
+		{Suite: "a", App: "b", TimeoutMS: 9223372036855},  // wraps to a negative duration
+		{Suite: "a", App: "b", TimeoutMS: 18446744073710}, // wraps to 448µs
+		{Suite: "a", App: "b", SimWorkers: -1},            // negative sim workers
+		{Suite: "a", App: "b", APIVersion: "v2"},          // future version
 	}
 	for i, req := range cases {
 		if _, err := s.Submit(req); !errors.Is(err, ErrBadRequest) {

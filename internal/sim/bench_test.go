@@ -31,10 +31,10 @@ func BenchmarkLaunchTracerNil(b *testing.B) {
 	benchLaunch(b, nil)
 }
 
-// BenchmarkLaunchObserverNilAttached: SetObserver(nil, nil) — the explicit
+// BenchmarkLaunchObserverNilAttached: SetHooks(nil) — the explicit
 // disabled path — must cost the same as the baseline.
 func BenchmarkLaunchObserverNilAttached(b *testing.B) {
-	benchLaunch(b, func(d *Device) { d.SetObserver(nil, nil) })
+	benchLaunch(b, func(d *Device) { d.SetHooks(nil) })
 }
 
 // BenchmarkLaunchTracerEnabled: full tracer and metrics registry attached.
@@ -47,7 +47,7 @@ func BenchmarkLaunchTracerEnabled(b *testing.B) {
 
 func benchLaunchReset(b *testing.B, tr *obs.Tracer, reg *obs.Registry) {
 	d := NewDevice(testSpec())
-	d.SetObserver(tr, reg)
+	d.SetHooks(obs.NewHooks(tr, reg, nil))
 	l := saxpyLaunch(d, 4096)
 	d.MustLaunch(l)
 	b.ResetTimer()
@@ -62,7 +62,7 @@ func benchLaunchReset(b *testing.B, tr *obs.Tracer, reg *obs.Registry) {
 // BenchmarkLaunchMetricsOnly: registry attached but no tracer — the common
 // production configuration (cheap counters, no event stream).
 func BenchmarkLaunchMetricsOnly(b *testing.B) {
-	benchLaunch(b, func(d *Device) { d.SetObserver(nil, obs.NewRegistry()) })
+	benchLaunch(b, func(d *Device) { d.SetHooks(obs.NewHooks(nil, obs.NewRegistry(), nil)) })
 }
 
 // The Naive/FastForward pair quantifies the event-driven engine's wall-clock

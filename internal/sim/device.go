@@ -84,21 +84,12 @@ type Device struct {
 	checker   Checker
 	checkNext uint64
 
-	// Observability (nil/disabled by default; see SetObserver). The metric
-	// handles are pre-created so the launch hot path only performs nil-safe
-	// method calls — zero allocations when observability is off.
-	tracer      *obs.Tracer
-	obsOn       bool
-	simCursorUS float64  // simulated-time cursor for the PIDSim track
-	smTracks    []string // precomputed per-SM counter-track names
-	mLaunches   *obs.Counter
-	mBlocks     *obs.Counter
-	mCycles     *obs.Counter
-	mWall       *obs.Counter
-	gThroughput *obs.Gauge
-	// log is the component-scoped ("sim") structured logger; nil when
-	// logging is disabled (see SetLogger).
-	log *obs.Logger
+	// hooks observe the device's launches (nil: not observed; see SetHooks).
+	// simCursorUS is the simulated-time cursor of the PIDSim track and
+	// smTracks the per-SM counter-track names, made when a tracer attaches.
+	hooks       *obs.Hooks
+	simCursorUS float64
+	smTracks    []string
 
 	// Per-launch scratch reused across launches so the Launch prologue
 	// allocates nothing: which SMs received a block, and the dispatch dirty
@@ -173,30 +164,12 @@ func (d *Device) EnableTrace(interval uint64) {
 	d.traceInterval = interval
 }
 
-// SetObserver attaches an execution tracer and a metrics registry to the
-// device. Either may be nil; passing both nil detaches observability
-// entirely and restores the zero-overhead launch path. Metric handles are
-// created once here so per-launch accounting is allocation-free.
-func (d *Device) SetObserver(tr *obs.Tracer, reg *obs.Registry) {
-	d.tracer = tr
-	d.obsOn = tr != nil || reg != nil
-	// A nil registry detaches the metric handles, exactly as a nil tracer
-	// detaches the trace path; the launch epilogue's handle calls are
-	// nil-safe, so tracer-only observers pay no metrics cost.
-	d.mLaunches, d.mBlocks, d.mCycles, d.mWall, d.gThroughput = nil, nil, nil, nil, nil
-	if reg != nil {
-		d.mLaunches = reg.Counter("sim_launches_total",
-			"Kernel launches executed on the simulated device.", nil)
-		d.mBlocks = reg.Counter("sim_blocks_dispatched_total",
-			"Thread blocks dispatched to SMs by the GigaThread engine model.", nil)
-		d.mCycles = reg.Counter("sim_cycles_total",
-			"Simulated device cycles executed across all launches.", nil)
-		d.mWall = reg.Counter("sim_wall_seconds_total",
-			"Host wall-clock seconds spent simulating kernel launches.", nil)
-		d.gThroughput = reg.Gauge("sim_throughput_cycles_per_second",
-			"Simulation speed: simulated cycles per wall-clock second.", nil)
-	}
-	if tr != nil {
+// SetHooks attaches the observers of the device's launches: spans on both
+// time axes, the sim self-metrics and debug records under component "sim".
+// Nil detaches them and restores the allocation-free launch path.
+func (d *Device) SetHooks(h *obs.Hooks) {
+	d.hooks = h
+	if tr := h.Trace(); tr != nil {
 		tr.NameProcess(obs.PIDProfiler, "profiler (wall clock)")
 		tr.NameProcess(obs.PIDSim, "simulated GPU ("+d.Spec.Name+")")
 		d.smTracks = make([]string, len(d.SMs))
@@ -206,15 +179,14 @@ func (d *Device) SetObserver(tr *obs.Tracer, reg *obs.Registry) {
 	}
 }
 
+// Hooks returns the device's observers (nil when none are attached); a
+// profiling session on the device observes through them too.
+func (d *Device) Hooks() *obs.Hooks { return d.hooks }
+
 // SetChecker attaches an in-loop invariant checker (nil detaches). The
 // checker observes, never mutates: results are bit-identical with and
 // without one, and the nil path stays allocation-free.
 func (d *Device) SetChecker(c Checker) { d.checker = c }
-
-// SetLogger attaches a structured logger; launch summaries and fast-forward
-// accounting are logged at debug level under component "sim". Nil detaches
-// and restores the zero-cost path.
-func (d *Device) SetLogger(l *obs.Logger) { d.log = l.Component("sim") }
 
 // RunResult describes one kernel launch.
 type RunResult struct {
@@ -284,11 +256,12 @@ func (d *Device) LaunchCtx(ctx context.Context, l *kernel.Launch) (*RunResult, e
 
 	// Observability prologue: capture wall-clock and trace-clock starts.
 	// Guarded so the disabled path allocates nothing and costs ~one branch.
+	h := d.hooks
 	var wallStart time.Time
 	var spanStart float64
-	if d.obsOn {
+	if h != nil {
 		wallStart = time.Now()
-		spanStart = d.tracer.Now()
+		spanStart = h.Trace().Now()
 	}
 
 	markMem, err := d.launchPrologue(l)
@@ -335,32 +308,31 @@ func (d *Device) LaunchCtx(ctx context.Context, l *kernel.Launch) (*RunResult, e
 		d.checker.CheckLaunch(d, res)
 	}
 
-	// Logging epilogue: one debug line per launch summarising the engine's
-	// fast-forward decisions (ticks actually executed vs cycles covered).
-	if d.log.On(obs.LevelDebug) {
-		d.log.Debug("launch complete",
-			"kernel", l.Program.Name, "blocks", nb, "sms_used", res.SMsUsed,
-			"cycles", res.Cycles, "ticks", d.lastTicks)
-	}
-
-	// Observability epilogue: spans on both time axes plus self-metrics.
-	if d.obsOn {
-		d.mLaunches.Inc()
-		d.mBlocks.Add(float64(nb))
-		d.mCycles.Add(float64(res.Cycles))
-		d.mWall.Add(time.Since(wallStart).Seconds())
-		if wall := d.mWall.Value(); wall > 0 {
-			d.gThroughput.Set(d.mCycles.Value() / wall)
+	// Observability epilogue: spans on both time axes, self-metrics and one
+	// debug line summarising the engine's fast-forward decisions (ticks
+	// actually executed vs cycles covered).
+	if h != nil {
+		h.Launches.Inc()
+		h.Blocks.Add(float64(nb))
+		h.SimCycles.Add(float64(res.Cycles))
+		h.SimWall.Add(time.Since(wallStart).Seconds())
+		if wall := h.SimWall.Value(); wall > 0 {
+			h.Throughput.Set(h.SimCycles.Value() / wall)
 		}
-		if d.tracer != nil {
+		if lg := h.Log(obs.Sim); lg.On(obs.LevelDebug) {
+			lg.Debug("launch complete",
+				"kernel", l.Program.Name, "blocks", nb, "sms_used", res.SMsUsed,
+				"cycles", res.Cycles, "ticks", d.lastTicks)
+		}
+		if tr := h.Trace(); tr != nil {
 			simDur := obs.CyclesToUS(res.Cycles, d.Spec.ClockMHz)
-			d.tracer.CompleteAt(obs.PIDSim, 0, "sim", l.Program.Name,
+			tr.CompleteAt(obs.PIDSim, 0, "sim", l.Program.Name,
 				d.simCursorUS, simDur, map[string]any{
 					"blocks": nb, "cycles": res.Cycles, "sms_used": res.SMsUsed,
 					"grid": l.Grid.String(), "block": l.Block.String(),
 				})
 			d.simCursorUS += simDur
-			d.tracer.Complete(obs.PIDProfiler, 1, "sim", "launch "+l.Program.Name,
+			tr.Complete(obs.PIDProfiler, 1, "sim", "launch "+l.Program.Name,
 				spanStart, map[string]any{
 					"cycles": res.Cycles, "blocks": nb, "sms_used": res.SMsUsed,
 				})
@@ -443,7 +415,7 @@ func (d *Device) dispatchBlocks(l *kernel.Launch, nb int, next *int, guard uint6
 			if s.CanAccept(l) {
 				s.LaunchBlock(l, ctaidOf(*next, l.Grid), *next)
 				if blockDetail {
-					d.tracer.Instant(obs.PIDSim, i, "dispatch", "block",
+					d.hooks.Trace().Instant(obs.PIDSim, i, "dispatch", "block",
 						d.simCursorUS+obs.CyclesToUS(guard, d.Spec.ClockMHz),
 						map[string]any{"block": *next, "sm": i})
 				}
@@ -462,7 +434,7 @@ func (d *Device) dispatchBlocks(l *kernel.Launch, nb int, next *int, guard uint6
 func (d *Device) sampleResidencyTrack(guard uint64) {
 	ts := d.simCursorUS + obs.CyclesToUS(guard, d.Spec.ClockMHz)
 	for i, s := range d.SMs {
-		d.tracer.CounterValue(obs.PIDSim, i, d.smTracks[i], "blocks",
+		d.hooks.Trace().CounterValue(obs.PIDSim, i, d.smTracks[i], "blocks",
 			ts, float64(s.ResidentBlocks()))
 	}
 }
@@ -472,11 +444,12 @@ func (d *Device) sampleResidencyTrack(guard uint64) {
 func (d *Device) runLoop(ctx context.Context, done <-chan struct{}, l *kernel.Launch, nb int) error {
 	next := 0
 	var guard uint64
-	blockDetail := d.tracer.BlockDetail()
+	tr := d.hooks.Trace()
+	blockDetail := tr.BlockDetail()
 	// Residency samples ride the trace's simulated-time track; emit them
 	// only when tracing is actually enabled, not merely when a tracer is
 	// attached.
-	sampleResidency := d.tracer != nil && d.traceInterval > 0
+	sampleResidency := tr != nil && d.traceInterval > 0
 
 	var loopIters uint64
 	for {
@@ -591,7 +564,7 @@ func (d *Device) ResetSMs() {
 // Reset returns the device, in whatever state a run left it, to what
 // NewDeviceMem built: global memory unallocated and zero, the constant bank
 // zero, every cache cold and every DRAM channel empty with zero statistics,
-// each SM reset (sm.SM.Reset), no observer, checker or logger, trace off,
+// each SM reset (sm.SM.Reset), no hooks or checker, trace off,
 // fast-forward on. It keeps the host backings — the storage buffer, the cache
 // arrays, each SM's retired block and warp contexts with their register
 // files — so the next application pays none of a new device's allocations,

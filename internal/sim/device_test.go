@@ -675,17 +675,16 @@ func TestRunResultSeconds(t *testing.T) {
 }
 
 // TestSetObserverNilRegistry is the regression test for the nil-registry
-// path: a tracer-only observer must work exactly like the tracer-plus-
-// registry configuration minus the metrics, a registry-only observer must
-// count launches, and a nil/nil call must detach both without breaking
-// subsequent launches.
+// path: tracer-only hooks must work exactly like tracer-plus-registry hooks
+// minus the metrics, registry-only hooks must count launches, and nil hooks
+// must detach both without breaking subsequent launches.
 func TestSetObserverNilRegistry(t *testing.T) {
 	d := NewDevice(testSpec())
 	l := saxpyLaunch(d, 1024)
 
 	// Tracer only: spans recorded, no metric handles, no panic.
 	tr := obs.NewTracer()
-	d.SetObserver(tr, nil)
+	d.SetHooks(obs.NewHooks(tr, nil, nil))
 	d.MustLaunch(l)
 	var spans int
 	for _, e := range tr.Events() {
@@ -699,7 +698,7 @@ func TestSetObserverNilRegistry(t *testing.T) {
 
 	// Registry only: launches counted, previous tracer fully detached.
 	reg := obs.NewRegistry()
-	d.SetObserver(nil, reg)
+	d.SetHooks(obs.NewHooks(nil, reg, nil))
 	before := len(tr.Events())
 	d.MustLaunch(l)
 	if got := len(tr.Events()); got != before {
@@ -710,7 +709,7 @@ func TestSetObserverNilRegistry(t *testing.T) {
 	}
 
 	// Detach both: launches keep working, counters freeze.
-	d.SetObserver(nil, nil)
+	d.SetHooks(nil)
 	d.MustLaunch(l)
 	if got := reg.Counter("sim_launches_total", "", nil).Value(); got != 1 {
 		t.Errorf("detached registry still counting: %v", got)

@@ -53,7 +53,7 @@ func TestObserverLaunchSpansAndMetrics(t *testing.T) {
 	d := NewDevice(testSpec())
 	tr := obs.NewTracer()
 	reg := obs.NewRegistry()
-	d.SetObserver(tr, reg)
+	d.SetHooks(obs.NewHooks(tr, reg, nil))
 	d.EnableTrace(64) // residency samples ride the simulated-time track
 
 	l := saxpyLaunch(d, 4096)
@@ -101,7 +101,7 @@ func TestObserverLaunchSpansAndMetrics(t *testing.T) {
 func TestResidencySamplesGatedOnTracing(t *testing.T) {
 	d := NewDevice(testSpec())
 	tr := obs.NewTracer()
-	d.SetObserver(tr, nil)
+	d.SetHooks(obs.NewHooks(tr, nil, nil))
 
 	d.MustLaunch(saxpyLaunch(d, 4096))
 	for _, e := range tr.Events() {
@@ -118,7 +118,7 @@ func TestBlockDetailInstants(t *testing.T) {
 		d := NewDevice(testSpec())
 		tr := obs.NewTracer()
 		tr.SetBlockDetail(detail)
-		d.SetObserver(tr, nil)
+		d.SetHooks(obs.NewHooks(tr, nil, nil))
 		d.MustLaunch(saxpyLaunch(d, 4096))
 		n := 0
 		for _, e := range tr.Events() {
@@ -137,13 +137,13 @@ func TestBlockDetailInstants(t *testing.T) {
 }
 
 // TestNilObserverLaunchAllocsUnchanged asserts the nil-tracer hook path adds
-// zero allocations per launch: a device with SetObserver(nil, nil) must
+// zero allocations per launch: a device with SetHooks(nil) must
 // allocate exactly as much per launch as one that never saw an observer.
 func TestNilObserverLaunchAllocsUnchanged(t *testing.T) {
 	measure := func(attachNil bool) float64 {
 		d := NewDevice(testSpec())
 		if attachNil {
-			d.SetObserver(nil, nil)
+			d.SetHooks(nil)
 		}
 		l := saxpyLaunch(d, 1024)
 		d.MustLaunch(l) // warm up caches and slice capacities

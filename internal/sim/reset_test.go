@@ -68,7 +68,7 @@ func probe(t *testing.T, d *Device) probeOutcome {
 	const threads, blocks, constWords = 80, 30, 256
 	n := threads * blocks
 	tr := obs.NewTracer()
-	d.SetObserver(tr, nil)
+	d.SetHooks(obs.NewHooks(tr, nil, nil))
 	out := d.Alloc(2 * n * 4)
 	unread := d.Alloc(n * 4)
 	var o probeOutcome
@@ -112,8 +112,7 @@ func TestResetDeviceBitIdentical(t *testing.T) {
 	chk, tr := &countingChecker{}, obs.NewTracer()
 	var logged bytes.Buffer
 	d.SetChecker(chk)
-	d.SetObserver(tr, obs.NewRegistry())
-	d.SetLogger(obs.NewLogger(&logged, slog.LevelDebug, "text"))
+	d.SetHooks(obs.NewHooks(tr, obs.NewRegistry(), obs.NewLogger(&logged, slog.LevelDebug, "text")))
 	d.EnableTrace(64)
 	d.SetFastForward(false)
 

@@ -148,10 +148,7 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 // sim throughput) are maintained live. Either argument may be nil. The cost
 // when no observer is attached is near zero.
 func WithObserver(tr *Tracer, reg *MetricsRegistry) Option {
-	return func(p *Profiler) {
-		p.tracer = tr
-		p.metrics = reg
-	}
+	return func(p *Profiler) { p.observe.tracer, p.observe.metrics = tr, reg }
 }
 
 // Logger is the structured, component-scoped leveled logger (log/slog based);
@@ -175,7 +172,7 @@ func NewLogger(w io.Writer, level, format string) (*Logger, error) {
 // launches and fast-forward accounting), "core" (analyses) and "profiler"
 // (one "app profiled" summary per app). A nil logger — or no WithLogger at
 // all — keeps the allocation-free disabled path.
-func WithLogger(l *Logger) Option { return func(p *Profiler) { p.logger = l } }
+func WithLogger(l *Logger) Option { return func(p *Profiler) { p.observe.logger = l } }
 
 // Profiler runs applications under Top-Down profiling on one GPU model.
 // Building one opens no socket and starts no goroutine, so the same []Option
@@ -196,9 +193,15 @@ type Profiler struct {
 	cacheOn     bool
 	checksOn    bool
 	checks      *check.Invariants
-	tracer      *obs.Tracer
-	metrics     *obs.Registry
-	logger      *obs.Logger
+	// hooks carry the profiler's observers to each run's device, session
+	// and analyzer, nil when nothing observes; build makes them once from
+	// observe, what WithObserver and WithLogger recorded.
+	hooks   *obs.Hooks
+	observe struct {
+		tracer  *obs.Tracer
+		metrics *obs.Registry
+		logger  *obs.Logger
+	}
 }
 
 // maxIdleDevices bounds the idle-device pool. An idle device holds what its
@@ -217,10 +220,10 @@ var idleDevices struct {
 }
 
 // takeDevice returns an idle device of the profiler's model, reset, or a new
-// one when none is idle, with the profiler's checker, observers and logger
-// attached: this is the one place they reach a device, and Reset detaches
-// them again. The reset happens here rather than on release, so a device
-// dropped from the pool is never reset for nothing.
+// one when none is idle, with the profiler's checker and hooks attached: this
+// is the one place they reach a device (and through it the run's session),
+// and Reset detaches them again. The reset happens here rather than on
+// release, so a device dropped from the pool is never reset for nothing.
 func (p *Profiler) takeDevice() *sim.Device {
 	var dev *sim.Device
 	idleDevices.Lock()
@@ -240,23 +243,17 @@ func (p *Profiler) takeDevice() *sim.Device {
 	if p.checks != nil {
 		dev.SetChecker(p.checks)
 	}
-	if p.tracer != nil || p.metrics != nil {
-		dev.SetObserver(p.tracer, p.metrics)
-	}
-	if p.logger != nil {
-		dev.SetLogger(p.logger)
-	}
+	dev.SetHooks(p.hooks)
 	return dev
 }
 
 // releaseDevice makes dev idle again when its run ends, cleanly or not,
 // dropping the least recently released device past maxIdleDevices. It
-// detaches the hooks the run attached, so an idle device keeps no profiler's
-// checker, observers or logger alive.
+// detaches the checker and hooks the run attached, so an idle device keeps
+// no profiler's observers alive.
 func (p *Profiler) releaseDevice(dev *sim.Device) {
 	dev.SetChecker(nil)
-	dev.SetObserver(nil, nil)
-	dev.SetLogger(nil)
+	dev.SetHooks(nil)
 	idleDevices.Lock()
 	if len(idleDevices.devs) == maxIdleDevices {
 		idleDevices.devs = slices.Delete(idleDevices.devs, 0, 1)
@@ -315,6 +312,7 @@ func build(spec *gpu.Spec, opts []Option) *Profiler {
 	if p.checksOn {
 		p.checks = check.New()
 	}
+	p.hooks = obs.NewHooks(p.observe.tracer, p.observe.metrics, p.observe.logger)
 	return p
 }
 
@@ -327,16 +325,11 @@ func (p *Profiler) Level() int {
 }
 
 // newAnalyzer builds the Top-Down analyzer of one run, normalised as
-// configured, with the profiler's observers and logger attached.
+// configured, with the profiler's hooks attached.
 func (p *Profiler) newAnalyzer() *core.Analyzer {
 	an := core.NewAnalyzer(p.spec, p.level)
 	an.Normalize = p.normalize
-	if p.tracer != nil || p.metrics != nil {
-		an.SetObserver(p.tracer, p.metrics)
-	}
-	if p.logger != nil {
-		an.SetLogger(p.logger)
-	}
+	an.SetHooks(p.hooks)
 	return an
 }
 
@@ -509,8 +502,8 @@ func (p *Profiler) Collect(ctx context.Context, app *workloads.App, request []pm
 }
 
 // collect is the one place a profiling session is assembled and driven:
-// session over dev (whose hooks takeDevice attached) for request, the
-// profiler's sampling, cache, observers and logger attached to it, ctx
+// session over dev (whose hooks, attached by takeDevice, it observes
+// through) for request, the profiler's sampling and cache set on it, ctx
 // honoured per launch, and a panicking kernel isolated onto Failed while the
 // rest of the app runs.
 func (p *Profiler) collect(ctx context.Context, dev *sim.Device, app *workloads.App, request []pmu.CounterID,
@@ -525,14 +518,8 @@ func (p *Profiler) collect(ctx context.Context, dev *sim.Device, app *workloads.
 	if p.cacheOn {
 		sess.SetCache(replayResults)
 	}
-	obsOn := p.tracer != nil || p.metrics != nil
-	if obsOn {
-		sess.SetObserver(p.tracer, p.metrics)
-	}
-	if p.logger != nil {
-		sess.SetLogger(p.logger)
-	}
-	sessStart := p.tracer.Now()
+	tr, lg := p.hooks.Trace(), p.hooks.Log(obs.Profiler)
+	sessStart := tr.Now()
 	wallStart := time.Now()
 	col := Collection{Passes: sess.NumPasses()}
 	err = app.Execute(dev, func(l *kernel.Launch) error {
@@ -545,8 +532,8 @@ func (p *Profiler) collect(ctx context.Context, dev *sim.Device, app *workloads.
 			var ke *KernelError
 			if errors.As(err, &ke) && errors.Is(err, ErrKernelPanic) {
 				col.Failed = append(col.Failed, ke)
-				if p.logger.On(obs.LevelWarn) {
-					p.logger.Component("profiler").Warn("kernel isolated after panic",
+				if lg.On(obs.LevelWarn) {
+					lg.Warn("kernel isolated after panic",
 						"app", app.ID(), "kernel", ke.Kernel, "err", ke.Err)
 				}
 				return nil
@@ -579,20 +566,18 @@ func (p *Profiler) collect(ctx context.Context, dev *sim.Device, app *workloads.
 		col.CacheEntries = replayResults.Len()
 	}
 	overhead := overheadRatio(col.NativeCycles, col.ProfiledCycles)
-	if obsOn {
-		if p.tracer != nil {
-			p.tracer.Complete(obs.PIDProfiler, 1, "session", "profile "+app.ID(),
-				sessStart, map[string]any{
-					"gpu": p.spec.Name, "kernels": col.Kernels,
-					"passes_per_kernel": col.Passes, "overhead": overhead,
-				})
-		}
-		p.metrics.Gauge("profiler_replay_overhead_ratio",
-			"Live profiled/native simulated-cycle ratio (the paper's Fig. 13).",
-			obs.Labels{"app": app.ID(), "gpu": p.spec.Name}).Set(overhead)
+	if tr != nil {
+		tr.Complete(obs.PIDProfiler, 1, "session", "profile "+app.ID(),
+			sessStart, map[string]any{
+				"gpu": p.spec.Name, "kernels": col.Kernels,
+				"passes_per_kernel": col.Passes, "overhead": overhead,
+			})
 	}
-	if p.logger.On(obs.LevelInfo) {
-		p.logger.Component("profiler").Info("app profiled",
+	if p.hooks != nil { // app.ID allocates
+		p.hooks.AppOverhead(app.ID(), p.spec.Name, overhead)
+	}
+	if lg.On(obs.LevelInfo) {
+		lg.Info("app profiled",
 			"app", app.ID(), "gpu", p.spec.Name,
 			"kernels", col.Kernels, "passes_per_kernel", col.Passes,
 			"overhead", overhead, "wall_seconds", col.WallSeconds)
