@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -401,6 +402,31 @@ func TestStorageBoundsPanics(t *testing.T) {
 		}
 	}()
 	_ = s.Read(a+16384, 4)
+}
+
+// TestStorageBoundsDoNotWrap: addresses a kernel computed negative arrive as
+// large ones, where addr+n overflows; InBounds must still refuse them, and an
+// access must fail with the model's message, not a slice-bounds panic.
+func TestStorageBoundsDoNotWrap(t *testing.T) {
+	s := NewStorage(1 << 16)
+	a := s.Alloc(16)
+	if a != 0x1000 || !s.InBounds(a, 16) || s.InBounds(a, 17) || s.InBounds(a+16, 1) || !s.InBounds(a+16, 0) {
+		t.Fatalf("allocation at 0x%x: the bounds of [0x%x,0x%x) are wrong", a, a, a+16)
+	}
+	for _, addr := range []uint64{1<<64 - 2, 1 << 63, 1<<64 - 8, 1<<64 - 4} {
+		if s.InBounds(addr, 4) {
+			t.Errorf("InBounds(0x%x, 4) holds", addr)
+		}
+		func() {
+			defer func() {
+				want := fmt.Sprintf("mem: access of 4 bytes at 0x%x outside allocated [0x1000,0x1010)", addr)
+				if r := recover(); r != want {
+					t.Errorf("read at 0x%x panicked with %v, want %q", addr, r, want)
+				}
+			}()
+			s.Read(addr, 4)
+		}()
+	}
 }
 
 func TestStorageNullPagePanics(t *testing.T) {

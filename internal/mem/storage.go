@@ -145,9 +145,11 @@ func (s *Storage) Release(mark uint64) {
 	s.next = mark
 }
 
-// InBounds reports whether [addr, addr+n) is a mapped device range.
+// InBounds reports whether [addr, addr+n) is a mapped device range. A
+// negative address computed by a kernel arrives as a large one, so the test
+// must not wrap: addr+n may overflow where next-addr cannot.
 func (s *Storage) InBounds(addr uint64, n int) bool {
-	return addr >= s.base && addr+uint64(n) <= s.next
+	return addr >= s.base && addr <= s.next && uint64(n) <= s.next-addr
 }
 
 // check is the bounds rule of every device access, host-side or lane-wise:

@@ -3,6 +3,9 @@ package sim
 import (
 	"testing"
 
+	"gputopdown/internal/gpu"
+	"gputopdown/internal/isa"
+	"gputopdown/internal/kernel"
 	"gputopdown/internal/obs"
 )
 
@@ -91,4 +94,47 @@ func BenchmarkLaunchNaive(b *testing.B) {
 // BenchmarkLaunchFastForward jumps over provably idle cycle spans.
 func BenchmarkLaunchFastForward(b *testing.B) {
 	benchEngine(b, true)
+}
+
+// computeBoundLaunch is an ALU-bound kernel over a whole device: two blocks
+// of 256 threads per SM, each thread running 32 iterations of an FFMA, an
+// ISETP on its lane's loop phase, a MUFU.SIN of the warp-uniform loop
+// counter (one evaluation per warp, as in shoc/s3d) and the SEL of the two
+// results — the instruction mix of the compute-bound suite apps, costing the
+// scheduler rather than the host's math library.
+func computeBoundLaunch(d *Device) *kernel.Launch {
+	b := kernel.NewBuilder("computebound")
+	gid := b.GlobalIDX()
+	x := b.I2F(gid)
+	y := b.I2F(b.AndImm(gid, 7))
+	i := b.ForImm(0, 32, 1)
+	p := b.ISetpImm(isa.CmpLT, b.AndImm(b.IAdd(i, gid), 3), 2)
+	b.MovTo(x, b.Sel(p, b.FFma(x, y, x), b.Mufu(isa.MufuSIN, b.I2F(i))))
+	b.EndFor()
+	b.Stg(b.IAdd(b.Param(0), b.Shl(gid, 2)), x, 0, 4)
+	b.Exit()
+	blocks := 2 * d.Spec.SMs
+	return &kernel.Launch{
+		Program: b.MustBuild(),
+		Grid:    kernel.Dim3{X: blocks},
+		Block:   kernel.Dim3{X: 256},
+		Params:  []uint64{d.Alloc(blocks * 256 * 4)},
+	}
+}
+
+// BenchmarkLaunchComputeBound times Device.Launch of computeBoundLaunch on a
+// full RTX 4000 and reports the host cost of one simulated warp instruction
+// (ns/warp-inst), the unit cost that stays comparable across kernels and
+// device sizes.
+func BenchmarkLaunchComputeBound(b *testing.B) {
+	d := NewDevice(gpu.QuadroRTX4000())
+	l := computeBoundLaunch(d)
+	r := d.MustLaunch(l) // warm up
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.Launch(l); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*r.Counters.InstExecuted), "ns/warp-inst")
 }

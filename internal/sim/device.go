@@ -65,6 +65,10 @@ type Device struct {
 	Mem     *mem.MemSys // address-sliced L2 banks + per-slice DRAM channels
 	SMs     []*sm.SM
 
+	// progs holds the decoded instruction tables every SM of the device reads:
+	// one per program, decoded by the first SM to run it.
+	progs *sm.Programs
+
 	traceInterval uint64
 
 	// naiveLoop turns off the event-driven engine, under which, when every
@@ -122,11 +126,12 @@ func assemble(spec *gpu.Spec, storage *mem.Storage, constBank *mem.ConstantBank)
 		Const:          constBank,
 		Mem:            mem.NewMemSys(spec),
 		SMs:            make([]*sm.SM, spec.SMs),
+		progs:          sm.NewPrograms(spec),
 		launchUsed:     make([]bool, spec.SMs),
 		launchRejected: make([]uint64, spec.SMs),
 	}
 	for i := range d.SMs {
-		d.SMs[i] = sm.New(spec, i, d.Mem, d.Storage, d.Const)
+		d.SMs[i] = sm.New(spec, i, d.Mem, d.Storage, d.Const, d.progs)
 	}
 	return d
 }
@@ -546,8 +551,8 @@ func (d *Device) runLoop(ctx context.Context, done <-chan struct{}, l *kernel.La
 }
 
 // ResetSMs resets every SM (sm.SM.Reset: idle, cycle zero, cold caches,
-// zeroed counters, resident contexts dropped), flushes the shared L2 and
-// resets the DRAM channels. Global and constant memory are preserved. This is
+// zeroed counters, resident contexts dropped), drops the decoded programs,
+// flushes the shared L2 and resets the DRAM channels. Global and constant memory are preserved. This is
 // the recovery path after a kernel panicked or was cancelled mid-launch, when
 // SMs may be left busy with resident blocks that will never retire; the
 // profiling middleware calls it before converting the failure into a
@@ -557,6 +562,7 @@ func (d *Device) ResetSMs() {
 	for _, s := range d.SMs {
 		s.Reset()
 	}
+	d.progs.Clear()
 	d.Mem.FlushL2()
 	d.Mem.ResetDRAM()
 }
@@ -564,11 +570,12 @@ func (d *Device) ResetSMs() {
 // Reset returns the device, in whatever state a run left it, to what
 // NewDeviceMem built: global memory unallocated and zero, the constant bank
 // zero, every cache cold and every DRAM channel empty with zero statistics,
-// each SM reset (sm.SM.Reset), no hooks or checker, trace off,
-// fast-forward on. It keeps the host backings — the storage buffer, the cache
-// arrays, each SM's retired block and warp contexts with their register
-// files — so the next application pays none of a new device's allocations,
-// and is indistinguishable from a new device (TestResetDeviceBitIdentical).
+// each SM reset (sm.SM.Reset), no decoded program, no hooks or checker,
+// trace off, fast-forward on. It keeps the host backings — the storage
+// buffer, the cache arrays, each SM's retired block and warp contexts with
+// their register files — so the next application pays none of a new
+// device's allocations, and is indistinguishable from a new device
+// (TestResetDeviceBitIdentical).
 func (d *Device) Reset() {
 	d.Storage.Reset()
 	d.Const.Clear()
@@ -576,7 +583,8 @@ func (d *Device) Reset() {
 	for _, s := range d.SMs {
 		s.Reset()
 	}
-	*d = Device{Spec: d.Spec, Storage: d.Storage, Const: d.Const, Mem: d.Mem, SMs: d.SMs,
+	d.progs.Clear()
+	*d = Device{Spec: d.Spec, Storage: d.Storage, Const: d.Const, Mem: d.Mem, SMs: d.SMs, progs: d.progs,
 		launchUsed: d.launchUsed, launchRejected: d.launchRejected}
 }
 

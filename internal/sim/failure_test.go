@@ -147,6 +147,41 @@ func TestInactiveWildLaneIsNeverChecked(t *testing.T) {
 	}
 }
 
+// TestNegativeAddressFailsInTheModel: a kernel whose load address goes
+// negative hands the memory model a huge one, which must not wrap round the
+// bounds check: the launch fails with the model's own message for global and
+// shared memory alike, not with a slice-bounds panic of the host.
+func TestNegativeAddressFailsInTheModel(t *testing.T) {
+	for _, c := range []struct {
+		op   string
+		off  int64
+		want string
+	}{
+		{"ldg", -2, "mem: access of 4 bytes at 0xfffffffffffffffe outside allocated"},
+		{"ldg", -8, "mem: access of 4 bytes at 0xfffffffffffffff8 outside allocated"},
+		{"lds", -2, "sm: shared read of 4 bytes at 0xfffffffffffffffe outside 64-byte block allocation (kernel lds)"},
+		{"lds", -8, "sm: shared read of 4 bytes at 0xfffffffffffffff8 outside 64-byte block allocation (kernel lds)"},
+	} {
+		b := kernel.NewBuilder(c.op)
+		b.DeclShared(64)
+		if c.op == "ldg" {
+			b.Ldg(b.MovImm(0), c.off, 4)
+		} else {
+			b.Lds(b.MovImm(0), c.off, 4)
+		}
+		b.Exit()
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, c.want) {
+					t.Errorf("%s at %d: panicked with %q, want %q...", c.op, c.off, msg, c.want)
+				}
+			}()
+			d := NewDevice(tinySpec())
+			d.MustLaunch(&kernel.Launch{Program: b.MustBuild(), Grid: kernel.Dim3{X: 1}, Block: kernel.Dim3{X: 32}})
+		}()
+	}
+}
+
 func TestSharedOverflowPanics(t *testing.T) {
 	b := kernel.NewBuilder("shoob")
 	b.DeclShared(64)

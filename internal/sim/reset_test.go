@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"gputopdown/internal/gpu"
 	"gputopdown/internal/isa"
 	"gputopdown/internal/kernel"
 	"gputopdown/internal/mem"
@@ -215,4 +216,31 @@ func deviceFieldsDiffering(a, b *Device) []string {
 		}
 	}
 	return diff
+}
+
+// TestDeviceDecodesEachProgramOnce: the SMs of a device share one decoded
+// table per program — a launch whose blocks reach all four SMs decodes its
+// program once, and a second program adds one table — and the device drops
+// the tables where it resets its SMs (ResetSMs, Reset), so a long-lived
+// device pins no program it ran before.
+func TestDeviceDecodesEachProgramOnce(t *testing.T) {
+	d := NewDevice(gpu.QuadroRTX4000().WithSMs(4))
+	l := saxpyLaunch(d, 4096)
+	if r := d.MustLaunch(l); r.SMsUsed != 4 || d.progs.Len() != 1 {
+		t.Fatalf("a launch on %d SMs left %d decoded tables, want 1", r.SMsUsed, d.progs.Len())
+	}
+	d.MustLaunch(memBoundLaunch(d, 8, 0))
+	d.MustLaunch(l)
+	if d.progs.Len() != 2 {
+		t.Errorf("two programs launched three times left %d decoded tables, want 2", d.progs.Len())
+	}
+	d.ResetSMs()
+	if d.progs.Len() != 0 {
+		t.Errorf("ResetSMs kept %d decoded tables", d.progs.Len())
+	}
+	d.MustLaunch(l)
+	d.Reset()
+	if d.progs.Len() != 0 {
+		t.Errorf("Reset kept %d decoded tables", d.progs.Len())
+	}
 }

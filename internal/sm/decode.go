@@ -1,20 +1,22 @@
 package sm
 
 import (
+	"gputopdown/internal/gpu"
 	"gputopdown/internal/isa"
 	"gputopdown/internal/kernel"
 )
 
-// The decoded-instruction cache precomputes, once per (program, SM), every
-// piece of issue metadata that classify and issue would otherwise rederive
-// from isa.OpInfo on every cycle: the execution pipe and its throttle
-// classification, the front-end queue that gates issue, the compacted
-// non-RZ source-register list for the scoreboard, the guard and read
-// predicates, the initiation interval and dispatch occupancy, the
+// Decode computes, once per (program, device), every piece of issue
+// metadata that own and issue would otherwise rederive per instruction: the
+// execution class that selects issue's semantics, the execution pipe and its
+// throttle classification, the front-end queue that gates issue, the
+// compacted non-RZ source-register list for the scoreboard, the guard and
+// read predicates, the initiation interval and dispatch occupancy, the
 // fixed-latency completion time, and whether the static register operands
 // collide in a register-file bank. All of these are pure functions of the
-// instruction and the GPU spec, so hoisting them out of the per-cycle path
-// cannot change any simulation result — only host time.
+// instruction and the GPU spec, so hoisting them out of the per-instruction
+// path cannot change any simulation result — only host time. A device's SMs
+// share its spec, so they share one read-only table per program (Programs).
 
 // queue class an instruction must find non-full before issuing.
 const (
@@ -41,10 +43,77 @@ func gatePipe(g int) isa.Pipe {
 	return isa.Pipe(g)
 }
 
+// An execution class is what issue does with an instruction, decided once at
+// decode: opcodes with semantics of their own first, then ALU/FMA/FP64
+// arithmetic and memory operations by pipe. The classes below classEXIT are
+// those whose issue leaves the warp's next classification to the warp alone:
+// they do not exit, join a barrier or raise a fence (see issueReady).
+const (
+	classNOP uint8 = iota
+	classS2R
+	classMOV32
+	classMOV
+	classSEL
+	classVOTE
+	classSHFL
+	classSFU
+	classSETP
+	classALU // ALU, FMA and FP64 arithmetic
+	classMem // loads, stores and atomics
+	classBRA
+	classNANOSLEEP
+	classEXIT
+	classBAR
+	classMEMBAR
+	classUnknown
+)
+
+// classOf is the execution class of op, whose static properties are info.
+func classOf(op isa.Op, info isa.OpInfo) uint8 {
+	switch op {
+	case isa.OpNOP:
+		return classNOP
+	case isa.OpS2R:
+		return classS2R
+	case isa.OpMOV32:
+		return classMOV32
+	case isa.OpMOV:
+		return classMOV
+	case isa.OpSEL:
+		return classSEL
+	case isa.OpVOTE:
+		return classVOTE
+	case isa.OpSHFL:
+		return classSHFL
+	case isa.OpMUFU:
+		return classSFU
+	case isa.OpISETP, isa.OpFSETP, isa.OpDSETP:
+		return classSETP
+	case isa.OpBRA:
+		return classBRA
+	case isa.OpNANOSLEEP:
+		return classNANOSLEEP
+	case isa.OpEXIT:
+		return classEXIT
+	case isa.OpBAR:
+		return classBAR
+	case isa.OpMEMBAR:
+		return classMEMBAR
+	}
+	switch {
+	case info.Pipe == isa.PipeALU || info.Pipe == isa.PipeFMA || info.Pipe == isa.PipeFP64:
+		return classALU
+	case info.IsLoad || info.IsStore:
+		return classMem
+	}
+	return classUnknown
+}
+
 // decodedInstr is the per-program issue metadata for one isa.Instr. It is
-// read on every classify and every issue of that instruction; the original
-// Instr is still consulted for functional semantics (immediates, lane
-// operands, branch targets).
+// read on every own and every issue of that instruction; the original Instr
+// is still consulted for functional semantics (immediates, lane operands,
+// branch targets). A table of them is allocated per program and device, so
+// the struct is kept at 48 bytes (TestDecodedInstrSize).
 type decodedInstr struct {
 	srcs  [3]isa.Reg // non-RZ GPR sources, compacted
 	nsrcs uint8
@@ -62,8 +131,9 @@ type decodedInstr struct {
 	// queue selects the front-end queue whose fullness blocks issue.
 	queue uint8
 	// gate is pipe and queue as one number: the ready set the warp joins.
-	gate  uint8
-	isMem bool // load or store: issue charges replay dispatch cycles
+	gate uint8
+	// class selects issue's semantics (classNOP...classUnknown).
+	class uint8
 
 	// bankConflict marks statically colliding source registers (the operand
 	// collector needs an extra cycle; see issue).
@@ -82,6 +152,44 @@ type decodedProgram struct {
 	instrs []decodedInstr
 }
 
+// Programs holds the decoded tables of one device's SMs, one per program,
+// keyed by program identity and built the first time any of the SMs makes a
+// block of it resident: workloads reuse one Program value across launches
+// (and replay passes re-launch the same programs), so in steady state
+// LaunchBlock performs one map lookup and no decoding. A table depends on the
+// spec alone, which the SMs share and nobody edits, so an entry never goes
+// stale, and it is read-only once built; one goroutine ticks a device, so the
+// map needs no lock. The device clears it when it resets its SMs, so a
+// long-lived device does not pin every program it ever ran.
+type Programs struct {
+	spec  *gpu.Spec
+	cache map[*kernel.Program]*decodedProgram
+}
+
+// NewPrograms returns an empty table set for SMs of the given spec.
+func NewPrograms(spec *gpu.Spec) *Programs {
+	return &Programs{spec: spec, cache: make(map[*kernel.Program]*decodedProgram)}
+}
+
+// Clear drops every decoded table.
+func (ps *Programs) Clear() { clear(ps.cache) }
+
+// Len is the number of programs decoded since the last Clear.
+func (ps *Programs) Len() int { return len(ps.cache) }
+
+// decode returns the decoded table for p, building it on first use.
+func (ps *Programs) decode(p *kernel.Program) *decodedProgram {
+	if d, ok := ps.cache[p]; ok {
+		return d
+	}
+	d := &decodedProgram{instrs: make([]decodedInstr, len(p.Instrs))}
+	for i := range p.Instrs {
+		d.instrs[i] = decodeInstr(ps.spec, &p.Instrs[i])
+	}
+	ps.cache[p] = d
+	return d
+}
+
 // throttleState maps a busy pipe to the stall classification the warp
 // reports while waiting for it.
 func throttleState(p isa.Pipe) WarpState {
@@ -97,11 +205,10 @@ func throttleState(p isa.Pipe) WarpState {
 	}
 }
 
-// decodeInstr computes the issue metadata of one instruction under the SM's
-// spec. Every field mirrors a computation previously performed inline in
+// decodeInstr computes the issue metadata of one instruction under spec.
+// Every field mirrors a computation previously performed inline in
 // classify/issue; the equivalence is pinned by TestDecodeMatchesOpInfo.
-func (s *SM) decodeInstr(in *isa.Instr) decodedInstr {
-	spec := s.spec
+func decodeInstr(spec *gpu.Spec, in *isa.Instr) decodedInstr {
 	info := in.Op.Info()
 	d := decodedInstr{
 		dst:      in.Dst,
@@ -111,9 +218,9 @@ func (s *SM) decodeInstr(in *isa.Instr) decodedInstr {
 		pipe:     info.Pipe,
 		throttle: throttleState(info.Pipe),
 		gate:     uint8(info.Pipe),
-		isMem:    info.IsLoad || info.IsStore,
 		ii:       uint64(ceilDiv(kernel.WarpSize, spec.PipeLanes[info.Pipe])),
 		dispatch: 1,
+		class:    classOf(in.Op, info),
 	}
 	d.srcs, d.nsrcs = func() ([3]isa.Reg, uint8) {
 		regs, n := in.SourceRegs()
@@ -134,7 +241,7 @@ func (s *SM) decodeInstr(in *isa.Instr) decodedInstr {
 	case isa.PipeTEX:
 		d.queue = queueTEX
 	}
-	if d.isMem && in.Size == 8 || info.Pipe == isa.PipeFP64 {
+	if (info.IsLoad || info.IsStore) && in.Size == 8 || info.Pipe == isa.PipeFP64 {
 		d.dispatch = 2
 	}
 	switch info.Pipe {
@@ -169,24 +276,6 @@ func (s *SM) decodeInstr(in *isa.Instr) decodedInstr {
 			d.bankConflict = true
 		}
 	}
-	return d
-}
-
-// decodeProgram returns the SM's decoded table for p, building and caching
-// it on first use. The cache is keyed by program identity: workloads reuse
-// one Program value across launches (and replay passes re-launch the same
-// programs), so in steady state LaunchBlock performs one map lookup and no
-// decoding. The table depends on the SM's spec, which is immutable after
-// construction, so a cached entry never goes stale.
-func (s *SM) decodeProgram(p *kernel.Program) *decodedProgram {
-	if d, ok := s.progCache[p]; ok {
-		return d
-	}
-	d := &decodedProgram{instrs: make([]decodedInstr, len(p.Instrs))}
-	for i := range p.Instrs {
-		d.instrs[i] = s.decodeInstr(&p.Instrs[i])
-	}
-	s.progCache[p] = d
 	return d
 }
 

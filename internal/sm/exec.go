@@ -63,31 +63,31 @@ func (s *SM) issue(sp *subpart, w *warp, now uint64) {
 	dispatchCycles := d.dispatch
 	advancePC := true
 
-	switch {
-	case in.Op == isa.OpNOP:
+	switch d.class {
+	case classNOP:
 		// nothing
 
-	case in.Op == isa.OpS2R:
+	case classS2R:
 		s.execS2R(w, in, pmask, now)
 		w.setRegReady(in.Dst, now+uint64(spec.ALULatency), depFixed)
 
-	case in.Op == isa.OpMOV32:
+	case classMOV32:
 		var res [32]uint64
 		fill(&res, uint64(in.Imm))
 		w.store(in.Dst, &res, pmask)
 		w.setRegReady(in.Dst, now+uint64(spec.ALULatency), depFixed)
 
-	case in.Op == isa.OpMOV:
+	case classMOV:
 		w.store(in.Dst, w.row(in.Srcs[0]), pmask)
 		w.setRegReady(in.Dst, now+uint64(spec.ALULatency), depFixed)
 
-	case in.Op == isa.OpSEL:
+	case classSEL:
 		sel := w.predMask(in.PDst, false)
 		w.store(in.Dst, w.row(in.Srcs[1]), pmask&^sel)
 		w.store(in.Dst, w.row(in.Srcs[0]), pmask&sel)
 		w.setRegReady(in.Dst, now+uint64(spec.ALULatency), depFixed)
 
-	case in.Op == isa.OpVOTE:
+	case classVOTE:
 		ballot := uint64(w.preds[in.PDst] & pmask)
 		if in.PDst == isa.PT {
 			ballot = uint64(pmask)
@@ -97,7 +97,7 @@ func (s *SM) issue(sp *subpart, w *warp, now uint64) {
 		w.store(in.Dst, &res, pmask)
 		w.setRegReady(in.Dst, now+uint64(spec.ALULatency), depFixed)
 
-	case in.Op == isa.OpSHFL:
+	case classSHFL:
 		src := w.row(in.Srcs[0])
 		var res [32]uint64
 		for lane := range res {
@@ -108,17 +108,17 @@ func (s *SM) issue(sp *subpart, w *warp, now uint64) {
 		w.setRegReady(in.Dst, done, depShort)
 		sp.mioQueue.Push(done)
 
-	case in.Op == isa.OpMUFU:
+	case classSFU:
 		execMUFU(&w.regs[in.Dst], w.row(in.Srcs[0]), in.Mufu, pmask)
 		w.setRegReady(in.Dst, now+uint64(spec.SFULatency), depFixed)
 
-	case in.Op == isa.OpISETP || in.Op == isa.OpFSETP || in.Op == isa.OpDSETP:
+	case classSETP:
 		s.execSetp(w, in, pmask, now)
 
-	case d.pipe == isa.PipeALU || d.pipe == isa.PipeFMA || d.pipe == isa.PipeFP64:
+	case classALU:
 		s.execALU(w, in, pmask, now, d.lat)
 
-	case d.isMem:
+	case classMem:
 		extraIssues, pipeBusy := s.execMemory(sp, w, in, pmask, now)
 		s.ctr.InstIssued += uint64(extraIssues)
 		if pipeBusy > ii {
@@ -129,7 +129,7 @@ func (s *SM) issue(sp *subpart, w *warp, now uint64) {
 		// its dispatch bandwidth.
 		dispatchCycles += uint64(extraIssues)
 
-	case in.Op == isa.OpBRA:
+	case classBRA:
 		s.ctr.BranchInstrs++
 		taken := pmask
 		notTaken := active &^ taken
@@ -153,19 +153,19 @@ func (s *SM) issue(sp *subpart, w *warp, now uint64) {
 			w.eligibleReason = StateBranchResolving
 		}
 
-	case in.Op == isa.OpEXIT:
+	case classEXIT:
 		w.exited |= pmask
 
-	case in.Op == isa.OpBAR:
+	case classBAR:
 		w.atBarrier = true
 		w.block.arrived++
 		// The release check runs after advancing the PC so the warp resumes
 		// past the barrier.
 
-	case in.Op == isa.OpMEMBAR:
+	case classMEMBAR:
 		w.membarPending = true
 
-	case in.Op == isa.OpNANOSLEEP:
+	case classNANOSLEEP:
 		if in.Imm > 0 {
 			w.nextEligible = now + uint64(in.Imm)
 			w.eligibleReason = StateSleeping
@@ -178,7 +178,7 @@ func (s *SM) issue(sp *subpart, w *warp, now uint64) {
 	if advancePC {
 		w.stack[topIdx].pc = pc + 1
 	}
-	if in.Op == isa.OpBAR {
+	if d.class == classBAR {
 		s.checkBarrier(w.block)
 	}
 
@@ -275,7 +275,6 @@ func (w *warp) fpOperandB(in *isa.Instr, buf *[32]uint64) *[32]uint64 {
 // operand) is neither, which makes it compare as equal: EQ, LE and GE hold,
 // NE, LT and GT do not. Integer operand B is Srcs[1] + Imm.
 func (s *SM) execSetp(w *warp, in *isa.Instr, pmask uint32, now uint64) {
-	var buf [32]uint64
 	var lt, gt uint32
 	a := w.row(in.Srcs[0])
 	lat := s.spec.ALULatency
@@ -288,7 +287,7 @@ func (s *SM) execSetp(w *warp, in *isa.Instr, pmask uint32, now uint64) {
 			gt |= b2u(x > y) << lane
 		}
 	case isa.OpFSETP:
-		b := w.fpOperandB(in, &buf)
+		b := w.fpOperandB(in, &s.immRow)
 		for lane := range a {
 			x, y := f32val(a[lane]), f32val(b[lane])
 			lt |= b2u(x < y) << lane
@@ -296,7 +295,7 @@ func (s *SM) execSetp(w *warp, in *isa.Instr, pmask uint32, now uint64) {
 		}
 		lat = s.spec.FMALatency
 	case isa.OpDSETP:
-		b := w.fpOperandB(in, &buf)
+		b := w.fpOperandB(in, &s.immRow)
 		for lane := range a {
 			x, y := f64val(a[lane]), f64val(b[lane])
 			lt |= b2u(x < y) << lane
@@ -344,11 +343,18 @@ func f2i(f float32) int64 {
 
 // execALU runs one ALU/FMA/FP64 instruction. Integer operand B is
 // Srcs[1] + Imm, which gives the immediate forms when Srcs[1] is RZ;
-// floating-point operand B is fpOperandB.
+// floating-point operand B is fpOperandB. Every operation is lane-wise, so
+// with every lane issuing the result is written straight into the
+// destination row, even when it is an operand row too; otherwise it is
+// computed into the SM's scratch row and the issuing lanes are merged.
 func (s *SM) execALU(w *warp, in *isa.Instr, pmask uint32, now uint64, lat uint64) {
 	a, b, c := w.row(in.Srcs[0]), w.row(in.Srcs[1]), w.row(in.Srcs[2])
 	imm := in.Imm
-	var buf, res [32]uint64
+	res := &s.resRow
+	if pmask == 0xFFFFFFFF {
+		res = &w.regs[in.Dst]
+	}
+	buf := &s.immRow
 	switch in.Op {
 	case isa.OpIADD:
 		for l := range res {
@@ -399,12 +405,12 @@ func (s *SM) execALU(w *warp, in *isa.Instr, pmask uint32, now uint64, lat uint6
 			res[l] = uint64(bits.OnesCount64(a[l]))
 		}
 	case isa.OpFADD:
-		b = w.fpOperandB(in, &buf)
+		b = w.fpOperandB(in, buf)
 		for l := range res {
 			res[l] = f32bits(f32val(a[l]) + f32val(b[l]))
 		}
 	case isa.OpFMUL:
-		b = w.fpOperandB(in, &buf)
+		b = w.fpOperandB(in, buf)
 		for l := range res {
 			res[l] = f32bits(f32val(a[l]) * f32val(b[l]))
 		}
@@ -419,12 +425,12 @@ func (s *SM) execALU(w *warp, in *isa.Instr, pmask uint32, now uint64, lat uint6
 		// NaN (not the other operand, as IEEE minNum/maxNum would) unless the
 		// other is the infinity on the operation's side: Min(NaN, -Inf) is
 		// -Inf and Max(NaN, +Inf) is +Inf.
-		b = w.fpOperandB(in, &buf)
+		b = w.fpOperandB(in, buf)
 		for l := range res {
 			res[l] = f32bits(float32(math.Min(float64(f32val(a[l])), float64(f32val(b[l])))))
 		}
 	case isa.OpFMAX:
-		b = w.fpOperandB(in, &buf)
+		b = w.fpOperandB(in, buf)
 		for l := range res {
 			res[l] = f32bits(float32(math.Max(float64(f32val(a[l])), float64(f32val(b[l])))))
 		}
@@ -437,12 +443,12 @@ func (s *SM) execALU(w *warp, in *isa.Instr, pmask uint32, now uint64, lat uint6
 			res[l] = uint64(f2i(f32val(a[l])))
 		}
 	case isa.OpDADD:
-		b = w.fpOperandB(in, &buf)
+		b = w.fpOperandB(in, buf)
 		for l := range res {
 			res[l] = f64bits(f64val(a[l]) + f64val(b[l]))
 		}
 	case isa.OpDMUL:
-		b = w.fpOperandB(in, &buf)
+		b = w.fpOperandB(in, buf)
 		for l := range res {
 			res[l] = f64bits(f64val(a[l]) * f64val(b[l]))
 		}
@@ -453,7 +459,9 @@ func (s *SM) execALU(w *warp, in *isa.Instr, pmask uint32, now uint64, lat uint6
 	default:
 		panic(fmt.Sprintf("sm: unhandled ALU op %s", in.Op))
 	}
-	w.store(in.Dst, &res, pmask)
+	if res == &s.resRow {
+		w.store(in.Dst, res, pmask)
+	}
 	// lat is the decoded pipe latency (FMA/FP64/ALU per the spec).
 	w.setRegReady(in.Dst, now+lat, depFixed)
 }

@@ -3,6 +3,7 @@ package sm
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"gputopdown/internal/gpu"
 	"gputopdown/internal/isa"
@@ -27,15 +28,15 @@ func TestDecodeMatchesOpInfo(t *testing.T) {
 				Size: size,
 			}
 			info := op.Info()
-			d := s.decodeInstr(&in)
+			d := decodeInstr(spec, &in)
 			if d.pipe != info.Pipe {
 				t.Errorf("%s: pipe %v, want %v", op, d.pipe, info.Pipe)
 			}
 			if d.throttle != throttleState(info.Pipe) {
 				t.Errorf("%s: throttle %v, want %v", op, d.throttle, throttleState(info.Pipe))
 			}
-			if d.isMem != (info.IsLoad || info.IsStore) {
-				t.Errorf("%s: isMem %v", op, d.isMem)
+			if want := issueClass(op, info); d.class != want {
+				t.Errorf("%s: class %d, want %d", op, d.class, want)
 			}
 			wantQ := queueNone
 			switch {
@@ -74,7 +75,7 @@ func TestDecodeMatchesOpInfo(t *testing.T) {
 				t.Errorf("%s: ii %d, want %d", op, d.ii, want)
 			}
 			wantDispatch := uint64(1)
-			if d.isMem && size == 8 || info.Pipe == isa.PipeFP64 {
+			if (info.IsLoad || info.IsStore) && size == 8 || info.Pipe == isa.PipeFP64 {
 				wantDispatch = 2
 			}
 			if d.dispatch != wantDispatch {
@@ -115,22 +116,79 @@ func TestDecodeMatchesOpInfo(t *testing.T) {
 	}
 }
 
-// TestDecodeProgramCached pins the per-SM memoisation: decoding the same
-// program twice must return the same table, and distinct programs distinct
-// tables.
+// issueClass is the chain of opcode tests issue made before the execution
+// class was decoded, in its order: the class an op must decode to.
+func issueClass(op isa.Op, info isa.OpInfo) uint8 {
+	switch {
+	case op == isa.OpNOP:
+		return classNOP
+	case op == isa.OpS2R:
+		return classS2R
+	case op == isa.OpMOV32:
+		return classMOV32
+	case op == isa.OpMOV:
+		return classMOV
+	case op == isa.OpSEL:
+		return classSEL
+	case op == isa.OpVOTE:
+		return classVOTE
+	case op == isa.OpSHFL:
+		return classSHFL
+	case op == isa.OpMUFU:
+		return classSFU
+	case op == isa.OpISETP || op == isa.OpFSETP || op == isa.OpDSETP:
+		return classSETP
+	case info.Pipe == isa.PipeALU || info.Pipe == isa.PipeFMA || info.Pipe == isa.PipeFP64:
+		return classALU
+	case info.IsLoad || info.IsStore:
+		return classMem
+	case op == isa.OpBRA:
+		return classBRA
+	case op == isa.OpEXIT:
+		return classEXIT
+	case op == isa.OpBAR:
+		return classBAR
+	case op == isa.OpMEMBAR:
+		return classMEMBAR
+	case op == isa.OpNANOSLEEP:
+		return classNANOSLEEP
+	}
+	return classUnknown
+}
+
+// TestDecodedInstrSize: a decoded table is allocated per program and device,
+// and a compute sweep's allocations follow its size (64 bytes cost 9.8 % more
+// of them than 48), so the entry must not grow.
+func TestDecodedInstrSize(t *testing.T) {
+	if n := unsafe.Sizeof(decodedInstr{}); n > 48 {
+		t.Errorf("decodedInstr is %d bytes, want at most 48", n)
+	}
+}
+
+// TestDecodeProgramCached pins the per-device memoisation: decoding the same
+// program twice returns the same table, distinct programs get distinct
+// tables, and two SMs of one device run their blocks of a program on one
+// table.
 func TestDecodeProgramCached(t *testing.T) {
 	s := testSMBacked()
 	p1 := singleWarpLaunch().Program
 	p2 := barrierDrainLaunch().Program
-	d1 := s.decodeProgram(p1)
-	if s.decodeProgram(p1) != d1 {
+	d1 := s.progs.decode(p1)
+	if s.progs.decode(p1) != d1 {
 		t.Error("re-decoding the same program built a new table")
 	}
-	if s.decodeProgram(p2) == d1 {
+	if s.progs.decode(p2) == d1 {
 		t.Error("distinct programs share a decoded table")
 	}
 	if len(d1.instrs) != p1.Len() {
 		t.Errorf("decoded table has %d entries for a %d-instruction program", len(d1.instrs), p1.Len())
+	}
+	peer := New(s.spec, 1, mem.NewMemSys(s.spec), s.storage, s.constBank, s.progs)
+	l := multiSubpartLaunch()
+	s.LaunchBlock(l, [3]int64{}, 0)
+	peer.LaunchBlock(l, [3]int64{1}, 1)
+	if a, b := residents(s)[0].block.dec, residents(peer)[0].block.dec; a != b || s.progs.Len() != 3 {
+		t.Errorf("two SMs of one device decoded %s into distinct tables (%v) or the device holds %d tables, want 3", l.Program.Name, a != b, s.progs.Len())
 	}
 }
 
@@ -502,8 +560,9 @@ func benchTickLoop(b *testing.B, s *SM, l *kernel.Launch, blocks int) {
 	}
 }
 
-// BenchmarkIssueALU measures the per-cycle cost of a saturated ALU SM:
-// classify with sticky readiness, pick, and the FFMA lane loop.
+// BenchmarkIssueALU measures the per-cycle cost of a saturated ALU SM: the
+// wake index's due slots, one decision per gate, pick, the FFMA lane loop and
+// issueReady settling the issued warp.
 func BenchmarkIssueALU(b *testing.B) {
 	benchTickLoop(b, testSMBacked(), steadyLaunch(), 1)
 }

@@ -39,9 +39,10 @@ func TestResetMatchesNew(t *testing.T) {
 	st := mem.NewStorage(1 << 20)
 	st.Alloc(1 << 19)
 	cb := mem.NewConstantBank(spec.ConstBankSize)
+	progs := NewPrograms(spec)
 	for _, busy := range []bool{false, true} {
 		for _, reference := range []bool{false, true} {
-			s := New(spec, 0, ms, st, cb)
+			s := New(spec, 0, ms, st, cb, progs)
 			s.noWakeList = reference
 			s.BeginLaunch(1<<18, 1024, 64)
 			for _, l := range accountingLaunches(spec) {
@@ -60,7 +61,7 @@ func TestResetMatchesNew(t *testing.T) {
 					t.Fatalf("reference engine %v: %d blocks resident mid-kernel, want several", reference, s.residentBlocks)
 				}
 			}
-			if len(s.freeBlocks) == 0 || len(s.freeWarps) == 0 || len(s.progCache) == 0 {
+			if len(s.freeBlocks) == 0 || len(s.freeWarps) == 0 || progs.Len() == 0 {
 				t.Fatal("the kernels left no contexts or decoded programs behind")
 			}
 			resident, freeBlocks, freeWarps := residents(s), len(s.freeBlocks), len(s.freeWarps)
@@ -76,7 +77,7 @@ func TestResetMatchesNew(t *testing.T) {
 				}
 			}
 			s.freeBlocks, s.freeWarps = nil, nil
-			if diff := fieldsDiffering(*s, *New(spec, 0, ms, st, cb)); len(diff) > 0 {
+			if diff := fieldsDiffering(*s, *New(spec, 0, ms, st, cb, progs)); len(diff) > 0 {
 				t.Errorf("busy %v, reference engine %v: a reset SM differs from a new one in %v", busy, reference, diff)
 			}
 		}
@@ -101,17 +102,24 @@ func fieldsDiffering(a, b any) []string {
 	return diff
 }
 
-// TestResetDropsDecodedPrograms: an SM reset between 50 applications, each
-// launching programs built afresh, holds only the last application's decoded
-// tables — a long-lived device does not pin every program it ever ran.
+// TestResetDropsDecodedPrograms: the decoded tables belong to the device,
+// which clears them where it resets its SMs (sim.Device.Reset, ResetSMs). An
+// SM reset between 50 applications, each launching programs built afresh,
+// keeps the tables of the application before it — they are not the SM's to
+// drop — and with the device's clear beside each reset it holds only the last
+// application's: a long-lived device does not pin every program it ever ran.
 func TestResetDropsDecodedPrograms(t *testing.T) {
 	s := testSMBacked()
 	for i := 0; i < 50; i++ {
 		s.Reset()
+		if i > 0 && s.progs.Len() != 2 {
+			t.Fatalf("application %d: SM.Reset left %d decoded programs of the 2 before it", i, s.progs.Len())
+		}
+		s.progs.Clear()
 		runToIdle(t, s, singleWarpLaunch())
 		runToIdle(t, s, barrierDrainLaunch())
 	}
-	if len(s.progCache) != 2 {
-		t.Errorf("after 50 reset applications the SM holds %d decoded programs, want the last one's 2", len(s.progCache))
+	if s.progs.Len() != 2 {
+		t.Errorf("after 50 cleared applications the device holds %d decoded programs, want the last one's 2", s.progs.Len())
 	}
 }

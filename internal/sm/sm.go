@@ -25,6 +25,14 @@ type subpart struct {
 	// mutate nothing.
 	wakeAt []uint64
 
+	// pending, parallel to warps, is the instruction the slot's warp issues
+	// next, once own has found it: while the slot is filed, the bound is the
+	// last thing that instruction waits for, its decode or its scoreboard, and
+	// at the bound the warp is ready to issue it without being classified
+	// again; while the slot is in a ready set, it is what the warp is ready to
+	// issue, and its gate the set's. nil otherwise.
+	pending []*decodedInstr
+
 	// The wake index hands wakeWarps the due slots without reading the table.
 	// A slot whose bound is not neverWake is filed in exactly one place (file,
 	// unfile), and a bit is only ever a hint checked against wakeAt:
@@ -52,9 +60,11 @@ type subpart struct {
 	// which therefore wait only on what the subpartition shares — the dispatch
 	// unit, the gate's pipe, its queue, the pick. They carry no accounting
 	// interval: Tick decides each gate once and charges the set by popcount.
-	// readyAll is the union. A warp leaves its set only by issuing.
+	// readyAll is the union, and bit g of gateOcc is set when ready[g] is
+	// non-empty. A warp leaves its set only by issuing.
 	ready    [numGates]uint64
 	readyAll uint64
+	gateOcc  uint16
 
 	pipeFree     [isa.NumPipes]uint64
 	dispatchFree uint64
@@ -75,13 +85,15 @@ func (sp *subpart) freeSlots() int { return len(sp.warps) - sp.nres }
 // and instruction queues. The slot tables and queues keep their backings.
 func (sp *subpart) reset() {
 	clear(sp.warps)
+	clear(sp.pending)
 	for i := range sp.wakeAt {
 		sp.wakeAt[i] = neverWake
 	}
 	sp.lgQueue.Reset()
 	sp.mioQueue.Reset()
 	sp.texQueue.Reset()
-	*sp = subpart{warps: sp.warps, wakeAt: sp.wakeAt, farMin: neverWake, lgQueue: sp.lgQueue, mioQueue: sp.mioQueue, texQueue: sp.texQueue}
+	*sp = subpart{warps: sp.warps, wakeAt: sp.wakeAt, pending: sp.pending, farMin: neverWake,
+		lgQueue: sp.lgQueue, mioQueue: sp.mioQueue, texQueue: sp.texQueue}
 }
 
 // file sets slot's bound to t and files it by its distance from now. The slot
@@ -160,7 +172,9 @@ type SM struct {
 	storage   *mem.Storage
 	constBank *mem.ConstantBank
 	subparts  []subpart
-	lrr       bool // spec.SchedulingPolicy == "lrr", decided once in New
+	progs     *Programs // the device's decoded tables
+	lrr       bool      // spec.SchedulingPolicy == "lrr", decided once in New
+	lineShift uint      // log2 spec.LineSize (a power of two, gpu.Spec.Validate)
 
 	cycle     uint64
 	fetchBusy uint64
@@ -189,22 +203,24 @@ type SM struct {
 	noWakeList bool
 
 	// groupCharge is what the last Tick charged the ready sets for gates found
-	// closed, in warps per state. A quiet tick repeats until NextWakeup, so
-	// AdvanceTo charges it again for every cycle it skips.
-	groupCharge [NumWarpStates]uint32
+	// closed, in warps per state, and groupCharged whether it charged any. A
+	// quiet tick repeats until NextWakeup, so AdvanceTo charges it again for
+	// every cycle it skips.
+	groupCharge  [NumWarpStates]uint32
+	groupCharged bool
 
-	// progCache holds the per-program decoded-instruction tables (see
-	// decode.go), keyed by program identity and retained until Reset —
-	// replay passes re-launch the same programs.
-	progCache map[*kernel.Program]*decodedProgram
+	// drainingWarps counts the slots of every subpartition's draining mask.
+	drainingWarps int
 
 	// Launch-wide context for local-memory addressing, set by BeginLaunch.
 	localBase    uint64
 	totalThreads int
 
 	// sectorScratch backs CoalesceSectorsInto in the issue path (no
-	// allocation in the cycle loop).
-	sectorScratch []uint64
+	// allocation in the cycle loop); resRow and immRow are execALU's result
+	// row for a partial issue mask and the row of an immediate operand B.
+	sectorScratch  []uint64
+	resRow, immRow [32]uint64
 
 	// Retired block contexts and their warps, filled by retireBlock and
 	// drained by LaunchBlock, which resets whatever it takes (warp.reset), so
@@ -236,11 +252,12 @@ type SM struct {
 // (export_test.go), to run whole applications on the reference engine.
 var referenceEngine bool
 
-// New builds an SM around the device-shared memory system, global storage
-// and constant bank: it allocates the SM's backings and leaves every other
-// field to Reset. The spec is validated by its owner (gpu.Spec.Validate
-// bounds WarpSlotsPerSubpartition by the width of a ready-set mask).
-func New(spec *gpu.Spec, id int, ms *mem.MemSys, storage *mem.Storage, constBank *mem.ConstantBank) *SM {
+// New builds an SM around the device-shared memory system, global storage,
+// constant bank and decoded tables: it allocates the SM's backings and leaves
+// every other field to Reset. The spec is validated by its owner
+// (gpu.Spec.Validate bounds WarpSlotsPerSubpartition by the width of a
+// ready-set mask); progs must be built for the same spec.
+func New(spec *gpu.Spec, id int, ms *mem.MemSys, storage *mem.Storage, constBank *mem.ConstantBank, progs *Programs) *SM {
 	nsp, slots := spec.SubpartitionsPerSM, spec.WarpSlotsPerSubpartition
 	s := &SM{
 		spec:          spec,
@@ -250,18 +267,20 @@ func New(spec *gpu.Spec, id int, ms *mem.MemSys, storage *mem.Storage, constBank
 		storage:       storage,
 		constBank:     constBank,
 		subparts:      make([]subpart, nsp),
-		progCache:     make(map[*kernel.Program]*decodedProgram),
+		progs:         progs,
 		sectorScratch: make([]uint64, 0, 64),
 	}
 	// One backing per slot table for the whole SM, carved per subpartition: a
-	// device build pays two allocations per SM however many subpartitions.
+	// device build pays three allocations per SM however many subpartitions.
 	warps := make([]*warp, nsp*slots)
 	wakeAt := make([]uint64, nsp*slots)
+	pending := make([]*decodedInstr, nsp*slots)
 	for i := range s.subparts {
 		lo, hi := i*slots, (i+1)*slots
 		s.subparts[i] = subpart{
 			warps:    warps[lo:hi:hi],
 			wakeAt:   wakeAt[lo:hi:hi],
+			pending:  pending[lo:hi:hi],
 			lgQueue:  mem.NewTimedQueue(spec.LGQueueDepth),
 			mioQueue: mem.NewTimedQueue(spec.MIOQueueDepth),
 			texQueue: mem.NewTimedQueue(spec.TEXQueueDepth),
@@ -273,19 +292,19 @@ func New(spec *gpu.Spec, id int, ms *mem.MemSys, storage *mem.Storage, constBank
 
 // Reset puts the SM, idle or busy, in the state New leaves it in: nothing
 // resident, clock and pipelines at cycle zero, caches cold, no counts, no
-// tracing, no launch context, no decoded program. It is the one place that
-// writes the initial value of an SM field. The backings stay — slot tables,
-// queues, caches, and the retired block and warp contexts with their register
-// files, which LaunchBlock rewrites whole (TestDirtyReuseBitIdentical).
-// Contexts resident at the call are dropped, not recycled: a kernel that
-// panicked or was cancelled may have left them in any state.
+// tracing, no launch context. It is the one place that writes the initial
+// value of an SM field. The backings stay — slot tables, queues, caches, and
+// the retired block and warp contexts with their register files, which
+// LaunchBlock rewrites whole (TestDirtyReuseBitIdentical) — and so do the
+// decoded tables, which belong to the device (Programs). Contexts resident at
+// the call are dropped, not recycled: a kernel that panicked or was cancelled
+// may have left them in any state.
 func (s *SM) Reset() {
 	for i := range s.subparts {
 		s.subparts[i].reset()
 	}
 	s.dp.Reset()
 	s.icache.Reset()
-	clear(s.progCache)
 	*s = SM{
 		spec:          s.spec,
 		id:            s.id,
@@ -294,9 +313,10 @@ func (s *SM) Reset() {
 		storage:       s.storage,
 		constBank:     s.constBank,
 		subparts:      s.subparts,
+		progs:         s.progs,
 		lrr:           s.spec.SchedulingPolicy == "lrr",
+		lineShift:     uint(bits.TrailingZeros(uint(s.spec.LineSize))),
 		noWakeList:    referenceEngine,
-		progCache:     s.progCache,
 		sectorScratch: s.sectorScratch[:0],
 		freeBlocks:    s.freeBlocks,
 		freeWarps:     s.freeWarps,
@@ -309,8 +329,8 @@ func (s *SM) Reset() {
 // interleaving) are installed; the immediate-constant cache is invalidated,
 // as the launch rewrote the constant bank; the counters are zeroed, so
 // Counters counts this launch alone; and a counter delta is sampled every
-// traceInterval cycles (0: no tracing). Caches, decoded programs and retired
-// contexts carry over.
+// traceInterval cycles (0: no tracing). Caches and retired contexts carry
+// over.
 func (s *SM) BeginLaunch(localBase uint64, totalThreads int, traceInterval uint64) {
 	if s.Busy() {
 		panic(fmt.Sprintf("sm %d: BeginLaunch while busy", s.id))
@@ -320,7 +340,7 @@ func (s *SM) BeginLaunch(localBase uint64, totalThreads int, traceInterval uint6
 	}
 	s.cycle, s.fetchBusy, s.nextWakeup = 0, 0, 0
 	s.tickEvent = false
-	s.groupCharge = [NumWarpStates]uint32{}
+	s.groupCharge, s.groupCharged = [NumWarpStates]uint32{}, false
 	s.localBase, s.totalThreads = localBase, totalThreads
 	s.dp.IMC.Flush()
 	s.dp.ResetStats()
@@ -377,7 +397,7 @@ func (s *SM) LaunchBlock(l *kernel.Launch, ctaid [3]int64, blockLinear int) {
 		ctaid:       ctaid,
 		blockLinear: blockLinear,
 		launch:      l,
-		dec:         s.decodeProgram(l.Program),
+		dec:         s.progs.decode(l.Program),
 		shared:      zeroed(blk.shared, l.SharedBytes()),
 		liveWarps:   wpb,
 		remaining:   wpb,
@@ -468,8 +488,7 @@ const neverWake = ^uint64(0)
 // port frees and false — the warp must ask again then — and it sets
 // fetchRefused.
 func (s *SM) ensureFetched(w *warp, pc int, now uint64) (uint64, bool) {
-	lineSize := uint64(s.spec.LineSize)
-	line := uint64(pc*s.spec.InstrBytes) / lineSize
+	line := s.fetchLine(pc)
 	if w.fetchedLine == line+1 {
 		return w.ifetchReady, true
 	}
@@ -479,7 +498,7 @@ func (s *SM) ensureFetched(w *warp, pc int, now uint64) (uint64, bool) {
 	}
 	s.fetchBusy = now + uint64(s.spec.FetchCyclesPerLine)
 	w.fetchedLine = line + 1
-	if s.icache.Access(line * lineSize) {
+	if s.icache.Access(line << s.lineShift) {
 		s.ctr.ICacheHits++
 		w.ifetchReady = now + uint64(s.spec.DecodeDelay)
 	} else {
@@ -488,6 +507,9 @@ func (s *SM) ensureFetched(w *warp, pc int, now uint64) (uint64, bool) {
 	}
 	return w.ifetchReady, true
 }
+
+// fetchLine is the instruction-cache line holding the instruction at pc.
+func (s *SM) fetchLine(pc int) uint64 { return uint64(pc*s.spec.InstrBytes) >> s.lineShift }
 
 // own runs the half of a warp's classification that reads only state the
 // warp's own issue can change — SIMT stack, exit, barrier, membar,
@@ -511,6 +533,7 @@ func (s *SM) own(w *warp, now uint64) (d *decodedInstr, st WarpState, wake uint6
 	if w.finished {
 		if sp := &s.subparts[w.subp]; sp.draining&(1<<w.slot) == 0 {
 			sp.draining |= 1 << w.slot
+			s.drainingWarps++
 			w.block.liveWarps--
 			s.checkBarrier(w.block)
 			// The death may have released the block barrier, changing
@@ -533,14 +556,15 @@ func (s *SM) own(w *warp, now uint64) (d *decodedInstr, st WarpState, wake uint6
 		return nil, w.eligibleReason, w.nextEligible
 	}
 	pc := w.top().pc
-	if pc >= w.block.launch.Program.Len() {
+	instrs := w.block.dec.instrs
+	if pc >= len(instrs) {
 		panic(fmt.Sprintf("sm %d: warp %d.%d ran past program end (kernel %s)", s.id, w.subp, w.slot, w.block.launch.Program.Name))
 	}
 	decoded, fetched := s.ensureFetched(w, pc, now)
 	if !fetched {
 		return nil, StateNoInstruction, decoded
 	}
-	d = &w.block.dec.instrs[pc]
+	d = &instrs[pc]
 	ready, kind := w.scoreboardDec(d)
 	if decoded > now {
 		if ready > decoded {
@@ -628,6 +652,7 @@ func (s *SM) enter(w *warp, st WarpState, now uint64) {
 func (s *SM) charge(st WarpState, n int) {
 	s.ctr.WarpStateCycles[st] += uint64(n)
 	s.groupCharge[st] += uint32(n)
+	s.groupCharged = true
 }
 
 // classifyAll is the reference engine's scan of one subpartition: every
@@ -654,8 +679,8 @@ func (s *SM) classifyAll(sp *subpart, now, wake uint64) (cand, earliest uint64) 
 // slots, in slot order, as the wake index hands them over: a slot not due is
 // never visited — its open interval keeps growing, which is what a fresh
 // classification would account — and a due warp runs own, unless own promised
-// it ready at its bound (warp.pending). A ready warp settles its interval and
-// joins the ready set of its instruction's gate. A warp the fetch port turned
+// it ready at its bound (subpart.pending). A ready warp settles its interval
+// and joins the ready set of its instruction's gate. A warp the fetch port turned
 // away waits on the port (fetchWait): it is due when the port is free as the
 // pass reaches its slot, and skipped, its interval left open, when an earlier
 // warp has taken the port this tick. A barrier release by a dying warp makes
@@ -686,7 +711,7 @@ func (s *SM) wakeWarps(sp *subpart, now, wake uint64) uint64 {
 			continue // a stale hint: the slot is filed under its real bound
 		}
 		w := sp.warps[slot]
-		d := w.pending
+		d := sp.pending[slot]
 		if d == nil {
 			var st WarpState
 			var wb uint64
@@ -700,7 +725,7 @@ func (s *SM) wakeWarps(sp *subpart, now, wake uint64) uint64 {
 			}
 			if d == nil || wb > now {
 				s.enter(w, st, now)
-				w.pending = d
+				sp.pending[slot] = d
 				if s.fetchRefused {
 					s.fetchRefused = false
 					sp.wakeAt[slot] = wb
@@ -711,35 +736,76 @@ func (s *SM) wakeWarps(sp *subpart, now, wake uint64) uint64 {
 				continue
 			}
 		}
-		w.pending = nil
 		s.ctr.WarpStateCycles[w.state] += now - w.since
-		sp.ready[d.gate] |= bit
-		sp.readyAll |= bit
-		sp.wakeAt[slot] = neverWake
+		sp.join(slot, d)
 	}
 	return min(wake, sp.nextBound(now, s.fetchBusy))
 }
 
 // issueReady issues the next instruction of the warp picked at cycle now and
-// takes it out of its ready set: from now+1 its state is its own again, to be
-// found by the next pass over the wake table — unless the issue itself put the
-// warp to sleep (a branch resolving, the operand collector, NANOSLEEP; none of
-// them exits, joins a barrier or raises a fence), which is then all own could
-// say of it until nextEligible.
+// takes it out of its ready set. From now+1 its state is its own again, and
+// issueReady settles it at once when what own would say of it then is already
+// decided by what the warp holds:
+//   - the issue put the warp to sleep (a branch resolving, the operand
+//     collector, NANOSLEEP; none of them exits, joins a barrier or raises a
+//     fence): that state until nextEligible is all own could say;
+//   - the issue neither exited, joined a barrier nor raised a fence (its
+//     class is below classEXIT) and the warp's next instruction sits in the
+//     line its buffer already holds: own at now+1 then reads only state of the
+//     warp's own — no fetch port, no other warp — which nothing but its own
+//     next issue changes, so own runs now. The warp is filed at its bound
+//     with its pending instruction, or, ready at now+1, joins its gate's
+//     ready set, as the next pass would have it do.
+//
+// Otherwise the warp is filed due, to be classified by the next pass.
 func (s *SM) issueReady(sp *subpart, w *warp, now uint64) {
-	bit := uint64(1) << w.slot
-	sp.ready[w.block.dec.instrs[w.top().pc].gate] &^= bit
+	slot := w.slot
+	bit := uint64(1) << slot
+	d := sp.pending[slot]
+	if sp.ready[d.gate] &^= bit; sp.ready[d.gate] == 0 {
+		sp.gateOcc &^= 1 << d.gate
+	}
 	sp.readyAll &^= bit
 	s.issue(sp, w, now)
-	w.state, w.since = StateSelected, now+1
-	if w.nextEligible > now+1 {
-		w.state = w.eligibleReason
-		sp.file(w.slot, w.nextEligible, now)
+	next := now + 1
+	if w.nextEligible > next {
+		sp.pending[slot] = nil
+		w.state, w.since = w.eligibleReason, next
+		sp.file(slot, w.nextEligible, now)
 		return
 	}
+	if d.class < classEXIT {
+		w.syncStack()
+		if w.fetchedLine == s.fetchLine(w.top().pc)+1 {
+			// Not finished, at no barrier, under no fence, awake: own finds no
+			// bound before next.
+			nd, st, wake := s.own(w, next)
+			w.state, w.since = st, next
+			if wake == next {
+				sp.join(slot, nd)
+				return
+			}
+			sp.pending[slot] = nd
+			sp.file(slot, wake, now)
+			return
+		}
+	}
+	sp.pending[slot] = nil
+	w.state, w.since = StateSelected, next
 	// A BAR that released the barrier it arrived at has filed the warp as
 	// woken already; filing it again changes nothing.
-	sp.file(w.slot, 0, now)
+	sp.file(slot, 0, now)
+}
+
+// join puts slot in the ready set of d's gate, d being the instruction its
+// warp is ready to issue. The slot must be filed nowhere.
+func (sp *subpart) join(slot int, d *decodedInstr) {
+	bit := uint64(1) << slot
+	sp.pending[slot] = d
+	sp.ready[d.gate] |= bit
+	sp.gateOcc |= 1 << d.gate
+	sp.readyAll |= bit
+	sp.wakeAt[slot] = neverWake
 }
 
 // gateQueue is the instruction queue an instruction behind gate g must find
@@ -770,11 +836,9 @@ func (s *SM) openGates(sp *subpart, now, wake uint64) (cand, earliest uint64) {
 		s.charge(StateDispatchStall, bits.OnesCount64(sp.readyAll))
 		return 0, min(wake, sp.dispatchFree)
 	}
-	for g := range sp.ready { // by index: ranging over the array's values would copy it
+	for m := sp.gateOcc; m != 0; m &= m - 1 {
+		g := bits.TrailingZeros16(m)
 		set := sp.ready[g]
-		if set == 0 {
-			continue
-		}
 		opens := sp.pipeFree[gatePipe(g)]
 		if opens <= now {
 			q := sp.gateQueue(g)
@@ -796,7 +860,9 @@ func (s *SM) Tick() {
 	now := s.cycle
 	s.ctr.ElapsedCycles++
 	s.accountResidency(1)
-	s.groupCharge = [NumWarpStates]uint32{}
+	if s.groupCharged {
+		s.groupCharge, s.groupCharged = [NumWarpStates]uint32{}, false
+	}
 	quiet := true     // no issue, reap or cross-warp event this tick
 	wake := neverWake // min over the wakeup bounds of warps and gates
 
@@ -900,8 +966,10 @@ func (s *SM) AdvanceTo(target uint64) {
 	n := target - s.cycle
 	s.ctr.ElapsedCycles += n
 	s.accountResidency(n)
-	for st, warps := range s.groupCharge {
-		s.ctr.WarpStateCycles[st] += n * uint64(warps)
+	if s.groupCharged {
+		for st, warps := range s.groupCharge {
+			s.ctr.WarpStateCycles[st] += n * uint64(warps)
+		}
 	}
 	s.cycle = target
 }
@@ -917,6 +985,9 @@ func (s *SM) ResidencyVersion() uint64 { return s.residencyVer }
 // Returns whether anything was freed (a residency event that invalidates
 // fast-forward bounds).
 func (s *SM) reapFinished(now uint64) bool {
+	if s.drainingWarps == 0 {
+		return false
+	}
 	reaped := false
 	for i := range s.subparts {
 		sp := &s.subparts[i]
@@ -931,6 +1002,7 @@ func (s *SM) reapFinished(now uint64) bool {
 			s.ctr.WarpStateCycles[w.state] += now + 1 - w.since
 			sp.warps[slot] = nil
 			sp.draining &^= 1 << slot
+			s.drainingWarps--
 			sp.unfile(slot, now)
 			sp.wakeAt[slot] = neverWake
 			if sp.nres--; sp.nres == 0 {

@@ -1,6 +1,7 @@
 package sm
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -15,7 +16,7 @@ func testSM() *SM {
 	ms := mem.NewMemSys(spec)
 	st := mem.NewStorage(1 << 20)
 	cb := mem.NewConstantBank(spec.ConstBankSize)
-	return New(spec, 0, ms, st, cb)
+	return New(spec, 0, ms, st, cb, NewPrograms(spec))
 }
 
 func trivialLaunch(threads int) *kernel.Launch {
@@ -141,13 +142,13 @@ func TestScoreboardBlockPicksLatest(t *testing.T) {
 	w := newWarp(0, 0, 0, nil, 0xFFFFFFFF, 16, 1)
 	w.setRegReady(isa.R(1), 100, depLong)
 	w.setRegReady(isa.R(2), 50, depShort)
-	in := s.decodeInstr(&isa.Instr{Op: isa.OpIADD, Dst: isa.R(3), Srcs: [3]isa.Reg{isa.R(1), isa.R(2), isa.RZ}})
+	in := decodeInstr(s.spec, &isa.Instr{Op: isa.OpIADD, Dst: isa.R(3), Srcs: [3]isa.Reg{isa.R(1), isa.R(2), isa.RZ}})
 	ready, kind := w.scoreboardDec(&in)
 	if ready != 100 || kind != depLong {
 		t.Errorf("scoreboard = (%d,%v), want (100,depLong)", ready, kind)
 	}
 	// WAW on destination.
-	in2 := s.decodeInstr(&isa.Instr{Op: isa.OpMOV32, Dst: isa.R(1)})
+	in2 := decodeInstr(s.spec, &isa.Instr{Op: isa.OpMOV32, Dst: isa.R(1)})
 	ready2, _ := w.scoreboardDec(&in2)
 	if ready2 != 100 {
 		t.Errorf("WAW not detected: %d", ready2)
@@ -342,10 +343,27 @@ func TestSharedAccessBounds(t *testing.T) {
 	if blk.sharedRead(56, 8) != 1<<40 {
 		t.Error("8-byte shared roundtrip failed")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-bounds shared access did not panic")
+	// Past the end, and addresses a kernel computed negative: they arrive as
+	// large ones, and the check must not wrap round to pass them.
+	for _, addr := range []uint64{62, 64, 1<<64 - 2, 1 << 63, 1<<64 - 8} {
+		for _, write := range []bool{false, true} {
+			what := "read"
+			if write {
+				what = "write"
+			}
+			func() {
+				defer func() {
+					want := fmt.Sprintf("sm: shared %s of 4 bytes at 0x%x outside 64-byte block allocation (kernel x)", what, addr)
+					if r := recover(); r != want {
+						t.Errorf("shared %s at 0x%x panicked with %v, want %q", what, addr, r, want)
+					}
+				}()
+				if write {
+					blk.sharedWrite(addr, 1, 4)
+				} else {
+					blk.sharedRead(addr, 4)
+				}
+			}()
 		}
-	}()
-	blk.sharedRead(62, 4)
+	}
 }

@@ -3,6 +3,7 @@ package sm
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"testing"
 
 	"gputopdown/internal/gpu"
@@ -83,6 +84,22 @@ func wakeIndexError(s *SM, now uint64) error {
 			}
 			next = min(next, t)
 		}
+		var all uint64
+		for g, set := range sp.ready {
+			all |= set
+			if set != 0 != (sp.gateOcc>>g&1 != 0) {
+				return fmt.Errorf("subpartition %d: gate %d holds %#x with occupancy bit %v", i, g, set, sp.gateOcc>>g&1 != 0)
+			}
+			for m := set; m != 0; m &= m - 1 {
+				slot := bits.TrailingZeros64(m)
+				if d := sp.pending[slot]; d == nil || int(d.gate) != g || sp.wakeAt[slot] != neverWake {
+					return fmt.Errorf("subpartition %d slot %d: in the ready set of gate %d with pending %v and bound %d", i, slot, g, d, sp.wakeAt[slot])
+				}
+			}
+		}
+		if all != sp.readyAll {
+			return fmt.Errorf("subpartition %d: readyAll %#x, union of the ready sets %#x", i, sp.readyAll, all)
+		}
 		if farMin != sp.farMin {
 			return fmt.Errorf("subpartition %d: farMin %d, least far bound %d", i, sp.farMin, farMin)
 		}
@@ -140,6 +157,124 @@ func TestWakeIndexMatchesTable(t *testing.T) {
 			if wraps == 0 {
 				t.Errorf("%s %s: no fast-forward jump crossed a wheel wrap", spec.Name, l.Program.Name)
 			}
+		}
+	}
+}
+
+// syncedPC is the pc at the top of w's stack once synced, and whether it has
+// finished, computed on a copy: w is left as it is.
+func syncedPC(w *warp) (int, bool) {
+	c := *w
+	c.stack = slices.Clone(w.stack)
+	c.syncStack()
+	return c.top().pc, c.finished
+}
+
+// TestIssuedWarpIsSettled runs every accounting kernel on both models with
+// fast-forward and checks, after every tick, what became of the warp each
+// subpartition issued (the warp whose interval now starts at the next cycle):
+//   - an issue that put the warp to sleep files it at nextEligible in its
+//     eligibility state;
+//   - an EXIT, BAR or MEMBAR, or a next instruction outside the line the warp's
+//     buffer held, hands the warp back to the next pass: filed due, in no
+//     state of its own yet (StateSelected), nothing pending;
+//   - any other issue settles the warp in the tick, without touching the
+//     fetch port (its buffer still holds the line it held): its state, bound
+//     and pending instruction are what own says of it at the next cycle —
+//     filed at that bound, or, ready at the next cycle, in its gate's ready
+//     set.
+//
+// Every kernel set must settle warps and hand some back for each reason.
+func TestIssuedWarpIsSettled(t *testing.T) {
+	// before is what a warp held before the tick: the instruction at the top
+	// of its stack once synced (a synced copy: the tick's own syncs the warp),
+	// and the line in its buffer.
+	type before struct {
+		instr *decodedInstr
+		line  uint64
+	}
+	for _, spec := range equivalenceSpecs() {
+		slots := spec.SubpartitionsPerSM * spec.WarpSlotsPerSubpartition
+		prev := make([]before, slots)
+		settled, ready, handed, unfetched, slept := 0, 0, 0, 0, 0
+		for _, l := range accountingLaunches(spec) {
+			runGrid(t, l, runCfg{spec: spec, ff: true, tick: func(s *SM) {
+				for i := range s.subparts {
+					sp := &s.subparts[i]
+					for slot, w := range sp.warps {
+						if w == nil {
+							continue
+						}
+						var d *decodedInstr
+						if pc, finished := syncedPC(w); !finished && pc < len(w.block.dec.instrs) {
+							d = &w.block.dec.instrs[pc]
+						}
+						prev[i*spec.WarpSlotsPerSubpartition+slot] = before{d, w.fetchedLine}
+					}
+				}
+				now := s.Cycle()
+				s.Tick()
+				next := now + 1
+				for i := range s.subparts {
+					sp := &s.subparts[i]
+					for slot, w := range sp.warps {
+						if w == nil || w.since != next {
+							continue // not issued in this tick
+						}
+						p := prev[i*spec.WarpSlotsPerSubpartition+slot]
+						where := fmt.Sprintf("%s %s, tick at %d, subpartition %d slot %d", spec.Name, l.Program.Name, now, i, slot)
+						if p.instr == nil {
+							t.Fatalf("%s: issued, but had no instruction to issue before the tick", where)
+						}
+						if w.nextEligible > next {
+							if w.state != w.eligibleReason || sp.wakeAt[slot] != w.nextEligible || sp.pending[slot] != nil {
+								t.Fatalf("%s: put to sleep until %d in %v, found in %v, bound %d, pending %v", where, w.nextEligible, w.eligibleReason, w.state, sp.wakeAt[slot], sp.pending[slot])
+							}
+							slept++
+							continue
+						}
+						pc, _ := syncedPC(w)
+						held := p.line == s.fetchLine(pc)+1
+						if p.instr.class >= classEXIT || !held {
+							if w.state != StateSelected || sp.pending[slot] != nil || sp.wakeAt[slot] != 0 || sp.woken>>slot&1 == 0 {
+								t.Fatalf("%s: class %d, next line held %v: state %v, pending %v, bound %d, woken %v; want handed back due",
+									where, p.instr.class, held, w.state, sp.pending[slot], sp.wakeAt[slot], sp.woken>>slot&1 != 0)
+							}
+							if held {
+								handed++
+							} else {
+								unfetched++
+							}
+							continue
+						}
+						if w.fetchedLine != p.line {
+							t.Fatalf("%s: settled, but its buffer went from line %d to %d in the tick", where, p.line, w.fetchedLine)
+						}
+						d, st, wake := s.own(w, next)
+						inReady := sp.readyAll>>slot&1 != 0
+						switch {
+						case sp.pending[slot] != d || w.state != st:
+							t.Fatalf("%s: settled with pending %v in %v, own says %v in %v", where, sp.pending[slot], w.state, d, st)
+						case wake == next && (!inReady || sp.ready[d.gate]>>slot&1 == 0):
+							t.Fatalf("%s: ready at the next cycle, but not in the ready set of its gate %d", where, d.gate)
+						case wake > next && (inReady || sp.wakeAt[slot] != wake):
+							t.Fatalf("%s: settled with bound %d (in a ready set %v), own says %d", where, sp.wakeAt[slot], inReady, wake)
+						}
+						if wake == next {
+							ready++
+						}
+						settled++
+					}
+				}
+				if err := wakeIndexError(s, now); err != nil {
+					t.Fatalf("%s %s, tick at %d: %v", spec.Name, l.Program.Name, now, err)
+				}
+			}})
+		}
+		t.Logf("%s: %d issues settled (%d of them ready at once), %d handed back after EXIT/BAR/MEMBAR, %d for a line not held, %d put to sleep",
+			spec.Name, settled, ready, handed, unfetched, slept)
+		if settled == 0 || ready == 0 || settled == ready || handed == 0 || unfetched == 0 || slept == 0 {
+			t.Errorf("%s: the kernels no longer reach every way an issue ends", spec.Name)
 		}
 	}
 }

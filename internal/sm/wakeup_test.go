@@ -19,7 +19,7 @@ func testSMOf(spec *gpu.Spec) *SM {
 	st := mem.NewStorage(1 << 20)
 	st.Alloc(1 << 19) // map the low half; kernels address well below this
 	cb := mem.NewConstantBank(spec.ConstBankSize)
-	return New(spec, 0, ms, st, cb)
+	return New(spec, 0, ms, st, cb, NewPrograms(spec))
 }
 
 // runCfg selects how runGrid drives the SM.

@@ -66,12 +66,6 @@ type warp struct {
 	nextEligible   uint64
 	eligibleReason WarpState
 
-	// pending is the instruction at the top of the stack while the warp's
-	// wake-table bound is the last thing that instruction waits for, its decode
-	// or its scoreboard (see SM.own): at the bound the warp is ready to issue
-	// it without being classified again. nil otherwise.
-	pending *decodedInstr
-
 	atBarrier     bool
 	membarPending bool
 
@@ -219,7 +213,7 @@ type blockCtx struct {
 	ctaid       [3]int64
 	blockLinear int
 	launch      *kernel.Launch
-	dec         *decodedProgram // per-SM decoded table for launch.Program
+	dec         *decodedProgram // the device's decoded table for launch.Program
 	shared      []byte
 	liveWarps   int
 	remaining   int // warps not yet fully drained
@@ -227,8 +221,16 @@ type blockCtx struct {
 	warps       []*warp
 }
 
+// inShared reports whether [addr, addr+size) lies inside the block's shared
+// memory. A negative address computed by the kernel arrives as a large one,
+// so the test must not wrap.
+func (b *blockCtx) inShared(addr uint64, size int) bool {
+	n := uint64(len(b.shared))
+	return addr <= n && uint64(size) <= n-addr
+}
+
 func (b *blockCtx) sharedRead(addr uint64, size int) uint64 {
-	if int(addr)+size > len(b.shared) {
+	if !b.inShared(addr, size) {
 		panic(fmt.Sprintf("sm: shared read of %d bytes at 0x%x outside %d-byte block allocation (kernel %s)",
 			size, addr, len(b.shared), b.launch.Program.Name))
 	}
@@ -239,7 +241,7 @@ func (b *blockCtx) sharedRead(addr uint64, size int) uint64 {
 }
 
 func (b *blockCtx) sharedWrite(addr uint64, v uint64, size int) {
-	if int(addr)+size > len(b.shared) {
+	if !b.inShared(addr, size) {
 		panic(fmt.Sprintf("sm: shared write of %d bytes at 0x%x outside %d-byte block allocation (kernel %s)",
 			size, addr, len(b.shared), b.launch.Program.Name))
 	}
