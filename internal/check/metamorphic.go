@@ -7,14 +7,15 @@ import "fmt"
 // result bit-identical. Each Property mutates one knob away from BaseConfig;
 // the engine runs the base once, then every mutation, and compares canonical
 // report bytes. This catches the class of bug where a performance path
-// (replay result cache, fast-forward) silently changes results.
+// (replay result cache, device reuse) silently changes results. The
+// fast-forward run loop is not a knob here: the engine-equivalence tests
+// (internal/workloads, and internal/cupti's replay oracle for profiled
+// launches) prove every launch's counters equal on both loops for every
+// suite app, and a report is a function of those counters.
 
 // Config is the knob vector a metamorphic Runner receives. The zero value is
 // not meaningful; start from BaseConfig.
 type Config struct {
-	// FastForward enables the adaptive idle-cycle skip; off runs the naive
-	// cycle loop, the oracle the production loop is compared against.
-	FastForward bool
 	// ReplayCache enables the replay result cache.
 	ReplayCache bool
 	// Tracing attaches the execution tracer to the run.
@@ -29,15 +30,11 @@ type Config struct {
 	ReusedDevice bool
 }
 
-// BaseConfig is the reference point every property mutates away from: both
-// accelerations on (fast-forward is the production default; the replay cache
-// is opt-in, off unless WithReplayCache enables it), no instrumentation
-// attached.
+// BaseConfig is the reference point every property mutates away from: the
+// replay cache on (it is opt-in, off unless WithReplayCache enables it), no
+// instrumentation attached, a new device.
 func BaseConfig() Config {
-	return Config{
-		FastForward: true,
-		ReplayCache: true,
-	}
+	return Config{ReplayCache: true}
 }
 
 // Property is one result-preserving transformation of the configuration.
@@ -57,7 +54,6 @@ func Properties() []Property {
 		{Name: "observer-on", Mutate: func(c Config) Config { c.Observer = true; return c }},
 		{Name: "checks-on", Mutate: func(c Config) Config { c.Checks = true; return c }},
 		{Name: "replay-cache-off", Mutate: func(c Config) Config { c.ReplayCache = false; return c }},
-		{Name: "fast-forward-off", Mutate: func(c Config) Config { c.FastForward = false; return c }},
 		{Name: "reused-device", Mutate: func(c Config) Config { c.ReusedDevice = true; return c }},
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 func TestBaseConfig(t *testing.T) {
 	c := BaseConfig()
-	if !c.FastForward || !c.ReplayCache {
+	if !c.ReplayCache {
 		t.Fatalf("unexpected base config: %+v", c)
 	}
 	if c.Tracing || c.Observer || c.Checks || c.ReusedDevice {
@@ -32,7 +32,7 @@ func TestPropertiesMutateOneKnob(t *testing.T) {
 	// The table must cover every knob the design claims is result-preserving.
 	for _, want := range []string{
 		"tracing-on", "observer-on", "checks-on",
-		"replay-cache-off", "fast-forward-off", "reused-device",
+		"replay-cache-off", "reused-device",
 	} {
 		if !seen[want] {
 			t.Errorf("property %q missing from the table", want)
@@ -87,13 +87,13 @@ func TestMetamorphicBaseFailure(t *testing.T) {
 
 func TestMetamorphicPropertyFailure(t *testing.T) {
 	run := func(cfg Config) ([]byte, error) {
-		if !cfg.FastForward {
+		if cfg.ReusedDevice {
 			return nil, fmt.Errorf("engine exploded")
 		}
 		return []byte(`{}`), nil
 	}
 	err := Metamorphic(run, Properties())
-	if err == nil || !strings.Contains(err.Error(), "fast-forward-off") ||
+	if err == nil || !strings.Contains(err.Error(), "reused-device") ||
 		!strings.Contains(err.Error(), "engine exploded") {
 		t.Fatalf("property run failure not attributed: %v", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"gputopdown/internal/check"
 	"gputopdown/internal/core"
 	"gputopdown/internal/gpu"
 	"gputopdown/internal/kernel"
@@ -19,9 +20,12 @@ import (
 // the pass keeps only its own counters of that run. It is the reference the
 // Session's replay accounting (one launch, N merges, N charges) is proven
 // against. It borrows the schedule, collection mode and flush-cost model of
-// a Session that itself never profiles.
+// a Session that itself never profiles. The first pass, or the one native run
+// of an invocation sampling skips, runs on the naive loop and is the one its
+// device's recorder keeps; later passes run on the fast-forward loop.
 type replayOracle struct {
 	ref         *Session
+	rec         *check.Recorder
 	sampleEvery int
 	invocations map[string]int
 	lastSampled map[string]pmu.Values
@@ -29,17 +33,26 @@ type replayOracle struct {
 	native, profiled uint64
 }
 
-func newReplayOracle(dev *sim.Device, request []pmu.CounterID, mode Mode, sampleEvery int) (*replayOracle, error) {
+func newReplayOracle(dev *sim.Device, rec *check.Recorder, request []pmu.CounterID, mode Mode, sampleEvery int) (*replayOracle, error) {
 	ref, err := NewSession(dev, request, mode)
 	if err != nil {
 		return nil, err
 	}
 	return &replayOracle{
 		ref:         ref,
+		rec:         rec,
 		sampleEvery: sampleEvery,
 		invocations: map[string]int{},
 		lastSampled: map[string]pmu.Values{},
 	}, nil
+}
+
+// launch runs pass i of an invocation: the first on the naive loop, kept by
+// the recorder, the others on the fast-forward loop.
+func (o *replayOracle) launch(l *kernel.Launch, i int) (*sim.RunResult, error) {
+	o.ref.dev.SetFastForward(i > 0)
+	o.rec.Keep = i == 0
+	return o.ref.dev.Launch(l)
 }
 
 // Profile replays one launch the real way (or runs it natively once when
@@ -51,7 +64,7 @@ func (o *replayOracle) Profile(l *kernel.Launch) (*KernelRecord, error) {
 	rec := &KernelRecord{Kernel: name, Invocation: inv}
 
 	if o.sampleEvery > 1 && inv%o.sampleEvery != 0 {
-		res, err := dev.Launch(l)
+		res, err := o.launch(l, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -69,7 +82,7 @@ func (o *replayOracle) Profile(l *kernel.Launch) (*KernelRecord, error) {
 			dev.Storage.Restore(snap)
 		}
 		dev.FlushCaches()
-		res, err := dev.Launch(l)
+		res, err := o.launch(l, i)
 		if err != nil {
 			return nil, fmt.Errorf("pass %d: %w", i, err)
 		}
@@ -99,39 +112,56 @@ type launchOutcome struct {
 	memHash uint64
 }
 
-// runApp executes an app on a fresh device, profiling every launch with the
-// profiler mk builds for that device, and returns the per-launch outcomes
-// plus the profiler's (native, profiled) totals.
-func runApp(t *testing.T, app *workloads.App, spec *gpu.Spec, mk func(*sim.Device) (launchProfiler, error)) ([]launchOutcome, uint64, uint64) {
+// profiledRun is an app's run under one launchProfiler.
+type profiledRun struct {
+	out              []launchOutcome
+	native, profiled uint64
+	rec              *check.Recorder
+}
+
+// runApp executes an app on a fresh fast-forward device, with the given
+// trace interval and a recorder attached, profiling every launch with the
+// profiler mk builds for that device.
+func runApp(t *testing.T, app *workloads.App, spec *gpu.Spec, traceInterval uint64,
+	mk func(*sim.Device, *check.Recorder) (launchProfiler, error)) profiledRun {
 	t.Helper()
 	dev := sim.NewDevice(spec)
-	p, err := mk(dev)
+	if traceInterval > 0 {
+		dev.EnableTrace(traceInterval)
+	}
+	r := profiledRun{rec: check.NewRecorder()}
+	dev.SetChecker(r.rec)
+	p, err := mk(dev, r.rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []launchOutcome
 	err = app.Execute(dev, func(l *kernel.Launch) error {
 		rec, err := p.Profile(l)
 		if err != nil {
 			return err
 		}
-		out = append(out, launchOutcome{rec: *rec, memHash: dev.Storage.HashAllocated()})
+		r.out = append(r.out, launchOutcome{rec: *rec, memHash: dev.Storage.HashAllocated()})
 		return nil
 	})
 	if err != nil {
 		t.Fatalf("%s: %v", app.ID(), err)
 	}
-	native, profiled := p.Overhead()
-	return out, native, profiled
+	if err := r.rec.Err(); err != nil {
+		t.Fatalf("%s: %v", app.ID(), err)
+	}
+	r.native, r.profiled = p.Overhead()
+	return r
 }
 
-// compareToOracle runs app through a Session and through the replay oracle on
-// a second device and requires every launch's merged values, cycles, SMs
-// used and post-launch memory, and the session-level overhead totals, to be
-// equal.
-func compareToOracle(t *testing.T, app *workloads.App, spec *gpu.Spec, request []pmu.CounterID, mode Mode, sampleEvery int) {
+// compareToOracle runs app through a Session on the fast-forward loop and
+// through the replay oracle on a second device and requires every launch's
+// merged values, cycles, SMs used and post-launch memory, and the
+// session-level overhead totals, to be equal — and, since the oracle's first
+// pass runs on the naive loop, every session launch's RunResult to equal that
+// pass's (check.SameRuns): engine equivalence on flushed launches.
+func compareToOracle(t *testing.T, app *workloads.App, spec *gpu.Spec, request []pmu.CounterID, mode Mode, sampleEvery int, traceInterval uint64) {
 	t.Helper()
-	got, gotNative, gotProfiled := runApp(t, app, spec, func(dev *sim.Device) (launchProfiler, error) {
+	got := runApp(t, app, spec, traceInterval, func(dev *sim.Device, _ *check.Recorder) (launchProfiler, error) {
 		s, err := NewSession(dev, request, mode)
 		if err != nil {
 			return nil, err
@@ -139,15 +169,15 @@ func compareToOracle(t *testing.T, app *workloads.App, spec *gpu.Spec, request [
 		s.SetSampling(sampleEvery)
 		return s, nil
 	})
-	want, wantNative, wantProfiled := runApp(t, app, spec, func(dev *sim.Device) (launchProfiler, error) {
-		return newReplayOracle(dev, request, mode, sampleEvery)
+	want := runApp(t, app, spec, traceInterval, func(dev *sim.Device, rec *check.Recorder) (launchProfiler, error) {
+		return newReplayOracle(dev, rec, request, mode, sampleEvery)
 	})
 
-	if len(got) != len(want) {
-		t.Fatalf("session profiled %d launches, oracle %d", len(got), len(want))
+	if len(got.out) != len(want.out) {
+		t.Fatalf("session profiled %d launches, oracle %d", len(got.out), len(want.out))
 	}
-	for i := range want {
-		g, w := got[i], want[i]
+	for i := range want.out {
+		g, w := got.out[i], want.out[i]
 		if !reflect.DeepEqual(g.rec, w.rec) {
 			t.Errorf("launch %d (%s): record differs from real replay:\n  session: %+v\n  oracle:  %+v",
 				i, w.rec.Kernel, g.rec, w.rec)
@@ -156,9 +186,12 @@ func compareToOracle(t *testing.T, app *workloads.App, spec *gpu.Spec, request [
 			t.Errorf("launch %d (%s): post-launch memory differs from real replay", i, w.rec.Kernel)
 		}
 	}
-	if gotNative != wantNative || gotProfiled != wantProfiled {
+	if got.native != want.native || got.profiled != want.profiled {
 		t.Errorf("overhead (native, profiled) = (%d, %d), real replay (%d, %d)",
-			gotNative, gotProfiled, wantNative, wantProfiled)
+			got.native, got.profiled, want.native, want.profiled)
+	}
+	if err := check.SameRuns(got.rec, want.rec); err != nil {
+		t.Errorf("session against the oracle's naive first pass: %v", err)
 	}
 }
 
@@ -192,40 +225,57 @@ func topDownRequest(t *testing.T, spec *gpu.Spec, maxPasses int) []pmu.CounterID
 	return cut
 }
 
+// oracleSpec is the device model of an oracle case and the number of
+// scheduled passes it replays: 4 SMs and the first two passes (one restore →
+// flush → relaunch per launch, which is the whole replay property) to keep
+// within the tier-1 budget, the full model and the full schedule (0) under
+// GOLDEN_FULL=1.
+func oracleSpec(t *testing.T, id string) (*gpu.Spec, int) {
+	t.Helper()
+	spec, ok := gpu.Lookup(id)
+	if !ok {
+		t.Fatalf("unknown gpu %q", id)
+	}
+	if os.Getenv("GOLDEN_FULL") != "" {
+		return spec, 0
+	}
+	return spec.WithSMs(4), 2
+}
+
 // TestDeterminismReplayOracle proves that replay accounting equals real
 // replay: for every suite app on both evaluation GPUs the Session, which
 // simulates each launch once, must agree with the N-pass oracle on every
-// launch and on the Fig. 13 totals. The default run keeps within the tier-1
-// budget with reduced-SM devices and the first two passes of the schedule
-// (one restore → flush → relaunch per launch, which is the whole property);
-// ORACLE_FULL=1 (the CI determinism job) uses the full device models and the
-// full schedule.
+// launch and on the Fig. 13 totals, and its launches with the oracle's
+// naive-loop first pass. Three apps also run traced every 64 cycles, so
+// every trace sample of a flushed launch lands on the naive loop's cycle.
 func TestDeterminismReplayOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiling matrix skipped in -short mode")
 	}
-	full := os.Getenv("ORACLE_FULL") != ""
-	specs := []struct {
-		name string
-		mk   func() *gpu.Spec
-	}{
-		{"rtx4000", gpu.QuadroRTX4000},
-		{"gtx1070", gpu.GTX1070},
+	run := func(app *workloads.App, id, suffix string, traceInterval uint64) {
+		spec, maxPasses := oracleSpec(t, id)
+		t.Run(app.ID()+"/"+id+suffix, func(t *testing.T) {
+			t.Parallel()
+			compareToOracle(t, app, spec, topDownRequest(t, spec, maxPasses), ModeSMPC, 1, traceInterval)
+		})
 	}
 	for _, suite := range workloads.Suites() {
 		for _, app := range workloads.BySuite(suite) {
-			for _, s := range specs {
-				app, s := app, s
-				t.Run(app.ID()+"/"+s.name, func(t *testing.T) {
-					t.Parallel()
-					spec, maxPasses := s.mk(), 0
-					if !full {
-						spec, maxPasses = spec.WithSMs(4), 2
-					}
-					compareToOracle(t, app, spec, topDownRequest(t, spec, maxPasses), ModeSMPC, 1)
-				})
+			for _, id := range gpu.IDs() {
+				run(app, id, "", 0)
 			}
 		}
+	}
+	for _, id := range []struct{ suite, name string }{
+		{"rodinia", "srad_v2"},                     // memory-bound: longest skips
+		{"rodinia", "backprop"},                    // barriers + shared memory
+		{"cudasamples", "binaryPartitionCG_tile8"}, // divergence
+	} {
+		app, ok := workloads.Lookup(id.suite, id.name)
+		if !ok {
+			t.Fatalf("unknown app %s/%s", id.suite, id.name)
+		}
+		run(app, "rtx4000", "/trace-64", 64)
 	}
 }
 
@@ -237,8 +287,8 @@ func TestDeterminismReplayOracleModes(t *testing.T) {
 	if !ok {
 		t.Fatal("rodinia/bfs missing")
 	}
-	spec := gpu.QuadroRTX4000().WithSMs(4)
+	spec, _ := oracleSpec(t, "rtx4000")
 	request := topDownRequest(t, spec, 0)
-	t.Run("hwpm", func(t *testing.T) { compareToOracle(t, app, spec, request, ModeHWPM, 1) })
-	t.Run("sampling-3", func(t *testing.T) { compareToOracle(t, app, spec, request, ModeSMPC, 3) })
+	t.Run("hwpm", func(t *testing.T) { compareToOracle(t, app, spec, request, ModeHWPM, 1, 0) })
+	t.Run("sampling-3", func(t *testing.T) { compareToOracle(t, app, spec, request, ModeSMPC, 3, 0) })
 }

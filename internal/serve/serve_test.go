@@ -42,7 +42,7 @@ func okRunner(ctx context.Context, req *JobRequest) (*Report, error) {
 
 func request() *JobRequest { return &JobRequest{Suite: "altis", App: "gups"} }
 
-func mustServer(t *testing.T, opts Options) *Server {
+func mustServer(t testing.TB, opts Options) *Server {
 	t.Helper()
 	if opts.Runner == nil {
 		opts.Runner = okRunner
@@ -224,6 +224,74 @@ func TestSubmitValidation(t *testing.T) {
 	if len(s.store.List()) != 0 {
 		t.Error("invalid submissions reached the store")
 	}
+}
+
+// TestSubmitBodyLimit: a submission body above maxSubmitBytes is refused
+// with 413 naming the limit, and nothing of it reaches the store, however
+// valid the request it spells.
+func TestSubmitBodyLimit(t *testing.T) {
+	s := mustServer(t, Options{})
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/jobs", strings.NewReader(body)))
+		return rec
+	}
+	huge := `{"suite":"` + strings.Repeat("a", maxSubmitBytes) + `","app":"gups"}`
+	rec := post(huge)
+	var e struct{ Error string }
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+		t.Fatalf("413 body %q: %v", rec.Body.String(), err)
+	}
+	if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(e.Error, fmt.Sprint(maxSubmitBytes)) {
+		t.Errorf("%d-byte submission: %d %q, want 413 naming %d bytes", len(huge), rec.Code, e.Error, maxSubmitBytes)
+	}
+	if n := len(s.store.List()); n != 0 {
+		t.Errorf("oversized submission left %d jobs in the store", n)
+	}
+	if rec := post(`{"suite":"altis","app":"gups"}`); rec.Code != http.StatusAccepted {
+		t.Errorf("ordinary submission: %d %s, want 202", rec.Code, rec.Body)
+	}
+}
+
+// FuzzJobRequest sends arbitrary bytes as a submission body. The only
+// answers are 202, 400, 413 and 503, never a panic, and a job the server
+// accepted must be one Validate accepts.
+func FuzzJobRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"suite":"altis","app":"gups"}`,
+		`{"suite":"rodinia","app":"bfs","level":3,"mode":"hwpm","sample_every":2,"timeout_ms":1000}`,
+		`{"suite":"a","app":"b","replay_workers":4,"fast_forward":false,"max_attempts":2}`,
+		`{"suite":"a","app":"b","level":9}`,
+		`{"suite":"a","app":"b","bogus":1}`,
+		`{"suite":"a","app":"b","timeout_ms":18446744073710}`,
+		`{"suite":"a","app":"b","api_version":"v2"}`,
+		`{"suite":"a"`,
+		`[]`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	s := mustServer(f, Options{QueueDepth: 4})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/jobs", strings.NewReader(string(body))))
+		switch rec.Code {
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusServiceUnavailable:
+		case http.StatusAccepted:
+			var st JobStatus
+			if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+				t.Fatalf("202 body %q: %v", rec.Body, err)
+			}
+			if st.Request == nil {
+				t.Fatalf("202 for %q echoes no request", body)
+			}
+			if err := st.Request.Validate(); err != nil {
+				t.Fatalf("202 for %q echoes a request Validate rejects: %v", body, err)
+			}
+		default:
+			t.Fatalf("%q: status %d %s", body, rec.Code, rec.Body)
+		}
+	})
 }
 
 // TestCancelRunning: DELETE on a running job lands within the 2s budget

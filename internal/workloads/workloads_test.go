@@ -9,87 +9,6 @@ import (
 	"gputopdown/internal/sm"
 )
 
-// runApp executes an app natively on a small device and returns the
-// aggregate counters and number of launches.
-func runApp(t *testing.T, a *App) (sm.Counters, int) {
-	t.Helper()
-	dev := sim.NewDevice(gpu.QuadroRTX4000().WithSMs(4))
-	var total sm.Counters
-	launches := 0
-	err := a.Execute(dev, func(l *kernel.Launch) error {
-		res, err := dev.Launch(l)
-		if err != nil {
-			return err
-		}
-		total.Add(&res.Counters)
-		launches++
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("%s: %v", a.ID(), err)
-	}
-	return total, launches
-}
-
-func checkSane(t *testing.T, a *App, c sm.Counters, launches int) {
-	t.Helper()
-	if launches == 0 {
-		t.Errorf("%s: no kernels launched", a.ID())
-	}
-	if c.InstExecuted == 0 {
-		t.Errorf("%s: no instructions executed", a.ID())
-	}
-	if c.StateSum() != c.ActiveWarpCycles {
-		t.Errorf("%s: state closure violated: %d != %d", a.ID(), c.StateSum(), c.ActiveWarpCycles)
-	}
-	if c.InstIssued < c.InstExecuted {
-		t.Errorf("%s: issued %d < executed %d", a.ID(), c.InstIssued, c.InstExecuted)
-	}
-	if c.ThreadInstExecuted == 0 {
-		t.Errorf("%s: no thread instructions", a.ID())
-	}
-}
-
-func TestRodiniaAppsRun(t *testing.T) {
-	for _, a := range Rodinia() {
-		a := a
-		t.Run(a.Name, func(t *testing.T) {
-			c, n := runApp(t, a)
-			checkSane(t, a, c, n)
-		})
-	}
-}
-
-func TestAltisAppsRun(t *testing.T) {
-	for _, a := range Altis() {
-		a := a
-		t.Run(a.Name, func(t *testing.T) {
-			c, n := runApp(t, a)
-			checkSane(t, a, c, n)
-		})
-	}
-}
-
-func TestSHOCAppsRun(t *testing.T) {
-	for _, a := range SHOC() {
-		a := a
-		t.Run(a.Name, func(t *testing.T) {
-			c, n := runApp(t, a)
-			checkSane(t, a, c, n)
-		})
-	}
-}
-
-func TestCUDASamplesRun(t *testing.T) {
-	for _, a := range CUDASamples() {
-		a := a
-		t.Run(a.Name, func(t *testing.T) {
-			c, n := runApp(t, a)
-			checkSane(t, a, c, n)
-		})
-	}
-}
-
 func TestSuiteRegistry(t *testing.T) {
 	if len(Rodinia()) < 18 {
 		t.Errorf("Rodinia has %d apps", len(Rodinia()))
@@ -148,13 +67,30 @@ func TestSeedStability(t *testing.T) {
 // Characterisation checks that the suite members show the microarchitectural
 // signatures the paper relies on.
 func TestCharacterisationSignatures(t *testing.T) {
+	// run executes an app natively on a 4-SM RTX 4000 and returns its
+	// counters summed over every launch.
+	run := func(a *App) sm.Counters {
+		dev := sim.NewDevice(gpu.QuadroRTX4000().WithSMs(4))
+		var total sm.Counters
+		err := a.Execute(dev, func(l *kernel.Launch) error {
+			res, err := dev.Launch(l)
+			if err != nil {
+				return err
+			}
+			total.Add(&res.Counters)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", a.ID(), err)
+		}
+		return total
+	}
 	get := func(suite, name string) sm.Counters {
 		a, ok := Lookup(suite, name)
 		if !ok {
 			t.Fatalf("%s/%s missing", suite, name)
 		}
-		c, _ := runApp(t, a)
-		return c
+		return run(a)
 	}
 
 	// myocyte and nn: IMC misses must be substantial (constant pressure).
@@ -175,8 +111,7 @@ func TestCharacterisationSignatures(t *testing.T) {
 		t.Error("rodinia/bfs shows no divergence")
 	}
 	// binaryPartitionCG: smaller tiles -> more atomics.
-	c32, _ := runApp(t, BinaryPartitionCG(32))
-	c4, _ := runApp(t, BinaryPartitionCG(4))
+	c32, c4 := run(BinaryPartitionCG(32)), run(BinaryPartitionCG(4))
 	if c4.Atomics <= c32.Atomics {
 		t.Errorf("tile4 atomics %d <= tile32 atomics %d", c4.Atomics, c32.Atomics)
 	}

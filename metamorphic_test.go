@@ -9,16 +9,6 @@ import (
 	"gputopdown/internal/check"
 )
 
-// profileOnLoop is ProfileApp on an explicitly chosen run loop. The naive
-// oracle loop (fastForward false) has no profiler option, so the device is
-// taken from the profiler the way ProfileApp takes it and switched over.
-func profileOnLoop(p *Profiler, fastForward bool, app *App) (*AppResult, error) {
-	dev := p.takeDevice()
-	defer p.releaseDevice(dev)
-	dev.SetFastForward(fastForward)
-	return p.profileOn(context.Background(), dev, app)
-}
-
 // metamorphicRunner builds the check.Runner for one app on one device: each
 // configuration gets a fresh profiler, an emptied process replay cache (so a
 // cache-on run simulates every distinct launch itself instead of being served
@@ -37,6 +27,7 @@ func metamorphicRunner(t *testing.T, spec *GPUSpec, suite, app string) check.Run
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 	return func(cfg check.Config) ([]byte, error) {
 		opts := []Option{
 			WithReplayCache(cfg.ReplayCache),
@@ -54,14 +45,14 @@ func metamorphicRunner(t *testing.T, spec *GPUSpec, suite, app string) check.Run
 		emptyReplayResults()
 		p := NewProfiler(spec, opts...)
 		if cfg.ReusedDevice {
-			if _, err := profileOnLoop(p, cfg.FastForward, heavy); err != nil {
+			if _, err := p.ProfileApp(ctx, heavy); err != nil {
 				return nil, err
 			}
 			if n := len(idle()); n != 1 {
 				return nil, fmt.Errorf("%s left %d idle devices, want 1", heavy.ID(), n)
 			}
 		}
-		res, err := profileOnLoop(p, cfg.FastForward, a)
+		res, err := p.ProfileApp(ctx, a)
 		if err != nil {
 			return nil, err
 		}
@@ -75,12 +66,13 @@ func metamorphicRunner(t *testing.T, spec *GPUSpec, suite, app string) check.Run
 // TestMetamorphicProperties runs the full property table (internal/check):
 // every schedule- or observation-only knob must leave the profiled report
 // bit-identical. Reduced-SM devices keep the default run within tier-1
-// budget; METAMORPHIC_FULL=1 (the CI job) uses the full device models.
+// budget; GOLDEN_FULL=1 (CI's conformance job) adds three rows and uses the
+// full device models.
 func TestMetamorphicProperties(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiling matrix skipped in -short mode")
 	}
-	full := os.Getenv("METAMORPHIC_FULL") != ""
+	full := os.Getenv("GOLDEN_FULL") != ""
 	matrix := []struct {
 		gpu, suite, app string
 	}{
@@ -113,14 +105,17 @@ func TestMetamorphicProperties(t *testing.T) {
 }
 
 // TestChecksCleanProfile asserts the invariant checker stays silent across a
-// real profile on both launch engines and both devices — the in-loop laws
-// hold on production workloads, not just unit fixtures. CHECKS_FULL=1 sweeps
-// every suite app instead of the sample.
+// real profile through the Profiler on both devices — the in-loop laws hold
+// on production workloads, not just unit fixtures. GOLDEN_FULL=1 sweeps
+// every suite app on the full device models instead of the sample. The
+// naive loop needs no leg here: the engine-equivalence tests
+// (internal/workloads, internal/cupti) run it with the checker attached and
+// prove its counters equal.
 func TestChecksCleanProfile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiling skipped in -short mode")
 	}
-	full := os.Getenv("CHECKS_FULL") != ""
+	full := os.Getenv("GOLDEN_FULL") != ""
 	type job struct{ gpu, suite, app string }
 	var jobs []job
 	if full {
@@ -151,20 +146,12 @@ func TestChecksCleanProfile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, eng := range []struct {
-				name string
-				ff   bool
-			}{
-				{"ff", true},
-				{"naive", false},
-			} {
-				p := NewProfiler(spec, WithChecks(true))
-				if _, err := profileOnLoop(p, eng.ff, app); err != nil {
-					t.Fatalf("%s: %v", eng.name, err)
-				}
-				if err := p.CheckErr(); err != nil {
-					t.Fatalf("%s engine violated invariants: %v", eng.name, err)
-				}
+			p := NewProfiler(spec, WithChecks(true))
+			if _, err := p.ProfileApp(context.Background(), app); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.CheckErr(); err != nil {
+				t.Fatalf("invariants violated: %v", err)
 			}
 		})
 	}
