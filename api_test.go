@@ -8,36 +8,58 @@ import (
 	"strings"
 	"testing"
 
+	"gputopdown/internal/cupti"
 	"gputopdown/internal/kernel"
+	"gputopdown/internal/serve"
 	"gputopdown/internal/workloads"
 )
 
-func TestNewProfilerEValidation(t *testing.T) {
+// TestJobOptionsValidation: JobOptions rejects the settings a job request may
+// not carry, with the daemon's ErrBadRequest, and maps the rest; a zero
+// field (level 0 among them) keeps the profiler default.
+func TestJobOptionsValidation(t *testing.T) {
 	spec := QuadroRTX4000().WithSMs(4)
+	on := true
 	cases := []struct {
-		name string
-		spec *GPUSpec
-		opts []Option
-		ok   bool
+		name  string
+		req   JobRequest
+		ok    bool
+		level int // the built profiler's level when ok
 	}{
-		{"valid defaults", spec, nil, true},
-		{"valid full", spec, []Option{WithLevel(2), WithSampling(3), WithReplayCache(true)}, true},
-		{"nil spec", nil, nil, false},
-		{"level too low", spec, []Option{WithLevel(0)}, false},
-		{"level too high", spec, []Option{WithLevel(4)}, false},
-		{"negative sampling", spec, []Option{WithSampling(-1)}, false},
+		{"defaults", JobRequest{}, true, 3},
+		{"level 0 is the default", JobRequest{Level: 0}, true, 3},
+		{"full", JobRequest{Level: 2, Mode: "hwpm", RawEquations: true, SampleEvery: 3, ReplayCache: &on}, true, 2},
+		{"level too low", JobRequest{Level: -1}, false, 0},
+		{"level too high", JobRequest{Level: 4}, false, 0},
+		{"unknown mode", JobRequest{Mode: "pcie"}, false, 0},
+		{"negative sampling", JobRequest{SampleEvery: -1}, false, 0},
 	}
 	for _, c := range cases {
-		p, err := NewProfilerE(c.spec, c.opts...)
-		if c.ok && (err != nil || p == nil) {
-			t.Errorf("%s: NewProfilerE = (%v, %v), want success", c.name, p, err)
+		opts, err := JobOptions(&c.req)
+		if !c.ok {
+			if !errors.Is(err, serve.ErrBadRequest) {
+				t.Errorf("%s: JobOptions = %v, want an ErrBadRequest", c.name, err)
+			}
+			continue
 		}
-		if !c.ok && err == nil {
-			t.Errorf("%s: NewProfilerE accepted invalid options", c.name)
+		if err != nil {
+			t.Errorf("%s: JobOptions = %v, want success", c.name, err)
+			continue
+		}
+		if p := NewProfiler(spec, opts...); p.Level() != c.level {
+			t.Errorf("%s: profiler level %d, want %d", c.name, p.Level(), c.level)
 		}
 	}
-	// NewProfiler documents clamping for the same inputs.
-	p := NewProfiler(spec, WithLevel(9), WithSampling(-3))
+	opts, err := JobOptions(&cases[2].req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewProfiler(spec, opts...)
+	if p.mode != cupti.ModeHWPM || p.normalize || p.sampleEvery != 3 || !p.cacheOn {
+		t.Errorf("settings not applied: mode %v, normalize %v, sampleEvery %d, cache %v", p.mode, p.normalize, p.sampleEvery, p.cacheOn)
+	}
+	// NewProfiler documents clamping for out-of-range options.
+	p = NewProfiler(spec, WithLevel(9), WithSampling(-3))
 	if p.Level() < 1 || p.Level() > 3 {
 		t.Errorf("clamped level = %d", p.Level())
 	}

@@ -7,9 +7,11 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -258,6 +260,43 @@ func TestRemoteRejectsUnsentFlags(t *testing.T) {
 	}
 	if msg := stderr.String(); !strings.Contains(msg, "-sms") || strings.Contains(msg, "remote profile:") {
 		t.Errorf("stderr = %q, want a rejection of -sms before any connection", msg)
+	}
+}
+
+// TestRemoteSendsTheJob: topdown -remote sends the job settings as the flags
+// gave them and nothing else. Without -replay-cache the request has no
+// replay_cache field, so the daemon's default stands; with it, true is sent.
+func TestRemoteSendsTheJob(t *testing.T) {
+	for _, c := range []struct{ args, want string }{
+		{"-app bfs", `{"suite":"rodinia","app":"bfs","gpu":"rtx4000","level":3}`},
+		{"-gpu gtx1070 -suite altis -app gups -level 0 -raw -hwpm -replay-cache -remote-timeout 2s",
+			`{"suite":"altis","app":"gups","gpu":"gtx1070","mode":"hwpm","raw_equations":true,"replay_cache":true,"timeout_ms":2000}`},
+	} {
+		bodies := make(chan string, 1)
+		daemon := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			body, _ := io.ReadAll(r.Body)
+			bodies <- string(body)
+			http.Error(w, `{"error":"recorded"}`, http.StatusBadRequest)
+		}))
+		args := append([]string{"-remote", daemon.URL}, strings.Fields(c.args)...)
+		out, err := exec.Command(bin(t, "topdown"), args...).CombinedOutput()
+		daemon.Close()
+		if err == nil {
+			t.Fatalf("topdown %s exited 0 on a 400", c.args)
+		}
+		select {
+		case body := <-bodies:
+			var got, want any
+			if err := json.Unmarshal([]byte(body), &got); err != nil {
+				t.Fatalf("%s: request body %q: %v", c.args, body, err)
+			}
+			json.Unmarshal([]byte(c.want), &want) //nolint:errcheck // a literal
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: sent %s, want %s", c.args, body, c.want)
+			}
+		default:
+			t.Errorf("%s: nothing submitted:\n%s", c.args, out)
+		}
 	}
 }
 

@@ -36,7 +36,7 @@ func main() {
 	listMetrics := flag.Bool("list-metrics", false, "list the device's available metrics")
 	flag.Parse()
 
-	spec, err := f.Spec(f.GPU)
+	spec, err := f.Spec(f.Job.GPU)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -73,7 +73,7 @@ func main() {
 		fatalf("%v", err)
 	}
 	mode := cupti.ModeSMPC
-	if f.HWPM {
+	if f.Job.Mode == "hwpm" {
 		mode = cupti.ModeHWPM
 	}
 
@@ -114,7 +114,7 @@ func main() {
 	ratio := float64(col.ProfiledCycles) / float64(col.NativeCycles)
 	fmt.Printf("==PROF== native %d cycles, profiled %d cycles (%.1fx)\n",
 		col.NativeCycles, col.ProfiledCycles, ratio)
-	if f.ReplayCache {
+	if f.Job.ReplayCache != nil && *f.Job.ReplayCache {
 		fmt.Printf("==PROF== replay cache: %d hits, %d misses, %d entries\n",
 			col.CacheHits, col.CacheMisses, col.CacheEntries)
 	}

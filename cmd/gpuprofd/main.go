@@ -55,7 +55,7 @@ func main() {
 	obsSrv := obs.NewServer(nil, f.Registry)
 	obsSrv.SetLogger(f.Logger)
 
-	runner := gputopdown.NewJobRunner(f.GPU, opts...)
+	runner := gputopdown.NewJobRunner(f.Job.GPU, opts...)
 	srv, err := gputopdown.NewJobServer(gputopdown.JobServerOptions{
 		Runner:         runner.Run,
 		Workers:        *workers,
@@ -74,7 +74,7 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("gpuprofd listening on %s (api %s, default gpu %s, %d workers)\n",
-		srv.Addr(), gputopdown.ServeAPIVersion, f.GPU, *workers)
+		srv.Addr(), gputopdown.ServeAPIVersion, f.Job.GPU, *workers)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	<-ctx.Done()

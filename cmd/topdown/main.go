@@ -12,6 +12,7 @@
 //	topdown -gpu rtx4000 -suite rodinia -all -serve :8080   # live-observable sweep
 //	topdown -gpu rtx4000 -suite altis -app gemm -flame-out gemm.folded
 //	topdown -list                              # available apps
+//	topdown -remote http://127.0.0.1:8791 -suite altis -app gups  # job flags only
 package main
 
 import (
@@ -57,11 +58,10 @@ func main() {
 	defer stop()
 
 	if *remote != "" {
-		// A daemon job carries only these; fail rather than drop the rest.
-		sent := map[string]bool{"remote": true, "gpu": true, "suite": true, "app": true, "level": true,
-			"raw": true, "hwpm": true, "replay-cache": true, "remote-timeout": true}
+		// A daemon job carries the job settings only; fail rather than
+		// drop the rest.
 		flag.Visit(func(fl *flag.Flag) {
-			if !sent[fl.Name] {
+			if fl.Name != "remote" && fl.Name != "remote-timeout" && !cliflags.JobFlag(fl.Name) {
 				fatalf("-%s is not sent with -remote", fl.Name)
 			}
 		})
@@ -80,7 +80,7 @@ func main() {
 	}()
 
 	if *all {
-		results, err := p.ProfileSuite(ctx, f.Suite)
+		results, err := p.ProfileSuite(ctx, f.Job.Suite)
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -92,9 +92,9 @@ func main() {
 	}
 
 	if *dynamic {
-		f.Suite, f.App = "altis", "srad_dynamic"
+		f.Job.Suite, f.Job.App = "altis", "srad_dynamic"
 	} else if *autotune {
-		f.Suite, f.App = "altis", "gemm_autotune"
+		f.Job.Suite, f.Job.App = "altis", "gemm_autotune"
 	}
 	app, err := f.SelectedApp()
 	if err != nil {
@@ -146,25 +146,14 @@ func main() {
 	}
 }
 
-// remoteProfile builds a v1 JobRequest from the CLI flags, submits it to a
-// gpuprofd daemon, waits for the terminal state, and prints the report.
+// remoteProfile submits the job the flags describe, with the timeout set, to
+// a gpuprofd daemon, waits for the terminal state, and prints the report.
 func remoteProfile(ctx context.Context, base string, f *cliflags.Flags, timeout time.Duration) {
-	if f.App == "" {
+	if f.Job.App == "" {
 		fatalf("missing -app (remote mode profiles one app; try -list)")
 	}
-	req := &gputopdown.JobRequest{
-		Suite:        f.Suite,
-		App:          f.App,
-		GPU:          f.GPU,
-		Level:        f.Level,
-		RawEquations: f.Raw,
-		ReplayCache:  &f.ReplayCache,
-		TimeoutMS:    timeout.Milliseconds(),
-	}
-	if f.HWPM {
-		req.Mode = "hwpm"
-	}
-	rep, err := gputopdown.SubmitAndWait(ctx, base, req, 200*time.Millisecond)
+	f.Job.TimeoutMS = timeout.Milliseconds()
+	rep, err := gputopdown.SubmitAndWait(ctx, base, &f.Job, 200*time.Millisecond)
 	if err != nil {
 		fatalf("remote profile: %v", err)
 	}

@@ -1,7 +1,8 @@
 // Package cliflags declares the command-line flags the binaries under cmd/
 // share — name, help text and default, each once — and turns the parsed
 // values into what the library takes: a device model, a []gputopdown.Option,
-// the -serve listener, and the files written when the run is over. A binary
+// the -serve listener, and the files written when the run is over; the job
+// flags go through the gputopdown.JobRequest a daemon job carries. A binary
 // registers the groups (or single flags) it accepts; a default that differs
 // per binary is set on the Flags value before Register.
 package cliflags
@@ -11,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -32,13 +34,12 @@ const (
 type Flags struct {
 	prog string
 
-	GPU string
-	SMs int
+	// Job holds the job flags' values; ReplayCache stays nil unless
+	// -replay-cache is given, so the daemon's default stands.
+	Job gputopdown.JobRequest
 
-	Suite, App string
-
-	Level                          int
-	Raw, HWPM, ReplayCache, Checks bool
+	SMs    int
+	Checks bool
 
 	TraceOut, MetricsOut, FlameOut string
 	TraceBlocks, Overhead          bool
@@ -60,34 +61,45 @@ type Flags struct {
 
 // New returns the stock defaults; prog prefixes the notes written to stderr.
 func New(prog string) *Flags {
-	return &Flags{prog: prog, GPU: "rtx4000", Suite: "rodinia", Level: 3, LogFormat: "text"}
+	return &Flags{prog: prog, Job: gputopdown.JobRequest{GPU: "rtx4000", Suite: "rodinia", Level: 3}, LogFormat: "text"}
 }
 
-// decls is the one declaration of every shared flag.
+// decls is the one declaration of every shared flag. A job flag sets a
+// field of Flags.Job, so it travels with a daemon job.
 var decls = []struct {
 	group, name, help string
-	at                func(*Flags) any // *string, *int or *bool
+	job               bool
+	at                func(*Flags) any // *string, *int, *bool or func(bool)
 }{
-	{Device, "gpu", "device model: " + strings.Join(gpu.IDs(), " or "), func(f *Flags) any { return &f.GPU }},
-	{Device, "sms", "override the SM count (0 = full device)", func(f *Flags) any { return &f.SMs }},
+	{Device, "gpu", "device model: " + strings.Join(gpu.IDs(), " or "), true, func(f *Flags) any { return &f.Job.GPU }},
+	{Device, "sms", "override the SM count (0 = full device)", false, func(f *Flags) any { return &f.SMs }},
 
-	{Workload, "suite", "benchmark suite: " + strings.Join(gputopdown.Suites(), ", "), func(f *Flags) any { return &f.Suite }},
-	{Workload, "app", "application to profile", func(f *Flags) any { return &f.App }},
+	{Workload, "suite", "benchmark suite: " + strings.Join(gputopdown.Suites(), ", "), true, func(f *Flags) any { return &f.Job.Suite }},
+	{Workload, "app", "application to profile", true, func(f *Flags) any { return &f.Job.App }},
 
-	{Collection, "level", "Top-Down analysis level (1-3)", func(f *Flags) any { return &f.Level }},
-	{Collection, "raw", "use the paper's raw equations (8)-(14) without normalisation", func(f *Flags) any { return &f.Raw }},
-	{Collection, "hwpm", "collect via HWPM sampling instead of SMPC", func(f *Flags) any { return &f.HWPM }},
-	{Collection, "replay-cache", "memoize byte-identical kernel invocations instead of re-simulating them", func(f *Flags) any { return &f.ReplayCache }},
-	{Collection, "checks", "assert simulator conservation laws during the run (internal/check); violations are reported and exit nonzero", func(f *Flags) any { return &f.Checks }},
+	{Collection, "level", "Top-Down analysis level (1-3)", true, func(f *Flags) any { return &f.Job.Level }},
+	{Collection, "raw", "use the paper's raw equations (8)-(14) without normalisation", true, func(f *Flags) any { return &f.Job.RawEquations }},
+	{Collection, "hwpm", "collect via HWPM sampling instead of SMPC", true, func(f *Flags) any {
+		return func(on bool) {
+			f.Job.Mode = ""
+			if on {
+				f.Job.Mode = "hwpm"
+			}
+		}
+	}},
+	{Collection, "replay-cache", "memoize byte-identical kernel invocations instead of re-simulating them", true, func(f *Flags) any {
+		return func(on bool) { f.Job.ReplayCache = &on }
+	}},
+	{Collection, "checks", "assert simulator conservation laws during the run (internal/check); violations are reported and exit nonzero", false, func(f *Flags) any { return &f.Checks }},
 
-	{Observability, "trace-out", "write a Chrome trace-event JSON file (open in chrome://tracing or Perfetto)", func(f *Flags) any { return &f.TraceOut }},
-	{Observability, "metrics-out", "write profiler self-metrics in Prometheus text format", func(f *Flags) any { return &f.MetricsOut }},
-	{Observability, "trace-blocks", "include per-block dispatch instants in the trace (voluminous)", func(f *Flags) any { return &f.TraceBlocks }},
-	{Observability, "serve", "serve live observability HTTP on this address (/metrics, /healthz, /trace, /debug/pprof/)", func(f *Flags) any { return &f.Serve }},
-	{Observability, "flame-out", "write the simulated-cycle attribution as collapsed stacks (open in speedscope or flamegraph.pl)", func(f *Flags) any { return &f.FlameOut }},
-	{Observability, "log-level", "structured logging level: debug, info, warn or error (empty = off)", func(f *Flags) any { return &f.LogLevel }},
-	{Observability, "log-format", "structured log format: text or json", func(f *Flags) any { return &f.LogFormat }},
-	{Observability, "overhead", "print a measured replay-overhead summary line per app", func(f *Flags) any { return &f.Overhead }},
+	{Observability, "trace-out", "write a Chrome trace-event JSON file (open in chrome://tracing or Perfetto)", false, func(f *Flags) any { return &f.TraceOut }},
+	{Observability, "metrics-out", "write profiler self-metrics in Prometheus text format", false, func(f *Flags) any { return &f.MetricsOut }},
+	{Observability, "trace-blocks", "include per-block dispatch instants in the trace (voluminous)", false, func(f *Flags) any { return &f.TraceBlocks }},
+	{Observability, "serve", "serve live observability HTTP on this address (/metrics, /healthz, /trace, /debug/pprof/)", false, func(f *Flags) any { return &f.Serve }},
+	{Observability, "flame-out", "write the simulated-cycle attribution as collapsed stacks (open in speedscope or flamegraph.pl)", false, func(f *Flags) any { return &f.FlameOut }},
+	{Observability, "log-level", "structured logging level: debug, info, warn or error (empty = off)", false, func(f *Flags) any { return &f.LogLevel }},
+	{Observability, "log-format", "structured log format: text or json", false, func(f *Flags) any { return &f.LogFormat }},
+	{Observability, "overhead", "print a measured replay-overhead summary line per app", false, func(f *Flags) any { return &f.Overhead }},
 }
 
 // Register declares on fs the named groups and single flags, each defaulting
@@ -107,12 +119,31 @@ func (f *Flags) Register(fs *flag.FlagSet, names ...string) {
 				fs.IntVar(v, d.name, *v, d.help)
 			case *bool:
 				fs.BoolVar(v, d.name, *v, d.help)
+			case func(bool):
+				fs.BoolFunc(d.name, d.help, func(s string) error {
+					on, err := strconv.ParseBool(s)
+					if err == nil {
+						v(on)
+					}
+					return err
+				})
 			}
 		}
 		if !found {
 			panic("cliflags: no flag or group named " + n)
 		}
 	}
+}
+
+// JobFlag reports whether the named flag is a job setting, one a daemon job
+// carries.
+func JobFlag(name string) bool {
+	for _, d := range decls {
+		if d.name == name {
+			return d.job
+		}
+	}
+	return false
 }
 
 // Spec resolves a device id and applies -sms.
@@ -129,31 +160,26 @@ func (f *Flags) Spec(id string) (*gputopdown.GPUSpec, error) {
 
 // SelectedApp resolves -suite/-app.
 func (f *Flags) SelectedApp() (*gputopdown.App, error) {
-	if f.App == "" {
+	if f.Job.App == "" {
 		return nil, fmt.Errorf("missing -app")
 	}
-	return gputopdown.GetApp(f.Suite, f.App)
+	return gputopdown.GetApp(f.Job.Suite, f.Job.App)
 }
 
 // Options turns the parsed flags into the -gpu device model and the profiler
-// options they ask for, creating the tracer, registry, logger and flame
-// accumulator that -trace-out, -metrics-out, -serve, -log-level and
-// -flame-out need. The slice holds no resource: it can build any number of
-// profilers, which then share those observers.
+// options they ask for (the job flags' through gputopdown.JobOptions),
+// creating the tracer, registry, logger and flame accumulator that
+// -trace-out, -metrics-out, -serve, -log-level and -flame-out need. The
+// slice holds no resource: it can build any number of profilers, which then
+// share those observers.
 func (f *Flags) Options() (*gputopdown.GPUSpec, []gputopdown.Option, error) {
-	spec, err := f.Spec(f.GPU)
+	spec, err := f.Spec(f.Job.GPU)
 	if err != nil {
 		return nil, nil, err
 	}
-	opts := []gputopdown.Option{gputopdown.WithLevel(f.Level)}
-	if f.Raw {
-		opts = append(opts, gputopdown.WithRawEquations())
-	}
-	if f.HWPM {
-		opts = append(opts, gputopdown.WithHWPM())
-	}
-	if f.ReplayCache {
-		opts = append(opts, gputopdown.WithReplayCache(true))
+	opts, err := gputopdown.JobOptions(&f.Job)
+	if err != nil {
+		return nil, nil, err
 	}
 	if f.Checks {
 		opts = append(opts, gputopdown.WithChecks(true))
@@ -192,10 +218,7 @@ func (f *Flags) Open() (*gputopdown.Profiler, []gputopdown.Option, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	p, err := gputopdown.NewProfilerE(spec, opts...)
-	if err != nil {
-		return nil, nil, err
-	}
+	p := gputopdown.NewProfiler(spec, opts...)
 	if f.Serve != "" {
 		svc := obs.NewServer(f.Tracer, f.Registry)
 		svc.SetLogger(f.Logger)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -95,7 +96,7 @@ func TestOptionsAndFinish(t *testing.T) {
 
 func TestOptionsRejectsUnknownGPUAndLogLevel(t *testing.T) {
 	f := New("test")
-	f.GPU = "voodoo2"
+	f.Job.GPU = "voodoo2"
 	if _, _, err := f.Options(); err == nil || !strings.Contains(err.Error(), "gtx1070 or rtx4000") {
 		t.Errorf("unknown GPU: err = %v, want the list of known ids", err)
 	}
@@ -103,5 +104,54 @@ func TestOptionsRejectsUnknownGPUAndLogLevel(t *testing.T) {
 	f.LogLevel = "chatty"
 	if _, _, err := f.Options(); err == nil {
 		t.Error("unknown log level accepted")
+	}
+}
+
+// TestJobSettings: the job flags land in Flags.Job as a daemon job spells
+// them. -replay-cache stays unset unless given, and -level 0 means the
+// default level, as level 0 does in a job request, while a level past 3 is
+// rejected by the job request's own check.
+func TestJobSettings(t *testing.T) {
+	f := New("test")
+	parse(t, f, []string{Device, Workload, Collection}, "-gpu", "gtx1070", "-app", "bfs", "-level", "2", "-raw", "-hwpm")
+	off := false
+	want := gputopdown.JobRequest{GPU: "gtx1070", Suite: "rodinia", App: "bfs", Level: 2, Mode: "hwpm", RawEquations: true}
+	if !reflect.DeepEqual(f.Job, want) {
+		t.Errorf("Job = %+v, want %+v", f.Job, want)
+	}
+	for args, cache := range map[string]*bool{"": nil, "-replay-cache=false": &off, "-hwpm=false": nil} {
+		f = New("test")
+		parse(t, f, []string{Collection}, strings.Fields(args)...)
+		if !reflect.DeepEqual(f.Job.ReplayCache, cache) || f.Job.Mode != "" {
+			t.Errorf("%q: ReplayCache %v, Mode %q; want %v and none", args, f.Job.ReplayCache, f.Job.Mode, cache)
+		}
+	}
+
+	f = New("test")
+	parse(t, f, []string{Device, Collection}, "-sms", "4", "-level", "0")
+	spec, opts, err := f.Options()
+	if err != nil {
+		t.Fatalf("-level 0: %v", err)
+	}
+	if got := gputopdown.NewProfiler(spec, opts...).Level(); got != 3 {
+		t.Errorf("-level 0 built a level-%d profiler, want the default 3", got)
+	}
+	f = New("test")
+	parse(t, f, []string{Collection}, "-level", "4")
+	if _, _, err := f.Options(); err == nil || !strings.Contains(err.Error(), "level 4 outside 0..3") {
+		t.Errorf("-level 4: err = %v, want the job request's range error", err)
+	}
+}
+
+// TestJobFlag: the flags a daemon job carries are the job rows of decls.
+func TestJobFlag(t *testing.T) {
+	var job []string
+	for _, d := range decls {
+		if JobFlag(d.name) {
+			job = append(job, d.name)
+		}
+	}
+	if got, want := strings.Join(job, " "), "gpu suite app level raw hwpm replay-cache"; got != want {
+		t.Errorf("job flags %q, want %q", got, want)
 	}
 }

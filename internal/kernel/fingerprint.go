@@ -12,61 +12,70 @@ const (
 	fnvPrime  = 1099511628211
 )
 
-type fnvHash uint64
+// FNV is a 64-bit FNV-1a hash fed a byte at a time. It is the one such hash
+// of the module: the replay cache's keys (a program and a launch here, a pass
+// schedule in internal/pmu) and the apps' input seeds (internal/workloads).
+// Start from NewFNV.
+type FNV uint64
 
-func (h *fnvHash) mix(v uint64) {
+// NewFNV returns the hash of no bytes, the FNV-1a offset basis.
+func NewFNV() FNV { return FNV(fnvOffset) }
+
+// Mix folds in v as eight bytes, least significant first.
+func (h *FNV) Mix(v uint64) {
 	x := uint64(*h)
 	for shift := 0; shift < 64; shift += 8 {
 		x ^= (v >> shift) & 0xFF
 		x *= fnvPrime
 	}
-	*h = fnvHash(x)
+	*h = FNV(x)
 }
 
-func (h *fnvHash) mixBool(b bool) {
+func (h *FNV) mixBool(b bool) {
 	if b {
-		h.mix(1)
+		h.Mix(1)
 	} else {
-		h.mix(0)
+		h.Mix(0)
 	}
 }
 
-func (h *fnvHash) mixString(s string) {
+// MixString folds in the bytes of s.
+func (h *FNV) MixString(s string) {
 	x := uint64(*h)
 	for i := 0; i < len(s); i++ {
 		x ^= uint64(s[i])
 		x *= fnvPrime
 	}
-	*h = fnvHash(x)
+	*h = FNV(x)
 }
 
 // Fingerprint returns a content hash of the program: name, resource
 // requirements and the full instruction stream. It is what the replay cache
 // keys kernel identity on.
 func (p *Program) Fingerprint() uint64 {
-	h := fnvHash(fnvOffset)
-	h.mixString(p.Name)
-	h.mix(uint64(p.NumRegs))
-	h.mix(uint64(p.SharedBytes))
-	h.mix(uint64(p.LocalBytes))
-	h.mix(uint64(len(p.Instrs)))
+	h := NewFNV()
+	h.MixString(p.Name)
+	h.Mix(uint64(p.NumRegs))
+	h.Mix(uint64(p.SharedBytes))
+	h.Mix(uint64(p.LocalBytes))
+	h.Mix(uint64(len(p.Instrs)))
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
-		h.mix(uint64(in.Op))
-		h.mix(uint64(in.Dst))
+		h.Mix(uint64(in.Op))
+		h.Mix(uint64(in.Dst))
 		for _, s := range in.Srcs {
-			h.mix(uint64(s))
+			h.Mix(uint64(s))
 		}
-		h.mix(uint64(in.Imm))
-		h.mix(uint64(in.Pred))
+		h.Mix(uint64(in.Imm))
+		h.Mix(uint64(in.Pred))
 		h.mixBool(in.PredNeg)
-		h.mix(uint64(in.PDst))
-		h.mix(uint64(in.Cmp))
-		h.mix(uint64(in.Mufu))
-		h.mix(uint64(in.Atom))
-		h.mix(uint64(in.Size))
-		h.mix(uint64(in.Target))
-		h.mix(uint64(in.Recon))
+		h.Mix(uint64(in.PDst))
+		h.Mix(uint64(in.Cmp))
+		h.Mix(uint64(in.Mufu))
+		h.Mix(uint64(in.Atom))
+		h.Mix(uint64(in.Size))
+		h.Mix(uint64(in.Target))
+		h.Mix(uint64(in.Recon))
 	}
 	return uint64(h)
 }
@@ -76,19 +85,19 @@ func (p *Program) Fingerprint() uint64 {
 // fingerprint. Together with the device memory and constant-bank hashes it
 // identifies a byte-identical kernel invocation.
 func (l *Launch) ConfigHash() uint64 {
-	h := fnvHash(fnvOffset)
-	h.mix(l.Program.Fingerprint())
+	h := NewFNV()
+	h.Mix(l.Program.Fingerprint())
 	g, b := l.Grid.Norm(), l.Block.Norm()
-	h.mix(uint64(g.X))
-	h.mix(uint64(g.Y))
-	h.mix(uint64(g.Z))
-	h.mix(uint64(b.X))
-	h.mix(uint64(b.Y))
-	h.mix(uint64(b.Z))
-	h.mix(uint64(l.DynamicSharedBytes))
-	h.mix(uint64(len(l.Params)))
+	h.Mix(uint64(g.X))
+	h.Mix(uint64(g.Y))
+	h.Mix(uint64(g.Z))
+	h.Mix(uint64(b.X))
+	h.Mix(uint64(b.Y))
+	h.Mix(uint64(b.Z))
+	h.Mix(uint64(l.DynamicSharedBytes))
+	h.Mix(uint64(len(l.Params)))
 	for _, p := range l.Params {
-		h.mix(p)
+		h.Mix(p)
 	}
 	return uint64(h)
 }

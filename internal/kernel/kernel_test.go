@@ -393,3 +393,34 @@ func TestNestedBreakTargetsInnermostLoop(t *testing.T) {
 		t.Fatalf("break target %d out of range", breakTarget)
 	}
 }
+
+// TestFNV: FNV is 64-bit FNV-1a (the published test vectors), Mix folds a
+// word in as its eight little-endian bytes, and the program and launch
+// hashes built on it keep their recorded values.
+func TestFNV(t *testing.T) {
+	for s, want := range map[string]uint64{"": 0xcbf29ce484222325, "a": 0xaf63dc4c8601ec8c, "foobar": 0x85944171f73967e8} {
+		h := NewFNV()
+		h.MixString(s)
+		if uint64(h) != want {
+			t.Errorf("FNV-1a(%q) = %#x, want %#x", s, uint64(h), want)
+		}
+	}
+	word, bytes := NewFNV(), NewFNV()
+	word.Mix(0x0807060504030201)
+	bytes.MixString("\x01\x02\x03\x04\x05\x06\x07\x08")
+	if word != bytes {
+		t.Errorf("Mix = %#x, the hash of its little-endian bytes %#x", uint64(word), uint64(bytes))
+	}
+
+	b := NewBuilder("pin")
+	x := b.GlobalIDX()
+	b.Stg(b.Param(0), x, 0, 4)
+	b.Exit()
+	l := &Launch{Program: b.MustBuild(), Grid: Dim3{X: 3}, Block: Dim3{X: 64}, Params: []uint64{4096}}
+	if got := l.Program.Fingerprint(); got != 0xa7e7a8ae32ba388b {
+		t.Errorf("Fingerprint = %#x, want the recorded 0xa7e7a8ae32ba388b", got)
+	}
+	if got := l.ConfigHash(); got != 0x3b5704b7359c1508 {
+		t.Errorf("ConfigHash = %#x, want the recorded 0x3b5704b7359c1508", got)
+	}
+}

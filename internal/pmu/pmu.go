@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"sort"
 
+	"gputopdown/internal/kernel"
 	"gputopdown/internal/sm"
 )
 
@@ -186,25 +187,15 @@ func (s *Schedule) NumPasses() int { return len(s.Passes) }
 // what lets the replay result cache be shared across sessions — cached merged
 // values are only valid under the same pass identity.
 func (s *Schedule) Fingerprint() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(v uint64) {
-		for shift := 0; shift < 64; shift += 8 {
-			h ^= (v >> shift) & 0xFF
-			h *= prime
-		}
-	}
-	mix(uint64(len(s.Passes)))
+	h := kernel.NewFNV()
+	h.Mix(uint64(len(s.Passes)))
 	for _, pass := range s.Passes {
-		mix(uint64(len(pass)))
+		h.Mix(uint64(len(pass)))
 		for _, id := range pass {
-			mix(uint64(id))
+			h.Mix(uint64(id))
 		}
 	}
-	return h
+	return uint64(h)
 }
 
 // BuildSchedule packs the requested counters into as few passes as the PMU

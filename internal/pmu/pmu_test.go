@@ -227,3 +227,15 @@ func TestSchedulePropertyRandomSubsets(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestScheduleFingerprintRecorded: the fingerprint keys the replay cache, so
+// the full counter set's schedule keeps its recorded value.
+func TestScheduleFingerprintRecorded(t *testing.T) {
+	s, err := BuildSchedule(AllCounters())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Fingerprint(); got != 0xcb285eec8acd1fe2 {
+		t.Errorf("Fingerprint = %#x, want the recorded 0xcb285eec8acd1fe2", got)
+	}
+}

@@ -84,16 +84,8 @@ func (r *JobRequest) Validate() error {
 	if r.App == "" {
 		return fmt.Errorf("%w: app is required", ErrBadRequest)
 	}
-	if r.Level < 0 || r.Level > 3 {
-		return fmt.Errorf("%w: level %d outside 0..3", ErrBadRequest, r.Level)
-	}
-	switch r.Mode {
-	case "", "smpc", "hwpm":
-	default:
-		return fmt.Errorf("%w: mode %q (want smpc or hwpm)", ErrBadRequest, r.Mode)
-	}
-	if r.SampleEvery < 0 {
-		return fmt.Errorf("%w: sample_every %d negative", ErrBadRequest, r.SampleEvery)
+	if err := r.ValidateSettings(); err != nil {
+		return err
 	}
 	if r.ReplayWorkers < 0 {
 		return fmt.Errorf("%w: replay_workers %d negative", ErrBadRequest, r.ReplayWorkers)
@@ -109,6 +101,26 @@ func (r *JobRequest) Validate() error {
 	}
 	if r.MaxAttempts < 0 {
 		return fmt.Errorf("%w: max_attempts %d negative", ErrBadRequest, r.MaxAttempts)
+	}
+	return nil
+}
+
+// ValidateSettings checks the fields that configure the profile itself —
+// level, mode and sample_every — and nothing about the workload or the job:
+// it is the range check of every front door that turns a request into
+// profiler options, the daemon's submissions (through Validate) and the
+// CLIs' flags alike. Every failure wraps ErrBadRequest.
+func (r *JobRequest) ValidateSettings() error {
+	if r.Level < 0 || r.Level > core.Level3 {
+		return fmt.Errorf("%w: level %d outside 0..%d", ErrBadRequest, r.Level, core.Level3)
+	}
+	switch r.Mode {
+	case "", "smpc", "hwpm":
+	default:
+		return fmt.Errorf("%w: mode %q (want smpc or hwpm)", ErrBadRequest, r.Mode)
+	}
+	if r.SampleEvery < 0 {
+		return fmt.Errorf("%w: sample_every %d negative", ErrBadRequest, r.SampleEvery)
 	}
 	return nil
 }

@@ -253,9 +253,64 @@ func TestSubmitBodyLimit(t *testing.T) {
 	}
 }
 
+// TestStoreKeepsBoundedFinishedJobs: a daemon that has run more jobs than
+// maxTerminalJobs holds only that many, drops the ones that finished first
+// (their status and report answer 404) and still serves the newest report.
+func TestStoreKeepsBoundedFinishedJobs(t *testing.T) {
+	const k = 5
+	s := mustServer(t, Options{Workers: 1, QueueDepth: maxTerminalJobs + k})
+	var ids []string
+	for i := 0; i < maxTerminalJobs+k; i++ {
+		st, err := s.Submit(&JobRequest{Suite: "altis", App: fmt.Sprintf("app%d", i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	newest := ids[len(ids)-1]
+	waitTerminal(t, s, newest)
+	if n := len(s.store.List()); n != maxTerminalJobs {
+		t.Errorf("store holds %d jobs after %d finished, want %d", n, len(ids), maxTerminalJobs)
+	}
+	get := func(path string) int {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec.Code
+	}
+	for _, id := range ids[:k] {
+		if code := get("/api/v1/jobs/" + id); code != http.StatusNotFound {
+			t.Errorf("status of dropped %s = %d, want 404", id, code)
+		}
+		if code := get("/api/v1/jobs/" + id + "/report"); code != http.StatusNotFound {
+			t.Errorf("report of dropped %s = %d, want 404", id, code)
+		}
+	}
+	if code := get("/api/v1/jobs/" + ids[k] + "/report"); code != http.StatusOK {
+		t.Errorf("report of the oldest kept job %s = %d, want 200", ids[k], code)
+	}
+	rep, _, err := s.store.Report(newest)
+	if err != nil || rep == nil || rep.App != fmt.Sprintf("app%d", len(ids)-1) {
+		t.Errorf("newest job's report = %+v, %v", rep, err)
+	}
+}
+
+// terminalJobs counts the finished jobs the store holds.
+func terminalJobs(st *Store) int {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	n := 0
+	for _, j := range st.jobs {
+		if j.state.Terminal() {
+			n++
+		}
+	}
+	return n
+}
+
 // FuzzJobRequest sends arbitrary bytes as a submission body. The only
 // answers are 202, 400, 413 and 503, never a panic, and a job the server
-// accepted must be one Validate accepts.
+// accepted must be one Validate accepts. However many jobs the fuzzer gets
+// through, the store never holds more than maxTerminalJobs finished ones.
 func FuzzJobRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{"suite":"altis","app":"gups"}`,
@@ -290,6 +345,9 @@ func FuzzJobRequest(f *testing.F) {
 			}
 		default:
 			t.Fatalf("%q: status %d %s", body, rec.Code, rec.Body)
+		}
+		if n := terminalJobs(s.store); n > maxTerminalJobs {
+			t.Fatalf("store holds %d finished jobs, above the bound %d", n, maxTerminalJobs)
 		}
 	})
 }

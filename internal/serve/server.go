@@ -186,23 +186,18 @@ func (s *Server) worker() {
 }
 
 func (s *Server) runJob(id string) {
-	status, err := s.store.Status(id)
-	if err != nil {
-		return
-	}
-	req := status.Request
-
 	cctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
 	now := s.clock.Now()
-	if !s.store.claim(id, cancel, now) {
+	req, submittedAt, ok := s.store.claim(id, cancel, now)
+	if !ok {
 		// Cancelled while queued (DELETE or drain) — nothing to run.
 		s.mQueued.Add(-1)
 		s.mCompleted[StateCancelled].Inc()
 		return
 	}
 	s.mQueued.Add(-1)
-	s.mQueueLat.Observe(now.Sub(status.SubmittedAt).Seconds())
+	s.mQueueLat.Observe(now.Sub(submittedAt).Seconds())
 	s.mRunning.Add(1)
 	defer s.mRunning.Add(-1)
 
@@ -308,8 +303,8 @@ func writeError(w http.ResponseWriter, code int, err error) {
 }
 
 // maxSubmitBytes bounds a submission's body. A real request is under 1 KiB;
-// without a bound a client could park an arbitrarily long string in the
-// store, which keeps every job for the daemon's lifetime and echoes it back.
+// without a bound a client could park an arbitrarily long string in each of
+// the up to maxTerminalJobs jobs the store keeps and echoes back.
 const maxSubmitBytes = 64 << 10
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {

@@ -4,11 +4,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
 
-// ErrUnknownJob reports a job ID the store has never seen.
+// maxTerminalJobs bounds the finished jobs a store keeps, so a long-running
+// daemon does not grow without bound: queued and running jobs are already
+// bounded by Options.QueueDepth and Options.Workers. Past it, the job that
+// finished longest ago is dropped and answers ErrUnknownJob from then on.
+const maxTerminalJobs = 1024
+
+// ErrUnknownJob reports a job ID the store does not hold: never submitted,
+// or finished and dropped past maxTerminalJobs.
 var ErrUnknownJob = errors.New("unknown job")
 
 // ErrJobCancelled is the cancellation cause installed when a client DELETEs
@@ -38,12 +46,15 @@ type job struct {
 }
 
 // Store is the in-memory job registry: submission order preserved, statuses
-// snapshotted under a single mutex, safe for concurrent handlers/workers.
+// snapshotted under a single mutex, safe for concurrent handlers/workers. It
+// keeps at most maxTerminalJobs finished jobs.
 type Store struct {
 	mu    sync.Mutex
 	seq   int
 	jobs  map[string]*job
-	order []string
+	order []string // every held job, in submission order
+	// finished lists the held terminal jobs in the order they finished.
+	finished []string
 }
 
 // NewStore returns an empty store.
@@ -92,11 +103,19 @@ func (j *job) snapshot() *JobStatus {
 	return s
 }
 
-// terminate moves the job to a terminal state and wakes every request held
-// on it. Caller holds st.mu.
-func (j *job) terminate(state JobState, err error, now time.Time) {
+// terminate moves the job to a terminal state, wakes every request held on
+// it, and drops the job that finished longest ago when more than
+// maxTerminalJobs have. Caller holds st.mu.
+func (st *Store) terminate(j *job, state JobState, err error, now time.Time) {
 	j.state, j.err, j.finishedAt = state, err, now
 	close(j.done)
+	st.finished = append(st.finished, j.id)
+	if len(st.finished) > maxTerminalJobs {
+		old := st.finished[0]
+		st.finished = st.finished[1:]
+		delete(st.jobs, old)
+		st.order = slices.DeleteFunc(st.order, func(id string) bool { return id == old })
+	}
 }
 
 // done returns a channel that is closed once the job is terminal.
@@ -157,7 +176,7 @@ func (st *Store) Cancel(id string, now time.Time) (*JobStatus, error) {
 	}
 	switch j.state {
 	case StateQueued:
-		j.terminate(StateCancelled, ErrJobCancelled, now)
+		st.terminate(j, StateCancelled, ErrJobCancelled, now)
 	case StateRunning:
 		if j.cancel != nil {
 			j.cancel(ErrJobCancelled)
@@ -166,20 +185,21 @@ func (st *Store) Cancel(id string, now time.Time) (*JobStatus, error) {
 	return j.snapshot(), nil
 }
 
-// claim transitions a queued job to running; returns false when the job was
-// cancelled while queued (or is otherwise not runnable), telling the worker
-// to skip it.
-func (st *Store) claim(id string, cancel context.CancelCauseFunc, now time.Time) bool {
+// claim transitions a queued job to running and returns its request and
+// submission time; ok is false when the job was cancelled while queued (and
+// perhaps dropped since) or is otherwise not runnable, telling the worker to
+// skip it.
+func (st *Store) claim(id string, cancel context.CancelCauseFunc, now time.Time) (req *JobRequest, submittedAt time.Time, ok bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	j, ok := st.jobs[id]
 	if !ok || j.state != StateQueued {
-		return false
+		return nil, time.Time{}, false
 	}
 	j.state = StateRunning
 	j.startedAt = now
 	j.cancel = cancel
-	return true
+	return j.req, j.submittedAt, true
 }
 
 // finish records the terminal state of a run. The worker decides the state
@@ -193,7 +213,7 @@ func (st *Store) finish(id string, state JobState, rep *Report, err error, now t
 	}
 	j.report = rep
 	j.cancel = nil
-	j.terminate(state, err, now)
+	st.terminate(j, state, err, now)
 }
 
 // cancelQueued marks every still-queued job cancelled with cause — the
@@ -204,7 +224,7 @@ func (st *Store) cancelQueued(cause error, now time.Time) int {
 	n := 0
 	for _, j := range st.jobs {
 		if j.state == StateQueued {
-			j.terminate(StateCancelled, cause, now)
+			st.terminate(j, StateCancelled, cause, now)
 			n++
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"gputopdown/internal/isa"
 	"gputopdown/internal/kernel"
 )
 
@@ -51,6 +52,63 @@ func TestFastForwardRetireMidSkipDispatch(t *testing.T) {
 	}
 	if naive.Blocks != 8 || naive.SMsUsed != 2 {
 		t.Fatalf("unexpected shape: blocks=%d smsUsed=%d", naive.Blocks, naive.SMsUsed)
+	}
+}
+
+// ticketLaunch builds a launch whose shared-memory traffic depends on the
+// order the SMs tick in: every warp takes rounds tickets from one global
+// counter (ATOM.ADD, so which warp gets which ticket is decided by who reaches
+// L2 first), and each ticket picks the line its next load reads, a hit or a
+// DRAM miss depending on who touched it before. Odd blocks first spin skew
+// ALU instructions, shifting their SM's loads against the other's by a few
+// cycles.
+func ticketLaunch(d *Device, skew, rounds, blocks, threads int) *kernel.Launch {
+	b := kernel.NewBuilder("ticket")
+	buf, counter := b.Param(0), b.Param(1)
+	tid := b.S2R(isa.SRTidX)
+	acc := b.MovImm(0)
+	b.If(b.ISetpImm(isa.CmpEQ, b.AndImm(b.S2R(isa.SRCtaIDX), 1), 1))
+	for i := 0; i < skew; i++ {
+		acc = b.IAddImm(acc, 1)
+	}
+	b.EndIf()
+	dep := b.AndImm(acc, 0) // zero, but makes the next ticket wait on the last load
+	for i := 0; i < rounds; i++ {
+		ticket := b.Atom(isa.AtomAdd, b.IAdd(counter, dep), b.MovImm(1), 0)
+		line := b.AndImm(b.IMulImm(b.IAdd(ticket, tid), 97), 4095)
+		dep = b.AndImm(b.Ldg(b.IMad(line, b.MovImm(32), buf), 0, 4), 0)
+	}
+	b.Stg(b.IMad(tid, b.MovImm(4), buf), dep, 0, 4)
+	b.Exit()
+	return &kernel.Launch{
+		Program: b.MustBuild(),
+		Grid:    kernel.Dim3{X: blocks},
+		Block:   kernel.Dim3{X: threads},
+		Params:  []uint64{d.Alloc(4096 * 32), d.Alloc(64)},
+	}
+}
+
+// TestFastForwardJumpLandsOnTheWakeup: when every busy SM is parked, the
+// fast-forward loop jumps the device cycle to the earliest wakeup, not past
+// it. Jumping one cycle too far ticks a later-waking SM before an
+// earlier-waking one of a higher id, which reorders their atomics and loads
+// at L2 and DRAM. The skews slide the two SMs' wakeups against each other a
+// cycle at a time, so some land on one cycle and some one cycle apart; for
+// each, the whole RunResult must match the naive loop's.
+func TestFastForwardJumpLandsOnTheWakeup(t *testing.T) {
+	for skew := 0; skew < 16; skew++ {
+		for _, threads := range []int{32, 64} {
+			run := func(ff bool) *RunResult {
+				d := NewDevice(testSpec())
+				d.SetFastForward(ff)
+				return d.MustLaunch(ticketLaunch(d, skew, 12, 8, threads))
+			}
+			naive, fast := run(false), run(true)
+			if !reflect.DeepEqual(naive, fast) {
+				t.Errorf("skew %d, %d threads: naive/ff diverge: cycles %d vs %d\nnaive: %+v\nff:    %+v",
+					skew, threads, naive.Cycles, fast.Cycles, naive.Counters, fast.Counters)
+			}
+		}
 	}
 }
 

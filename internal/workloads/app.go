@@ -55,12 +55,9 @@ func (a *App) Execute(dev *sim.Device, exec LaunchFunc) error {
 
 // seedFor derives a stable seed from an app id.
 func seedFor(id string) int64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= 1099511628211
-	}
-	return int64(h & 0x7FFFFFFFFFFFFFFF)
+	h := kernel.NewFNV()
+	h.MixString(id)
+	return int64(uint64(h) & 0x7FFFFFFFFFFFFFFF)
 }
 
 // Lookup finds an app by suite and name: a suite app, or one of the

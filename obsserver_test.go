@@ -130,12 +130,15 @@ func TestNewProfilerIsPure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := []gputopdown.Option{
-		gputopdown.WithLevel(2), gputopdown.WithRawEquations(), gputopdown.WithHWPM(),
-		gputopdown.WithSampling(2), gputopdown.WithReplayCache(true), gputopdown.WithChecks(true),
-		gputopdown.WithObserver(gputopdown.NewTracer(), gputopdown.NewMetricsRegistry()),
-		gputopdown.WithLogger(logger), gputopdown.WithReplayWorkers(2),
+	on := true
+	opts, err := gputopdown.JobOptions(&gputopdown.JobRequest{
+		Level: 2, Mode: "hwpm", RawEquations: true, SampleEvery: 2, ReplayCache: &on})
+	if err != nil {
+		t.Fatal(err)
 	}
+	opts = append(opts, gputopdown.WithChecks(true),
+		gputopdown.WithObserver(gputopdown.NewTracer(), gputopdown.NewMetricsRegistry()),
+		gputopdown.WithLogger(logger), gputopdown.WithReplayWorkers(2))
 	// This process's open sockets (a listener is one); Linux only.
 	sockets := func() int {
 		fds, err := os.ReadDir("/proc/self/fd")
@@ -152,11 +155,7 @@ func TestNewProfilerIsPure(t *testing.T) {
 	}
 	goroutines, open := runtime.NumGoroutine(), sockets()
 	spec := gputopdown.QuadroRTX4000().WithSMs(2)
-	a := gputopdown.NewProfiler(spec, opts...)
-	b, err := gputopdown.NewProfilerE(spec, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := gputopdown.NewProfiler(spec, opts...), gputopdown.NewProfiler(spec, opts...)
 	if a == b || a.Level() != 2 || b.Level() != 2 {
 		t.Errorf("one option slice built %p (level %d) and %p (level %d)", a, a.Level(), b, b.Level())
 	}
@@ -187,12 +186,13 @@ func TestObservabilityResultsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	observed, err := gputopdown.NewProfilerE(spec.WithSMs(2), gputopdown.WithLevel(3),
-		gputopdown.WithObserver(gputopdown.NewTracer(), gputopdown.NewMetricsRegistry()),
-		gputopdown.WithLogger(logger))
+	opts, err := gputopdown.JobOptions(&gputopdown.JobRequest{Level: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	observed := gputopdown.NewProfiler(spec.WithSMs(2), append(opts,
+		gputopdown.WithObserver(gputopdown.NewTracer(), gputopdown.NewMetricsRegistry()),
+		gputopdown.WithLogger(logger))...)
 	got, err := observed.ProfileApp(context.Background(), app)
 	if err != nil {
 		t.Fatal(err)

@@ -58,6 +58,57 @@ func TestEveryOptionHasACaller(t *testing.T) {
 	}
 }
 
+// TestJobSettingsTranslatedOnce: the options a JobRequest's settings map to
+// are applied by JobOptions alone among the front doors — the root package,
+// cmd/ and internal/ — so the CLIs and the daemon cannot drift apart.
+// examples/ are library callers that write a profile in Go, not a
+// translation, and bench/ keeps its own copy until it is next edited.
+func TestJobSettingsTranslatedOnce(t *testing.T) {
+	settings := map[string]bool{"WithLevel": true, "WithHWPM": true, "WithRawEquations": true,
+		"WithSampling": true, "WithReplayCache": true}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (d.Name() == "bench" || d.Name() == "examples") {
+			return filepath.SkipDir
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && path == "serve.go" && fn.Name.Name == "JobOptions" {
+				continue
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				name := ""
+				switch fun := call.Fun.(type) {
+				case *ast.Ident:
+					name = fun.Name
+				case *ast.SelectorExpr:
+					name = fun.Sel.Name
+				}
+				if settings[name] {
+					t.Errorf("%s calls %s; a job setting becomes an option only in JobOptions", path, name)
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestEveryUnexportedFuncIsReferenced is the offline stand-in for
 // staticcheck's U1000 check: an unexported func or method anywhere in the
 // module outside bench/ must be named by some other identifier of its

@@ -68,17 +68,17 @@ func NewJobRunner(defaultGPU string, base ...Option) *JobRunner {
 	return &JobRunner{defaultGPU: defaultGPU, base: base}
 }
 
-// profiler builds the Profiler the request describes.
-func (jr *JobRunner) profiler(req *JobRequest) (*Profiler, error) {
-	gpuID := req.GPU
-	if gpuID == "" {
-		gpuID = jr.defaultGPU
+// JobOptions turns a request's profile settings (level, mode, raw equations,
+// sampling, replay cache) into options: the one translation the daemon's
+// JobRunner and the CLIs' flags share. A zero field or a nil ReplayCache
+// leaves what the defaults and earlier options chose. A setting out of range
+// fails JobRequest.ValidateSettings, the daemon's own check, and the error
+// wraps serve.ErrBadRequest.
+func JobOptions(req *JobRequest) ([]Option, error) {
+	if err := req.ValidateSettings(); err != nil {
+		return nil, fmt.Errorf("gputopdown: %w", err)
 	}
-	spec, ok := LookupGPU(gpuID)
-	if !ok {
-		return nil, fmt.Errorf("gputopdown: unknown gpu %q", gpuID)
-	}
-	opts := append([]Option(nil), jr.base...)
+	var opts []Option
 	if req.Level > 0 {
 		opts = append(opts, WithLevel(req.Level))
 	}
@@ -94,21 +94,32 @@ func (jr *JobRunner) profiler(req *JobRequest) (*Profiler, error) {
 	if req.ReplayCache != nil {
 		opts = append(opts, WithReplayCache(*req.ReplayCache))
 	}
-	return NewProfilerE(spec, opts...)
+	return opts, nil
 }
 
-// Run is the serve.Runner: resolve the app, profile it under ctx, convert
-// the result. Errors come back as they were produced, so errors.Is reaches
-// ErrUnknownSuite / ErrUnknownApp / ErrKernelPanic and the context sentinels.
+// Run is the serve.Runner: resolve the app and the device, build the
+// profiler from the runner's base options and the request's JobOptions,
+// profile under ctx, convert the result. Errors come back as they were
+// produced, so errors.Is reaches ErrUnknownSuite / ErrUnknownApp /
+// ErrKernelPanic and the context sentinels.
 func (jr *JobRunner) Run(ctx context.Context, req *JobRequest) (*serve.Report, error) {
 	app, err := GetApp(req.Suite, req.App)
 	if err != nil {
 		return nil, err
 	}
-	p, err := jr.profiler(req)
+	gpuID := req.GPU
+	if gpuID == "" {
+		gpuID = jr.defaultGPU
+	}
+	spec, ok := LookupGPU(gpuID)
+	if !ok {
+		return nil, fmt.Errorf("gputopdown: unknown gpu %q", gpuID)
+	}
+	opts, err := JobOptions(req)
 	if err != nil {
 		return nil, err
 	}
+	p := NewProfiler(spec, append(jr.base[:len(jr.base):len(jr.base)], opts...)...)
 	res, err := p.ProfileApp(ctx, app)
 	if err != nil {
 		return nil, err

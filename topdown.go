@@ -272,42 +272,15 @@ var replayResults = cupti.NewReplayCache(0)
 // normalised level-3 analysis with SMPC collection.
 //
 // Out-of-range options are clamped rather than rejected: a level outside
-// 1..3 is capped by the analyzer and sampleEvery < 1 disables sampling. Use
-// NewProfilerE to have invalid options reported as errors instead.
+// 1..3 is capped by the analyzer and sampleEvery < 1 disables sampling.
+// JobOptions rejects them instead, for settings from a flag or a job.
 func NewProfiler(spec *gpu.Spec, opts ...Option) *Profiler {
-	p := build(spec, opts)
-	if p.sampleEvery < 0 {
-		p.sampleEvery = 0
-	}
-	return p
-}
-
-// NewProfilerE is the validating variant of NewProfiler: instead of clamping
-// out-of-range options it rejects them, so configuration mistakes fail fast
-// at construction rather than silently changing behavior. It returns an
-// error when spec is nil, the level is outside 1..3 or sampleEvery is
-// negative.
-func NewProfilerE(spec *gpu.Spec, opts ...Option) (*Profiler, error) {
-	if spec == nil {
-		return nil, fmt.Errorf("gputopdown: nil GPU spec")
-	}
-	p := build(spec, opts)
-	if p.level < core.Level1 || p.level > core.Level3 {
-		return nil, fmt.Errorf("gputopdown: analysis level %d outside 1..3", p.level)
-	}
-	if p.sampleEvery < 0 {
-		return nil, fmt.Errorf("gputopdown: negative sampling interval %d", p.sampleEvery)
-	}
-	return p, nil
-}
-
-// build applies opts over the defaults and creates the invariant checker
-// they ask for; the constructors differ only in what they do with an
-// out-of-range value afterwards.
-func build(spec *gpu.Spec, opts []Option) *Profiler {
 	p := &Profiler{spec: spec, level: core.Level3, normalize: true, mode: cupti.ModeSMPC}
 	for _, o := range opts {
 		o(p)
+	}
+	if p.sampleEvery < 0 {
+		p.sampleEvery = 0
 	}
 	if p.checksOn {
 		p.checks = check.New()
