@@ -33,8 +33,14 @@ type CacheStats struct {
 // of ways entries each — keys, sector masks, LRU stamps — so a set scan reads
 // only the keys (128 contiguous bytes for a 16-way set) and the mask and
 // stamp of the way it finds are on the next host cache lines, not in another
-// table. A key is the line number plus one; zero marks an invalid way, whose
-// sector mask and LRU stamp are then meaningless.
+// table. A key is the line number plus one; zero marks a way never filled.
+//
+// Flush is an epoch, not a sweep: it raises validFrom past the clock, and a
+// way is valid only while its key is non-zero and its LRU stamp is at least
+// validFrom. Every fill and hit stamps the way with the advanced clock, so a
+// way touched after a flush is valid and one untouched since is not — the
+// state a sweep that zeroed every key would leave, at O(1) host cost. An
+// invalid way's key, sector mask and stamp are meaningless.
 type Cache struct {
 	name string
 	sets int
@@ -50,6 +56,7 @@ type Cache struct {
 	setMod      uint64
 	state       []uint64 // per set: ways keys, ways sector masks, ways stamps
 	tick        uint64
+	validFrom   uint64 // the first tick of the current epoch (Flush)
 	stats       CacheStats
 }
 
@@ -111,12 +118,17 @@ func (c *Cache) locate(addr uint64) (key uint64, keys, sectors, lastUse []uint64
 }
 
 // set returns the three arrays of set i, one entry per way: keys (line
-// number + 1, 0 = invalid), valid-sector bitmasks and LRU timestamps.
+// number + 1, 0 = never filled), sector bitmasks and LRU timestamps; way w
+// is valid when c.valid(keys[w], lastUse[w]).
 func (c *Cache) set(i int) (keys, sectors, lastUse []uint64) {
 	n := c.ways
 	s := c.state[3*n*i:][:3*n]
 	return s[:n], s[n : 2*n], s[2*n:]
 }
+
+// valid reports whether a way with key k and LRU stamp t holds a line of
+// the current epoch.
+func (c *Cache) valid(k, t uint64) bool { return k != 0 && t >= c.validFrom }
 
 // sectorBit returns the bit of the sector containing addr within its line.
 func (c *Cache) sectorBit(addr uint64) uint32 {
@@ -146,7 +158,7 @@ func (c *Cache) AccessLine(addr uint64, want uint32) (hit uint32) {
 	c.stats.Lookups += n
 	key, keys, sectors, lastUse := c.locate(addr)
 	for w, k := range keys {
-		if k == key {
+		if k == key && lastUse[w] >= c.validFrom {
 			hit = uint32(sectors[w]) & want
 			sectors[w] |= uint64(want)
 			lastUse[w] = c.tick
@@ -159,15 +171,16 @@ func (c *Cache) AccessLine(addr uint64, want uint32) (hit uint32) {
 	// Line absent: take the first invalid way, else the least recently used.
 	victim, lru := -1, ^uint64(0)
 	for w, k := range keys {
-		if k == 0 {
+		t := lastUse[w]
+		if !c.valid(k, t) {
 			victim = w
 			break
 		}
-		if t := lastUse[w]; t < lru {
+		if t < lru {
 			victim, lru = w, t
 		}
 	}
-	if keys[victim] != 0 {
+	if c.valid(keys[victim], lastUse[victim]) {
 		c.stats.Evictions++
 	}
 	c.stats.Misses += n
@@ -178,24 +191,26 @@ func (c *Cache) AccessLine(addr uint64, want uint32) (hit uint32) {
 // Probe reports whether the sector containing addr is present without
 // modifying any state.
 func (c *Cache) Probe(addr uint64) bool {
-	key, keys, sectors, _ := c.locate(addr)
+	key, keys, sectors, lastUse := c.locate(addr)
 	for w, k := range keys {
-		if k == key {
+		if k == key && lastUse[w] >= c.validFrom {
 			return uint32(sectors[w])&c.sectorBit(addr) != 0
 		}
 	}
 	return false
 }
 
-// Flush invalidates every line, as the profiler does before a profiled launch.
-// Statistics are preserved.
-func (c *Cache) Flush() { clear(c.state) }
+// Flush invalidates every line, as the profiler does before a profiled launch,
+// by starting a new epoch: no way stamped before it is valid. Statistics are
+// preserved.
+func (c *Cache) Flush() { c.validFrom = c.tick + 1 }
 
-// Reset flushes the cache and zeroes its statistics.
+// Reset clears the line state and zeroes the clock and the statistics: the
+// cache is then what NewCache built.
 func (c *Cache) Reset() {
-	c.Flush()
+	clear(c.state)
 	c.stats = CacheStats{}
-	c.tick = 0
+	c.tick, c.validFrom = 0, 0
 }
 
 // Stats returns a copy of the accumulated statistics.
@@ -215,9 +230,9 @@ func (c *Cache) Ways() int { return c.ways }
 func (c *Cache) ResidentLines() int {
 	n := 0
 	for i := 0; i < c.sets; i++ {
-		keys, _, _ := c.set(i)
-		for _, k := range keys {
-			if k != 0 {
+		keys, _, lastUse := c.set(i)
+		for w, k := range keys {
+			if c.valid(k, lastUse[w]) {
 				n++
 			}
 		}
@@ -231,9 +246,9 @@ func (c *Cache) ResidentLines() int {
 func (c *Cache) ResidentSectors() int {
 	n := 0
 	for i := 0; i < c.sets; i++ {
-		keys, sectors, _ := c.set(i)
+		keys, sectors, lastUse := c.set(i)
 		for w, k := range keys {
-			if k != 0 {
+			if c.valid(k, lastUse[w]) {
 				n += bits.OnesCount64(sectors[w])
 			}
 		}

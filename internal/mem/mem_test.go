@@ -2,7 +2,9 @@ package mem
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -491,14 +493,44 @@ func TestConstantBank(t *testing.T) {
 	}
 }
 
+// TestConstantBankBoundsPanics: an access that does not lie wholly inside
+// the bank panics with the model's message, including offsets where off+n
+// overflows int64, as an LDC's index register plus immediate can produce.
 func TestConstantBankBoundsPanics(t *testing.T) {
-	c := NewConstantBank(64)
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-bounds constant read did not panic")
-		}
-	}()
-	_ = c.Read(64, 4)
+	const size = 1 << 16
+	c := NewConstantBank(size)
+	for _, r := range []struct {
+		off  int64
+		size int
+		ok   bool
+	}{
+		{0, 4, true},
+		{size - 8, 8, true},
+		{size - 4, 4, true},
+		{size, 4, false},
+		{size - 2, 4, false},
+		{size - 4, 8, false},
+		{-8, 4, false},
+		{math.MinInt64, 8, false},
+		{math.MaxInt64 - 3, 4, false},
+		{math.MaxInt64 - 1, 4, false},
+		{math.MaxInt64 - 1, 8, false},
+	} {
+		func() {
+			defer func() {
+				p := recover()
+				switch {
+				case r.ok && p != nil:
+					t.Errorf("Read(%d, %d) panicked: %v", r.off, r.size, p)
+				case !r.ok && p == nil:
+					t.Errorf("Read(%d, %d) outside a %d-byte bank did not panic", r.off, r.size, size)
+				case !r.ok && !strings.Contains(fmt.Sprint(p), "outside bank"):
+					t.Errorf("Read(%d, %d) panicked with %q, not the bank's bounds message", r.off, r.size, p)
+				}
+			}()
+			_ = c.Read(r.off, r.size)
+		}()
+	}
 }
 
 // referenceCache is an obviously-correct model: a map of resident sectors

@@ -247,17 +247,28 @@ func (s *Storage) WriteF32(addr uint64, v float32) {
 	s.Write(addr, uint64(math.Float32bits(v)), 4)
 }
 
+// Bytes returns the n bytes of device memory at addr as a window onto the
+// backing, capped at n and bounds-checked once as a whole, for host code that
+// fills or reads a buffer in place. It is valid until the next Alloc, which
+// may grow the backing.
+func (s *Storage) Bytes(addr uint64, n int) []byte {
+	s.check(addr, n)
+	return s.data[addr : addr+uint64(n) : addr+uint64(n)]
+}
+
 // WriteU32Slice copies a []uint32 to device memory starting at addr.
 func (s *Storage) WriteU32Slice(addr uint64, vs []uint32) {
+	b := s.Bytes(addr, 4*len(vs))
 	for i, v := range vs {
-		s.Write(addr+uint64(i)*4, uint64(v), 4)
+		binary.LittleEndian.PutUint32(b[4*i:], v)
 	}
 }
 
 // WriteF32Slice copies a []float32 to device memory starting at addr.
 func (s *Storage) WriteF32Slice(addr uint64, vs []float32) {
+	b := s.Bytes(addr, 4*len(vs))
 	for i, v := range vs {
-		s.WriteF32(addr+uint64(i)*4, v)
+		binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(v))
 	}
 }
 
@@ -295,8 +306,11 @@ func NewConstantBank(size int) *ConstantBank {
 // Size returns the bank capacity in bytes.
 func (c *ConstantBank) Size() int { return len(c.data) }
 
+// check panics unless [off, off+n) lies inside the bank. An LDC's offset is
+// an index register plus an immediate, so off may be anywhere in int64 and
+// the test must not wrap: off+n may overflow where len-off cannot.
 func (c *ConstantBank) check(off int64, n int) {
-	if off < 0 || int(off)+n > len(c.data) {
+	if size := int64(len(c.data)); off < 0 || off > size || int64(n) > size-off {
 		panic(fmt.Sprintf("mem: constant access of %d bytes at 0x%x outside bank of %d bytes", n, off, len(c.data)))
 	}
 }
@@ -335,11 +349,7 @@ func (c *ConstantBank) WriteF32Slice(off int64, vs []float32) {
 }
 
 // Clear zeroes the bank.
-func (c *ConstantBank) Clear() {
-	for i := range c.data {
-		c.data[i] = 0
-	}
-}
+func (c *ConstantBank) Clear() { clear(c.data) }
 
 // Hash returns a 64-bit hash of the bank contents, the constant-space
 // component of the replay result cache key (applications may rewrite

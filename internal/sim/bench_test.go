@@ -138,3 +138,26 @@ func BenchmarkLaunchComputeBound(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*r.Counters.InstExecuted), "ns/warp-inst")
 }
+
+// BenchmarkLaunchTiny times a cache flush and a four-block launch on a full
+// RTX 4000 — one profiled launch of rodinia/gaussian's shape — and reports
+// its host cost (ns/launch) and the SM ticks it took (ticks/launch): a cost
+// that should follow the four blocks simulated, not the 36 SMs flushed.
+func BenchmarkLaunchTiny(b *testing.B) {
+	d := NewDevice(gpu.QuadroRTX4000())
+	l := tinyStreamLaunch(d)
+	d.FlushCaches()
+	d.MustLaunch(l) // warm up
+	var ticks uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.FlushCaches()
+		if _, err := d.Launch(l); err != nil {
+			b.Fatal(err)
+		}
+		ticks += d.LastLaunchTicks()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/launch")
+	b.ReportMetric(float64(ticks)/float64(b.N), "ticks/launch")
+}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -57,6 +58,30 @@ func TestOutOfBoundsAccessPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Error("wild load did not panic")
+		}
+	}()
+	d.MustLaunch(&kernel.Launch{
+		Program: b.MustBuild(),
+		Grid:    kernel.Dim3{X: 1},
+		Block:   kernel.Dim3{X: 32},
+	})
+}
+
+// TestHugeConstantOffsetPanics: an LDC whose index register plus immediate
+// lands near the top of int64 — where offset plus width overflows — fails
+// with the constant bank's bounds message, not a host slice fault.
+func TestHugeConstantOffsetPanics(t *testing.T) {
+	b := kernel.NewBuilder("ldc_huge")
+	b.Ldc(b.MovImm(2), math.MaxInt64-3, 4) // offset MaxInt64-1
+	b.Exit()
+	d := NewDevice(tinySpec())
+	defer func() {
+		p := recover()
+		if p == nil {
+			t.Fatal("an LDC at offset MaxInt64-1 did not panic")
+		}
+		if msg := fmt.Sprint(p); !strings.Contains(msg, "mem: constant access") || !strings.Contains(msg, "outside bank") {
+			t.Errorf("panic %q is not the constant bank's bounds message", msg)
 		}
 	}()
 	d.MustLaunch(&kernel.Launch{

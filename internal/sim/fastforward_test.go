@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"gputopdown/internal/gpu"
 	"gputopdown/internal/isa"
 	"gputopdown/internal/kernel"
 )
@@ -125,5 +126,86 @@ func TestFastForwardDefaultOn(t *testing.T) {
 	d.SetFastForward(false)
 	if d.Clone().FastForwardEnabled() {
 		t.Error("clone of a naive-mode device re-enabled fast-forward")
+	}
+}
+
+// ffmaChainLaunch is one warp running a dependent chain of 64 FFMAs: every
+// instruction waits out its predecessor's latency, and the warp's next
+// instruction is always in the line its buffer holds.
+func ffmaChainLaunch(d *Device) *kernel.Launch {
+	b := kernel.NewBuilder("ffmachain")
+	gid := b.GlobalIDX()
+	x := b.I2F(gid)
+	acc := b.Mov(x)
+	for i := 0; i < 64; i++ {
+		b.MovTo(acc, b.FFma(acc, x, x))
+	}
+	b.Stg(b.IAdd(b.Param(0), b.Shl(gid, 2)), acc, 0, 4)
+	b.Exit()
+	return &kernel.Launch{
+		Program: b.MustBuild(),
+		Grid:    kernel.Dim3{X: 1},
+		Block:   kernel.Dim3{X: 32},
+		Params:  []uint64{d.Alloc(32 * 4)},
+	}
+}
+
+// tinyStreamLaunch is shaped like a launch of rodinia/gaussian's Fan2: four
+// blocks of 128 threads, each loading a word, running three dependent FFMAs
+// on it and storing the result.
+func tinyStreamLaunch(d *Device) *kernel.Launch {
+	const n = 4 * 128
+	b := kernel.NewBuilder("tinystream")
+	gid := b.GlobalIDX()
+	b.ExitIf(b.ISetp(isa.CmpGE, gid, b.Param(2)), false)
+	off := b.Shl(gid, 2)
+	x := b.Ldg(b.IAdd(b.Param(0), off), 0, 4)
+	c := b.FConst(1.0009765625)
+	acc := b.Mov(x)
+	for i := 0; i < 3; i++ {
+		b.MovTo(acc, b.FFma(acc, c, x))
+	}
+	b.Stg(b.IAdd(b.Param(1), off), acc, 0, 4)
+	b.Exit()
+	buf := d.Alloc(n * 4)
+	return &kernel.Launch{
+		Program: b.MustBuild(),
+		Grid:    kernel.Dim3{X: 4},
+		Block:   kernel.Dim3{X: 128},
+		Params:  []uint64{buf, buf, n},
+	}
+}
+
+// TestSettledIssueIsQuiet: a tick whose issued warps all settled at a real
+// bound, with no warp left ready or due, is quiet, so the loop skips to the
+// next bound instead of ticking the cycle after every issue. Each launch
+// runs after a cache flush on a full RTX 4000, as a profiled launch does;
+// its tick count is pinned below what it took when every issue forced the
+// next tick (settled), and its RunResult must equal the naive loop's.
+func TestSettledIssueIsQuiet(t *testing.T) {
+	for _, c := range []struct {
+		name           string
+		build          func(*Device) *kernel.Launch
+		ticks, settled uint64
+	}{
+		{"ffma chain", ffmaChainLaunch, 226, 342},
+		{"tiny stream", tinyStreamLaunch, 424, 548},
+	} {
+		run := func(ff bool) (*RunResult, uint64) {
+			d := NewDevice(gpu.QuadroRTX4000())
+			d.SetFastForward(ff)
+			l := c.build(d)
+			d.FlushCaches()
+			return d.MustLaunch(l), d.LastLaunchTicks()
+		}
+		naive, _ := run(false)
+		fast, ticks := run(true)
+		if !reflect.DeepEqual(naive, fast) {
+			t.Errorf("%s: naive/ff diverge: cycles %d vs %d\nnaive: %+v\nff:    %+v",
+				c.name, naive.Cycles, fast.Cycles, naive.Counters, fast.Counters)
+		}
+		if ticks != c.ticks || ticks >= c.settled {
+			t.Errorf("%s: %d ticks, want %d (every issue forcing the next tick: %d)", c.name, ticks, c.ticks, c.settled)
+		}
 	}
 }

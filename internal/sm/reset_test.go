@@ -123,3 +123,53 @@ func TestResetDropsDecodedPrograms(t *testing.T) {
 		t.Errorf("after 50 cleared applications the device holds %d decoded programs, want the last one's 2", s.progs.Len())
 	}
 }
+
+// TestRecycledWarpIsFresh: warp.reset rewrites every field, so a warp that
+// has run — retired on the free list, or resident mid-kernel — and is then
+// reset equals, field for field, a new warp reset with the same arguments.
+// An empty store list keeps its backing, which only its capacity shows.
+// Across the warps sampled, every field held something other than what a
+// reset writes, so no field goes unchecked.
+func TestRecycledWarpIsFresh(t *testing.T) {
+	spec := gpu.QuadroRTX4000().WithSMs(1)
+	s := testSMOf(spec)
+	s.BeginLaunch(1<<18, 1024, 0)
+	for _, l := range accountingLaunches(spec) {
+		runToIdle(t, s, l)
+	}
+	used := append([]*warp(nil), s.freeWarps...)
+	for _, l := range accountingLaunches(spec) {
+		if s.CanAccept(l) {
+			s.LaunchBlock(l, [3]int64{}, 0)
+		}
+	}
+	for i := 0; i < 300; i++ {
+		s.Tick()
+	}
+	used = append(used, residents(s)...)
+
+	blk := &blockCtx{}
+	reset := func(w *warp) *warp {
+		w.reset(3, 5, 7, blk, 0x0000FFFF, 24, 1<<40)
+		if len(w.storesPending) == 0 {
+			w.storesPending = nil
+		}
+		return w
+	}
+	want := reset(new(warp))
+	dirty := map[string]bool{}
+	for i, w := range used {
+		for _, f := range fieldsDiffering(*w, *want) {
+			dirty[f] = true
+		}
+		if diff := fieldsDiffering(*reset(w), *want); len(diff) > 0 {
+			t.Errorf("warp %d of %d: a reset warp differs from a new one in %v", i, len(used), diff)
+		}
+	}
+	typ := reflect.TypeOf(warp{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i).Name; !dirty[f] {
+			t.Errorf("no sampled warp held anything in %s that a reset rewrites", f)
+		}
+	}
+}

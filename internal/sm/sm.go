@@ -83,17 +83,27 @@ func (sp *subpart) freeSlots() int { return len(sp.warps) - sp.nres }
 // reset empties the subpartition — no warp in a slot, every wake-table entry
 // neverWake, nothing filed, no ready set — and frees its pipes, dispatch unit
 // and instruction queues. The slot tables and queues keep their backings.
+// BeginLaunch resets every subpartition of every SM, so the fields are
+// assigned one by one: a struct literal would be built whole and copied.
 func (sp *subpart) reset() {
 	clear(sp.warps)
 	clear(sp.pending)
 	for i := range sp.wakeAt {
 		sp.wakeAt[i] = neverWake
 	}
+	sp.nres = 0
+	sp.woken, sp.far, sp.fetchWait, sp.farMin = 0, 0, 0, neverWake
+	sp.wheelOcc = 0
+	clear(sp.wheel[:])
+	sp.draining = 0
+	clear(sp.ready[:])
+	sp.readyAll, sp.gateOcc = 0, 0
+	clear(sp.pipeFree[:])
+	sp.dispatchFree = 0
 	sp.lgQueue.Reset()
 	sp.mioQueue.Reset()
 	sp.texQueue.Reset()
-	*sp = subpart{warps: sp.warps, wakeAt: sp.wakeAt, pending: sp.pending, farMin: neverWake,
-		lgQueue: sp.lgQueue, mioQueue: sp.mioQueue, texQueue: sp.texQueue}
+	sp.lastIssued = 0
 }
 
 // file sets slot's bound to t and files it by its distance from now. The slot
@@ -757,8 +767,9 @@ func (s *SM) wakeWarps(sp *subpart, now, wake uint64) uint64 {
 //     with its pending instruction, or, ready at now+1, joins its gate's
 //     ready set, as the next pass would have it do.
 //
-// Otherwise the warp is filed due, to be classified by the next pass.
-func (s *SM) issueReady(sp *subpart, w *warp, now uint64) {
+// Otherwise the warp is filed due, to be classified by the next pass. It
+// returns the bound the warp was filed at, now when it was left ready or due.
+func (s *SM) issueReady(sp *subpart, w *warp, now uint64) uint64 {
 	slot := w.slot
 	bit := uint64(1) << slot
 	d := sp.pending[slot]
@@ -772,7 +783,7 @@ func (s *SM) issueReady(sp *subpart, w *warp, now uint64) {
 		sp.pending[slot] = nil
 		w.state, w.since = w.eligibleReason, next
 		sp.file(slot, w.nextEligible, now)
-		return
+		return w.nextEligible
 	}
 	if d.class < classEXIT {
 		w.syncStack()
@@ -783,11 +794,11 @@ func (s *SM) issueReady(sp *subpart, w *warp, now uint64) {
 			w.state, w.since = st, next
 			if wake == next {
 				sp.join(slot, nd)
-				return
+				return now
 			}
 			sp.pending[slot] = nd
 			sp.file(slot, wake, now)
-			return
+			return wake
 		}
 	}
 	sp.pending[slot] = nil
@@ -795,6 +806,7 @@ func (s *SM) issueReady(sp *subpart, w *warp, now uint64) {
 	// A BAR that released the barrier it arrived at has filed the warp as
 	// woken already; filing it again changes nothing.
 	sp.file(slot, 0, now)
+	return now
 }
 
 // join puts slot in the ready set of d's gate, d being the instruction its
@@ -863,8 +875,11 @@ func (s *SM) Tick() {
 	if s.groupCharged {
 		s.groupCharge, s.groupCharged = [NumWarpStates]uint32{}, false
 	}
-	quiet := true     // no issue, reap or cross-warp event this tick
+	quiet := true     // no unsettled issue, reap or cross-warp event this tick
 	wake := neverWake // min over the wakeup bounds of warps and gates
+	// Production engine: some subpartition issued, and the slots the passes
+	// left ready or due (a union of masks, zero when there are none).
+	issued, unsettled := false, uint64(0)
 
 	for i := range s.subparts {
 		sp := &s.subparts[i]
@@ -880,6 +895,7 @@ func (s *SM) Tick() {
 		}
 		winner := s.pick(sp, cand)
 		if winner < 0 {
+			unsettled |= sp.readyAll | sp.woken
 			continue
 		}
 		w := sp.warps[winner]
@@ -893,13 +909,15 @@ func (s *SM) Tick() {
 				s.enter(sp.warps[c], st, now)
 			}
 			s.issue(sp, w, now)
+			quiet = false // the reference engine re-runs the next cycle
 		} else {
 			s.ctr.WarpStateCycles[StateNotSelected] += uint64(bits.OnesCount64(cand) - 1)
 			s.ctr.WarpStateCycles[StateSelected]++
-			s.issueReady(sp, w, now)
+			wake = min(wake, s.issueReady(sp, w, now))
+			issued = true
 		}
 		sp.lastIssued = winner
-		quiet = false
+		unsettled |= sp.readyAll | sp.woken
 	}
 
 	if s.reapFinished(now) {
@@ -907,6 +925,15 @@ func (s *SM) Tick() {
 	}
 	if s.tickEvent {
 		s.tickEvent = false
+		quiet = false
+	}
+	// An issue moved the pipes, the dispatch unit and the queues, which only
+	// ready warps read, and issueReady filed each issued warp at its real
+	// bound (lowering wake to it) unless it left it ready or due. So with no
+	// warp ready or due anywhere, the issuing cycle repeats until wake as a
+	// quiet one does: nothing is charged by group, and every open interval
+	// grows with the clock. The reference engine forces the next tick.
+	if issued && unsettled != 0 {
 		quiet = false
 	}
 	s.cycle++
@@ -944,8 +971,9 @@ func (s *SM) accountResidency(n uint64) {
 
 // NextWakeup returns the bound computed by the most recent Tick: the
 // earliest cycle at which the next Tick can differ from an exact repeat of
-// the last one. When the last tick issued an instruction, reaped a warp or
-// released a barrier, the bound is simply the current cycle (no skip).
+// the last one. When the last tick reaped a warp or released a barrier, or
+// issued and left a warp ready or due (on the reference engine: issued at
+// all), the bound is simply the current cycle (no skip).
 // Otherwise every resident warp is blocked with a known release cycle and
 // re-running Tick before the minimum of those would re-classify no warp and
 // change no residency — which is what AdvanceTo accounts in O(1) instead.

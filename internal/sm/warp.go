@@ -94,21 +94,24 @@ type warp struct {
 // reset makes w the initial context of a warp, whatever it held before: every
 // field is rewritten, and of the old value only the slices' backing arrays
 // survive, re-sliced to this kernel's register count and zeroed. A recycled
-// warp is thereby indistinguishable from a freshly allocated one.
+// warp is thereby indistinguishable from a freshly allocated one
+// (TestRecycledWarpIsFresh). The fields are assigned one by one: a struct
+// literal would be built whole and copied over the old value.
 func (w *warp) reset(subp, slot, warpInBlock int, blk *blockCtx, members uint32, numRegs int, seq uint64) {
-	*w = warp{
-		subp:          subp,
-		slot:          slot,
-		block:         blk,
-		warpInBlock:   warpInBlock,
-		launchSeq:     seq,
-		members:       members,
-		stack:         append(w.stack[:0], stackEntry{pc: 0, rpc: -1, mask: members}),
-		regs:          zeroed(w.regs, numRegs),
-		regReady:      zeroed(w.regReady, numRegs),
-		regDep:        zeroed(w.regDep, numRegs),
-		storesPending: w.storesPending[:0],
-	}
+	w.subp, w.slot, w.block, w.warpInBlock, w.launchSeq = subp, slot, blk, warpInBlock, seq
+	w.members, w.exited = members, 0
+	w.stack = append(w.stack[:0], stackEntry{pc: 0, rpc: -1, mask: members})
+	w.regs = zeroed(w.regs, numRegs)
+	w.preds = [8]uint32{}
+	w.regReady = zeroed(w.regReady, numRegs)
+	w.regDep = zeroed(w.regDep, numRegs)
+	w.predReady = [8]uint64{}
+	w.nextEligible, w.eligibleReason = 0, 0
+	w.atBarrier, w.membarPending = false, false
+	w.storesPending, w.fenceUntil = w.storesPending[:0], 0
+	w.fetchedLine, w.ifetchReady = 0, 0
+	w.state, w.since = 0, 0
+	w.finished = false
 }
 
 // zeroed returns n zero elements, in s's backing array when it is big enough.

@@ -10,7 +10,9 @@
 package workloads
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"gputopdown/internal/kernel"
@@ -88,27 +90,27 @@ var suites = map[string]func() []*App{"rodinia": Rodinia, "altis": Altis, "shoc"
 
 // ---- input-data helpers ----
 
-// randF32 fills device memory with uniform floats in [lo, hi).
+// randF32 fills device memory with uniform floats in [lo, hi), written in
+// place: one draw per element, in element order.
 func randF32(ctx *RunCtx, addr uint64, n int, lo, hi float32) {
-	vs := make([]float32, n)
-	for i := range vs {
-		vs[i] = lo + (hi-lo)*ctx.Rng.Float32()
+	b := ctx.Dev.Storage.Bytes(addr, 4*n)
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(lo+(hi-lo)*ctx.Rng.Float32()))
 	}
-	ctx.Dev.Storage.WriteF32Slice(addr, vs)
 }
 
-// randIdx fills device memory with uniform indices in [0, max).
+// randIdx fills device memory with uniform indices in [0, max), written in
+// place: one draw per element, in element order.
 func randIdx(ctx *RunCtx, addr uint64, n, max int) {
-	vs := make([]uint32, n)
-	for i := range vs {
-		vs[i] = uint32(ctx.Rng.Intn(max))
+	b := ctx.Dev.Storage.Bytes(addr, 4*n)
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint32(b[4*i:], uint32(ctx.Rng.Intn(max)))
 	}
-	ctx.Dev.Storage.WriteU32Slice(addr, vs)
 }
 
 // zeroF32 clears a float32 buffer.
 func zeroF32(ctx *RunCtx, addr uint64, n int) {
-	ctx.Dev.Storage.WriteF32Slice(addr, make([]float32, n))
+	clear(ctx.Dev.Storage.Bytes(addr, 4*n))
 }
 
 // launch1D builds a 1-D launch with the given block size.
