@@ -96,7 +96,7 @@ func TestCheckMemSysClean(t *testing.T) {
 	ms := mem.NewMemSys(testSpec())
 	// Touch the memory system so the accounting laws see nonzero traffic.
 	for a := uint64(0); a < 1<<16; a += 128 {
-		ms.Access(a)
+		ms.Slice(ms.SliceOf(a)).Access(ms.Rebase(a))
 	}
 	inv.CheckMemSys("clean", ms, 12345)
 	if err := inv.Err(); err != nil {

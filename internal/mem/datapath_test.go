@@ -56,7 +56,7 @@ func TestGlobalStoreWriteThrough(t *testing.T) {
 	if dp.L1.Probe(0x3000) {
 		t.Error("store allocated in L1 (should be write-through no-allocate)")
 	}
-	if !dp.Mem.Probe(0x3000) {
+	if !dp.Mem.Slice(dp.Mem.SliceOf(0x3000)).Probe(dp.Mem.Rebase(0x3000)) {
 		t.Error("store did not allocate in L2")
 	}
 	st := dp.Stats()

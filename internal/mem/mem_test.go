@@ -395,15 +395,31 @@ func TestStorageAllocReadWrite(t *testing.T) {
 	}
 }
 
+// TestStorageBoundsPanics: a host read outside the allocated range panics
+// with the model's bounds message, the slice readers included — a window
+// that straddles the end, and a negative count, which must not reach make.
 func TestStorageBoundsPanics(t *testing.T) {
 	s := NewStorage(1 << 16)
 	a := s.Alloc(16)
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-bounds read did not panic")
-		}
-	}()
-	_ = s.Read(a+16384, 4)
+	for _, r := range []struct {
+		name string
+		read func()
+	}{
+		{"Read past the end", func() { s.Read(a+16384, 4) }},
+		{"ReadU32Slice straddling the end", func() { s.ReadU32Slice(a+8, 3) }},
+		{"ReadF32Slice straddling the end", func() { s.ReadF32Slice(a+8, 3) }},
+		{"ReadU32Slice of -1 words", func() { s.ReadU32Slice(a, -1) }},
+		{"ReadF32Slice of -1 words", func() { s.ReadF32Slice(a, -1) }},
+	} {
+		func() {
+			defer func() {
+				if p := recover(); !strings.HasPrefix(fmt.Sprint(p), "mem: access of ") {
+					t.Errorf("%s panicked with %v, want the storage's bounds message", r.name, p)
+				}
+			}()
+			r.read()
+		}()
+	}
 }
 
 // TestStorageBoundsDoNotWrap: addresses a kernel computed negative arrive as
@@ -530,6 +546,26 @@ func TestConstantBankBoundsPanics(t *testing.T) {
 			}()
 			_ = c.Read(r.off, r.size)
 		}()
+	}
+}
+
+// TestConstantBankTableIsAllOrNothing: a table that straddles the end of the
+// bank panics before any of it is written, so the bank, and the replay
+// cache key hashed from it, stays as it was.
+func TestConstantBankTableIsAllOrNothing(t *testing.T) {
+	c := NewConstantBank(4096)
+	c.Write(4088, 0x1234, 8)
+	h := c.Hash()
+	func() {
+		defer func() {
+			if p := recover(); !strings.Contains(fmt.Sprint(p), "outside bank") {
+				t.Errorf("a table straddling the bank's end panicked with %v, want the bank's bounds message", p)
+			}
+		}()
+		c.WriteF32Slice(4088, []float32{1, 2, 3})
+	}()
+	if c.Hash() != h {
+		t.Error("the failed table write changed the bank")
 	}
 }
 

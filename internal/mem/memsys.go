@@ -118,17 +118,6 @@ func (m *MemSys) AccessSliceLine(slice int, addr uint64, want uint32) uint32 {
 	return m.slices[slice].AccessLine(m.Rebase(addr), want)
 }
 
-// Access routes addr to its slice and performs a one-sector lookup.
-func (m *MemSys) Access(addr uint64) bool {
-	return m.slices[m.SliceOf(addr)].Access(m.Rebase(addr))
-}
-
-// Probe reports whether the sector containing addr is present, without
-// modifying any state.
-func (m *MemSys) Probe(addr uint64) bool {
-	return m.slices[m.SliceOf(addr)].Probe(m.Rebase(addr))
-}
-
 // RequestSlice enqueues an n-byte transfer on the given slice's DRAM channel
 // and returns its completion cycle.
 func (m *MemSys) RequestSlice(slice int, now uint64, n int) uint64 {

@@ -274,18 +274,20 @@ func (s *Storage) WriteF32Slice(addr uint64, vs []float32) {
 
 // ReadU32Slice copies n uint32 values from device memory at addr.
 func (s *Storage) ReadU32Slice(addr uint64, n int) []uint32 {
+	b := s.Bytes(addr, 4*n)
 	out := make([]uint32, n)
 	for i := range out {
-		out[i] = uint32(s.Read(addr+uint64(i)*4, 4))
+		out[i] = binary.LittleEndian.Uint32(b[4*i:])
 	}
 	return out
 }
 
 // ReadF32Slice copies n float32 values from device memory at addr.
 func (s *Storage) ReadF32Slice(addr uint64, n int) []float32 {
+	b := s.Bytes(addr, 4*n)
 	out := make([]float32, n)
 	for i := range out {
-		out[i] = s.ReadF32(addr + uint64(i)*4)
+		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
 	}
 	return out
 }
@@ -341,10 +343,12 @@ func (c *ConstantBank) Write(off int64, v uint64, size int) {
 	}
 }
 
-// WriteF32Slice copies float32 values into the bank at offset off.
+// WriteF32Slice copies float32 values into the bank at offset off. The whole
+// table is bounds-checked before any of it is written.
 func (c *ConstantBank) WriteF32Slice(off int64, vs []float32) {
+	c.check(off, 4*len(vs))
 	for i, v := range vs {
-		c.Write(off+int64(i)*4, uint64(math.Float32bits(v)), 4)
+		binary.LittleEndian.PutUint32(c.data[off+int64(4*i):], math.Float32bits(v))
 	}
 }
 

@@ -72,9 +72,6 @@ func NewTracer() *Tracer {
 	return &Tracer{start: time.Now()}
 }
 
-// Enabled reports whether the tracer records events (false for nil).
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // SetBlockDetail toggles per-block dispatch instant events, which can be
 // voluminous on large grids (off by default).
 func (t *Tracer) SetBlockDetail(on bool) {
@@ -159,15 +156,6 @@ func (t *Tracer) NameProcess(pid int, name string) {
 		return
 	}
 	t.push(Event{Name: "process_name", Ph: "M", PID: pid,
-		Args: map[string]any{"name": name}})
-}
-
-// NameThread emits the metadata event labelling a pid/tid track.
-func (t *Tracer) NameThread(pid, tid int, name string) {
-	if t == nil {
-		return
-	}
-	t.push(Event{Name: "thread_name", Ph: "M", PID: pid, TID: tid,
 		Args: map[string]any{"name": name}})
 }
 

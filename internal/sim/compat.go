@@ -19,7 +19,7 @@ func (d *Device) Clone() *Device {
 		}
 	}
 	c := assemble(d.Spec, d.Storage.Clone(), d.Const.Clone())
-	c.traceInterval = d.traceInterval
+	c.traceEvery = d.traceEvery
 	c.naiveLoop = d.naiveLoop
 	return c
 }

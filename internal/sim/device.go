@@ -31,11 +31,6 @@ const DefaultMemBytes = 64 << 20
 // maxLaunchCycles guards against non-terminating kernels.
 const maxLaunchCycles = 10_000_000
 
-// residencySampleCycles is the stride, in simulated cycles, at which per-SM
-// block-residency counter samples are emitted onto the trace's simulated-time
-// track while tracing is enabled.
-const residencySampleCycles = 256
-
 // checkStride is the guard-cycle stride between in-loop invariant sweeps when
 // a Checker is attached. A sweep walks every SM and L2 slice, so running it
 // literally every epoch would dominate the launch; every checkStride guard
@@ -69,16 +64,12 @@ type Device struct {
 	// one per program, decoded by the first SM to run it.
 	progs *sm.Programs
 
-	traceInterval uint64
+	traceEvery uint64 // EnableTrace's sample interval, 0: off
 
-	// naiveLoop turns off the event-driven engine, under which, when every
-	// busy SM reports a wakeup bound past the current cycle, Launch jumps all
-	// SM clocks to the device-wide minimum and bulk-accounts the skipped
-	// cycles (see sm.SM.NextWakeup/AdvanceTo). Results are bit-identical
-	// either way; only host wall-clock changes.
+	// naiveLoop turns off the fast-forward jumps of runLoop; results are
+	// bit-identical either way, only host wall-clock changes. lastTicks
+	// counts the SM ticks of the most recent launch.
 	naiveLoop bool
-	// lastTicks counts the simulation-loop iterations of the most recent
-	// launch; with fast-forward on, Cycles - lastTicks cycles were skipped.
 	lastTicks uint64
 
 	// checker, when non-nil, receives stride-gated in-loop invariant sweeps
@@ -95,11 +86,11 @@ type Device struct {
 	simCursorUS float64
 	smTracks    []string
 
-	// Per-launch scratch reused across launches so the Launch prologue
-	// allocates nothing: which SMs received a block, and the dispatch dirty
-	// flags.
-	launchUsed     []bool
+	// Per-launch scratch the prologue rewrites, reused so that it allocates
+	// nothing: the dispatch dirty flags and, on a traced launch, each SM's
+	// counters at its previous sample point (allocated by the first one).
 	launchRejected []uint64
+	traceBase      []sm.Counters
 }
 
 // NewDevice builds a device with the default memory size.
@@ -127,7 +118,6 @@ func assemble(spec *gpu.Spec, storage *mem.Storage, constBank *mem.ConstantBank)
 		Mem:            mem.NewMemSys(spec),
 		SMs:            make([]*sm.SM, spec.SMs),
 		progs:          sm.NewPrograms(spec),
-		launchUsed:     make([]bool, spec.SMs),
 		launchRejected: make([]uint64, spec.SMs),
 	}
 	for i := range d.SMs {
@@ -166,7 +156,7 @@ func (d *Device) FlushCaches() {
 // disable. This is a simulator-side extension (real PMUs would need PM
 // sampling support); the Top-Down analyzer consumes the samples unchanged.
 func (d *Device) EnableTrace(interval uint64) {
-	d.traceInterval = interval
+	d.traceEvery = interval
 }
 
 // SetHooks attaches the observers of the device's launches: spans on both
@@ -269,41 +259,26 @@ func (d *Device) LaunchCtx(ctx context.Context, l *kernel.Launch) (*RunResult, e
 		spanStart = h.Trace().Now()
 	}
 
-	markMem, err := d.launchPrologue(l)
+	// The dispatcher deals the first pass of blocks round-robin from SM 0,
+	// so block b lands on SM b and the launch runs on the first
+	// min(blocks, SMs) SMs; the others stay idle and are not touched.
+	nb := l.NumBlocks()
+	used := min(nb, len(d.SMs))
+	markMem, err := d.launchPrologue(l, used)
 	if err != nil {
 		return nil, err
 	}
 	defer d.Storage.Release(markMem)
 
-	nb := l.NumBlocks()
+	res := &RunResult{Kernel: l.Program.Name, Blocks: nb, SMsUsed: used, PerSM: make([]sm.Counters, len(d.SMs))}
 	d.lastTicks = 0
-	if err := d.runLoop(ctx, done, l, nb); err != nil {
+	if err := d.runLoop(ctx, done, l, res); err != nil {
 		return nil, err
 	}
-
-	res := &RunResult{Kernel: l.Program.Name, Blocks: nb, PerSM: make([]sm.Counters, len(d.SMs))}
-	for i, s := range d.SMs {
-		if c := s.Cycle(); c > res.Cycles {
-			res.Cycles = c
-		}
+	for i, s := range d.SMs[:used] {
+		res.Cycles = max(res.Cycles, s.Cycle())
 		res.PerSM[i] = s.Counters()
 		res.Counters.Add(&res.PerSM[i])
-		if d.launchUsed[i] {
-			res.SMsUsed++
-		}
-	}
-	if d.traceInterval > 0 {
-		// Merge per-SM interval samples index-wise; SM clocks run in
-		// lockstep from zero, so index i covers the same cycle window on
-		// every SM (SMs that finished early just stop contributing).
-		for _, s := range d.SMs {
-			for i, sample := range s.TraceSamples() {
-				for len(res.Trace) <= i {
-					res.Trace = append(res.Trace, sm.Counters{})
-				}
-				res.Trace[i].Add(&sample)
-			}
-		}
 	}
 
 	// A completed launch always gets a final invariant sweep over the
@@ -361,12 +336,12 @@ const neverRejected = ^uint64(0)
 
 // launchPrologue readies the device for one launch: it materialises the
 // launch parameters in the constant bank, carves the per-launch local-memory
-// backing and begins the launch on every SM (sm.SM.BeginLaunch). It returns
-// the storage mark the caller must Release when the kernel finishes, or an
-// error, having changed nothing, when an SM is busy or the local memory does
-// not fit. All per-launch slices live on the Device and are reused, so the
+// backing and begins the launch (sm.SM.BeginLaunch) on the first used SMs,
+// the ones the grid reaches. It returns the storage mark the caller must
+// Release when the kernel finishes, or an error, having changed nothing, when
+// an SM is busy or the local memory does not fit. All per-launch slices live on the Device and are reused, so the
 // prologue performs no heap allocation (see BenchmarkLaunchPrologue).
-func (d *Device) launchPrologue(l *kernel.Launch) (markMem uint64, err error) {
+func (d *Device) launchPrologue(l *kernel.Launch, used int) (markMem uint64, err error) {
 	for i, s := range d.SMs {
 		if s.Busy() {
 			return 0, fmt.Errorf("sim: SM %d busy at launch of %s", i, l.Program.Name)
@@ -390,27 +365,33 @@ func (d *Device) launchPrologue(l *kernel.Launch) (markMem uint64, err error) {
 	if l.Program.LocalBytes > 0 {
 		localBase = d.Storage.Alloc(int(local))
 	}
-	for i, s := range d.SMs {
-		s.BeginLaunch(localBase, totalThreads, d.traceInterval)
-		d.launchUsed[i] = false
+	for i, s := range d.SMs[:used] {
+		s.BeginLaunch(localBase, totalThreads)
 		// Dispatch dirty flags: the residency version at which each SM last
 		// rejected a block. CanAccept is a pure function of occupancy, so
 		// until the version moves the SM would keep rejecting — skip
 		// re-probing it.
 		d.launchRejected[i] = neverRejected
 	}
+	if d.traceEvery > 0 {
+		if d.traceBase == nil {
+			d.traceBase = make([]sm.Counters, len(d.SMs))
+		}
+		clear(d.traceBase[:used])
+	}
 	d.Mem.ResetDRAM()
 	d.checkNext = 0
 	return markMem, nil
 }
 
-// dispatchBlocks greedily places pending blocks, round-robin across SMs for
-// balance, advancing *next past every block that found a home.
-func (d *Device) dispatchBlocks(l *kernel.Launch, nb int, next *int, guard uint64, blockDetail bool) {
+// dispatchBlocks greedily places pending blocks, round-robin across the
+// launch's SMs for balance, advancing *next past every block that found a
+// home.
+func (d *Device) dispatchBlocks(l *kernel.Launch, sms []*sm.SM, nb int, next *int, guard uint64, blockDetail bool) {
 	progress := true
 	for progress && *next < nb {
 		progress = false
-		for i, s := range d.SMs {
+		for i, s := range sms {
 			if *next >= nb {
 				break
 			}
@@ -424,7 +405,6 @@ func (d *Device) dispatchBlocks(l *kernel.Launch, nb int, next *int, guard uint6
 						d.simCursorUS+obs.CyclesToUS(guard, d.Spec.ClockMHz),
 						map[string]any{"block": *next, "sm": i})
 				}
-				d.launchUsed[i] = true
 				*next++
 				progress = true
 			} else {
@@ -434,27 +414,47 @@ func (d *Device) dispatchBlocks(l *kernel.Launch, nb int, next *int, guard uint6
 	}
 }
 
-// sampleResidencyTrack emits per-SM block-residency samples onto the trace's
-// simulated-time track.
-func (d *Device) sampleResidencyTrack(guard uint64) {
+// sampleResidencyTrack emits the launch's per-SM block-residency samples
+// onto the trace's simulated-time track.
+func (d *Device) sampleResidencyTrack(sms []*sm.SM, guard uint64) {
 	ts := d.simCursorUS + obs.CyclesToUS(guard, d.Spec.ClockMHz)
-	for i, s := range d.SMs {
+	for i, s := range sms {
 		d.hooks.Trace().CounterValue(obs.PIDSim, i, d.smTracks[i], "blocks",
 			ts, float64(s.ResidentBlocks()))
 	}
 }
 
-// runLoop is the simulation loop: one goroutine ticks every SM in id order,
-// applying shared-memory traffic inline.
-func (d *Device) runLoop(ctx context.Context, done <-chan struct{}, l *kernel.Launch, nb int) error {
-	next := 0
+// sampleTrace adds SM i's counter delta since its previous sample point to
+// res.Trace[c/T-1], c being the multiple of the trace interval T its clock
+// has reached. An SM's sample points are consecutive multiples of T, so the
+// one that reaches a point first appends its slot.
+func (d *Device) sampleTrace(res *RunResult, i int, c uint64) {
+	k := int(c/d.traceEvery) - 1
+	if k == len(res.Trace) {
+		res.Trace = append(res.Trace, sm.Counters{})
+	}
+	cur := d.SMs[i].Counters()
+	delta := cur.Sub(&d.traceBase[i])
+	res.Trace[k].Add(&delta)
+	d.traceBase[i] = cur
+}
+
+// runLoop is the simulation loop: one goroutine ticks the launch's SMs,
+// res.SMsUsed of them, in id order, applying shared-memory traffic inline.
+// It alone decides where the simulation pauses: with tracing on, every SM
+// stops at each multiple of the trace interval, where its counters are
+// sampled into res.Trace and, with a tracer attached, the residency track is
+// sampled too.
+func (d *Device) runLoop(ctx context.Context, done <-chan struct{}, l *kernel.Launch, res *RunResult) error {
+	sms, nb, next := d.SMs[:res.SMsUsed], res.Blocks, 0
 	var guard uint64
 	tr := d.hooks.Trace()
 	blockDetail := tr.BlockDetail()
+	interval := d.traceEvery
 	// Residency samples ride the trace's simulated-time track; emit them
 	// only when tracing is actually enabled, not merely when a tracer is
 	// attached.
-	sampleResidency := tr != nil && d.traceInterval > 0
+	sampleResidency := tr != nil && interval > 0
 
 	var loopIters uint64
 	for {
@@ -473,10 +473,10 @@ func (d *Device) runLoop(ctx context.Context, done <-chan struct{}, l *kernel.La
 			loopIters++
 		}
 
-		d.dispatchBlocks(l, nb, &next, guard, blockDetail)
+		d.dispatchBlocks(l, sms, nb, &next, guard, blockDetail)
 
-		if sampleResidency && guard%residencySampleCycles == 0 {
-			d.sampleResidencyTrack(guard)
+		if sampleResidency && guard%interval == 0 {
+			d.sampleResidencyTrack(sms, guard)
 		}
 
 		// Tick every busy SM whose clock has caught up with the device
@@ -486,11 +486,14 @@ func (d *Device) runLoop(ctx context.Context, done <-chan struct{}, l *kernel.La
 		// the future, to be ticked again only when guard reaches it. This
 		// is safe out of lockstep because a quiescent tick mutates neither
 		// the SM nor the shared L2/DRAM — the naive loop's interleaving
-		// performs the same shared-state mutation sequence. minNext tracks
-		// the earliest cycle at which any busy SM must tick again.
+		// performs the same shared-state mutation sequence. With tracing on,
+		// the jump stops at the next sample point, where the SM is sampled
+		// and waits for guard; its next tick there is an exact repeat, as
+		// NextWakeup promises for every cycle before the bound. minNext
+		// tracks the earliest cycle at which any busy SM must tick again.
 		busy := false
 		minNext := ^uint64(0)
-		for _, s := range d.SMs {
+		for i, s := range sms {
 			if !s.Busy() {
 				continue
 			}
@@ -501,20 +504,23 @@ func (d *Device) runLoop(ctx context.Context, done <-chan struct{}, l *kernel.La
 				d.lastTicks++
 				c = s.Cycle()
 				if !d.naiveLoop {
-					if w := s.NextWakeup(); w > c {
-						// Cap runaway bounds (a deadlocked SM reports
-						// neverWake) so the cycle guard below still trips.
-						if w > maxLaunchCycles+2 {
-							w = maxLaunchCycles + 2
-						}
+					// Cap runaway bounds (a deadlocked SM reports neverWake)
+					// so the cycle guard below still trips. A tick that
+					// landed on a sample point leaves no room to jump.
+					w := min(s.NextWakeup(), maxLaunchCycles+2)
+					if interval > 0 {
+						w = min(w, (c+interval-1)/interval*interval)
+					}
+					if w > c {
 						s.AdvanceTo(w)
 						c = w
 					}
 				}
+				if interval > 0 && c%interval == 0 {
+					d.sampleTrace(res, i, c)
+				}
 			}
-			if c < minNext {
-				minNext = c
-			}
+			minNext = min(minNext, c)
 		}
 		if !busy {
 			if next >= nb {
@@ -526,24 +532,14 @@ func (d *Device) runLoop(ctx context.Context, done <-chan struct{}, l *kernel.La
 			d.checkNext = guard + checkStride
 			d.checker.CheckEpoch(d, guard)
 		}
-		guard++
-		// When every busy SM is parked in the future, jump the device
-		// cycle straight to the earliest of their wakeups — capped at the
-		// next residency-sampling boundary so no sample is skipped.
-		// Dispatch needs no extra cap: a parked SM's occupancy is frozen
-		// (reaps happen only in ticks), so no pending block could have
-		// dispatched during the jumped span.
-		if !d.naiveLoop && minNext > guard {
-			target := minNext
-			if sampleResidency {
-				if b := (guard + residencySampleCycles - 1) / residencySampleCycles * residencySampleCycles; b < target {
-					target = b
-				}
-			}
-			if target > guard {
-				guard = target
-			}
-		}
+		// The device cycle moves to the earliest cycle a busy SM must tick
+		// at: the next one on the naive loop, where every busy SM ticked;
+		// under fast-forward, when every busy SM is parked, straight to the
+		// earliest of their wakeups or sample points, so no sample point is
+		// skipped. Dispatch needs no extra cap: a parked SM's occupancy is
+		// frozen (reaps happen only in ticks), so no pending block could
+		// have dispatched during the jumped span.
+		guard = max(guard+1, minNext)
 		if guard > maxLaunchCycles {
 			return fmt.Errorf("sim: kernel %s exceeded %d cycles (non-terminating?)", l.Program.Name, uint64(maxLaunchCycles))
 		}
@@ -585,7 +581,7 @@ func (d *Device) Reset() {
 	}
 	d.progs.Clear()
 	*d = Device{Spec: d.Spec, Storage: d.Storage, Const: d.Const, Mem: d.Mem, SMs: d.SMs, progs: d.progs,
-		launchUsed: d.launchUsed, launchRejected: d.launchRejected}
+		traceBase: d.traceBase, launchRejected: d.launchRejected}
 }
 
 // MustLaunch is Launch that panics on error, for tests and examples.

@@ -725,7 +725,7 @@ func TestLaunchPrologueAllocFree(t *testing.T) {
 	l := saxpyLaunch(d, 1024)
 	d.MustLaunch(l) // size every reusable buffer
 	allocs := testing.AllocsPerRun(50, func() {
-		markMem, err := d.launchPrologue(l)
+		markMem, err := d.launchPrologue(l, len(d.SMs))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -745,7 +745,7 @@ func BenchmarkLaunchPrologue(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		markMem, err := d.launchPrologue(l)
+		markMem, err := d.launchPrologue(l, len(d.SMs))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -757,8 +757,8 @@ func BenchmarkLaunchPrologue(b *testing.B) {
 // every ProfileApp call and every daemon job pays once: sim.NewDeviceMem must
 // not allocate more often than it did before the SM's wake table existed
 // (the ceilings are this test's readings at e2075b5; with one backing per SM
-// for each slot table the count fell to 592 and 940 — see EXPERIMENTS.md "A
-// tick costs what changes in it").
+// for each slot table the count fell to 592 and 940 — see
+// docs/history/per-pr-ledgers.md "A tick costs what changes in it").
 func TestDeviceBuildAllocs(t *testing.T) {
 	for _, c := range []struct {
 		spec    *gpu.Spec

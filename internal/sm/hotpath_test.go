@@ -353,22 +353,6 @@ func equivalenceSpecs() []*gpu.Spec {
 	return []*gpu.Spec{gpu.QuadroRTX4000().WithSMs(1), gpu.GTX1070().WithSMs(1)}
 }
 
-// TestTraceSamplesMatchReference demands identical intra-kernel trace samples
-// from the reference engine ticking every cycle and the production loop under
-// fast-forward, at intervals shorter than, comparable to and longer than the
-// skip windows.
-func TestTraceSamplesMatchReference(t *testing.T) {
-	for _, spec := range equivalenceSpecs() {
-		for _, l := range accountingLaunches(spec) {
-			for _, interval := range []uint64{1, 50, 1000} {
-				ref := runGrid(t, l, runCfg{spec: spec, trace: interval, noWakeList: true})
-				got := runGrid(t, l, runCfg{spec: spec, trace: interval, ff: true})
-				assertSameRun(t, fmt.Sprintf("%s %s interval=%d", spec.Name, l.Program.Name, interval), ref, got)
-			}
-		}
-	}
-}
-
 // TestWakeListSkipsClassify verifies the wake-list actually arms: during a
 // long-scoreboard stall the stalled warp must carry a bound strictly past
 // the next cycle, which is what lets Tick bypass classify for it.

@@ -26,8 +26,8 @@ func runToIdle(t *testing.T, s *SM, l *kernel.Launch) {
 	}
 }
 
-// TestResetMatchesNew: an SM that has run every accounting kernel, with
-// tracing and a launch context set, equals after Reset — field for field,
+// TestResetMatchesNew: an SM that has run every accounting kernel, with a
+// launch context set, equals after Reset — field for field,
 // caches, queues, counters and clocks included — an SM New builds around the
 // same memory system, except for the retired block and warp contexts Reset
 // keeps on purpose. It does so on both engines whether the SM was idle or had
@@ -44,7 +44,7 @@ func TestResetMatchesNew(t *testing.T) {
 		for _, reference := range []bool{false, true} {
 			s := New(spec, 0, ms, st, cb, progs)
 			s.noWakeList = reference
-			s.BeginLaunch(1<<18, 1024, 64)
+			s.BeginLaunch(1<<18, 1024)
 			for _, l := range accountingLaunches(spec) {
 				runToIdle(t, s, l)
 			}
@@ -133,7 +133,7 @@ func TestResetDropsDecodedPrograms(t *testing.T) {
 func TestRecycledWarpIsFresh(t *testing.T) {
 	spec := gpu.QuadroRTX4000().WithSMs(1)
 	s := testSMOf(spec)
-	s.BeginLaunch(1<<18, 1024, 0)
+	s.BeginLaunch(1<<18, 1024)
 	for _, l := range accountingLaunches(spec) {
 		runToIdle(t, s, l)
 	}

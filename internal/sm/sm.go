@@ -239,12 +239,6 @@ type SM struct {
 	freeBlocks []*blockCtx
 	freeWarps  []*warp
 
-	// Tracing: when traceInterval > 0 the SM snapshots a counter delta
-	// every traceInterval cycles, giving an intra-kernel timeline.
-	traceInterval uint64
-	traceBase     Counters
-	traceSamples  []Counters
-
 	// Occupancy accounting.
 	residentBlocks  int
 	residentThreads int
@@ -302,9 +296,9 @@ func New(spec *gpu.Spec, id int, ms *mem.MemSys, storage *mem.Storage, constBank
 
 // Reset puts the SM, idle or busy, in the state New leaves it in: nothing
 // resident, clock and pipelines at cycle zero, caches cold, no counts, no
-// tracing, no launch context. It is the one place that writes the initial
-// value of an SM field. The backings stay — slot tables, queues, caches, and
-// the retired block and warp contexts with their register files, which
+// launch context. It is the one place that writes the initial value of an SM
+// field. The backings stay — slot tables, queues, caches, and the retired
+// block and warp contexts with their register files, which
 // LaunchBlock rewrites whole (TestDirtyReuseBitIdentical) — and so do the
 // decoded tables, which belong to the device (Programs). Contexts resident at
 // the call are dropped, not recycled: a kernel that panicked or was cancelled
@@ -337,11 +331,9 @@ func (s *SM) Reset() {
 // dispatch unit and instruction queues start again at cycle zero; the
 // launch's local-memory base and total thread count (for local address
 // interleaving) are installed; the immediate-constant cache is invalidated,
-// as the launch rewrote the constant bank; the counters are zeroed, so
-// Counters counts this launch alone; and a counter delta is sampled every
-// traceInterval cycles (0: no tracing). Caches and retired contexts carry
-// over.
-func (s *SM) BeginLaunch(localBase uint64, totalThreads int, traceInterval uint64) {
+// as the launch rewrote the constant bank; and the counters are zeroed, so
+// Counters counts this launch alone. Caches and retired contexts carry over.
+func (s *SM) BeginLaunch(localBase uint64, totalThreads int) {
 	if s.Busy() {
 		panic(fmt.Sprintf("sm %d: BeginLaunch while busy", s.id))
 	}
@@ -355,7 +347,6 @@ func (s *SM) BeginLaunch(localBase uint64, totalThreads int, traceInterval uint6
 	s.dp.IMC.Flush()
 	s.dp.ResetStats()
 	s.ctr = Counters{}
-	s.traceInterval, s.traceBase, s.traceSamples = traceInterval, Counters{}, nil
 }
 
 // Busy reports whether any warp is resident.
@@ -937,26 +928,10 @@ func (s *SM) Tick() {
 		quiet = false
 	}
 	s.cycle++
-	if s.traceInterval > 0 && s.cycle%s.traceInterval == 0 {
-		cur := s.Counters()
-		s.traceSamples = append(s.traceSamples, cur.Sub(&s.traceBase))
-		s.traceBase = cur
+	s.nextWakeup = s.cycle
+	if quiet {
+		s.nextWakeup = max(wake, s.cycle)
 	}
-
-	if !quiet || wake <= s.cycle {
-		s.nextWakeup = s.cycle
-		return
-	}
-	if s.traceInterval > 0 {
-		// The tick that lands one cycle before a sample boundary emits the
-		// sample (cycle becomes a multiple of the interval after its
-		// increment); keep that tick in the normal path so the snapshot is
-		// taken exactly where the naive loop takes it.
-		if b := (s.cycle/s.traceInterval+1)*s.traceInterval - 1; b < wake {
-			wake = b
-		}
-	}
-	s.nextWakeup = wake
 }
 
 // accountResidency charges n cycles of the current residency: every resident
@@ -1080,7 +1055,7 @@ func (s *SM) CheckQueues(report func(queue string, subpart int)) {
 // Counters returns the SM's counters including the memory-path statistics
 // and the still-open state interval of every resident warp that has one
 // (warps in a ready set are charged as they go). It mutates nothing: calling
-// it mid-launch (trace samples do) changes no later value.
+// it mid-launch (the device's trace samples do) changes no later value.
 func (s *SM) Counters() Counters {
 	c := s.ctr
 	for i := range s.subparts {
@@ -1113,7 +1088,3 @@ func (s *SM) FlushCaches() {
 	s.dp.Flush()
 	s.icache.Flush()
 }
-
-// TraceSamples returns the per-interval counter deltas recorded since
-// BeginLaunch, oldest first.
-func (s *SM) TraceSamples() []Counters { return s.traceSamples }

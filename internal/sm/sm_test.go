@@ -262,7 +262,7 @@ func TestBeginLaunchPanicsWhenBusy(t *testing.T) {
 			t.Error("BeginLaunch on busy SM did not panic")
 		}
 	}()
-	s.BeginLaunch(0, 32, 0)
+	s.BeginLaunch(0, 32)
 }
 
 func TestGTOPrefersSameWarp(t *testing.T) {

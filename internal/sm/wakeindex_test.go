@@ -358,7 +358,7 @@ func TestDeathReleaseReachesLaterSlotsInThePass(t *testing.T) {
 	for _, late := range []bool{true, false} {
 		l := deathReleaseLaunch(late)
 		s := testSMOf(spec)
-		s.BeginLaunch(0, 0, 0)
+		s.BeginLaunch(0, 0)
 		s.LaunchBlock(l, [3]int64{}, 0)
 		blk := residents(s)[0].block
 		// A warp has died once own has moved it to draining; reapFinished

@@ -25,7 +25,6 @@ func testSMOf(spec *gpu.Spec) *SM {
 // runCfg selects how runGrid drives the SM.
 type runCfg struct {
 	spec       *gpu.Spec // the SM's model, nil = a one-SM RTX 4000
-	trace      uint64    // BeginLaunch trace interval, 0 = off
 	ff         bool      // jump to NextWakeup whenever the bound allows, exactly as Device.Launch does
 	noWakeList bool      // reference engine: every warp classified from scratch every tick
 	every      uint64    // record Counters() whenever the clock reaches a multiple, 0 = never
@@ -35,11 +34,10 @@ type runCfg struct {
 // smRun is the outcome of driving one SM to completion on a grid; skips
 // counts the jump windows taken.
 type smRun struct {
-	ctr     Counters
-	cycles  uint64
-	skips   int
-	samples []Counters
-	snaps   []Counters
+	ctr    Counters
+	cycles uint64
+	skips  int
+	snaps  []Counters
 }
 
 // runGrid runs every block of l's one-dimensional grid on one SM, making each
@@ -53,7 +51,7 @@ func runGrid(t *testing.T, l *kernel.Launch, cfg runCfg) smRun {
 	}
 	s := testSMOf(spec)
 	s.noWakeList = cfg.noWakeList
-	s.BeginLaunch(0, 0, cfg.trace)
+	s.BeginLaunch(0, 0)
 	if !s.CanAccept(l) {
 		t.Fatalf("block of %s does not fit on an idle SM", l.Program.Name)
 	}
@@ -96,25 +94,24 @@ func runGrid(t *testing.T, l *kernel.Launch, cfg runCfg) smRun {
 	}
 	r.ctr = s.Counters()
 	r.cycles = s.Cycle()
-	r.samples = append(r.samples, s.TraceSamples()...)
 	return r
 }
 
 // assertEquivalent runs the block under both engines and demands identical
-// counters, cycle counts and trace samples, with the fast-forward side
-// actually taking skips (otherwise the case exercises nothing).
-func assertEquivalent(t *testing.T, l *kernel.Launch, traceInterval uint64) {
+// counters and cycle counts, with the fast-forward side actually taking
+// skips (otherwise the case exercises nothing).
+func assertEquivalent(t *testing.T, l *kernel.Launch) {
 	t.Helper()
-	naive := runGrid(t, l, runCfg{trace: traceInterval})
-	ff := runGrid(t, l, runCfg{trace: traceInterval, ff: true})
+	naive := runGrid(t, l, runCfg{})
+	ff := runGrid(t, l, runCfg{ff: true})
 	if ff.skips == 0 {
 		t.Errorf("%s: fast-forward took no skips; case exercises nothing", l.Program.Name)
 	}
 	assertSameRun(t, l.Program.Name, naive, ff)
 }
 
-// assertSameRun demands identical cycle counts, final counters, periodic
-// counter snapshots and trace samples.
+// assertSameRun demands identical cycle counts, final counters and periodic
+// counter snapshots.
 func assertSameRun(t *testing.T, name string, want, got smRun) {
 	t.Helper()
 	if want.cycles != got.cycles {
@@ -123,18 +120,13 @@ func assertSameRun(t *testing.T, name string, want, got smRun) {
 	if want.ctr != got.ctr {
 		t.Errorf("%s: counters differ:\nwant: %+v\ngot:  %+v", name, want.ctr, got.ctr)
 	}
-	for _, series := range []struct {
-		what      string
-		want, got []Counters
-	}{{"snapshot", want.snaps, got.snaps}, {"trace sample", want.samples, got.samples}} {
-		if len(series.want) != len(series.got) {
-			t.Fatalf("%s: %d %ss, want %d", name, len(series.got), series.what, len(series.want))
-		}
-		for i := range series.want {
-			if series.want[i] != series.got[i] {
-				t.Errorf("%s: %s %d differs:\nwant: %+v\ngot:  %+v", name, series.what, i, series.want[i], series.got[i])
-				break
-			}
+	if len(want.snaps) != len(got.snaps) {
+		t.Fatalf("%s: %d snapshots, want %d", name, len(got.snaps), len(want.snaps))
+	}
+	for i := range want.snaps {
+		if want.snaps[i] != got.snaps[i] {
+			t.Errorf("%s: snapshot %d differs:\nwant: %+v\ngot:  %+v", name, i, want.snaps[i], got.snaps[i])
+			break
 		}
 	}
 }
@@ -184,12 +176,12 @@ func singleWarpLaunch() *kernel.Launch {
 }
 
 func TestWakeupBarrierWithDrainingPeer(t *testing.T) {
-	assertEquivalent(t, barrierDrainLaunch(), 0)
+	assertEquivalent(t, barrierDrainLaunch())
 }
 
 func TestWakeupEmptySubpartitions(t *testing.T) {
 	l := singleWarpLaunch()
-	assertEquivalent(t, l, 0)
+	assertEquivalent(t, l)
 
 	// The empty subpartitions must contribute nothing to SubpActiveCycles:
 	// with one resident warp the closure SubpActiveCycles == ActiveCycles
@@ -198,38 +190,6 @@ func TestWakeupEmptySubpartitions(t *testing.T) {
 	if r.ctr.SubpActiveCycles != r.ctr.ActiveCycles {
 		t.Errorf("SubpActiveCycles %d != ActiveCycles %d with a single resident warp",
 			r.ctr.SubpActiveCycles, r.ctr.ActiveCycles)
-	}
-}
-
-// TestWakeupTraceBoundaryClipping enables tracing with an interval short
-// enough that long-scoreboard skip windows straddle sample boundaries: the
-// bound must clip to one cycle before each boundary so every sample is
-// taken by a normal tick, landing on the exact cycle the naive loop uses.
-func TestWakeupTraceBoundaryClipping(t *testing.T) {
-	const interval = 16
-	l := singleWarpLaunch()
-	assertEquivalent(t, l, interval)
-
-	// Every computed bound must respect the clipping invariant.
-	s := testSMBacked()
-	s.BeginLaunch(0, 0, interval)
-	s.LaunchBlock(l, [3]int64{}, 0)
-	clipped := false
-	for guard := 0; s.Busy(); guard++ {
-		if guard > 2_000_000 {
-			t.Fatal("SM did not go idle")
-		}
-		s.Tick()
-		w := s.NextWakeup()
-		if bound := (s.Cycle()/interval+1)*interval - 1; w > bound {
-			t.Fatalf("NextWakeup %d skips past trace boundary tick %d", w, bound)
-		} else if w == bound && w > s.Cycle() {
-			clipped = true
-		}
-		s.AdvanceTo(w)
-	}
-	if !clipped {
-		t.Error("no skip window was clipped at a trace boundary; shorten the interval")
 	}
 }
 
