@@ -42,16 +42,15 @@ golden:
 
 # conformance is CI's conformance job, the tier-1 conformance tests without
 # their sampling: GOLDEN_FULL=1 runs every corpus app on the full device
-# models. It runs the engine-equivalence and app tests (fast-forward against
-# naive loop, internal/workloads), the replay oracle on the full Top-Down
+# models. It runs the engine-equivalence and app tests (production against
+# reference device, internal/workloads), the replay oracle on the full Top-Down
 # schedule (internal/cupti), the cached autotune profile against the uncached
-# one, the golden corpus on new and reused profilers and on the SM reference
-# engine, and the metamorphic and checks-clean tests.
+# one, the golden corpus on new and reused profilers, and the metamorphic and
+# checks-clean tests.
 conformance:
 	GOLDEN_FULL=1 $(GO) test -run 'TestEngineEquivalence|AppsRun|TestCUDASamplesRun' -v -timeout 60m ./internal/workloads/
 	GOLDEN_FULL=1 $(GO) test -run 'TestDeterminismReplayOracle' -v -timeout 60m ./internal/cupti/
 	GOLDEN_FULL=1 $(GO) test -run 'TestDeterminismAutotuneCache|TestGolden|TestReusedProfilerReproducesGoldens|TestMetamorphicProperties|TestChecksCleanProfile' -v -timeout 60m .
-	GOLDEN_FULL=1 $(GO) test -run 'TestReferenceEngineReproducesGoldens' -v -timeout 60m ./internal/sm/
 
 # bench runs one workload of the repository benchmark (BENCHMARK.json,
 # bench/README.md): the detail document on standard output, the result line

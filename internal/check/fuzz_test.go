@@ -56,20 +56,20 @@ func fuzzProgram(rng *rand.Rand, bufN int64) *kernel.Program {
 
 // FuzzInvariants launches randomly generated kernels with the in-loop checker
 // attached: whatever the program does, the conservation laws must hold, on
-// both the production loop and the naive oracle loop. The CI fuzz smoke runs
+// both a production and a reference device. The CI fuzz smoke runs
 // this briefly; longer local runs explore more programs.
 func FuzzInvariants(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
 		f.Add(seed, false)
 	}
 	f.Add(int64(5), true)
-	f.Fuzz(func(t *testing.T, seed int64, naive bool) {
+	f.Fuzz(func(t *testing.T, seed int64, reference bool) {
 		const bufN = 512
 		prog := fuzzProgram(rand.New(rand.NewSource(seed)), bufN)
 		inv := New()
 		d := sim.NewDevice(testSpec())
 		d.SetChecker(inv)
-		d.SetFastForward(!naive)
+		d.SetReference(reference)
 		buf := d.Alloc(bufN * 4)
 		host := make([]uint32, bufN)
 		r := rand.New(rand.NewSource(seed))
@@ -85,7 +85,7 @@ func FuzzInvariants(f *testing.F) {
 		}
 		res := d.MustLaunch(l)
 		if err := inv.Err(); err != nil {
-			t.Fatalf("seed %d naive %v: invariants violated: %v", seed, naive, err)
+			t.Fatalf("seed %d reference %v: invariants violated: %v", seed, reference, err)
 		}
 		if res.Counters.InstExecuted == 0 {
 			t.Fatalf("seed %d: generated kernel executed nothing", seed)

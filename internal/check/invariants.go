@@ -251,20 +251,19 @@ func (inv *Invariants) CheckLaunch(d *sim.Device, res *sim.RunResult) {
 	inv.CheckCounters(ctx, &res.Counters)
 
 	var sum sm.Counters
-	used := 0
 	for i := range res.PerSM {
 		inv.CheckCounters(fmt.Sprintf("%s SM %d", ctx, i), &res.PerSM[i])
 		sum.Add(&res.PerSM[i])
-		if res.PerSM[i].BlocksLaunched > 0 {
-			used++
+		if res.PerSM[i].BlocksLaunched == 0 {
+			inv.violate("sms-used", ctx, "SM %d of the %d used ran no block", i, res.SMsUsed)
 		}
 	}
 	if sum != res.Counters {
 		inv.violate("per-sm-sum", ctx, "device aggregate != sum of per-SM deltas")
 	}
-	if used != res.SMsUsed {
+	if len(res.PerSM) != res.SMsUsed {
 		inv.violate("sms-used", ctx,
-			"SMs with blocks = %d, want SMsUsed = %d", used, res.SMsUsed)
+			"%d per-SM entries, want SMsUsed = %d", len(res.PerSM), res.SMsUsed)
 	}
 	if res.Counters.BlocksLaunched != uint64(res.Blocks) {
 		inv.violate("block-conservation", ctx,

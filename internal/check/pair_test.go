@@ -10,25 +10,25 @@ import (
 
 // TestSameRuns pins what an engine-equivalence pair must share: as many
 // launches, equal RunResults launch by launch, and fewer SM ticks on the
-// fast-forward side.
+// production side.
 func TestSameRuns(t *testing.T) {
 	run := func(cycles uint64) *sim.RunResult { return &sim.RunResult{Kernel: "k", Cycles: cycles} }
-	pair := func(fast, naive []*sim.RunResult, fastTicks, naiveTicks uint64) (*Recorder, *Recorder) {
-		return &Recorder{Runs: fast, Ticks: fastTicks}, &Recorder{Runs: naive, Ticks: naiveTicks}
+	pair := func(fast, ref []*sim.RunResult, fastTicks, refTicks uint64) (*Recorder, *Recorder) {
+		return &Recorder{Runs: fast, Ticks: fastTicks}, &Recorder{Runs: ref, Ticks: refTicks}
 	}
 	for _, c := range []struct {
-		name        string
-		fast, naive []*sim.RunResult
-		fastTicks   uint64
-		want        string // "" = equal
+		name      string
+		fast, ref []*sim.RunResult
+		fastTicks uint64
+		want      string // "" = equal
 	}{
 		{"equal", []*sim.RunResult{run(10), run(20)}, []*sim.RunResult{run(10), run(20)}, 5, ""},
-		{"launch count", []*sim.RunResult{run(10)}, []*sim.RunResult{run(10), run(20)}, 5, "1 launches on the fast-forward loop, 2"},
-		{"result", []*sim.RunResult{run(10), run(21)}, []*sim.RunResult{run(10), run(20)}, 5, "launch 1 (k) differs from the naive loop: cycles 21 / 20"},
+		{"launch count", []*sim.RunResult{run(10)}, []*sim.RunResult{run(10), run(20)}, 5, "1 launches on the production device, 2"},
+		{"result", []*sim.RunResult{run(10), run(21)}, []*sim.RunResult{run(10), run(20)}, 5, "launch 1 (k) differs from the reference: cycles 21 / 20"},
 		{"no skip", []*sim.RunResult{run(10)}, []*sim.RunResult{run(10)}, 30, "skipped no idle cycle"},
 	} {
-		fast, naive := pair(c.fast, c.naive, c.fastTicks, 30)
-		err := SameRuns(fast, naive)
+		fast, ref := pair(c.fast, c.ref, c.fastTicks, 30)
+		err := SameRuns(fast, ref)
 		switch {
 		case c.want == "" && err != nil:
 			t.Errorf("%s: unexpected %v", c.name, err)

@@ -21,8 +21,9 @@ import (
 // Session's replay accounting (one launch, N merges, N charges) is proven
 // against. It borrows the schedule, collection mode and flush-cost model of
 // a Session that itself never profiles. The first pass, or the one native run
-// of an invocation sampling skips, runs on the naive loop and is the one its
-// device's recorder keeps; later passes run on the fast-forward loop.
+// of an invocation sampling skips, runs on the reference device
+// (sim.Device.SetReference) and is the one its device's recorder keeps; later
+// passes run on the production device.
 type replayOracle struct {
 	ref         *Session
 	rec         *check.Recorder
@@ -47,10 +48,10 @@ func newReplayOracle(dev *sim.Device, rec *check.Recorder, request []pmu.Counter
 	}, nil
 }
 
-// launch runs pass i of an invocation: the first on the naive loop, kept by
-// the recorder, the others on the fast-forward loop.
+// launch runs pass i of an invocation: the first on the reference, kept by
+// the recorder, the others on the production device.
 func (o *replayOracle) launch(l *kernel.Launch, i int) (*sim.RunResult, error) {
-	o.ref.dev.SetFastForward(i > 0)
+	o.ref.dev.SetReference(i == 0)
 	o.rec.Keep = i == 0
 	return o.ref.dev.Launch(l)
 }
@@ -119,7 +120,7 @@ type profiledRun struct {
 	rec              *check.Recorder
 }
 
-// runApp executes an app on a fresh fast-forward device, with the given
+// runApp executes an app on a fresh production device, with the given
 // trace interval and a recorder attached, profiling every launch with the
 // profiler mk builds for that device.
 func runApp(t *testing.T, app *workloads.App, spec *gpu.Spec, traceInterval uint64,
@@ -153,11 +154,11 @@ func runApp(t *testing.T, app *workloads.App, spec *gpu.Spec, traceInterval uint
 	return r
 }
 
-// compareToOracle runs app through a Session on the fast-forward loop and
+// compareToOracle runs app through a Session on a production device and
 // through the replay oracle on a second device and requires every launch's
 // merged values, cycles, SMs used and post-launch memory, and the
 // session-level overhead totals, to be equal — and, since the oracle's first
-// pass runs on the naive loop, every session launch's RunResult to equal that
+// pass runs on the reference, every session launch's RunResult to equal that
 // pass's (check.SameRuns): engine equivalence on flushed launches.
 func compareToOracle(t *testing.T, app *workloads.App, spec *gpu.Spec, request []pmu.CounterID, mode Mode, sampleEvery int, traceInterval uint64) {
 	t.Helper()
@@ -191,7 +192,7 @@ func compareToOracle(t *testing.T, app *workloads.App, spec *gpu.Spec, request [
 			got.native, got.profiled, want.native, want.profiled)
 	}
 	if err := check.SameRuns(got.rec, want.rec); err != nil {
-		t.Errorf("session against the oracle's naive first pass: %v", err)
+		t.Errorf("session against the oracle's reference first pass: %v", err)
 	}
 }
 
@@ -246,8 +247,8 @@ func oracleSpec(t *testing.T, id string) (*gpu.Spec, int) {
 // replay: for every suite app on both evaluation GPUs the Session, which
 // simulates each launch once, must agree with the N-pass oracle on every
 // launch and on the Fig. 13 totals, and its launches with the oracle's
-// naive-loop first pass. Three apps also run traced every 64 cycles, so
-// every trace sample of a flushed launch lands on the naive loop's cycle.
+// first pass, on the reference. Three apps also run traced every 64 cycles,
+// so every trace sample of a flushed launch lands on the reference's cycle.
 func TestDeterminismReplayOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiling matrix skipped in -short mode")

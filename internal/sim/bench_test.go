@@ -68,14 +68,15 @@ func BenchmarkLaunchMetricsOnly(b *testing.B) {
 	benchLaunch(b, func(d *Device) { d.SetHooks(obs.NewHooks(nil, obs.NewRegistry(), nil)) })
 }
 
-// The Naive/FastForward pair quantifies the event-driven engine's wall-clock
-// win on a memory-bound kernel (serialized DRAM-latency load chains — the
-// workload class the paper's case studies are dominated by). Results are
-// bit-identical between the two; only host time differs.
+// The Naive/FastForward pair quantifies the production engine's wall-clock
+// win over the reference device on a memory-bound kernel (serialized
+// DRAM-latency load chains — the workload class the paper's case studies are
+// dominated by). Results are bit-identical between the two; only host time
+// differs.
 
 func benchEngine(b *testing.B, fastForward bool) {
 	d := NewDevice(testSpec())
-	d.SetFastForward(fastForward)
+	d.SetReference(!fastForward)
 	l := memBoundLaunch(d, 32, 0)
 	d.MustLaunch(l) // warm up
 	b.ResetTimer()
@@ -86,7 +87,8 @@ func benchEngine(b *testing.B, fastForward bool) {
 	}
 }
 
-// BenchmarkLaunchNaive ticks every busy SM on every simulated cycle.
+// BenchmarkLaunchNaive runs the reference device: every busy SM ticked on
+// every simulated cycle, every resident warp classified on every tick.
 func BenchmarkLaunchNaive(b *testing.B) {
 	benchEngine(b, false)
 }

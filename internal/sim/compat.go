@@ -8,10 +8,10 @@ import "fmt"
 
 // Clone builds an independent device with the same spec and byte-identical
 // global and constant memory, but fresh (idle, cold-cache, cycle-zero) SMs,
-// L2 and DRAM. A launch on a clone after a cache flush is bit-identical to a
-// launch on the original after a Storage.Restore and a flush. Clone requires
-// the device to be idle and does not carry over observers; attach them
-// explicitly if wanted.
+// L2 and DRAM, in the device's mode (SetReference). A launch on a clone after
+// a cache flush is bit-identical to a launch on the original after a
+// Storage.Restore and a flush. Clone requires the device to be idle and does
+// not carry over observers; attach them explicitly if wanted.
 func (d *Device) Clone() *Device {
 	for i, s := range d.SMs {
 		if s.Busy() {
@@ -20,6 +20,6 @@ func (d *Device) Clone() *Device {
 	}
 	c := assemble(d.Spec, d.Storage.Clone(), d.Const.Clone())
 	c.traceEvery = d.traceEvery
-	c.naiveLoop = d.naiveLoop
+	c.SetReference(d.reference)
 	return c
 }

@@ -66,10 +66,10 @@ type Device struct {
 
 	traceEvery uint64 // EnableTrace's sample interval, 0: off
 
-	// naiveLoop turns off the fast-forward jumps of runLoop; results are
-	// bit-identical either way, only host wall-clock changes. lastTicks
-	// counts the SM ticks of the most recent launch.
-	naiveLoop bool
+	// reference selects the oracle (SetReference); results are bit-identical
+	// either way, only host wall-clock changes. lastTicks counts the SM ticks
+	// of the most recent launch.
+	reference bool
 	lastTicks uint64
 
 	// checker, when non-nil, receives stride-gated in-loop invariant sweeps
@@ -126,13 +126,15 @@ func assemble(spec *gpu.Spec, storage *mem.Storage, constBank *mem.ConstantBank)
 	return d
 }
 
-// SetFastForward toggles the event-driven fast-forward engine, on by default.
-// Off selects the naive cycle loop, the reference implementation the
-// engine-equivalence tests compare against; production code leaves it on.
-func (d *Device) SetFastForward(on bool) { d.naiveLoop = !on }
-
-// FastForwardEnabled reports whether the fast-forward engine is active.
-func (d *Device) FastForwardEnabled() bool { return !d.naiveLoop }
+// SetReference makes an idle device the oracle of the engine-equivalence
+// tests, whose run loop ticks every busy SM every cycle on its reference
+// engine (sm.SM.SetReference), or, off (the default), a production device.
+func (d *Device) SetReference(on bool) {
+	d.reference = on
+	for _, s := range d.SMs {
+		s.SetReference(on)
+	}
+}
 
 // LastLaunchTicks returns how many per-cycle loop iterations the most
 // recent launch actually executed. The difference to the launch's Cycles is
@@ -190,8 +192,8 @@ type RunResult struct {
 	Cycles uint64
 	// Counters is the device-wide aggregate for this launch.
 	Counters sm.Counters
-	// PerSM holds each SM's counters for this launch (index = SM id), for
-	// HWPM-style collection that observes a subset of SMs.
+	// PerSM holds the counters of each of the first SMsUsed SMs (index = SM
+	// id), for HWPM-style collection that observes a subset of SMs.
 	PerSM []sm.Counters
 	// SMsUsed is how many SMs received at least one block.
 	SMsUsed int
@@ -270,7 +272,7 @@ func (d *Device) LaunchCtx(ctx context.Context, l *kernel.Launch) (*RunResult, e
 	}
 	defer d.Storage.Release(markMem)
 
-	res := &RunResult{Kernel: l.Program.Name, Blocks: nb, SMsUsed: used, PerSM: make([]sm.Counters, len(d.SMs))}
+	res := &RunResult{Kernel: l.Program.Name, Blocks: nb, SMsUsed: used, PerSM: make([]sm.Counters, used)}
 	d.lastTicks = 0
 	if err := d.runLoop(ctx, done, l, res); err != nil {
 		return nil, err
@@ -480,12 +482,12 @@ func (d *Device) runLoop(ctx context.Context, done <-chan struct{}, l *kernel.La
 		}
 
 		// Tick every busy SM whose clock has caught up with the device
-		// cycle. Under fast-forward, an SM whose tick came back quiescent
+		// cycle. Off the reference, an SM whose tick came back quiescent
 		// (NextWakeup past its clock) is parked: its idle span is
 		// bulk-accounted immediately and the SM is left with its clock in
 		// the future, to be ticked again only when guard reaches it. This
 		// is safe out of lockstep because a quiescent tick mutates neither
-		// the SM nor the shared L2/DRAM — the naive loop's interleaving
+		// the SM nor the shared L2/DRAM — the reference's per-cycle loop
 		// performs the same shared-state mutation sequence. With tracing on,
 		// the jump stops at the next sample point, where the SM is sampled
 		// and waits for guard; its next tick there is an exact repeat, as
@@ -503,7 +505,7 @@ func (d *Device) runLoop(ctx context.Context, done <-chan struct{}, l *kernel.La
 				s.Tick()
 				d.lastTicks++
 				c = s.Cycle()
-				if !d.naiveLoop {
+				if !d.reference {
 					// Cap runaway bounds (a deadlocked SM reports neverWake)
 					// so the cycle guard below still trips. A tick that
 					// landed on a sample point leaves no room to jump.
@@ -533,8 +535,8 @@ func (d *Device) runLoop(ctx context.Context, done <-chan struct{}, l *kernel.La
 			d.checker.CheckEpoch(d, guard)
 		}
 		// The device cycle moves to the earliest cycle a busy SM must tick
-		// at: the next one on the naive loop, where every busy SM ticked;
-		// under fast-forward, when every busy SM is parked, straight to the
+		// at: the next one on the reference, where every busy SM ticked;
+		// otherwise, when every busy SM is parked, straight to the
 		// earliest of their wakeups or sample points, so no sample point is
 		// skipped. Dispatch needs no extra cap: a parked SM's occupancy is
 		// frozen (reaps happen only in ticks), so no pending block could
@@ -567,7 +569,7 @@ func (d *Device) ResetSMs() {
 // NewDeviceMem built: global memory unallocated and zero, the constant bank
 // zero, every cache cold and every DRAM channel empty with zero statistics,
 // each SM reset (sm.SM.Reset), no decoded program, no hooks or checker,
-// trace off, fast-forward on. It keeps the host backings — the storage
+// trace off, reference off. It keeps the host backings — the storage
 // buffer, the cache arrays, each SM's retired block and warp contexts with
 // their register files — so the next application pays none of a new
 // device's allocations, and is indistinguishable from a new device
@@ -578,6 +580,7 @@ func (d *Device) Reset() {
 	d.Mem.Reset()
 	for _, s := range d.SMs {
 		s.Reset()
+		s.SetReference(false)
 	}
 	d.progs.Clear()
 	*d = Device{Spec: d.Spec, Storage: d.Storage, Const: d.Const, Mem: d.Mem, SMs: d.SMs, progs: d.progs,

@@ -38,11 +38,11 @@ func memBoundLaunch(d *Device, blocks, sharedBytes int) *kernel.Launch {
 // block's shared-memory footprint fills an SM, so pending blocks can only
 // dispatch when a resident block retires — an event that must collapse the
 // fast-forward bound so the dispatcher runs at the exact retire cycle. The
-// whole run (cycles, counters, per-SM deltas) must match the naive loop.
+// whole run (cycles, counters, per-SM deltas) must match the reference's.
 func TestFastForwardRetireMidSkipDispatch(t *testing.T) {
 	run := func(ff bool) *RunResult {
 		d := NewDevice(testSpec())
-		d.SetFastForward(ff)
+		d.SetReference(!ff)
 		// One block per SM at a time: 2 SMs, 8 blocks → 4 serialized waves.
 		return d.MustLaunch(memBoundLaunch(d, 8, d.Spec.SharedMemPerSM))
 	}
@@ -95,13 +95,13 @@ func ticketLaunch(d *Device, skew, rounds, blocks, threads int) *kernel.Launch {
 // earlier-waking one of a higher id, which reorders their atomics and loads
 // at L2 and DRAM. The skews slide the two SMs' wakeups against each other a
 // cycle at a time, so some land on one cycle and some one cycle apart; for
-// each, the whole RunResult must match the naive loop's.
+// each, the whole RunResult must match the reference's.
 func TestFastForwardJumpLandsOnTheWakeup(t *testing.T) {
 	for skew := 0; skew < 16; skew++ {
 		for _, threads := range []int{32, 64} {
 			run := func(ff bool) *RunResult {
 				d := NewDevice(testSpec())
-				d.SetFastForward(ff)
+				d.SetReference(!ff)
 				return d.MustLaunch(ticketLaunch(d, skew, 12, 8, threads))
 			}
 			naive, fast := run(false), run(true)
@@ -113,20 +113,39 @@ func TestFastForwardJumpLandsOnTheWakeup(t *testing.T) {
 	}
 }
 
-// TestFastForwardDefaultOn pins the default: new devices and their clones
-// run the fast-forward engine unless explicitly disabled.
-func TestFastForwardDefaultOn(t *testing.T) {
+// TestReferenceDefaultOff pins the default: a new device and its clone are
+// production devices; the clone of a reference device and a reference device
+// recovered by ResetSMs are reference devices, down to their SMs' engines;
+// Reset makes a production device again.
+func TestReferenceDefaultOff(t *testing.T) {
 	d := NewDevice(testSpec())
-	if !d.FastForwardEnabled() {
-		t.Error("new device does not default to fast-forward")
+	if isReference(t, d) || isReference(t, d.Clone()) {
+		t.Error("a new device or its clone is a reference device")
 	}
-	if !d.Clone().FastForwardEnabled() {
-		t.Error("clone lost the fast-forward flag")
+	d.SetReference(true)
+	if !isReference(t, d.Clone()) {
+		t.Error("the clone of a reference device is a production device")
 	}
-	d.SetFastForward(false)
-	if d.Clone().FastForwardEnabled() {
-		t.Error("clone of a naive-mode device re-enabled fast-forward")
+	d.ResetSMs()
+	if !isReference(t, d) {
+		t.Error("ResetSMs made a reference device a production device")
 	}
+	d.Reset()
+	if isReference(t, d) {
+		t.Error("a reset device is a reference device")
+	}
+}
+
+// isReference reports whether d is a reference device, failing the test
+// unless every SM's engine agrees.
+func isReference(t *testing.T, d *Device) bool {
+	t.Helper()
+	for i, s := range d.SMs {
+		if reflect.ValueOf(s).Elem().FieldByName("noWakeList").Bool() != d.reference {
+			t.Fatalf("SM %d's engine disagrees with the device's reference mode %v", i, d.reference)
+		}
+	}
+	return d.reference
 }
 
 // ffmaChainLaunch is one warp running a dependent chain of 64 FFMAs: every
@@ -181,7 +200,7 @@ func tinyStreamLaunch(d *Device) *kernel.Launch {
 // next bound instead of ticking the cycle after every issue. Each launch
 // runs after a cache flush on a full RTX 4000, as a profiled launch does;
 // its tick count is pinned below what it took when every issue forced the
-// next tick (settled), and its RunResult must equal the naive loop's.
+// next tick (settled), and its RunResult must equal the reference's.
 func TestSettledIssueIsQuiet(t *testing.T) {
 	for _, c := range []struct {
 		name           string
@@ -193,7 +212,7 @@ func TestSettledIssueIsQuiet(t *testing.T) {
 	} {
 		run := func(ff bool) (*RunResult, uint64) {
 			d := NewDevice(gpu.QuadroRTX4000())
-			d.SetFastForward(ff)
+			d.SetReference(!ff)
 			l := c.build(d)
 			d.FlushCaches()
 			return d.MustLaunch(l), d.LastLaunchTicks()

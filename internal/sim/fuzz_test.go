@@ -109,8 +109,8 @@ func TestFuzzDeterminism(t *testing.T) {
 	}
 }
 
-// TestFuzzEngineEquivalence diffs the naive oracle loop against the
-// production fast-forward loop on randomly generated kernels: full RunResults
+// TestFuzzEngineEquivalence diffs the reference device against a production
+// device on randomly generated kernels: full RunResults
 // (cycles, counters, per-SM deltas, trace samples) must be bit-identical,
 // with tracing both off and on an interval chosen to land samples mid-skip.
 func TestFuzzEngineEquivalence(t *testing.T) {
@@ -124,7 +124,7 @@ func TestFuzzEngineEquivalence(t *testing.T) {
 		}
 		run := func(fastForward bool) *RunResult {
 			d := NewDevice(testSpec())
-			d.SetFastForward(fastForward)
+			d.SetReference(!fastForward)
 			if traceInterval > 0 {
 				d.EnableTrace(traceInterval)
 			}

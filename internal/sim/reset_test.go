@@ -98,8 +98,8 @@ func probe(t *testing.T, d *Device) probeOutcome {
 // TestResetDeviceBitIdentical is the oracle for Device.Reset: a device that a
 // panicked kernel, a wide band of global loads and stores, kernels writing
 // every register, predicate and shared byte, host __constant__ writes,
-// tracing, a checker, an observer, a logger and the naive run loop have left dirty
-// must, once reset, run the probe kernels exactly as a new device does —
+// tracing, a checker, an observer, a logger and the reference mode have left
+// dirty must, once reset, run the probe kernels exactly as a new device does —
 // launch results, per-SM counters, loop ticks, what the probes read, memory
 // and constant hashes, DRAM and L2 statistics, simulated-time trace events —
 // and report nothing to what was attached before the reset. No suite app
@@ -115,7 +115,7 @@ func TestResetDeviceBitIdentical(t *testing.T) {
 	d.SetChecker(chk)
 	d.SetHooks(obs.NewHooks(tr, obs.NewRegistry(), obs.NewLogger(&logged, slog.LevelDebug, "text")))
 	d.EnableTrace(64)
-	d.SetFastForward(false)
+	d.SetReference(true)
 
 	// The panic comes first: recovering from it resets the SMs, which would
 	// clean what the later launches leave in their caches and contexts.
@@ -153,8 +153,8 @@ func TestResetDeviceBitIdentical(t *testing.T) {
 
 	d.Reset()
 	fresh := NewDevice(spec)
-	if d.LastLaunchTicks() != 0 || !d.FastForwardEnabled() {
-		t.Errorf("reset device: last launch ticks %d, fast-forward %v", d.LastLaunchTicks(), d.FastForwardEnabled())
+	if d.LastLaunchTicks() != 0 || isReference(t, d) {
+		t.Errorf("reset device: last launch ticks %d, reference %v", d.LastLaunchTicks(), d.reference)
 	}
 	if diff := deviceFieldsDiffering(d, fresh); len(diff) > 0 {
 		t.Errorf("a reset device differs from a new one in %v", diff)

@@ -7,12 +7,11 @@ import (
 
 	"gputopdown/internal/gpu"
 	"gputopdown/internal/obs"
-	"gputopdown/internal/sm"
 )
 
 // TestSMsUsedIsGridPrefix: a launch runs on the first min(blocks, SMs) SMs
 // and touches no other. On both full devices, for grids around and past the
-// SM count, SMsUsed is that prefix and the per-SM counters past it are zero.
+// SM count, SMsUsed is that prefix and PerSM holds its SMs alone.
 // A 4-block launch run right after one that dirtied every SM — clocks,
 // counters and trace bases left at that launch's end, caches flushed as a
 // profiled launch has them — returns what the same launch returns on a
@@ -26,11 +25,8 @@ func TestSMsUsedIsGridPrefix(t *testing.T) {
 			if used := min(blocks, n); r.SMsUsed != used {
 				t.Errorf("%s, %d blocks: SMsUsed = %d, want %d", spec.Name, blocks, r.SMsUsed, used)
 			}
-			for i := r.SMsUsed; i < len(r.PerSM); i++ {
-				if r.PerSM[i] != (sm.Counters{}) {
-					t.Errorf("%s, %d blocks: SM %d past the grid has counters", spec.Name, blocks, i)
-					break
-				}
+			if len(r.PerSM) != r.SMsUsed {
+				t.Errorf("%s, %d blocks: %d per-SM entries for %d SMs used", spec.Name, blocks, len(r.PerSM), r.SMsUsed)
 			}
 		}
 
@@ -62,8 +58,8 @@ func TestSMsUsedIsGridPrefix(t *testing.T) {
 // counters there and samples the residency track at the same points. On
 // kernels whose long-scoreboard skips straddle those points, the whole
 // RunResult, Trace included, and the residency samples on the trace track
-// equal the naive loop's at intervals of 1, 16, 64 and 1000 cycles. The
-// fast-forward loop still skips: fewer ticks than the naive loop (at
+// equal the reference's at intervals of 1, 16, 64 and 1000 cycles. The
+// fast-forward loop still skips: fewer ticks than the reference (at
 // interval 1 every cycle is a sample point, so as many), and at interval 16
 // more than its own untraced run, since the sample points cut its jumps.
 func TestTraceSamplesMatchNaive(t *testing.T) {
@@ -74,7 +70,7 @@ func TestTraceSamplesMatchNaive(t *testing.T) {
 		}{{"memchain", 8}, {"ticket", 8}} {
 			run := func(ff bool, interval uint64) (*RunResult, uint64, []obs.Event) {
 				d := NewDevice(spec)
-				d.SetFastForward(ff)
+				d.SetReference(!ff)
 				d.EnableTrace(interval)
 				tr := obs.NewTracer()
 				d.SetHooks(obs.NewHooks(tr, nil, nil))
@@ -113,9 +109,9 @@ func TestTraceSamplesMatchNaive(t *testing.T) {
 				}
 				switch {
 				case interval == 1 && fastTicks != naiveTicks:
-					t.Errorf("%s: %d ff ticks, want the naive loop's %d", name, fastTicks, naiveTicks)
+					t.Errorf("%s: %d ff ticks, want the reference's %d", name, fastTicks, naiveTicks)
 				case interval > 1 && fastTicks >= naiveTicks:
-					t.Errorf("%s: ff ticked %d times, the naive loop %d: it skipped nothing", name, fastTicks, naiveTicks)
+					t.Errorf("%s: ff ticked %d times, the reference %d: it skipped nothing", name, fastTicks, naiveTicks)
 				case interval == 16 && fastTicks <= untraced:
 					t.Errorf("%s: %d ticks, untraced %d: no jump stopped at a sample point", name, fastTicks, untraced)
 				}

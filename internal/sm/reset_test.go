@@ -1,6 +1,7 @@
 package sm
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -29,8 +30,9 @@ func runToIdle(t *testing.T, s *SM, l *kernel.Launch) {
 // TestResetMatchesNew: an SM that has run every accounting kernel, with a
 // launch context set, equals after Reset — field for field,
 // caches, queues, counters and clocks included — an SM New builds around the
-// same memory system, except for the retired block and warp contexts Reset
-// keeps on purpose. It does so on both engines whether the SM was idle or had
+// same memory system and SetReference puts on the same engine, except for
+// the retired block and warp contexts Reset keeps on purpose: Reset keeps the
+// engine too. It does so on both engines whether the SM was idle or had
 // blocks resident mid-kernel, and a context still resident at the Reset is
 // dropped, never put on a free list.
 func TestResetMatchesNew(t *testing.T) {
@@ -43,7 +45,7 @@ func TestResetMatchesNew(t *testing.T) {
 	for _, busy := range []bool{false, true} {
 		for _, reference := range []bool{false, true} {
 			s := New(spec, 0, ms, st, cb, progs)
-			s.noWakeList = reference
+			s.SetReference(reference)
 			s.BeginLaunch(1<<18, 1024)
 			for _, l := range accountingLaunches(spec) {
 				runToIdle(t, s, l)
@@ -77,8 +79,37 @@ func TestResetMatchesNew(t *testing.T) {
 				}
 			}
 			s.freeBlocks, s.freeWarps = nil, nil
-			if diff := fieldsDiffering(*s, *New(spec, 0, ms, st, cb, progs)); len(diff) > 0 {
+			fresh := New(spec, 0, ms, st, cb, progs)
+			fresh.SetReference(reference)
+			if diff := fieldsDiffering(*s, *fresh); len(diff) > 0 {
 				t.Errorf("busy %v, reference engine %v: a reset SM differs from a new one in %v", busy, reference, diff)
+			}
+		}
+	}
+}
+
+// TestEngineSwitchBetweenLaunches: an SM whose engine changes from one
+// launch to the next runs every launch as a new SM of that engine does. Each
+// accounting launch runs twice on one SM, on the reference engine and then on
+// the production one, with its caches, memory system and storage reset
+// before each run: nothing the reference engine leaves behind — a warp the
+// fetch port turned away, which only the production engine reads — may reach
+// the next launch.
+func TestEngineSwitchBetweenLaunches(t *testing.T) {
+	for _, spec := range equivalenceSpecs() {
+		ms := mem.NewMemSys(spec)
+		st := mem.NewStorage(1 << 20)
+		cb := mem.NewConstantBank(spec.ConstBankSize)
+		s := New(spec, 0, ms, st, cb, NewPrograms(spec))
+		for _, l := range accountingLaunches(spec) {
+			for _, reference := range []bool{true, false} {
+				s.SetReference(reference)
+				s.FlushCaches()
+				ms.Reset()
+				st.Reset()
+				st.Alloc(1 << 19)
+				want := runGrid(t, l, runCfg{spec: spec, noWakeList: reference})
+				assertSameRun(t, fmt.Sprintf("%s %s reference %v", spec.Name, l.Program.Name, reference), want, runOn(t, s, l, runCfg{}))
 			}
 		}
 	}

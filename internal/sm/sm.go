@@ -191,8 +191,8 @@ type SM struct {
 	launchSeq uint64
 
 	// fetchRefused is set by ensureFetched when it turns a warp away because
-	// the fetch port is busy, and read and cleared by wakeWarps after own (the
-	// reference engine ignores it).
+	// the fetch port is busy, and read and cleared by wakeWarps after own. The
+	// reference engine leaves it set; BeginLaunch clears it.
 	fetchRefused bool
 
 	// Fast-forward bookkeeping. nextWakeup is the bound computed by the
@@ -207,9 +207,9 @@ type SM struct {
 	tickEvent    bool
 	residencyVer uint64
 
-	// noWakeList selects the reference engine: no wake table, no ready sets,
-	// every resident warp classified from scratch every tick by classify (test
-	// hook: the exactness tests run both ways and demand identical counters).
+	// noWakeList selects the reference engine (SetReference): no wake table,
+	// no ready sets, every resident warp classified from scratch every tick by
+	// classify.
 	noWakeList bool
 
 	// groupCharge is what the last Tick charged the ready sets for gates found
@@ -251,10 +251,6 @@ type SM struct {
 	// resident warp is added by Counters.
 	ctr Counters
 }
-
-// referenceEngine is what New puts in SM.noWakeList. Only tests set it
-// (export_test.go), to run whole applications on the reference engine.
-var referenceEngine bool
 
 // New builds an SM around the device-shared memory system, global storage,
 // constant bank and decoded tables: it allocates the SM's backings and leaves
@@ -300,9 +296,9 @@ func New(spec *gpu.Spec, id int, ms *mem.MemSys, storage *mem.Storage, constBank
 // field. The backings stay — slot tables, queues, caches, and the retired
 // block and warp contexts with their register files, which
 // LaunchBlock rewrites whole (TestDirtyReuseBitIdentical) — and so do the
-// decoded tables, which belong to the device (Programs). Contexts resident at
-// the call are dropped, not recycled: a kernel that panicked or was cancelled
-// may have left them in any state.
+// decoded tables, which belong to the device (Programs), and the engine.
+// Contexts resident at the call are dropped, not recycled: a kernel that
+// panicked or was cancelled may have left them in any state.
 func (s *SM) Reset() {
 	for i := range s.subparts {
 		s.subparts[i].reset()
@@ -320,11 +316,20 @@ func (s *SM) Reset() {
 		progs:         s.progs,
 		lrr:           s.spec.SchedulingPolicy == "lrr",
 		lineShift:     uint(bits.TrailingZeros(uint(s.spec.LineSize))),
-		noWakeList:    referenceEngine,
+		noWakeList:    s.noWakeList,
 		sectorScratch: s.sectorScratch[:0],
 		freeBlocks:    s.freeBlocks,
 		freeWarps:     s.freeWarps,
 	}
+}
+
+// SetReference selects the engine of an idle SM: the reference engine, the
+// oracle of sim.Device.SetReference, or the production one (the default).
+func (s *SM) SetReference(on bool) {
+	if s.Busy() {
+		panic(fmt.Sprintf("sm %d: SetReference while busy", s.id))
+	}
+	s.noWakeList = on
 }
 
 // BeginLaunch readies an idle SM for a kernel launch: clock, pipelines,
@@ -341,7 +346,7 @@ func (s *SM) BeginLaunch(localBase uint64, totalThreads int) {
 		s.subparts[i].reset()
 	}
 	s.cycle, s.fetchBusy, s.nextWakeup = 0, 0, 0
-	s.tickEvent = false
+	s.tickEvent, s.fetchRefused = false, false
 	s.groupCharge, s.groupCharged = [NumWarpStates]uint32{}, false
 	s.localBase, s.totalThreads = localBase, totalThreads
 	s.dp.IMC.Flush()
@@ -581,36 +586,26 @@ func (s *SM) own(w *warp, now uint64) (d *decodedInstr, st WarpState, wake uint6
 
 // classify is the reference engine's classifier: the state of one warp this
 // cycle, decided from scratch. eligible is true only when the warp could
-// issue right now. For ineligible warps, wake is the earliest cycle at which
-// the classification can change. The production engine runs the own half per
-// warp and decides the subpartition half once per gate (Tick); the two must
-// charge every cycle alike.
-func (s *SM) classify(sp *subpart, w *warp, now uint64) (state WarpState, eligible bool, wake uint64) {
+// issue right now. The production engine runs the own half per warp and
+// decides the subpartition half once per gate (Tick); the two must charge
+// every cycle alike.
+func (s *SM) classify(sp *subpart, w *warp, now uint64) (state WarpState, eligible bool) {
 	d, st, wake := s.own(w, now)
-	if d == nil || wake > now {
-		return st, false, wake
+	switch {
+	case d == nil || wake > now:
+		return st, false
+	case now < sp.dispatchFree:
+		return StateDispatchStall, false
+	case sp.pipeFree[d.pipe] > now:
+		return d.throttle, false
+	case d.queue == queueLG && sp.lgQueue.Full(now):
+		return StateLGThrottle, false
+	case d.queue == queueMIO && sp.mioQueue.Full(now):
+		return StateMIOThrottle, false
+	case d.queue == queueTEX && sp.texQueue.Full(now):
+		return StateTEXThrottle, false
 	}
-	if now < sp.dispatchFree {
-		return StateDispatchStall, false, sp.dispatchFree
-	}
-	if sp.pipeFree[d.pipe] > now {
-		return d.throttle, false, sp.pipeFree[d.pipe]
-	}
-	switch d.queue {
-	case queueLG:
-		if sp.lgQueue.Full(now) {
-			return StateLGThrottle, false, sp.lgQueue.NextCompletion()
-		}
-	case queueMIO:
-		if sp.mioQueue.Full(now) {
-			return StateMIOThrottle, false, sp.mioQueue.NextCompletion()
-		}
-	case queueTEX:
-		if sp.texQueue.Full(now) {
-			return StateTEXThrottle, false, sp.texQueue.NextCompletion()
-		}
-	}
-	return StateSelected, true, now
+	return StateSelected, true
 }
 
 // pick selects one eligible warp per the spec's scheduling policy from a
@@ -658,22 +653,19 @@ func (s *SM) charge(st WarpState, n int) {
 
 // classifyAll is the reference engine's scan of one subpartition: every
 // resident warp classified from scratch, stalled warps entering their state,
-// eligible ones returned as a slot mask, with wake lowered to the earliest
-// bound met.
-func (s *SM) classifyAll(sp *subpart, now, wake uint64) (cand, earliest uint64) {
+// eligible ones returned as a slot mask.
+func (s *SM) classifyAll(sp *subpart, now uint64) (cand uint64) {
 	for slot, w := range sp.warps {
 		if w == nil {
 			continue
 		}
-		st, eligible, wb := s.classify(sp, w, now)
-		if eligible {
+		if st, eligible := s.classify(sp, w, now); eligible {
 			cand |= 1 << slot
-			continue
+		} else {
+			s.enter(w, st, now)
 		}
-		s.enter(w, st, now)
-		wake = min(wake, max(wb, now+1))
 	}
-	return cand, wake
+	return cand
 }
 
 // wakeWarps is the production engine's pass over one subpartition's due
@@ -879,7 +871,8 @@ func (s *SM) Tick() {
 		}
 		var cand uint64
 		if s.noWakeList {
-			cand, wake = s.classifyAll(sp, now, wake)
+			cand = s.classifyAll(sp, now)
+			quiet = false // the reference engine bounds nothing: it runs every cycle
 		} else {
 			wake = s.wakeWarps(sp, now, wake)
 			cand, wake = s.openGates(sp, now, wake)
@@ -900,7 +893,6 @@ func (s *SM) Tick() {
 				s.enter(sp.warps[c], st, now)
 			}
 			s.issue(sp, w, now)
-			quiet = false // the reference engine re-runs the next cycle
 		} else {
 			s.ctr.WarpStateCycles[StateNotSelected] += uint64(bits.OnesCount64(cand) - 1)
 			s.ctr.WarpStateCycles[StateSelected]++

@@ -50,7 +50,14 @@ func runGrid(t *testing.T, l *kernel.Launch, cfg runCfg) smRun {
 		spec = gpu.QuadroRTX4000().WithSMs(1)
 	}
 	s := testSMOf(spec)
-	s.noWakeList = cfg.noWakeList
+	s.SetReference(cfg.noWakeList)
+	return runOn(t, s, l, cfg)
+}
+
+// runOn is runGrid on a given idle SM, whatever its engine; cfg.spec and
+// cfg.noWakeList are not read.
+func runOn(t *testing.T, s *SM, l *kernel.Launch, cfg runCfg) smRun {
+	t.Helper()
 	s.BeginLaunch(0, 0)
 	if !s.CanAccept(l) {
 		t.Fatalf("block of %s does not fit on an idle SM", l.Program.Name)

@@ -15,11 +15,11 @@ import (
 
 // Every suite app runs natively here, back to back without cache flushes —
 // as Profiler.Timeline and sampled-out invocations run it — on every device
-// model at 4 SMs (the full models under GOLDEN_FULL=1), on the fast-forward
-// loop and on the naive per-cycle loop, each device under the invariant
-// checker. TestEngineEquivalenceAllApps compares the two loops launch for
-// launch; the Test*AppsRun tests check the fast-forward run's counters. The
-// fast-forward run of an (app, GPU) is made once and shared by both. The
+// model at 4 SMs (the full models under GOLDEN_FULL=1), on a production and
+// on a reference device (sim.Device.SetReference), each under the invariant
+// checker. TestEngineEquivalenceAllApps compares the two launch for launch;
+// the Test*AppsRun tests check the production run's counters. The
+// production run of an (app, GPU) is made once and shared by both. The
 // profiled launches — flushed, replayed and merged — are checked the same way
 // by internal/cupti's replay oracle.
 
@@ -45,9 +45,9 @@ type nativeRun struct {
 	err error
 }
 
-func runNative(a *workloads.App, spec *gpu.Spec, fastForward bool, traceInterval uint64) nativeRun {
+func runNative(a *workloads.App, spec *gpu.Spec, reference bool, traceInterval uint64) nativeRun {
 	dev := sim.NewDevice(spec)
-	dev.SetFastForward(fastForward)
+	dev.SetReference(reference)
 	if traceInterval > 0 {
 		dev.EnableTrace(traceInterval)
 	}
@@ -63,7 +63,7 @@ func runNative(a *workloads.App, spec *gpu.Spec, fastForward bool, traceInterval
 	return nativeRun{rec, err}
 }
 
-// fastRuns holds the fast-forward run of each "suite/app/gpu", made by
+// fastRuns holds the production run of each "suite/app/gpu", made by
 // whichever test asks for it first.
 var fastRuns sync.Map // string → *sharedRun
 
@@ -75,29 +75,30 @@ type sharedRun struct {
 func fastRun(a *workloads.App, id string, spec *gpu.Spec) nativeRun {
 	v, _ := fastRuns.LoadOrStore(a.ID()+"/"+id, &sharedRun{})
 	s := v.(*sharedRun)
-	s.once.Do(func() { s.nativeRun = runNative(a, spec, true, 0) })
+	s.once.Do(func() { s.nativeRun = runNative(a, spec, false, 0) })
 	return s.nativeRun
 }
 
 // samePair requires both runs to have succeeded and to be equal launch for
-// launch, with fewer SM ticks on the fast-forward side (check.SameRuns).
-func samePair(t *testing.T, fast, naive nativeRun) {
+// launch, with fewer SM ticks on the production side (check.SameRuns).
+func samePair(t *testing.T, fast, ref nativeRun) {
 	t.Helper()
 	if fast.err != nil {
-		t.Fatalf("fast-forward loop: %v", fast.err)
+		t.Fatalf("production device: %v", fast.err)
 	}
-	if naive.err != nil {
-		t.Fatalf("naive loop: %v", naive.err)
+	if ref.err != nil {
+		t.Fatalf("reference device: %v", ref.err)
 	}
-	if err := check.SameRuns(fast.rec, naive.rec); err != nil {
+	if err := check.SameRuns(fast.rec, ref.rec); err != nil {
 		t.Error(err)
 	}
 }
 
 // TestEngineEquivalenceAllApps pins the production loop to its oracle: for
 // every suite app on both paper GPUs, each launch's RunResult (Cycles,
-// Counters, PerSM, Trace) must be equal between the naive per-cycle loop and
-// the fast-forward loop.
+// Counters, PerSM, Trace) must be equal between the reference device — the
+// naive per-cycle loop, every warp classified from scratch on every tick — and
+// the production one.
 func TestEngineEquivalenceAllApps(t *testing.T) {
 	for _, suite := range workloads.Suites() {
 		for _, a := range workloads.BySuite(suite) {
@@ -105,7 +106,7 @@ func TestEngineEquivalenceAllApps(t *testing.T) {
 				a, id, s := a, id, spec(t, id)
 				t.Run(a.ID()+"/"+strings.ToLower(s.Architecture), func(t *testing.T) {
 					t.Parallel()
-					samePair(t, fastRun(a, id, s), runNative(a, s, false, 0))
+					samePair(t, fastRun(a, id, s), runNative(a, s, true, 0))
 				})
 			}
 		}
@@ -116,7 +117,7 @@ func TestEngineEquivalenceAllApps(t *testing.T) {
 // intra-kernel timeline enabled on a representative subset: trace samples
 // are the finest-grained observable (one counter delta per 64 cycles) and
 // the fast-forward engine must land every sample on the exact cycle the
-// naive loop does.
+// reference does.
 func TestEngineEquivalenceWithTracing(t *testing.T) {
 	apps := []struct{ suite, name string }{
 		{"rodinia", "srad_v2"},                     // memory-bound: longest skips
@@ -131,7 +132,7 @@ func TestEngineEquivalenceWithTracing(t *testing.T) {
 		s := spec(t, "rtx4000")
 		t.Run(a.ID(), func(t *testing.T) {
 			t.Parallel()
-			samePair(t, runNative(a, s, true, 64), runNative(a, s, false, 64))
+			samePair(t, runNative(a, s, false, 64), runNative(a, s, true, 64))
 		})
 	}
 }
@@ -159,7 +160,7 @@ func checkSane(t *testing.T, id string, runs []*sim.RunResult) {
 	}
 }
 
-// appsRun checks every app's fast-forward run on every device model.
+// appsRun checks every app's production run on every device model.
 func appsRun(t *testing.T, apps []*workloads.App) {
 	for _, a := range apps {
 		a := a

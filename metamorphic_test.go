@@ -108,7 +108,7 @@ func TestMetamorphicProperties(t *testing.T) {
 // real profile through the Profiler on both devices — the in-loop laws hold
 // on production workloads, not just unit fixtures. GOLDEN_FULL=1 sweeps
 // every suite app on the full device models instead of the sample. The
-// naive loop needs no leg here: the engine-equivalence tests
+// reference device needs no leg here: the engine-equivalence tests
 // (internal/workloads, internal/cupti) run it with the checker attached and
 // prove its counters equal.
 func TestChecksCleanProfile(t *testing.T) {
