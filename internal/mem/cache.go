@@ -29,18 +29,24 @@ type CacheStats struct {
 // allocates the line if needed), modelling NVIDIA's 128-byte lines with
 // 32-byte sectors.
 //
-// Line state is one allocation holding, set after set, three parallel arrays
-// of ways entries each — keys, sector masks, LRU stamps — so a set scan reads
-// only the keys (128 contiguous bytes for a 16-way set) and the mask and
-// stamp of the way it finds are on the next host cache lines, not in another
-// table. A key is the line number plus one; zero marks a way never filled.
+// Line state is one allocation holding, set after set, three arrays of ways
+// words each: keys, ranks and sector masks. A key is the line number plus
+// one. A rank is the way's LRU stamp, the clock at its last fill or hit,
+// shifted left by 6 with the way's index in the low bits (so a cache has at
+// most 64 ways, and its clock stays below 2^58). A lookup scans the keys
+// (128 bytes for a 16-way set); a miss then scans the ranks, on the next
+// host cache lines, and takes the way of least rank, where an invalid way
+// ranks by its index alone. Stamps are distinct and at least 1, so that is
+// the first invalid way, or else the least recently used one, and the scan
+// needs no branch that follows the data.
 //
 // Flush is an epoch, not a sweep: it raises validFrom past the clock, and a
-// way is valid only while its key is non-zero and its LRU stamp is at least
-// validFrom. Every fill and hit stamps the way with the advanced clock, so a
-// way touched after a flush is valid and one untouched since is not — the
-// state a sweep that zeroed every key would leave, at O(1) host cost. An
-// invalid way's key, sector mask and stamp are meaningless.
+// way is valid only while its stamp is at least validFrom (which starts at
+// 1, so a way never filled, with rank 0, is not). Every fill and hit stamps
+// the way with the advanced clock, so a way touched after a flush is valid
+// and one untouched since is not — the state a sweep that zeroed every way
+// would leave, at O(1) host cost. An invalid way's key, mask and rank are
+// meaningless.
 type Cache struct {
 	name string
 	sets int
@@ -54,7 +60,7 @@ type Cache struct {
 	lineMask    uint64
 	setMask     uint64
 	setMod      uint64
-	state       []uint64 // per set: ways keys, ways sector masks, ways stamps
+	state       []uint64 // per set: ways keys, ways ranks, ways sector masks
 	tick        uint64
 	validFrom   uint64 // the first tick of the current epoch (Flush)
 	stats       CacheStats
@@ -68,10 +74,11 @@ func log2u64(v uint64) (uint, bool) {
 }
 
 // NewCache builds a cache of size bytes with the given associativity and
-// line/sector geometry. size must be a multiple of ways*lineSize; lineSize
-// and sectorSize must be powers of two with at most 32 sectors to the line.
+// line/sector geometry. size must be a multiple of ways*lineSize; ways is at
+// most 64; lineSize and sectorSize must be powers of two with at most 32
+// sectors to the line.
 func NewCache(name string, size, ways, lineSize, sectorSize int) *Cache {
-	if size <= 0 || ways <= 0 || lineSize <= 0 || sectorSize <= 0 {
+	if size <= 0 || ways <= 0 || ways > 64 || lineSize <= 0 || sectorSize <= 0 {
 		panic(fmt.Sprintf("mem: bad cache geometry %s size=%d ways=%d line=%d sector=%d",
 			name, size, ways, lineSize, sectorSize))
 	}
@@ -98,6 +105,7 @@ func NewCache(name string, size, ways, lineSize, sectorSize int) *Cache {
 		lineMask:    uint64(lineSize) - 1,
 		setMask:     uint64(sets) - 1,
 		state:       make([]uint64, 3*sets*ways),
+		validFrom:   1,
 	}
 	if sets&(sets-1) != 0 {
 		c.setMod = uint64(sets)
@@ -107,28 +115,27 @@ func NewCache(name string, size, ways, lineSize, sectorSize int) *Cache {
 
 // locate returns the key of the line containing addr and the state of its
 // set.
-func (c *Cache) locate(addr uint64) (key uint64, keys, sectors, lastUse []uint64) {
+func (c *Cache) locate(addr uint64) (key uint64, keys, sectors, ranks []uint64) {
 	line := addr >> c.lineShift
 	set := line & c.setMask
 	if c.setMod != 0 {
 		set = line % c.setMod
 	}
-	keys, sectors, lastUse = c.set(int(set))
-	return line + 1, keys, sectors, lastUse
+	keys, sectors, ranks = c.set(int(set))
+	return line + 1, keys, sectors, ranks
 }
 
 // set returns the three arrays of set i, one entry per way: keys (line
-// number + 1, 0 = never filled), sector bitmasks and LRU timestamps; way w
-// is valid when c.valid(keys[w], lastUse[w]).
-func (c *Cache) set(i int) (keys, sectors, lastUse []uint64) {
+// number + 1), sector bitmasks and ranks (stamp<<6 | way, 0 = never
+// filled); way w is valid when c.valid(ranks[w]).
+func (c *Cache) set(i int) (keys, sectors, ranks []uint64) {
 	n := c.ways
 	s := c.state[3*n*i:][:3*n]
-	return s[:n], s[n : 2*n], s[2*n:]
+	return s[:n], s[2*n:], s[n : 2*n]
 }
 
-// valid reports whether a way with key k and LRU stamp t holds a line of
-// the current epoch.
-func (c *Cache) valid(k, t uint64) bool { return k != 0 && t >= c.validFrom }
+// valid reports whether a way of rank r holds a line of the current epoch.
+func (c *Cache) valid(r uint64) bool { return r >= c.validFrom<<6 }
 
 // sectorBit returns the bit of the sector containing addr within its line.
 func (c *Cache) sectorBit(addr uint64) uint32 {
@@ -156,44 +163,42 @@ func (c *Cache) AccessLine(addr uint64, want uint32) (hit uint32) {
 	}
 	c.tick += n
 	c.stats.Lookups += n
-	key, keys, sectors, lastUse := c.locate(addr)
+	key, keys, sectors, ranks := c.locate(addr)
+	ranks = ranks[:len(keys)]
+	lim := c.validFrom << 6
 	for w, k := range keys {
-		if k == key && lastUse[w] >= c.validFrom {
+		if k == key && ranks[w] >= lim {
 			hit = uint32(sectors[w]) & want
 			sectors[w] |= uint64(want)
-			lastUse[w] = c.tick
+			ranks[w] = c.tick<<6 | uint64(w)
 			nh := uint64(bits.OnesCount32(hit))
 			c.stats.Hits += nh
 			c.stats.Misses += n - nh
 			return hit
 		}
 	}
-	// Line absent: take the first invalid way, else the least recently used.
-	victim, lru := -1, ^uint64(0)
-	for w, k := range keys {
-		t := lastUse[w]
-		if !c.valid(k, t) {
-			victim = w
-			break
+	// Line absent: fill the way of least rank, an invalid way ranking by its
+	// index. No branch follows the data.
+	least := ^uint64(0)
+	for w, r := range ranks {
+		if r < lim {
+			r = uint64(w)
 		}
-		if t < lru {
-			victim, lru = w, t
-		}
+		least = min(least, r)
 	}
-	if c.valid(keys[victim], lastUse[victim]) {
-		c.stats.Evictions++
-	}
+	w := least & 63
+	c.stats.Evictions += min(least>>6, 1) // a valid way's stamp is at least 1
 	c.stats.Misses += n
-	keys[victim], sectors[victim], lastUse[victim] = key, uint64(want), c.tick
+	keys[w], sectors[w], ranks[w] = key, uint64(want), c.tick<<6|w
 	return 0
 }
 
 // Probe reports whether the sector containing addr is present without
 // modifying any state.
 func (c *Cache) Probe(addr uint64) bool {
-	key, keys, sectors, lastUse := c.locate(addr)
+	key, keys, sectors, ranks := c.locate(addr)
 	for w, k := range keys {
-		if k == key && lastUse[w] >= c.validFrom {
+		if k == key && c.valid(ranks[w]) {
 			return uint32(sectors[w])&c.sectorBit(addr) != 0
 		}
 	}
@@ -210,7 +215,7 @@ func (c *Cache) Flush() { c.validFrom = c.tick + 1 }
 func (c *Cache) Reset() {
 	clear(c.state)
 	c.stats = CacheStats{}
-	c.tick, c.validFrom = 0, 0
+	c.tick, c.validFrom = 0, 1
 }
 
 // Stats returns a copy of the accumulated statistics.
@@ -230,9 +235,9 @@ func (c *Cache) Ways() int { return c.ways }
 func (c *Cache) ResidentLines() int {
 	n := 0
 	for i := 0; i < c.sets; i++ {
-		keys, _, lastUse := c.set(i)
-		for w, k := range keys {
-			if c.valid(k, lastUse[w]) {
+		_, _, ranks := c.set(i)
+		for _, r := range ranks {
+			if c.valid(r) {
 				n++
 			}
 		}
@@ -246,9 +251,9 @@ func (c *Cache) ResidentLines() int {
 func (c *Cache) ResidentSectors() int {
 	n := 0
 	for i := 0; i < c.sets; i++ {
-		keys, sectors, lastUse := c.set(i)
-		for w, k := range keys {
-			if c.valid(k, lastUse[w]) {
+		_, sectors, ranks := c.set(i)
+		for w, r := range ranks {
+			if c.valid(r) {
 				n += bits.OnesCount64(sectors[w])
 			}
 		}

@@ -2,66 +2,71 @@ package mem
 
 import "math/bits"
 
-// CoalesceSectors reduces the per-thread addresses of one warp memory
+// CoalesceSectorsInto reduces the per-thread addresses of one warp memory
 // instruction to the set of unique memory sectors touched, which is the unit
 // of L1/L2/DRAM traffic. addrs[i] is the address of lane i; only lanes whose
 // bit is set in mask participate; size is the per-thread access width in
-// bytes. The result is sorted ascending and deduplicated — fully coalesced
-// 4-byte accesses from 32 lanes touch 4 sectors of 32 bytes, a strided or
-// random pattern up to 32 (or 64 for 8-byte accesses spanning sectors).
-func CoalesceSectors(addrs *[32]uint64, mask uint32, size int, sectorSize uint64) []uint64 {
-	return CoalesceSectorsInto(make([]uint64, 0, 8), addrs, mask, size, sectorSize)
-}
-
-// CoalesceSectorsInto is CoalesceSectors with a caller-provided backing
-// slice: the result is appended to dst[:0] and shares its array, so a caller
-// that owns a reusable scratch buffer pays no allocation once the buffer has
-// grown to the warp's sector footprint (at most 64 entries: 32 lanes of
-// 8-byte accesses each straddling a sector boundary). The SM issue path
-// passes a per-SM scratch buffer here; the returned slice must therefore be
-// fully consumed before the next memory instruction issues on that SM, which
-// the memory data path guarantees (it only iterates, never retains).
+// bytes; sectorSize is a power of two. The result is sorted ascending and
+// deduplicated — fully coalesced 4-byte accesses from 32 lanes touch 4
+// sectors of 32 bytes, a strided or random pattern up to 32 (or 64 for
+// 8-byte accesses spanning sectors) — and that order fixes the sequence in
+// which the data path visits L1, L2 and DRAM.
 //
-// sectorSize is a power of two. Lanes are taken in ascending order; a sector
-// above the last one appended goes on the end, one equal to it is a
-// duplicate, and only a sector below it (a descending or scattered pattern)
-// is searched for.
+// The result is appended to dst[:0] and shares its array, so a caller that
+// owns a reusable scratch buffer pays no allocation once the buffer has
+// grown to the warp's sector footprint. The SM issue path passes a per-SM
+// scratch buffer here; the returned slice must therefore be fully consumed
+// before the next memory instruction issues on that SM, which the memory
+// data path guarantees (it only iterates, never retains).
+//
+// Every sector is appended in lane order unless it repeats the last one;
+// only if one fell below its predecessor (a scattered or descending warp)
+// is the list sorted and deduplicated, once, at the end.
 func CoalesceSectorsInto(dst []uint64, addrs *[32]uint64, mask uint32, size int, sectorSize uint64) []uint64 {
 	sectors := dst[:0]
-	shift := uint(bits.TrailingZeros64(sectorSize))
+	shift := uint(bits.TrailingZeros64(sectorSize)) & 63 // no check for shifts past 63
+	end := uint64(size) - 1
+	var prev, broke uint64
 	for ; mask != 0; mask &= mask - 1 {
 		a := addrs[bits.TrailingZeros32(mask)&31]
 		// Sector numbers, not addresses: the last sector of the address
 		// space has no successor to step to.
-		last := (a + uint64(size) - 1) >> shift
-		for n := a >> shift; n <= last; n++ {
+		for n, last := a>>shift, (a+end)>>shift; n <= last; n++ {
 			s := n << shift
-			if k := len(sectors); k == 0 || s > sectors[k-1] {
+			if s != prev || len(sectors) == 0 {
+				_, below := bits.Sub64(s, prev, 0)
+				broke |= below
 				sectors = append(sectors, s)
-			} else if s != sectors[k-1] {
-				sectors = insertSorted(sectors, s)
+				prev = s
 			}
 		}
+	}
+	if broke != 0 {
+		sectors = sortUnique(sectors)
 	}
 	return sectors
 }
 
-// insertSorted inserts v into the ascending, duplicate-free xs unless it is
-// there already. It searches backwards from the end: the list has at most 64
-// entries, and where the sector of a scattered lane falls is a coin toss per
-// probe of a binary search but one mispredicted branch, the last, here.
-func insertSorted(xs []uint64, v uint64) []uint64 {
-	i := len(xs)
-	for i > 0 && xs[i-1] > v {
-		i--
+// sortUnique sorts xs ascending by insertion and drops duplicates, in place
+// (on a warp's few dozen entries, a sorting network was slower).
+func sortUnique(xs []uint64) []uint64 {
+	for i := 1; i < len(xs); i++ {
+		v := xs[i]
+		j := i
+		for ; j > 0 && xs[j-1] > v; j-- {
+			xs[j] = xs[j-1]
+		}
+		xs[j] = v
 	}
-	if i > 0 && xs[i-1] == v {
-		return xs
+	k, last := 1, xs[0]
+	for _, v := range xs[1:] {
+		if v != last {
+			xs[k] = v
+			k++
+			last = v
+		}
 	}
-	xs = append(xs, 0)
-	copy(xs[i+1:], xs[i:])
-	xs[i] = v
-	return xs
+	return xs[:k]
 }
 
 // SharedBanks is the number of shared-memory banks on every modern NVIDIA

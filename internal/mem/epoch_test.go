@@ -10,9 +10,16 @@ import (
 
 // epochGeometries are the caches of both evaluation GPUs, built as the
 // device builds them: an SM's L1D (the GTX 1070's has 96 sets, indexed by
-// setMod), an L2 slice, the IMC and the L1I (sm.New's geometry).
+// setMod), an L2 slice, the IMC and the L1I (sm.New's geometry); and caches
+// at the ends of what gpu.Spec allows: 1 to 64 ways, 8 to 32 sectors to the
+// line.
 func epochGeometries() map[string]func() *Cache {
-	out := map[string]func() *Cache{}
+	out := map[string]func() *Cache{
+		"1 way x 8 sets, 8 sectors":    func() *Cache { return NewCache("t", 8*1*128, 1, 128, 16) },
+		"33 ways x 3 sets, 16 sectors": func() *Cache { return NewCache("t", 3*33*128, 33, 128, 8) },
+		"64 ways x 4 sets, 32 sectors": func() *Cache { return NewCache("t", 4*64*128, 64, 128, 4) },
+		"8 ways x 96 sets, 32 sectors": func() *Cache { return NewCache("t", 96*8*128, 8, 128, 4) },
+	}
 	for _, spec := range []*gpu.Spec{gpu.QuadroRTX4000(), gpu.GTX1070()} {
 		out[spec.Name+"/L1D"] = func() *Cache { return NewDataPath(spec, 0, NewMemSys(spec)).L1 }
 		out[spec.Name+"/L2"] = func() *Cache { return NewMemSys(spec).Slice(0) }
@@ -72,13 +79,13 @@ func TestFlushEpochMatchesClear(t *testing.T) {
 					t.Fatalf("%s step %d: %s hit %b, swept %b", name, step, op, a, b)
 				}
 			}
-			keys, sectors, lastUse := epoch.set(int(set))
-			skeys, ssectors, slastUse := swept.set(int(set))
+			keys, sectors, ranks := epoch.set(int(set))
+			skeys, ssectors, sranks := swept.set(int(set))
 			for w, k := range keys {
-				if v := epoch.valid(k, lastUse[w]); v != (skeys[w] != 0) ||
-					v && (k != skeys[w] || sectors[w] != ssectors[w] || lastUse[w] != slastUse[w]) {
-					t.Fatalf("%s step %d: after %s set %d way %d holds key %#x sectors %b stamp %d (valid %v), swept %#x %b %d",
-						name, step, op, set, w, k, sectors[w], lastUse[w], v, skeys[w], ssectors[w], slastUse[w])
+				if v := epoch.valid(ranks[w]); v != swept.valid(sranks[w]) ||
+					v && (k != skeys[w] || sectors[w] != ssectors[w] || ranks[w] != sranks[w]) {
+					t.Fatalf("%s step %d: after %s set %d way %d holds key %#x sectors %b rank %#x (valid %v), swept %#x %b %#x",
+						name, step, op, set, w, k, sectors[w], ranks[w], v, skeys[w], ssectors[w], sranks[w])
 				}
 			}
 			if a, b := epoch.Stats(), swept.Stats(); a != b {

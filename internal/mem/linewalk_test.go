@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"gputopdown/internal/gpu"
@@ -17,14 +18,18 @@ import (
 
 // TestAccessLineMatchesSequentialAccess: AccessLine on a sector mask leaves
 // the cache exactly as Access on each sector of the mask in ascending order
-// does, and both agree with the map-and-LRU-list reference model.
+// does, and both agree with the map-and-LRU-list reference model, over the
+// geometries gpu.Spec allows: 1 to 64 ways, 1 to 32 sectors to the line.
 func TestAccessLineMatchesSequentialAccess(t *testing.T) {
 	const lineSize = 128
 	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 48; trial++ {
-		ways := 1 + rng.Intn(16)
+	for trial := 0; trial < 64; trial++ {
+		ways := 1 + rng.Intn(64)
+		if trial < 2 {
+			ways = []int{1, 64}[trial] // both ends of the range
+		}
 		sets := []int{1, 2, 8, 32, 96, 96, 3}[rng.Intn(7)]
-		perLine := 1 << rng.Intn(3) // 1, 2 or 4 sectors to the line
+		perLine := 1 << (trial % 6) // 1 to 32 sectors to the line
 		sectorSize := lineSize / perLine
 		size := sets * ways * lineSize
 		name := fmt.Sprintf("trial %d (%d sets x %d ways, %d sectors/line)", trial, sets, ways, perLine)
@@ -67,11 +72,11 @@ func TestAccessLineMatchesSequentialAccess(t *testing.T) {
 				}
 			}
 			if got != seq || got != model {
-				t.Fatalf("%s step %d: AccessLine(%#x, %04b) hit %04b, sequential Access %04b, reference %04b",
+				t.Fatalf("%s step %d: AccessLine(%#x, %b) hit %b, sequential Access %b, reference %b",
 					name, step, base, want, got, seq, model)
 			}
-			if batched.Stats() != stepped.Stats() {
-				t.Fatalf("%s step %d: stats %+v, sequential %+v", name, step, batched.Stats(), stepped.Stats())
+			if batched.Stats() != stepped.Stats() || batched.Stats().Evictions != ref.evictions {
+				t.Fatalf("%s step %d: stats %+v, sequential %+v, reference %d evictions", name, step, batched.Stats(), stepped.Stats(), ref.evictions)
 			}
 			if batched.ResidentLines() != stepped.ResidentLines() || batched.ResidentSectors() != stepped.ResidentSectors() {
 				t.Fatalf("%s step %d: resident %d lines / %d sectors, sequential %d / %d", name, step,
@@ -88,17 +93,46 @@ func TestAccessLineMatchesSequentialAccess(t *testing.T) {
 				t.Fatalf("%s step %d: clock at %d, sequential %d", name, step, batched.tick, stepped.tick)
 			}
 			for set := 0; set < sets; set++ {
-				keys, sectors, lastUse := batched.set(set)
-				skeys, ssectors, slastUse := stepped.set(set)
+				keys, sectors, ranks := batched.set(set)
+				skeys, ssectors, sranks := stepped.set(set)
 				for w, k := range keys {
-					if k != skeys[w] || k != 0 && (sectors[w] != ssectors[w] || lastUse[w] != slastUse[w]) {
-						t.Fatalf("%s step %d: set %d way %d holds key %#x sectors %04b stamp %d, sequential %#x %04b %d", name, step, set, w,
-							k, sectors[w], lastUse[w], skeys[w], ssectors[w], slastUse[w])
+					if k != skeys[w] || ranks[w] != sranks[w] || ranks[w] != 0 && sectors[w] != ssectors[w] {
+						t.Fatalf("%s step %d: set %d way %d holds key %#x sectors %b rank %#x, sequential %#x %b %#x", name, step, set, w,
+							k, sectors[w], ranks[w], skeys[w], ssectors[w], sranks[w])
 					}
 				}
 			}
 		}
 	}
+}
+
+// TestNewCacheWays: a cache has at most 64 ways, the most a rank's low bits
+// can name. That is the upper bound of every *Ways row of gpu.ParamNames, so
+// every spec that validates builds its caches.
+func TestNewCacheWays(t *testing.T) {
+	for _, name := range gpu.ParamNames() {
+		if !strings.HasSuffix(name, "Ways") {
+			continue
+		}
+		spec := gpu.QuadroRTX4000()
+		if err := spec.Set(name, "65"); err != nil || spec.Validate() == nil {
+			t.Errorf("%s = 65 validates (set: %v)", name, err)
+		}
+		if err := spec.Set(name, "64"); err != nil || spec.Validate() != nil {
+			t.Fatalf("%s = 64 does not validate: %v / %v", name, err, spec.Validate())
+		}
+		dp := NewDataPath(spec, 0, NewMemSys(spec))
+		l1i := NewCache("L1I", spec.ICacheSize, spec.ICacheWays, spec.LineSize, spec.LineSize)
+		for _, c := range []*Cache{dp.L1, dp.IMC, dp.Mem.Slice(0), l1i} {
+			c.AccessLine(0, 1)
+		}
+	}
+	defer func() {
+		if p := recover(); !strings.Contains(fmt.Sprint(p), "bad cache geometry") {
+			t.Errorf("NewCache with 65 ways panicked with %v, want the geometry message", p)
+		}
+	}()
+	NewCache("65-way", 65*128, 65, 128, 32)
 }
 
 // refCoalesce is the coalescer by definition: every sector every active lane
@@ -119,8 +153,14 @@ func refCoalesce(addrs *[32]uint64, mask uint32, size int, sectorSize uint64) []
 	return slices.Compact(all)
 }
 
+// TestCoalesceMatchesReference: CoalesceSectorsInto returns refCoalesce's
+// list for lanes in order, descending, scattered, duplicated and straddling
+// sector boundaries, under full and partial masks, for 4- and 8-byte lanes
+// and sectors of 4 bytes (two or three to an 8-byte lane) to 64. The
+// scratch slice starts small, so the list also grows in place.
 func TestCoalesceMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
+	var perm []int // a lane permutation, drawn anew each round
 	patterns := []struct {
 		name string
 		addr func(lane int) uint64
@@ -143,19 +183,27 @@ func TestCoalesceMatchesReference(t *testing.T) {
 		{"random-near", func(int) uint64 { return 0x1000 + uint64(rng.Intn(512)) }},
 		{"random-far", func(int) uint64 { return rng.Uint64() }},
 		{"random-aligned", func(int) uint64 { return uint64(rng.Intn(1<<20)) &^ 7 }},
+		// Scattered lanes: out of order, with duplicates that are not
+		// neighbours, and with 8-byte accesses over sector boundaries.
+		{"shuffled", func(i int) uint64 { return 0x1000 + uint64(perm[i])*4 }},
+		{"shuffled-straddle", func(i int) uint64 { return 0x101c + uint64(perm[i])*32 }},
+		{"scattered-dups", func(int) uint64 { return 0x4000 + uint64(rng.Intn(5))*4096 + uint64(rng.Intn(8))*4 }},
+		{"scattered-straddle", func(int) uint64 { return uint64(rng.Intn(1<<14))*32 + 28 }},
+		{"scattered-straddle-dups", func(int) uint64 { return 0x2000 + uint64(rng.Intn(4))*96 + 60 }},
 	}
 	masks := []uint32{0, 1, 0x80000000, 0x3, 0x0000FFFF, 0xAAAAAAAA, 0xFFFFFFFF, 0x80000001}
 	scratch := make([]uint64, 0, 4)
 	for _, p := range patterns {
 		name := p.name
 		for round := 0; round < 20; round++ {
+			perm = rng.Perm(32)
 			var addrs [32]uint64
 			for i := range addrs {
 				addrs[i] = p.addr(i)
 			}
 			for _, mask := range append(masks, rng.Uint32()) {
 				for _, size := range []int{4, 8} {
-					for _, sectorSize := range []uint64{32, 64} {
+					for _, sectorSize := range []uint64{4, 32, 64} {
 						want := refCoalesce(&addrs, mask, size, sectorSize)
 						scratch = CoalesceSectorsInto(scratch, &addrs, mask, size, sectorSize)
 						if !slices.Equal(scratch, want) {
@@ -347,26 +395,41 @@ func BenchmarkCoalesceRandom(b *testing.B) {
 }
 
 // benchCacheAccess runs four-sector line lookups over an L2 slice of the
-// Quadro RTX 4000 (16 ways); addr picks the line of each lookup.
-func benchCacheAccess(b *testing.B, addr func(i int) uint64) {
+// Quadro RTX 4000 (16 ways, 8 192 lines); addr picks the line of each of n
+// lookups (n a power of two), replayed in a loop. It reports the slice's hit
+// ratio, which tells which path of AccessLine the benchmark times.
+func benchCacheAccess(b *testing.B, n int, addr func(i int) uint64) {
 	spec := gpu.QuadroRTX4000()
 	c := NewCache("L2", spec.L2Size/spec.L2Slices, spec.L2Ways, spec.LineSize, spec.SectorSize)
-	lines := make([]uint64, 4096)
+	lines := make([]uint64, n)
 	for i := range lines {
 		lines[i] = addr(i)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.AccessLine(lines[i&4095], 0xF)
+		c.AccessLine(lines[i&(n-1)], 0xF)
 	}
+	b.StopTimer()
+	st := c.Stats()
+	b.ReportMetric(float64(st.Hits)/float64(st.Lookups), "hit-ratio")
 }
 
 func BenchmarkCacheAccessStream(b *testing.B) {
-	benchCacheAccess(b, func(i int) uint64 { return uint64(i) * 128 })
+	benchCacheAccess(b, 4096, func(i int) uint64 { return uint64(i) * 128 })
 }
 
+// BenchmarkCacheAccessRandom puts 4 096 random lines into the 8 192-line
+// slice: after the first pass nearly every lookup hits.
 func BenchmarkCacheAccessRandom(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	benchCacheAccess(b, func(int) uint64 { return uint64(rng.Intn(1<<24)) &^ 127 })
+	benchCacheAccess(b, 4096, func(int) uint64 { return uint64(rng.Intn(1<<24)) &^ 127 })
+}
+
+// BenchmarkCacheAccessMiss spreads 65 536 random lines over 256 MB, eight
+// times what the slice holds: nearly every lookup misses and evicts, the
+// path a GUPS-like kernel's L2 spends its time on.
+func BenchmarkCacheAccessMiss(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	benchCacheAccess(b, 1<<16, func(int) uint64 { return uint64(rng.Intn(1<<28)) &^ 127 })
 }

@@ -140,7 +140,7 @@ func TestCoalesceFullyCoalesced(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = uint64(0x1000 + i*4)
 	}
-	sectors := CoalesceSectors(&addrs, 0xFFFFFFFF, 4, 32)
+	sectors := CoalesceSectorsInto(nil, &addrs, 0xFFFFFFFF, 4, 32)
 	if len(sectors) != 4 {
 		t.Errorf("coalesced 32x4B -> %d sectors, want 4", len(sectors))
 	}
@@ -151,7 +151,7 @@ func TestCoalesceBroadcast(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = 0x2000
 	}
-	if got := CoalesceSectors(&addrs, 0xFFFFFFFF, 4, 32); len(got) != 1 {
+	if got := CoalesceSectorsInto(nil, &addrs, 0xFFFFFFFF, 4, 32); len(got) != 1 {
 		t.Errorf("broadcast -> %d sectors, want 1", len(got))
 	}
 }
@@ -161,7 +161,7 @@ func TestCoalesceStrided(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = uint64(0x1000 + i*128) // one sector each
 	}
-	if got := CoalesceSectors(&addrs, 0xFFFFFFFF, 4, 32); len(got) != 32 {
+	if got := CoalesceSectorsInto(nil, &addrs, 0xFFFFFFFF, 4, 32); len(got) != 32 {
 		t.Errorf("stride-128 -> %d sectors, want 32", len(got))
 	}
 }
@@ -171,10 +171,10 @@ func TestCoalesceRespectsMask(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = uint64(i * 128)
 	}
-	if got := CoalesceSectors(&addrs, 0x3, 4, 32); len(got) != 2 {
+	if got := CoalesceSectorsInto(nil, &addrs, 0x3, 4, 32); len(got) != 2 {
 		t.Errorf("2 active lanes -> %d sectors, want 2", len(got))
 	}
-	if got := CoalesceSectors(&addrs, 0, 4, 32); len(got) != 0 {
+	if got := CoalesceSectorsInto(nil, &addrs, 0, 4, 32); len(got) != 0 {
 		t.Errorf("no active lanes -> %d sectors, want 0", len(got))
 	}
 }
@@ -182,7 +182,7 @@ func TestCoalesceRespectsMask(t *testing.T) {
 func TestCoalesceCrossSector(t *testing.T) {
 	var addrs [32]uint64
 	addrs[0] = 30 // 8-byte access spanning sectors 0 and 1
-	if got := CoalesceSectors(&addrs, 1, 8, 32); len(got) != 2 {
+	if got := CoalesceSectorsInto(nil, &addrs, 1, 8, 32); len(got) != 2 {
 		t.Errorf("cross-sector 8B access -> %d sectors, want 2", len(got))
 	}
 }
@@ -199,7 +199,7 @@ func TestCoalesceProperty(t *testing.T) {
 		for i := range addrs {
 			addrs[i] = uint64(rng.Intn(1 << 20))
 		}
-		got := CoalesceSectors(&addrs, mask, 4, 32)
+		got := CoalesceSectorsInto(nil, &addrs, mask, 4, 32)
 		active := 0
 		for i := 0; i < 32; i++ {
 			if mask&(1<<i) != 0 {
@@ -577,7 +577,8 @@ type referenceCache struct {
 	lineSize, sectorSize uint64
 	// lines[set] is LRU-ordered, most recent last; each entry is a tag with
 	// its resident sector set.
-	lines [][]refLine
+	lines     [][]refLine
+	evictions uint64
 }
 
 type refLine struct {
@@ -615,6 +616,7 @@ func (r *referenceCache) access(addr uint64) bool {
 	// Miss: allocate, evicting LRU if full.
 	if len(ls) >= r.ways {
 		ls = ls[1:]
+		r.evictions++
 	}
 	ls = append(ls, refLine{tag: tag, sectors: map[uint64]bool{sector: true}})
 	r.lines[set] = ls

@@ -141,6 +141,55 @@ func BenchmarkLaunchComputeBound(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*r.Counters.InstExecuted), "ns/warp-inst")
 }
 
+// memoryBoundLaunch is the GUPS pattern over a whole device: two blocks of
+// 256 threads per SM, each thread reading its index (a coalesced load),
+// then reading and writing the table word it names. The indices are
+// scattered over an 8 MB table, twice the RTX 4000's L2, so nearly every
+// table access is a scattered warp whose lines miss L1 and L2.
+func memoryBoundLaunch(d *Device) *kernel.Launch {
+	const tableWords = 1 << 21
+	b := kernel.NewBuilder("gups")
+	gid := b.GlobalIDX()
+	r := b.Ldg(b.IMad(gid, b.MovImm(4), b.Param(1)), 0, 4)
+	addr := b.IMad(b.And(r, b.Param(2)), b.MovImm(4), b.Param(0))
+	b.Stg(addr, b.Xor(b.Ldg(addr, 0, 4), gid), 0, 4)
+	b.Exit()
+	n := 2 * d.Spec.SMs * 256
+	idx := make([]uint32, n)
+	x := uint32(2463534242)
+	for i := range idx {
+		x ^= x << 13
+		x ^= x >> 17
+		x ^= x << 5
+		idx[i] = x
+	}
+	idxs := d.Alloc(n * 4)
+	d.Storage.WriteU32Slice(idxs, idx)
+	return &kernel.Launch{
+		Program: b.MustBuild(),
+		Grid:    kernel.Dim3{X: n / 256},
+		Block:   kernel.Dim3{X: 256},
+		Params:  []uint64{d.Alloc(tableWords * 4), idxs, tableWords - 1},
+	}
+}
+
+// BenchmarkLaunchMemoryBound times Device.Launch of memoryBoundLaunch on a
+// full RTX 4000 and reports ns/warp-inst, as BenchmarkLaunchComputeBound
+// does: the host cost of a warp instruction when most of them are
+// scattered memory accesses.
+func BenchmarkLaunchMemoryBound(b *testing.B) {
+	d := NewDevice(gpu.QuadroRTX4000())
+	l := memoryBoundLaunch(d)
+	r := d.MustLaunch(l) // warm up
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.Launch(l); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*r.Counters.InstExecuted), "ns/warp-inst")
+}
+
 // BenchmarkLaunchTiny times a cache flush and a four-block launch on a full
 // RTX 4000 — one profiled launch of rodinia/gaussian's shape — and reports
 // its host cost (ns/launch) and the SM ticks it took (ticks/launch): a cost
