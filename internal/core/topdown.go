@@ -123,25 +123,25 @@ type Analyzer struct {
 // "core". Nil detaches them.
 func (an *Analyzer) SetHooks(h *obs.Hooks) { an.hooks = h }
 
-// NewAnalyzer builds an analyzer for a device at the given level. It caps
-// the level at 2 on pre-unified-metrics devices, where the PMU lacks the
-// detailed breakdown (paper Fig. 3).
+// NewAnalyzer builds an analyzer for a device at the given level, capped by
+// CapLevel, on the process's shared registry of the device's tool.
 func NewAnalyzer(spec *gpu.Spec, level int) *Analyzer {
-	if level < Level1 {
-		level = Level1
-	}
-	if level > Level3 {
-		level = Level3
-	}
-	if !spec.Compute.UsesUnifiedMetrics() && level > Level2 {
-		level = Level2
-	}
 	return &Analyzer{
 		Spec:      spec,
 		Registry:  metrics.ForCC(spec.Compute),
-		Level:     level,
+		Level:     CapLevel(spec, level),
 		Normalize: true,
 	}
+}
+
+// CapLevel clamps level to 1..3 and caps it at 2 on pre-unified-metrics
+// devices, where the PMU lacks the detailed breakdown (paper Fig. 3).
+func CapLevel(spec *gpu.Spec, level int) int {
+	level = min(max(level, Level1), Level3)
+	if !spec.Compute.UsesUnifiedMetrics() {
+		level = min(level, Level2)
+	}
+	return level
 }
 
 // MetricNames returns the profiler metrics the analysis consumes at the

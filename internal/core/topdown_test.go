@@ -339,3 +339,24 @@ func TestWarpEfficiencyClamped(t *testing.T) {
 		t.Errorf("Branch = %g, want >= 0", a.Branch)
 	}
 }
+
+// TestNewAnalyzerSharesRegistry: every analyzer of a tool reads the
+// process's one metric registry, so an analyzer after the first allocates
+// itself and nothing else, and CapLevel is the level NewAnalyzer keeps.
+func TestNewAnalyzerSharesRegistry(t *testing.T) {
+	for _, spec := range []*gpu.Spec{gpu.QuadroRTX4000(), gpu.GTX1070()} {
+		first := NewAnalyzer(spec, Level3)
+		var an *Analyzer
+		if allocs := testing.AllocsPerRun(20, func() { an = NewAnalyzer(spec, Level3) }); allocs > 1 {
+			t.Errorf("%s: a second NewAnalyzer makes %.0f allocations, want 1: it built a registry", spec.Name, allocs)
+		}
+		if an.Registry != first.Registry {
+			t.Errorf("%s: two analyzers hold two %s registries", spec.Name, first.Registry.Tool())
+		}
+		for level := Level1 - 1; level <= Level3+1; level++ {
+			if got, want := CapLevel(spec, level), NewAnalyzer(spec, level).Level; got != want {
+				t.Errorf("%s: CapLevel(%d) = %d, NewAnalyzer keeps %d", spec.Name, level, got, want)
+			}
+		}
+	}
+}

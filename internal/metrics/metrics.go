@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"gputopdown/internal/gpu"
 	"gputopdown/internal/pmu"
@@ -130,13 +131,22 @@ func (r *Registry) add(m *Metric) {
 // read it.
 var probeSpec gpu.Spec
 
+// The registries ForCC shares: each is built once per process, on first use.
+var (
+	sharedNvprof = sync.OnceValue(Nvprof)
+	sharedNCU    = sync.OnceValue(NCU)
+)
+
 // ForCC returns the metric registry matching a compute capability, the way
-// the paper's tool picks nvprof below CC 7.2 and ncu at or above it.
+// the paper's tool picks nvprof below CC 7.2 and ncu at or above it. The
+// registry is the process's one for its tool, shared by every caller: a
+// Registry is read-only once built, so callers must not modify it or its
+// metrics.
 func ForCC(cc gpu.CC) *Registry {
 	if cc.UsesUnifiedMetrics() {
-		return NCU()
+		return sharedNCU()
 	}
-	return Nvprof()
+	return sharedNvprof()
 }
 
 func stall(s sm.WarpState) pmu.CounterID { return pmu.StallCounter(s) }

@@ -90,6 +90,10 @@ func (s *Server) handleTrace(w http.ResponseWriter, _ *http.Request) {
 // request headers is dropped instead of holding the connection open. The
 // zero value is ready to Start.
 type Listener struct {
+	// ConnState, when set before Start, is the server's
+	// http.Server.ConnState hook.
+	ConnState func(net.Conn, http.ConnState)
+
 	mu   sync.Mutex
 	srv  *http.Server
 	ln   net.Listener
@@ -114,7 +118,7 @@ func (l *Listener) Start(addr string, h http.Handler, log *Logger) error {
 		return fmt.Errorf("listen %s: %w", addr, err)
 	}
 	l.ln = ln
-	l.srv = &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+	l.srv = &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, ConnState: l.ConnState}
 	l.done = make(chan struct{})
 	go func(srv *http.Server, done chan struct{}) {
 		defer close(done)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 )
@@ -25,6 +26,16 @@ type Client struct {
 // daemon-side error string.
 var ErrJobFailed = errors.New("job did not succeed")
 
+// ErrResponseTooLarge reports a response body above maxResponseBytes,
+// declared so or streamed past it; the client stops reading at the cap.
+var ErrResponseTooLarge = errors.New("response body too large")
+
+// maxResponseBytes caps the body the client reads. A status is under 1 KiB
+// and a report tens of KiB; the cap is far above both, and a list of the
+// store's maxTerminalJobs finished jobs fits it unless their requests
+// average above 64 KiB.
+var maxResponseBytes int64 = 64 << 20
+
 func (c *Client) httpClient() *http.Client {
 	if c.HTTP != nil {
 		return c.HTTP
@@ -32,8 +43,9 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// do issues the request and decodes a JSON body into out (when non-nil).
-// Non-2xx responses become errors carrying the server's "error" field.
+// do issues the request, reads the response body whole and unmarshals it
+// into out. Non-2xx responses become errors carrying the server's "error"
+// field.
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
 	var rd io.Reader
 	if body != nil {
@@ -55,23 +67,58 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 		return fmt.Errorf("serve client: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
+	data, err := readBody(resp.Body, resp.ContentLength)
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		var e struct {
 			Error string `json:"error"`
 		}
 		msg := resp.Status
-		if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
+		if err == nil && json.Unmarshal(data, &e) == nil && e.Error != "" {
 			msg = e.Error
 		}
 		return fmt.Errorf("serve client: %s %s: %s (HTTP %d)", method, path, msg, resp.StatusCode)
 	}
-	if out == nil {
-		return nil
+	if err != nil {
+		return fmt.Errorf("serve client: read %s %s: %w", method, path, err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err := json.Unmarshal(data, out); err != nil {
 		return fmt.Errorf("serve client: decode %s %s: %w", method, path, err)
 	}
 	return nil
+}
+
+// readBody reads a body of declared length n (-1: unknown) to its end, into
+// one buffer of that size when it is declared. Reading to the end is what
+// lets the transport reuse the connection. A body above maxResponseBytes is
+// ErrResponseTooLarge, found before reading when declared.
+func readBody(r io.Reader, n int64) ([]byte, error) {
+	if n > maxResponseBytes {
+		return nil, fmt.Errorf("%w: declared %d bytes, above %d", ErrResponseTooLarge, n, maxResponseBytes)
+	}
+	if n < 0 {
+		n = 512
+	}
+	// One byte more than declared, so the read that finds the end does not
+	// grow the buffer.
+	buf := make([]byte, 0, n+1)
+	for {
+		if len(buf) == cap(buf) {
+			// Grow about twofold, asking for no more than one byte past
+			// the cap.
+			buf = slices.Grow(buf, min(len(buf), int(maxResponseBytes)+1-len(buf)))
+		}
+		m, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+m]
+		if int64(len(buf)) > maxResponseBytes {
+			return nil, fmt.Errorf("%w: above %d bytes", ErrResponseTooLarge, maxResponseBytes)
+		}
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
 }
 
 // Submit posts a job and returns its initial status.

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"strconv"
 	"sync"
@@ -88,6 +90,7 @@ type Server struct {
 	mCompleted map[JobState]*obs.Counter
 	mQueueLat  *obs.Histogram
 	mRunLat    *obs.Histogram
+	mConns     *obs.Counter
 }
 
 // New builds the server and starts its worker pool. The pool idles on the
@@ -113,6 +116,11 @@ func New(opts Options) (*Server, error) {
 		queue: make(chan string, opts.QueueDepth),
 	}
 	s.initMetrics(opts.Registry)
+	s.ln.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			s.mConns.Inc()
+		}
+	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /api/v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /api/v1/jobs", s.handleList)
@@ -143,6 +151,7 @@ func (s *Server) initMetrics(reg *obs.Registry) {
 	lat := []float64{0.001, 0.01, 0.1, 1, 10, 60, 600}
 	s.mQueueLat = reg.Histogram("gpuprofd_job_queue_seconds", "Submission-to-start latency.", lat, nil)
 	s.mRunLat = reg.Histogram("gpuprofd_job_run_seconds", "Start-to-terminal latency.", lat, nil)
+	s.mConns = reg.Counter("gpuprofd_http_connections_total", "HTTP connections the daemon's listener accepted.", nil)
 }
 
 // Handler returns the daemon's routing handler, independent of any
@@ -290,12 +299,24 @@ func (s *Server) Drain(ctx context.Context) error {
 
 // --- HTTP handlers ---
 
+// writeJSON answers with v as one compact JSON document and a newline,
+// encoded once and in full before the status line goes out, and sent with
+// its Content-Length. A value encoding/json cannot encode (a NaN in a
+// report) is therefore a 500 with an error body, never a 200 cut short; and
+// a client reads every body whole, to its declared end, so its connection
+// stays open for its next request.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = json.Marshal(map[string]string{"error": "encode response: " + err.Error()})
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)+1))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone is the only failure
+	w.Write(body)           //nolint:errcheck // client gone is the only failure
+	io.WriteString(w, "\n") //nolint:errcheck // as above
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {

@@ -294,7 +294,7 @@ func (p *Profiler) Spec() *gpu.Spec { return p.spec }
 
 // Level returns the configured analysis level after device capping.
 func (p *Profiler) Level() int {
-	return core.NewAnalyzer(p.spec, p.level).Level
+	return core.CapLevel(p.spec, p.level)
 }
 
 // newAnalyzer builds the Top-Down analyzer of one run, normalised as

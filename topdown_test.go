@@ -1,9 +1,13 @@
 package gputopdown
 
 import (
+	"bytes"
 	"context"
 	"math"
+	"sync"
 	"testing"
+
+	"gputopdown/internal/check"
 )
 
 func testProfiler(level int, opts ...Option) *Profiler {
@@ -346,5 +350,49 @@ func TestTimelineIntraKernelPhases(t *testing.T) {
 	}
 	if _, err := p.Timeline(context.Background(), app, "calculate_temp", 0, 0); err == nil {
 		t.Error("zero interval accepted")
+	}
+}
+
+// TestConcurrentProfilesShareRegistries: the analyzers of profiles running
+// at once on both GPUs read the process's two metric registries, one per
+// tool. Under -race this fails if a profile writes to one; each concurrent
+// report must equal the same profile run alone.
+func TestConcurrentProfilesShareRegistries(t *testing.T) {
+	myocyte, _ := LookupApp("rodinia", "myocyte")
+	apps := []*App{myocyte}
+	specs := []*GPUSpec{QuadroRTX4000().WithSMs(2), GTX1070().WithSMs(2)}
+	report := func(spec *GPUSpec) ([]byte, error) {
+		res, err := NewProfiler(spec, WithLevel(3)).ProfileApps(context.Background(), apps)
+		if err != nil {
+			return nil, err
+		}
+		return check.ReportJSON(res[0].Report())
+	}
+	want := make([][]byte, len(specs))
+	for i, spec := range specs {
+		var err error
+		if want[i], err = report(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const perGPU = 2
+	got := make([][]byte, perGPU*len(specs))
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = report(specs[i%len(specs)])
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !bytes.Equal(got[i], want[i%len(specs)]) {
+			t.Errorf("%s: concurrent report differs from the sequential one", specs[i%len(specs)].Name)
+		}
 	}
 }
