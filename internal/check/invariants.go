@@ -183,22 +183,17 @@ func (inv *Invariants) CheckCounters(context string, c *sm.Counters) {
 	}
 }
 
-// CheckMemSys asserts the memory-system conservation laws: per-slice cache
-// accounting (Hits+Misses == Lookups), line-residency bounds, and the
-// address<->(slice, local) bijection on a sample of addresses around the
-// given probe point. There is no DRAM law: a channel is a latency and a bus
-// cycle that only rises, so its completions are monotone by construction.
+// CheckMemSys asserts the memory-system conservation laws: per-slice
+// line-residency bounds and the address<->(slice, local) bijection on a
+// sample of addresses around the given probe point. There is no DRAM law: a
+// channel is a latency and a bus cycle that only rises, so its completions
+// are monotone by construction.
 func (inv *Invariants) CheckMemSys(context string, ms *mem.MemSys, probe uint64) {
 	if inv == nil {
 		return
 	}
 	for i := 0; i < ms.NumSlices(); i++ {
 		c := ms.Slice(i)
-		st := c.Stats()
-		if st.Hits+st.Misses != st.Lookups {
-			inv.violate("cache-accounting", fmt.Sprintf("%s L2[%d]", context, i),
-				"Hits(%d) + Misses(%d) != Lookups(%d)", st.Hits, st.Misses, st.Lookups)
-		}
 		if lines, cap := c.ResidentLines(), c.Sets()*c.Ways(); lines > cap {
 			inv.violate("line-residency-bound", fmt.Sprintf("%s L2[%d]", context, i),
 				"ResidentLines = %d > Sets*Ways = %d", lines, cap)

@@ -94,7 +94,7 @@ func TestNilReceiverSafe(t *testing.T) {
 func TestCheckMemSysClean(t *testing.T) {
 	inv := New()
 	ms := mem.NewMemSys(testSpec())
-	// Touch the memory system so the accounting laws see nonzero traffic.
+	// Touch the memory system so the residency laws see resident lines.
 	for a := uint64(0); a < 1<<16; a += 128 {
 		ms.Slice(ms.SliceOf(a)).Access(ms.Rebase(a))
 	}

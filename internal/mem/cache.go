@@ -15,15 +15,6 @@ import (
 	"math/bits"
 )
 
-// CacheStats counts cache activity. Hits+Misses == Lookups always holds
-// (checked by property tests).
-type CacheStats struct {
-	Lookups   uint64
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-}
-
 // Cache is a sectored, set-associative, LRU cache. A lookup hits only if the
 // specific sector of the line is present; a miss fills that sector (and
 // allocates the line if needed), modelling NVIDIA's 128-byte lines with
@@ -48,7 +39,6 @@ type CacheStats struct {
 // would leave, at O(1) host cost. An invalid way's key, mask and rank are
 // meaningless.
 type Cache struct {
-	name string
 	sets int
 	ways int
 	// Line and sector sizes are powers of two (gpu.Spec.Validate enforces it
@@ -63,7 +53,6 @@ type Cache struct {
 	state       []uint64 // per set: ways keys, ways ranks, ways sector masks
 	tick        uint64
 	validFrom   uint64 // the first tick of the current epoch (Flush)
-	stats       CacheStats
 }
 
 func log2u64(v uint64) (uint, bool) {
@@ -97,7 +86,6 @@ func NewCache(name string, size, ways, lineSize, sectorSize int) *Cache {
 		sets = 1
 	}
 	c := &Cache{
-		name:        name,
 		sets:        sets,
 		ways:        ways,
 		lineShift:   lineShift,
@@ -151,18 +139,17 @@ func (c *Cache) Access(addr uint64) bool {
 // AccessLine looks up the sectors of want (a bitmask, bit i = sector i) in
 // the line containing addr, fills the ones that miss, and returns the mask
 // of those that hit. It is defined as Access on each sector of want in
-// ascending order and leaves exactly that state and those statistics, with
-// one scan of the set: n sequential lookups advance the clock by n and stamp
-// the line with the last tick; if the line is absent, the first lookup
-// allocates it (choosing the victim from the state before any fill) and the
-// other n-1 are sector misses on the new line.
+// ascending order and leaves exactly that state, with one scan of the set:
+// n sequential lookups advance the clock by n and stamp the line with the
+// last tick; if the line is absent, the first lookup allocates it (choosing
+// the victim from the state before any fill) and the other n-1 are sector
+// misses on the new line.
 func (c *Cache) AccessLine(addr uint64, want uint32) (hit uint32) {
 	n := uint64(bits.OnesCount32(want))
 	if n == 0 {
 		return 0
 	}
 	c.tick += n
-	c.stats.Lookups += n
 	key, keys, sectors, ranks := c.locate(addr)
 	ranks = ranks[:len(keys)]
 	lim := c.validFrom << 6
@@ -171,9 +158,6 @@ func (c *Cache) AccessLine(addr uint64, want uint32) (hit uint32) {
 			hit = uint32(sectors[w]) & want
 			sectors[w] |= uint64(want)
 			ranks[w] = c.tick<<6 | uint64(w)
-			nh := uint64(bits.OnesCount32(hit))
-			c.stats.Hits += nh
-			c.stats.Misses += n - nh
 			return hit
 		}
 	}
@@ -187,8 +171,6 @@ func (c *Cache) AccessLine(addr uint64, want uint32) (hit uint32) {
 		least = min(least, r)
 	}
 	w := least & 63
-	c.stats.Evictions += min(least>>6, 1) // a valid way's stamp is at least 1
-	c.stats.Misses += n
 	keys[w], sectors[w], ranks[w] = key, uint64(want), c.tick<<6|w
 	return 0
 }
@@ -206,23 +188,15 @@ func (c *Cache) Probe(addr uint64) bool {
 }
 
 // Flush invalidates every line, as the profiler does before a profiled launch,
-// by starting a new epoch: no way stamped before it is valid. Statistics are
-// preserved.
+// by starting a new epoch: no way stamped before it is valid.
 func (c *Cache) Flush() { c.validFrom = c.tick + 1 }
 
-// Reset clears the line state and zeroes the clock and the statistics: the
-// cache is then what NewCache built.
+// Reset clears the line state and zeroes the clock: the cache is then what
+// NewCache built.
 func (c *Cache) Reset() {
 	clear(c.state)
-	c.stats = CacheStats{}
 	c.tick, c.validFrom = 0, 1
 }
-
-// Stats returns a copy of the accumulated statistics.
-func (c *Cache) Stats() CacheStats { return c.stats }
-
-// Name returns the cache's name.
-func (c *Cache) Name() string { return c.name }
 
 // Sets and Ways expose the geometry for tests.
 func (c *Cache) Sets() int { return c.sets }

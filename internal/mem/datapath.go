@@ -193,9 +193,8 @@ func (dp *DataPath) Flush() {
 // ResetStats zeroes the statistics without touching cache contents.
 func (dp *DataPath) ResetStats() { dp.st = DataPathStats{} }
 
-// Reset returns the data path to what NewDataPath built: both caches cold
-// with zero statistics, its own statistics zero. The shared MemSys is its
-// owner's to reset.
+// Reset returns the data path to what NewDataPath built: both caches cold,
+// its statistics zero. The shared MemSys is its owner's to reset.
 func (dp *DataPath) Reset() {
 	dp.L1.Reset()
 	dp.IMC.Reset()

@@ -1,11 +1,5 @@
 package mem
 
-// DRAMStats counts device-memory activity.
-type DRAMStats struct {
-	Requests uint64
-	Bytes    uint64
-}
-
 // DRAM models device memory as a fixed service latency plus a bandwidth
 // constraint: a request starts when the data bus is free and completes a
 // latency later. Nothing bounds the number in flight; the SM's issue-side
@@ -16,7 +10,6 @@ type DRAM struct {
 
 	// bandFree is the cycle at which the data bus becomes free.
 	bandFree float64
-	stats    DRAMStats
 }
 
 // NewDRAM builds a DRAM model. latency is the full L2-miss service latency in
@@ -33,19 +26,11 @@ func (d *DRAM) Request(now uint64, n int) uint64 {
 		start = d.bandFree
 	}
 	d.bandFree = start + float64(n)/d.bytesPerCycle
-	d.stats.Requests++
-	d.stats.Bytes += uint64(n)
 	return uint64(start) + d.latency
 }
 
-// Stats returns a copy of the accumulated statistics.
-func (d *DRAM) Stats() DRAMStats { return d.stats }
-
-// Reset frees the bus and clears statistics.
-func (d *DRAM) Reset() {
-	d.bandFree = 0
-	d.stats = DRAMStats{}
-}
+// Reset frees the bus.
+func (d *DRAM) Reset() { d.bandFree = 0 }
 
 // TimedQueue is a bounded queue of in-flight operations identified only by
 // their completion cycles. The SM front-ends use it for the LG, MIO and TEX

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -26,9 +27,8 @@ func TestCacheBasicHitMiss(t *testing.T) {
 	if !c.Access(32) {
 		t.Error("filled sector missed")
 	}
-	st := c.Stats()
-	if st.Hits+st.Misses != st.Lookups {
-		t.Errorf("hits %d + misses %d != lookups %d", st.Hits, st.Misses, st.Lookups)
+	if c.ResidentLines() != 1 || c.ResidentSectors() != 2 {
+		t.Errorf("resident %d lines / %d sectors, want 1 / 2", c.ResidentLines(), c.ResidentSectors())
 	}
 }
 
@@ -48,8 +48,8 @@ func TestCacheLRUEviction(t *testing.T) {
 	if c.Probe(256) {
 		t.Error("LRU line survived eviction")
 	}
-	if c.Stats().Evictions == 0 {
-		t.Error("eviction not counted")
+	if !c.Probe(512) || c.ResidentLines() != 2 {
+		t.Errorf("the new line is absent or the set holds %d lines, want 2", c.ResidentLines())
 	}
 }
 
@@ -57,33 +57,36 @@ func TestCacheFlush(t *testing.T) {
 	c := NewCache("t", 1024, 2, 128, 32)
 	c.Access(64)
 	c.Flush()
-	if c.Probe(64) {
+	if c.Probe(64) || c.ResidentLines() != 0 {
 		t.Error("flush left data behind")
 	}
-	if c.Stats().Lookups != 1 {
-		t.Error("flush cleared stats")
+	if c.Access(64) {
+		t.Error("a flushed sector hit")
 	}
 	c.Reset()
-	if c.Stats().Lookups != 0 {
-		t.Error("reset kept stats")
+	if !reflect.DeepEqual(c, NewCache("t", 1024, 2, 128, 32)) {
+		t.Error("a reset cache differs from a new one")
 	}
 }
 
-// Property: for any access sequence, Hits+Misses == Lookups and a repeat of
-// the immediately preceding address always hits.
+// Property: for any access sequence, every miss leaves its sector resident,
+// a repeat of the immediately preceding address always hits, and the cache
+// never holds more sectors than missed or more lines than it has ways.
 func TestCacheAccountingProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		c := NewCache("q", 4096, 4, 128, 32)
+		misses := 0
 		for i := 0; i < int(n); i++ {
 			a := uint64(rng.Intn(1 << 16))
-			c.Access(a)
 			if !c.Access(a) {
+				misses++
+			}
+			if !c.Probe(a) || !c.Access(a) {
 				return false // immediate re-access must hit
 			}
 		}
-		st := c.Stats()
-		return st.Hits+st.Misses == st.Lookups
+		return c.ResidentSectors() <= misses && c.ResidentLines() <= c.Sets()*c.Ways()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -101,9 +104,12 @@ func TestDRAMLatencyAndBandwidth(t *testing.T) {
 	if done2 != 116 {
 		t.Errorf("second request done at %d, want 116", done2)
 	}
-	st := d.Stats()
-	if st.Requests != 2 || st.Bytes != 64 {
-		t.Errorf("stats %+v", st)
+	if d.bandFree != 32 {
+		t.Errorf("bus free at %v, want 32", d.bandFree)
+	}
+	d.Reset()
+	if d.Request(5, 32) != 105 {
+		t.Error("a reset channel kept its bus busy")
 	}
 }
 
@@ -577,8 +583,7 @@ type referenceCache struct {
 	lineSize, sectorSize uint64
 	// lines[set] is LRU-ordered, most recent last; each entry is a tag with
 	// its resident sector set.
-	lines     [][]refLine
-	evictions uint64
+	lines [][]refLine
 }
 
 type refLine struct {
@@ -616,11 +621,21 @@ func (r *referenceCache) access(addr uint64) bool {
 	// Miss: allocate, evicting LRU if full.
 	if len(ls) >= r.ways {
 		ls = ls[1:]
-		r.evictions++
 	}
 	ls = append(ls, refLine{tag: tag, sectors: map[uint64]bool{sector: true}})
 	r.lines[set] = ls
 	return false
+}
+
+// resident counts the lines and sectors the model holds.
+func (r *referenceCache) resident() (lines, sectors int) {
+	for _, ls := range r.lines {
+		lines += len(ls)
+		for _, l := range ls {
+			sectors += len(l.sectors)
+		}
+	}
+	return lines, sectors
 }
 
 func TestCacheAgainstReferenceModel(t *testing.T) {

@@ -127,36 +127,22 @@ func (m *MemSys) RequestSlice(slice int, now uint64, n int) uint64 {
 // Slice exposes one L2 slice for tests.
 func (m *MemSys) Slice(i int) *Cache { return m.slices[i] }
 
-// Chan exposes one DRAM channel for tests.
-func (m *MemSys) Chan(i int) *DRAM { return m.chans[i] }
-
-// DRAMStats returns the channel-aggregated DRAM statistics.
-func (m *MemSys) DRAMStats() DRAMStats {
-	var st DRAMStats
-	for _, d := range m.chans {
-		s := d.Stats()
-		st.Requests += s.Requests
-		st.Bytes += s.Bytes
-	}
-	return st
-}
-
-// FlushL2 invalidates every slice (statistics preserved).
+// FlushL2 invalidates every slice.
 func (m *MemSys) FlushL2() {
 	for _, c := range m.slices {
 		c.Flush()
 	}
 }
 
-// ResetDRAM frees every channel's bus and clears its statistics.
+// ResetDRAM frees every channel's bus.
 func (m *MemSys) ResetDRAM() {
 	for _, d := range m.chans {
 		d.Reset()
 	}
 }
 
-// Reset returns the memory system to what NewMemSys built: every slice cold
-// with zero statistics, every channel's bus free with zero statistics.
+// Reset returns the memory system to what NewMemSys built: every slice cold,
+// every channel's bus free.
 func (m *MemSys) Reset() {
 	for _, c := range m.slices {
 		c.Reset()

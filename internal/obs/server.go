@@ -85,10 +85,11 @@ func (s *Server) handleTrace(w http.ResponseWriter, _ *http.Request) {
 
 // Listener is the lifecycle of one HTTP listener, shared by every server in
 // the module: Start binds an address and serves a handler in a background
-// goroutine, Addr reports the bound address, Shutdown stops it. Header reads
-// are bounded, so a client that opens a connection and never finishes its
-// request headers is dropped instead of holding the connection open. The
-// zero value is ready to Start.
+// goroutine, Addr reports the bound address, Shutdown stops it. Header
+// reads, responses and idle connections are bounded, so a client that never
+// finishes its request headers, stops reading a response or keeps an unused
+// connection is dropped instead of holding it open. The zero value is ready
+// to Start.
 type Listener struct {
 	// ConnState, when set before Start, is the server's
 	// http.Server.ConnState hook.
@@ -100,9 +101,21 @@ type Listener struct {
 	done chan struct{}
 }
 
-// readHeaderTimeout bounds how long a Listener waits for a request's
-// headers.
-var readHeaderTimeout = 10 * time.Second
+// The Listener's timeouts: constants that tests shorten.
+var (
+	// readHeaderTimeout bounds how long a Listener waits for a request's
+	// headers.
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout closes a kept-alive connection with no request for this
+	// long: longer than a Go client's 90 s, so the client closes first.
+	idleTimeout = 2 * time.Minute
+	// writeTimeout bounds a response from its request's headers to its last
+	// byte, freeing the handler of a client that stops reading. It must
+	// exceed the longest a handler waits before it writes: gpuprofd holds a
+	// status request up to serve's maxStatusWait (30 s), and a pprof
+	// profile takes 30 s by default.
+	writeTimeout = time.Minute
+)
 
 // Start binds addr (":0" picks a free port; query it with Addr) and serves h
 // in a background goroutine until Shutdown, reporting an abnormal end of the
@@ -118,7 +131,8 @@ func (l *Listener) Start(addr string, h http.Handler, log *Logger) error {
 		return fmt.Errorf("listen %s: %w", addr, err)
 	}
 	l.ln = ln
-	l.srv = &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, ConnState: l.ConnState}
+	l.srv = &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout,
+		WriteTimeout: writeTimeout, ConnState: l.ConnState}
 	l.done = make(chan struct{})
 	go func(srv *http.Server, done chan struct{}) {
 		defer close(done)

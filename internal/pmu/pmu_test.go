@@ -1,6 +1,8 @@
 package pmu
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -60,6 +62,80 @@ func TestReadCoversAllCounters(t *testing.T) {
 	}
 	if Read(&c, CtrL2Misses) != 9 {
 		t.Error("generic counter read wrong")
+	}
+}
+
+// counterLeaves returns the name and address of every uint64 leaf of *c:
+// each field, each element of an array field and each field of an embedded
+// struct, by its promoted name.
+func counterLeaves(t *testing.T, c *sm.Counters) (names []string, leaves []*uint64) {
+	var walk func(v reflect.Value, name string)
+	walk = func(v reflect.Value, name string) {
+		switch v.Kind() {
+		case reflect.Uint64:
+			names, leaves = append(names, name), append(leaves, v.Addr().Interface().(*uint64))
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i), fmt.Sprintf("%s[%d]", name, i))
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i), v.Type().Field(i).Name)
+			}
+		default:
+			t.Fatalf("sm.Counters leaf %s is a %s, not a uint64 counter", name, v.Type())
+		}
+	}
+	walk(reflect.ValueOf(c).Elem(), "")
+	return names, leaves
+}
+
+// TestEveryCounterSummedOnceReadOnce: every uint64 leaf of sm.Counters is
+// one counter. Add sums it into itself and nothing else, Sub undoes that,
+// and exactly one PMU counter reads it, reading no other leaf.
+func TestEveryCounterSummedOnceReadOnce(t *testing.T) {
+	var base sm.Counters
+	names, leaves := counterLeaves(t, &base)
+	for i, p := range leaves {
+		*p = uint64(i+1) << 20
+	}
+	if len(leaves) != NumCounters {
+		t.Errorf("sm.Counters has %d leaves, the PMU %d counters", len(leaves), NumCounters)
+	}
+	for i, name := range names {
+		var delta, only, others sm.Counters
+		_, dl := counterLeaves(t, &delta)
+		_, ol := counterLeaves(t, &only)
+		_, xl := counterLeaves(t, &others)
+		*dl[i], *ol[i] = uint64(i+1), 1
+		for j, p := range xl {
+			if j != i {
+				*p = 1
+			}
+		}
+		sum := base
+		sum.Add(&delta)
+		_, sl := counterLeaves(t, &sum)
+		for j, p := range sl {
+			if want := *leaves[j] + *dl[j]; *p != want {
+				t.Errorf("Add of %s = %d: %s reads %d, want %d", name, i+1, names[j], *p, want)
+			}
+		}
+		if back := sum.Sub(&delta); back != base {
+			t.Errorf("Sub does not undo Add of %s", name)
+		}
+		var readers []string
+		for _, id := range AllCounters() {
+			if Read(&only, id) != 0 {
+				readers = append(readers, Name(id))
+				if v := Read(&others, id); v != 0 {
+					t.Errorf("%s reads %s and another leaf (%d with %s zero)", Name(id), name, v, name)
+				}
+			}
+		}
+		if len(readers) != 1 {
+			t.Errorf("%s is read by %d PMU counters %v, want 1", name, len(readers), readers)
+		}
 	}
 }
 

@@ -56,8 +56,7 @@ type probeOutcome struct {
 	out       []uint32
 	memHash   uint64
 	constHash uint64
-	dram      mem.DRAMStats
-	l2        []mem.CacheStats
+	mem       *mem.MemSys
 	simEvents []obs.Event
 }
 
@@ -83,10 +82,7 @@ func probe(t *testing.T, d *Device) probeOutcome {
 	}
 	o.out = d.Storage.ReadU32Slice(out, 2*n)
 	o.memHash, o.constHash = d.Storage.HashAllocated(), d.Const.Hash()
-	o.dram = d.Mem.DRAMStats()
-	for i := 0; i < d.Mem.NumSlices(); i++ {
-		o.l2 = append(o.l2, d.Mem.Slice(i).Stats())
-	}
+	o.mem = d.Mem
 	for _, e := range tr.Events() {
 		if e.PID == obs.PIDSim {
 			o.simEvents = append(o.simEvents, e)
@@ -100,8 +96,9 @@ func probe(t *testing.T, d *Device) probeOutcome {
 // every register, predicate and shared byte, host __constant__ writes,
 // tracing, a checker, an observer, a logger and the reference mode have left
 // dirty must, once reset, run the probe kernels exactly as a new device does —
-// launch results, per-SM counters, loop ticks, what the probes read, memory
-// and constant hashes, DRAM and L2 statistics, simulated-time trace events —
+// launch results, per-SM counters (L1 and L2 hits and misses among them),
+// loop ticks, what the probes read, memory and constant hashes, the L2 slices'
+// lines and the DRAM channels' bus cycles, simulated-time trace events —
 // and report nothing to what was attached before the reset. No suite app
 // reads memory it did not write, so the golden corpus cannot tell a reset that
 // leaves global memory dirty from one that zeroes it; this test can.
@@ -181,13 +178,14 @@ func TestResetDeviceBitIdentical(t *testing.T) {
 		{"probe output", got.out, want.out},
 		{"Storage.HashAllocated", got.memHash, want.memHash},
 		{"Const.Hash", got.constHash, want.constHash},
-		{"DRAM statistics", got.dram, want.dram},
-		{"L2 slice statistics", got.l2, want.l2},
 		{"simulated-time trace events", got.simEvents, want.simEvents},
 	} {
 		if !reflect.DeepEqual(c.got, c.want) {
 			t.Errorf("%s: reset device %v, new device %v", c.what, c.got, c.want)
 		}
+	}
+	if !reflect.DeepEqual(got.mem, want.mem) {
+		t.Error("the probes left the reset device's L2 slices or DRAM channels in another state than the new device's")
 	}
 	if chk.calls != calls || tr.Len() != events || logged.Len() != lines {
 		t.Errorf("the reset device still reports to what was attached before: checker calls %d -> %d, trace events %d -> %d, log bytes %d -> %d",

@@ -1058,20 +1058,7 @@ func (s *SM) Counters() Counters {
 			}
 		}
 	}
-	st := s.dp.Stats()
-	c.GlobalLoads = st.GlobalLoads
-	c.GlobalStores = st.GlobalStores
-	c.LoadSectors = st.LoadSectors
-	c.StoreSectors = st.StoreSectors
-	c.L1Hits = st.L1Hits
-	c.L1Misses = st.L1Misses
-	c.L2Hits = st.L2Hits
-	c.L2Misses = st.L2Misses
-	c.ConstLoads = st.ConstLoads
-	c.IMCHits = st.IMCHits
-	c.IMCMisses = st.IMCMisses
-	c.TexFetches = st.TexFetches
-	c.Atomics = st.Atomics
+	c.DataPathStats = s.dp.Stats()
 	return c
 }
 

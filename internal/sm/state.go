@@ -11,7 +11,11 @@
 // bank conflicts emerge from the data the workload actually processes.
 package sm
 
-import "fmt"
+import (
+	"fmt"
+
+	"gputopdown/internal/mem"
+)
 
 // WarpState is the scheduler-eye view of one warp in one cycle. The first
 // two states are the productive ones; the rest are the stall taxonomy of
@@ -113,20 +117,9 @@ type Counters struct {
 	SharedStores        uint64
 	SharedBankConflicts uint64 // extra cycles from conflicts
 
-	// Memory path (copied from mem.DataPathStats at collection time).
-	GlobalLoads  uint64
-	GlobalStores uint64
-	LoadSectors  uint64
-	StoreSectors uint64
-	L1Hits       uint64
-	L1Misses     uint64
-	L2Hits       uint64
-	L2Misses     uint64
-	ConstLoads   uint64
-	IMCHits      uint64
-	IMCMisses    uint64
-	TexFetches   uint64
-	Atomics      uint64
+	// Memory path: the SM's data path counts these, and Counters copies
+	// them in.
+	mem.DataPathStats
 
 	// Instruction cache.
 	ICacheHits   uint64

@@ -115,7 +115,7 @@ func WithReplayCache(on bool) Option { return func(p *Profiler) { p.cacheOn = on
 // WithChecks attaches the in-loop invariant checker (internal/check): every
 // checkpointed simulation epoch, kernel launch and Top-Down
 // analysis is asserted against the conservation laws the design guarantees
-// (warp-state histogram sums, cache/DRAM accounting, Top-Down closure).
+// (warp-state histogram sums, L2 residency bounds, Top-Down closure).
 // Violations accumulate on the profiler and are reported by CheckErr; they do
 // not interrupt the run. Off (the default) the hook sites are nil checks —
 // zero allocations, no measurable cost (BenchmarkChecksDisabled).
