@@ -63,10 +63,14 @@ bench:
 	bash bench/run.sh --workload $(WORKLOAD) --seconds $(SECONDS) --seed $(SEED)
 
 # loc prints the non-test Go lines of every package and their total — the
-# size figures CHANGES.md and ROADMAP.md quote. bench/ is a module of its own
-# and `./...` does not reach it.
+# size figures CHANGES.md and ROADMAP.md quote — then the byte size of each
+# design document, so doc growth shows beside code growth. bench/ is a module
+# of its own and `./...` does not reach it.
+DOCS = DESIGN.md README.md EXPERIMENTS.md
+
 loc:
 	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
 	while read -r pkg files; do \
 		[ -n "$$files" ] && printf '%6d %s\n' "$$(cat $$files | wc -l)" "$$pkg"; \
 	done | awk '{ print; n += $$1 } END { printf "%6d total\n", n }'
+	@for f in $(DOCS); do printf '%6d bytes %s\n' "$$(wc -c < $$f)" "$$f"; done

@@ -70,8 +70,10 @@ func TestFlameBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		f := NewFlame()
+		AddFlame(f, res)
 		var got bytes.Buffer
-		if err := WriteFlame(&got, res); err != nil {
+		if err := f.WriteFolded(&got); err != nil {
 			t.Fatal(err)
 		}
 		name := "testdata/flame_gemm_level" + string(rune('0'+level)) + ".folded"

@@ -17,8 +17,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
-	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -119,7 +117,7 @@ func without(set map[string]string, names ...string) map[string]string {
 // flagSurface is the record of what every binary accepts: the flag names and
 // defaults at 76bc239, before the shared flags moved to internal/cliflags,
 // except that figures reads the golden corpus (-dir) instead of profiling
-// (-sms).
+// (-sms) and goldengen has no -workers (it fans out through ProfileApps).
 var flagSurface = map[string]map[string]string{
 	"topdown": union(deviceFlags, workloadFlags, collectionFlags, obsFlags, map[string]string{
 		"per-kernel": "", "format": `"text"`, "dynamic": "", "autotune": "", "compare": "", "list": "",
@@ -133,7 +131,7 @@ var flagSurface = map[string]map[string]string{
 	},
 	"whatif":    union(deviceFlags, workloadFlags, map[string]string{"level": "3", "param": "", "values": ""}),
 	"figures":   {"fig": `"all"`, "dir": `"internal/check/testdata/golden"`, "format": `"table"`, "out": ""},
-	"goldengen": {"dir": `"internal/check/testdata/golden"`, "workers": strconv.Itoa(runtime.NumCPU())},
+	"goldengen": {"dir": `"internal/check/testdata/golden"`},
 }
 
 var (

@@ -1,9 +1,6 @@
 package gputopdown
 
 import (
-	"fmt"
-	"io"
-
 	"gputopdown/internal/core"
 	"gputopdown/internal/obs"
 )
@@ -45,18 +42,4 @@ func AddFlame(f *Flame, r *AppResult) {
 			}
 		})
 	}
-}
-
-// WriteFlame writes the folded-stack ("collapsed") simulated-cycle
-// attribution of one or more app results — the format speedscope imports
-// directly and flamegraph.pl renders to SVG. Nil results are skipped.
-func WriteFlame(w io.Writer, results ...*AppResult) error {
-	f := NewFlame()
-	for _, r := range results {
-		AddFlame(f, r)
-	}
-	if f.Len() == 0 {
-		return fmt.Errorf("gputopdown: no analyses to export as flamegraph")
-	}
-	return f.WriteFolded(w)
 }

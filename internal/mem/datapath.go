@@ -38,7 +38,7 @@ type DataPath struct {
 
 // NewDataPath builds the private caches for one SM around the shared memory
 // system.
-func NewDataPath(spec *gpu.Spec, smID int, ms *MemSys) *DataPath {
+func NewDataPath(spec *gpu.Spec, ms *MemSys) *DataPath {
 	return &DataPath{
 		spec: spec,
 		L1:   NewCache("L1D", spec.L1Size, spec.L1Ways, spec.LineSize, spec.SectorSize),

@@ -8,7 +8,7 @@ import (
 
 func newTestPath() *DataPath {
 	spec := gpu.QuadroRTX4000()
-	return NewDataPath(spec, 0, NewMemSys(spec))
+	return NewDataPath(spec, NewMemSys(spec))
 }
 
 func TestGlobalLoadHierarchy(t *testing.T) {

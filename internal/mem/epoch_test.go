@@ -22,9 +22,9 @@ func epochGeometries() map[string]func() *Cache {
 		"8 ways x 96 sets, 32 sectors": func() *Cache { return NewCache("t", 96*8*128, 8, 128, 4) },
 	}
 	for _, spec := range []*gpu.Spec{gpu.QuadroRTX4000(), gpu.GTX1070()} {
-		out[spec.Name+"/L1D"] = func() *Cache { return NewDataPath(spec, 0, NewMemSys(spec)).L1 }
+		out[spec.Name+"/L1D"] = func() *Cache { return NewDataPath(spec, NewMemSys(spec)).L1 }
 		out[spec.Name+"/L2"] = func() *Cache { return NewMemSys(spec).Slice(0) }
-		out[spec.Name+"/IMC"] = func() *Cache { return NewDataPath(spec, 0, NewMemSys(spec)).IMC }
+		out[spec.Name+"/IMC"] = func() *Cache { return NewDataPath(spec, NewMemSys(spec)).IMC }
 		out[spec.Name+"/L1I"] = func() *Cache {
 			return NewCache("L1I", spec.ICacheSize, spec.ICacheWays, spec.LineSize, spec.LineSize)
 		}
@@ -136,7 +136,7 @@ func evicts(c *Cache, addr uint64) bool {
 func BenchmarkCacheFlush(b *testing.B) {
 	spec := gpu.QuadroRTX4000()
 	l2 := NewMemSys(spec).Slice(0)
-	l1 := NewDataPath(spec, 0, NewMemSys(spec)).L1
+	l1 := NewDataPath(spec, NewMemSys(spec)).L1
 	for _, c := range []*Cache{l2, l1} {
 		for a := uint64(0); a < uint64(c.Sets()*c.Ways())<<c.lineShift; a += 1 << c.lineShift {
 			c.AccessLine(a, 1)

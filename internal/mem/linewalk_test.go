@@ -120,7 +120,7 @@ func TestNewCacheWays(t *testing.T) {
 		if err := spec.Set(name, "64"); err != nil || spec.Validate() != nil {
 			t.Fatalf("%s = 64 does not validate: %v / %v", name, err, spec.Validate())
 		}
-		dp := NewDataPath(spec, 0, NewMemSys(spec))
+		dp := NewDataPath(spec, NewMemSys(spec))
 		l1i := NewCache("L1I", spec.ICacheSize, spec.ICacheWays, spec.LineSize, spec.LineSize)
 		for _, c := range []*Cache{dp.L1, dp.IMC, dp.Mem.Slice(0), l1i} {
 			c.AccessLine(0, 1)
@@ -287,8 +287,8 @@ func TestDataPathLineWalkMatchesPerSector(t *testing.T) {
 		// Two SMs' worth of traffic into one shared MemSys on each side, so
 		// an L2 slice sees interleaved requesters as on a device.
 		ms, refMS := NewMemSys(spec), NewMemSys(spec)
-		dps := []*DataPath{NewDataPath(spec, 0, ms), NewDataPath(spec, 1, ms)}
-		refs := []perSector{{NewDataPath(spec, 0, refMS)}, {NewDataPath(spec, 1, refMS)}}
+		dps := []*DataPath{NewDataPath(spec, ms), NewDataPath(spec, ms)}
+		refs := []perSector{{NewDataPath(spec, refMS)}, {NewDataPath(spec, refMS)}}
 		rng := rand.New(rand.NewSource(31))
 		var now uint64
 		var sectors []uint64

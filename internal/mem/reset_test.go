@@ -14,7 +14,7 @@ import (
 func TestResetRestoresConstructorState(t *testing.T) {
 	for _, spec := range []*gpu.Spec{gpu.QuadroRTX4000(), gpu.GTX1070()} {
 		ms := NewMemSys(spec)
-		dp := NewDataPath(spec, 0, ms)
+		dp := NewDataPath(spec, ms)
 		var sectors []uint64
 		for a := uint64(0); a < 1<<16; a += 32 {
 			sectors = append(sectors, a)
@@ -31,7 +31,7 @@ func TestResetRestoresConstructorState(t *testing.T) {
 		}
 		dp.Reset()
 		ms.Reset()
-		if want := NewDataPath(spec, 0, NewMemSys(spec)); !reflect.DeepEqual(dp, want) {
+		if want := NewDataPath(spec, NewMemSys(spec)); !reflect.DeepEqual(dp, want) {
 			t.Errorf("%s: a reset data path and memory system differ from new ones", spec.Name)
 		}
 	}

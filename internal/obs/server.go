@@ -3,7 +3,7 @@
 // trace snapshot, and net/http/pprof for continuous self-profiling of the
 // profiler process.
 //
-// Two time domains meet here (see DESIGN.md §6): /debug/pprof profiles the
+// Two time domains meet here (see DESIGN.md §2): /debug/pprof profiles the
 // profiler itself on the host wall clock, while /metrics and /trace carry the
 // simulated-GPU accounting. The server is strictly read-only with respect to
 // the run — every handler snapshots state guarded by the same mutexes the

@@ -42,7 +42,7 @@ func (s *SM) issue(sp *subpart, w *warp, now uint64) {
 		// Post-Volta independent thread scheduling lets idle lanes of a
 		// divergent warp make progress on the other path; credit a fraction
 		// of them as executed thread-instructions (affects warp efficiency
-		// only — see DESIGN.md).
+		// only — see DESIGN.md §1).
 		idle := popcount((w.members &^ w.exited) &^ active)
 		s.ctr.ThreadInstExecuted += uint64(spec.DivergenceMitigation * float64(idle))
 	}

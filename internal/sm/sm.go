@@ -262,7 +262,7 @@ func New(spec *gpu.Spec, id int, ms *mem.MemSys, storage *mem.Storage, constBank
 	s := &SM{
 		spec:          spec,
 		id:            id,
-		dp:            mem.NewDataPath(spec, id, ms),
+		dp:            mem.NewDataPath(spec, ms),
 		icache:        mem.NewCache("L1I", spec.ICacheSize, spec.ICacheWays, spec.LineSize, spec.LineSize),
 		storage:       storage,
 		constBank:     constBank,

@@ -5,7 +5,7 @@
 // Each application reproduces the microarchitectural character the paper
 // attributes to its original (memory-bound stencils, constant-cache-bound
 // ML kernels, divergent graph traversals, ...), not its exact numerics —
-// see DESIGN.md's substitution table. Data is generated deterministically
+// see DESIGN.md §1. Data is generated deterministically
 // from a per-app seed, so profiling runs are exactly reproducible.
 package workloads
 

@@ -205,7 +205,7 @@ func TestObservabilityResultsBitIdentical(t *testing.T) {
 
 // TestFlameExport checks the Top-Down folded export: stacks rooted at the
 // device, level-3 stall-reason leaves, parseable "<frames> <int>" lines, and
-// a loud error when there is nothing to export.
+// nothing at all from an accumulator no result was folded into.
 func TestFlameExport(t *testing.T) {
 	spec, _ := gputopdown.LookupGPU("rtx4000")
 	p := gputopdown.NewProfiler(spec.WithSMs(2), gputopdown.WithLevel(3))
@@ -217,8 +217,10 @@ func TestFlameExport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	f := gputopdown.NewFlame()
+	gputopdown.AddFlame(f, res)
 	var buf bytes.Buffer
-	if err := gputopdown.WriteFlame(&buf, res); err != nil {
+	if err := f.WriteFolded(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -247,7 +249,9 @@ func TestFlameExport(t *testing.T) {
 		}
 	}
 
-	if err := gputopdown.WriteFlame(&bytes.Buffer{}); err == nil {
-		t.Error("WriteFlame with no results succeeded")
+	empty := gputopdown.NewFlame()
+	gputopdown.AddFlame(empty, nil)
+	if n := empty.Len(); n != 0 {
+		t.Errorf("flame with no results holds %d stacks, want 0", n)
 	}
 }

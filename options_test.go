@@ -61,8 +61,7 @@ func TestEveryOptionHasACaller(t *testing.T) {
 // TestJobSettingsTranslatedOnce: the options a JobRequest's settings map to
 // are applied by JobOptions alone among the front doors — the root package,
 // cmd/ and internal/ — so the CLIs and the daemon cannot drift apart.
-// examples/ are library callers that write a profile in Go, not a
-// translation, and bench/ keeps its own copy until it is next edited.
+// bench/ keeps its own copy until it is next edited.
 func TestJobSettingsTranslatedOnce(t *testing.T) {
 	settings := map[string]bool{"WithLevel": true, "WithHWPM": true, "WithRawEquations": true,
 		"WithSampling": true, "WithReplayCache": true}
@@ -70,7 +69,7 @@ func TestJobSettingsTranslatedOnce(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() && (d.Name() == "bench" || d.Name() == "examples") {
+		if d.IsDir() && d.Name() == "bench" {
 			return filepath.SkipDir
 		}
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
