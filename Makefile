@@ -43,10 +43,11 @@ golden:
 # conformance is CI's conformance job, the tier-1 conformance tests without
 # their sampling: GOLDEN_FULL=1 runs every corpus app on the full device
 # models. It runs the engine-equivalence and app tests (production against
-# reference device, internal/workloads), the replay oracle on the full Top-Down
-# schedule (internal/cupti), the cached autotune profile against the uncached
-# one, the golden corpus on new and reused profilers, and the metamorphic and
-# checks-clean tests.
+# reference device, internal/workloads: each case's one reference run), the
+# replay oracle on the full Top-Down schedule (internal/cupti, production
+# devices), the cached autotune profile against the uncached one, the golden
+# corpus on new and reused profilers, and the metamorphic and checks-clean
+# tests.
 conformance:
 	GOLDEN_FULL=1 $(GO) test -run 'TestEngineEquivalence|AppsRun|TestCUDASamplesRun' -v -timeout 60m ./internal/workloads/
 	GOLDEN_FULL=1 $(GO) test -run 'TestDeterminismReplayOracle' -v -timeout 60m ./internal/cupti/

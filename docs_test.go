@@ -22,6 +22,10 @@ var (
 	callArgs   = regexp.MustCompile(`\([^()]*\)$`)
 	goName     = regexp.MustCompile(`^(?:\(\*([a-z][a-z0-9]*)\.([A-Za-z_]\w*)\)\.([A-Za-z_]\w*)|([a-z][a-z0-9]*)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?)$`)
 	testName   = regexp.MustCompile(`^(?:Test|Benchmark|Fuzz|Example)\w*$`)
+	designRef  = regexp.MustCompile(`DESIGN(?:\.md)? §(\d+)`)
+	roadmapRef = regexp.MustCompile(`ROADMAP(?:\.md)? item (\d+)`)
+	heading    = regexp.MustCompile(`(?m)^## (\d+)\. `)
+	openItem   = regexp.MustCompile(`(?m)^(\d+)\. \*\*`) // a done item reads "N. *Done …"
 )
 
 // TestDocsNameWhatExists holds DESIGN.md and README.md to the tree. Every
@@ -33,7 +37,9 @@ var (
 // or as pkg.TestX, must be a function of some test file, bench/'s included,
 // so the invariants the docs pin to tests name tests that run. Tokens with spaces (commands), the
 // benchmark's metric names (BENCHMARK.json) and anything else are ignored.
-// DESIGN.md stays within maxDesignBytes.
+// DESIGN.md stays within maxDesignBytes. Section numbers are names too: every
+// "DESIGN §N" or "DESIGN.md §N" in README.md and EXPERIMENTS.md must name a
+// "## N." heading of DESIGN.md, and every "ROADMAP item N" an open item.
 func TestDocsNameWhatExists(t *testing.T) {
 	decls := moduleDecls(t)
 	metrics := benchmarkMetrics(t)
@@ -54,6 +60,37 @@ func TestDocsNameWhatExists(t *testing.T) {
 			}
 		}
 	}
+	sections, items := numbered(t, "DESIGN.md", heading), numbered(t, "ROADMAP.md", openItem)
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md"} {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ref := range []struct {
+			re     *regexp.Regexp
+			exists map[string]bool
+			want   string
+		}{{designRef, sections, "DESIGN.md section"}, {roadmapRef, items, "open ROADMAP item"}} {
+			for _, m := range ref.re.FindAllStringSubmatch(string(src), -1) {
+				if !ref.exists[m[1]] {
+					t.Errorf("%s: %q names no %s", doc, m[0], ref.want)
+				}
+			}
+		}
+	}
+}
+
+// numbered returns the numbers re's first group matches in a document.
+func numbered(t *testing.T, doc string, re *regexp.Regexp) map[string]bool {
+	src, err := os.ReadFile(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]bool{}
+	for _, m := range re.FindAllStringSubmatch(string(src), -1) {
+		out[m[1]] = true
+	}
+	return out
 }
 
 // codeTokens returns the inline code spans of a Markdown document outside

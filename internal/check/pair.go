@@ -8,13 +8,14 @@ import (
 	"gputopdown/internal/sim"
 )
 
-// Recorder is the sim.Checker of one side of an engine-equivalence pair: it
-// runs the invariant checks on every launch and keeps the RunResult and the
-// SM tick count of each launch made while Keep is set. The workloads tests
-// run an app back to back on a production and a reference device
-// (sim.Device.SetReference), the cupti tests a profiling session against the
-// real replay oracle whose first pass runs on the reference; both compare the
-// two recorders with SameRuns.
+// Recorder is the sim.Checker of one side of an equivalence pair: it runs
+// the invariant checks on every launch and keeps the RunResult and the SM
+// tick count of each launch made while Keep is set. The workloads tests run
+// an app back to back on a production and a reference device
+// (sim.Device.SetReference), the one sweep of the reference per (app, GPU);
+// the cupti tests run a profiling session against the real replay oracle,
+// both on production devices. Both compare the two recorders with SameRuns
+// and then their tick counts.
 type Recorder struct {
 	*Invariants
 	Keep  bool
@@ -36,27 +37,22 @@ func (r *Recorder) CheckLaunch(d *sim.Device, res *sim.RunResult) {
 	}
 }
 
-// SameRuns requires the launches kept on the production device and on the
-// reference to have equal RunResults, launch by launch — cycles, aggregate
-// and per-SM counters and trace samples — and the production device to have
-// ticked the SMs fewer times: a loop that skips no idle cycle is the
-// reference's loop again. It returns nil or every difference it found.
-func SameRuns(fast, ref *Recorder) error {
-	if len(fast.Runs) != len(ref.Runs) {
-		return fmt.Errorf("%d launches on the production device, %d on the reference", len(fast.Runs), len(ref.Runs))
+// SameRuns requires the launches kept by two recorders to have equal
+// RunResults, launch by launch — cycles, aggregate and per-SM counters and
+// trace samples. It returns nil or every difference it found.
+func SameRuns(got, want *Recorder) error {
+	if len(got.Runs) != len(want.Runs) {
+		return fmt.Errorf("%d launches kept, want %d", len(got.Runs), len(want.Runs))
 	}
 	var errs []error
-	if fast.Ticks >= ref.Ticks {
-		errs = append(errs, fmt.Errorf("the production device ticked the SMs %d times, the reference %d: it skipped no idle cycle", fast.Ticks, ref.Ticks))
-	}
-	for i, f := range fast.Runs {
-		n := ref.Runs[i]
-		if reflect.DeepEqual(f, n) {
+	for i, g := range got.Runs {
+		w := want.Runs[i]
+		if reflect.DeepEqual(g, w) {
 			continue
 		}
-		errs = append(errs, fmt.Errorf("launch %d (%s) differs from the reference: cycles %d / %d, counters equal %t, per-SM equal %t, trace samples %d / %d, trace equal %t",
-			i, f.Kernel, f.Cycles, n.Cycles, f.Counters == n.Counters,
-			reflect.DeepEqual(f.PerSM, n.PerSM), len(f.Trace), len(n.Trace), reflect.DeepEqual(f.Trace, n.Trace)))
+		errs = append(errs, fmt.Errorf("launch %d (%s) differs: cycles %d / %d, counters equal %t, per-SM equal %t, trace samples %d / %d, trace equal %t",
+			i, g.Kernel, g.Cycles, w.Cycles, g.Counters == w.Counters,
+			reflect.DeepEqual(g.PerSM, w.PerSM), len(g.Trace), len(w.Trace), reflect.DeepEqual(g.Trace, w.Trace)))
 	}
 	return errors.Join(errs...)
 }

@@ -8,32 +8,25 @@ import (
 	"gputopdown/internal/sim"
 )
 
-// TestSameRuns pins what an engine-equivalence pair must share: as many
-// launches, equal RunResults launch by launch, and fewer SM ticks on the
-// production side.
+// TestSameRuns pins what the two sides of an equivalence pair must share: as
+// many launches, and equal RunResults launch by launch.
 func TestSameRuns(t *testing.T) {
 	run := func(cycles uint64) *sim.RunResult { return &sim.RunResult{Kernel: "k", Cycles: cycles} }
-	pair := func(fast, ref []*sim.RunResult, fastTicks, refTicks uint64) (*Recorder, *Recorder) {
-		return &Recorder{Runs: fast, Ticks: fastTicks}, &Recorder{Runs: ref, Ticks: refTicks}
-	}
 	for _, c := range []struct {
 		name      string
-		fast, ref []*sim.RunResult
-		fastTicks uint64
-		want      string // "" = equal
+		got, want []*sim.RunResult
+		err       string // "" = equal
 	}{
-		{"equal", []*sim.RunResult{run(10), run(20)}, []*sim.RunResult{run(10), run(20)}, 5, ""},
-		{"launch count", []*sim.RunResult{run(10)}, []*sim.RunResult{run(10), run(20)}, 5, "1 launches on the production device, 2"},
-		{"result", []*sim.RunResult{run(10), run(21)}, []*sim.RunResult{run(10), run(20)}, 5, "launch 1 (k) differs from the reference: cycles 21 / 20"},
-		{"no skip", []*sim.RunResult{run(10)}, []*sim.RunResult{run(10)}, 30, "skipped no idle cycle"},
+		{"equal", []*sim.RunResult{run(10), run(20)}, []*sim.RunResult{run(10), run(20)}, ""},
+		{"launch count", []*sim.RunResult{run(10)}, []*sim.RunResult{run(10), run(20)}, "1 launches kept, want 2"},
+		{"result", []*sim.RunResult{run(10), run(21)}, []*sim.RunResult{run(10), run(20)}, "launch 1 (k) differs: cycles 21 / 20"},
 	} {
-		fast, ref := pair(c.fast, c.ref, c.fastTicks, 30)
-		err := SameRuns(fast, ref)
+		err := SameRuns(&Recorder{Runs: c.got}, &Recorder{Runs: c.want})
 		switch {
-		case c.want == "" && err != nil:
+		case c.err == "" && err != nil:
 			t.Errorf("%s: unexpected %v", c.name, err)
-		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
-			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.want)
+		case c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)):
+			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.err)
 		}
 	}
 }

@@ -17,13 +17,13 @@ import (
 
 // replayOracle is real CUPTI kernel replay: every scheduled pass restores the
 // pre-launch memory, flushes the caches and launches the kernel again, and
-// the pass keeps only its own counters of that run. It is the reference the
+// the pass keeps only its own counters of that run. It is the oracle the
 // Session's replay accounting (one launch, N merges, N charges) is proven
 // against. It borrows the schedule, collection mode and flush-cost model of
-// a Session that itself never profiles. The first pass, or the one native run
-// of an invocation sampling skips, runs on the reference device
-// (sim.Device.SetReference) and is the one its device's recorder keeps; later
-// passes run on the production device.
+// a Session that itself never profiles. Every pass runs on the production
+// device; the first, or the one native run of an invocation sampling skips,
+// is the one its device's recorder keeps. The production engine is held to
+// the reference by internal/workloads' native pair.
 type replayOracle struct {
 	ref         *Session
 	rec         *check.Recorder
@@ -48,10 +48,8 @@ func newReplayOracle(dev *sim.Device, rec *check.Recorder, request []pmu.Counter
 	}, nil
 }
 
-// launch runs pass i of an invocation: the first on the reference, kept by
-// the recorder, the others on the production device.
+// launch runs pass i of an invocation; the recorder keeps the first.
 func (o *replayOracle) launch(l *kernel.Launch, i int) (*sim.RunResult, error) {
-	o.ref.dev.SetReference(i == 0)
 	o.rec.Keep = i == 0
 	return o.ref.dev.Launch(l)
 }
@@ -155,11 +153,11 @@ func runApp(t *testing.T, app *workloads.App, spec *gpu.Spec, traceInterval uint
 }
 
 // compareToOracle runs app through a Session on a production device and
-// through the replay oracle on a second device and requires every launch's
+// through the replay oracle on a second one and requires every launch's
 // merged values, cycles, SMs used and post-launch memory, and the
-// session-level overhead totals, to be equal — and, since the oracle's first
-// pass runs on the reference, every session launch's RunResult to equal that
-// pass's (check.SameRuns): engine equivalence on flushed launches.
+// session-level overhead totals, to be equal — and every session launch's
+// RunResult and SM ticks to equal those of the oracle's first pass
+// (check.SameRuns).
 func compareToOracle(t *testing.T, app *workloads.App, spec *gpu.Spec, request []pmu.CounterID, mode Mode, sampleEvery int, traceInterval uint64) {
 	t.Helper()
 	got := runApp(t, app, spec, traceInterval, func(dev *sim.Device, _ *check.Recorder) (launchProfiler, error) {
@@ -192,7 +190,10 @@ func compareToOracle(t *testing.T, app *workloads.App, spec *gpu.Spec, request [
 			got.native, got.profiled, want.native, want.profiled)
 	}
 	if err := check.SameRuns(got.rec, want.rec); err != nil {
-		t.Errorf("session against the oracle's reference first pass: %v", err)
+		t.Errorf("session against the oracle's first pass: %v", err)
+	}
+	if got.rec.Ticks != want.rec.Ticks {
+		t.Errorf("the session ticked the SMs %d times, the oracle's first pass %d", got.rec.Ticks, want.rec.Ticks)
 	}
 }
 
@@ -247,8 +248,8 @@ func oracleSpec(t *testing.T, id string) (*gpu.Spec, int) {
 // replay: for every suite app on both evaluation GPUs the Session, which
 // simulates each launch once, must agree with the N-pass oracle on every
 // launch and on the Fig. 13 totals, and its launches with the oracle's
-// first pass, on the reference. Three apps also run traced every 64 cycles,
-// so every trace sample of a flushed launch lands on the reference's cycle.
+// first pass. Three apps also run traced every 64 cycles, so every trace
+// sample of a flushed launch lands on the oracle's cycle.
 func TestDeterminismReplayOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiling matrix skipped in -short mode")

@@ -17,11 +17,12 @@ import (
 // as Profiler.Timeline and sampled-out invocations run it — on every device
 // model at 4 SMs (the full models under GOLDEN_FULL=1), on a production and
 // on a reference device (sim.Device.SetReference), each under the invariant
-// checker. TestEngineEquivalenceAllApps compares the two launch for launch;
-// the Test*AppsRun tests check the production run's counters. The
-// production run of an (app, GPU) is made once and shared by both. The
-// profiled launches — flushed, replayed and merged — are checked the same way
-// by internal/cupti's replay oracle.
+// checker. TestEngineEquivalenceAllApps compares the two launch for launch:
+// it is tier-1's one run of the reference engine per (app, GPU). The
+// Test*AppsRun tests check the production run's counters; the production run
+// of an (app, GPU) is made once and shared by both. internal/cupti's replay
+// oracle checks the profiled launches — flushed, replayed and merged — on
+// production devices only.
 
 var full = os.Getenv("GOLDEN_FULL") != ""
 
@@ -65,22 +66,16 @@ func runNative(a *workloads.App, spec *gpu.Spec, reference bool, traceInterval u
 
 // fastRuns holds the production run of each "suite/app/gpu", made by
 // whichever test asks for it first.
-var fastRuns sync.Map // string → *sharedRun
-
-type sharedRun struct {
-	once sync.Once
-	nativeRun
-}
+var fastRuns sync.Map // string → func() nativeRun
 
 func fastRun(a *workloads.App, id string, spec *gpu.Spec) nativeRun {
-	v, _ := fastRuns.LoadOrStore(a.ID()+"/"+id, &sharedRun{})
-	s := v.(*sharedRun)
-	s.once.Do(func() { s.nativeRun = runNative(a, spec, false, 0) })
-	return s.nativeRun
+	v, _ := fastRuns.LoadOrStore(a.ID()+"/"+id, sync.OnceValue(func() nativeRun { return runNative(a, spec, false, 0) }))
+	return v.(func() nativeRun)()
 }
 
 // samePair requires both runs to have succeeded and to be equal launch for
-// launch, with fewer SM ticks on the production side (check.SameRuns).
+// launch (check.SameRuns), and the production device to have ticked the SMs
+// fewer times: a loop that skips no idle cycle is the reference's loop again.
 func samePair(t *testing.T, fast, ref nativeRun) {
 	t.Helper()
 	if fast.err != nil {
@@ -90,7 +85,10 @@ func samePair(t *testing.T, fast, ref nativeRun) {
 		t.Fatalf("reference device: %v", ref.err)
 	}
 	if err := check.SameRuns(fast.rec, ref.rec); err != nil {
-		t.Error(err)
+		t.Errorf("production device against the reference: %v", err)
+	}
+	if fast.rec.Ticks >= ref.rec.Ticks {
+		t.Errorf("the production device ticked the SMs %d times, the reference %d: it skipped no idle cycle", fast.rec.Ticks, ref.rec.Ticks)
 	}
 }
 
